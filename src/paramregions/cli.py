@@ -19,14 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import clustering, seqalign, tariff
-from .geometry import (
-    ConvexCell,
-    GeometryError,
-    Halfspace,
-    find_interior_point,
-    polygon_vertices,
-    solve_lp,
-)
+from .geometry import ConvexCell, GeometryError, Halfspace, polygon_vertices, solve_lp
 from .rationals import Rational, as_rational, format_rational, format_vector, rat
 from .regions import Subdivision, cells_share_facet
 from .seqalign import AlignmentDPSpec, get_preset
@@ -204,25 +197,6 @@ def decode_label(data):
 
 
 # --------------------------------------------------------------------------
-# Shared serialization of subdivisions
-# --------------------------------------------------------------------------
-
-def subdivision_payload(sub: Subdivision, extras=None) -> dict:
-    cells = []
-    for label in sorted(sub.cells):
-        entry = {"label": encode_label(label)}
-        entry.update(sub.cells[label].to_json(encode_label))
-        if extras:
-            entry.update(extras(label))
-        cells.append(entry)
-    return {
-        "parent": sub.parent.to_json(encode_label),
-        "cells": cells,
-        "adjacency": sorted([encode_label(a), encode_label(b)] for a, b in sub.adjacency),
-    }
-
-
-# --------------------------------------------------------------------------
 # Commands
 # --------------------------------------------------------------------------
 
@@ -237,11 +211,7 @@ def cmd_cluster_regions(config: RunConfig) -> dict:
         parent = family.simplex_cell()
         extra = _parse_restrictions(config.restrict, family.dimension)
         if extra:
-            cell = ConvexCell(family.dimension, parent.constraints + tuple(extra))
-            witness = find_interior_point(list(cell.constraints), config.seed)
-            if witness is None:
-                raise InfeasibleConfig("restricted parameter region has empty interior")
-            parent = ConvexCell(family.dimension, cell.constraints, witness=witness)
+            parent = ConvexCell(family.dimension, parent.constraints + tuple(extra))
         root = clustering.build_execution_tree(inst, family, parent=parent, seed=config.seed)
     except (ValueError, GeometryError) as exc:
         if isinstance(exc, (InfeasibleConfig, ParseFailure)):
@@ -256,35 +226,34 @@ def cmd_cluster_regions(config: RunConfig) -> dict:
             losses[merges] = clustering.hamming_loss(tree, inst.target, inst.k)
 
     keys = sorted(leaves)
-    cells = []
-    for merges in keys:
-        entry = {"label": encode_label(merges)}
-        entry.update(leaves[merges].to_json(encode_label))
-        entry["merges"] = encode_label(merges)
+    adjacency = frozenset(
+        (keys[i], keys[j])
+        for i in range(len(keys))
+        for j in range(i + 1, len(keys))
+        if cells_share_facet(leaves[keys[i]], leaves[keys[j]], config.seed)
+    )
+
+    def extras(merges):
+        out = {"merges": encode_label(merges)}
         if merges in losses:
-            entry["loss"] = format_rational(losses[merges])
-        cells.append(entry)
-    adjacency = []
-    for i in range(len(keys)):
-        for j in range(i + 1, len(keys)):
-            if cells_share_facet(leaves[keys[i]], leaves[keys[j]], config.seed):
-                adjacency.append(sorted([encode_label(keys[i]), encode_label(keys[j])]))
+            out["loss"] = format_rational(losses[merges])
+        return out
+
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "cluster-regions",
         "dimension": family.dimension,
         "linkages": list(family.linkages),
         "metrics": list(family.metrics),
-        "parent": root.region.to_json(encode_label),
-        "cells": cells,
-        "adjacency": sorted(adjacency),
     }
+    payload.update(Subdivision(root.region, leaves, adjacency).to_json(encode_label, extras))
     if losses:
-        best = clustering.best_parameter(inst, family, seed=config.seed)
+        # best_parameter's tie rule: the smallest merge sequence of least loss.
+        best = min(keys, key=losses.__getitem__)
         payload["best"] = {
-            "rho": format_vector(best[0]),
-            "loss": format_rational(best[1]),
-            "label": encode_label(best[2].merges),
+            "rho": format_vector(leaves[best].witness),
+            "loss": format_rational(losses[best]),
+            "label": encode_label(best),
         }
     if config.oracle_check:
         agreement = _cluster_oracle_agreement(inst, family, leaves, config)
@@ -334,12 +303,17 @@ def cmd_align_regions(config: RunConfig) -> dict:
     return payload
 
 
-def cmd_tariff_regions(config: RunConfig) -> dict:
+def _tariff_regions(config: RunConfig) -> tuple:
+    """The instance and its price regions; single tariffs get the plain
+    quantity-tuple labels."""
     inst = load_tariff_instance(_load_json(config.instance), config.menu)
     if inst.menu_length == 1:
-        sub = tariff.single_tariff_regions(inst, seed=config.seed)
-    else:
-        sub = tariff.compute_price_regions(inst, seed=config.seed)
+        return inst, tariff.single_tariff_regions(inst, seed=config.seed)
+    return inst, tariff.compute_price_regions(inst, seed=config.seed)
+
+
+def cmd_tariff_regions(config: RunConfig) -> dict:
+    inst, sub = _tariff_regions(config)
 
     def extras(label):
         return {"revenue": [format_rational(c) for c in tariff.revenue_form(inst, label)]}
@@ -351,7 +325,7 @@ def cmd_tariff_regions(config: RunConfig) -> dict:
         "menu_length": inst.menu_length,
         "price_cap": format_rational(inst.price_cap),
     }
-    payload.update(subdivision_payload(sub, extras))
+    payload.update(sub.to_json(encode_label, extras))
     if inst.menu_length == 1:
         report = tariff.check_piece_bound(inst, sub)
         payload["piece_bound"] = {
@@ -373,11 +347,7 @@ def cmd_tariff_regions(config: RunConfig) -> dict:
 
 
 def cmd_tariff_optimize(config: RunConfig) -> dict:
-    inst = load_tariff_instance(_load_json(config.instance), config.menu)
-    if inst.menu_length == 1:
-        sub = tariff.single_tariff_regions(inst, seed=config.seed)
-    else:
-        sub = tariff.compute_price_regions(inst, seed=config.seed)
+    inst, sub = _tariff_regions(config)
     prices, revenue, label = tariff.maximize_revenue(inst, sub, seed=config.seed)
     payload = {
         "schema_version": SCHEMA_VERSION,

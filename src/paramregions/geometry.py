@@ -98,6 +98,12 @@ class Halfspace:
         """Geometric identity, ignoring the label."""
         return (self.normal, self.offset)
 
+    def line_key(self):
+        """Identity of the boundary hyperplane, the same for both of its
+        sides: the key with the first nonzero normal coordinate positive."""
+        lead = next(c for c in self.normal if c != 0)
+        return self.key() if lead > 0 else self.flipped().key()
+
     def flipped(self) -> "Halfspace":
         """The complementary halfspace boundary: {normal . x >= offset}."""
         return Halfspace(tuple(-c for c in self.normal), -self.offset, self.label)
@@ -147,6 +153,12 @@ class ConvexCell:
 
     def constraint_keys(self) -> frozenset:
         return frozenset(h.key() for h in self.constraints)
+
+    def map_labels(self, f) -> "ConvexCell":
+        """The same cell with every facet label passed through `f`; facets
+        without a label keep none."""
+        constraints = tuple(h if h.label is None else h.relabel(f(h.label)) for h in self.constraints)
+        return ConvexCell(self.dimension, constraints, self.witness)
 
     def to_json(self, encode_label=lambda x: x) -> dict:
         out = {

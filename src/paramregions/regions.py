@@ -21,6 +21,7 @@ from .geometry import (
     GeometryError,
     Halfspace,
     _clarkson_indices,
+    _project_row,
     dot,
     find_interior_point,
 )
@@ -130,11 +131,15 @@ class Subdivision:
     def labels_at(self, point, strict: bool = False) -> list:
         return sorted(l for l, c in self.cells.items() if c.contains(point, strict))
 
-    def to_json(self, encode_label=lambda x: x) -> dict:
-        cells = [
-            {"label": encode_label(label), **self.cells[label].to_json(encode_label)}
-            for label in sorted(self.cells)
-        ]
+    def to_json(self, encode_label=lambda x: x, extras=None) -> dict:
+        """Canonical JSON: cells in label order, each merged with
+        `extras(label)` when given, and the sorted adjacency pairs."""
+        cells = []
+        for label in sorted(self.cells):
+            entry = {"label": encode_label(label), **self.cells[label].to_json(encode_label)}
+            if extras:
+                entry.update(extras(label))
+            cells.append(entry)
         adjacency = sorted([encode_label(a), encode_label(b)] for a, b in self.adjacency)
         return {
             "parent": self.parent.to_json(encode_label),
@@ -237,9 +242,7 @@ def _has_relative_interior_on(plane: Halfspace, rows, seed: int) -> bool:
     k = max(range(d), key=lambda j: (abs(normal[j]), -j))
     projected = []
     for h in rows:
-        t = h.normal[k] / normal[k]
-        new_g = tuple(h.normal[j] - t * normal[j] for j in range(d) if j != k)
-        new_b = h.offset - t * offset
+        new_g, new_b = _project_row(h.normal, h.offset, normal, offset, k)
         if all(c == 0 for c in new_g):
             if new_b <= 0:
                 return False

@@ -16,7 +16,6 @@ of angular sectors with one DP solve per probe point.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -28,6 +27,7 @@ from .geometry import (
     clarkson_reduce,
     dot,
     find_interior_point,
+    reduce_cell,
 )
 from .rationals import Rational, ZERO, as_vector
 from .regions import (
@@ -36,6 +36,7 @@ from .regions import (
     Subdivision,
     cells_share_facet,
     compute_subdivision,
+    compute_vertex_cell,
 )
 
 SPACE = "-"
@@ -481,7 +482,7 @@ def dp_solve(spec: AlignmentDPSpec, s1: str, s2: str, rho):
 @dataclass(frozen=True)
 class AlignedRegion:
     """One behavior region: an optimal alignment and its convex pieces
-    (almost always exactly one piece)."""
+    (exactly one piece in every partition this module builds)."""
 
     alignment: Alignment
     pieces: tuple
@@ -491,7 +492,7 @@ class AlignedRegion:
 class AlignmentPartition:
     parent: ConvexCell
     regions: tuple
-    adjacency: Optional[frozenset] = None  # pairs of region indices
+    adjacency: frozenset = frozenset()  # pairs of region indices
 
     @property
     def piece_count(self) -> int:
@@ -505,49 +506,24 @@ class AlignmentPartition:
 
     def boundary_keys(self) -> frozenset:
         """Distinct non-box facet lines, sign-canonicalized."""
-        box_keys = {h.key() for h in self.parent.constraints}
-        out = set()
-        for region in self.regions:
-            for cell in region.pieces:
-                for h in cell.constraints:
-                    if h.key() in box_keys or h.flipped().key() in box_keys:
-                        continue
-                    lead = next(c for c in h.normal if c != 0)
-                    if lead < 0:
-                        out.add(h.flipped().key())
-                    else:
-                        out.add(h.key())
-        return frozenset(out)
+        box_keys = {h.line_key() for h in self.parent.constraints}
+        return frozenset(
+            h.line_key()
+            for region in self.regions
+            for cell in region.pieces
+            for h in cell.constraints
+            if h.line_key() not in box_keys
+        )
 
     def to_json(self) -> dict:
-        cells = []
+        """The partition as a `Subdivision` keyed by alignment key; facet
+        labels are the alignment keys of the neighboring regions."""
+        cells = {}
         for region in self.regions:
-            for cell in region.pieces:
-                entry = {"label": [region.alignment.t1, region.alignment.t2]}
-                entry.update(cell.to_json(encode_label=_encode_alignment_label))
-                cells.append(entry)
-        cells.sort(key=lambda e: (e["label"], json.dumps(e["constraints"], sort_keys=True)))
-        adjacency = []
-        if self.adjacency is not None:
-            for a, b in self.adjacency:
-                pair = sorted(
-                    [
-                        [self.regions[a].alignment.t1, self.regions[a].alignment.t2],
-                        [self.regions[b].alignment.t1, self.regions[b].alignment.t2],
-                    ]
-                )
-                adjacency.append(pair)
-        return {
-            "parent": self.parent.to_json(),
-            "cells": cells,
-            "adjacency": sorted(adjacency),
-        }
-
-
-def _encode_alignment_label(label):
-    if isinstance(label, Alignment):
-        return [label.t1, label.t2]
-    return label
+            (cells[region.alignment.key],) = region.pieces
+        keys = [region.alignment.key for region in self.regions]
+        adjacency = frozenset(tuple(sorted((keys[a], keys[b]))) for a, b in self.adjacency)
+        return Subdivision(self.parent, cells, adjacency).to_json(list)
 
 
 def default_domain(dimension: int) -> ConvexCell:
@@ -619,68 +595,31 @@ def resolve_degeneracies(partition: AlignmentPartition, seed: int = 0) -> Alignm
 
 
 def _resolve_pieces(pieces: list, parent: ConvexCell, seed: int) -> AlignmentPartition:
-    """Group pieces by alignment; when all groups carry distinct feature
-    counts (the regular situation) each group's region is convex and gets
-    rebuilt as a single minimal cell, which also yields facet adjacency.
-    Groups with colliding counts cannot be separated by cost hyperplanes and
-    are kept as connected components of their original pieces."""
+    """Group pieces by alignment and rebuild each group's region as a single
+    minimal cell: the cone where its cost is below every other group's,
+    which also yields facet adjacency.
+
+    Raises ValueError when two distinct alignments carry equal feature
+    counts; cost hyperplanes cannot separate them.  The DP never produces
+    such pieces: it breaks ties toward the lowest term index, so two chosen
+    alignments of one subproblem with equal counts would come from the same
+    term and, recursively, from equal alignments of a base case.
+    """
     groups: dict = {}
-    for cell, alignment in pieces:
-        groups.setdefault(alignment.key, (alignment, []))[1].append(cell)
-    counts_of = {key: align.counts for key, (align, _) in groups.items()}
-    if len(set(counts_of.values())) == len(groups):
-        keys = sorted(groups)
-        forms = {key: AffineForm(tuple(Rational(c) for c in counts_of[key]), 0) for key in keys}
-        regions = []
-        neighbor_sets = []
-        for key in keys:
-            candidates = []
-            base = forms[key]
-            for other in keys:
-                if other == key:
-                    continue
-                normal = tuple(a - b for a, b in zip(base.coeffs, forms[other].coeffs))
-                candidates.append(Halfspace(normal, 0, label=other))
-            rows = list(parent.constraints) + candidates
-            witness = find_interior_point(rows, seed)
-            assert witness is not None, "a discovered alignment lost its region"
-            kept = clarkson_reduce(rows, witness, seed)
-            cell = ConvexCell(parent.dimension, tuple(kept), witness=witness)
-            regions.append(AlignedRegion(groups[key][0], (cell,)))
-            neighbor_sets.append({h.label for h in kept if h.label is not None})
-        index = {key: i for i, key in enumerate(keys)}
-        adjacency = set()
-        for i, nbs in enumerate(neighbor_sets):
-            for other in nbs:
-                adjacency.add(tuple(sorted((i, index[other]))))
-        return AlignmentPartition(parent, tuple(regions), frozenset(adjacency))
-    # Count collision: connected components of equal-alignment pieces.
+    for _, alignment in pieces:
+        groups.setdefault(alignment.key, alignment)
+    if len({alignment.counts for alignment in groups.values()}) != len(groups):
+        raise ValueError("distinct alignments with equal feature counts")
+    keys = sorted(groups)
+    index = {key: i for i, key in enumerate(keys)}
+    problem = AffineMinProblem({key: AffineForm(groups[key].counts, 0) for key in keys})
     regions = []
-    for key in sorted(groups):
-        alignment, cells = groups[key]
-        for component in _facet_components(cells, seed):
-            regions.append(AlignedRegion(alignment, tuple(component)))
-    return AlignmentPartition(parent, tuple(regions), None)
-
-
-def _facet_components(cells: list, seed: int) -> list:
-    n = len(cells)
-    parent_idx = list(range(n))
-
-    def find(x):
-        while parent_idx[x] != x:
-            parent_idx[x] = parent_idx[parent_idx[x]]
-            x = parent_idx[x]
-        return x
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if find(i) != find(j) and cells_share_facet(cells[i], cells[j], seed):
-                parent_idx[find(i)] = find(j)
-    components: dict = {}
-    for i in range(n):
-        components.setdefault(find(i), []).append(cells[i])
-    return list(components.values())
+    adjacency = set()
+    for key in keys:
+        cell, neighbors = compute_vertex_cell(parent, key, problem, seed)
+        regions.append(AlignedRegion(groups[key], (cell,)))
+        adjacency.update(tuple(sorted((index[key], index[other]))) for other in neighbors)
+    return AlignmentPartition(parent, tuple(regions), frozenset(adjacency))
 
 
 # --------------------------------------------------------------------------
@@ -726,11 +665,13 @@ def _node_partition(spec, s1, s2, node, memo, domain, seed):
         return None
     if len(terms) == 1:
         term, ref = terms[0]
+        extended = {
+            r.alignment.key: _apply_transform(term.transform, r.alignment, term.weight, s1, s2, i, j)
+            for r in memo[ref].regions
+        }
+        relabel = lambda key: extended[key].key
         regions = tuple(
-            AlignedRegion(
-                _apply_transform(term.transform, r.alignment, term.weight, s1, s2, i, j),
-                r.pieces,
-            )
+            AlignedRegion(extended[r.alignment.key], tuple(c.map_labels(relabel) for c in r.pieces))
             for r in memo[ref].regions
         )
         return AlignmentPartition(domain, regions, memo[ref].adjacency)
@@ -862,9 +803,8 @@ def ray_search_2d(
             rows.append(Halfspace(boundaries[k], 0))
         if k > 0:
             rows.append(Halfspace(tuple(-c for c in boundaries[k - 1]), 0))
-        witness = find_interior_point(rows, seed)
-        assert witness is not None, "empty ray-search sector"
-        kept = clarkson_reduce(rows, witness, seed)
-        regions.append(AlignedRegion(align, (ConvexCell(2, tuple(kept), witness=witness),)))
+        cell = reduce_cell(2, rows, seed)
+        assert cell is not None, "empty ray-search sector"
+        regions.append(AlignedRegion(align, (cell,)))
     adjacency = frozenset((k, k + 1) for k in range(len(regions) - 1))
     return AlignmentPartition(domain, tuple(regions), adjacency), calls[0]

@@ -207,14 +207,7 @@ def single_tariff_regions(instance: TariffInstance, seed: int = 0) -> Subdivisio
 
 
 def _map_labels(sub: Subdivision, f) -> Subdivision:
-    cells = {}
-    for label, cell in sub.cells.items():
-        new = f(label)
-        cells[new] = ConvexCell(
-            cell.dimension,
-            tuple(h.relabel(f(h.label)) if h.label is not None else h for h in cell.constraints),
-            witness=cell.witness,
-        )
+    cells = {f(label): cell.map_labels(f) for label, cell in sub.cells.items()}
     adjacency = frozenset(tuple(sorted((f(a), f(b)))) for a, b in sub.adjacency)
     return Subdivision(sub.parent, cells, adjacency, tuple(sorted(f(l) for l in sub.degenerate)))
 
@@ -275,7 +268,7 @@ def region_boundary_lines(instance: TariffInstance, regions: Subdivision) -> dic
     axes = set()
     for label, cell in regions.cells.items():
         for h in cell.constraints:
-            line = _line_key(h)
+            line = h.line_key()
             if _is_cap_facet(h, cap, d):
                 continue
             if h.label is None:
@@ -288,13 +281,6 @@ def region_boundary_lines(instance: TariffInstance, regions: Subdivision) -> dic
     for i in per_sample:
         per_sample[i] |= axes
     return {i: len(lines) for i, lines in per_sample.items()}
-
-
-def _line_key(h: Halfspace):
-    lead = next(c for c in h.normal if c != 0)
-    if lead < 0:
-        return (tuple(-c for c in h.normal), -h.offset)
-    return (h.normal, h.offset)
 
 
 def _is_cap_facet(h: Halfspace, cap, d: int) -> bool:

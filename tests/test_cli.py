@@ -1,12 +1,14 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from paramregions.cli import canonical_dumps, main
+from paramregions.cli import canonical_dumps, load_cluster_instance, main
+from paramregions.clustering import MergeFamily, best_parameter
 from paramregions.geometry import polygon_area
-from paramregions.rationals import rat
+from paramregions.rationals import format_rational, format_vector, rat
 
 
 def run_cli(args):
@@ -63,6 +65,13 @@ class TestClusterRegions:
         assert losses == ["0/1", "1/4"]
         # the two leaf intervals meet at alpha = 2/5
         assert data["adjacency"]
+        inst = load_cluster_instance(json.loads(Path(line_instance_file).read_text()))
+        rho, loss, leaf = best_parameter(inst, MergeFamily(("single", "complete"), ("euclidean",)))
+        assert data["best"] == {
+            "rho": format_vector(rho),
+            "loss": format_rational(loss),
+            "label": json.loads(json.dumps(leaf.merges)),
+        }
 
     def test_round_trip_is_byte_identical(self, line_instance_file, tmp_path):
         out = tmp_path / "regions.json"
@@ -82,6 +91,14 @@ class TestClusterRegions:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert run_cli(["cluster-regions", "--instance", str(path)]) == 2
+
+    def test_restricted_best_is_one_of_the_cells(self, line_instance_file, tmp_path):
+        out = tmp_path / "regions.json"
+        args = ["cluster-regions", "--instance", line_instance_file, "--restrict=-1:-1/2"]
+        assert run_cli(args + ["--output", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["best"]["label"] in [c["label"] for c in data["cells"]]
+        assert data["best"]["rho"] == ["3/4"]
 
     def test_infeasible_restriction_exit_3(self, line_instance_file, tmp_path):
         code = run_cli(

@@ -35,6 +35,9 @@ class TestHalfspace:
         b = Halfspace((1, 2), 3)
         assert a.key() == b.key()
         assert a.normal == (1, 2)
+        for h in (a, Halfspace((-2, 4), 6)):
+            assert h.line_key() == h.flipped().line_key()
+            assert h.line_key()[0][0] > 0
 
     def test_zero_normal_rejected(self):
         with pytest.raises(GeometryError):

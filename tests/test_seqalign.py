@@ -155,8 +155,13 @@ class TestExecutionDag:
             for trial in range(4):
                 s1, s2 = random_pair(rng, max_len=3)
                 part = build_execution_dag(spec, s1, s2, seed=trial)
+                assert part.adjacency is not None
+                keys = {region.alignment.key for region in part.regions}
                 for region in part.regions:
+                    assert len(region.pieces) == 1
                     for cell in region.pieces:
+                        for h in cell.constraints:
+                            assert h.label is None or h.label in keys
                         for p in sample_interior(cell, 10, seed=trial):
                             assert region.alignment.cost(p) == oracle_best_cost(spec, s1, s2, p)
 
@@ -225,6 +230,11 @@ class TestResolveDegeneracies:
         out = resolve_degeneracies(part)
         assert len(out.regions) == 1
         assert out.regions[0].pieces[0].constraint_keys() <= parent.constraint_keys()
+        # Distinct alignments with equal counts cannot be told apart by cost.
+        twin = Alignment("-A", "A-", (0, 0))
+        part = AlignmentPartition(parent, (AlignedRegion(align, (left,)), AlignedRegion(twin, (right,))))
+        with pytest.raises(ValueError):
+            resolve_degeneracies(part)
 
     def test_distinct_alignments_untouched(self):
         part = build_execution_dag(mismatch_space_spec(), "A", "T")

@@ -16,6 +16,8 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property, cmp_to_key
+from operator import index, mul
 from typing import Any, Optional, Sequence
 
 from .rationals import (
@@ -93,6 +95,13 @@ class Halfspace:
     def holds(self, point: Sequence, strict: bool = False) -> bool:
         s = self.slack(point)
         return s > 0 if strict else s >= 0
+
+    @cached_property
+    def int_row(self) -> tuple:
+        """The halfspace as the integer row (a_1, ..., a_d, b), a . x <= b:
+        normal and offset scaled by the lcm of their denominators.  The row
+        is primitive, because the normalized normal has an entry +-1."""
+        return _int_vector((*self.normal, self.offset))
 
     def key(self):
         """Geometric identity, ignoring the label."""
@@ -199,12 +208,42 @@ def box_cell(lower, upper, dimension: int) -> ConvexCell:
 # --------------------------------------------------------------------------
 # Linear programming: Seidel's randomized incremental algorithm
 # --------------------------------------------------------------------------
+#
+# The kernel runs on Python ints.  A row (a_1, ..., a_d, b) means a . x <= b;
+# a point is homogeneous, (p_1, ..., p_d, w) with w > 0 standing for p / w.
+# Every step scales rows, objectives and points by positive factors only, so
+# each sign test, each comparison and each choice of pivot is the one the
+# same algorithm makes over rationals, and the optimum it returns is the
+# same rational point.
 
 @dataclass(frozen=True)
 class LPResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     point: Optional[Vector] = None
     value: Optional[Any] = None
+
+
+def _int_vector(values) -> tuple:
+    """Rationals scaled by the lcm of their denominators, as ints.
+
+    Reads only `.numerator`, `.denominator` and `__index__`, so it takes
+    ints, `fractions.Fraction` and gmpy2 `mpq` alike.
+    """
+    dens = [index(c.denominator) for c in values]
+    scale = math.lcm(*dens)
+    return tuple(index(c.numerator) * (scale // q) for c, q in zip(values, dens))
+
+
+def _homogeneous(point: Sequence) -> tuple:
+    """Rational point -> (p_1, ..., p_d, w) with w the lcm of the denominators."""
+    dens = [index(c.denominator) for c in point]
+    w = math.lcm(*dens)
+    return tuple(index(c.numerator) * (w // q) for c, q in zip(point, dens)) + (w,)
+
+
+def _rational_point(point: tuple) -> Vector:
+    w = point[-1]
+    return tuple(Rational(p, w) for p in point[:-1])
 
 
 def solve_lp(objective, constraints, sense: str = "max", seed: int = 0) -> LPResult:
@@ -220,105 +259,128 @@ def solve_lp(objective, constraints, sense: str = "max", seed: int = 0) -> LPRes
     for h in constraints:
         if h.dimension != d:
             raise GeometryError("constraint dimension mismatch")
-    rows = [(h.normal, h.offset) for h in constraints]
-    if sense == "min":
-        res = _solve_raw(tuple(-c for c in obj), rows, seed)
-        if res.status != "optimal":
-            return res
-        return LPResult("optimal", res.point, -res.value)
-    if sense != "max":
+    if sense not in ("max", "min"):
         raise GeometryError("sense must be 'max' or 'min'")
-    return _solve_raw(obj, rows, seed)
+    int_obj = _int_vector(obj)
+    if sense == "min":
+        int_obj = tuple(-c for c in int_obj)
+    status, point = _solve_raw(int_obj, [h.int_row for h in constraints], seed)
+    if status != "optimal":
+        return LPResult(status)
+    point = _rational_point(point)
+    return LPResult("optimal", point, dot(obj, point))
 
 
-def _solve_raw(obj: Vector, rows: list, seed: int) -> LPResult:
+def _solve_raw(obj: tuple, rows: list, seed: int) -> tuple:
+    """Maximize obj . x over integer rows: (status, homogeneous optimum or None)."""
     d = len(obj)
     bound = _box_bound(rows, d)
     order = list(range(len(rows)))
     random.Random(seed).shuffle(order)
     shuffled = [rows[i] for i in order]
-    point = _seidel(obj, shuffled, [(-bound, bound)] * d)
+    point = _seidel(obj, shuffled, bound)
     if point is None:
-        return LPResult("infeasible")
-    if any(x == bound or x == -bound for x in point):
+        return "infeasible", None
+    edge = bound * point[-1]
+    if any(p == edge or p == -edge for p in point[:-1]):
         # The box is active; decide bounded vs unbounded via the recession
         # cone (feasible by construction: the origin direction).
-        ray = _seidel(obj, [(a, ZERO) for a, _ in shuffled], [(Rational(-1), Rational(1))] * d)
-        if dot(obj, ray) > 0:
-            return LPResult("unbounded")
-    return LPResult("optimal", point, dot(obj, point))
+        ray = _seidel(obj, [row[:-1] + (0,) for row in shuffled], 1)
+        if sum(map(mul, obj, ray)) > 0:
+            return "unbounded", None
+    return "optimal", point
 
 
-def _box_bound(rows, d: int):
+def _box_bound(rows, d: int) -> int:
     # Any basic solution of any subsystem has coordinates that are ratios of
-    # integer determinants once each row is scaled integral; Hadamard bounds
-    # those determinants, so every vertex lies strictly inside this box.
-    biggest = 1
-    for normal, offset in rows:
-        denom = math.lcm(*[int(c.denominator) for c in (*normal, offset)])
-        for c in (*normal, offset):
-            biggest = max(biggest, abs(int(c * denom)))
-    return Rational((biggest * (d + 1)) ** (d + 1) + 1)
+    # integer determinants of the rows; Hadamard bounds those determinants,
+    # so every vertex lies strictly inside this box.  The rows must be the
+    # lcm-scaled ones (`_int_vector`): the bound, and with it the point
+    # returned on an optimal face, depends on their entries.
+    biggest = max((abs(c) for row in rows for c in row), default=1)
+    return (max(biggest, 1) * (d + 1)) ** (d + 1) + 1
 
 
-def _seidel(obj: Vector, rows: list, bounds: list) -> Optional[Vector]:
+def _seidel(obj: tuple, rows: list, bound: int) -> Optional[tuple]:
+    """Homogeneous optimum of obj . x over the rows inside the box
+    |x_j| <= bound, None when infeasible."""
     d = len(obj)
     if d == 1:
-        lo, hi = bounds[0]
-        for (a,), b in rows:
+        # lo = lo_n / lo_d and hi = hi_n / hi_d, denominators positive.
+        lo_n, lo_d, hi_n, hi_d = -bound, 1, bound, 1
+        for a, b in rows:
             if a > 0:
-                v = b / a
-                if v < hi:
-                    hi = v
+                if b * hi_d < hi_n * a:
+                    hi_n, hi_d = b, a
             elif a < 0:
-                v = b / a
-                if v > lo:
-                    lo = v
+                if b * lo_d < lo_n * a:  # b / a > lo, with a < 0
+                    lo_n, lo_d = -b, -a
             elif b < 0:
                 return None
-        if lo > hi:
+        if lo_n * hi_d > hi_n * lo_d:
             return None
-        if obj[0] < 0:
-            return (lo,)
-        return (hi,)
+        return (lo_n, lo_d) if obj[0] < 0 else (hi_n, hi_d)
 
-    point = [hi if c >= 0 else lo for c, (lo, hi) in zip(obj, bounds)]
-    for idx, (normal, offset) in enumerate(rows):
-        if all(c == 0 for c in normal):
-            if offset < 0:
-                return None
+    point = tuple(bound if c >= 0 else -bound for c in obj) + (1,)
+    p, w = point[:-1], 1
+    for idx, row in enumerate(rows):
+        if sum(map(mul, row, p)) <= row[-1] * w:
             continue
-        if dot(normal, point) <= offset:
-            continue
+        if not any(row[:-1]):
+            return None  # 0 <= b fails
         # The optimum of the prefix lies on this constraint's hyperplane:
         # eliminate the largest-coefficient variable and recurse.
-        k = max(range(d), key=lambda j: (abs(normal[j]), -j))
-        unit = tuple(ZERO if j != k else Rational(1) for j in range(d))
-        neg_unit = tuple(-c for c in unit)
-        sub_rows = []
-        for g, h in [(unit, bounds[k][1]), (neg_unit, -bounds[k][0])] + rows[:idx]:
-            sub_rows.append(_project_row(g, h, normal, offset, k))
-        sub_obj = _project_row(obj, ZERO, normal, offset, k)[0]
-        sub_bounds = bounds[:k] + bounds[k + 1:]
-        sub = _seidel(sub_obj, sub_rows, sub_bounds)
+        k = max(range(d), key=lambda j: (abs(row[j]), -j))
+        unit = tuple(int(j == k) for j in range(d))
+        sub_rows = [
+            _project_row(unit + (bound,), row, k),
+            _project_row(tuple(-c for c in unit) + (bound,), row, k),
+        ]
+        sub_rows.extend(_project_row(r, row, k) for r in rows[:idx])
+        sub = _seidel(_project_row(obj, row, k), sub_rows, bound)
         if sub is None:
             return None
-        point = _lift(sub, k, normal, offset)
-    return tuple(point)
-
-
-def _project_row(g: Sequence, h, normal: Vector, offset, k: int):
-    # Substitute x_k = (offset - sum_{j != k} normal_j x_j) / normal_k.
-    t = g[k] / normal[k]
-    new_g = tuple(g[j] - t * normal[j] for j in range(len(normal)) if j != k)
-    return new_g, h - t * offset
-
-
-def _lift(sub: Sequence, k: int, normal: Vector, offset) -> list:
-    point = list(sub[:k]) + [ZERO] + list(sub[k:])
-    rest = sum((normal[j] * point[j] for j in range(len(normal)) if j != k), ZERO)
-    point[k] = (offset - rest) / normal[k]
+        point = _lift(sub, k, row)
+        p, w = point[:-1], point[-1]
     return point
+
+
+def _project_row(g: tuple, pivot: tuple, k: int) -> tuple:
+    """Row `g` on the hyperplane of `pivot` (a . x = b), x_k eliminated.
+
+    Fraction-free: |a_k| * g - sign(a_k) * g_k * pivot, then divided by the
+    gcd; a row without x_k only loses that entry.  A vector of length d (an
+    objective) is projected without offset.
+    """
+    ak = pivot[k]
+    f = g[k] if ak > 0 else -g[k]
+    if f == 0:
+        return g[:k] + g[k + 1:]
+    m = abs(ak)
+    out = [m * x - f * y for x, y in zip(g, pivot)]
+    del out[k]
+    gcd = math.gcd(*out)
+    if gcd > 1:
+        out = [x // gcd for x in out]
+    return tuple(out)
+
+
+def _lift(sub: tuple, k: int, pivot: tuple) -> tuple:
+    """Homogeneous point of the pivot's hyperplane whose coordinates other
+    than x_k are the sub-LP's point `sub`."""
+    w = sub[-1]
+    q = sub[:-1]
+    ak = pivot[k]
+    xk = pivot[-1] * w - sum(map(mul, pivot[:k] + pivot[k + 1:-1], q))
+    if ak < 0:
+        ak, xk = -ak, -xk
+    point = [c * ak for c in q]
+    point.insert(k, xk)
+    point.append(w * ak)
+    gcd = math.gcd(*point)
+    if gcd > 1:
+        point = [c // gcd for c in point]
+    return tuple(point)
 
 
 # --------------------------------------------------------------------------
@@ -339,14 +401,14 @@ def find_interior_point(constraints, seed: int = 0) -> Optional[Vector]:
     for h in constraints:
         if h.dimension != d:
             raise GeometryError("constraint dimension mismatch")
-        l1 = sum((abs(c) for c in h.normal), ZERO)
-        rows.append((h.normal + (l1,), h.offset))
-    rows.append((tuple([ZERO] * d + [Rational(1)]), Rational(1)))
-    obj = tuple([ZERO] * d + [Rational(1)])
-    res = _solve_raw(obj, rows, seed)
-    if res.status != "optimal" or res.value <= 0:
+        row = h.int_row
+        rows.append(row[:-1] + (sum(map(abs, row[:-1])), row[-1]))
+    unit_t = (0,) * d + (1,)
+    rows.append(unit_t + (1,))
+    status, point = _solve_raw(unit_t, rows, seed)
+    if status != "optimal" or point[d] <= 0:
         return None
-    return res.point[:d]
+    return _rational_point(point[:d] + point[-1:])
 
 
 def ray_shoot(constraints, origin, target):
@@ -358,32 +420,39 @@ def ray_shoot(constraints, origin, target):
     evaluated lexicographically; no concrete epsilon is ever chosen.  Returns
     None when the ray escapes without hitting any hyperplane.
     """
-    z = as_vector(origin)
-    x = as_vector(target)
-    rows = [(h.normal, h.offset) for h in constraints]
-    for normal, offset in rows:
-        if offset - dot(normal, z) <= 0:
-            raise GeometryError("ray origin must be strictly interior")
+    z = _homogeneous(as_vector(origin))
+    x = _homogeneous(as_vector(target))
+    rows = [h.int_row for h in constraints]
+    if any(_slack(row, z) <= 0 for row in rows):
+        raise GeometryError("ray origin must be strictly interior")
     idx = _ray_first_index(rows, z, x)
     return None if idx is None else constraints[idx].label
 
 
-def _ray_first_index(rows, z: Vector, x: Vector) -> Optional[int]:
+def _slack(row: tuple, point: tuple) -> int:
+    """b * w - a . p: positive multiple of the row's slack at the point."""
+    return row[-1] * point[-1] - sum(map(mul, row, point[:-1]))
+
+
+def _ray_first_index(rows, z: tuple, x: tuple) -> Optional[int]:
     # Intersection parameter of the perturbed ray with hyperplane i is the
     # polynomial t_i(eps) = (slack_i - sum_j a_ij eps^j) / (a_i . (x - z));
-    # the winner is the lexicographically smallest coefficient tuple.
-    direction = vector_sub(x, z)
+    # the winner is the lexicographically smallest coefficient tuple.  With
+    # integer rows and homogeneous z, x every coefficient of every t_i is
+    # off by the same positive factor in each position, so the tuples
+    # (slack, -a_1, ..., -a_d) / den compare by cross-multiplying.
+    zw, xw = z[-1], x[-1]
+    direction = tuple(p * zw - q * xw for p, q in zip(x[:-1], z[:-1]))
     best = None
+    best_den = 1
     best_idx = None
-    for i, (normal, offset) in enumerate(rows):
-        den = dot(normal, direction)
+    for i, row in enumerate(rows):
+        den = sum(map(mul, row, direction))
         if den <= 0:
             continue
-        coeffs = (offset - dot(normal, z),) + tuple(-c for c in normal)
-        t_poly = tuple(c / den for c in coeffs)
-        if best is None or t_poly < best:
-            best = t_poly
-            best_idx = i
+        coeffs = (_slack(row, z),) + tuple(-c for c in row[:-1])
+        if best is None or tuple(c * best_den for c in coeffs) < tuple(c * den for c in best):
+            best, best_den, best_idx = coeffs, den, i
     return best_idx
 
 
@@ -402,16 +471,17 @@ def clarkson_reduce(constraints, interior, seed: int = 0) -> tuple:
 def _clarkson_indices(constraints, z: Vector, seed: int) -> list:
     if not constraints:
         return []
-    seen = {}
+    z = _homogeneous(z)
+    seen = set()
     uniq = []
     for i, h in enumerate(constraints):
-        if h.slack(z) <= 0:
+        row = h.int_row
+        if _slack(row, z) <= 0:
             raise GeometryError("interior point is not strictly feasible")
-        k = h.key()
-        if k not in seen:
-            seen[k] = i
+        if row not in seen:
+            seen.add(row)
             uniq.append(i)
-    rows = [(constraints[i].normal, constraints[i].offset) for i in uniq]
+    rows = [constraints[i].int_row for i in uniq]
     rng = random.Random(seed)
     pending = deque(range(len(rows)))
     kept: list = []
@@ -420,15 +490,18 @@ def _clarkson_indices(constraints, z: Vector, seed: int) -> list:
         k = pending.popleft()
         if k in kept_set:
             continue
-        normal_k, offset_k = rows[k]
+        row = rows[k]
+        # normal . x <= offset + 1, scaled like the row: by its lcm, which
+        # is |pivot entry| because a Halfspace's pivot is +-1.
+        lead = next(abs(c) for c in row if c)
         lp_rows = [rows[i] for i in kept]
-        lp_rows.append((normal_k, offset_k + 1))
-        res = _solve_raw(normal_k, lp_rows, rng.randrange(1 << 30))
-        if res.status != "optimal":  # pragma: no cover - cannot happen: z feasible, obj capped
+        lp_rows.append(row[:-1] + (row[-1] + lead,))
+        status, point = _solve_raw(row[:-1], lp_rows, rng.randrange(1 << 30))
+        if status != "optimal":  # pragma: no cover - cannot happen: z feasible, obj capped
             raise GeometryError("relaxed redundancy LP failed")
-        if res.value <= offset_k:
+        if _slack(row, point) >= 0:
             continue  # redundant relative to the kept set, hence redundant
-        j = _ray_first_index(rows, z, res.point)
+        j = _ray_first_index(rows, z, point)
         if j != k:
             pending.append(k)  # k stays undecided; only j is settled
         kept.append(j)
@@ -514,7 +587,21 @@ def polygon_vertices(cell: ConvexCell) -> list:
         return []
     cx = sum((p[0] for p in vertices), ZERO) / len(vertices)
     cy = sum((p[1] for p in vertices), ZERO) / len(vertices)
-    vertices.sort(key=lambda p: math.atan2(float(p[1] - cy), float(p[0] - cx)))
+
+    def half(p):
+        # 0 for angles in (-pi, 0], 1 for (0, pi]: within a half, two
+        # directions are less than pi apart and a cross product orders them.
+        x, y = p[0] - cx, p[1] - cy
+        return 0 if y < 0 or (y == 0 and x > 0) else 1
+
+    def by_angle(p, q):
+        hp, hq = half(p), half(q)
+        if hp != hq:
+            return hp - hq
+        cross = (p[0] - cx) * (q[1] - cy) - (p[1] - cy) * (q[0] - cx)
+        return -1 if cross > 0 else (1 if cross < 0 else 0)
+
+    vertices.sort(key=cmp_to_key(by_angle))
     if polygon_area(vertices) == 0:
         return []
     return vertices

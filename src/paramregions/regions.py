@@ -239,15 +239,16 @@ def _has_relative_interior_on(plane: Halfspace, rows, seed: int) -> bool:
     if d == 1:
         point = (offset / normal[0],)
         return all(h.slack(point) >= 0 for h in rows)
-    k = max(range(d), key=lambda j: (abs(normal[j]), -j))
+    pivot = plane.int_row
+    k = max(range(d), key=lambda j: (abs(pivot[j]), -j))
     projected = []
     for h in rows:
-        new_g, new_b = _project_row(h.normal, h.offset, normal, offset, k)
-        if all(c == 0 for c in new_g):
-            if new_b <= 0:
+        row = _project_row(h.int_row, pivot, k)
+        if not any(row[:-1]):
+            if row[-1] <= 0:
                 return False
             continue
-        projected.append(Halfspace(new_g, new_b))
+        projected.append(Halfspace(row[:-1], row[-1]))
     if not projected:
         return True
     return find_interior_point(projected, seed) is not None

@@ -35,8 +35,8 @@ from .regions import (
     AffineMinProblem,
     Subdivision,
     cells_share_facet,
-    compute_subdivision,
     compute_vertex_cell,
+    dominance_constraints,
 )
 
 SPACE = "-"
@@ -587,17 +587,14 @@ def compute_overlay(subdivisions: Sequence[Subdivision], seed: int = 0) -> Subdi
 # --------------------------------------------------------------------------
 
 def resolve_degeneracies(partition: AlignmentPartition, seed: int = 0) -> AlignmentPartition:
-    pieces = []
-    for region in partition.regions:
-        for cell in region.pieces:
-            pieces.append((cell, region.alignment))
-    return _resolve_pieces(pieces, partition.parent, seed)
+    alignments = [region.alignment for region in partition.regions]
+    return _resolve_pieces(alignments, partition.parent, seed)
 
 
-def _resolve_pieces(pieces: list, parent: ConvexCell, seed: int) -> AlignmentPartition:
-    """Group pieces by alignment and rebuild each group's region as a single
-    minimal cell: the cone where its cost is below every other group's,
-    which also yields facet adjacency.
+def _resolve_pieces(alignments: list, parent: ConvexCell, seed: int) -> AlignmentPartition:
+    """Group the alignments of a node's pieces by key and rebuild each
+    group's region as a single minimal cell: the cone where its cost is
+    below every other group's, which also yields facet adjacency.
 
     Raises ValueError when two distinct alignments carry equal feature
     counts; cost hyperplanes cannot separate them.  The DP never produces
@@ -606,7 +603,7 @@ def _resolve_pieces(pieces: list, parent: ConvexCell, seed: int) -> AlignmentPar
     term and, recursively, from equal alignments of a base case.
     """
     groups: dict = {}
-    for _, alignment in pieces:
+    for alignment in alignments:
         groups.setdefault(alignment.key, alignment)
     if len({alignment.counts for alignment in groups.values()}) != len(groups):
         raise ValueError("distinct alignments with equal feature counts")
@@ -692,7 +689,9 @@ def _node_partition(spec, s1, s2, node, memo, domain, seed):
         piece_lists.append(cells)
         piece_aligns.append(aligns)
 
-    pieces = []
+    # Only which terms win on a full-dimensional part of each overlay cell
+    # matters: `_resolve_pieces` rebuilds every region from the domain.
+    alignments = []
     for prefix, ocell in overlay_pieces(piece_lists, seed):
         ref_alignment = {
             ref: piece_aligns[r][prefix[r]] for r, ref in enumerate(ref_nodes)
@@ -702,21 +701,21 @@ def _node_partition(spec, s1, s2, node, memo, domain, seed):
             counts = ref_alignment[ref].counts
             totals.append(tuple(Rational(c + w) for c, w in zip(counts, term.weight)))
 
-        def extended(idx, cell):
+        def extended(idx):
             term, ref = terms[idx]
-            alignment = _apply_transform(
-                term.transform, ref_alignment[ref], term.weight, s1, s2, i, j
-            )
-            return (cell, alignment)
+            return _apply_transform(term.transform, ref_alignment[ref], term.weight, s1, s2, i, j)
 
         if len(set(totals)) == 1:
-            pieces.append(extended(0, ocell))
+            alignments.append(extended(0))
             continue
         forms = {idx: AffineForm(t, 0) for idx, t in enumerate(totals)}
-        sub = compute_subdivision(ocell, AffineMinProblem(forms), start=ocell.witness, seed=seed)
-        for idx in sorted(sub.cells):
-            pieces.append(extended(idx, sub.cells[idx]))
-    return _resolve_pieces(pieces, domain, seed)
+        for idx in forms:
+            candidates = dominance_constraints(forms, idx)
+            if candidates is None:
+                continue
+            if find_interior_point(list(ocell.constraints) + candidates, seed) is not None:
+                alignments.append(extended(idx))
+    return _resolve_pieces(alignments, domain, seed)
 
 
 # --------------------------------------------------------------------------

@@ -3,13 +3,18 @@
 These deliberately avoid the library's incremental machinery: redundancy via
 one relaxed LP per constraint, LP optima via dense vertex enumeration, and
 region membership via direct simulation.  They stay independent of the code
-paths they check.
+paths they check.  The one exception is `reference_solve_raw` and
+`reference_ray_first_index`: the same Seidel LP and ray shooting as the
+library's integer kernel, written over rationals, against which the kernel
+must agree exactly.
 """
 
+import math
+import random
 from itertools import combinations
 
-from paramregions.geometry import Halfspace, LPResult, dot, solve_lp
-from paramregions.rationals import Rational, rat
+from paramregions.geometry import Halfspace, LPResult, dot, solve_lp, vector_sub
+from paramregions.rationals import ZERO, Rational, rat
 
 
 def naive_nonredundant(constraints, seed=0):
@@ -168,3 +173,105 @@ def random_halfspaces(rng, d, count, ensure_interior=None):
         keys.add(h.key())
         rows.append(h)
     return rows
+
+
+# --------------------------------------------------------------------------
+# Rational reference for the integer LP kernel
+# --------------------------------------------------------------------------
+
+def reference_solve_raw(obj, rows, seed):
+    """Seidel's LP over rational rows (normal, offset), normal . x <= offset:
+    the library's `_solve_raw` as it was before it moved to integers."""
+    d = len(obj)
+    bound = reference_box_bound(rows, d)
+    order = list(range(len(rows)))
+    random.Random(seed).shuffle(order)
+    shuffled = [rows[i] for i in order]
+    point = _reference_seidel(obj, shuffled, [(-bound, bound)] * d)
+    if point is None:
+        return LPResult("infeasible")
+    if any(x == bound or x == -bound for x in point):
+        ray = _reference_seidel(obj, [(a, ZERO) for a, _ in shuffled], [(Rational(-1), Rational(1))] * d)
+        if dot(obj, ray) > 0:
+            return LPResult("unbounded")
+    return LPResult("optimal", point, dot(obj, point))
+
+
+def reference_box_bound(rows, d):
+    biggest = 1
+    for normal, offset in rows:
+        denom = math.lcm(*[int(c.denominator) for c in (*normal, offset)])
+        for c in (*normal, offset):
+            biggest = max(biggest, abs(int(c * denom)))
+    return Rational((biggest * (d + 1)) ** (d + 1) + 1)
+
+
+def _reference_seidel(obj, rows, bounds):
+    d = len(obj)
+    if d == 1:
+        lo, hi = bounds[0]
+        for (a,), b in rows:
+            if a > 0:
+                v = b / a
+                if v < hi:
+                    hi = v
+            elif a < 0:
+                v = b / a
+                if v > lo:
+                    lo = v
+            elif b < 0:
+                return None
+        if lo > hi:
+            return None
+        if obj[0] < 0:
+            return (lo,)
+        return (hi,)
+
+    point = [hi if c >= 0 else lo for c, (lo, hi) in zip(obj, bounds)]
+    for idx, (normal, offset) in enumerate(rows):
+        if all(c == 0 for c in normal):
+            if offset < 0:
+                return None
+            continue
+        if dot(normal, point) <= offset:
+            continue
+        k = max(range(d), key=lambda j: (abs(normal[j]), -j))
+        unit = tuple(ZERO if j != k else Rational(1) for j in range(d))
+        neg_unit = tuple(-c for c in unit)
+        sub_rows = []
+        for g, h in [(unit, bounds[k][1]), (neg_unit, -bounds[k][0])] + rows[:idx]:
+            sub_rows.append(_reference_project_row(g, h, normal, offset, k))
+        sub_obj = _reference_project_row(obj, ZERO, normal, offset, k)[0]
+        sub_bounds = bounds[:k] + bounds[k + 1:]
+        sub = _reference_seidel(sub_obj, sub_rows, sub_bounds)
+        if sub is None:
+            return None
+        point = list(sub[:k]) + [ZERO] + list(sub[k:])
+        rest = sum((normal[j] * point[j] for j in range(d) if j != k), ZERO)
+        point[k] = (offset - rest) / normal[k]
+    return tuple(point)
+
+
+def _reference_project_row(g, h, normal, offset, k):
+    t = g[k] / normal[k]
+    new_g = tuple(g[j] - t * normal[j] for j in range(len(normal)) if j != k)
+    return new_g, h - t * offset
+
+
+def reference_ray_first_index(rows, z, x):
+    """Index of the first hyperplane of rational rows (normal, offset) hit by
+    the ray from z towards x, ties broken by the perturbation
+    z + (eps, eps^2, ...); None when the ray escapes."""
+    direction = vector_sub(x, z)
+    best = None
+    best_idx = None
+    for i, (normal, offset) in enumerate(rows):
+        den = dot(normal, direction)
+        if den <= 0:
+            continue
+        coeffs = (offset - dot(normal, z),) + tuple(-c for c in normal)
+        t_poly = tuple(c / den for c in coeffs)
+        if best is None or t_poly < best:
+            best = t_poly
+            best_idx = i
+    return best_idx

@@ -11,6 +11,9 @@ from paramregions.geometry import polygon_area
 from paramregions.rationals import format_rational, format_vector, rat
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
 def run_cli(args):
     return main(list(args))
 
@@ -319,6 +322,28 @@ class TestOracleCheckVerb:
             ]
         )
         assert code == 0
+
+
+class TestGoldenOutput:
+    """Canonical outputs recorded from an earlier version, compared byte for
+    byte: a change to any witness, facet or label must update the file on
+    purpose."""
+
+    def assert_golden(self, name, args, tmp_path):
+        out = tmp_path / name
+        assert run_cli([*args, "--seed", "0", "--output", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+    def test_tariff_regions_covering_the_box(self, tariff_instance_file, tmp_path):
+        self.assert_golden("tariff_box.json", ["tariff-regions", "--instance", tariff_instance_file], tmp_path)
+
+    def test_align_regions_gap_preset(self, tmp_path):
+        args = ["align-regions", "--preset", "mismatch-space-gap", "--s1", "ACG", "--s2", "TGA"]
+        self.assert_golden("align_ACG_TGA.json", args, tmp_path)
+
+    def test_cluster_regions_line_fixture(self, line_instance_file, tmp_path):
+        args = ["cluster-regions", "--instance", line_instance_file, "--linkages", "single,complete"]
+        self.assert_golden("cluster_line.json", args, tmp_path)
 
 
 class TestEntryPoint:

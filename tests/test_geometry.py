@@ -7,8 +7,15 @@ from paramregions.geometry import (
     ConvexCell,
     GeometryError,
     Halfspace,
+    LPResult,
+    _homogeneous,
+    _int_vector,
+    _ray_first_index,
+    _rational_point,
+    _solve_raw,
     box_cell,
     clarkson_reduce,
+    dot,
     find_interior_point,
     polygon_area,
     polygon_vertices,
@@ -19,7 +26,14 @@ from paramregions.geometry import (
 )
 from paramregions.rationals import format_rational, rat
 
-from oracles import naive_nonredundant, random_halfspaces, vertex_enumeration_lp
+from oracles import (
+    naive_nonredundant,
+    random_halfspaces,
+    reference_box_bound,
+    reference_ray_first_index,
+    reference_solve_raw,
+    vertex_enumeration_lp,
+)
 
 
 def H(normal, offset, label=None):
@@ -94,6 +108,80 @@ class TestSolveLP:
         a = solve_lp((3, -2), hs, seed=11)
         b = solve_lp((3, -2), hs, seed=11)
         assert a == b
+
+
+def kernel_lp(obj, rows, seed):
+    """The integer kernel on rational rows (normal, offset), answered the
+    way the rational reference answers."""
+    status, point = _solve_raw(_int_vector(obj), [_int_vector((*a, b)) for a, b in rows], seed)
+    if status != "optimal":
+        return LPResult(status)
+    point = _rational_point(point)
+    return LPResult(status, point, dot(obj, point))
+
+
+def random_rational_rows(rng, d, count):
+    """Unnormalized rational rows, about one in eight with a zero normal."""
+    rows = []
+    for _ in range(count):
+        if rng.random() < 0.125:
+            normal = (rat(0),) * d
+        else:
+            normal = tuple(rat(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(d))
+        rows.append((normal, rat(rng.randint(-10, 10), rng.randint(1, 5))))
+    return rows
+
+
+class TestIntegerKernel:
+    """The integer LP kernel against the rational Seidel it replaced: equal
+    status, point and value, not just equal optimum."""
+
+    def test_random_lps_match_rational_reference(self):
+        rng = random.Random(41)
+        statuses = set()
+        box_decided = 0
+        for trial in range(400):
+            d = 1 + trial % 4
+            rows = random_rational_rows(rng, d, rng.randint(0, 9))
+            obj = tuple(rat(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d))
+            if rows and rng.random() < 0.3:
+                # objective parallel to a constraint: an optimal face, on
+                # which the box decides the returned point
+                normal = rows[rng.randrange(len(rows))][0]
+                obj = tuple(c * rng.randint(1, 3) for c in normal)
+            want = reference_solve_raw(obj, rows, trial)
+            assert kernel_lp(obj, rows, trial) == want
+            statuses.add(want.status)
+            bound = reference_box_bound(rows, d)
+            if want.status == "optimal" and any(abs(x) == bound for x in want.point):
+                box_decided += 1
+        assert statuses == {"optimal", "infeasible", "unbounded"}
+        assert box_decided >= 10
+
+    def test_ray_ties_broken_like_rational_reference(self):
+        rng = random.Random(43)
+        for trial in range(300):
+            d = 1 + trial % 4
+            z = tuple(rat(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d))
+            corner = tuple(c + rng.randint(-4, 4) for c in z)
+            rows = []
+            while len(rows) < 8:
+                normal = tuple(rat(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(d))
+                if rng.random() < 0.6:
+                    offset = dot(normal, corner)  # through the corner the ray aims at
+                else:
+                    offset = dot(normal, z) + rat(rng.randint(1, 9), rng.randint(1, 3))
+                if offset - dot(normal, z) <= 0:
+                    continue
+                rows.append((normal, offset))
+                if rng.random() < 0.2:  # a rescaled duplicate
+                    m = rat(rng.randint(1, 5), rng.randint(1, 5))
+                    rows.append((tuple(m * c for c in normal), m * offset))
+            target = corner if rng.random() < 0.7 else tuple(rat(rng.randint(-9, 9)) for _ in range(d))
+            got = _ray_first_index(
+                [_int_vector((*a, b)) for a, b in rows], _homogeneous(z), _homogeneous(target)
+            )
+            assert got == reference_ray_first_index(rows, z, target)
 
 
 class TestFindInteriorPoint:
@@ -211,6 +299,15 @@ class TestCellUtilities:
         verts = polygon_vertices(cell)
         assert len(verts) == 4
         assert polygon_area(verts) == 1
+
+    def test_polygon_area_exact_for_nearly_coincident_vertices(self):
+        # The chamfer's two vertices lie 1e-25 apart, closer in angle around
+        # the centroid than a float can tell.
+        d = rat(1, 10**25)
+        hs = [H((0, 1), 1), H((1, 0), 1), H((-1, 0), 0), H((0, -1), 0), H((1, 1), 2 - d)]
+        verts = polygon_vertices(ConvexCell(2, tuple(hs)))
+        assert len(verts) == 5
+        assert polygon_area(verts) == 1 - d * d / 2
 
     def test_cell_json_round_trip(self):
         cell = reduce_cell(2, UNIT_SQUARE)

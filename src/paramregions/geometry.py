@@ -1,9 +1,12 @@
 """Exact low-dimensional halfspace geometry.
 
 Halfspaces, convex cells, a Seidel-style randomized-incremental LP,
-output-sensitive redundancy removal and ray shooting, all over exact
-rationals.  Everything here is a pure function of its inputs; values are
-immutable after construction and safe to share across threads.
+output-sensitive redundancy removal and ray shooting.  Halfspaces, witnesses
+and LP results are exact rationals; the LP kernel underneath (Seidel, ray
+shooting, the redundancy loop) runs fraction-free on Python ints, on rows
+scaled to integers and homogeneous points, and converts back only at this
+module's boundary.  Everything here is a pure function of its inputs; values
+are immutable after construction and safe to share across threads.
 
 Intended for small constant dimension (d <= ~6).  There is deliberately no
 floating-point fast path: redundancy, adjacency and tie decisions are exactly
@@ -223,22 +226,20 @@ class LPResult:
     value: Optional[Any] = None
 
 
-def _int_vector(values) -> tuple:
-    """Rationals scaled by the lcm of their denominators, as ints.
+def _homogeneous(point: Sequence) -> tuple:
+    """Rational point -> (p_1, ..., p_d, w) with w the lcm of the denominators.
 
     Reads only `.numerator`, `.denominator` and `__index__`, so it takes
     ints, `fractions.Fraction` and gmpy2 `mpq` alike.
     """
-    dens = [index(c.denominator) for c in values]
-    scale = math.lcm(*dens)
-    return tuple(index(c.numerator) * (scale // q) for c, q in zip(values, dens))
-
-
-def _homogeneous(point: Sequence) -> tuple:
-    """Rational point -> (p_1, ..., p_d, w) with w the lcm of the denominators."""
     dens = [index(c.denominator) for c in point]
     w = math.lcm(*dens)
     return tuple(index(c.numerator) * (w // q) for c, q in zip(point, dens)) + (w,)
+
+
+def _int_vector(values) -> tuple:
+    """Rationals scaled by the lcm of their denominators, as ints."""
+    return _homogeneous(values)[:-1]
 
 
 def _rational_point(point: tuple) -> Vector:
@@ -330,12 +331,13 @@ def _seidel(obj: tuple, rows: list, bound: int) -> Optional[tuple]:
             return None  # 0 <= b fails
         # The optimum of the prefix lies on this constraint's hyperplane:
         # eliminate the largest-coefficient variable and recurse.
-        k = max(range(d), key=lambda j: (abs(row[j]), -j))
-        unit = tuple(int(j == k) for j in range(d))
-        sub_rows = [
-            _project_row(unit + (bound,), row, k),
-            _project_row(tuple(-c for c in unit) + (bound,), row, k),
-        ]
+        mags = [abs(c) for c in row[:-1]]
+        k = mags.index(max(mags))
+        unit = [0] * d + [bound]
+        unit[k] = 1
+        sub_rows = [_project_row(tuple(unit), row, k)]
+        unit[k] = -1
+        sub_rows.append(_project_row(tuple(unit), row, k))
         sub_rows.extend(_project_row(r, row, k) for r in rows[:idx])
         sub = _seidel(_project_row(obj, row, k), sub_rows, bound)
         if sub is None:

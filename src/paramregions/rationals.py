@@ -1,9 +1,11 @@
 """Exact rational scalars.
 
 All region computations run on arbitrary-precision rationals; floats never
-enter a predicate.  gmpy2's mpq is used when available (it is several times
-faster than fractions.Fraction), with Fraction as a drop-in fallback.  Both
-are always reduced, keep positive denominators, and compare exactly.
+enter a predicate.  gmpy2's mpq is used when available, with
+fractions.Fraction as a drop-in fallback.  Both are always reduced, keep
+positive denominators, and compare exactly.  The LP kernel in `geometry`
+works on Python ints and reads a rational only through `.numerator`,
+`.denominator` and `__index__`.
 """
 
 from __future__ import annotations

@@ -47,10 +47,6 @@ def dot(a: Sequence, b: Sequence):
     return total
 
 
-def vector_sub(a: Sequence, b: Sequence) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def vector_add(a: Sequence, b: Sequence) -> Vector:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -327,12 +323,13 @@ def _seidel(obj: tuple, rows: list, bound: int) -> Optional[tuple]:
     for idx, row in enumerate(rows):
         if sum(map(mul, row, p)) <= row[-1] * w:
             continue
-        if not any(row[:-1]):
+        mags = [abs(c) for c in row[:-1]]
+        top = max(mags)
+        if top == 0:
             return None  # 0 <= b fails
         # The optimum of the prefix lies on this constraint's hyperplane:
         # eliminate the largest-coefficient variable and recurse.
-        mags = [abs(c) for c in row[:-1]]
-        k = mags.index(max(mags))
+        k = mags.index(top)
         unit = [0] * d + [bound]
         unit[k] = 1
         sub_rows = [_project_row(tuple(unit), row, k)]

@@ -13,7 +13,7 @@ import math
 import random
 from itertools import combinations
 
-from paramregions.geometry import Halfspace, LPResult, dot, solve_lp, vector_sub
+from paramregions.geometry import Halfspace, LPResult, dot, solve_lp
 from paramregions.rationals import ZERO, Rational, rat
 
 
@@ -262,7 +262,7 @@ def reference_ray_first_index(rows, z, x):
     """Index of the first hyperplane of rational rows (normal, offset) hit by
     the ray from z towards x, ties broken by the perturbation
     z + (eps, eps^2, ...); None when the ray escapes."""
-    direction = vector_sub(x, z)
+    direction = tuple(a - b for a, b in zip(x, z))
     best = None
     best_idx = None
     for i, (normal, offset) in enumerate(rows):

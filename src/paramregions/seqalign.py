@@ -634,9 +634,9 @@ def build_execution_dag(
     """Partition of the parameter domain by optimal alignment of (s1, s2).
 
     Processes subproblems in topological order; each node overlays its
-    referenced partitions, subdivides every overlay cell by the term
-    comparisons (with subproblem costs fixed per cell), and merges cells
-    whose alignment agrees.  With keep_all=True the per-node partitions are
+    referenced partitions, finds in every overlay cell the terms that are
+    optimal on a full-dimensional part of it (with subproblem costs fixed
+    per cell), and builds one region per resulting alignment.  With keep_all=True the per-node partitions are
     returned as well.
     """
     if domain is None:

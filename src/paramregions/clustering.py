@@ -106,6 +106,8 @@ class ClusteringInstance:
             members = sorted(i for part in self.target for i in part)
             if members != list(range(n)):
                 raise ValueError("target must partition the point indices")
+            if self.k is not None and len(self.target) != self.k:
+                raise ValueError(f"target has {len(self.target)} clusters, k is {self.k}")
 
     @property
     def n_points(self) -> int:
@@ -267,13 +269,15 @@ class ClusterState:
         self.family = family
         self.clusters = clusters  # tuple of sorted index tuples, lexicographic
         self._stats = stats  # {(a, b): per-component stat}
-        self._medoids = medoids  # {cluster: per-metric medoid index}
+        self._medoids = medoids  # {cluster: per-metric medoid index}, or None without mediod
 
     @classmethod
     def initial(cls, instance: ClusteringInstance, family: MergeFamily) -> "ClusterState":
         clusters = tuple((i,) for i in range(instance.n_points))
         stats = {}
-        medoids = {c: tuple(c[0] for _ in family.metrics) for c in clusters}
+        medoids = None
+        if "mediod" in family.linkages:
+            medoids = {c: tuple(c[0] for _ in family.metrics) for c in clusters}
         for i, a in enumerate(clusters):
             for b in clusters[i + 1:]:
                 stats[(a, b)] = tuple(
@@ -337,10 +341,12 @@ class ClusterState:
         for i, c in enumerate(rest):
             for d_ in rest[i + 1:]:
                 stats[_key(c, d_)] = self._stats[_key(c, d_)]
-        medoids = {c: self._medoids[c] for c in rest}
-        medoids[merged] = tuple(
-            _medoid(self.instance.metrics[m], merged) for m in self.family.metrics
-        )
+        medoids = None
+        if self._medoids is not None:
+            medoids = {c: self._medoids[c] for c in rest}
+            medoids[merged] = tuple(
+                _medoid(self.instance.metrics[m], merged) for m in self.family.metrics
+            )
         return ClusterState(self.instance, self.family, clusters, stats, medoids)
 
     @staticmethod

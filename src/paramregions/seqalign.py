@@ -8,10 +8,10 @@ parameter space splits into convex cones on which the optimal alignment is
 constant.
 
 `build_execution_dag` computes that decomposition bottom-up: per subproblem,
-overlay the referenced subproblems' partitions, split each overlay cell by
-the term-comparison hyperplanes, then merge cells whose optimal alignment is
-identical.  `ray_search_2d` is the two-feature fast path that walks the fan
-of angular sectors with one DP solve per probe point.
+keep the candidate alignments (a referenced region's alignment extended by
+a term) whose cost is minimal on a full-dimensional part of the domain, then
+build one cell per kept alignment.  `ray_search_2d` is the two-feature fast
+path that walks the fan of angular sectors with one DP solve per probe point.
 """
 
 from __future__ import annotations
@@ -629,15 +629,13 @@ def build_execution_dag(
     s2: str,
     domain: Optional[ConvexCell] = None,
     seed: int = 0,
-    keep_all: bool = False,
-):
+) -> AlignmentPartition:
     """Partition of the parameter domain by optimal alignment of (s1, s2).
 
-    Processes subproblems in topological order; each node overlays its
-    referenced partitions, finds in every overlay cell the terms that are
-    optimal on a full-dimensional part of it (with subproblem costs fixed
-    per cell), and builds one region per resulting alignment.  With keep_all=True the per-node partitions are
-    returned as well.
+    Processes subproblems in topological order; each node keeps the term
+    totals (a referenced region's counts plus the term's weight) that are
+    optimal on a full-dimensional part of the domain, and builds one region
+    per resulting alignment.
     """
     if domain is None:
         domain = default_domain(spec.dimension)
@@ -647,8 +645,6 @@ def build_execution_dag(
     final = memo[(spec.root_table, len(s1), len(s2))]
     if final is None:
         raise ValueError("the DP has no solution for this input")
-    if keep_all:
-        return final, memo
     return final
 
 
@@ -673,48 +669,26 @@ def _node_partition(spec, s1, s2, node, memo, domain, seed):
         )
         return AlignmentPartition(domain, regions, memo[ref].adjacency)
 
-    ref_nodes = []
+    # A term costs its subproblem's optimum plus w_t . rho, and that optimum
+    # is the lower envelope of the subproblem's region alignments.  So this
+    # node's regions are the full-dimensional cells of the lower envelope of
+    # the totals counts(a) + w_t over every term t and every region alignment
+    # a of t's subproblem (Gusfield, Balasubramanian & Naor 1994): one
+    # interior-point LP per distinct total decides whether its cell is
+    # full-dimensional.  Equal totals keep the lowest term index, the DP's
+    # tie rule.
+    candidates = {}
     for term, ref in terms:
-        if ref not in ref_nodes:
-            ref_nodes.append(ref)
-    piece_lists = []
-    piece_aligns = []
-    for ref in ref_nodes:
-        cells = []
-        aligns = []
         for region in memo[ref].regions:
-            for cell in region.pieces:
-                cells.append(cell)
-                aligns.append(region.alignment)
-        piece_lists.append(cells)
-        piece_aligns.append(aligns)
-
-    # Only which terms win on a full-dimensional part of each overlay cell
-    # matters: `_resolve_pieces` rebuilds every region from the domain.
-    alignments = []
-    for prefix, ocell in overlay_pieces(piece_lists, seed):
-        ref_alignment = {
-            ref: piece_aligns[r][prefix[r]] for r, ref in enumerate(ref_nodes)
-        }
-        totals = []
-        for term, ref in terms:
-            counts = ref_alignment[ref].counts
-            totals.append(tuple(Rational(c + w) for c, w in zip(counts, term.weight)))
-
-        def extended(idx):
-            term, ref = terms[idx]
-            return _apply_transform(term.transform, ref_alignment[ref], term.weight, s1, s2, i, j)
-
-        if len(set(totals)) == 1:
-            alignments.append(extended(0))
-            continue
-        forms = {idx: AffineForm(t, 0) for idx, t in enumerate(totals)}
-        for idx in forms:
-            candidates = dominance_constraints(forms, idx)
-            if candidates is None:
-                continue
-            if find_interior_point(list(ocell.constraints) + candidates, seed) is not None:
-                alignments.append(extended(idx))
+            extended = _apply_transform(term.transform, region.alignment, term.weight, s1, s2, i, j)
+            candidates.setdefault(extended.counts, extended)
+    forms = {idx: AffineForm(total, 0) for idx, total in enumerate(candidates)}
+    rows = list(domain.constraints)
+    alignments = [
+        alignment
+        for idx, alignment in enumerate(candidates.values())
+        if find_interior_point(rows + dominance_constraints(forms, idx), seed) is not None
+    ]
     return _resolve_pieces(alignments, domain, seed)
 
 

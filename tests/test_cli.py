@@ -95,6 +95,11 @@ class TestClusterRegions:
         path.write_text("{not json")
         assert run_cli(["cluster-regions", "--instance", str(path)]) == 2
 
+    def test_target_size_other_than_k_exit_2(self, tmp_path):
+        path = tmp_path / "three.json"
+        path.write_text(json.dumps({"points": [["0"], ["1"], ["5"], ["6"]], "target": [[0, 1], [2, 3]], "k": 3}))
+        assert run_cli(["cluster-regions", "--instance", str(path)]) == 2
+
     def test_restricted_best_is_one_of_the_cells(self, line_instance_file, tmp_path):
         out = tmp_path / "regions.json"
         args = ["cluster-regions", "--instance", line_instance_file, "--restrict=-1:-1/2"]
@@ -340,6 +345,10 @@ class TestGoldenOutput:
     def test_align_regions_gap_preset(self, tmp_path):
         args = ["align-regions", "--preset", "mismatch-space-gap", "--s1", "ACG", "--s2", "TGA"]
         self.assert_golden("align_ACG_TGA.json", args, tmp_path)
+
+    def test_align_regions_gap_preset_five_regions(self, tmp_path):
+        args = ["align-regions", "--preset", "mismatch-space-gap", "--s1", "ACGTTGA", "--s2", "TGCAAGT"]
+        self.assert_golden("align_ACGTTGA_TGCAAGT.json", args, tmp_path)
 
     def test_cluster_regions_line_fixture(self, line_instance_file, tmp_path):
         args = ["cluster-regions", "--instance", line_instance_file, "--linkages", "single,complete"]

@@ -135,6 +135,14 @@ class TestExecutionDag:
         assert len(part.regions) == 2
         # rho1 = 2 rho2, normalized to leading coefficient 1.
         assert part.boundary_keys() == frozenset({((rat(1), rat(-2)), rat(0))})
+        # Both space terms reach the total (0, 2); the DP keeps the lower
+        # term index, whose space consumes the second sequence's character.
+        (space,) = [r for r in part.regions if r.alignment.counts == (0, 2)]
+        assert (space.alignment.t1, space.alignment.t2) == ("A-", "-T")
+        for region in part.regions:
+            (cell,) = region.pieces
+            _, align = dp_solve(mismatch_space_spec(), "A", "T", cell.witness)
+            assert align == region.alignment
 
     def test_regions_agree_with_dp_at_samples(self):
         rng = random.Random(11)

@@ -5,7 +5,8 @@ pricing.
 
 The geometry layer (halfspaces, convex cells, LP, redundancy removal, ray
 shooting) runs entirely on exact rationals; each domain module maps its
-behavior structure onto the shared implicit breadth-first region enumerator.
+behavior structure onto the shared region layer: the lower-envelope routine
+(clustering, alignment) or the implicit breadth-first enumerator (tariffs).
 """
 
 from .geometry import (
@@ -33,6 +34,7 @@ from .regions import (
     cells_share_facet,
     compute_subdivision,
     compute_vertex_cell,
+    envelope_cells,
 )
 from .clustering import (
     ClusterTree,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,7 +33,7 @@ from .rationals import (
     parse_vector,
     rat,
 )
-from .regions import AffineForm, AffineMinProblem, compute_subdivision
+from .regions import AffineForm, envelope_cells
 
 LINKAGES = ("single", "complete", "median", "average", "mediod")
 
@@ -203,7 +203,7 @@ class MergeFamily:
         if len(self.components) < 2:
             raise ValueError("a merge family needs at least two components")
 
-    @property
+    @cached_property
     def components(self) -> tuple:
         return tuple((l, m) for l in self.linkages for m in self.metrics)
 
@@ -227,6 +227,12 @@ class MergeFamily:
             rows.append(Halfspace(unit, 0))
         center = tuple(rat(1, d + 1) for _ in range(d))
         return ConvexCell(d, tuple(rows), witness=center)
+
+    def simplex_vertices(self) -> tuple:
+        """The corners of `simplex_cell`: the origin and the unit vectors."""
+        d = self.dimension
+        units = tuple(tuple(Rational(1) if j == t else ZERO for j in range(d)) for t in range(d))
+        return ((ZERO,) * d,) + units
 
     def coefficients(self, rho) -> tuple:
         rho = as_vector(rho)
@@ -434,7 +440,8 @@ def build_execution_tree(
     seed: int = 0,
 ) -> ExecutionTreeNode:
     """Level-by-level refinement of the parameter region into cells of
-    constant merge sequence; leaves carry complete cluster trees."""
+    constant merge sequence; leaves carry complete cluster trees.  A given
+    `parent` must lie inside the family's simplex (the default)."""
     if parent is None:
         parent = family.simplex_cell()
     if parent.dimension != family.dimension:
@@ -449,14 +456,16 @@ def build_execution_tree(
 
 
 def _expand(state: ClusterState, merges: tuple, region: ConvexCell, seed: int) -> ExecutionTreeNode:
+    """The subtree below `state`: the region splits into the cells of the
+    lower envelope of the live pairs' merge forms (`envelope_cells`, pruned
+    at the simplex corners), and each cell's pair is merged next."""
     if len(state.clusters) <= 1:
         return ExecutionTreeNode(merges, region)
     pairs = state.pairs()
     if len(pairs) == 1:
         child = _expand(state.merge(pairs[0]), merges + (pairs[0],), region, seed)
         return ExecutionTreeNode(merges, region, (child,))
-    problem = AffineMinProblem(state.merge_forms())
-    sub = compute_subdivision(region, problem, start=region.witness, seed=seed)
+    sub = envelope_cells(region, state.merge_forms(), state.family.simplex_vertices(), seed)
     children = []
     for pair in sorted(sub.cells):
         children.append(_expand(state.merge(pair), merges + (pair,), sub.cells[pair], seed))

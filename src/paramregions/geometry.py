@@ -396,15 +396,18 @@ def find_interior_point(constraints, seed: int = 0) -> Optional[Vector]:
     if not constraints:
         raise GeometryError("need at least one constraint")
     d = constraints[0].dimension
-    rows = []
-    for h in constraints:
-        if h.dimension != d:
-            raise GeometryError("constraint dimension mismatch")
-        row = h.int_row
-        rows.append(row[:-1] + (sum(map(abs, row[:-1])), row[-1]))
+    if any(h.dimension != d for h in constraints):
+        raise GeometryError("constraint dimension mismatch")
+    return _interior_point_rows([h.int_row for h in constraints], seed)
+
+
+def _interior_point_rows(rows: list, seed: int) -> Optional[Vector]:
+    """`find_interior_point` on nonempty integer rows (a_1, ..., a_d, b)."""
+    d = len(rows[0]) - 1
+    lp_rows = [row[:-1] + (sum(map(abs, row[:-1])), row[-1]) for row in rows]
     unit_t = (0,) * d + (1,)
-    rows.append(unit_t + (1,))
-    status, point = _solve_raw(unit_t, rows, seed)
+    lp_rows.append(unit_t + (1,))
+    status, point = _solve_raw(unit_t, lp_rows, seed)
     if status != "optimal" or point[d] <= 0:
         return None
     return _rational_point(point[:d] + point[-1:])

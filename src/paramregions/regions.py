@@ -1,13 +1,22 @@
-"""Implicit breadth-first enumeration of the cells of a convex subdivision.
+"""Convex subdivisions of a parent cell by optimal behavior.
 
-A domain supplies a `CellProblem`: the behavior label at a parameter point,
-and candidate halfspaces "my objective <= alternative's objective" labeled by
-the alternative.  From one seed label the enumerator walks the region
-adjacency graph, computing each cell once via redundancy removal; the labels
-attached to retained non-parent constraints are exactly the neighbors.
+Every cell is built by `compute_vertex_cell`: the parent's rows plus the
+candidate halfspaces "my objective <= alternative's objective", each labeled
+by the alternative, reduced by redundancy removal; the labels attached to
+retained non-parent constraints are exactly the neighbors.  Two routines
+decide which labels get a cell:
 
-The BFS frontier is sequential; the per-label cell computations are pure and
-independent (safe to dispatch concurrently if a caller wants to).
+- `envelope_cells`, for "behavior = argmin of labeled affine forms" (a
+  clustering merge step, an alignment DAG node): drop the forms dominated at
+  the corners of a polytope containing the parent, then one interior-point
+  LP per remaining form.  Every full-dimensional cell is found.
+- `compute_subdivision`, for a domain that supplies its own `CellProblem`
+  (the tariff search): from one seed label it walks the region adjacency
+  graph breadth-first.  It can lose a cell when several candidates lie on
+  one hyperplane, because only the first of them is kept as a neighbor.
+
+The per-label cell computations are pure and independent (safe to dispatch
+concurrently if a caller wants to).
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from .geometry import (
     GeometryError,
     Halfspace,
     _clarkson_indices,
+    _interior_point_rows,
     _project_row,
     dot,
     find_interior_point,
@@ -105,8 +115,8 @@ def argmin_label(forms: dict, point):
 class AffineMinProblem:
     """CellProblem for "behavior = argmin of labeled affine objectives".
 
-    This is the shared shape of a clustering merge step and of a DP-term
-    choice; domains with custom tie rules supply their own problem instead.
+    `envelope_cells` builds its cells with it; domains with custom tie
+    rules supply their own problem instead.
     """
 
     def __init__(self, forms: dict):
@@ -186,8 +196,9 @@ def compute_subdivision(
     extra_seeds: Sequence = (),
 ) -> Subdivision:
     """BFS over the implicit region adjacency graph from the behavior at
-    `start` (default: the parent's witness).  Visits every full-dimensional
-    cell exactly once; empty-interior labels are recorded and skipped."""
+    `start` (default: the parent's witness).  Visits each full-dimensional
+    cell it reaches exactly once; empty-interior labels are recorded and
+    skipped."""
     if start is None:
         start = parent.witness
     if start is None:
@@ -216,6 +227,44 @@ def compute_subdivision(
             queue.append(nb)
     adjacency = frozenset(p for p in pairs if p[0] in cells and p[1] in cells)
     return Subdivision(parent, cells, adjacency, tuple(sorted(degenerate)))
+
+
+def envelope_cells(parent: ConvexCell, forms: dict, corners, seed: int = 0) -> Subdivision:
+    """The full-dimensional cells of the lower envelope of labeled affine
+    forms inside `parent`, keyed by label; `corners` are the vertices of a
+    polytope that contains `parent`.
+
+    Prune: a form whose values at the corners are all >= another's is
+    dropped (of equal forms the smallest label stays).  Their difference is
+    affine, >= 0 on the polytope and, unless it is 0, > 0 inside it: the
+    dropped form is minimal nowhere in `parent`'s interior and tightens no
+    other cell.  One pass in label order against the forms kept so far does
+    it.  Test: one interior-point LP per remaining label.  Build:
+    `compute_vertex_cell` for each label that passed, against those labels
+    only, so that every facet label and adjacency pair names a cell.  Labels
+    that fail the test are recorded as degenerate.
+    """
+    kept: list = []  # (label, values at the corners), in label order
+    for label in sorted(forms):
+        values = tuple(forms[label].value(c) for c in corners)
+        if any(all(k <= v for k, v in zip(other, values)) for _, other in kept):
+            continue
+        kept = [(l, other) for l, other in kept if not all(v <= k for v, k in zip(values, other))]
+        kept.append((label, values))
+    pruned = {label: forms[label] for label, _ in kept}
+    rows = list(parent.constraints)
+    passed = AffineMinProblem({
+        label: form
+        for label, form in pruned.items()
+        if find_interior_point(rows + dominance_constraints(pruned, label), seed) is not None
+    })
+    cells: dict = {}
+    pairs: set = set()
+    for label in sorted(passed.forms):
+        cells[label], neighbors = compute_vertex_cell(parent, label, passed, seed)
+        pairs.update(tuple(sorted((label, nb))) for nb in neighbors)
+    degenerate = tuple(label for label in pruned if label not in cells)
+    return Subdivision(parent, cells, frozenset(pairs), degenerate)
 
 
 def cells_share_facet(a: ConvexCell, b: ConvexCell, seed: int = 0) -> bool:
@@ -248,7 +297,7 @@ def _has_relative_interior_on(plane: Halfspace, rows, seed: int) -> bool:
             if row[-1] <= 0:
                 return False
             continue
-        projected.append(Halfspace(row[:-1], row[-1]))
+        projected.append(row)
     if not projected:
         return True
-    return find_interior_point(projected, seed) is not None
+    return _interior_point_rows(projected, seed) is not None

@@ -9,14 +9,16 @@ constant.
 
 `build_execution_dag` computes that decomposition bottom-up: per subproblem,
 keep the candidate alignments (a referenced region's alignment extended by
-a term) whose cost is minimal on a full-dimensional part of the domain, then
-build one cell per kept alignment.  `ray_search_2d` is the two-feature fast
-path that walks the fan of angular sectors with one DP solve per probe point.
+a term) whose cost is minimal on a full-dimensional part of the domain, and
+build one cell per kept alignment (`regions.envelope_cells`).
+`ray_search_2d` is the two-feature fast path that walks the fan of angular
+sectors with one DP solve per probe point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional, Sequence
 
 from .geometry import (
@@ -30,14 +32,7 @@ from .geometry import (
     reduce_cell,
 )
 from .rationals import Rational, ZERO, as_vector
-from .regions import (
-    AffineForm,
-    AffineMinProblem,
-    Subdivision,
-    cells_share_facet,
-    compute_vertex_cell,
-    dominance_constraints,
-)
+from .regions import AffineForm, Subdivision, cells_share_facet, envelope_cells
 
 SPACE = "-"
 
@@ -494,10 +489,6 @@ class AlignmentPartition:
     regions: tuple
     adjacency: frozenset = frozenset()  # pairs of region indices
 
-    @property
-    def piece_count(self) -> int:
-        return sum(len(r.pieces) for r in self.regions)
-
     def region_at(self, point) -> AlignedRegion:
         for region in self.regions:
             if any(cell.contains(point) for cell in region.pieces):
@@ -587,14 +578,10 @@ def compute_overlay(subdivisions: Sequence[Subdivision], seed: int = 0) -> Subdi
 # --------------------------------------------------------------------------
 
 def resolve_degeneracies(partition: AlignmentPartition, seed: int = 0) -> AlignmentPartition:
-    alignments = [region.alignment for region in partition.regions]
-    return _resolve_pieces(alignments, partition.parent, seed)
-
-
-def _resolve_pieces(alignments: list, parent: ConvexCell, seed: int) -> AlignmentPartition:
-    """Group the alignments of a node's pieces by key and rebuild each
-    group's region as a single minimal cell: the cone where its cost is
-    below every other group's, which also yields facet adjacency.
+    """One minimal cell per alignment key: the pieces of an alignment merge
+    into the cone where its cost is below every other alignment's.  The
+    partition's parent must lie in the nonnegative orthant, as every
+    partition this module builds does.
 
     Raises ValueError when two distinct alignments carry equal feature
     counts; cost hyperplanes cannot separate them.  The DP never produces
@@ -602,43 +589,50 @@ def _resolve_pieces(alignments: list, parent: ConvexCell, seed: int) -> Alignmen
     alignments of one subproblem with equal counts would come from the same
     term and, recursively, from equal alignments of a base case.
     """
-    groups: dict = {}
-    for alignment in alignments:
-        groups.setdefault(alignment.key, alignment)
-    if len({alignment.counts for alignment in groups.values()}) != len(groups):
+    alignments = [region.alignment for region in partition.regions]
+    if len({a.counts for a in alignments}) != len({a.key for a in alignments}):
         raise ValueError("distinct alignments with equal feature counts")
-    keys = sorted(groups)
+    return _envelope_partition(alignments, partition.parent, seed)
+
+
+def _envelope_partition(alignments, parent: ConvexCell, seed: int) -> AlignmentPartition:
+    """The regions of the lower envelope of the alignments' costs inside
+    `parent`, keyed by alignment key (the first alignment of a key wins).
+
+    Costs are linear, so a cost that is at least another's at the unit
+    box's corners (the origin and the unit vectors among them) is so on the
+    whole nonnegative orthant: those corners serve `envelope_cells` for any
+    parent inside it.
+    """
+    by_key: dict = {}
+    for alignment in alignments:
+        by_key.setdefault(alignment.key, alignment)
+    forms = {key: AffineForm(alignment.counts, 0) for key, alignment in by_key.items()}
+    corners = tuple(product((0, 1), repeat=parent.dimension))
+    sub = envelope_cells(parent, forms, corners, seed)
+    keys = sorted(sub.cells)
     index = {key: i for i, key in enumerate(keys)}
-    problem = AffineMinProblem({key: AffineForm(groups[key].counts, 0) for key in keys})
-    regions = []
-    adjacency = set()
-    for key in keys:
-        cell, neighbors = compute_vertex_cell(parent, key, problem, seed)
-        regions.append(AlignedRegion(groups[key], (cell,)))
-        adjacency.update(tuple(sorted((index[key], index[other]))) for other in neighbors)
-    return AlignmentPartition(parent, tuple(regions), frozenset(adjacency))
+    regions = tuple(AlignedRegion(by_key[key], (sub.cells[key],)) for key in keys)
+    adjacency = frozenset((index[a], index[b]) for a, b in sub.adjacency)
+    return AlignmentPartition(parent, regions, adjacency)
 
 
 # --------------------------------------------------------------------------
 # The compact execution DAG
 # --------------------------------------------------------------------------
 
-def build_execution_dag(
-    spec: AlignmentDPSpec,
-    s1: str,
-    s2: str,
-    domain: Optional[ConvexCell] = None,
-    seed: int = 0,
-) -> AlignmentPartition:
-    """Partition of the parameter domain by optimal alignment of (s1, s2).
+def build_execution_dag(spec: AlignmentDPSpec, s1: str, s2: str, seed: int = 0) -> AlignmentPartition:
+    """Partition of the parameter domain (`default_domain`, the unit box) by
+    optimal alignment of (s1, s2).
 
-    Processes subproblems in topological order; each node keeps the term
-    totals (a referenced region's counts plus the term's weight) that are
-    optimal on a full-dimensional part of the domain, and builds one region
-    per resulting alignment.
+    Processes subproblems in topological order.  A node with several terms
+    takes one candidate per distinct term total (a referenced region's
+    counts plus the term's weight) and splits the domain by the lower
+    envelope of their costs with `envelope_cells`: dominated totals are
+    pruned, each remaining one gets one interior-point LP, and each survivor
+    one region.  A node with one term relabels its subproblem's regions.
     """
-    if domain is None:
-        domain = default_domain(spec.dimension)
+    domain = default_domain(spec.dimension)
     memo: dict = {}
     for node in _reachable_nodes(spec, s1, s2):
         memo[node] = _node_partition(spec, s1, s2, node, memo, domain, seed)
@@ -673,36 +667,21 @@ def _node_partition(spec, s1, s2, node, memo, domain, seed):
     # is the lower envelope of the subproblem's region alignments.  So this
     # node's regions are the full-dimensional cells of the lower envelope of
     # the totals counts(a) + w_t over every term t and every region alignment
-    # a of t's subproblem (Gusfield, Balasubramanian & Naor 1994): one
-    # interior-point LP per distinct total decides whether its cell is
-    # full-dimensional.  Equal totals keep the lowest term index, the DP's
-    # tie rule.
+    # a of t's subproblem (Gusfield, Balasubramanian & Naor 1994).  Equal
+    # totals keep the lowest term index, the DP's tie rule.
     candidates = {}
     for term, ref in terms:
         for region in memo[ref].regions:
             extended = _apply_transform(term.transform, region.alignment, term.weight, s1, s2, i, j)
             candidates.setdefault(extended.counts, extended)
-    forms = {idx: AffineForm(total, 0) for idx, total in enumerate(candidates)}
-    rows = list(domain.constraints)
-    alignments = [
-        alignment
-        for idx, alignment in enumerate(candidates.values())
-        if find_interior_point(rows + dominance_constraints(forms, idx), seed) is not None
-    ]
-    return _resolve_pieces(alignments, domain, seed)
+    return _envelope_partition(candidates.values(), domain, seed)
 
 
 # --------------------------------------------------------------------------
 # d = 2 ray search
 # --------------------------------------------------------------------------
 
-def ray_search_2d(
-    spec: AlignmentDPSpec,
-    s1: str,
-    s2: str,
-    domain: Optional[ConvexCell] = None,
-    seed: int = 0,
-):
+def ray_search_2d(spec: AlignmentDPSpec, s1: str, s2: str, seed: int = 0):
     """Fan of angular sectors of constant optimal alignment (two features).
 
     All in-model costs are homogeneous (base cases and updates contribute
@@ -715,8 +694,7 @@ def ray_search_2d(
     """
     if spec.dimension != 2:
         raise GeometryError("the ray search needs exactly two features")
-    if domain is None:
-        domain = default_domain(2)
+    domain = default_domain(2)
     calls = [0]
 
     def solve_at(primary, tiebreak=None):
@@ -745,7 +723,14 @@ def ray_search_2d(
 
     def recurse(tl, align_l, tr, align_r):
         g, tm = crossing(align_l.counts, align_r.counts)
-        assert tl < tm < tr, "boundary crossing escaped the probe interval"
+        if not tl < tm < tr:
+            # The crossing lies in [tl, tr], since align_l is optimal at tl
+            # and align_r at tr.  At an end, say tl, align_r ties align_l,
+            # so it is optimal at both ends and, the envelope being concave,
+            # on all of [tl, tr]: no region lies in between.  This happens
+            # when a probe on a vertex of the envelope returned an alignment
+            # that is optimal on one side of it only.
+            return []
         m = chord_point(tm)
         cost, align_m = solve_at(m)
         tied_value = dot(align_l.counts, m)
@@ -759,9 +744,18 @@ def ray_search_2d(
 
     inner = recurse(ZERO, left_align, Rational(1), right_align)
     ordered = [left_align] + inner + [right_align]
-    # Deduplicate consecutive repeats that certify shared boundaries.
+    # Deduplicate consecutive repeats that certify shared boundaries, and
+    # drop an alignment whose crossing with the next one is at or before its
+    # crossing with the previous one: it is optimal only at a vertex.
     sequence = [ordered[0]]
     for align in ordered[1:]:
+        while (
+            len(sequence) > 1
+            and align.counts != sequence[-1].counts
+            and crossing(sequence[-1].counts, align.counts)[1]
+            <= crossing(sequence[-2].counts, sequence[-1].counts)[1]
+        ):
+            sequence.pop()
         if align.counts != sequence[-1].counts:
             sequence.append(align)
 

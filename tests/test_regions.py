@@ -2,15 +2,24 @@ import random
 
 import pytest
 
-from paramregions.geometry import box_cell, sample_interior
+from paramregions.geometry import (
+    ConvexCell,
+    Halfspace,
+    box_cell,
+    polygon_area,
+    polygon_vertices,
+    sample_interior,
+)
 from paramregions.regions import (
     AffineForm,
     AffineMinProblem,
     DegenerateCellError,
     Subdivision,
+    argmin_label,
     cells_share_facet,
     compute_subdivision,
     compute_vertex_cell,
+    envelope_cells,
 )
 from paramregions.rationals import rat
 
@@ -147,6 +156,67 @@ class TestComputeSubdivision:
         back = Subdivision.from_json(data)
         assert set(back.cells) == set(sub.cells)
         assert back.adjacency == sub.adjacency
+
+
+def facet_labels(sub):
+    return {h.label for cell in sub.cells.values() for h in cell.constraints if h.label is not None}
+
+
+class TestEnvelopeCells:
+    UNIT_SEGMENT_CORNERS = ((0,), (1,))
+    SIMPLEX_CORNERS = ((0, 0), (1, 0), (0, 1))
+
+    def test_three_forms_through_one_point(self):
+        # All three tie at x = 1/2: c wins left of it, b right, and a only
+        # at the point itself.
+        forms = {
+            "a": AffineForm((rat(-1),), rat(5, 2)),
+            "b": AffineForm((rat(-2),), rat(3)),
+            "c": AffineForm((rat(0),), rat(2)),
+        }
+        sub = envelope_cells(box_cell(0, 1, 1), forms, self.UNIT_SEGMENT_CORNERS)
+        assert set(sub.cells) == {"b", "c"}
+        assert sub.adjacency == frozenset({("b", "c")})
+        assert sub.degenerate == ("a",)
+        assert facet_labels(sub) == {"b", "c"}
+        assert sub.cells["c"].contains((rat(1, 4),), strict=True)
+        assert sub.cells["b"].contains((rat(3, 4),), strict=True)
+
+    def test_equal_forms_keep_the_smallest_label(self):
+        f = ((1, 0), 0)
+        g = ((-1, 0), 1)
+        parent = box_cell(0, 1, 2)
+        corners = ((0, 0), (1, 0), (0, 1), (1, 1))
+        sub = envelope_cells(parent, forms_2d({"c": f, "a": f, "b": g, "d": g}), corners)
+        assert set(sub.cells) == {"a", "b"}
+        assert sub.adjacency == frozenset({("a", "b")})
+        assert facet_labels(sub) == {"a", "b"}
+        sub = envelope_cells(parent, forms_2d({"y": f, "x": f}), corners)
+        assert set(sub.cells) == {"x"}
+        assert sub.cells["x"].constraint_keys() <= parent.constraint_keys()
+
+    def test_random_forms_tile_the_simplex(self):
+        rng = random.Random(23)
+        simplex = [Halfspace((1, 1), 1), Halfspace((-1, 0), 0), Halfspace((0, -1), 0)]
+        parents = [
+            ConvexCell(2, tuple(simplex), witness=(rat(1, 3), rat(1, 3))),
+            ConvexCell(2, tuple(simplex) + (Halfspace((1, 0), rat(1, 2)),), witness=(rat(1, 4), rat(1, 4))),
+        ]
+        for trial in range(12):
+            parent = parents[trial % 2]
+            # Small coefficients make equal forms and forms through a common
+            # point likely.
+            forms = {
+                i: AffineForm((rat(rng.randint(-3, 3)), rat(rng.randint(-3, 3))), rat(rng.randint(0, 2)))
+                for i in range(9)
+            }
+            sub = envelope_cells(parent, forms, self.SIMPLEX_CORNERS, seed=trial)
+            area = sum(polygon_area(polygon_vertices(cell)) for cell in sub.cells.values())
+            assert area == polygon_area(polygon_vertices(parent))
+            for label, cell in sub.cells.items():
+                assert argmin_label(forms, cell.witness) == label
+            assert facet_labels(sub) <= set(sub.cells)
+            assert all(a in sub.cells and b in sub.cells for a, b in sub.adjacency)
 
 
 class TestFacetSharing:

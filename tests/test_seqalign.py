@@ -297,6 +297,24 @@ class TestRaySearch:
                 dag_region = dag.region_at(probe)
                 assert (dag_region.alignment.t1, dag_region.alignment.t2) in ray_aligns
 
+    @pytest.mark.parametrize(
+        "s1, s2",
+        [
+            # The first probe lands where three alignments tie, and a later
+            # crossing falls on the end of its probe interval.
+            ("CACTTCAATTGTAACT", "ATTACCATTCCGAGAA"),
+            # A probe returns an alignment that is optimal only at a vertex.
+            ("CCGTGAGAGAGCCATCTTGTG", "TCCAGGGACTGTTCATCGTCA"),
+        ],
+    )
+    def test_probe_on_a_vertex(self, s1, s2):
+        spec = mismatch_space_spec()
+        ray, calls = ray_search_2d(spec, s1, s2)
+        dag = build_execution_dag(spec, s1, s2)
+        assert ray.boundary_keys() == dag.boundary_keys()
+        assert len(ray.regions) == len(dag.regions)
+        assert calls <= 2 * len(ray.regions) - 1
+
     def test_requires_two_features(self):
         with pytest.raises(GeometryError):
             ray_search_2d(mismatch_space_gap_spec(), "A", "T")

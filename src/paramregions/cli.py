@@ -128,10 +128,14 @@ def load_sequences(config: RunConfig) -> tuple:
         records = _parse_fasta(config.fasta)
         if len(records) < 2:
             raise ParseFailure("FASTA input needs at least two records")
-        return records[0], records[1]
-    if config.s1 is None or config.s2 is None:
+        pair = records[0], records[1]
+    elif config.s1 is None or config.s2 is None:
         raise ParseFailure("provide --s1 and --s2, or --fasta")
-    return config.s1, config.s2
+    else:
+        pair = config.s1, config.s2
+    if any(seqalign.SPACE in s for s in pair):
+        raise ParseFailure(f"sequences must not contain the space character {seqalign.SPACE!r}")
+    return pair
 
 
 def _parse_fasta(path: str) -> list:
@@ -485,13 +489,14 @@ def _cluster_oracle_agreement(inst, family, leaves, config: RunConfig) -> float:
 
 
 def _align_oracle_agreement(spec, s1, s2, part, config: RunConfig) -> float:
+    graph = seqalign.node_graph(spec, s1, s2)
     total = 0
     good = 0
     for region in part.regions:
         for cell in region.pieces:
             for point in _cell_box_grid(cell, config.density):
                 total += 1
-                cost, align = seqalign.dp_solve(spec, s1, s2, point)
+                _, align = seqalign.dp_solve_multi(spec, s1, s2, [point], graph)
                 if (align.t1, align.t2) == (region.alignment.t1, region.alignment.t2):
                     good += 1
     return 1.0 if total == 0 else good / total

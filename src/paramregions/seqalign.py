@@ -7,24 +7,35 @@ functions of the feature-cost vector rho, so for a fixed sequence pair the
 parameter space splits into convex cones on which the optimal alignment is
 constant.
 
-`build_execution_dag` computes that decomposition bottom-up: per subproblem,
+`node_graph` lists the subproblems of one sequence pair once, in
+topological order; the scalar DP and the execution DAG both run over it.
+`dp_solve_multi` is the scalar DP at one parameter point, or
+lexicographically over several.  It carries costs as integers, each point
+scaled by the lcm of its denominators; one positive scale per point keeps
+the order and the ties of the rational costs, so it chooses exactly what a
+DP over rationals would.  It keeps one back-pointer per subproblem and
+builds only the root's alignment.
+
+`build_execution_dag` computes the decomposition bottom-up: per subproblem,
 keep the candidate alignments (a referenced region's alignment extended by
 a term) whose cost is minimal on a full-dimensional part of the domain, and
 build one cell per kept alignment (`regions.envelope_cells`).
 `ray_search_2d` is the two-feature fast path that walks the fan of angular
-sectors with one DP solve per probe point.
+sectors with one DP solve per probe point, over one node graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import add
 from typing import Optional, Sequence
 
 from .geometry import (
     ConvexCell,
     GeometryError,
     Halfspace,
+    _homogeneous,
     box_cell,
     clarkson_reduce,
     dot,
@@ -384,80 +395,119 @@ def _apply_transform(transform: str, ref: Alignment, weight, s1, s2, i, j) -> Al
 # Node graph shared by the scalar DP and the execution DAG
 # --------------------------------------------------------------------------
 
-def _reachable_nodes(spec: AlignmentDPSpec, s1: str, s2: str) -> list:
-    """Nodes needed for the root subproblem, topologically ordered."""
+@dataclass(frozen=True)
+class NodeGraph:
+    """The subproblems the root of one sequence pair needs.
+
+    `nodes` holds them as (table, i, j) in topological order, the root
+    last.  For each node, `bases` holds its base solution (or None), and
+    `terms` holds the (term, ref) pairs of its case whose referenced
+    subproblem is in range, with `ref` the position of that subproblem in
+    `nodes`.  A base node has no terms.
+    """
+
+    nodes: tuple
+    bases: tuple
+    terms: tuple
+
+
+def node_graph(spec: AlignmentDPSpec, s1: str, s2: str) -> NodeGraph:
+    """The node graph of (s1, s2), built once per pair: every DP solve and
+    the execution DAG of the pair run over it."""
     rank = {t: r for r, t in enumerate(spec.tables)}
-    root = (spec.root_table, len(s1), len(s2))
-    seen = set()
-    stack = [root]
+    links = {}
+    stack = [(spec.root_table, len(s1), len(s2))]
     while stack:
         node = stack.pop()
-        if node in seen:
+        if node in links:
             continue
-        seen.add(node)
         table, i, j = node
-        if spec.base_solution(s1, s2, table, i, j) is not None:
-            continue
-        case = spec.case_for(table, s1, s2, i, j)
-        if case is None:
-            continue
-        for term in case.terms:
-            ri, rj = i + term.di, j + term.dj
-            if ri >= 0 and rj >= 0:
-                stack.append((term.ref_table, ri, rj))
-    return sorted(seen, key=lambda node: (node[1] + node[2], rank[node[0]]))
-
-
-def _valid_terms(spec, s1, s2, node, memo) -> list:
-    table, i, j = node
-    case = spec.case_for(table, s1, s2, i, j)
-    if case is None:
-        return []
-    out = []
-    for term in case.terms:
-        ref = (term.ref_table, i + term.di, j + term.dj)
-        if ref[1] >= 0 and ref[2] >= 0 and memo.get(ref) is not None:
-            out.append((term, ref))
-    return out
+        base = spec.base_solution(s1, s2, table, i, j)
+        case = None if base is not None else spec.case_for(table, s1, s2, i, j)
+        terms = []
+        for term in case.terms if case is not None else ():
+            ref = (term.ref_table, i + term.di, j + term.dj)
+            if ref[1] >= 0 and ref[2] >= 0:
+                terms.append((term, ref))
+                stack.append(ref)
+        links[node] = (base, terms)
+    # References never look ahead, and same-cell ones go to earlier tables,
+    # so this order is topological and ends at the root.
+    nodes = sorted(links, key=lambda node: (node[1] + node[2], rank[node[0]]))
+    position = {node: k for k, node in enumerate(nodes)}
+    return NodeGraph(
+        tuple(nodes),
+        tuple(links[node][0] for node in nodes),
+        tuple(tuple((term, position[ref]) for term, ref in links[node][1]) for node in nodes),
+    )
 
 
 # --------------------------------------------------------------------------
 # Scalar DP (single parameter point, or lexicographic over several)
 # --------------------------------------------------------------------------
 
-def dp_solve_multi(spec: AlignmentDPSpec, s1: str, s2: str, points: Sequence):
+def dp_solve_multi(
+    spec: AlignmentDPSpec, s1: str, s2: str, points: Sequence, graph: Optional[NodeGraph] = None
+):
     """DP with costs compared lexicographically over several points.
 
     With one point this is the plain DP; with a second point it resolves ties
     at the first as the limit behavior toward the second, which is how the
-    ray search probes sector interiors adjacent to a boundary.
+    ray search probes sector interiors adjacent to a boundary.  Returns the
+    root's costs, one rational per point, and its optimal alignment.  Term
+    ties break toward the lowest term index.
+
+    Costs are integers: point k is written homogeneously as (P_k, w_k) with
+    w_k > 0 (`geometry._homogeneous`), and a cost c . p_k is carried as
+    c . P_k = w_k (c . p_k).  Scaling every cost at one point by the same
+    positive w_k preserves their order and their ties, so the lexicographic
+    comparison, and the strict `<` that keeps the lowest term index, choose
+    exactly as over the rationals.  Each node keeps only its cost and a
+    back-pointer; the root's alignment is rebuilt by one traceback.
+
+    `graph` is `node_graph(spec, s1, s2)`, which callers that solve one
+    pair many times build once; it is built here when omitted.
     """
     pts = [as_vector(p) for p in points]
     if any(len(p) != spec.dimension for p in pts):
         raise GeometryError("parameter dimension mismatch")
-    memo: dict = {}
-    order = _reachable_nodes(spec, s1, s2)
-    for node in order:
-        table, i, j = node
-        base = spec.base_solution(s1, s2, table, i, j)
+    if graph is None:
+        graph = node_graph(spec, s1, s2)
+    homs = [_homogeneous(p) for p in pts]
+    scaled = [h[:-1] for h in homs]
+
+    def cost_of(counts):
+        return tuple(sum(c * x for c, x in zip(counts, P)) for P in scaled)
+
+    term_cost = {term.weight: cost_of(term.weight) for case in spec.cases for term in case.terms}
+    costs = [None] * len(graph.nodes)
+    back = [None] * len(graph.nodes)
+    for k, base in enumerate(graph.bases):
         if base is not None:
-            memo[node] = (tuple(dot(base.counts, p) for p in pts), base)
+            costs[k] = cost_of(base.counts)
             continue
         best = None
-        for term, ref in _valid_terms(spec, s1, s2, node, memo):
-            ref_cost, ref_align = memo[ref]
-            cost = tuple(rc + dot(term.weight, p) for rc, p in zip(ref_cost, pts))
-            if best is None or cost < best[0]:
-                best = (cost, term, ref_align)
-        if best is None:
-            memo[node] = None
-            continue
-        cost, term, ref_align = best
-        memo[node] = (cost, _apply_transform(term.transform, ref_align, term.weight, s1, s2, i, j))
-    root = memo.get((spec.root_table, len(s1), len(s2)))
-    if root is None:
+        for term, ref in graph.terms[k]:
+            ref_cost = costs[ref]
+            if ref_cost is None:
+                continue
+            cost = tuple(map(add, ref_cost, term_cost[term.weight]))
+            if best is None or cost < best:
+                best = cost
+                back[k] = (term, ref)
+        costs[k] = best
+    root = len(graph.nodes) - 1
+    if costs[root] is None:
         raise ValueError("the DP has no solution for this input")
-    return root
+    path = []
+    k = root
+    while back[k] is not None:
+        path.append((back[k][0], graph.nodes[k]))
+        k = back[k][1]
+    alignment = graph.bases[k]
+    for term, (_, i, j) in reversed(path):
+        alignment = _apply_transform(term.transform, alignment, term.weight, s1, s2, i, j)
+    return tuple(Rational(c, h[-1]) for c, h in zip(costs[root], homs)), alignment
 
 
 def dp_solve(spec: AlignmentDPSpec, s1: str, s2: str, rho):
@@ -633,35 +683,35 @@ def build_execution_dag(spec: AlignmentDPSpec, s1: str, s2: str, seed: int = 0) 
     one region.  A node with one term relabels its subproblem's regions.
     """
     domain = default_domain(spec.dimension)
-    memo: dict = {}
-    for node in _reachable_nodes(spec, s1, s2):
-        memo[node] = _node_partition(spec, s1, s2, node, memo, domain, seed)
-    final = memo[(spec.root_table, len(s1), len(s2))]
-    if final is None:
+    graph = node_graph(spec, s1, s2)
+    memo = []
+    for (_, i, j), base, terms in zip(graph.nodes, graph.bases, graph.terms):
+        solved = [(term, memo[ref]) for term, ref in terms if memo[ref] is not None]
+        memo.append(_node_partition(s1, s2, i, j, base, solved, domain, seed))
+    if memo[-1] is None:
         raise ValueError("the DP has no solution for this input")
-    return final
+    return memo[-1]
 
 
-def _node_partition(spec, s1, s2, node, memo, domain, seed):
-    table, i, j = node
-    base = spec.base_solution(s1, s2, table, i, j)
+def _node_partition(s1, s2, i, j, base, terms, domain, seed):
+    """The partition of one node from its base solution, or from its
+    (term, referenced partition) pairs."""
     if base is not None:
         return AlignmentPartition(domain, (AlignedRegion(base, (domain,)),), frozenset())
-    terms = _valid_terms(spec, s1, s2, node, memo)
     if not terms:
         return None
     if len(terms) == 1:
-        term, ref = terms[0]
+        ((term, sub),) = terms
         extended = {
             r.alignment.key: _apply_transform(term.transform, r.alignment, term.weight, s1, s2, i, j)
-            for r in memo[ref].regions
+            for r in sub.regions
         }
         relabel = lambda key: extended[key].key
         regions = tuple(
             AlignedRegion(extended[r.alignment.key], tuple(c.map_labels(relabel) for c in r.pieces))
-            for r in memo[ref].regions
+            for r in sub.regions
         )
-        return AlignmentPartition(domain, regions, memo[ref].adjacency)
+        return AlignmentPartition(domain, regions, sub.adjacency)
 
     # A term costs its subproblem's optimum plus w_t . rho, and that optimum
     # is the lower envelope of the subproblem's region alignments.  So this
@@ -670,8 +720,8 @@ def _node_partition(spec, s1, s2, node, memo, domain, seed):
     # a of t's subproblem (Gusfield, Balasubramanian & Naor 1994).  Equal
     # totals keep the lowest term index, the DP's tie rule.
     candidates = {}
-    for term, ref in terms:
-        for region in memo[ref].regions:
+    for term, sub in terms:
+        for region in sub.regions:
             extended = _apply_transform(term.transform, region.alignment, term.weight, s1, s2, i, j)
             candidates.setdefault(extended.counts, extended)
     return _envelope_partition(candidates.values(), domain, seed)
@@ -695,12 +745,13 @@ def ray_search_2d(spec: AlignmentDPSpec, s1: str, s2: str, seed: int = 0):
     if spec.dimension != 2:
         raise GeometryError("the ray search needs exactly two features")
     domain = default_domain(2)
+    graph = node_graph(spec, s1, s2)
     calls = [0]
 
     def solve_at(primary, tiebreak=None):
         calls[0] += 1
         pts = [primary] if tiebreak is None else [primary, tiebreak]
-        return dp_solve_multi(spec, s1, s2, pts)
+        return dp_solve_multi(spec, s1, s2, pts, graph)
 
     left_pt = (ZERO, Rational(1))
     right_pt = (Rational(1), ZERO)

@@ -3,18 +3,20 @@
 These deliberately avoid the library's incremental machinery: redundancy via
 one relaxed LP per constraint, LP optima via dense vertex enumeration, and
 region membership via direct simulation.  They stay independent of the code
-paths they check.  The one exception is `reference_solve_raw` and
-`reference_ray_first_index`: the same Seidel LP and ray shooting as the
-library's integer kernel, written over rationals, against which the kernel
-must agree exactly.
+paths they check.  The exceptions are `reference_solve_raw` and
+`reference_ray_first_index`, the same Seidel LP and ray shooting as the
+library's integer kernel written over rationals, and
+`reference_dp_solve_multi`, the alignment DP over rationals: the library
+must agree with each exactly.
 """
 
 import math
 import random
 from itertools import combinations
 
-from paramregions.geometry import Halfspace, LPResult, dot, solve_lp
-from paramregions.rationals import ZERO, Rational, rat
+from paramregions.geometry import GeometryError, Halfspace, LPResult, dot, solve_lp
+from paramregions.rationals import ZERO, Rational, as_vector, rat
+from paramregions.seqalign import _apply_transform
 
 
 def naive_nonredundant(constraints, seed=0):
@@ -275,3 +277,76 @@ def reference_ray_first_index(rows, z, x):
             best = t_poly
             best_idx = i
     return best_idx
+
+
+# --------------------------------------------------------------------------
+# Rational reference for the alignment DP
+# --------------------------------------------------------------------------
+
+def _reference_reachable_nodes(spec, s1, s2):
+    """Nodes needed for the root subproblem, topologically ordered."""
+    rank = {t: r for r, t in enumerate(spec.tables)}
+    root = (spec.root_table, len(s1), len(s2))
+    seen = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        table, i, j = node
+        if spec.base_solution(s1, s2, table, i, j) is not None:
+            continue
+        case = spec.case_for(table, s1, s2, i, j)
+        if case is None:
+            continue
+        for term in case.terms:
+            ri, rj = i + term.di, j + term.dj
+            if ri >= 0 and rj >= 0:
+                stack.append((term.ref_table, ri, rj))
+    return sorted(seen, key=lambda node: (node[1] + node[2], rank[node[0]]))
+
+
+def _reference_valid_terms(spec, s1, s2, node, memo):
+    table, i, j = node
+    case = spec.case_for(table, s1, s2, i, j)
+    if case is None:
+        return []
+    out = []
+    for term in case.terms:
+        ref = (term.ref_table, i + term.di, j + term.dj)
+        if ref[1] >= 0 and ref[2] >= 0 and memo.get(ref) is not None:
+            out.append((term, ref))
+    return out
+
+
+def reference_dp_solve_multi(spec, s1, s2, points):
+    """The alignment DP over rationals, building an `Alignment` at every
+    node: costs compared lexicographically over the points, ties kept by the
+    lowest term index.  `seqalign.dp_solve_multi` must agree with it exactly."""
+    pts = [as_vector(p) for p in points]
+    if any(len(p) != spec.dimension for p in pts):
+        raise GeometryError("parameter dimension mismatch")
+    memo = {}
+    order = _reference_reachable_nodes(spec, s1, s2)
+    for node in order:
+        table, i, j = node
+        base = spec.base_solution(s1, s2, table, i, j)
+        if base is not None:
+            memo[node] = (tuple(dot(base.counts, p) for p in pts), base)
+            continue
+        best = None
+        for term, ref in _reference_valid_terms(spec, s1, s2, node, memo):
+            ref_cost, ref_align = memo[ref]
+            cost = tuple(rc + dot(term.weight, p) for rc, p in zip(ref_cost, pts))
+            if best is None or cost < best[0]:
+                best = (cost, term, ref_align)
+        if best is None:
+            memo[node] = None
+            continue
+        cost, term, ref_align = best
+        memo[node] = (cost, _apply_transform(term.transform, ref_align, term.weight, s1, s2, i, j))
+    root = memo.get((spec.root_table, len(s1), len(s2)))
+    if root is None:
+        raise ValueError("the DP has no solution for this input")
+    return root

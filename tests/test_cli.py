@@ -164,6 +164,18 @@ class TestAlignRegions:
         data = json.loads(out.read_text())
         assert data["s1"] == "AB" and data["s2"] == "BA"
 
+    @pytest.mark.parametrize("method", ["ray", "dag", "both"])
+    def test_space_character_rejected(self, method, tmp_path):
+        out = tmp_path / "never.json"
+        code = run_cli(["align-regions", "--s1", "A-C", "--s2", "AC", "--method", method, "--output", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+    def test_space_character_in_fasta_rejected(self, tmp_path):
+        fasta = tmp_path / "aligned.fa"
+        fasta.write_text(">a\nAC-GT\n>b\nACTGT\n")
+        assert run_cli(["align-regions", "--fasta", str(fasta), "--output", str(tmp_path / "never.json")]) == 2
+
     def test_gap_preset_rejects_ray(self):
         assert (
             run_cli(
@@ -349,6 +361,13 @@ class TestGoldenOutput:
     def test_align_regions_gap_preset_five_regions(self, tmp_path):
         args = ["align-regions", "--preset", "mismatch-space-gap", "--s1", "ACGTTGA", "--s2", "TGCAAGT"]
         self.assert_golden("align_ACGTTGA_TGCAAGT.json", args, tmp_path)
+
+    def test_align_regions_ray_search(self, tmp_path):
+        args = [
+            "align-regions", "--preset", "mismatch-space", "--method", "ray",
+            "--s1", "CACTTCAATTGTAACT", "--s2", "ATTACCATTCCGAGAA",
+        ]
+        self.assert_golden("align_ray_CACTTCAATTGTAACT_ATTACCATTCCGAGAA.json", args, tmp_path)
 
     def test_cluster_regions_line_fixture(self, line_instance_file, tmp_path):
         args = ["cluster-regions", "--instance", line_instance_file, "--linkages", "single,complete"]

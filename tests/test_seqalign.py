@@ -11,15 +11,19 @@ from paramregions.seqalign import (
     build_execution_dag,
     compute_overlay,
     dp_solve,
+    dp_solve_multi,
     enumerate_alignments,
     feature_counts,
     get_preset,
     mismatch_space_gap_spec,
     mismatch_space_spec,
+    node_graph,
     ray_search_2d,
     resolve_degeneracies,
     strip_spaces,
 )
+
+from oracles import reference_dp_solve_multi
 
 ALPHABET = "ACGT"
 
@@ -115,6 +119,64 @@ class TestDpSolve:
                 features=("mismatch",),
                 cases=(CaseSpec("main", "always", (TermSpec((1,), "main", 0, 0, "identity"),)),),
             )
+
+
+class TestDpAgainstReference:
+    """The integer DP against the rational one it replaced: equal costs and
+    equal alignments, ties included."""
+
+    def assert_agree(self, spec, s1, s2, points, graph=None):
+        try:
+            expected = reference_dp_solve_multi(spec, s1, s2, points)
+        except ValueError:
+            with pytest.raises(ValueError):
+                dp_solve_multi(spec, s1, s2, points, graph)
+            return
+        assert dp_solve_multi(spec, s1, s2, points, graph) == expected
+
+    def test_random_pairs_and_points(self):
+        rng = random.Random(23)
+        for spec in (mismatch_space_spec(), mismatch_space_gap_spec()):
+            d = spec.dimension
+            for trial in range(40):
+                s1 = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 8)))
+                s2 = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 8)))
+                graph = node_graph(spec, s1, s2)
+                for count in (1, 2):
+                    # Small numerators and mixed denominators make zero
+                    # coordinates and exact ties common.
+                    points = [
+                        tuple(rat(rng.randint(-1, 4), rng.choice((1, 2, 3, 6))) for _ in range(d))
+                        for _ in range(count)
+                    ]
+                    self.assert_agree(spec, s1, s2, points, graph)
+                    self.assert_agree(spec, s1, s2, points)
+
+    def test_exact_ties(self):
+        # At the origin every alignment ties, and at (1, 1/2) a mismatch
+        # ties two spaces: the lowest term index must win at every node.
+        spec = mismatch_space_spec()
+        for s1, s2 in (("AB", "BA"), ("ACGT", "TGCA"), ("AAT", "TAA"), ("", "AC")):
+            for points in (
+                [(rat(0), rat(0))],
+                [(rat(1), rat(1, 2))],
+                [(rat(2, 3), rat(1, 3))],
+                [(rat(0), rat(0)), (rat(1), rat(1, 2))],
+                [(rat(1), rat(1, 2)), (rat(0), rat(5, 7))],
+                [(rat(1), rat(1, 2)), (rat(3, 4), rat(0))],
+            ):
+                self.assert_agree(spec, s1, s2, points)
+        gap = mismatch_space_gap_spec()
+        for points in ([(rat(0), rat(0), rat(0))], [(rat(2), rat(1), rat(0)), (rat(1, 2), rat(1, 3), rat(1, 6))]):
+            self.assert_agree(gap, "ACG", "TGA", points)
+
+    def test_point_of_the_wrong_dimension(self):
+        with pytest.raises(GeometryError):
+            dp_solve_multi(mismatch_space_spec(), "A", "T", [(rat(1), rat(1), rat(1))])
+        with pytest.raises(GeometryError):
+            dp_solve_multi(mismatch_space_spec(), "A", "T", [(rat(1), rat(1)), (rat(1),)])
+        with pytest.raises(GeometryError):
+            dp_solve(mismatch_space_gap_spec(), "A", "T", (rat(1), rat(1)))
 
 
 class TestExecutionDag:

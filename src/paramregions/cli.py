@@ -5,6 +5,10 @@ Everything runs exactly (there is no floating-point mode to switch off);
 ``--seed`` (or the PARAMREGIONS_SEED environment variable) fixes every
 randomized choice, so reruns are byte-identical.
 
+The parser is built once, at import; every command reads the parsed
+``argparse.Namespace``.  Each domain has one region builder, shared by its
+region verb and by ``oracle-check --kind``, so both map errors the same way.
+
 Exit codes: 0 ok, 2 parse error, 3 infeasible configuration, 4 oracle-check
 failure.
 """
@@ -15,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import clustering, seqalign, tariff
@@ -28,39 +31,22 @@ SCHEMA_VERSION = 1
 SEED_ENV = "PARAMREGIONS_SEED"
 
 
-class ParseFailure(Exception):
-    pass
+class CliError(Exception):
+    """A failure `main` reports on stderr and returns as its exit code."""
+
+    exit_code: int
 
 
-class InfeasibleConfig(Exception):
-    pass
+class ParseFailure(CliError):
+    exit_code = 2
 
 
-class OracleFailure(Exception):
-    pass
+class InfeasibleConfig(CliError):
+    exit_code = 3
 
 
-@dataclass
-class RunConfig:
-    command: str
-    instance: Optional[str] = None
-    output: Optional[str] = None
-    seed: int = 0
-    oracle_check: bool = False
-    density: int = 50
-    linkages: tuple = ("single", "complete")
-    metrics: tuple = ("euclidean",)
-    restrict: tuple = ()
-    preset: Optional[str] = None
-    spec_file: Optional[str] = None
-    s1: Optional[str] = None
-    s2: Optional[str] = None
-    fasta: Optional[str] = None
-    method: str = "dag"
-    menu: Optional[int] = None
-    name: Optional[str] = None
-    regions: Optional[str] = None
-    kind: Optional[str] = None
+class OracleFailure(CliError):
+    exit_code = 4
 
 
 def canonical_dumps(obj) -> str:
@@ -69,13 +55,21 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=1) + "\n"
 
 
-def _write(config: RunConfig, obj) -> None:
-    text = canonical_dumps(obj)
-    if config.output in (None, "-"):
+def _emit(args, text: str) -> None:
+    if args.output in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(config.output, "w") as fh:
+        with open(args.output, "w") as fh:
             fh.write(text)
+
+
+def _write(args, obj) -> None:
+    _emit(args, canonical_dumps(obj))
+
+
+def _fail_below_one(agreement: float, what: str) -> None:
+    if agreement < 1:
+        raise OracleFailure(f"{what} agreement {agreement}")
 
 
 def _load_json(path: str) -> dict:
@@ -123,16 +117,16 @@ def load_tariff_instance(data: dict, menu: Optional[int]) -> tariff.TariffInstan
     return inst
 
 
-def load_sequences(config: RunConfig) -> tuple:
-    if config.fasta:
-        records = _parse_fasta(config.fasta)
+def load_sequences(args) -> tuple:
+    if args.fasta:
+        records = _parse_fasta(args.fasta)
         if len(records) < 2:
             raise ParseFailure("FASTA input needs at least two records")
         pair = records[0], records[1]
-    elif config.s1 is None or config.s2 is None:
+    elif args.s1 is None or args.s2 is None:
         raise ParseFailure("provide --s1 and --s2, or --fasta")
     else:
-        pair = config.s1, config.s2
+        pair = args.s1, args.s2
     if any(seqalign.SPACE in s for s in pair):
         raise ParseFailure(f"sequences must not contain the space character {seqalign.SPACE!r}")
     return pair
@@ -158,14 +152,14 @@ def _parse_fasta(path: str) -> list:
     return ["".join(r) for r in records]
 
 
-def load_alignment_spec(config: RunConfig) -> AlignmentDPSpec:
-    if config.spec_file:
+def load_alignment_spec(args) -> AlignmentDPSpec:
+    if args.spec_file:
         try:
-            return AlignmentDPSpec.from_json(_load_json(config.spec_file))
+            return AlignmentDPSpec.from_json(_load_json(args.spec_file))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseFailure(f"bad DP spec: {exc}") from exc
     try:
-        return get_preset(config.preset or "mismatch-space")
+        return get_preset(args.preset or "mismatch-space")
     except ValueError as exc:
         raise ParseFailure(str(exc)) from exc
 
@@ -201,28 +195,63 @@ def decode_label(data):
 
 
 # --------------------------------------------------------------------------
-# Commands
+# Region builders, one per domain
 # --------------------------------------------------------------------------
 
-def cmd_cluster_regions(config: RunConfig) -> dict:
-    data = _load_json(config.instance)
-    inst = load_cluster_instance(data)
+def _cluster_regions(args) -> tuple:
+    """The instance, the merge family, the execution tree's root and its
+    leaves.  A family the instance cannot run, or a restriction that leaves
+    no interior, is an infeasible configuration."""
+    inst = load_cluster_instance(_load_json(args.instance))
     try:
-        family = clustering.MergeFamily(config.linkages, config.metrics)
+        family = clustering.MergeFamily(args.linkages, args.metrics)
         for m in family.metrics:
             if m not in inst.metrics:
                 raise InfeasibleConfig(f"instance has no metric {m!r}")
         parent = family.simplex_cell()
-        extra = _parse_restrictions(config.restrict, family.dimension)
+        extra = _parse_restrictions(args.restrict, family.dimension)
         if extra:
             parent = ConvexCell(family.dimension, parent.constraints + tuple(extra))
-        root = clustering.build_execution_tree(inst, family, parent=parent, seed=config.seed)
+        root = clustering.build_execution_tree(inst, family, parent=parent, seed=args.seed)
     except (ValueError, GeometryError) as exc:
-        if isinstance(exc, (InfeasibleConfig, ParseFailure)):
-            raise
         raise InfeasibleConfig(str(exc)) from exc
+    return inst, family, root, clustering.leaf_subdivision(root)
 
-    leaves = clustering.leaf_subdivision(root)
+
+def _align_regions(args) -> tuple:
+    """The spec, the sequence pair, the partition (the DAG's when it runs)
+    and the ray search's (partition, DP solve count), or None when it does
+    not run.  When both run, their boundaries must agree."""
+    spec = load_alignment_spec(args)
+    s1, s2 = load_sequences(args)
+    if args.method == "ray" and spec.dimension != 2:
+        raise InfeasibleConfig("the ray-search path needs a two-feature spec")
+    dag = None
+    if args.method != "ray":
+        dag = seqalign.build_execution_dag(spec, s1, s2, seed=args.seed)
+    ray = None
+    if args.method != "dag" and spec.dimension == 2:
+        ray = seqalign.ray_search_2d(spec, s1, s2, seed=args.seed)
+    if dag is not None and ray is not None and dag.boundary_keys() != ray[0].boundary_keys():
+        raise OracleFailure("DAG and ray-search partitions disagree")
+    return spec, s1, s2, (dag if dag is not None else ray[0]), ray
+
+
+def _tariff_regions(args) -> tuple:
+    """The instance and its price regions; single tariffs get the plain
+    quantity-tuple labels."""
+    inst = load_tariff_instance(_load_json(args.instance), args.menu)
+    if inst.menu_length == 1:
+        return inst, tariff.single_tariff_regions(inst, seed=args.seed)
+    return inst, tariff.compute_price_regions(inst, seed=args.seed)
+
+
+# --------------------------------------------------------------------------
+# Commands
+# --------------------------------------------------------------------------
+
+def cmd_cluster_regions(args) -> None:
+    inst, family, root, leaves = _cluster_regions(args)
     losses = {}
     if inst.target is not None and inst.k is not None:
         for merges in leaves:
@@ -234,7 +263,7 @@ def cmd_cluster_regions(config: RunConfig) -> dict:
         (keys[i], keys[j])
         for i in range(len(keys))
         for j in range(i + 1, len(keys))
-        if cells_share_facet(leaves[keys[i]], leaves[keys[j]], config.seed)
+        if cells_share_facet(leaves[keys[i]], leaves[keys[j]], args.seed)
     )
 
     def extras(merges):
@@ -259,65 +288,34 @@ def cmd_cluster_regions(config: RunConfig) -> dict:
             "loss": format_rational(losses[best]),
             "label": encode_label(best),
         }
-    if config.oracle_check:
-        agreement = _cluster_oracle_agreement(inst, family, leaves, config)
-        payload["oracle_agreement"] = agreement
-        if agreement < 1:
-            _write(config, payload)
-            raise OracleFailure(f"cluster oracle agreement {agreement}")
-    _write(config, payload)
-    return payload
+    if args.oracle_check:
+        payload["oracle_agreement"] = _cluster_agreement(inst, family, leaves, args.density)
+    _write(args, payload)
+    _fail_below_one(payload.get("oracle_agreement", 1), "cluster oracle")
 
 
-def cmd_align_regions(config: RunConfig) -> dict:
-    spec = load_alignment_spec(config)
-    s1, s2 = load_sequences(config)
-    method = config.method
-    if method == "ray" and spec.dimension != 2:
-        raise InfeasibleConfig("the ray-search path needs a two-feature spec")
-    run_ray = method in ("ray", "both") and spec.dimension == 2
-    run_dag = method in ("dag", "both") or not run_ray
-    dag = seqalign.build_execution_dag(spec, s1, s2, seed=config.seed) if run_dag else None
-    ray = ray_calls = None
-    if run_ray:
-        ray, ray_calls = seqalign.ray_search_2d(spec, s1, s2, seed=config.seed)
-    if dag is not None and ray is not None:
-        if dag.boundary_keys() != ray.boundary_keys():
-            raise OracleFailure("DAG and ray-search partitions disagree")
-    part = dag if dag is not None else ray
+def cmd_align_regions(args) -> None:
+    spec, s1, s2, part, ray = _align_regions(args)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "align-regions",
         "spec": spec.name,
-        "method": method,
+        "method": args.method,
         "s1": s1,
         "s2": s2,
     }
     payload.update(part.to_json())
-    if ray_calls is not None:
-        payload["ray_dp_solves"] = ray_calls
-        payload["region_count"] = len((ray or dag).regions)
-    if config.oracle_check:
-        agreement = _align_oracle_agreement(spec, s1, s2, part, config)
-        payload["oracle_agreement"] = agreement
-        if agreement < 1:
-            _write(config, payload)
-            raise OracleFailure(f"alignment oracle agreement {agreement}")
-    _write(config, payload)
-    return payload
+    if ray is not None:
+        payload["ray_dp_solves"] = ray[1]
+        payload["region_count"] = len(ray[0].regions)
+    if args.oracle_check:
+        payload["oracle_agreement"] = _align_agreement(spec, s1, s2, part, args.density)
+    _write(args, payload)
+    _fail_below_one(payload.get("oracle_agreement", 1), "alignment oracle")
 
 
-def _tariff_regions(config: RunConfig) -> tuple:
-    """The instance and its price regions; single tariffs get the plain
-    quantity-tuple labels."""
-    inst = load_tariff_instance(_load_json(config.instance), config.menu)
-    if inst.menu_length == 1:
-        return inst, tariff.single_tariff_regions(inst, seed=config.seed)
-    return inst, tariff.compute_price_regions(inst, seed=config.seed)
-
-
-def cmd_tariff_regions(config: RunConfig) -> dict:
-    inst, sub = _tariff_regions(config)
+def cmd_tariff_regions(args) -> None:
+    inst, sub = _tariff_regions(args)
 
     def extras(label):
         return {"revenue": [format_rational(c) for c in tariff.revenue_form(inst, label)]}
@@ -340,19 +338,15 @@ def cmd_tariff_regions(config: RunConfig) -> dict:
             "line_bound": report["line_bound"],
             "lines_ok": report["lines_ok"],
         }
-    if config.oracle_check:
-        agreement = _tariff_oracle_agreement(inst, sub, config)
-        payload["oracle_agreement"] = agreement
-        if agreement < 1:
-            _write(config, payload)
-            raise OracleFailure(f"tariff oracle agreement {agreement}")
-    _write(config, payload)
-    return payload
+    if args.oracle_check:
+        payload["oracle_agreement"] = _tariff_agreement(inst, sub, args.density)
+    _write(args, payload)
+    _fail_below_one(payload.get("oracle_agreement", 1), "tariff oracle")
 
 
-def cmd_tariff_optimize(config: RunConfig) -> dict:
-    inst, sub = _tariff_regions(config)
-    prices, revenue, label = tariff.maximize_revenue(inst, sub, seed=config.seed)
+def cmd_tariff_optimize(args) -> None:
+    inst, sub = _tariff_regions(args)
+    prices, revenue, label = tariff.maximize_revenue(inst, sub, seed=args.seed)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "tariff-optimize",
@@ -360,31 +354,29 @@ def cmd_tariff_optimize(config: RunConfig) -> dict:
         "revenue": format_rational(revenue),
         "region_label": encode_label(label),
     }
-    _write(config, payload)
-    return payload
+    _write(args, payload)
 
 
-def cmd_gen_dataset(config: RunConfig) -> dict:
+def cmd_gen_dataset(args) -> None:
     try:
-        inst = clustering.generate_dataset(config.name, config.seed, metric_names=())
+        inst = clustering.generate_dataset(args.name, args.seed, metric_names=())
     except ValueError as exc:
         raise ParseFailure(str(exc)) from exc
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "cluster-instance",
-        "name": config.name,
-        "seed": config.seed,
+        "name": args.name,
+        "seed": args.seed,
         "points": [format_vector(p) for p in inst.points],
         "metric_names": ["euclidean"],
         "target": [sorted(c) for c in inst.target],
         "k": inst.k,
     }
-    _write(config, payload)
-    return payload
+    _write(args, payload)
 
 
-def cmd_plot_data(config: RunConfig) -> str:
-    data = _load_json(config.regions)
+def cmd_plot_data(args) -> None:
+    data = _load_json(args.regions)
     if "cells" not in data:
         raise ParseFailure("regions file has no cells")
     rows = ["cell,label,vertex,x,y"]
@@ -403,49 +395,35 @@ def cmd_plot_data(config: RunConfig) -> str:
         label = json.dumps(entry.get("label"), sort_keys=True).replace(",", ";")
         for v_idx, (x, y) in enumerate(vertices):
             rows.append(f"{idx},{label},{v_idx},{float(x)!r},{float(y)!r}")
-    text = "\n".join(rows) + "\n"
-    if config.output in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(config.output, "w") as fh:
-            fh.write(text)
+    _emit(args, "\n".join(rows) + "\n")
     if count == 0:
         raise InfeasibleConfig("no full-dimensional regions to plot")
-    return text
 
 
-def cmd_oracle_check(config: RunConfig) -> dict:
-    if config.kind == "cluster":
-        inst = load_cluster_instance(_load_json(config.instance))
-        family = clustering.MergeFamily(config.linkages, config.metrics)
-        root = clustering.build_execution_tree(inst, family, seed=config.seed)
-        leaves = clustering.leaf_subdivision(root)
-        agreement = _cluster_oracle_agreement(inst, family, leaves, config)
-    elif config.kind == "align":
-        spec = load_alignment_spec(config)
-        s1, s2 = load_sequences(config)
-        part = seqalign.build_execution_dag(spec, s1, s2, seed=config.seed)
-        agreement = _align_oracle_agreement(spec, s1, s2, part, config)
-    elif config.kind == "tariff":
-        inst = load_tariff_instance(_load_json(config.instance), config.menu)
-        sub = tariff.compute_price_regions(inst, seed=config.seed)
-        agreement = _tariff_oracle_agreement(inst, sub, config)
+def cmd_oracle_check(args) -> None:
+    if args.kind != "align" and args.instance is None:
+        raise ParseFailure(f"oracle-check --kind {args.kind} needs --instance")
+    if args.kind == "cluster":
+        inst, family, _, leaves = _cluster_regions(args)
+        agreement = _cluster_agreement(inst, family, leaves, args.density)
+    elif args.kind == "align":
+        spec, s1, s2, part, _ = _align_regions(args)
+        agreement = _align_agreement(spec, s1, s2, part, args.density)
     else:
-        raise ParseFailure(f"unknown oracle kind {config.kind!r}")
+        inst, sub = _tariff_regions(args)
+        agreement = _tariff_agreement(inst, sub, args.density)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "oracle-check",
-        "target": config.kind,
+        "target": args.kind,
         "agreement": agreement,
     }
-    _write(config, payload)
-    if agreement < 1:
-        raise OracleFailure(f"oracle agreement {agreement}")
-    return payload
+    _write(args, payload)
+    _fail_below_one(agreement, "oracle")
 
 
 # --------------------------------------------------------------------------
-# Oracle helpers (interior grid / walk samples, exact comparisons)
+# Oracle helpers (interior grid samples, exact comparisons)
 # --------------------------------------------------------------------------
 
 def _cell_box_grid(cell: ConvexCell, density: int):
@@ -477,170 +455,143 @@ def _cell_box_grid(cell: ConvexCell, density: int):
     yield from rec([], 0)
 
 
-def _cluster_oracle_agreement(inst, family, leaves, config: RunConfig) -> float:
+def _agreement(pieces, density: int, behavior) -> float:
+    """Share of the interior grid points of each (expected, cell) piece at
+    which `behavior(point) == expected`; 1.0 when no point is sampled."""
     total = 0
     good = 0
-    for merges, cell in leaves.items():
-        for point in _cell_box_grid(cell, config.density):
+    for expected, cell in pieces:
+        for point in _cell_box_grid(cell, density):
             total += 1
-            if clustering.simulate_merge_sequence(inst, family, point) == merges:
-                good += 1
+            good += behavior(point) == expected
     return 1.0 if total == 0 else good / total
 
 
-def _align_oracle_agreement(spec, s1, s2, part, config: RunConfig) -> float:
+def _cluster_agreement(inst, family, leaves, density: int) -> float:
+    return _agreement(
+        leaves.items(), density, lambda p: clustering.simulate_merge_sequence(inst, family, p)
+    )
+
+
+def _align_agreement(spec, s1, s2, part, density: int) -> float:
     graph = seqalign.node_graph(spec, s1, s2)
-    total = 0
-    good = 0
-    for region in part.regions:
-        for cell in region.pieces:
-            for point in _cell_box_grid(cell, config.density):
-                total += 1
-                _, align = seqalign.dp_solve_multi(spec, s1, s2, [point], graph)
-                if (align.t1, align.t2) == (region.alignment.t1, region.alignment.t2):
-                    good += 1
-    return 1.0 if total == 0 else good / total
+
+    def behavior(point):
+        _, align = seqalign.dp_solve_multi(spec, s1, s2, [point], graph)
+        return align.t1, align.t2
+
+    pieces = (
+        ((region.alignment.t1, region.alignment.t2), cell)
+        for region in part.regions
+        for cell in region.pieces
+    )
+    return _agreement(pieces, density, behavior)
 
 
-def _tariff_oracle_agreement(inst, sub, config: RunConfig) -> float:
-    total = 0
-    good = 0
-    for label, cell in sub.cells.items():
-        expected = tariff.normalize_profile(label)
-        for point in _cell_box_grid(cell, config.density):
-            total += 1
-            got = tuple(tariff.buyer_choice(inst, i, point) for i in range(inst.n_samples))
-            if got == expected:
-                good += 1
-    return 1.0 if total == 0 else good / total
+def _tariff_agreement(inst, sub, density: int) -> float:
+    pieces = ((tariff.normalize_profile(label), cell) for label, cell in sub.cells.items())
+    return _agreement(
+        pieces,
+        density,
+        lambda p: tuple(tariff.buyer_choice(inst, i, p) for i in range(inst.n_samples)),
+    )
 
 
 # --------------------------------------------------------------------------
 # Argument parsing
 # --------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def _names(text: str) -> tuple:
+    return tuple(text.split(","))
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
+def _seed_from_env() -> int:
+    text = os.environ.get(SEED_ENV, "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseFailure(f"{SEED_ENV} must be an integer, not {text!r}") from None
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="paramregions",
         description="Exact parameter-space regions for linkage clustering, "
         "parametric sequence alignment and two-part tariff pricing.",
     )
-    default_seed = int(os.environ.get(SEED_ENV, "0"))
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, oracle=True):
-        p.add_argument("--seed", type=int, default=default_seed)
+    def verb(name, run, help, oracle=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        p.add_argument("--seed", type=int, default=None)  # None: read SEED_ENV
         p.add_argument("--output", "-o", default=None)
         if oracle:
             p.add_argument("--oracle-check", action="store_true")
-            p.add_argument("--density", type=int, default=50)
+            p.add_argument("--density", type=positive_int, default=50)
+        return p
 
-    p = sub.add_parser("cluster-regions", help="execution-tree leaves of a merge family")
+    def family_options(p):
+        p.add_argument("--linkages", type=_names, default="single,complete")
+        p.add_argument("--metrics", type=_names, default="euclidean")
+
+    def sequence_options(p):
+        for flag in ("--preset", "--spec-file", "--s1", "--s2", "--fasta"):
+            p.add_argument(flag, default=None)
+
+    p = verb("cluster-regions", cmd_cluster_regions, "execution-tree leaves of a merge family")
     p.add_argument("--instance", required=True)
-    p.add_argument("--linkages", default="single,complete")
-    p.add_argument("--metrics", default="euclidean")
+    family_options(p)
     p.add_argument("--restrict", action="append", default=[], metavar="C1,..,CD:B")
-    common(p)
 
-    p = sub.add_parser("align-regions", help="optimal-alignment regions of a sequence pair")
-    p.add_argument("--preset", default=None)
-    p.add_argument("--spec-file", default=None)
-    p.add_argument("--s1", default=None)
-    p.add_argument("--s2", default=None)
-    p.add_argument("--fasta", default=None)
+    p = verb("align-regions", cmd_align_regions, "optimal-alignment regions of a sequence pair")
+    sequence_options(p)
     p.add_argument("--method", choices=("dag", "ray", "both"), default="dag")
-    common(p)
 
-    p = sub.add_parser("tariff-regions", help="purchase-profile regions of price space")
+    p = verb("tariff-regions", cmd_tariff_regions, "purchase-profile regions of price space")
     p.add_argument("--instance", required=True)
     p.add_argument("--menu", type=int, default=None)
-    common(p)
 
-    p = sub.add_parser("tariff-optimize", help="revenue-maximizing tariff")
+    p = verb("tariff-optimize", cmd_tariff_optimize, "revenue-maximizing tariff", oracle=False)
     p.add_argument("--instance", required=True)
     p.add_argument("--menu", type=int, default=None)
-    common(p, oracle=False)
 
-    p = sub.add_parser("gen-dataset", help="write a synthetic clustering instance")
+    p = verb("gen-dataset", cmd_gen_dataset, "write a synthetic clustering instance", oracle=False)
     p.add_argument("--name", required=True, choices=clustering.DATASET_NAMES)
-    common(p, oracle=False)
 
-    p = sub.add_parser("plot-data", help="2D polygon vertex loops as CSV")
+    p = verb("plot-data", cmd_plot_data, "2D polygon vertex loops as CSV", oracle=False)
     p.add_argument("--regions", required=True)
-    common(p, oracle=False)
 
-    p = sub.add_parser("oracle-check", help="re-run a domain oracle against regions")
+    p = verb("oracle-check", cmd_oracle_check, "re-run a domain oracle against regions")
     p.add_argument("--kind", required=True, choices=("cluster", "align", "tariff"))
     p.add_argument("--instance", default=None)
-    p.add_argument("--linkages", default="single,complete")
-    p.add_argument("--metrics", default="euclidean")
-    p.add_argument("--preset", default=None)
-    p.add_argument("--spec-file", default=None)
-    p.add_argument("--s1", default=None)
-    p.add_argument("--s2", default=None)
-    p.add_argument("--fasta", default=None)
+    family_options(p)
+    sequence_options(p)
     p.add_argument("--menu", type=int, default=None)
-    common(p)
-
+    # The builders' inputs that this verb fixes: the whole simplex, the DAG.
+    p.set_defaults(restrict=(), method="dag")
     return parser
 
 
-def config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command=args.command, seed=args.seed, output=args.output)
-    for field in (
-        "instance",
-        "preset",
-        "s1",
-        "s2",
-        "fasta",
-        "method",
-        "menu",
-        "name",
-        "regions",
-        "kind",
-    ):
-        if hasattr(args, field):
-            setattr(cfg, field, getattr(args, field))
-    if hasattr(args, "spec_file"):
-        cfg.spec_file = args.spec_file
-    if hasattr(args, "linkages"):
-        cfg.linkages = tuple(args.linkages.split(","))
-    if hasattr(args, "metrics"):
-        cfg.metrics = tuple(args.metrics.split(","))
-    if hasattr(args, "restrict"):
-        cfg.restrict = tuple(args.restrict)
-    if hasattr(args, "oracle_check"):
-        cfg.oracle_check = args.oracle_check
-        cfg.density = args.density
-    return cfg
-
-
-COMMANDS = {
-    "cluster-regions": cmd_cluster_regions,
-    "align-regions": cmd_align_regions,
-    "tariff-regions": cmd_tariff_regions,
-    "tariff-optimize": cmd_tariff_optimize,
-    "gen-dataset": cmd_gen_dataset,
-    "plot-data": cmd_plot_data,
-    "oracle-check": cmd_oracle_check,
-}
+PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = config_from_args(args)
+    args = PARSER.parse_args(argv)
     try:
-        COMMANDS[config.command](config)
-    except ParseFailure as exc:
+        if args.seed is None:
+            args.seed = _seed_from_env()
+        args.run(args)
+    except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InfeasibleConfig as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OracleFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return exc.exit_code
     return 0
 
 

@@ -340,6 +340,46 @@ class TestOracleCheckVerb:
         )
         assert code == 0
 
+    def test_cluster_kind(self, line_instance_file, tmp_path):
+        out = tmp_path / "check.json"
+        args = ["oracle-check", "--kind", "cluster", "--instance", line_instance_file, "--density", "10"]
+        assert run_cli(args + ["--output", str(out)]) == 0
+        assert json.loads(out.read_text())["agreement"] == 1.0
+
+    @pytest.mark.parametrize(
+        "family", [["--metrics", "euclidean,manhattan"], ["--linkages", "single"]], ids=["metric", "one-component"]
+    )
+    def test_cluster_kind_infeasible_family_exit_3_like_cluster_regions(
+        self, family, line_instance_file, tmp_path, capsys
+    ):
+        out = str(tmp_path / "never.json")
+        assert run_cli(["cluster-regions", "--instance", line_instance_file, *family, "--output", out]) == 3
+        message = capsys.readouterr().err
+        assert message.startswith("error: ")
+        args = ["oracle-check", "--kind", "cluster", "--instance", line_instance_file, *family, "--output", out]
+        assert run_cli(args) == 3
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "never.json").exists()
+
+    @pytest.mark.parametrize("kind", ["cluster", "tariff"])
+    def test_instance_kinds_without_instance_exit_2(self, kind, capsys):
+        assert run_cli(["oracle-check", "--kind", kind]) == 2
+        assert "--instance" in capsys.readouterr().err
+
+
+class TestDensity:
+    @pytest.mark.parametrize("density", ["0", "-3"])
+    @pytest.mark.parametrize("verb", ["tariff-regions", "oracle-check"])
+    def test_density_below_one_is_a_parse_error(self, verb, density, tariff_instance_file, tmp_path):
+        # A density below 1 samples no point in d <= 2, so the check could never fail.
+        args = [verb, "--instance", tariff_instance_file, "--oracle-check", f"--density={density}"]
+        if verb == "oracle-check":
+            args += ["--kind", "tariff"]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args + ["--output", str(tmp_path / "never.json")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "never.json").exists()
+
 
 class TestGoldenOutput:
     """Canonical outputs recorded from an earlier version, compared byte for
@@ -370,20 +410,37 @@ class TestGoldenOutput:
         self.assert_golden("align_ray_CACTTCAATTGTAACT_ATTACCATTCCGAGAA.json", args, tmp_path)
 
     def test_cluster_regions_line_fixture(self, line_instance_file, tmp_path):
+        # A restricted call first: the parser is shared by every call in a
+        # process, so no argument of one call may leak into the next.
+        restricted = ["cluster-regions", "--instance", line_instance_file, "--restrict=-1:-1/2"]
+        assert run_cli(restricted + ["--output", str(tmp_path / "restricted.json")]) == 0
         args = ["cluster-regions", "--instance", line_instance_file, "--linkages", "single,complete"]
         self.assert_golden("cluster_line.json", args, tmp_path)
 
 
 class TestEntryPoint:
-    def test_env_var_sets_default_seed(self, line_instance_file, tmp_path, monkeypatch):
-        explicit = tmp_path / "explicit.json"
-        via_env = tmp_path / "env.json"
-        run_cli(
-            ["cluster-regions", "--instance", line_instance_file, "--seed", "77", "--output", str(explicit)]
-        )
-        monkeypatch.setenv("PARAMREGIONS_SEED", "77")
-        run_cli(["cluster-regions", "--instance", line_instance_file, "--output", str(via_env)])
-        assert explicit.read_text() == via_env.read_text()
+    def test_env_var_sets_default_seed(self, tmp_path, monkeypatch):
+        # gen-dataset records its seed, and the variable is read on every call.
+        def dataset(name, *seed):
+            out = tmp_path / f"{name}.json"
+            assert run_cli(["gen-dataset", "--name", "Disks", *seed, "--output", str(out)]) == 0
+            return out.read_text()
+
+        monkeypatch.delenv("PARAMREGIONS_SEED", raising=False)
+        assert json.loads(dataset("unset"))["seed"] == 0
+        for seed in ("77", "5"):
+            monkeypatch.setenv("PARAMREGIONS_SEED", seed)
+            via_env = dataset(f"env{seed}")
+            assert json.loads(via_env)["seed"] == int(seed)
+            assert via_env == dataset(f"explicit{seed}", "--seed", seed)
+
+    def test_non_integer_env_seed_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("PARAMREGIONS_SEED", "abc")
+        out = tmp_path / "never.json"
+        assert run_cli(["gen-dataset", "--name", "Disks", "--output", str(out)]) == 2
+        assert "PARAMREGIONS_SEED" in capsys.readouterr().err
+        assert not out.exists()
+        assert run_cli(["gen-dataset", "--name", "Disks", "--seed", "3", "--output", str(out)]) == 0
 
     def test_module_invocation(self):
         proc = subprocess.run(

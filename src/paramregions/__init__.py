@@ -14,6 +14,7 @@ from .geometry import (
     GeometryError,
     Halfspace,
     LPResult,
+    Row,
     box_cell,
     clarkson_reduce,
     find_interior_point,

@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 from typing import Optional
 
 from . import clustering, seqalign, tariff
@@ -456,12 +457,15 @@ def _cell_box_grid(cell: ConvexCell, density: int):
 
 
 def _agreement(pieces, density: int, behavior) -> float:
-    """Share of the interior grid points of each (expected, cell) piece at
-    which `behavior(point) == expected`; 1.0 when no point is sampled."""
+    """Share of the sampled points of each (expected, cell) piece at which
+    `behavior(point) == expected`: its interior grid points and its witness,
+    so that every cell with a witness is checked at least once, however
+    small; 1.0 when no point is sampled."""
     total = 0
     good = 0
     for expected, cell in pieces:
-        for point in _cell_box_grid(cell, density):
+        witness = () if cell.witness is None else (cell.witness,)
+        for point in chain(_cell_box_grid(cell, density), witness):
             total += 1
             good += behavior(point) == expected
     return 1.0 if total == 0 else good / total
@@ -535,8 +539,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", "-o", default=None)
         if oracle:
             p.add_argument("--oracle-check", action="store_true")
-            p.add_argument("--density", type=positive_int, default=50)
+            density_option(p)
         return p
+
+    def density_option(p):
+        p.add_argument("--density", type=positive_int, default=50)
 
     def family_options(p):
         p.add_argument("--linkages", type=_names, default="single,complete")
@@ -569,7 +576,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = verb("plot-data", cmd_plot_data, "2D polygon vertex loops as CSV", oracle=False)
     p.add_argument("--regions", required=True)
 
-    p = verb("oracle-check", cmd_oracle_check, "re-run a domain oracle against regions")
+    # This verb always checks: it takes --density, but no --oracle-check.
+    p = verb("oracle-check", cmd_oracle_check, "re-run a domain oracle against regions", oracle=False)
+    density_option(p)
     p.add_argument("--kind", required=True, choices=("cluster", "align", "tariff"))
     p.add_argument("--instance", default=None)
     family_options(p)

@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
 from operator import index, mul
-from typing import Any, Optional, Sequence
+from typing import Any, NamedTuple, Optional, Sequence
 
 from .rationals import (
     Rational,
@@ -117,7 +117,26 @@ class Halfspace:
         return Halfspace(tuple(-c for c in self.normal), -self.offset, self.label)
 
     def relabel(self, label) -> "Halfspace":
-        return Halfspace(self.normal, self.offset, label)
+        """The same halfspace with another label: the normalized fields (and
+        `int_row`, once computed) are copied, not normalized again."""
+        h = object.__new__(type(self))
+        h.__dict__.update(self.__dict__, label=label)
+        return h
+
+    @classmethod
+    def from_int_row(cls, row: tuple, label=None) -> "Halfspace":
+        """The halfspace of a primitive integer row (a_1, ..., a_d, b): the
+        same normalized rationals as `Halfspace(a, b, label)`, built by one
+        division by |pivot entry|, with `int_row` already set to `row`."""
+        lead = abs(next(c for c in row if c))
+        h = object.__new__(cls)
+        h.__dict__.update(
+            normal=tuple(Rational(c, lead) for c in row[:-1]),
+            offset=Rational(row[-1], lead),
+            label=label,
+            int_row=row,
+        )
+        return h
 
     def to_json(self, encode_label=lambda x: x) -> dict:
         out = {"normal": format_vector(self.normal), "offset": format_rational(self.offset)}
@@ -153,7 +172,8 @@ class ConvexCell:
         if self.witness is not None:
             w = as_vector(self.witness)
             object.__setattr__(self, "witness", w)
-            if any(not h.holds(w, strict=True) for h in self.constraints):
+            z = _homogeneous(w)
+            if any(_slack(h.int_row, z) <= 0 for h in self.constraints):
                 raise GeometryError("witness is not strictly interior")
 
     def contains(self, point: Sequence, strict: bool = False) -> bool:
@@ -184,6 +204,29 @@ class ConvexCell:
             tuple(Halfspace.from_json(h, decode_label) for h in data["constraints"]),
             parse_vector(data["witness"]) if "witness" in data else None,
         )
+
+
+class Row(NamedTuple):
+    """A labeled halfspace as only its primitive integer row (a_1, ..., a_d,
+    b), a . x <= b: the part of a `Halfspace` that the LP kernel reads.
+    `find_interior_point`, `clarkson_reduce` and `_clarkson_indices` take
+    rows and halfspaces alike; `Halfspace.from_int_row(*row)` builds the
+    rational one."""
+
+    int_row: tuple
+    label: Any = None
+
+    @classmethod
+    def from_rationals(cls, normal: Sequence, offset, label=None) -> "Row":
+        """The row of `Halfspace(normal, offset, label)`: lcm-scaled, then
+        divided by the gcd of its entries."""
+        row = _int_vector((*normal, offset))
+        g = math.gcd(*row)
+        return cls(row if g == 1 else tuple(c // g for c in row), label)
+
+    @property
+    def dimension(self) -> int:
+        return len(self.int_row) - 1
 
 
 def _sorted_constraints(constraints):
@@ -387,8 +430,8 @@ def _lift(sub: tuple, k: int, pivot: tuple) -> tuple:
 # --------------------------------------------------------------------------
 
 def find_interior_point(constraints, seed: int = 0) -> Optional[Vector]:
-    """A point strictly satisfying every constraint, or None if the feasible
-    region has empty interior.
+    """A point strictly satisfying every constraint (`Halfspace`s or `Row`s),
+    or None if the feasible region has empty interior.
 
     Solved via the auxiliary slack LP: maximize t subject to
     normal . x + t * ||normal||_1 <= offset (and t <= 1 to keep it bounded).
@@ -461,10 +504,13 @@ def _ray_first_index(rows, z: tuple, x: tuple) -> Optional[int]:
 def clarkson_reduce(constraints, interior, seed: int = 0) -> tuple:
     """The non-redundant subset of `constraints` (Clarkson's algorithm).
 
-    `interior` must strictly satisfy every constraint.  Geometric duplicates
-    (equal after normalization) are collapsed to their first occurrence, since
-    each copy alone would count as redundant.  Runs O(k) relaxed LPs, each
-    over the non-redundant set found so far.
+    `interior` must strictly satisfy every constraint; the constraints are
+    `Halfspace`s or `Row`s.  Of the constraints with one normal direction
+    only the tightest can be a facet, so the LPs see one row per direction:
+    the one with the smallest offset, the first of them on ties (geometric
+    duplicates, equal after normalization, keep their first occurrence).
+    Runs O(k) relaxed LPs over those, each over the non-redundant set found
+    so far.
     """
     indices = _clarkson_indices(constraints, as_vector(interior), seed)
     return tuple(constraints[i] for i in indices)
@@ -474,15 +520,20 @@ def _clarkson_indices(constraints, z: Vector, seed: int) -> list:
     if not constraints:
         return []
     z = _homogeneous(z)
-    seen = set()
-    uniq = []
+    # primitive normal direction -> (index, offset b, gcd g) of the row with
+    # the smallest b / g so far; a row with a larger one is strictly redundant.
+    tightest: dict = {}
     for i, h in enumerate(constraints):
         row = h.int_row
         if _slack(row, z) <= 0:
             raise GeometryError("interior point is not strictly feasible")
-        if row not in seen:
-            seen.add(row)
-            uniq.append(i)
+        normal = row[:-1]
+        g = math.gcd(*normal)
+        key = normal if g == 1 else tuple(c // g for c in normal)
+        best = tightest.get(key)
+        if best is None or row[-1] * best[2] < best[1] * g:
+            tightest[key] = (i, row[-1], g)
+    uniq = sorted(i for i, _, _ in tightest.values())
     rows = [constraints[i].int_row for i in uniq]
     rng = random.Random(seed)
     pending = deque(range(len(rows)))

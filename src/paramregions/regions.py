@@ -1,10 +1,11 @@
 """Convex subdivisions of a parent cell by optimal behavior.
 
-Every cell is built by `compute_vertex_cell`: the parent's rows plus the
-candidate halfspaces "my objective <= alternative's objective", each labeled
-by the alternative, reduced by redundancy removal; the labels attached to
-retained non-parent constraints are exactly the neighbors.  Two routines
-decide which labels get a cell:
+Every cell is built by `compute_vertex_cell`: the parent's halfspaces plus
+the candidate rows "my objective <= alternative's objective", each a
+primitive integer `Row` labeled by the alternative, reduced by redundancy
+removal; only the candidates kept as facets become `Halfspace`s, and their
+labels are exactly the neighbors.  Two routines decide which labels get a
+cell:
 
 - `envelope_cells`, for "behavior = argmin of labeled affine forms" (a
   clustering merge step, an alignment DAG node): drop the forms dominated at
@@ -29,6 +30,7 @@ from .geometry import (
     ConvexCell,
     GeometryError,
     Halfspace,
+    Row,
     _clarkson_indices,
     _interior_point_rows,
     _project_row,
@@ -70,13 +72,14 @@ class CellProblem(Protocol):
         """Behavior at a parameter point (lexicographically smallest on ties)."""
 
     def candidate_constraints(self, label) -> Optional[list]:
-        """Superset of the true facet halfspaces of `label`'s cell, each
-        labeled with the neighboring behavior; None if the label can never
-        be optimal on a full-dimensional set."""
+        """Superset of the true facets of `label`'s cell as `Row`s, each the
+        primitive integer row `Halfspace.int_row` would give and labeled
+        with the neighboring behavior; None if the label can never be
+        optimal on a full-dimensional set."""
 
 
 def dominance_constraints(forms: dict, label) -> Optional[list]:
-    """Halfspaces "forms[label] <= forms[other]" for every other behavior.
+    """Rows "forms[label] <= forms[other]" for every other behavior.
 
     Behaviors with identical affine objectives are collapsed onto the
     lexicographically smallest label: for a non-canonical label this returns
@@ -97,7 +100,7 @@ def dominance_constraints(forms: dict, label) -> Optional[list]:
             if offset == 0 and other < label:
                 return None  # coincident; the smaller label is canonical
             continue
-        out.append(Halfspace(normal, offset, label=other))
+        out.append(Row.from_rationals(normal, offset, other))
     return out
 
 
@@ -172,18 +175,21 @@ class Subdivision:
 def compute_vertex_cell(parent: ConvexCell, label, problem: CellProblem, seed: int = 0):
     """The cell of `label` inside `parent`, plus its neighbor labels.
 
-    Raises DegenerateCellError when the cell has empty interior.
+    The parent's halfspaces and the candidate rows go through the LPs as
+    integer rows; a `Halfspace` is built only for each candidate kept as a
+    facet.  Raises DegenerateCellError when the cell has empty interior.
     """
     candidates = problem.candidate_constraints(label)
     if candidates is None:
         raise DegenerateCellError(label)
-    rows = list(parent.constraints) + list(candidates)
+    rows = list(parent.constraints) + candidates
     witness = find_interior_point(rows, seed)
     if witness is None:
         raise DegenerateCellError(label)
     kept = _clarkson_indices(rows, witness, seed)
     n_parent = len(parent.constraints)
-    cell = ConvexCell(parent.dimension, tuple(rows[i] for i in kept), witness=witness)
+    facets = tuple(rows[i] if i < n_parent else Halfspace.from_int_row(*rows[i]) for i in kept)
+    cell = ConvexCell(parent.dimension, facets, witness=witness)
     neighbors = frozenset(rows[i].label for i in kept if i >= n_parent)
     return cell, neighbors
 

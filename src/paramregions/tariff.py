@@ -9,10 +9,12 @@ come from one exact LP per region.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import index
 from typing import Optional
 
-from .geometry import ConvexCell, Halfspace, solve_lp
+from .geometry import ConvexCell, Halfspace, Row, solve_lp
 from .rationals import Rational, ZERO, as_rational, format_rational
 from .regions import Subdivision, compute_subdivision
 
@@ -135,48 +137,68 @@ def _zero_price_profile(instance: TariffInstance) -> tuple:
     return tuple(profile)
 
 
-def _utility_coeffs(instance: TariffInstance, i: int, q: int, j: int):
-    """Utility as (linear coefficients over the price vector, constant)."""
-    d = instance.dimension
-    coeffs = [ZERO] * d
-    if q == 0:
-        return tuple(coeffs), ZERO
-    coeffs[2 * (j - 1)] = Rational(-1)
-    coeffs[2 * (j - 1) + 1] = Rational(-q)
-    return tuple(coeffs), instance.value(i, q)
+def _options(instance: TariffInstance) -> list:
+    """Every (quantity, tariff index) a buyer can pick, buying nothing
+    canonicalized to (0, 1), in candidate order."""
+    return [(0, 1)] + [
+        (q, j) for q in range(1, instance.units + 1) for j in range(1, instance.menu_length + 1)
+    ]
+
+
+def _int_utility(instance: TariffInstance, i: int, q: int, j: int, scale: int) -> tuple:
+    """`scale` times sample i's utility for (q, j) as an integer row over the
+    price vector plus constant: scale * (v_i(q) - p1^j - q p2^j)."""
+    row = [0] * (instance.dimension + 1)
+    if q > 0:
+        row[2 * (j - 1)] = -scale
+        row[2 * (j - 1) + 1] = -q * scale
+        row[-1] = index((instance.value(i, q) * scale).numerator)  # an integer
+    return tuple(row)
 
 
 class _ProfileProblem:
-    """CellProblem over purchase-profile labels."""
+    """CellProblem over purchase-profile labels.
+
+    Sample i's candidates depend on its own entry (q, j) alone: the rows
+    "utility of (q, j) >= utility of each alternative" are built once per
+    entry, as primitive integer rows, and only relabeled per profile.
+    """
 
     def __init__(self, instance: TariffInstance):
         self.instance = instance
+        self._rows: dict = {}  # (i, (q, j)) -> [(alternative, int row)]
 
     def seed_label(self, point):
         return _profile_at(self.instance, point)
 
     def candidate_constraints(self, label):
-        inst = self.instance
         out = []
-        for i, (q, j) in enumerate(label):
-            cur_coeffs, cur_const = _utility_coeffs(inst, i, q, j)
-            for alt_q in range(0, inst.units + 1):
-                for alt_j in range(1, inst.menu_length + 1):
-                    alt = (alt_q, alt_j) if alt_q > 0 else (0, 1)
-                    if alt == (q, j):
-                        continue
-                    if alt_q == 0 and alt_j > 1:
-                        continue  # canonicalized duplicate of (0, 1)
-                    alt_coeffs, alt_const = _utility_coeffs(inst, i, alt_q, alt_j)
-                    normal = tuple(a - c for a, c in zip(alt_coeffs, cur_coeffs))
-                    offset = cur_const - alt_const
-                    if all(c == 0 for c in normal):
-                        if offset < 0:
-                            return None  # the alternative dominates outright
-                        continue
-                    neighbor = label[:i] + (alt,) + label[i + 1:]
-                    out.append(Halfspace(normal, offset, label=neighbor))
+        for i, entry in enumerate(label):
+            rows = self._rows.get((i, entry))
+            if rows is None:
+                rows = self._rows[i, entry] = _candidate_rows(self.instance, i, entry)
+            head, tail = label[:i], label[i + 1:]
+            out.extend(Row(row, head + (alt,) + tail) for alt, row in rows)
         return out
+
+
+def _candidate_rows(instance: TariffInstance, i: int, entry: tuple) -> list:
+    """(alternative, row) for "u_i(alternative) <= u_i(entry)" over every
+    other option of sample i, each the primitive integer row.  Two distinct
+    options never have the same price coefficients, so no row is all-zero
+    and no alternative beats `entry` at every price."""
+    scale = math.lcm(*(index(v.denominator) for v in instance.valuations[i]))
+    cur = _int_utility(instance, i, *entry, scale)
+    out = []
+    for alt in _options(instance):
+        if alt == entry:
+            continue
+        # u(alt) <= u(entry)  <=>  (alt - cur).coeffs . p <= cur.const - alt.const
+        other = _int_utility(instance, i, *alt, scale)
+        row = tuple(a - c for a, c in zip(other[:-1], cur[:-1])) + (cur[-1] - other[-1],)
+        g = math.gcd(*row)
+        out.append((alt, row if g == 1 else tuple(c // g for c in row)))
+    return out
 
 
 def compute_price_regions(instance: TariffInstance, seed: int = 0) -> Subdivision:

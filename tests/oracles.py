@@ -6,8 +6,9 @@ region membership via direct simulation.  They stay independent of the code
 paths they check.  The exceptions are `reference_solve_raw` and
 `reference_ray_first_index`, the same Seidel LP and ray shooting as the
 library's integer kernel written over rationals, and
-`reference_dp_solve_multi`, the alignment DP over rationals: the library
-must agree with each exactly.
+`reference_dp_solve_multi`, the alignment DP over rationals, and
+`reference_tariff_candidates`, the tariff candidate halfspaces built from
+rationals: the library must agree with each exactly.
 """
 
 import math
@@ -350,3 +351,37 @@ def reference_dp_solve_multi(spec, s1, s2, points):
     if root is None:
         raise ValueError("the DP has no solution for this input")
     return root
+
+
+# --------------------------------------------------------------------------
+# Rational reference for the tariff candidate rows
+# --------------------------------------------------------------------------
+
+def _reference_utility_coeffs(instance, i, q, j):
+    coeffs = [ZERO] * instance.dimension
+    if q == 0:
+        return tuple(coeffs), ZERO
+    coeffs[2 * (j - 1)] = Rational(-1)
+    coeffs[2 * (j - 1) + 1] = Rational(-q)
+    return tuple(coeffs), instance.value(i, q)
+
+
+def reference_tariff_candidates(instance, label):
+    """Halfspaces "u_i(alternative) <= u_i(label's entry)" over every sample
+    i and every other option, from rational utilities, each labeled with the
+    profile that swaps in the alternative.  Distinct options have distinct
+    price coefficients, so no normal is zero."""
+    out = []
+    for i, (q, j) in enumerate(label):
+        cur_coeffs, cur_const = _reference_utility_coeffs(instance, i, q, j)
+        for alt_q in range(0, instance.units + 1):
+            for alt_j in range(1, instance.menu_length + 1):
+                alt = (alt_q, alt_j) if alt_q > 0 else (0, 1)
+                if alt == (q, j) or (alt_q == 0 and alt_j > 1):
+                    continue
+                alt_coeffs, alt_const = _reference_utility_coeffs(instance, i, alt_q, alt_j)
+                normal = tuple(a - c for a, c in zip(alt_coeffs, cur_coeffs))
+                offset = cur_const - alt_const
+                assert any(normal)
+                out.append(Halfspace(normal, offset, label=label[:i] + (alt,) + label[i + 1:]))
+    return out

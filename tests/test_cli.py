@@ -5,10 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from paramregions.cli import canonical_dumps, load_cluster_instance, main
+from paramregions import tariff
+from paramregions.cli import _cell_box_grid, _tariff_agreement, canonical_dumps, load_cluster_instance, main
 from paramregions.clustering import MergeFamily, best_parameter
 from paramregions.geometry import polygon_area
 from paramregions.rationals import format_rational, format_vector, rat
+from paramregions.regions import Subdivision
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -214,6 +216,18 @@ class TestTariff:
         assert data["revenue"] == "5/1"
         assert data["region_label"] == [2]
 
+    def test_agreement_checks_a_cell_the_grid_misses(self):
+        # At density 1 the grid has no point inside the cell of quantity 1;
+        # relabeling that cell wrongly must still lower the agreement, since
+        # each cell is also checked at its witness (5 points in all).
+        inst = tariff.TariffInstance(units=2, valuations=(("3", "5"),))
+        sub = tariff.single_tariff_regions(inst)
+        assert [len(list(_cell_box_grid(sub.cells[(q,)], 1))) for q in range(3)] == [1, 0, 1]
+        assert _tariff_agreement(inst, sub, 1) == 1.0
+        cells = {(3,) if label == (1,) else label: cell for label, cell in sub.cells.items()}
+        wrong = Subdivision(sub.parent, cells, frozenset())
+        assert _tariff_agreement(inst, wrong, 1) == 4 / 5
+
     def test_menu_one_matches_single_byte_for_byte(self, tariff_instance_file, tmp_path):
         a, b = tmp_path / "single.json", tmp_path / "menu1.json"
         run_cli(["tariff-regions", "--instance", tariff_instance_file, "--output", str(a)])
@@ -361,6 +375,14 @@ class TestOracleCheckVerb:
         assert capsys.readouterr().err == message
         assert not (tmp_path / "never.json").exists()
 
+    def test_oracle_check_flag_is_a_parse_error(self, tariff_instance_file, tmp_path):
+        # The verb always checks; the region verbs' flag does not apply.
+        args = ["oracle-check", "--kind", "tariff", "--instance", tariff_instance_file, "--oracle-check"]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args + ["--output", str(tmp_path / "never.json")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "never.json").exists()
+
     @pytest.mark.parametrize("kind", ["cluster", "tariff"])
     def test_instance_kinds_without_instance_exit_2(self, kind, capsys):
         assert run_cli(["oracle-check", "--kind", kind]) == 2
@@ -372,9 +394,8 @@ class TestDensity:
     @pytest.mark.parametrize("verb", ["tariff-regions", "oracle-check"])
     def test_density_below_one_is_a_parse_error(self, verb, density, tariff_instance_file, tmp_path):
         # A density below 1 samples no point in d <= 2, so the check could never fail.
-        args = [verb, "--instance", tariff_instance_file, "--oracle-check", f"--density={density}"]
-        if verb == "oracle-check":
-            args += ["--kind", "tariff"]
+        args = [verb, "--instance", tariff_instance_file, f"--density={density}"]
+        args += ["--kind", "tariff"] if verb == "oracle-check" else ["--oracle-check"]
         with pytest.raises(SystemExit) as exc:
             run_cli(args + ["--output", str(tmp_path / "never.json")])
         assert exc.value.code == 2
@@ -393,6 +414,12 @@ class TestGoldenOutput:
 
     def test_tariff_regions_covering_the_box(self, tariff_instance_file, tmp_path):
         self.assert_golden("tariff_box.json", ["tariff-regions", "--instance", tariff_instance_file], tmp_path)
+
+    def test_tariff_regions_parallel_candidates(self, tmp_path):
+        # Four samples, four units: most candidate rows of a cell are
+        # parallel, and only the tightest of each direction can be a facet.
+        args = ["tariff-regions", "--instance", str(GOLDEN / "tariff_4x4.in.json")]
+        self.assert_golden("tariff_4x4.json", args, tmp_path)
 
     def test_align_regions_gap_preset(self, tmp_path):
         args = ["align-regions", "--preset", "mismatch-space-gap", "--s1", "ACG", "--s2", "TGA"]

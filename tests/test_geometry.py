@@ -8,6 +8,7 @@ from paramregions.geometry import (
     GeometryError,
     Halfspace,
     LPResult,
+    Row,
     _homogeneous,
     _int_vector,
     _ray_first_index,
@@ -62,6 +63,29 @@ class TestHalfspace:
         data = json.loads(json.dumps(h.to_json(lambda l: list(l))))
         back = Halfspace.from_json(data, lambda l: tuple(l))
         assert back == h
+
+    def test_relabel_copies_the_normalized_fields(self):
+        h = Halfspace((rat(2, 3), rat(-4)), rat(5, 7), label="a")
+        row = h.int_row
+        g = h.relabel("b")
+        assert (g.normal, g.offset, g.label) == (h.normal, h.offset, "b")
+        assert g.int_row == row and g == Halfspace(h.normal, h.offset, "b")
+        assert h.label == "a"
+
+    def test_row_builds_the_same_halfspace(self):
+        rng = random.Random(2)
+        for trial in range(200):
+            d = rng.randint(1, 3)
+            normal = tuple(rat(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(d))
+            if not any(normal):
+                continue
+            offset = rat(rng.randint(-20, 20), rng.randint(1, 6))
+            h = Halfspace(normal, offset, trial)
+            row = Row.from_rationals(normal, offset, trial)
+            assert row.int_row == h.int_row and row.dimension == d
+            back = Halfspace.from_int_row(*row)
+            assert back == h and back.int_row == h.int_row
+            assert type(back.offset) is type(h.offset)
 
     def test_rational_serialization_always_p_over_q(self):
         assert format_rational(rat(3)) == "3/1"
@@ -261,6 +285,37 @@ class TestClarkson:
             want = naive_nonredundant(hs, seed=trial)
             assert sorted(h.label for h in kept) == want
 
+    def test_parallel_families_match_naive_oracle(self):
+        # Few normal directions, many rows each: random offsets, exact
+        # duplicates and rescaled duplicates (2a . x <= 2b).  Only the
+        # tightest row of a direction can be a facet; of identical rows the
+        # first keeps its label.
+        rng = random.Random(41)
+        for trial in range(60):
+            d = rng.randint(1, 3)
+            origin = tuple(rat(0) for _ in range(d))
+            directions = random_halfspaces(rng, d, rng.randint(d + 1, 2 * d + 2))
+            hs = []
+            for _ in range(rng.randint(10, 30)):
+                roll = rng.random()
+                if hs and roll < 0.2:
+                    hs.append(rng.choice(hs))
+                elif hs and roll < 0.35:
+                    h = rng.choice(hs)
+                    m = rng.randint(2, 5)
+                    hs.append(Halfspace(tuple(m * c for c in h.normal), m * h.offset))
+                else:
+                    normal = rng.choice(directions).normal
+                    hs.append(Halfspace(normal, rat(rng.randint(1, 12), rng.randint(1, 3))))
+            hs = [h.relabel(i) for i, h in enumerate(hs)]
+            want = naive_nonredundant(hs, seed=trial)
+            kept = clarkson_reduce(hs, origin, seed=trial)
+            assert sorted(h.label for h in kept) == want
+            rows = [Row(h.int_row, h.label) for h in hs]
+            assert sorted(r.label for r in clarkson_reduce(rows, origin, seed=trial)) == want
+            for h in kept:
+                assert h.label == min(i for i, g in enumerate(hs) if g.key() == h.key())
+
     def test_minimality_certificates(self):
         rng = random.Random(23)
         origin = (rat(0), rat(0))
@@ -275,6 +330,22 @@ class TestClarkson:
     def test_rejects_non_interior_witness(self):
         with pytest.raises(GeometryError):
             clarkson_reduce([H((1,), 0)], (0,))
+
+
+class TestConvexCell:
+    def test_witness_on_a_facet_or_outside_rejected(self):
+        for witness in ((rat(1), rat(1, 2)), (rat(0), rat(0)), (rat(2), rat(1, 2)), (rat(-1, 3), rat(5))):
+            with pytest.raises(GeometryError):
+                ConvexCell(2, tuple(UNIT_SQUARE), witness=witness)
+        cell = ConvexCell(2, tuple(UNIT_SQUARE), witness=(rat(1, 3), rat(2, 3)))
+        assert cell.witness == (rat(1, 3), rat(2, 3))
+
+    def test_witness_checked_on_a_thin_cell(self):
+        eps = rat(1, 10**30)
+        hs = (H((1, 0), eps), H((-1, 0), 0), H((0, 1), 1), H((0, -1), 0))
+        ConvexCell(2, hs, witness=(eps / 2, rat(1, 2)))
+        with pytest.raises(GeometryError):
+            ConvexCell(2, hs, witness=(eps, rat(1, 2)))
 
 
 class TestCellUtilities:

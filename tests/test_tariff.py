@@ -12,7 +12,10 @@ from paramregions.tariff import (
     maximize_revenue,
     region_boundary_lines,
     single_tariff_regions,
+    _ProfileProblem,
 )
+
+from oracles import reference_tariff_candidates
 
 FIXTURE = TariffInstance(units=2, valuations=[(3, 5)])
 
@@ -110,6 +113,26 @@ class TestPriceRegions:
             for p in sample_interior(cell, 10, seed=1):
                 got = tuple(buyer_choice(inst, i, p) for i in range(inst.n_samples))
                 assert got == label
+
+
+class TestCandidateRows:
+    def test_rows_match_rational_reference(self):
+        # Every candidate is the primitive integer row of the halfspace built
+        # from rational utilities, in the same order and with the same label;
+        # fractional valuations exercise the per-sample scaling.
+        rng = random.Random(12)
+        for trial in range(30):
+            menu = rng.choice((1, 1, 2))
+            n, k = rng.randint(1, 4), rng.randint(1, 4)
+            vals = [[rat(rng.randint(0, 40), rng.choice((1, 1, 2, 3, 6))) for _ in range(k)] for _ in range(n)]
+            inst = TariffInstance(units=k, valuations=vals, menu_length=menu)
+            problem = _ProfileProblem(inst)
+            options = [(0, 1)] + [(q, j) for q in range(1, k + 1) for j in range(1, menu + 1)]
+            labels = list(compute_price_regions(inst, seed=trial).cells)
+            labels += [tuple(rng.choice(options) for _ in range(n)) for _ in range(10)]
+            for label in labels:
+                got = [(r.int_row, r.label) for r in problem.candidate_constraints(label)]
+                assert got == [(h.int_row, h.label) for h in reference_tariff_candidates(inst, label)]
 
 
 class TestRevenue:

@@ -15,9 +15,8 @@ s1, s2 = "AB", "BA"
 print(f"aligning {s1!r} and {s2!r} under features {spec.features}\n")
 
 partition = build_execution_dag(spec, s1, s2)
-for region in partition.regions:
-    a = region.alignment
-    witness = region.pieces[0].witness
+for key, a in partition.regions.items():
+    witness = partition.cells[key].witness
     print(f"region with witness {tuple(str(w) for w in witness)}:")
     print(f"  {a.t1}")
     print(f"  {a.t2}")

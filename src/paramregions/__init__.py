@@ -4,9 +4,12 @@ parametric dynamic-programming sequence alignment, and two-part tariff
 pricing.
 
 The geometry layer (halfspaces, convex cells, LP, redundancy removal, ray
-shooting) runs entirely on exact rationals; each domain module maps its
-behavior structure onto the shared region layer: the lower-envelope routine
-(clustering, alignment) or the implicit breadth-first enumerator (tariffs).
+shooting) is exact: halfspaces and points are rationals, and the LP kernel
+runs on integer rows scaled from them, so no floating-point value decides
+anything.  Each domain module maps its behavior structure onto the shared
+region layer, whose one region type is `Subdivision`: the lower-envelope
+routine (clustering, alignment) or the implicit breadth-first enumerator
+(tariffs).
 """
 
 from .geometry import (
@@ -28,8 +31,6 @@ from .geometry import (
 from .rationals import Rational, as_rational, format_rational, parse_rational, rat
 from .regions import (
     AffineForm,
-    AffineMinProblem,
-    CellProblem,
     DegenerateCellError,
     Subdivision,
     cells_share_facet,
@@ -60,7 +61,6 @@ from .seqalign import (
     enumerate_alignments,
     get_preset,
     ray_search_2d,
-    resolve_degeneracies,
 )
 from .tariff import (
     TariffInstance,

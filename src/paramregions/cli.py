@@ -222,17 +222,21 @@ def _cluster_regions(args) -> tuple:
 def _align_regions(args) -> tuple:
     """The spec, the sequence pair, the partition (the DAG's when it runs)
     and the ray search's (partition, DP solve count), or None when it does
-    not run.  When both run, their boundaries must agree."""
+    not run.  When both run, their boundaries must agree.  A spec whose DP
+    has no solution for the pair is an infeasible configuration."""
     spec = load_alignment_spec(args)
     s1, s2 = load_sequences(args)
     if args.method == "ray" and spec.dimension != 2:
         raise InfeasibleConfig("the ray-search path needs a two-feature spec")
     dag = None
-    if args.method != "ray":
-        dag = seqalign.build_execution_dag(spec, s1, s2, seed=args.seed)
     ray = None
-    if args.method != "dag" and spec.dimension == 2:
-        ray = seqalign.ray_search_2d(spec, s1, s2, seed=args.seed)
+    try:
+        if args.method != "ray":
+            dag = seqalign.build_execution_dag(spec, s1, s2, seed=args.seed)
+        if args.method != "dag" and spec.dimension == 2:
+            ray = seqalign.ray_search_2d(spec, s1, s2, seed=args.seed)
+    except seqalign.NoSolution as exc:
+        raise InfeasibleConfig(str(exc)) from exc
     if dag is not None and ray is not None and dag.boundary_keys() != ray[0].boundary_keys():
         raise OracleFailure("DAG and ray-search partitions disagree")
     return spec, s1, s2, (dag if dag is not None else ray[0]), ray
@@ -305,7 +309,7 @@ def cmd_align_regions(args) -> None:
         "s1": s1,
         "s2": s2,
     }
-    payload.update(part.to_json())
+    payload.update(part.to_json(encode_label))
     if ray is not None:
         payload["ray_dp_solves"] = ray[1]
         payload["region_count"] = len(ray[0].regions)
@@ -484,12 +488,7 @@ def _align_agreement(spec, s1, s2, part, density: int) -> float:
         _, align = seqalign.dp_solve_multi(spec, s1, s2, [point], graph)
         return align.t1, align.t2
 
-    pieces = (
-        ((region.alignment.t1, region.alignment.t2), cell)
-        for region in part.regions
-        for cell in region.pieces
-    )
-    return _agreement(pieces, density, behavior)
+    return _agreement(part.cells.items(), density, behavior)
 
 
 def _tariff_agreement(inst, sub, density: int) -> float:

@@ -110,7 +110,12 @@ class Halfspace:
         """Identity of the boundary hyperplane, the same for both of its
         sides: the key with the first nonzero normal coordinate positive."""
         lead = next(c for c in self.normal if c != 0)
-        return self.key() if lead > 0 else self.flipped().key()
+        return self.key() if lead > 0 else self.flipped_key()
+
+    def flipped_key(self):
+        """The key of `flipped()`, read off the negated fields: a normalized
+        normal leads with +-1, so they are normalized already."""
+        return (tuple(-c for c in self.normal), -self.offset)
 
     def flipped(self) -> "Halfspace":
         """The complementary halfspace boundary: {normal . x >= offset}."""

@@ -1,20 +1,22 @@
 """Convex subdivisions of a parent cell by optimal behavior.
 
 Every cell is built by `compute_vertex_cell`: the parent's halfspaces plus
-the candidate rows "my objective <= alternative's objective", each a
-primitive integer `Row` labeled by the alternative, reduced by redundancy
-removal; only the candidates kept as facets become `Halfspace`s, and their
-labels are exactly the neighbors.  Two routines decide which labels get a
-cell:
+the candidate rows the caller passes in, "my objective <= alternative's
+objective", each a primitive integer `Row` labeled by the alternative
+(`dominance_constraints` for affine forms), reduced by redundancy removal;
+only the candidates kept as facets become `Halfspace`s, and their labels
+are exactly the neighbors.  Two routines decide which labels get a cell,
+and both return a `Subdivision`, the one region type:
 
 - `envelope_cells`, for "behavior = argmin of labeled affine forms" (a
   clustering merge step, an alignment DAG node): drop the forms dominated at
   the corners of a polytope containing the parent, then one interior-point
   LP per remaining form.  Every full-dimensional cell is found.
-- `compute_subdivision`, for a domain that supplies its own `CellProblem`
-  (the tariff search): from one seed label it walks the region adjacency
-  graph breadth-first.  It can lose a cell when several candidates lie on
-  one hyperplane, because only the first of them is kept as a neighbor.
+- `compute_subdivision`, for a domain that supplies its own seed labels and
+  candidate rows per label (the tariff search): it walks the region
+  adjacency graph breadth-first from the seeds.  It can lose a cell when
+  several candidates lie on one hyperplane, because only the first of them
+  is kept as a neighbor.
 
 The per-label cell computations are pure and independent (safe to dispatch
 concurrently if a caller wants to).
@@ -24,11 +26,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Optional, Protocol, Sequence
+from typing import Any, Callable, Iterable, Optional
 
 from .geometry import (
     ConvexCell,
-    GeometryError,
     Halfspace,
     Row,
     _clarkson_indices,
@@ -63,19 +64,6 @@ class AffineForm:
             tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
             self.const - other.const,
         )
-
-
-class CellProblem(Protocol):
-    """What a domain must supply for its behavior regions to be enumerated."""
-
-    def seed_label(self, point) -> Any:
-        """Behavior at a parameter point (lexicographically smallest on ties)."""
-
-    def candidate_constraints(self, label) -> Optional[list]:
-        """Superset of the true facets of `label`'s cell as `Row`s, each the
-        primitive integer row `Halfspace.int_row` would give and labeled
-        with the neighboring behavior; None if the label can never be
-        optimal on a full-dimensional set."""
 
 
 def dominance_constraints(forms: dict, label) -> Optional[list]:
@@ -113,23 +101,6 @@ def argmin_label(forms: dict, point):
         if best_value is None or v < best_value:
             best_value, best_label = v, label
     return best_label
-
-
-class AffineMinProblem:
-    """CellProblem for "behavior = argmin of labeled affine objectives".
-
-    `envelope_cells` builds its cells with it; domains with custom tie
-    rules supply their own problem instead.
-    """
-
-    def __init__(self, forms: dict):
-        self.forms = dict(forms)
-
-    def seed_label(self, point):
-        return argmin_label(self.forms, point)
-
-    def candidate_constraints(self, label):
-        return dominance_constraints(self.forms, label)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,14 +143,17 @@ class Subdivision:
         return cls(ConvexCell.from_json(data["parent"], decode_label), cells, adjacency)
 
 
-def compute_vertex_cell(parent: ConvexCell, label, problem: CellProblem, seed: int = 0):
+def compute_vertex_cell(parent: ConvexCell, label, candidates: Optional[list], seed: int = 0):
     """The cell of `label` inside `parent`, plus its neighbor labels.
 
-    The parent's halfspaces and the candidate rows go through the LPs as
-    integer rows; a `Halfspace` is built only for each candidate kept as a
-    facet.  Raises DegenerateCellError when the cell has empty interior.
+    `candidates` is a superset of the cell's true facets as `Row`s, each the
+    primitive integer row `Halfspace.int_row` would give and labeled with
+    the neighboring behavior, or None when `label` can never be optimal on a
+    full-dimensional set.  The parent's halfspaces and the candidates go
+    through the LPs as integer rows; a `Halfspace` is built only for each
+    candidate kept as a facet.  Raises DegenerateCellError when the cell has
+    empty interior.
     """
-    candidates = problem.candidate_constraints(label)
     if candidates is None:
         raise DegenerateCellError(label)
     rows = list(parent.constraints) + candidates
@@ -195,26 +169,13 @@ def compute_vertex_cell(parent: ConvexCell, label, problem: CellProblem, seed: i
 
 
 def compute_subdivision(
-    parent: ConvexCell,
-    problem: CellProblem,
-    start=None,
-    seed: int = 0,
-    extra_seeds: Sequence = (),
+    parent: ConvexCell, seeds: Iterable, candidates: Callable, seed: int = 0
 ) -> Subdivision:
-    """BFS over the implicit region adjacency graph from the behavior at
-    `start` (default: the parent's witness).  Visits each full-dimensional
-    cell it reaches exactly once; empty-interior labels are recorded and
-    skipped."""
-    if start is None:
-        start = parent.witness
-    if start is None:
-        raise GeometryError("compute_subdivision needs a start point or parent witness")
-    start = as_vector(start)
-    if not parent.contains(start):
-        raise GeometryError("start point lies outside the parent cell")
-
-    queue = deque(extra_seeds)
-    queue.append(problem.seed_label(start))
+    """BFS over the implicit region adjacency graph from the `seeds` labels,
+    in order; `candidates(label)` gives the rows `compute_vertex_cell` takes
+    for `label`.  Visits each full-dimensional cell it reaches exactly once;
+    empty-interior labels are recorded and skipped."""
+    queue = deque(seeds)
     cells: dict = {}
     degenerate: set = set()
     pairs: set = set()
@@ -223,7 +184,7 @@ def compute_subdivision(
         if label in cells or label in degenerate:
             continue
         try:
-            cell, neighbors = compute_vertex_cell(parent, label, problem, seed)
+            cell, neighbors = compute_vertex_cell(parent, label, candidates(label), seed)
         except DegenerateCellError:
             degenerate.add(label)
             continue
@@ -259,15 +220,16 @@ def envelope_cells(parent: ConvexCell, forms: dict, corners, seed: int = 0) -> S
         kept.append((label, values))
     pruned = {label: forms[label] for label, _ in kept}
     rows = list(parent.constraints)
-    passed = AffineMinProblem({
+    passed = {
         label: form
         for label, form in pruned.items()
         if find_interior_point(rows + dominance_constraints(pruned, label), seed) is not None
-    })
+    }
     cells: dict = {}
     pairs: set = set()
-    for label in sorted(passed.forms):
-        cells[label], neighbors = compute_vertex_cell(parent, label, passed, seed)
+    for label in sorted(passed):
+        candidates = dominance_constraints(passed, label)
+        cells[label], neighbors = compute_vertex_cell(parent, label, candidates, seed)
         pairs.update(tuple(sorted((label, nb))) for nb in neighbors)
     degenerate = tuple(label for label in pruned if label not in cells)
     return Subdivision(parent, cells, frozenset(pairs), degenerate)
@@ -277,10 +239,11 @@ def cells_share_facet(a: ConvexCell, b: ConvexCell, seed: int = 0) -> bool:
     """True when the closures of two reduced cells meet in a (d-1)-dim face."""
     b_keys = {h.key() for h in b.constraints}
     for h in a.constraints:
-        if h.flipped().key() not in b_keys:
+        flipped = h.flipped_key()
+        if flipped not in b_keys:
             continue
         rows = [c for c in a.constraints if c.key() != h.key()]
-        rows += [c for c in b.constraints if c.key() != h.flipped().key()]
+        rows += [c for c in b.constraints if c.key() != flipped]
         if _has_relative_interior_on(h, rows, seed):
             return True
     return False

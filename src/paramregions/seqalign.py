@@ -26,7 +26,7 @@ sectors with one DP solve per probe point, over one node graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from operator import add
 from typing import Optional, Sequence
@@ -48,6 +48,10 @@ from .regions import AffineForm, Subdivision, cells_share_facet, envelope_cells
 SPACE = "-"
 
 TRANSFORMS = ("extend-match", "extend-mismatch", "extend-space-1", "extend-space-2", "identity")
+
+
+class NoSolution(ValueError):
+    """The DP assigns no alignment to the root for this sequence pair."""
 
 
 # --------------------------------------------------------------------------
@@ -181,8 +185,7 @@ class AlignmentDPSpec:
             if case.when not in ("always", "chars-equal", "chars-differ"):
                 raise ValueError(f"unknown case condition {case.when!r}")
             for term in case.terms:
-                if len(term.weight) != d:
-                    raise ValueError("term weight length must match feature count")
+                _check_weight(term.weight, d, "term")
                 if term.transform not in TRANSFORMS:
                     raise ValueError(f"unknown transform {term.transform!r}")
                 if term.ref_table not in rank:
@@ -191,6 +194,9 @@ class AlignmentDPSpec:
                     raise ValueError("references must not look ahead")
                 if term.di == 0 and term.dj == 0 and rank[term.ref_table] >= rank[case.table]:
                     raise ValueError("same-cell references must go to an earlier table")
+        for prefix in (self.base_s1_prefix, self.base_s2_prefix):
+            if prefix is not None:
+                _check_weight(prefix[1], d, "prefix")
 
     @property
     def dimension(self) -> int:
@@ -281,6 +287,14 @@ class AlignmentDPSpec:
             base_s1_prefix=(s1p["table"], tuple(s1p["w_per_char"])) if s1p else None,
             base_s2_prefix=(s2p["table"], tuple(s2p["w_per_char"])) if s2p else None,
         )
+
+
+def _check_weight(weight, dimension: int, what: str) -> None:
+    # Costs are carried as integers (`dp_solve_multi`), so weights must be.
+    if len(weight) != dimension:
+        raise ValueError(f"{what} weight length must match feature count")
+    if any(isinstance(w, bool) or not isinstance(w, int) for w in weight):
+        raise ValueError(f"{what} weights must be integers")
 
 
 def mismatch_space_spec() -> AlignmentDPSpec:
@@ -498,7 +512,7 @@ def dp_solve_multi(
         costs[k] = best
     root = len(graph.nodes) - 1
     if costs[root] is None:
-        raise ValueError("the DP has no solution for this input")
+        raise NoSolution("the DP has no solution for this input")
     path = []
     k = root
     while back[k] is not None:
@@ -524,47 +538,29 @@ def dp_solve(spec: AlignmentDPSpec, s1: str, s2: str, rho):
 # Partitions of the parameter domain
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AlignedRegion:
-    """One behavior region: an optimal alignment and its convex pieces
-    (exactly one piece in every partition this module builds)."""
-
-    alignment: Alignment
-    pieces: tuple
-
-
 @dataclass(frozen=True, eq=False)
-class AlignmentPartition:
-    parent: ConvexCell
-    regions: tuple
-    adjacency: frozenset = frozenset()  # pairs of region indices
+class AlignmentPartition(Subdivision):
+    """A `Subdivision` of the parameter domain by optimal alignment.  Cells,
+    facet labels and adjacency pairs are keyed by `Alignment.key`;
+    `regions` maps each cell's key to its alignment."""
 
-    def region_at(self, point) -> AlignedRegion:
-        for region in self.regions:
-            if any(cell.contains(point) for cell in region.pieces):
-                return region
-        raise ValueError("point outside every region")
+    regions: dict = field(kw_only=True)
 
     def boundary_keys(self) -> frozenset:
         """Distinct non-box facet lines, sign-canonicalized."""
         box_keys = {h.line_key() for h in self.parent.constraints}
         return frozenset(
             h.line_key()
-            for region in self.regions
-            for cell in region.pieces
+            for cell in self.cells.values()
             for h in cell.constraints
             if h.line_key() not in box_keys
         )
 
-    def to_json(self) -> dict:
-        """The partition as a `Subdivision` keyed by alignment key; facet
-        labels are the alignment keys of the neighboring regions."""
-        cells = {}
-        for region in self.regions:
-            (cells[region.alignment.key],) = region.pieces
-        keys = [region.alignment.key for region in self.regions]
-        adjacency = frozenset(tuple(sorted((keys[a], keys[b]))) for a, b in self.adjacency)
-        return Subdivision(self.parent, cells, adjacency).to_json(list)
+
+def _single_region(domain: ConvexCell, alignment: Alignment) -> AlignmentPartition:
+    """The partition in which one alignment is optimal on all of `domain`."""
+    key = alignment.key
+    return AlignmentPartition(domain, {key: domain}, frozenset(), regions={key: alignment})
 
 
 def default_domain(dimension: int) -> ConvexCell:
@@ -624,26 +620,8 @@ def compute_overlay(subdivisions: Sequence[Subdivision], seed: int = 0) -> Subdi
 
 
 # --------------------------------------------------------------------------
-# Degeneracy resolution (merge equal-alignment cells)
+# The compact execution DAG
 # --------------------------------------------------------------------------
-
-def resolve_degeneracies(partition: AlignmentPartition, seed: int = 0) -> AlignmentPartition:
-    """One minimal cell per alignment key: the pieces of an alignment merge
-    into the cone where its cost is below every other alignment's.  The
-    partition's parent must lie in the nonnegative orthant, as every
-    partition this module builds does.
-
-    Raises ValueError when two distinct alignments carry equal feature
-    counts; cost hyperplanes cannot separate them.  The DP never produces
-    such pieces: it breaks ties toward the lowest term index, so two chosen
-    alignments of one subproblem with equal counts would come from the same
-    term and, recursively, from equal alignments of a base case.
-    """
-    alignments = [region.alignment for region in partition.regions]
-    if len({a.counts for a in alignments}) != len({a.key for a in alignments}):
-        raise ValueError("distinct alignments with equal feature counts")
-    return _envelope_partition(alignments, partition.parent, seed)
-
 
 def _envelope_partition(alignments, parent: ConvexCell, seed: int) -> AlignmentPartition:
     """The regions of the lower envelope of the alignments' costs inside
@@ -660,16 +638,9 @@ def _envelope_partition(alignments, parent: ConvexCell, seed: int) -> AlignmentP
     forms = {key: AffineForm(alignment.counts, 0) for key, alignment in by_key.items()}
     corners = tuple(product((0, 1), repeat=parent.dimension))
     sub = envelope_cells(parent, forms, corners, seed)
-    keys = sorted(sub.cells)
-    index = {key: i for i, key in enumerate(keys)}
-    regions = tuple(AlignedRegion(by_key[key], (sub.cells[key],)) for key in keys)
-    adjacency = frozenset((index[a], index[b]) for a, b in sub.adjacency)
-    return AlignmentPartition(parent, regions, adjacency)
+    regions = {key: by_key[key] for key in sub.cells}
+    return AlignmentPartition(parent, sub.cells, sub.adjacency, regions=regions)
 
-
-# --------------------------------------------------------------------------
-# The compact execution DAG
-# --------------------------------------------------------------------------
 
 def build_execution_dag(spec: AlignmentDPSpec, s1: str, s2: str, seed: int = 0) -> AlignmentPartition:
     """Partition of the parameter domain (`default_domain`, the unit box) by
@@ -689,7 +660,7 @@ def build_execution_dag(spec: AlignmentDPSpec, s1: str, s2: str, seed: int = 0) 
         solved = [(term, memo[ref]) for term, ref in terms if memo[ref] is not None]
         memo.append(_node_partition(s1, s2, i, j, base, solved, domain, seed))
     if memo[-1] is None:
-        raise ValueError("the DP has no solution for this input")
+        raise NoSolution("the DP has no solution for this input")
     return memo[-1]
 
 
@@ -697,21 +668,22 @@ def _node_partition(s1, s2, i, j, base, terms, domain, seed):
     """The partition of one node from its base solution, or from its
     (term, referenced partition) pairs."""
     if base is not None:
-        return AlignmentPartition(domain, (AlignedRegion(base, (domain,)),), frozenset())
+        return _single_region(domain, base)
     if not terms:
         return None
     if len(terms) == 1:
         ((term, sub),) = terms
         extended = {
-            r.alignment.key: _apply_transform(term.transform, r.alignment, term.weight, s1, s2, i, j)
-            for r in sub.regions
+            key: _apply_transform(term.transform, alignment, term.weight, s1, s2, i, j)
+            for key, alignment in sub.regions.items()
         }
         relabel = lambda key: extended[key].key
-        regions = tuple(
-            AlignedRegion(extended[r.alignment.key], tuple(c.map_labels(relabel) for c in r.pieces))
-            for r in sub.regions
+        return AlignmentPartition(
+            domain,
+            {relabel(key): cell.map_labels(relabel) for key, cell in sub.cells.items()},
+            frozenset(tuple(sorted((relabel(a), relabel(b)))) for a, b in sub.adjacency),
+            regions={alignment.key: alignment for alignment in extended.values()},
         )
-        return AlignmentPartition(domain, regions, sub.adjacency)
 
     # A term costs its subproblem's optimum plus w_t . rho, and that optimum
     # is the lower envelope of the subproblem's region alignments.  So this
@@ -721,8 +693,8 @@ def _node_partition(s1, s2, i, j, base, terms, domain, seed):
     # totals keep the lowest term index, the DP's tie rule.
     candidates = {}
     for term, sub in terms:
-        for region in sub.regions:
-            extended = _apply_transform(term.transform, region.alignment, term.weight, s1, s2, i, j)
+        for alignment in sub.regions.values():
+            extended = _apply_transform(term.transform, alignment, term.weight, s1, s2, i, j)
             candidates.setdefault(extended.counts, extended)
     return _envelope_partition(candidates.values(), domain, seed)
 
@@ -761,8 +733,7 @@ def ray_search_2d(spec: AlignmentDPSpec, s1: str, s2: str, seed: int = 0):
     if left_align.counts == right_align.counts:
         # One cost class covers the quadrant; with equal strings this is one
         # region, and cost-tied distinct strings cannot be separated at all.
-        partition = AlignmentPartition(domain, (AlignedRegion(left_align, (domain,)),), frozenset())
-        return partition, calls[0]
+        return _single_region(domain, left_align), calls[0]
 
     def chord_point(t):
         return (t, 1 - t)
@@ -814,7 +785,7 @@ def ray_search_2d(spec: AlignmentDPSpec, s1: str, s2: str, seed: int = 0):
     for a, b in zip(sequence, sequence[1:]):
         g, _ = crossing(a.counts, b.counts)
         boundaries.append(g)
-    regions = []
+    cells = {}
     for k, align in enumerate(sequence):
         rows = list(domain.constraints)
         if k < len(boundaries):
@@ -823,6 +794,8 @@ def ray_search_2d(spec: AlignmentDPSpec, s1: str, s2: str, seed: int = 0):
             rows.append(Halfspace(tuple(-c for c in boundaries[k - 1]), 0))
         cell = reduce_cell(2, rows, seed)
         assert cell is not None, "empty ray-search sector"
-        regions.append(AlignedRegion(align, (cell,)))
-    adjacency = frozenset((k, k + 1) for k in range(len(regions) - 1))
-    return AlignmentPartition(domain, tuple(regions), adjacency), calls[0]
+        cells[align.key] = cell
+    keys = [align.key for align in sequence]
+    adjacency = frozenset(tuple(sorted(pair)) for pair in zip(keys, keys[1:]))
+    regions = {align.key: align for align in sequence}
+    return AlignmentPartition(domain, cells, adjacency, regions=regions), calls[0]

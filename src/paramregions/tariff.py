@@ -35,6 +35,8 @@ class TariffInstance:
     def __post_init__(self):
         vals = tuple(tuple(as_rational(v) for v in row) for row in self.valuations)
         object.__setattr__(self, "valuations", vals)
+        if any(isinstance(n, bool) or not isinstance(n, int) for n in (self.units, self.menu_length)):
+            raise ValueError("K and menu_length must be integers")
         if self.units < 1 or self.menu_length < 1:
             raise ValueError("need at least one unit and one tariff")
         if not vals:
@@ -156,30 +158,27 @@ def _int_utility(instance: TariffInstance, i: int, q: int, j: int, scale: int) -
     return tuple(row)
 
 
-class _ProfileProblem:
-    """CellProblem over purchase-profile labels.
+def _profile_candidates(instance: TariffInstance):
+    """The `candidates` function of `compute_subdivision` over
+    purchase-profile labels.
 
     Sample i's candidates depend on its own entry (q, j) alone: the rows
     "utility of (q, j) >= utility of each alternative" are built once per
     entry, as primitive integer rows, and only relabeled per profile.
     """
+    cache: dict = {}  # (i, (q, j)) -> [(alternative, int row)]
 
-    def __init__(self, instance: TariffInstance):
-        self.instance = instance
-        self._rows: dict = {}  # (i, (q, j)) -> [(alternative, int row)]
-
-    def seed_label(self, point):
-        return _profile_at(self.instance, point)
-
-    def candidate_constraints(self, label):
+    def candidates(label):
         out = []
         for i, entry in enumerate(label):
-            rows = self._rows.get((i, entry))
+            rows = cache.get((i, entry))
             if rows is None:
-                rows = self._rows[i, entry] = _candidate_rows(self.instance, i, entry)
+                rows = cache[i, entry] = _candidate_rows(instance, i, entry)
             head, tail = label[:i], label[i + 1:]
             out.extend(Row(row, head + (alt,) + tail) for alt, row in rows)
         return out
+
+    return candidates
 
 
 def _candidate_rows(instance: TariffInstance, i: int, entry: tuple) -> list:
@@ -204,20 +203,16 @@ def _candidate_rows(instance: TariffInstance, i: int, entry: tuple) -> list:
 def compute_price_regions(instance: TariffInstance, seed: int = 0) -> Subdivision:
     """Regions of constant buyer behavior over the capped price box.
 
-    Labels are per-sample (quantity, tariff-index) tuples.  The search seeds
-    both at the zero-price profile and at the box witness (the former can be
-    degenerate when valuations tie; the latter guarantees a full-dimensional
-    start, and any start yields the same subdivision by connectivity).
+    Labels are per-sample (quantity, tariff-index) tuples.  The
+    breadth-first search starts from the zero-price profile, which can be
+    degenerate when valuations tie, and then from the profile at the box
+    witness.  It follows facet labels, so when several candidate rows lie on
+    one hyperplane it can miss a region, and which regions it reaches can
+    depend on these seeds (see `regions.compute_subdivision`).
     """
     box = instance.price_box()
-    problem = _ProfileProblem(instance)
-    return compute_subdivision(
-        box,
-        problem,
-        start=box.witness,
-        seed=seed,
-        extra_seeds=(_zero_price_profile(instance),),
-    )
+    seeds = (_zero_price_profile(instance), _profile_at(instance, box.witness))
+    return compute_subdivision(box, seeds, _profile_candidates(instance), seed)
 
 
 def single_tariff_regions(instance: TariffInstance, seed: int = 0) -> Subdivision:

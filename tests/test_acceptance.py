@@ -28,7 +28,7 @@ from paramregions.geometry import (
     solve_lp,
 )
 from paramregions.rationals import rat
-from paramregions.regions import AffineForm, AffineMinProblem, compute_subdivision
+from paramregions.regions import AffineForm, argmin_label, compute_subdivision, dominance_constraints
 from paramregions.seqalign import (
     build_execution_dag,
     compute_overlay,
@@ -144,13 +144,12 @@ def test_criterion_2_region_oracle_equivalence():
         spec = get_preset("mismatch-space" if trial % 10 < 7 else "mismatch-space-gap")
         s1, s2 = random_sequences(rng, 5)
         part = build_execution_dag(spec, s1, s2, seed=trial)
-        for region in part.regions:
+        for key, cell in part.cells.items():
             regions_checked += 1
-            for cell in region.pieces:
-                for p in sample_interior(cell, SAMPLES_PER_REGION // len(region.pieces), seed=trial):
-                    _, align = dp_solve(spec, s1, s2, p)
-                    if (align.t1, align.t2) != (region.alignment.t1, region.alignment.t2):
-                        mismatches += 1
+            for p in sample_interior(cell, SAMPLES_PER_REGION, seed=trial):
+                _, align = dp_solve(spec, s1, s2, p)
+                if align.key != key:
+                    mismatches += 1
 
     for trial in range(100):
         inst = random_tariff(rng)
@@ -235,8 +234,8 @@ def test_criterion_4_alignment_exhaustive_equivalence():
         for p in _domain_grid(spec.dimension, steps):
             checks += 1
             envelope = min(sum(c * x for c, x in zip(cv, p)) for cv in count_vectors)
-            region = part.region_at(p)
-            if region.alignment.cost(p) != envelope:
+            labels = part.labels_at(p)
+            if not labels or any(part.regions[key].cost(p) != envelope for key in labels):
                 mismatches += 1
     ok = mismatches == 0
     report(4, ok, f"{checks} grid points across 40 instances, {mismatches} mismatches")
@@ -275,13 +274,8 @@ def test_criterion_5a_ray_search_matches_execution_dag():
         if ray.boundary_keys() != dag.boundary_keys():
             bad.append((s1, s2, "boundaries"))
             continue
-        for region in ray.regions:
-            probe = region.pieces[0].witness
-            dag_region = dag.region_at(probe)
-            if (dag_region.alignment.t1, dag_region.alignment.t2) != (
-                region.alignment.t1,
-                region.alignment.t2,
-            ):
+        for key, cell in ray.cells.items():
+            if dag.labels_at(cell.witness) != [key]:
                 bad.append((s1, s2, "sector alignment"))
                 break
     ok = not bad
@@ -470,7 +464,13 @@ def test_criterion_9_invariant_suites():
             i: AffineForm((rat(rng.randint(-5, 5)), rat(rng.randint(-5, 5))), rat(rng.randint(0, 3)))
             for i in range(rng.randint(2, 5))
         }
-        sub = compute_subdivision(box_cell(0, 1, 2), AffineMinProblem(forms), seed=trial)
+        box = box_cell(0, 1, 2)
+        sub = compute_subdivision(
+            box,
+            [argmin_label(forms, box.witness)],
+            lambda label: dominance_constraints(forms, label),
+            seed=trial,
+        )
         overlaid = compute_overlay([sub, sub], seed=trial)
         want = {(l, l) for l in sub.cells}
         if set(overlaid.cells) != want:

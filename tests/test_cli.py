@@ -11,6 +11,7 @@ from paramregions.clustering import MergeFamily, best_parameter
 from paramregions.geometry import polygon_area
 from paramregions.rationals import format_rational, format_vector, rat
 from paramregions.regions import Subdivision
+from paramregions.seqalign import mismatch_space_spec
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -125,6 +126,30 @@ class TestClusterRegions:
         assert code == 3
 
 
+def spec_file(tmp_path, edit):
+    """The mismatch-space preset as a spec file, after `edit(data)`."""
+    data = mismatch_space_spec().to_json()
+    edit(data)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def half_term_weight(data):
+    data["cases"][1]["terms"][0]["w"] = [0.5, 0]
+
+
+def half_prefix_weight(data):
+    data["base"]["s1_prefix"]["w_per_char"] = [0, 0.5]
+
+
+def only_chars_equal(data):
+    data["cases"] = [case for case in data["cases"] if case["when"] == "chars-equal"]
+
+
+ALIGN_VERBS = [["align-regions"], ["oracle-check", "--kind", "align"]]
+
+
 class TestAlignRegions:
     def test_ab_ba_both_methods_agree(self, tmp_path):
         out = tmp_path / "align.json"
@@ -178,6 +203,18 @@ class TestAlignRegions:
         fasta.write_text(">a\nAC-GT\n>b\nACTGT\n")
         assert run_cli(["align-regions", "--fasta", str(fasta), "--output", str(tmp_path / "never.json")]) == 2
 
+    @pytest.mark.parametrize("verb", ALIGN_VERBS)
+    @pytest.mark.parametrize("edit", [half_term_weight, half_prefix_weight])
+    def test_spec_file_with_non_integer_weight_exit_2(self, verb, edit, tmp_path):
+        spec = spec_file(tmp_path, edit)
+        assert run_cli(verb + ["--spec-file", spec, "--s1", "AC", "--s2", "TG"]) == 2
+
+    @pytest.mark.parametrize("verb", ALIGN_VERBS)
+    def test_spec_file_without_solution_exit_3(self, verb, tmp_path):
+        spec = spec_file(tmp_path, only_chars_equal)
+        assert run_cli(verb + ["--spec-file", spec, "--s1", "AC", "--s2", "TG"]) == 3
+        assert run_cli(verb + ["--spec-file", spec, "--s1", "AC", "--s2", "AC"]) == 0
+
     def test_gap_preset_rejects_ray(self):
         assert (
             run_cli(
@@ -227,6 +264,19 @@ class TestTariff:
         cells = {(3,) if label == (1,) else label: cell for label, cell in sub.cells.items()}
         wrong = Subdivision(sub.parent, cells, frozenset())
         assert _tariff_agreement(inst, wrong, 1) == 4 / 5
+
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            {"K": 2.0, "valuations": [["3", "5"]]},
+            {"K": 2, "menu_length": 1.5, "valuations": [["3", "5"]]},
+            {"K": True, "valuations": [["3"]]},
+        ],
+    )
+    def test_non_integer_size_exit_2(self, instance, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(instance))
+        assert run_cli(["tariff-regions", "--instance", str(path)]) == 2
 
     def test_menu_one_matches_single_byte_for_byte(self, tariff_instance_file, tmp_path):
         a, b = tmp_path / "single.json", tmp_path / "menu1.json"

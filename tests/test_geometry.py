@@ -52,6 +52,7 @@ class TestHalfspace:
         assert a.normal == (1, 2)
         for h in (a, Halfspace((-2, 4), 6)):
             assert h.line_key() == h.flipped().line_key()
+            assert h.flipped_key() == h.flipped().key()
             assert h.line_key()[0][0] > 0
 
     def test_zero_normal_rejected(self):

@@ -12,13 +12,13 @@ from paramregions.geometry import (
 )
 from paramregions.regions import (
     AffineForm,
-    AffineMinProblem,
     DegenerateCellError,
     Subdivision,
     argmin_label,
     cells_share_facet,
     compute_subdivision,
     compute_vertex_cell,
+    dominance_constraints,
     envelope_cells,
 )
 from paramregions.rationals import rat
@@ -28,59 +28,70 @@ def forms_2d(spec):
     return {label: AffineForm(coeffs, const) for label, (coeffs, const) in spec.items()}
 
 
+def argmin_subdivision(parent, forms, start=None, seed=0):
+    """`compute_subdivision` of "behavior = argmin of the forms", seeded with
+    the behavior at `start` (default: the parent's witness)."""
+    start = parent.witness if start is None else start
+    return compute_subdivision(
+        parent, [argmin_label(forms, start)], lambda label: dominance_constraints(forms, label), seed
+    )
+
+
+def vertex_cell(parent, label, forms):
+    return compute_vertex_cell(parent, label, dominance_constraints(forms, label))
+
+
 class TestComputeVertexCell:
     def test_single_behavior_cell_is_parent(self):
         parent = box_cell(0, 1, 2)
-        problem = AffineMinProblem(forms_2d({"only": ((1, 0), 0)}))
-        cell, neighbors = compute_vertex_cell(parent, "only", problem)
+        forms = forms_2d({"only": ((1, 0), 0)})
+        cell, neighbors = vertex_cell(parent, "only", forms)
         assert neighbors == frozenset()
         assert cell.constraint_keys() <= parent.constraint_keys()
 
     def test_two_halves_with_neighbor(self):
         parent = box_cell(0, 1, 2)
         # a wins left of x = 1/2, b wins right.
-        problem = AffineMinProblem(forms_2d({"a": ((1, 0), 0), "b": ((-1, 0), 1)}))
-        cell, neighbors = compute_vertex_cell(parent, "a", problem)
+        forms = forms_2d({"a": ((1, 0), 0), "b": ((-1, 0), 1)})
+        cell, neighbors = vertex_cell(parent, "a", forms)
         assert neighbors == {"b"}
         assert cell.contains((rat(1, 4), rat(1, 2)), strict=True)
         assert not cell.contains((rat(3, 4), rat(1, 2)))
 
     def test_dominated_label_raises_degenerate(self):
         parent = box_cell(0, 1, 2)
-        problem = AffineMinProblem(forms_2d({"a": ((1, 0), 0), "b": ((1, 0), 1)}))
+        forms = forms_2d({"a": ((1, 0), 0), "b": ((1, 0), 1)})
         with pytest.raises(DegenerateCellError):
-            compute_vertex_cell(parent, "b", problem)
+            vertex_cell(parent, "b", forms)
 
     def test_coincident_labels_collapse_to_smallest(self):
         parent = box_cell(0, 1, 2)
-        problem = AffineMinProblem(forms_2d({"a": ((1, 0), 0), "b": ((1, 0), 0)}))
-        cell, neighbors = compute_vertex_cell(parent, "a", problem)
+        forms = forms_2d({"a": ((1, 0), 0), "b": ((1, 0), 0)})
+        cell, neighbors = vertex_cell(parent, "a", forms)
         assert neighbors == frozenset()
         with pytest.raises(DegenerateCellError):
-            compute_vertex_cell(parent, "b", problem)
+            vertex_cell(parent, "b", forms)
 
 
 class TestComputeSubdivision:
     def test_total_tie_gives_one_cell(self):
         parent = box_cell(0, 1, 2)
-        problem = AffineMinProblem(forms_2d({"a": ((2, 3), 1), "b": ((2, 3), 1), "c": ((2, 3), 1)}))
-        sub = compute_subdivision(parent, problem)
+        forms = forms_2d({"a": ((2, 3), 1), "b": ((2, 3), 1), "c": ((2, 3), 1)})
+        sub = argmin_subdivision(parent, forms)
         assert set(sub.cells) == {"a"}
         assert sub.adjacency == frozenset()
 
     def test_four_quadrant_envelope(self):
         parent = box_cell(-1, 1, 2)
         # argmin of -(s1*x + s2*y) picks the quadrant matching the signs.
-        problem = AffineMinProblem(
-            forms_2d(
-                {
-                    (sx, sy): ((-sx, -sy), 0)
-                    for sx in (-1, 1)
-                    for sy in (-1, 1)
-                }
-            )
+        forms = forms_2d(
+            {
+                (sx, sy): ((-sx, -sy), 0)
+                for sx in (-1, 1)
+                for sy in (-1, 1)
+            }
         )
-        sub = compute_subdivision(parent, problem)
+        sub = argmin_subdivision(parent, forms)
         assert len(sub.cells) == 4
         # Diagonal quadrants only touch at the origin, not along a facet.
         assert tuple(sorted(((-1, -1), (1, 1)))) not in sub.adjacency
@@ -93,14 +104,13 @@ class TestComputeSubdivision:
             i: AffineForm((rat(rng.randint(-5, 5)), rat(rng.randint(-5, 5))), rat(rng.randint(0, 3)))
             for i in range(7)
         }
-        problem = AffineMinProblem(forms)
-        sub = compute_subdivision(parent, problem)
+        sub = argmin_subdivision(parent, forms)
         for p in sample_interior(parent, 1000, seed=4):
             strict = sub.labels_at(p, strict=True)
             if strict:  # boundary hits are allowed to be ambiguous
-                assert strict == [problem.seed_label(p)]
+                assert strict == [argmin_label(forms, p)]
             else:
-                assert problem.seed_label(p) in sub.labels_at(p)
+                assert argmin_label(forms, p) in sub.labels_at(p)
 
     def test_every_interior_sample_lands_in_its_labelled_cell(self):
         rng = random.Random(11)
@@ -108,11 +118,10 @@ class TestComputeSubdivision:
         forms = {}
         for i in range(6):
             forms[i] = AffineForm((rat(rng.randint(-4, 4)), rat(rng.randint(-4, 4))), rat(rng.randint(0, 3)))
-        problem = AffineMinProblem(forms)
-        sub = compute_subdivision(parent, problem)
+        sub = argmin_subdivision(parent, forms)
         for label, cell in sub.cells.items():
             for p in sample_interior(cell, 40, seed=1):
-                assert problem.seed_label(p) == label
+                assert argmin_label(forms, p) == label
 
     def test_start_point_does_not_matter(self):
         rng = random.Random(13)
@@ -121,20 +130,24 @@ class TestComputeSubdivision:
             i: AffineForm((rat(rng.randint(-5, 5)), rat(rng.randint(-5, 5))), rat(rng.randint(0, 2)))
             for i in range(5)
         }
-        problem = AffineMinProblem(forms)
-        a = compute_subdivision(parent, problem, start=(rat(1, 7), rat(2, 7)))
-        b = compute_subdivision(parent, problem, start=(rat(6, 7), rat(1, 3)))
+        a = argmin_subdivision(parent, forms, start=(rat(1, 7), rat(2, 7)))
+        b = argmin_subdivision(parent, forms, start=(rat(6, 7), rat(1, 3)))
         assert set(a.cells) == set(b.cells)
         assert a.adjacency == b.adjacency
         for label in a.cells:
             assert a.cells[label].constraint_keys() == b.cells[label].constraint_keys()
 
+    def test_seeds_run_in_order_and_degenerate_ones_are_recorded(self):
+        parent = box_cell(0, 1, 2)
+        forms = forms_2d({"a": ((1, 0), 0), "b": ((1, 0), 1), "c": ((-1, 0), 1)})
+        sub = compute_subdivision(parent, ["b", "c"], lambda label: dominance_constraints(forms, label))
+        assert list(sub.cells) == ["c", "a"]
+        assert sub.degenerate == ("b",)
+
     def test_adjacency_is_symmetric_and_deduplicated(self):
         parent = box_cell(0, 1, 1)
-        problem = AffineMinProblem(
-            {"l": AffineForm((rat(1),), rat(0)), "r": AffineForm((rat(-1),), rat(1, 2))}
-        )
-        sub = compute_subdivision(parent, problem)
+        forms = {"l": AffineForm((rat(1),), rat(0)), "r": AffineForm((rat(-1),), rat(1, 2))}
+        sub = argmin_subdivision(parent, forms)
         assert sub.adjacency == frozenset({("l", "r")})
 
     def test_planarity_bound_on_random_2d_envelopes(self):
@@ -145,13 +158,12 @@ class TestComputeSubdivision:
                 i: AffineForm((rat(rng.randint(-6, 6)), rat(rng.randint(-6, 6))), rat(rng.randint(0, 4), rng.randint(1, 3)))
                 for i in range(8)
             }
-            sub = compute_subdivision(parent, AffineMinProblem(forms))
+            sub = argmin_subdivision(parent, forms)
             assert len(sub.adjacency) <= 3 * len(sub.cells)
 
     def test_json_round_trip(self):
         parent = box_cell(0, 1, 2)
-        problem = AffineMinProblem(forms_2d({"a": ((1, 0), 0), "b": ((-1, 0), 1)}))
-        sub = compute_subdivision(parent, problem)
+        sub = argmin_subdivision(parent, forms_2d({"a": ((1, 0), 0), "b": ((-1, 0), 1)}))
         data = sub.to_json()
         back = Subdivision.from_json(data)
         assert set(back.cells) == set(sub.cells)
@@ -222,15 +234,12 @@ class TestEnvelopeCells:
 class TestFacetSharing:
     def test_halves_share_facet(self):
         parent = box_cell(0, 1, 2)
-        problem = AffineMinProblem(forms_2d({"a": ((1, 0), 0), "b": ((-1, 0), 1)}))
-        sub = compute_subdivision(parent, problem)
+        sub = argmin_subdivision(parent, forms_2d({"a": ((1, 0), 0), "b": ((-1, 0), 1)}))
         assert cells_share_facet(sub.cells["a"], sub.cells["b"])
 
     def test_diagonal_quadrants_do_not(self):
         parent = box_cell(-1, 1, 2)
-        problem = AffineMinProblem(
-            forms_2d({(sx, sy): ((-sx, -sy), 0) for sx in (-1, 1) for sy in (-1, 1)})
-        )
-        sub = compute_subdivision(parent, problem)
+        forms = forms_2d({(sx, sy): ((-sx, -sy), 0) for sx in (-1, 1) for sy in (-1, 1)})
+        sub = argmin_subdivision(parent, forms)
         assert not cells_share_facet(sub.cells[(-1, -1)], sub.cells[(1, 1)])
         assert cells_share_facet(sub.cells[(-1, -1)], sub.cells[(1, -1)])

@@ -19,7 +19,6 @@ from paramregions.seqalign import (
     mismatch_space_spec,
     node_graph,
     ray_search_2d,
-    resolve_degeneracies,
     strip_spaces,
 )
 
@@ -182,14 +181,14 @@ class TestDpAgainstReference:
 class TestExecutionDag:
     def test_identical_strings_one_region(self):
         part = build_execution_dag(mismatch_space_spec(), "A", "A")
-        assert len(part.regions) == 1
-        assert (part.regions[0].alignment.t1, part.regions[0].alignment.t2) == ("A", "A")
+        assert list(part.regions) == [("A", "A")]
+        assert part.cells[("A", "A")].constraint_keys() == part.parent.constraint_keys()
 
     def test_ab_ba_two_regions_split_on_diagonal(self):
         part = build_execution_dag(mismatch_space_spec(), "AB", "BA")
         assert len(part.regions) == 2
         assert part.boundary_keys() == frozenset({(((rat(1), rat(-1))), rat(0))})
-        counts = sorted(r.alignment.counts for r in part.regions)
+        counts = sorted(a.counts for a in part.regions.values())
         assert counts == [(0, 2), (2, 0)]
 
     def test_single_mismatch_boundary(self):
@@ -199,12 +198,11 @@ class TestExecutionDag:
         assert part.boundary_keys() == frozenset({((rat(1), rat(-2)), rat(0))})
         # Both space terms reach the total (0, 2); the DP keeps the lower
         # term index, whose space consumes the second sequence's character.
-        (space,) = [r for r in part.regions if r.alignment.counts == (0, 2)]
-        assert (space.alignment.t1, space.alignment.t2) == ("A-", "-T")
-        for region in part.regions:
-            (cell,) = region.pieces
+        (space,) = [a for a in part.regions.values() if a.counts == (0, 2)]
+        assert (space.t1, space.t2) == ("A-", "-T")
+        for key, cell in part.cells.items():
             _, align = dp_solve(mismatch_space_spec(), "A", "T", cell.witness)
-            assert align == region.alignment
+            assert align == part.regions[key]
 
     def test_regions_agree_with_dp_at_samples(self):
         rng = random.Random(11)
@@ -212,12 +210,11 @@ class TestExecutionDag:
             for trial in range(6):
                 s1, s2 = random_pair(rng, max_len=3)
                 part = build_execution_dag(spec, s1, s2, seed=trial)
-                for region in part.regions:
-                    for cell in region.pieces:
-                        for p in sample_interior(cell, 20, seed=trial):
-                            cost, align = dp_solve(spec, s1, s2, p)
-                            assert (align.t1, align.t2) == (region.alignment.t1, region.alignment.t2)
-                            assert cost == region.alignment.cost(p)
+                for key, cell in part.cells.items():
+                    for p in sample_interior(cell, 20, seed=trial):
+                        cost, align = dp_solve(spec, s1, s2, p)
+                        assert align.key == key
+                        assert cost == part.regions[key].cost(p)
 
     def test_exhaustive_envelope_agreement(self):
         rng = random.Random(13)
@@ -225,15 +222,14 @@ class TestExecutionDag:
             for trial in range(4):
                 s1, s2 = random_pair(rng, max_len=3)
                 part = build_execution_dag(spec, s1, s2, seed=trial)
-                assert part.adjacency is not None
-                keys = {region.alignment.key for region in part.regions}
-                for region in part.regions:
-                    assert len(region.pieces) == 1
-                    for cell in region.pieces:
-                        for h in cell.constraints:
-                            assert h.label is None or h.label in keys
-                        for p in sample_interior(cell, 10, seed=trial):
-                            assert region.alignment.cost(p) == oracle_best_cost(spec, s1, s2, p)
+                assert set(part.regions) == set(part.cells)
+                assert all(key == a.key for key, a in part.regions.items())
+                assert all(a in part.cells and b in part.cells for a, b in part.adjacency)
+                for key, cell in part.cells.items():
+                    for h in cell.constraints:
+                        assert h.label is None or h.label in part.cells
+                    for p in sample_interior(cell, 10, seed=trial):
+                        assert part.regions[key].cost(p) == oracle_best_cost(spec, s1, s2, p)
 
 
 class TestOverlay:
@@ -261,14 +257,8 @@ class TestOverlay:
 
     def test_matches_pairwise_feasibility_oracle(self):
         spec = mismatch_space_spec()
-        pa = build_execution_dag(spec, "A", "B")
-        pb = build_execution_dag(spec, "AB", "B")
-        to_sub = lambda part: Subdivision(
-            part.parent,
-            {r.alignment.key: r.pieces[0] for r in part.regions},
-            frozenset(),
-        )
-        sa, sb = to_sub(pa), to_sub(pb)
+        sa = build_execution_dag(spec, "A", "B")
+        sb = build_execution_dag(spec, "AB", "B")
         out = compute_overlay([sa, sb])
         from paramregions.geometry import find_interior_point
 
@@ -285,53 +275,6 @@ class TestOverlay:
         b = Subdivision(parent2, {"x": parent2}, frozenset())
         with pytest.raises(GeometryError):
             compute_overlay([a, b])
-
-
-class TestResolveDegeneracies:
-    def test_all_same_alignment_collapses_to_one(self):
-        from paramregions.seqalign import AlignedRegion, AlignmentPartition
-        from paramregions.geometry import Halfspace, reduce_cell
-
-        parent = box_cell(0, 1, 2)
-        align = Alignment("A", "A", (0, 0))
-        left = reduce_cell(2, list(parent.constraints) + [Halfspace((1, 0), rat(1, 2))])
-        right = reduce_cell(2, list(parent.constraints) + [Halfspace((-1, 0), rat(-1, 2))])
-        part = AlignmentPartition(parent, (AlignedRegion(align, (left,)), AlignedRegion(align, (right,))))
-        out = resolve_degeneracies(part)
-        assert len(out.regions) == 1
-        assert out.regions[0].pieces[0].constraint_keys() <= parent.constraint_keys()
-        # Distinct alignments with equal counts cannot be told apart by cost.
-        twin = Alignment("-A", "A-", (0, 0))
-        part = AlignmentPartition(parent, (AlignedRegion(align, (left,)), AlignedRegion(twin, (right,))))
-        with pytest.raises(ValueError):
-            resolve_degeneracies(part)
-
-    def test_distinct_alignments_untouched(self):
-        part = build_execution_dag(mismatch_space_spec(), "A", "T")
-        out = resolve_degeneracies(part)
-        assert len(out.regions) == len(part.regions) == 2
-
-    def test_irrelevant_split_merged_back_and_verified_by_sampling(self):
-        from paramregions.seqalign import AlignedRegion, AlignmentPartition
-        from paramregions.geometry import Halfspace, reduce_cell
-
-        spec = mismatch_space_spec()
-        base = build_execution_dag(spec, "A", "T")
-        parent = base.parent
-        pieces = []
-        for region in base.regions:
-            cell = region.pieces[0]
-            lo = reduce_cell(2, list(cell.constraints) + [Halfspace((0, 1), rat(1, 3))])
-            hi = reduce_cell(2, list(cell.constraints) + [Halfspace((0, -1), rat(-1, 3))])
-            pieces.append(AlignedRegion(region.alignment, (lo,)))
-            pieces.append(AlignedRegion(region.alignment, (hi,)))
-        part = AlignmentPartition(parent, tuple(pieces))
-        out = resolve_degeneracies(part)
-        assert len(out.regions) == 2
-        for region in out.regions:
-            for p in sample_interior(region.pieces[0], 15, seed=3):
-                _, align = dp_solve(spec, "A", "T", p)
-                assert (align.t1, align.t2) == (region.alignment.t1, region.alignment.t2)
 
 
 class TestRaySearch:
@@ -353,11 +296,8 @@ class TestRaySearch:
             ray, _ = ray_search_2d(spec, s1, s2, seed=trial)
             dag = build_execution_dag(spec, s1, s2, seed=trial)
             assert ray.boundary_keys() == dag.boundary_keys()
-            ray_aligns = [(r.alignment.t1, r.alignment.t2) for r in ray.regions]
-            for region in ray.regions:
-                probe = region.pieces[0].witness
-                dag_region = dag.region_at(probe)
-                assert (dag_region.alignment.t1, dag_region.alignment.t2) in ray_aligns
+            for key, cell in ray.cells.items():
+                assert dag.labels_at(cell.witness) == [key]
 
     @pytest.mark.parametrize(
         "s1, s2",

@@ -12,7 +12,7 @@ from paramregions.tariff import (
     maximize_revenue,
     region_boundary_lines,
     single_tariff_regions,
-    _ProfileProblem,
+    _profile_candidates,
 )
 
 from oracles import reference_tariff_candidates
@@ -126,12 +126,12 @@ class TestCandidateRows:
             n, k = rng.randint(1, 4), rng.randint(1, 4)
             vals = [[rat(rng.randint(0, 40), rng.choice((1, 1, 2, 3, 6))) for _ in range(k)] for _ in range(n)]
             inst = TariffInstance(units=k, valuations=vals, menu_length=menu)
-            problem = _ProfileProblem(inst)
+            candidates = _profile_candidates(inst)
             options = [(0, 1)] + [(q, j) for q in range(1, k + 1) for j in range(1, menu + 1)]
             labels = list(compute_price_regions(inst, seed=trial).cells)
             labels += [tuple(rng.choice(options) for _ in range(n)) for _ in range(10)]
             for label in labels:
-                got = [(r.int_row, r.label) for r in problem.candidate_constraints(label)]
+                got = [(r.int_row, r.label) for r in candidates(label)]
                 assert got == [(h.int_row, h.label) for h in reference_tariff_candidates(inst, label)]
 
 

@@ -226,14 +226,14 @@ def _align_regions(args) -> tuple:
     has no solution for the pair is an infeasible configuration."""
     spec = load_alignment_spec(args)
     s1, s2 = load_sequences(args)
-    if args.method == "ray" and spec.dimension != 2:
+    if args.method != "dag" and spec.dimension != 2:
         raise InfeasibleConfig("the ray-search path needs a two-feature spec")
     dag = None
     ray = None
     try:
         if args.method != "ray":
             dag = seqalign.build_execution_dag(spec, s1, s2, seed=args.seed)
-        if args.method != "dag" and spec.dimension == 2:
+        if args.method != "dag":
             ray = seqalign.ray_search_2d(spec, s1, s2, seed=args.seed)
     except seqalign.NoSolution as exc:
         raise InfeasibleConfig(str(exc)) from exc

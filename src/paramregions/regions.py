@@ -9,9 +9,12 @@ are exactly the neighbors.  Two routines decide which labels get a cell,
 and both return a `Subdivision`, the one region type:
 
 - `envelope_cells`, for "behavior = argmin of labeled affine forms" (a
-  clustering merge step, an alignment DAG node): drop the forms dominated at
-  the corners of a polytope containing the parent, then one interior-point
-  LP per remaining form.  Every full-dimensional cell is found.
+  clustering merge step): its label step, `envelope_labels`, drops the
+  forms dominated at the corners of a polytope containing the parent, then
+  runs one interior-point LP per remaining form; every full-dimensional
+  cell is found.  Its build step, `envelope_build`, builds one cell per
+  label that passed.  The two are separate so that a caller that needs
+  only the labels (an alignment DAG node below the root) builds no cell.
 - `compute_subdivision`, for a domain that supplies its own seed labels and
   candidate rows per label (the tariff search): it walks the region
   adjacency graph breadth-first from the seeds.  It can lose a cell when
@@ -196,20 +199,18 @@ def compute_subdivision(
     return Subdivision(parent, cells, adjacency, tuple(sorted(degenerate)))
 
 
-def envelope_cells(parent: ConvexCell, forms: dict, corners, seed: int = 0) -> Subdivision:
-    """The full-dimensional cells of the lower envelope of labeled affine
-    forms inside `parent`, keyed by label; `corners` are the vertices of a
-    polytope that contains `parent`.
+def envelope_labels(parent: ConvexCell, forms: dict, corners, seed: int = 0) -> tuple:
+    """The label step of `envelope_cells`: (the forms whose lower-envelope
+    cell inside `parent` is full-dimensional, the labels that fail the
+    test), both in label order; `corners` are the vertices of a polytope
+    that contains `parent`.
 
     Prune: a form whose values at the corners are all >= another's is
     dropped (of equal forms the smallest label stays).  Their difference is
     affine, >= 0 on the polytope and, unless it is 0, > 0 inside it: the
     dropped form is minimal nowhere in `parent`'s interior and tightens no
     other cell.  One pass in label order against the forms kept so far does
-    it.  Test: one interior-point LP per remaining label.  Build:
-    `compute_vertex_cell` for each label that passed, against those labels
-    only, so that every facet label and adjacency pair names a cell.  Labels
-    that fail the test are recorded as degenerate.
+    it.  Test: one interior-point LP per remaining label.
     """
     kept: list = []  # (label, values at the corners), in label order
     for label in sorted(forms):
@@ -225,14 +226,32 @@ def envelope_cells(parent: ConvexCell, forms: dict, corners, seed: int = 0) -> S
         for label, form in pruned.items()
         if find_interior_point(rows + dominance_constraints(pruned, label), seed) is not None
     }
+    return passed, tuple(label for label in pruned if label not in passed)
+
+
+def envelope_build(parent: ConvexCell, passed: dict, seed: int = 0) -> Subdivision:
+    """The build step of `envelope_cells`: `compute_vertex_cell` for each
+    label of `passed`, forms that each have a full-dimensional cell, against
+    those forms only, so that every facet label and adjacency pair names a
+    cell."""
     cells: dict = {}
     pairs: set = set()
     for label in sorted(passed):
         candidates = dominance_constraints(passed, label)
         cells[label], neighbors = compute_vertex_cell(parent, label, candidates, seed)
         pairs.update(tuple(sorted((label, nb))) for nb in neighbors)
-    degenerate = tuple(label for label in pruned if label not in cells)
-    return Subdivision(parent, cells, frozenset(pairs), degenerate)
+    return Subdivision(parent, cells, frozenset(pairs))
+
+
+def envelope_cells(parent: ConvexCell, forms: dict, corners, seed: int = 0) -> Subdivision:
+    """The full-dimensional cells of the lower envelope of labeled affine
+    forms inside `parent`, keyed by label; `corners` are the vertices of a
+    polytope that contains `parent`.  `envelope_labels` decides which labels
+    get a cell, `envelope_build` builds them; the labels that fail the test
+    are recorded as degenerate."""
+    passed, degenerate = envelope_labels(parent, forms, corners, seed)
+    sub = envelope_build(parent, passed, seed)
+    return Subdivision(parent, sub.cells, sub.adjacency, degenerate)
 
 
 def cells_share_facet(a: ConvexCell, b: ConvexCell, seed: int = 0) -> bool:

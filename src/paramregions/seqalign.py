@@ -17,9 +17,12 @@ DP over rationals would.  It keeps one back-pointer per subproblem and
 builds only the root's alignment.
 
 `build_execution_dag` computes the decomposition bottom-up: per subproblem,
-keep the candidate alignments (a referenced region's alignment extended by
-a term) whose cost is minimal on a full-dimensional part of the domain, and
-build one cell per kept alignment (`regions.envelope_cells`).
+it keeps only the regions, the candidate alignments (a referenced region's
+alignment extended by a term) whose cost is minimal on a full-dimensional
+part of the domain.  With two features these are the vertices of the
+candidates' lower hull, found on integers; otherwise one LP per candidate
+decides (`regions.envelope_labels`).  Cells are built once, for the root
+(`regions.envelope_build`).
 `ray_search_2d` is the two-feature fast path that walks the fan of angular
 sectors with one DP solve per probe point, over one node graph.
 """
@@ -43,7 +46,7 @@ from .geometry import (
     reduce_cell,
 )
 from .rationals import Rational, ZERO, as_vector
-from .regions import AffineForm, Subdivision, cells_share_facet, envelope_cells
+from .regions import AffineForm, Subdivision, cells_share_facet, envelope_build, envelope_labels
 
 SPACE = "-"
 
@@ -549,12 +552,8 @@ class AlignmentPartition(Subdivision):
     def boundary_keys(self) -> frozenset:
         """Distinct non-box facet lines, sign-canonicalized."""
         box_keys = {h.line_key() for h in self.parent.constraints}
-        return frozenset(
-            h.line_key()
-            for cell in self.cells.values()
-            for h in cell.constraints
-            if h.line_key() not in box_keys
-        )
+        keys = {h.line_key() for cell in self.cells.values() for h in cell.constraints}
+        return frozenset(keys - box_keys)
 
 
 def _single_region(domain: ConvexCell, alignment: Alignment) -> AlignmentPartition:
@@ -623,80 +622,128 @@ def compute_overlay(subdivisions: Sequence[Subdivision], seed: int = 0) -> Subdi
 # The compact execution DAG
 # --------------------------------------------------------------------------
 
-def _envelope_partition(alignments, parent: ConvexCell, seed: int) -> AlignmentPartition:
-    """The regions of the lower envelope of the alignments' costs inside
-    `parent`, keyed by alignment key (the first alignment of a key wins).
-
-    Costs are linear, so a cost that is at least another's at the unit
-    box's corners (the origin and the unit vectors among them) is so on the
-    whole nonnegative orthant: those corners serve `envelope_cells` for any
-    parent inside it.
-    """
-    by_key: dict = {}
-    for alignment in alignments:
-        by_key.setdefault(alignment.key, alignment)
-    forms = {key: AffineForm(alignment.counts, 0) for key, alignment in by_key.items()}
-    corners = tuple(product((0, 1), repeat=parent.dimension))
-    sub = envelope_cells(parent, forms, corners, seed)
-    regions = {key: by_key[key] for key in sub.cells}
-    return AlignmentPartition(parent, sub.cells, sub.adjacency, regions=regions)
-
-
 def build_execution_dag(spec: AlignmentDPSpec, s1: str, s2: str, seed: int = 0) -> AlignmentPartition:
     """Partition of the parameter domain (`default_domain`, the unit box) by
     optimal alignment of (s1, s2).
 
-    Processes subproblems in topological order.  A node with several terms
-    takes one candidate per distinct term total (a referenced region's
-    counts plus the term's weight) and splits the domain by the lower
-    envelope of their costs with `envelope_cells`: dominated totals are
-    pruned, each remaining one gets one interior-point LP, and each survivor
-    one region.  A node with one term relabels its subproblem's regions.
+    Two stages.  First, every subproblem, in topological order, gets only
+    its regions: the alignments optimal on a full-dimensional part of the
+    domain, keyed by `Alignment.key`.  A base node has its base solution; a
+    node with one term relabels its subproblem's regions; a node with
+    several terms keeps the candidate totals on the lower envelope of their
+    costs (`_envelope_regions`).  Then cells are built once, for the root:
+    walk back the root's chain of single-term nodes to a base node or a node
+    with several terms, build that node's cells (`regions.envelope_build`
+    against its regions), and relabel them forward along the chain.  No
+    node below reads a cell, so no other cell is built.
     """
     domain = default_domain(spec.dimension)
     graph = node_graph(spec, s1, s2)
-    memo = []
+    regions = []  # per node: {key: Alignment}, or None when it has no solution
+    source = []  # per node: the node a single-term node relabels, else None
     for (_, i, j), base, terms in zip(graph.nodes, graph.bases, graph.terms):
-        solved = [(term, memo[ref]) for term, ref in terms if memo[ref] is not None]
-        memo.append(_node_partition(s1, s2, i, j, base, solved, domain, seed))
-    if memo[-1] is None:
+        solved = [(term, ref) for term, ref in terms if regions[ref] is not None]
+        extended = [
+            _apply_transform(term.transform, alignment, term.weight, s1, s2, i, j)
+            for term, ref in solved
+            for alignment in regions[ref].values()
+        ]
+        source.append(solved[0][1] if base is None and len(solved) == 1 else None)
+        if base is not None:
+            regions.append({base.key: base})
+        elif not solved:
+            regions.append(None)
+        elif len(solved) == 1:
+            regions.append({alignment.key: alignment for alignment in extended})
+        else:
+            regions.append(_envelope_regions(extended, domain, seed))
+    k = len(graph.nodes) - 1
+    if regions[k] is None:
         raise NoSolution("the DP has no solution for this input")
-    return memo[-1]
-
-
-def _node_partition(s1, s2, i, j, base, terms, domain, seed):
-    """The partition of one node from its base solution, or from its
-    (term, referenced partition) pairs."""
-    if base is not None:
-        return _single_region(domain, base)
-    if not terms:
-        return None
-    if len(terms) == 1:
-        ((term, sub),) = terms
-        extended = {
-            key: _apply_transform(term.transform, alignment, term.weight, s1, s2, i, j)
-            for key, alignment in sub.regions.items()
-        }
-        relabel = lambda key: extended[key].key
-        return AlignmentPartition(
+    chain = []
+    while source[k] is not None:
+        chain.append(k)
+        k = source[k]
+    if graph.bases[k] is not None:
+        part = _single_region(domain, graph.bases[k])
+    else:
+        forms = {key: AffineForm(alignment.counts, 0) for key, alignment in regions[k].items()}
+        sub = envelope_build(domain, forms, seed)
+        part = AlignmentPartition(domain, sub.cells, sub.adjacency, regions=regions[k])
+    for k in reversed(chain):
+        # A single-term node lists its subproblem's regions extended, in
+        # the same order.
+        relabel = dict(zip(regions[source[k]], regions[k])).__getitem__
+        part = AlignmentPartition(
             domain,
-            {relabel(key): cell.map_labels(relabel) for key, cell in sub.cells.items()},
-            frozenset(tuple(sorted((relabel(a), relabel(b)))) for a, b in sub.adjacency),
-            regions={alignment.key: alignment for alignment in extended.values()},
+            {relabel(key): cell.map_labels(relabel) for key, cell in part.cells.items()},
+            frozenset(tuple(sorted((relabel(a), relabel(b)))) for a, b in part.adjacency),
+            regions=regions[k],
         )
+    return part
 
-    # A term costs its subproblem's optimum plus w_t . rho, and that optimum
-    # is the lower envelope of the subproblem's region alignments.  So this
-    # node's regions are the full-dimensional cells of the lower envelope of
-    # the totals counts(a) + w_t over every term t and every region alignment
-    # a of t's subproblem (Gusfield, Balasubramanian & Naor 1994).  Equal
-    # totals keep the lowest term index, the DP's tie rule.
-    candidates = {}
-    for term, sub in terms:
-        for alignment in sub.regions.values():
-            extended = _apply_transform(term.transform, alignment, term.weight, s1, s2, i, j)
-            candidates.setdefault(extended.counts, extended)
-    return _envelope_partition(candidates.values(), domain, seed)
+
+def _envelope_regions(candidates, domain: ConvexCell, seed: int) -> dict:
+    """The regions of a node with several terms, from its candidates (each
+    referenced region's alignment extended by its term, in term order), in
+    key order.
+
+    A term costs its subproblem's optimum plus w_t . rho, and that optimum
+    is the lower envelope of the subproblem's region alignments.  So this
+    node's regions are the candidates whose totals counts(a) + w_t are
+    minimal on a full-dimensional part of the domain (Gusfield,
+    Balasubramanian & Naor 1994).  Equal totals keep the lowest term index,
+    the DP's tie rule, and then the first alignment of a key wins.
+
+    With two features the regions are the vertices of conv(totals) + R^2_+
+    (`_lower_hull_2d`); otherwise `regions.envelope_labels` tests each total
+    by an LP.  Costs are linear, so a cost that is at least another's at the
+    unit box's corners (the origin and the unit vectors among them) is so on
+    the whole nonnegative orthant: those corners serve `envelope_labels` for
+    the domain, the unit box.
+    """
+    by_counts: dict = {}
+    for alignment in candidates:
+        by_counts.setdefault(alignment.counts, alignment)
+    by_key: dict = {}
+    for alignment in by_counts.values():
+        by_key.setdefault(alignment.key, alignment)
+    if domain.dimension == 2:
+        passed = _lower_hull_2d({key: alignment.counts for key, alignment in by_key.items()})
+    else:
+        forms = {key: AffineForm(alignment.counts, 0) for key, alignment in by_key.items()}
+        corners = tuple(product((0, 1), repeat=domain.dimension))
+        passed, _ = envelope_labels(domain, forms, corners, seed)
+    return {key: by_key[key] for key in sorted(passed)}
+
+
+def _lower_hull_2d(totals: dict) -> list:
+    """The labels whose integer totals (x, y) are the vertices of
+    conv(totals) + R^2_+, from the smallest x to the smallest y.
+
+    A total costs x rho_1 + y rho_2, so it is the unique minimum on an open
+    set of rho > 0 exactly when it is such a vertex: the polytope
+    propagation of Pachter & Sturmfels, "Parametric inference for
+    biological sequence analysis" (PNAS 2004).  Sort by (x, y, label); keep
+    the strict Pareto front, on which y falls strictly (this drops a larger
+    y at equal x, dominated totals, and every label of equal totals but the
+    smallest);
+    then Andrew's monotone chain keeps the lower hull, popping on a cross
+    product <= 0, so that a total on the segment between two others is no
+    vertex.  All arithmetic is on integers.
+    """
+    hull: list = []  # ((x, y), label); the last one is the front's lowest y
+    for (x, y), label in sorted((total, label) for label, total in totals.items()):
+        if hull and y >= hull[-1][0][1]:
+            continue
+        while len(hull) >= 2:
+            (ox, oy), _ = hull[-2]
+            (ax, ay), _ = hull[-1]
+            if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0:
+                break
+            hull.pop()
+        hull.append(((x, y), label))
+    return [label for _, label in hull]
 
 
 # --------------------------------------------------------------------------

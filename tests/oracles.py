@@ -8,15 +8,18 @@ paths they check.  The exceptions are `reference_solve_raw` and
 library's integer kernel written over rationals, and
 `reference_dp_solve_multi`, the alignment DP over rationals, and
 `reference_tariff_candidates`, the tariff candidate halfspaces built from
-rationals: the library must agree with each exactly.
+rationals, and `reference_envelope_labels`, the LP label step that decided
+the regions of every two-feature alignment DAG node before the integer
+lower hull: the library must agree with each exactly.
 """
 
 import math
 import random
 from itertools import combinations
 
-from paramregions.geometry import GeometryError, Halfspace, LPResult, dot, solve_lp
+from paramregions.geometry import GeometryError, Halfspace, LPResult, dot, find_interior_point, solve_lp
 from paramregions.rationals import ZERO, Rational, as_vector, rat
+from paramregions.regions import dominance_constraints
 from paramregions.seqalign import _apply_transform
 
 
@@ -385,3 +388,25 @@ def reference_tariff_candidates(instance, label):
                 assert any(normal)
                 out.append(Halfspace(normal, offset, label=label[:i] + (alt,) + label[i + 1:]))
     return out
+
+
+def reference_envelope_labels(parent, forms, corners, seed=0):
+    """The labels of `forms` whose lower-envelope cell inside `parent` is
+    full-dimensional, in label order, by LPs: drop the forms whose values at
+    the `corners` (of a polytope containing `parent`) are all >= another's,
+    keeping the smallest of equal forms, then one interior-point LP per
+    remaining form against the others."""
+    kept = []  # (label, values at the corners), in label order
+    for label in sorted(forms):
+        values = tuple(forms[label].value(c) for c in corners)
+        if any(all(k <= v for k, v in zip(other, values)) for _, other in kept):
+            continue
+        kept = [(l, other) for l, other in kept if not all(v <= k for v, k in zip(values, other))]
+        kept.append((label, values))
+    pruned = {label: forms[label] for label, _ in kept}
+    rows = list(parent.constraints)
+    return [
+        label
+        for label in pruned
+        if find_interior_point(rows + dominance_constraints(pruned, label), seed) is not None
+    ]

@@ -223,6 +223,14 @@ class TestAlignRegions:
             == 3
         )
 
+    def test_gap_preset_rejects_both(self, tmp_path, capsys):
+        # "both" runs the ray search too, so it needs two features as "ray" does.
+        out = tmp_path / "never.json"
+        argv = ["align-regions", "--preset", "mismatch-space-gap", "--s1", "A", "--s2", "T"]
+        assert run_cli(argv + ["--method", "both", "--output", str(out)]) == 3
+        assert "the ray-search path needs a two-feature spec" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTariff:
     def test_regions_and_bound_report(self, tariff_instance_file, tmp_path):

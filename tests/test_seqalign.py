@@ -1,15 +1,21 @@
 import random
+from itertools import product
 
 import pytest
 
+from paramregions import regions, seqalign
 from paramregions.geometry import GeometryError, box_cell, sample_interior
 from paramregions.rationals import rat
-from paramregions.regions import Subdivision
+from paramregions.regions import AffineForm, Subdivision
 from paramregions.seqalign import (
     Alignment,
     AlignmentDPSpec,
+    CaseSpec,
+    TermSpec,
     build_execution_dag,
+    _lower_hull_2d,
     compute_overlay,
+    default_domain,
     dp_solve,
     dp_solve_multi,
     enumerate_alignments,
@@ -22,7 +28,7 @@ from paramregions.seqalign import (
     strip_spaces,
 )
 
-from oracles import reference_dp_solve_multi
+from oracles import reference_dp_solve_multi, reference_envelope_labels
 
 ALPHABET = "ACGT"
 
@@ -230,6 +236,118 @@ class TestExecutionDag:
                         assert h.label is None or h.label in part.cells
                     for p in sample_interior(cell, 10, seed=trial):
                         assert part.regions[key].cost(p) == oracle_best_cost(spec, s1, s2, p)
+
+
+def reference_hull_labels(totals):
+    """The labels the LP label step keeps for two-feature totals on the
+    alignment domain."""
+    forms = {label: AffineForm(total, 0) for label, total in totals.items()}
+    corners = tuple(product((0, 1), repeat=2))
+    return reference_envelope_labels(default_domain(2), forms, corners)
+
+
+class TestLowerHull2d:
+    HAND_MADE = {
+        "collinear": ({"a": (0, 4), "b": (1, 3), "c": (2, 2), "d": (3, 1), "e": (4, 0)}, ["a", "e"]),
+        "collinear inside a chain": (
+            {"a": (0, 6), "b": (1, 3), "c": (3, 1), "d": (5, 0), "e": (2, 2)},
+            ["a", "b", "c", "d"],
+        ),
+        "ties in x": ({"a": (0, 5), "b": (0, 3), "c": (2, 1), "d": (2, 0)}, ["b", "d"]),
+        "ties in y": ({"a": (1, 2), "b": (3, 2), "c": (0, 5), "d": (4, 0)}, ["c", "a", "d"]),
+        "single candidate": ({"a": (3, 7)}, ["a"]),
+        "all dominated by one": ({"a": (2, 3), "b": (1, 1), "c": (1, 4), "d": (5, 1), "e": (1, 1)}, ["b"]),
+        "repeated totals": ({"b": (0, 2), "a": (0, 2), "d": (2, 0), "c": (2, 0)}, ["a", "c"]),
+        "chain with inner points": (
+            {"a": (0, 10), "b": (1, 5), "c": (3, 2), "d": (6, 1), "e": (10, 0), "f": (2, 6), "g": (4, 3)},
+            ["a", "b", "c", "d", "e"],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(HAND_MADE))
+    def test_hand_made_totals(self, case):
+        totals, expected = self.HAND_MADE[case]
+        assert _lower_hull_2d(totals) == expected
+        assert sorted(expected) == reference_hull_labels(totals)
+
+    def test_matches_lp_reference_at_every_node(self, monkeypatch):
+        seen = []
+
+        def recording(totals):
+            labels = _lower_hull_2d(totals)
+            seen.append((dict(totals), labels))
+            return labels
+
+        monkeypatch.setattr(seqalign, "_lower_hull_2d", recording)
+        rng = random.Random(17)
+        for _ in range(16):
+            s1, s2 = ("".join(rng.choice(ALPHABET) for _ in range(rng.randint(3, 40))) for _ in "12")
+            build_execution_dag(mismatch_space_spec(), s1, s2)
+        assert len(seen) > 1000
+        assert any(len(labels) > 2 for _, labels in seen)
+        for totals, labels in seen:
+            assert sorted(labels) == reference_hull_labels(totals)
+
+
+def mismatch_space_match_spec():
+    """`mismatch_space_spec` with matches counted as a third feature: a
+    three-feature spec whose equal-character nodes have one term."""
+    return AlignmentDPSpec(
+        name="mismatch-space-match",
+        features=("mismatch", "space", "match"),
+        base_s1_prefix=("main", (0, 1, 0)),
+        base_s2_prefix=("main", (0, 1, 0)),
+        cases=(
+            CaseSpec("main", "chars-equal", (TermSpec((0, 0, 1), "main", -1, -1, "extend-match"),)),
+            CaseSpec(
+                "main",
+                "chars-differ",
+                (
+                    TermSpec((1, 0, 0), "main", -1, -1, "extend-mismatch"),
+                    TermSpec((0, 1, 0), "main", 0, -1, "extend-space-1"),
+                    TermSpec((0, 1, 0), "main", -1, 0, "extend-space-2"),
+                ),
+            ),
+        ),
+    )
+
+
+class TestCellsOnlyAtRoot:
+    def count_cells(self, monkeypatch, spec, s1, s2):
+        calls = []
+        build = regions.compute_vertex_cell
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(regions, "compute_vertex_cell", counting)
+        part = build_execution_dag(spec, s1, s2)
+        return part, calls
+
+    @pytest.mark.parametrize(
+        "spec, s1, s2",
+        [
+            (mismatch_space_spec(), "ACGTTGCA", "TGCAACG"),  # root with three terms
+            (mismatch_space_spec(), "GATTACA", "GCATGCA"),  # root at the end of a one-term chain
+            (mismatch_space_gap_spec(), "ACGT", "TTGA"),
+            (mismatch_space_gap_spec(), "GACT", "GCAT"),
+            (mismatch_space_match_spec(), "GATTACA", "GCATGCA"),  # d=3, one-term chain
+        ],
+    )
+    def test_one_cell_build_per_root_region(self, monkeypatch, spec, s1, s2):
+        part, calls = self.count_cells(monkeypatch, spec, s1, s2)
+        assert len(part.cells) > 1
+        assert len(calls) == len(part.cells)
+        assert len(set(calls)) == len(calls)
+
+    def test_chain_down_to_a_base_node_builds_no_cell(self, monkeypatch):
+        # The root "all" at (3, 0) has only its deletion term, and so on
+        # down to the origin's base solution, whose cell is the domain.
+        part, calls = self.count_cells(monkeypatch, mismatch_space_gap_spec(), "ACG", "")
+        assert calls == []
+        assert list(part.regions) == [("ACG", "---")]
+        assert part.cells[("ACG", "---")].constraint_keys() == part.parent.constraint_keys()
 
 
 class TestOverlay:

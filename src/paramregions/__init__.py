@@ -7,9 +7,10 @@ The geometry layer (halfspaces, convex cells, LP, redundancy removal, ray
 shooting) is exact: halfspaces and points are rationals, and the LP kernel
 runs on integer rows scaled from them, so no floating-point value decides
 anything.  Each domain module maps its behavior structure onto the shared
-region layer, whose one region type is `Subdivision`: the lower-envelope
-routine (clustering, alignment) or the implicit breadth-first enumerator
-(tariffs).
+region layer, whose one cell builder is `compute_vertex_cell` and whose one
+region type is `Subdivision`, built by one walk over the regions' adjacency
+graph (`compute_subdivision`): from the labels that pass the lower-envelope
+test (clustering, the alignment root) or from one seed profile (tariffs).
 """
 
 from .geometry import (
@@ -24,7 +25,6 @@ from .geometry import (
     polygon_area,
     polygon_vertices,
     ray_shoot,
-    reduce_cell,
     sample_interior,
     solve_lp,
 )

@@ -162,8 +162,8 @@ class Halfspace:
 class ConvexCell:
     """Intersection of halfspaces, with an optional strictly interior witness.
 
-    After `reduce_cell` the constraint list is minimal: removing any single
-    constraint changes the solution set.
+    `regions.compute_vertex_cell` builds cells with a witness and a minimal
+    constraint list: removing any single constraint changes the solution set.
     """
 
     dimension: int
@@ -565,16 +565,6 @@ def _clarkson_indices(constraints, z: Vector, seed: int) -> list:
         kept.append(j)
         kept_set.add(j)
     return sorted(uniq[j] for j in kept)
-
-
-def reduce_cell(dimension: int, constraints, seed: int = 0) -> Optional[ConvexCell]:
-    """Build a minimal cell from raw constraints; None when the intersection
-    has empty interior."""
-    witness = find_interior_point(list(constraints), seed)
-    if witness is None:
-        return None
-    kept = clarkson_reduce(list(constraints), witness, seed)
-    return ConvexCell(dimension, tuple(kept), witness=witness)
 
 
 # --------------------------------------------------------------------------

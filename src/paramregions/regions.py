@@ -5,21 +5,18 @@ the candidate rows the caller passes in, "my objective <= alternative's
 objective", each a primitive integer `Row` labeled by the alternative
 (`dominance_constraints` for affine forms), reduced by redundancy removal;
 only the candidates kept as facets become `Halfspace`s, and their labels
-are exactly the neighbors.  Two routines decide which labels get a cell,
-and both return a `Subdivision`, the one region type:
+are exactly the neighbors.  Every `Subdivision`, the one region type, is
+built by `compute_subdivision`, a walk over the region adjacency graph that
+finds every region when each candidate row is labeled with the region
+across its hyperplane.  Its callers:
 
 - `envelope_cells`, for "behavior = argmin of labeled affine forms" (a
   clustering merge step): its label step, `envelope_labels`, drops the
-  forms dominated at the corners of a polytope containing the parent, then
-  runs one interior-point LP per remaining form; every full-dimensional
-  cell is found.  Its build step, `envelope_build`, builds one cell per
-  label that passed.  The two are separate so that a caller that needs
-  only the labels (an alignment DAG node below the root) builds no cell.
-- `compute_subdivision`, for a domain that supplies its own seed labels and
-  candidate rows per label (the tariff search): it walks the region
-  adjacency graph breadth-first from the seeds.  It can lose a cell when
-  several candidates lie on one hyperplane, because only the first of them
-  is kept as a neighbor.
+  forms dominated at the corners of a polytope containing the parent and
+  runs one interior-point LP per remaining form; the walk builds the cells
+  of the forms that passed.  An alignment DAG node below the root calls
+  `envelope_labels` alone, and the root walks from its regions' forms.
+- the tariff search, with its own seed and candidate rows per label.
 
 The per-label cell computations are pure and independent (safe to dispatch
 concurrently if a caller wants to).
@@ -174,10 +171,17 @@ def compute_vertex_cell(parent: ConvexCell, label, candidates: Optional[list], s
 def compute_subdivision(
     parent: ConvexCell, seeds: Iterable, candidates: Callable, seed: int = 0
 ) -> Subdivision:
-    """BFS over the implicit region adjacency graph from the `seeds` labels,
-    in order; `candidates(label)` gives the rows `compute_vertex_cell` takes
-    for `label`.  Visits each full-dimensional cell it reaches exactly once;
-    empty-interior labels are recorded and skipped."""
+    """Breadth-first walk over the region adjacency graph from the `seeds`
+    labels, in order; `candidates(label)` gives the rows `compute_vertex_cell`
+    takes for `label`.  Visits each full-dimensional cell it reaches exactly
+    once; empty-interior labels are recorded and skipped.
+
+    Contract: each candidate row is labeled with the region across its
+    hyperplane.  Each facet then leads to the cell beyond it, and a
+    subdivision's facet graph is connected (the argument behind Avis &
+    Fukuda's reverse search, 1996), so a walk from any full-dimensional
+    seed reaches every region and queues no label without a cell.
+    """
     queue = deque(seeds)
     cells: dict = {}
     degenerate: set = set()
@@ -229,28 +233,19 @@ def envelope_labels(parent: ConvexCell, forms: dict, corners, seed: int = 0) -> 
     return passed, tuple(label for label in pruned if label not in passed)
 
 
-def envelope_build(parent: ConvexCell, passed: dict, seed: int = 0) -> Subdivision:
-    """The build step of `envelope_cells`: `compute_vertex_cell` for each
-    label of `passed`, forms that each have a full-dimensional cell, against
-    those forms only, so that every facet label and adjacency pair names a
-    cell."""
-    cells: dict = {}
-    pairs: set = set()
-    for label in sorted(passed):
-        candidates = dominance_constraints(passed, label)
-        cells[label], neighbors = compute_vertex_cell(parent, label, candidates, seed)
-        pairs.update(tuple(sorted((label, nb))) for nb in neighbors)
-    return Subdivision(parent, cells, frozenset(pairs))
-
-
 def envelope_cells(parent: ConvexCell, forms: dict, corners, seed: int = 0) -> Subdivision:
     """The full-dimensional cells of the lower envelope of labeled affine
     forms inside `parent`, keyed by label; `corners` are the vertices of a
     polytope that contains `parent`.  `envelope_labels` decides which labels
-    get a cell, `envelope_build` builds them; the labels that fail the test
-    are recorded as degenerate."""
+    get a cell, and `compute_subdivision` walks from them against the forms
+    that passed; the labels that fail the test are recorded as degenerate.
+
+    The forms that passed meet the walk's contract: of two of them that tie
+    with a cell along one hyperplane, the one that does not win across it
+    would have no cell, so it did not pass.
+    """
     passed, degenerate = envelope_labels(parent, forms, corners, seed)
-    sub = envelope_build(parent, passed, seed)
+    sub = compute_subdivision(parent, passed, lambda label: dominance_constraints(passed, label), seed)
     return Subdivision(parent, sub.cells, sub.adjacency, degenerate)
 
 

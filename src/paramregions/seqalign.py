@@ -22,7 +22,7 @@ alignment extended by a term) whose cost is minimal on a full-dimensional
 part of the domain.  With two features these are the vertices of the
 candidates' lower hull, found on integers; otherwise one LP per candidate
 decides (`regions.envelope_labels`).  Cells are built once, for the root
-(`regions.envelope_build`).
+(`regions.compute_subdivision`).
 `ray_search_2d` is the two-feature fast path that walks the fan of angular
 sectors with one DP solve per probe point, over one node graph.
 """
@@ -37,16 +37,23 @@ from typing import Optional, Sequence
 from .geometry import (
     ConvexCell,
     GeometryError,
-    Halfspace,
+    Row,
     _homogeneous,
     box_cell,
     clarkson_reduce,
     dot,
     find_interior_point,
-    reduce_cell,
 )
 from .rationals import Rational, ZERO, as_vector
-from .regions import AffineForm, Subdivision, cells_share_facet, envelope_build, envelope_labels
+from .regions import (
+    AffineForm,
+    Subdivision,
+    cells_share_facet,
+    compute_subdivision,
+    compute_vertex_cell,
+    dominance_constraints,
+    envelope_labels,
+)
 
 SPACE = "-"
 
@@ -633,8 +640,8 @@ def build_execution_dag(spec: AlignmentDPSpec, s1: str, s2: str, seed: int = 0) 
     several terms keeps the candidate totals on the lower envelope of their
     costs (`_envelope_regions`).  Then cells are built once, for the root:
     walk back the root's chain of single-term nodes to a base node or a node
-    with several terms, build that node's cells (`regions.envelope_build`
-    against its regions), and relabel them forward along the chain.  No
+    with several terms, build that node's cells (`regions.compute_subdivision`
+    against its regions' forms), and relabel them forward along the chain.  No
     node below reads a cell, so no other cell is built.
     """
     domain = default_domain(spec.dimension)
@@ -668,7 +675,7 @@ def build_execution_dag(spec: AlignmentDPSpec, s1: str, s2: str, seed: int = 0) 
         part = _single_region(domain, graph.bases[k])
     else:
         forms = {key: AffineForm(alignment.counts, 0) for key, alignment in regions[k].items()}
-        sub = envelope_build(domain, forms, seed)
+        sub = compute_subdivision(domain, forms, lambda key: dominance_constraints(forms, key), seed)
         part = AlignmentPartition(domain, sub.cells, sub.adjacency, regions=regions[k])
     for k in reversed(chain):
         # A single-term node lists its subproblem's regions extended, in
@@ -834,14 +841,12 @@ def ray_search_2d(spec: AlignmentDPSpec, s1: str, s2: str, seed: int = 0):
         boundaries.append(g)
     cells = {}
     for k, align in enumerate(sequence):
-        rows = list(domain.constraints)
+        rows = []
         if k < len(boundaries):
-            rows.append(Halfspace(boundaries[k], 0))
+            rows.append(Row.from_rationals(boundaries[k], 0))
         if k > 0:
-            rows.append(Halfspace(tuple(-c for c in boundaries[k - 1]), 0))
-        cell = reduce_cell(2, rows, seed)
-        assert cell is not None, "empty ray-search sector"
-        cells[align.key] = cell
+            rows.append(Row.from_rationals(tuple(-c for c in boundaries[k - 1]), 0))
+        cells[align.key], _ = compute_vertex_cell(domain, align.key, rows, seed)
     keys = [align.key for align in sequence]
     adjacency = frozenset(tuple(sorted(pair)) for pair in zip(keys, keys[1:]))
     regions = {align.key: align for align in sequence}

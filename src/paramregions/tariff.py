@@ -3,8 +3,10 @@
 A tariff charges a fixed fee plus a per-unit price; a menu offers several
 such pairs and each buyer sample picks the utility-maximizing pair and
 quantity.  Price space splits into convex regions of constant purchase
-profile; revenue is affine on each region, so the revenue-maximizing prices
-come from one exact LP per region.
+profile, found by one walk over the regions' adjacency graph
+(`regions.compute_subdivision`) in which every candidate row names the
+profile across it, so no region is lost.  Revenue is affine on each region,
+so the revenue-maximizing prices come from one exact LP per region.
 """
 
 from __future__ import annotations
@@ -120,23 +122,18 @@ def buyer_choice(instance: TariffInstance, i: int, prices) -> tuple:
     return best[1], best[2]
 
 
-def _profile_at(instance: TariffInstance, prices) -> tuple:
-    return tuple(buyer_choice(instance, i, prices) for i in range(instance.n_samples))
+def _seed_profile(instance: TariffInstance, prices) -> tuple:
+    """The profile at prices + (e, e^2, ..., e^d) for every small enough
+    e > 0: each sample takes its option of largest utility at `prices`, ties
+    broken by comparing the utilities' price coefficients in order (distinct
+    options never tie on them).  That point lies on no tie hyperplane, so
+    for `prices` inside the box the profile has a full-dimensional cell."""
 
+    def rank(i, option):
+        # The utility's price coefficients are minus the option's revenue.
+        return utility(instance, i, *option, prices), [-c for c in revenue_form(instance, (option,))]
 
-def _zero_price_profile(instance: TariffInstance) -> tuple:
-    # At the origin every buyer takes an argmax quantity of its valuation
-    # (largest on ties) from the first tariff.
-    profile = []
-    for i in range(instance.n_samples):
-        best_q = 0
-        best_v = ZERO
-        for q in range(1, instance.units + 1):
-            v = instance.value(i, q)
-            if v > best_v or (v == best_v and q > best_q):
-                best_q, best_v = q, v
-        profile.append((best_q, 1))
-    return tuple(profile)
+    return tuple(max(_options(instance), key=lambda o: rank(i, o)) for i in range(instance.n_samples))
 
 
 def _options(instance: TariffInstance) -> list:
@@ -162,33 +159,40 @@ def _profile_candidates(instance: TariffInstance):
     """The `candidates` function of `compute_subdivision` over
     purchase-profile labels.
 
-    Sample i's candidates depend on its own entry (q, j) alone: the rows
-    "utility of (q, j) >= utility of each alternative" are built once per
-    entry, as primitive integer rows, and only relabeled per profile.
+    Sample i's rows depend on its own entry (q, j) alone: they are built
+    once per entry (`_candidate_rows`) and only relabeled per profile.  A
+    row is labeled with the profile across its hyperplane, in which every
+    sample that owns the row takes its fastest-rising alternative there.
     """
-    cache: dict = {}  # (i, (q, j)) -> [(alternative, int row)]
+    cache: dict = {}  # (i, (q, j)) -> (int rows, {int row: fastest-rising alternative})
 
     def candidates(label):
-        out = []
+        rows = []
+        across: dict = {}  # int row -> the profile across it
         for i, entry in enumerate(label):
-            rows = cache.get((i, entry))
-            if rows is None:
-                rows = cache[i, entry] = _candidate_rows(instance, i, entry)
-            head, tail = label[:i], label[i + 1:]
-            out.extend(Row(row, head + (alt,) + tail) for alt, row in rows)
-        return out
+            if (i, entry) not in cache:
+                cache[i, entry] = _candidate_rows(instance, i, entry)
+            entry_rows, fastest = cache[i, entry]
+            rows += entry_rows
+            for row, alt in fastest.items():
+                profile = across.get(row, label)
+                across[row] = profile[:i] + (alt,) + profile[i + 1:]
+        return [Row(row, across[row]) for row in rows]
 
     return candidates
 
 
-def _candidate_rows(instance: TariffInstance, i: int, entry: tuple) -> list:
-    """(alternative, row) for "u_i(alternative) <= u_i(entry)" over every
-    other option of sample i, each the primitive integer row.  Two distinct
-    options never have the same price coefficients, so no row is all-zero
-    and no alternative beats `entry` at every price."""
+def _candidate_rows(instance: TariffInstance, i: int, entry: tuple) -> tuple:
+    """The primitive integer rows "u_i(alternative) <= u_i(entry)" over every
+    other option of sample i, in option order, and for each distinct row the
+    alternative whose utility rises fastest across it: the one whose row was
+    divided by the largest factor.  Two distinct options never have the same
+    price coefficients, so no row is all-zero, no alternative beats `entry`
+    at every price, and no two alternatives share both row and factor."""
     scale = math.lcm(*(index(v.denominator) for v in instance.valuations[i]))
     cur = _int_utility(instance, i, *entry, scale)
-    out = []
+    rows = []
+    fastest: dict = {}  # int row -> (factor, alternative)
     for alt in _options(instance):
         if alt == entry:
             continue
@@ -196,22 +200,22 @@ def _candidate_rows(instance: TariffInstance, i: int, entry: tuple) -> list:
         other = _int_utility(instance, i, *alt, scale)
         row = tuple(a - c for a, c in zip(other[:-1], cur[:-1])) + (cur[-1] - other[-1],)
         g = math.gcd(*row)
-        out.append((alt, row if g == 1 else tuple(c // g for c in row)))
-    return out
+        row = row if g == 1 else tuple(c // g for c in row)
+        rows.append(row)
+        fastest[row] = max(fastest.get(row, (0, None)), (g, alt))
+    return rows, {row: alt for row, (_, alt) in fastest.items()}
 
 
 def compute_price_regions(instance: TariffInstance, seed: int = 0) -> Subdivision:
     """Regions of constant buyer behavior over the capped price box.
 
-    Labels are per-sample (quantity, tariff-index) tuples.  The
-    breadth-first search starts from the zero-price profile, which can be
-    degenerate when valuations tie, and then from the profile at the box
-    witness.  It follows facet labels, so when several candidate rows lie on
-    one hyperplane it can miss a region, and which regions it reaches can
-    depend on these seeds (see `regions.compute_subdivision`).
+    Labels are per-sample (quantity, tariff-index) tuples.  The walk of
+    `regions.compute_subdivision` starts from the profile just inside the
+    box from its witness (`_seed_profile`) and follows facet labels, each
+    the profile across its facet, so it finds every region.
     """
     box = instance.price_box()
-    seeds = (_zero_price_profile(instance), _profile_at(instance, box.witness))
+    seeds = (_seed_profile(instance, box.witness),)
     return compute_subdivision(box, seeds, _profile_candidates(instance), seed)
 
 
@@ -275,9 +279,10 @@ def maximize_revenue(instance: TariffInstance, regions: Subdivision, seed: int =
 def region_boundary_lines(instance: TariffInstance, regions: Subdivision) -> dict:
     """Distinct facet lines per sample, excluding the artificial cap facets.
 
-    A facet u_i(q) = u_i(q') belongs to sample i; the count per sample is the
-    proof-side quantity bounded by 2K + 2 (K slab lines, K zero-utility
-    lines, two axes).
+    A facet's label is the profile across it, so the facet belongs to every
+    sample whose choice differs between the two profiles: identical samples
+    share their lines.  The count per sample is the proof-side quantity
+    bounded by 2K + 2 (K slab lines, K zero-utility lines, two axes).
     """
     cap = instance.price_cap
     d = instance.dimension

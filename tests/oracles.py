@@ -372,9 +372,12 @@ def _reference_utility_coeffs(instance, i, q, j):
 def reference_tariff_candidates(instance, label):
     """Halfspaces "u_i(alternative) <= u_i(label's entry)" over every sample
     i and every other option, from rational utilities, each labeled with the
-    profile that swaps in the alternative.  Distinct options have distinct
-    price coefficients, so no normal is zero."""
-    out = []
+    profile across its hyperplane: of the halfspaces with one `key()`, every
+    sample that owns one moves to its alternative with the largest |leading
+    coefficient| of the unnormalized normal, the one whose utility rises
+    fastest across the hyperplane.  Distinct options have distinct price
+    coefficients, so no normal is zero."""
+    built = []  # (halfspace, sample, alternative, |leading coefficient|)
     for i, (q, j) in enumerate(label):
         cur_coeffs, cur_const = _reference_utility_coeffs(instance, i, q, j)
         for alt_q in range(0, instance.units + 1):
@@ -386,7 +389,20 @@ def reference_tariff_candidates(instance, label):
                 normal = tuple(a - c for a, c in zip(alt_coeffs, cur_coeffs))
                 offset = cur_const - alt_const
                 assert any(normal)
-                out.append(Halfspace(normal, offset, label=label[:i] + (alt,) + label[i + 1:]))
+                lead = abs(next(c for c in normal if c))
+                built.append((Halfspace(normal, offset), i, alt, lead))
+    across = {}  # key -> {sample: (|leading coefficient|, alternative)}
+    for h, i, alt, lead in built:
+        owners = across.setdefault(h.key(), {})
+        assert owners.get(i, (None,))[0] != lead  # no two options share key and lead
+        if i not in owners or lead > owners[i][0]:
+            owners[i] = (lead, alt)
+    out = []
+    for h, _, _, _ in built:
+        switched = list(label)
+        for i, (_, alt) in across[h.key()].items():
+            switched[i] = alt
+        out.append(h.relabel(tuple(switched)))
     return out
 
 

@@ -21,7 +21,6 @@ from paramregions.geometry import (
     polygon_area,
     polygon_vertices,
     ray_shoot,
-    reduce_cell,
     sample_interior,
     solve_lp,
 )
@@ -350,24 +349,14 @@ class TestConvexCell:
 
 
 class TestCellUtilities:
-    def test_reduce_cell_drops_redundant_and_has_witness(self):
-        hs = UNIT_SQUARE + [H((1, 1), 5)]
-        cell = reduce_cell(2, hs)
-        assert cell is not None
-        assert len(cell.constraints) == 4
-        assert cell.contains(cell.witness, strict=True)
-
-    def test_reduce_cell_empty_interior(self):
-        assert reduce_cell(1, [H((1,), 0), H((-1,), 0)]) is None
-
     def test_sample_interior_points_are_strictly_inside(self):
-        cell = reduce_cell(2, UNIT_SQUARE)
+        cell = box_cell(0, 1, 2)
         pts = sample_interior(cell, 50, seed=2)
         assert len(pts) == 50
         assert all(cell.contains(p, strict=True) for p in pts)
 
     def test_polygon_vertices_and_area(self):
-        cell = reduce_cell(2, UNIT_SQUARE)
+        cell = box_cell(0, 1, 2)
         verts = polygon_vertices(cell)
         assert len(verts) == 4
         assert polygon_area(verts) == 1
@@ -382,7 +371,7 @@ class TestCellUtilities:
         assert polygon_area(verts) == 1 - d * d / 2
 
     def test_cell_json_round_trip(self):
-        cell = reduce_cell(2, UNIT_SQUARE)
+        cell = box_cell(0, 1, 2)
         data = json.loads(json.dumps(cell.to_json()))
         back = ConvexCell.from_json(data)
         assert back.constraint_keys() == cell.constraint_keys()

@@ -5,6 +5,7 @@ import pytest
 from paramregions.geometry import (
     ConvexCell,
     Halfspace,
+    Row,
     box_cell,
     polygon_area,
     polygon_vertices,
@@ -42,6 +43,19 @@ def vertex_cell(parent, label, forms):
 
 
 class TestComputeVertexCell:
+    def test_redundant_rows_are_dropped_and_the_cell_has_a_witness(self):
+        parent = box_cell(0, 1, 2)
+        cell, neighbors = compute_vertex_cell(parent, "a", [Row.from_rationals((1, 1), 5, "far")])
+        assert neighbors == frozenset()
+        assert len(cell.constraints) == 4
+        assert cell.constraint_keys() == parent.constraint_keys()
+        assert cell.contains(cell.witness, strict=True)
+
+    def test_empty_interior_raises(self):
+        parent = box_cell(0, 1, 1)
+        with pytest.raises(DegenerateCellError):
+            compute_vertex_cell(parent, "a", [Row.from_rationals((1,), 0), Row.from_rationals((-1,), 0)])
+
     def test_single_behavior_cell_is_parent(self):
         parent = box_cell(0, 1, 2)
         forms = forms_2d({"only": ((1, 0), 0)})

@@ -352,12 +352,14 @@ class TestCellsOnlyAtRoot:
 
 class TestOverlay:
     def _half_subdivision(self, axis, label_low, label_high):
-        from paramregions.geometry import Halfspace, reduce_cell
+        from paramregions.geometry import Row
 
         parent = box_cell(0, 1, 2)
         normal = tuple(rat(1) if i == axis else rat(0) for i in range(2))
-        low = reduce_cell(2, list(parent.constraints) + [Halfspace(normal, rat(1, 2))])
-        high = reduce_cell(2, list(parent.constraints) + [Halfspace(tuple(-c for c in normal), rat(-1, 2))])
+        low, _ = regions.compute_vertex_cell(parent, label_low, [Row.from_rationals(normal, rat(1, 2))])
+        high, _ = regions.compute_vertex_cell(
+            parent, label_high, [Row.from_rationals(tuple(-c for c in normal), rat(-1, 2))]
+        )
         return Subdivision(parent, {label_low: low, label_high: high}, frozenset({(label_low, label_high)}))
 
     def test_idempotent_on_itself(self):

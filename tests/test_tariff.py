@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from paramregions.geometry import sample_interior
+from paramregions.geometry import polygon_area, polygon_vertices, sample_interior
 from paramregions.rationals import rat
+from paramregions.regions import compute_vertex_cell
 from paramregions.tariff import (
     TariffInstance,
     buyer_choice,
@@ -13,11 +14,14 @@ from paramregions.tariff import (
     region_boundary_lines,
     single_tariff_regions,
     _profile_candidates,
+    _seed_profile,
 )
 
 from oracles import reference_tariff_candidates
 
 FIXTURE = TariffInstance(units=2, valuations=[(3, 5)])
+# Two identical samples: every boundary line is shared by both.
+TWINS = TariffInstance(units=2, valuations=[[3, 5], [3, 5]], price_cap=7)
 
 
 def grid_points(cap, steps):
@@ -115,6 +119,71 @@ class TestPriceRegions:
                 assert got == label
 
 
+def facet_label_pairs(sub):
+    return {
+        tuple(sorted((label, h.label)))
+        for label, cell in sub.cells.items()
+        for h in cell.constraints
+        if h.label is not None
+    }
+
+
+class TestCompleteness:
+    # Each candidate row names the profile across it, so the walk finds
+    # every region even where several samples or options share a line.
+    def test_identical_samples_get_every_region(self):
+        sub = single_tariff_regions(TWINS)
+        assert set(sub.cells) == {(0, 0), (1, 1), (2, 2)}
+        assert sub.adjacency == frozenset({((0, 0), (1, 1)), ((0, 0), (2, 2)), ((1, 1), (2, 2))})
+        assert sum(polygon_area(polygon_vertices(cell)) for cell in sub.cells.values()) == 49
+        assert sub.degenerate == ()
+
+    def test_random_instances_tile_the_box(self):
+        rng = random.Random(29)
+        for trial in range(300):
+            inst = random_instance(rng)
+            if trial % 2:
+                vals = list(inst.valuations)
+                vals.append(vals[rng.randrange(len(vals))])
+                inst = TariffInstance(units=inst.units, valuations=vals)
+            sub = compute_price_regions(inst, seed=trial)
+            area = sum(polygon_area(polygon_vertices(cell)) for cell in sub.cells.values())
+            assert area == inst.price_cap ** 2, trial
+            pairs = facet_label_pairs(sub)
+            assert all(a in sub.cells and b in sub.cells for a, b in pairs), trial
+            assert sub.adjacency == pairs, trial
+
+    def test_menu_probes_lie_in_a_cell(self):
+        rng = random.Random(31)
+        for trial in range(30):
+            k = rng.randint(1, 2)
+            vals = [[rat(rng.randint(0, 12)) for _ in range(k)] for _ in range(rng.randint(1, 2))]
+            vals.append(vals[0])
+            inst = TariffInstance(units=k, valuations=vals, menu_length=2)
+            sub = compute_price_regions(inst, seed=trial)
+            cap = inst.price_cap
+            for _ in range(50):
+                p = tuple(cap * rat(rng.randint(0, 60), 60) for _ in range(inst.dimension))
+                assert sub.labels_at(p), (trial, p)
+
+    @pytest.mark.parametrize(
+        "inst, prices, want",
+        [
+            # u(0) = u(1) = u(2) = 0; just past the point, in the direction
+            # (e, e^2), buying nothing is best.
+            (FIXTURE, (1, 2), ((0, 1),)),
+            # Both tariffs give utility 2; past the point the second is
+            # cheaper, although buyer_choice picks the first.
+            (TariffInstance(units=1, valuations=[(4,)], menu_length=2), (1, 1, 1, 1), ((1, 2),)),
+        ],
+    )
+    def test_seed_at_a_tie_has_a_cell(self, inst, prices, want):
+        label = _seed_profile(inst, tuple(rat(p) for p in prices))
+        assert label == want
+        cell, _ = compute_vertex_cell(inst.price_box(), label, _profile_candidates(inst)(label))
+        assert cell.contains(cell.witness, strict=True)
+
+
 class TestCandidateRows:
     def test_rows_match_rational_reference(self):
         # Every candidate is the primitive integer row of the halfspace built
@@ -194,6 +263,10 @@ class TestPieceBound:
             report = check_piece_bound(inst, sub)
             assert report["pieces_ok"], report
             assert report["lines_ok"], report
+
+    def test_shared_line_counts_for_every_sample(self):
+        report = check_piece_bound(TWINS, single_tariff_regions(TWINS))
+        assert report["lines_per_sample"] == {0: 5, 1: 5}
 
     def test_increasing_valuations_many_slabs(self):
         inst = TariffInstance(units=3, valuations=[(2, 5, 7)])

@@ -4,7 +4,8 @@ With the two-feature cost model (mismatches, spaces) the plane of feature
 costs splits into angular sectors; "AB" vs "BA" has exactly two: below the
 diagonal, mismatching both characters is cheapest, above it the space-shifted
 alignment wins.  The execution-DAG construction and the two-feature ray
-search must produce the same fan.
+search find the regions in different ways and then build the same partition
+from them, cell for cell.
 """
 
 from paramregions import build_execution_dag, dp_solve, get_preset, ray_search_2d
@@ -24,7 +25,7 @@ for key, a in partition.regions.items():
 
 ray, calls = ray_search_2d(spec, s1, s2)
 print(f"\nray search found {len(ray.regions)} sectors in {calls} DP solves")
-print(f"same boundaries as the DAG: {ray.boundary_keys() == partition.boundary_keys()}")
+print(f"same partition as the DAG: {ray.to_json() == partition.to_json()}")
 
 for rho in ((rat(3), rat(1)), (rat(1), rat(3))):
     cost, align = dp_solve(spec, s1, s2, rho)

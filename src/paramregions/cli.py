@@ -222,8 +222,10 @@ def _cluster_regions(args) -> tuple:
 def _align_regions(args) -> tuple:
     """The spec, the sequence pair, the partition (the DAG's when it runs)
     and the ray search's (partition, DP solve count), or None when it does
-    not run.  When both run, their boundaries must agree.  A spec whose DP
-    has no solution for the pair is an infeasible configuration."""
+    not run.  When both run, their regions must agree: both partitions are
+    built from their regions alone (`seqalign._partition`), so equal regions
+    mean equal partitions.  A spec whose DP has no solution for the pair is
+    an infeasible configuration."""
     spec = load_alignment_spec(args)
     s1, s2 = load_sequences(args)
     if args.method != "dag" and spec.dimension != 2:
@@ -237,7 +239,7 @@ def _align_regions(args) -> tuple:
             ray = seqalign.ray_search_2d(spec, s1, s2, seed=args.seed)
     except seqalign.NoSolution as exc:
         raise InfeasibleConfig(str(exc)) from exc
-    if dag is not None and ray is not None and dag.boundary_keys() != ray[0].boundary_keys():
+    if dag is not None and ray is not None and dag.regions.keys() != ray[0].regions.keys():
         raise OracleFailure("DAG and ray-search partitions disagree")
     return spec, s1, s2, (dag if dag is not None else ray[0]), ray
 

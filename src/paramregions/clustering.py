@@ -200,6 +200,9 @@ class MergeFamily:
         for l in self.linkages:
             if l not in LINKAGES:
                 raise ValueError(f"unknown linkage {l!r}")
+        for kind, names in (("linkage", self.linkages), ("metric", self.metrics)):
+            if len(set(names)) < len(names):
+                raise ValueError(f"a merge family lists each {kind} once")
         if len(self.components) < 2:
             raise ValueError("a merge family needs at least two components")
 
@@ -210,14 +213,6 @@ class MergeFamily:
     @property
     def dimension(self) -> int:
         return len(self.components) - 1
-
-    @property
-    def mode(self) -> str:
-        if len(self.metrics) == 1:
-            return "linkage-only"
-        if len(self.linkages) == 1:
-            return "metric-only"
-        return "full-product"
 
     def simplex_cell(self) -> ConvexCell:
         d = self.dimension

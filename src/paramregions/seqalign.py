@@ -16,15 +16,17 @@ the order and the ties of the rational costs, so it chooses exactly what a
 DP over rationals would.  It keeps one back-pointer per subproblem and
 builds only the root's alignment.
 
-`build_execution_dag` computes the decomposition bottom-up: per subproblem,
-it keeps only the regions, the candidate alignments (a referenced region's
-alignment extended by a term) whose cost is minimal on a full-dimensional
-part of the domain.  With two features these are the vertices of the
-candidates' lower hull, found on integers; otherwise one LP per candidate
-decides (`regions.envelope_labels`).  Cells are built once, for the root
-(`regions.compute_subdivision`).
-`ray_search_2d` is the two-feature fast path that walks the fan of angular
-sectors with one DP solve per probe point, over one node graph.
+Two methods find the root's regions, the alignments optimal on a
+full-dimensional part of the domain.  `build_execution_dag` works
+bottom-up: per subproblem, it keeps only the regions, the candidate
+alignments (a referenced region's alignment extended by a term) whose cost
+is minimal on a full-dimensional part of the domain.  With two features
+these are the vertices of the candidates' lower hull, found on integers;
+otherwise one LP per candidate decides (`regions.envelope_labels`).
+`ray_search_2d`, for two features only, walks the fan of angular sectors
+with one DP solve per probe point, over one node graph.  Both end in
+`_partition`, which builds the root's cells from its regions alone
+(`regions.compute_subdivision`), so equal regions give equal partitions.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from typing import Optional, Sequence
 from .geometry import (
     ConvexCell,
     GeometryError,
-    Row,
     _homogeneous,
     box_cell,
     clarkson_reduce,
@@ -50,7 +51,6 @@ from .regions import (
     Subdivision,
     cells_share_facet,
     compute_subdivision,
-    compute_vertex_cell,
     dominance_constraints,
     envelope_labels,
 )
@@ -563,10 +563,29 @@ class AlignmentPartition(Subdivision):
         return frozenset(keys - box_keys)
 
 
-def _single_region(domain: ConvexCell, alignment: Alignment) -> AlignmentPartition:
-    """The partition in which one alignment is optimal on all of `domain`."""
-    key = alignment.key
-    return AlignmentPartition(domain, {key: domain}, frozenset(), regions={key: alignment})
+def _partition(domain: ConvexCell, regions: dict, seed: int) -> AlignmentPartition:
+    """The partition of `domain` among `regions`, {key: Alignment}: the
+    alignments optimal on a full-dimensional part of it.  Both the execution
+    DAG and the ray search end here.
+
+    One region is optimal on the whole domain, whose cell is the domain
+    itself.  Otherwise `regions.compute_subdivision` walks from the regions
+    against their cost forms.  With two features the regions' totals are
+    the vertices of their lower hull (`_lower_hull_2d`), so sorted by counts
+    they are the fan's sectors in order, and a cell takes only its two hull
+    neighbors' dominance rows: every other row is redundant.
+    """
+    if len(regions) == 1:
+        (key,) = regions
+        return AlignmentPartition(domain, {key: domain}, frozenset(), regions=regions)
+    forms = {key: AffineForm(alignment.counts, 0) for key, alignment in regions.items()}
+    if domain.dimension == 2:
+        fan = sorted(forms, key=lambda key: regions[key].counts)
+        rivals = {key: {k: forms[k] for k in fan[max(i - 1, 0) : i + 2]} for i, key in enumerate(fan)}
+    else:
+        rivals = dict.fromkeys(forms, forms)
+    sub = compute_subdivision(domain, regions, lambda key: dominance_constraints(rivals[key], key), seed)
+    return AlignmentPartition(domain, sub.cells, sub.adjacency, regions=regions)
 
 
 def default_domain(dimension: int) -> ConvexCell:
@@ -633,21 +652,17 @@ def build_execution_dag(spec: AlignmentDPSpec, s1: str, s2: str, seed: int = 0) 
     """Partition of the parameter domain (`default_domain`, the unit box) by
     optimal alignment of (s1, s2).
 
-    Two stages.  First, every subproblem, in topological order, gets only
-    its regions: the alignments optimal on a full-dimensional part of the
-    domain, keyed by `Alignment.key`.  A base node has its base solution; a
-    node with one term relabels its subproblem's regions; a node with
-    several terms keeps the candidate totals on the lower envelope of their
-    costs (`_envelope_regions`).  Then cells are built once, for the root:
-    walk back the root's chain of single-term nodes to a base node or a node
-    with several terms, build that node's cells (`regions.compute_subdivision`
-    against its regions' forms), and relabel them forward along the chain.  No
-    node below reads a cell, so no other cell is built.
+    Every subproblem, in topological order, gets only its regions: the
+    alignments optimal on a full-dimensional part of the domain, keyed by
+    `Alignment.key`.  A base node has its base solution; a node with one
+    term extends its subproblem's regions; a node with several terms keeps
+    the candidate totals on the lower envelope of their costs
+    (`_envelope_regions`).  No node reads a cell, so cells are built once,
+    for the root's regions (`_partition`).
     """
     domain = default_domain(spec.dimension)
     graph = node_graph(spec, s1, s2)
     regions = []  # per node: {key: Alignment}, or None when it has no solution
-    source = []  # per node: the node a single-term node relabels, else None
     for (_, i, j), base, terms in zip(graph.nodes, graph.bases, graph.terms):
         solved = [(term, ref) for term, ref in terms if regions[ref] is not None]
         extended = [
@@ -655,7 +670,6 @@ def build_execution_dag(spec: AlignmentDPSpec, s1: str, s2: str, seed: int = 0) 
             for term, ref in solved
             for alignment in regions[ref].values()
         ]
-        source.append(solved[0][1] if base is None and len(solved) == 1 else None)
         if base is not None:
             regions.append({base.key: base})
         elif not solved:
@@ -664,36 +678,16 @@ def build_execution_dag(spec: AlignmentDPSpec, s1: str, s2: str, seed: int = 0) 
             regions.append({alignment.key: alignment for alignment in extended})
         else:
             regions.append(_envelope_regions(extended, domain, seed))
-    k = len(graph.nodes) - 1
-    if regions[k] is None:
+    if regions[-1] is None:
         raise NoSolution("the DP has no solution for this input")
-    chain = []
-    while source[k] is not None:
-        chain.append(k)
-        k = source[k]
-    if graph.bases[k] is not None:
-        part = _single_region(domain, graph.bases[k])
-    else:
-        forms = {key: AffineForm(alignment.counts, 0) for key, alignment in regions[k].items()}
-        sub = compute_subdivision(domain, forms, lambda key: dominance_constraints(forms, key), seed)
-        part = AlignmentPartition(domain, sub.cells, sub.adjacency, regions=regions[k])
-    for k in reversed(chain):
-        # A single-term node lists its subproblem's regions extended, in
-        # the same order.
-        relabel = dict(zip(regions[source[k]], regions[k])).__getitem__
-        part = AlignmentPartition(
-            domain,
-            {relabel(key): cell.map_labels(relabel) for key, cell in part.cells.items()},
-            frozenset(tuple(sorted((relabel(a), relabel(b)))) for a, b in part.adjacency),
-            regions=regions[k],
-        )
-    return part
+    return _partition(domain, regions[-1], seed)
 
 
 def _envelope_regions(candidates, domain: ConvexCell, seed: int) -> dict:
     """The regions of a node with several terms, from its candidates (each
     referenced region's alignment extended by its term, in term order), in
-    key order.
+    key order.  The ray search passes the alignments its probes found, in
+    fan order.
 
     A term costs its subproblem's optimum plus w_t . rho, and that optimum
     is the lower envelope of the subproblem's region alignments.  So this
@@ -766,7 +760,11 @@ def ray_search_2d(spec: AlignmentDPSpec, s1: str, s2: str, seed: int = 0):
 
     Each probe at a candidate boundary either certifies it (the optimum at
     the crossing equals the tied value) or discovers a new alignment wedged
-    between the two known ones; the recursion then splits.
+    between the two known ones; the recursion then splits.  A probe on a
+    vertex of the envelope may return an alignment optimal there only, so
+    the alignments found go through the DAG's own region step
+    (`_envelope_regions`, a lower hull) and then to `_partition`, as the
+    DAG's root does.
     """
     if spec.dimension != 2:
         raise GeometryError("the ray search needs exactly two features")
@@ -784,21 +782,14 @@ def ray_search_2d(spec: AlignmentDPSpec, s1: str, s2: str, seed: int = 0):
     _, left_align = solve_at(left_pt, right_pt)
     _, right_align = solve_at(right_pt, left_pt)
 
-    if left_align.counts == right_align.counts:
-        # One cost class covers the quadrant; with equal strings this is one
-        # region, and cost-tied distinct strings cannot be separated at all.
-        return _single_region(domain, left_align), calls[0]
-
-    def chord_point(t):
-        return (t, 1 - t)
-
     def crossing(a_counts, b_counts):
-        g = tuple(Rational(x - y) for x, y in zip(a_counts, b_counts))
-        # g . (t, 1-t) = 0  =>  t = g2 / (g2 - g1)
-        return g, g[1] / (g[1] - g[0])
+        # The t at which the costs tie on the chord (t, 1 - t):
+        # g . (t, 1 - t) = 0 for g = a_counts - b_counts.
+        g1, g2 = (Rational(x - y) for x, y in zip(a_counts, b_counts))
+        return g2 / (g2 - g1)
 
     def recurse(tl, align_l, tr, align_r):
-        g, tm = crossing(align_l.counts, align_r.counts)
+        tm = crossing(align_l.counts, align_r.counts)
         if not tl < tm < tr:
             # The crossing lies in [tl, tr], since align_l is optimal at tl
             # and align_r at tr.  At an end, say tl, align_r ties align_l,
@@ -807,7 +798,7 @@ def ray_search_2d(spec: AlignmentDPSpec, s1: str, s2: str, seed: int = 0):
             # when a probe on a vertex of the envelope returned an alignment
             # that is optimal on one side of it only.
             return []
-        m = chord_point(tm)
+        m = (tm, 1 - tm)
         cost, align_m = solve_at(m)
         tied_value = dot(align_l.counts, m)
         if cost[0] < tied_value:
@@ -818,36 +809,11 @@ def ray_search_2d(spec: AlignmentDPSpec, s1: str, s2: str, seed: int = 0):
             )
         return []  # boundary certified at tm
 
-    inner = recurse(ZERO, left_align, Rational(1), right_align)
-    ordered = [left_align] + inner + [right_align]
-    # Deduplicate consecutive repeats that certify shared boundaries, and
-    # drop an alignment whose crossing with the next one is at or before its
-    # crossing with the previous one: it is optimal only at a vertex.
-    sequence = [ordered[0]]
-    for align in ordered[1:]:
-        while (
-            len(sequence) > 1
-            and align.counts != sequence[-1].counts
-            and crossing(sequence[-1].counts, align.counts)[1]
-            <= crossing(sequence[-2].counts, sequence[-1].counts)[1]
-        ):
-            sequence.pop()
-        if align.counts != sequence[-1].counts:
-            sequence.append(align)
-
-    boundaries = []
-    for a, b in zip(sequence, sequence[1:]):
-        g, _ = crossing(a.counts, b.counts)
-        boundaries.append(g)
-    cells = {}
-    for k, align in enumerate(sequence):
-        rows = []
-        if k < len(boundaries):
-            rows.append(Row.from_rationals(boundaries[k], 0))
-        if k > 0:
-            rows.append(Row.from_rationals(tuple(-c for c in boundaries[k - 1]), 0))
-        cells[align.key], _ = compute_vertex_cell(domain, align.key, rows, seed)
-    keys = [align.key for align in sequence]
-    adjacency = frozenset(tuple(sorted(pair)) for pair in zip(keys, keys[1:]))
-    regions = {align.key: align for align in sequence}
-    return AlignmentPartition(domain, cells, adjacency, regions=regions), calls[0]
+    # When one cost class covers the quadrant there is no boundary to find:
+    # with equal strings this is one region, and cost-tied distinct strings
+    # cannot be separated at all.
+    inner = []
+    if left_align.counts != right_align.counts:
+        inner = recurse(ZERO, left_align, Rational(1), right_align)
+    found = [left_align] + inner + [right_align]
+    return _partition(domain, _envelope_regions(found, domain, seed), seed), calls[0]

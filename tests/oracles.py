@@ -10,7 +10,9 @@ library's integer kernel written over rationals, and
 `reference_tariff_candidates`, the tariff candidate halfspaces built from
 rationals, and `reference_envelope_labels`, the LP label step that decided
 the regions of every two-feature alignment DAG node before the integer
-lower hull: the library must agree with each exactly.
+lower hull, and `reference_partition`, the alignment cells built against
+every other region's row before the two-feature neighbor rule: the library
+must agree with each exactly.
 """
 
 import math
@@ -19,7 +21,7 @@ from itertools import combinations
 
 from paramregions.geometry import GeometryError, Halfspace, LPResult, dot, find_interior_point, solve_lp
 from paramregions.rationals import ZERO, Rational, as_vector, rat
-from paramregions.regions import dominance_constraints
+from paramregions.regions import AffineForm, compute_subdivision, dominance_constraints
 from paramregions.seqalign import _apply_transform
 
 
@@ -426,3 +428,12 @@ def reference_envelope_labels(parent, forms, corners, seed=0):
         for label in pruned
         if find_interior_point(rows + dominance_constraints(pruned, label), seed) is not None
     ]
+
+
+def reference_partition(domain, regions, seed=0):
+    """The subdivision of `domain` among alignment `regions`, {key:
+    Alignment}, in which every cell takes the dominance rows of every other
+    region (`regions.compute_subdivision` over `dominance_constraints` of all
+    the cost forms).  `seqalign._partition` must agree with it exactly."""
+    forms = {key: AffineForm(alignment.counts, 0) for key, alignment in regions.items()}
+    return compute_subdivision(domain, regions, lambda key: dominance_constraints(forms, key), seed)

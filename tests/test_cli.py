@@ -1,11 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from paramregions import tariff
+from paramregions import seqalign, tariff
 from paramregions.cli import _cell_box_grid, _tariff_agreement, canonical_dumps, load_cluster_instance, main
 from paramregions.clustering import MergeFamily, best_parameter
 from paramregions.geometry import polygon_area
@@ -15,6 +17,7 @@ from paramregions.seqalign import mismatch_space_spec
 
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(args):
@@ -214,6 +217,20 @@ class TestAlignRegions:
         spec = spec_file(tmp_path, only_chars_equal)
         assert run_cli(verb + ["--spec-file", spec, "--s1", "AC", "--s2", "TG"]) == 3
         assert run_cli(verb + ["--spec-file", spec, "--s1", "AC", "--s2", "AC"]) == 0
+
+    def test_both_methods_disagree_exit_4(self, monkeypatch, tmp_path, capsys):
+        search = seqalign.ray_search_2d
+
+        def drop_one_region(*args, **kwargs):
+            part, calls = search(*args, **kwargs)
+            return replace(part, regions=dict(list(part.regions.items())[1:])), calls
+
+        monkeypatch.setattr(seqalign, "ray_search_2d", drop_one_region)
+        out = tmp_path / "never.json"
+        argv = ["align-regions", "--s1", "AB", "--s2", "BA", "--method", "both", "--output", str(out)]
+        assert run_cli(argv) == 4
+        assert "disagree" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gap_preset_rejects_ray(self):
         assert (
@@ -419,7 +436,14 @@ class TestOracleCheckVerb:
         assert json.loads(out.read_text())["agreement"] == 1.0
 
     @pytest.mark.parametrize(
-        "family", [["--metrics", "euclidean,manhattan"], ["--linkages", "single"]], ids=["metric", "one-component"]
+        "family",
+        [
+            ["--metrics", "euclidean,manhattan"],
+            ["--linkages", "single"],
+            ["--linkages", "single,single"],
+            ["--metrics", "euclidean,euclidean"],
+        ],
+        ids=["metric", "one-component", "repeated-linkage", "repeated-metric"],
     )
     def test_cluster_kind_infeasible_family_exit_3_like_cluster_regions(
         self, family, line_instance_file, tmp_path, capsys
@@ -527,7 +551,9 @@ class TestEntryPoint:
         assert not out.exists()
         assert run_cli(["gen-dataset", "--name", "Disks", "--seed", "3", "--output", str(out)]) == 0
 
-    def test_module_invocation(self):
+    def test_module_invocation(self, monkeypatch):
+        # The child process finds the package on the same path as this one.
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "paramregions.cli", "--help"],
             capture_output=True,

@@ -28,7 +28,7 @@ from paramregions.seqalign import (
     strip_spaces,
 )
 
-from oracles import reference_dp_solve_multi, reference_envelope_labels
+from oracles import reference_dp_solve_multi, reference_envelope_labels, reference_partition
 
 ALPHABET = "ACGT"
 
@@ -397,6 +397,44 @@ class TestOverlay:
             compute_overlay([a, b])
 
 
+# Two pairs on which a ray search probe lands on a vertex of the envelope.
+PROBE_ON_A_VERTEX = [
+    # The first probe lands where three alignments tie, and a later
+    # crossing falls on the end of its probe interval.
+    ("CACTTCAATTGTAACT", "ATTACCATTCCGAGAA"),
+    # A probe returns an alignment that is optimal only at a vertex.
+    ("CCGTGAGAGAGCCATCTTGTG", "TCCAGGGACTGTTCATCGTCA"),
+]
+
+
+class TestPartition:
+    """With two features a cell takes only its two hull neighbors' rows; it
+    must come out as if it took every other region's row."""
+
+    def assert_matches_reference(self, part, seed):
+        ref = reference_partition(part.parent, part.regions, seed)
+        assert sorted(part.cells) == sorted(ref.cells)
+        for key, cell in part.cells.items():
+            # Constraints with their facet labels, and the witness.
+            assert cell.to_json() == ref.cells[key].to_json()
+        assert part.adjacency == ref.adjacency
+
+    def test_neighbor_rows_match_all_rows_on_random_pairs(self):
+        rng = random.Random(29)
+        spec = mismatch_space_spec()
+        sizes = []
+        for trial in range(24):
+            s1, s2 = ("".join(rng.choice(ALPHABET) for _ in range(rng.randint(1, 23))) for _ in "12")
+            part = build_execution_dag(spec, s1, s2, seed=trial)
+            self.assert_matches_reference(part, trial)
+            sizes.append(len(part.cells))
+        assert min(sizes) == 1 and max(sizes) > 3
+
+    @pytest.mark.parametrize("s1, s2", PROBE_ON_A_VERTEX)
+    def test_neighbor_rows_match_all_rows_on_a_vertex_probe(self, s1, s2):
+        self.assert_matches_reference(build_execution_dag(mismatch_space_spec(), s1, s2), 0)
+
+
 class TestRaySearch:
     def test_single_sector(self):
         part, calls = ray_search_2d(mismatch_space_spec(), "A", "A")
@@ -418,17 +456,9 @@ class TestRaySearch:
             assert ray.boundary_keys() == dag.boundary_keys()
             for key, cell in ray.cells.items():
                 assert dag.labels_at(cell.witness) == [key]
+            assert ray.to_json() == dag.to_json()
 
-    @pytest.mark.parametrize(
-        "s1, s2",
-        [
-            # The first probe lands where three alignments tie, and a later
-            # crossing falls on the end of its probe interval.
-            ("CACTTCAATTGTAACT", "ATTACCATTCCGAGAA"),
-            # A probe returns an alignment that is optimal only at a vertex.
-            ("CCGTGAGAGAGCCATCTTGTG", "TCCAGGGACTGTTCATCGTCA"),
-        ],
-    )
+    @pytest.mark.parametrize("s1, s2", PROBE_ON_A_VERTEX)
     def test_probe_on_a_vertex(self, s1, s2):
         spec = mismatch_space_spec()
         ray, calls = ray_search_2d(spec, s1, s2)
@@ -436,6 +466,7 @@ class TestRaySearch:
         assert ray.boundary_keys() == dag.boundary_keys()
         assert len(ray.regions) == len(dag.regions)
         assert calls <= 2 * len(ray.regions) - 1
+        assert ray.to_json() == dag.to_json()
 
     def test_requires_two_features(self):
         with pytest.raises(GeometryError):

@@ -10,7 +10,9 @@ anything.  Each domain module maps its behavior structure onto the shared
 region layer, whose one cell builder is `compute_vertex_cell` and whose one
 region type is `Subdivision`, built by one walk over the regions' adjacency
 graph (`compute_subdivision`): from the labels that pass the lower-envelope
-test (clustering, the alignment root) or from one seed profile (tariffs).
+test (clustering, the alignment root), or over tuple labels from one seed
+tuple, cell by cell an intersection of one cell per factor (the tariff
+profiles, `compute_overlay`).
 """
 
 from .geometry import (
@@ -34,6 +36,7 @@ from .regions import (
     DegenerateCellError,
     Subdivision,
     cells_share_facet,
+    compute_overlay,
     compute_subdivision,
     compute_vertex_cell,
     envelope_cells,
@@ -56,7 +59,6 @@ from .seqalign import (
     AlignmentDPSpec,
     AlignmentPartition,
     build_execution_dag,
-    compute_overlay,
     dp_solve,
     enumerate_alignments,
     get_preset,

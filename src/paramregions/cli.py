@@ -391,7 +391,7 @@ def cmd_plot_data(args) -> None:
     for idx, entry in enumerate(data["cells"]):
         try:
             cell = ConvexCell.from_json(entry, decode_label)
-        except (KeyError, GeometryError, ValueError) as exc:
+        except (KeyError, GeometryError, TypeError, ValueError) as exc:
             raise ParseFailure(f"bad cell entry: {exc}") from exc
         if cell.dimension != 2:
             raise ParseFailure("plot-data needs 2D regions")

@@ -31,12 +31,14 @@ def as_rational(value: Any) -> Rational:
 
     Floats are rejected: callers that start from floats must snap them
     explicitly (see clustering.snap) so no hidden precision loss occurs.
+    A zero denominator ("1/0") raises ValueError.
     """
     if isinstance(value, float):
         raise TypeError("floats must be snapped to rationals explicitly")
-    if isinstance(value, str):
+    try:
         return Rational(value)
-    return Rational(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def as_vector(values: Iterable[Any]) -> tuple:
@@ -50,7 +52,7 @@ def format_rational(value) -> str:
 
 
 def parse_rational(text: str) -> Rational:
-    return Rational(text)
+    return as_rational(text)
 
 
 def format_vector(values) -> list:
@@ -58,4 +60,4 @@ def format_vector(values) -> list:
 
 
 def parse_vector(items) -> tuple:
-    return tuple(Rational(s) for s in items)
+    return as_vector(items)

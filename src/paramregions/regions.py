@@ -8,7 +8,9 @@ only the candidates kept as facets become `Halfspace`s, and their labels
 are exactly the neighbors.  Every `Subdivision`, the one region type, is
 built by `compute_subdivision`, a walk over the region adjacency graph that
 finds every region when each candidate row is labeled with the region
-across its hyperplane.  Its callers:
+across its hyperplane: `dominance_constraints` labels a row shared by
+several alternatives with the one whose form falls fastest across it.  Its
+callers:
 
 - `envelope_cells`, for "behavior = argmin of labeled affine forms" (a
   clustering merge step): its label step, `envelope_labels`, drops the
@@ -16,7 +18,10 @@ across its hyperplane.  Its callers:
   runs one interior-point LP per remaining form; the walk builds the cells
   of the forms that passed.  An alignment DAG node below the root calls
   `envelope_labels` alone, and the root walks from its regions' forms.
-- the tariff search, with its own seed and candidate rows per label.
+- the product walk over tuple labels, whose cells are intersections of one
+  cell per factor (`product_candidates`): the tariff search, one factor per
+  buyer sample seeded by `argmin_label`, and `compute_overlay`, one factor
+  per input subdivision.
 
 The per-label cell computations are pure and independent (safe to dispatch
 concurrently if a caller wants to).
@@ -24,15 +29,19 @@ concurrently if a caller wants to).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional
+from functools import cached_property
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .geometry import (
     ConvexCell,
+    GeometryError,
     Halfspace,
     Row,
     _clarkson_indices,
+    _homogeneous,
     _interior_point_rows,
     _project_row,
     dot,
@@ -59,48 +68,88 @@ class AffineForm:
     def value(self, point):
         return dot(self.coeffs, point) + self.const
 
-    def minus(self, other: "AffineForm"):
-        return (
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-            self.const - other.const,
-        )
+    @cached_property
+    def int_form(self) -> tuple:
+        """(w * coeffs, w * const, w) as ints, w the lcm of the denominators."""
+        *scaled, const, w = _homogeneous((*self.coeffs, self.const))
+        return tuple(scaled), const, w
 
 
 def dominance_constraints(forms: dict, label) -> Optional[list]:
-    """Rows "forms[label] <= forms[other]" for every other behavior.
+    """Rows "forms[label] <= forms[other]" for every other behavior, in label
+    order, each the primitive integer row of `Row.from_rationals`.
+
+    Every copy of a row is labeled with the behavior across it: of the
+    others that share the row, the one whose form falls fastest across its
+    hyperplane, i.e. by the largest factor the row was divided by over that
+    form's scale; of equal rates the first in label order.
 
     Behaviors with identical affine objectives are collapsed onto the
     lexicographically smallest label: for a non-canonical label this returns
     None, and the coincident partners of a canonical label are skipped.
     Returns None as well when some other behavior beats `label` everywhere.
     """
-    base = forms[label]
-    out = []
+    base, base_const, base_w = forms[label].int_form
+    rows = []
+    fastest: dict = {}  # int row -> (factor, scale, other): the fastest-falling other
     for other, form in sorted(forms.items()):
         if other == label:
             continue
         # base <= other  <=>  (base - other).coeffs . x <= other.const - base.const
-        normal, const_diff = base.minus(form)
-        offset = -const_diff
-        if all(c == 0 for c in normal):
-            if offset < 0:
+        coeffs, const, w = form.int_form
+        row = (*(b * w - c * base_w for b, c in zip(base, coeffs)), const * base_w - base_const * w)
+        if not any(row[:-1]):
+            if row[-1] < 0:
                 return None  # strictly dominated everywhere
-            if offset == 0 and other < label:
+            if row[-1] == 0 and other < label:
                 return None  # coincident; the smaller label is canonical
             continue
-        out.append(Row.from_rationals(normal, offset, other))
-    return out
+        g = math.gcd(*row)
+        if g != 1:
+            row = tuple(c // g for c in row)
+        rows.append(row)
+        best = fastest.get(row)
+        if best is None or g * best[1] > best[0] * w:
+            fastest[row] = (g, w, other)
+    return [Row(row, fastest[row][2]) for row in rows]
 
 
 def argmin_label(forms: dict, point):
-    """Lexicographically smallest label among the argmin behaviors at point."""
-    best_value = None
-    best_label = None
-    for label in sorted(forms):
-        v = forms[label].value(point)
-        if best_value is None or v < best_value:
-            best_value, best_label = v, label
-    return best_label
+    """The label minimal at point + (e, e^2, ..., e^d) for every small
+    enough e > 0: the least (value at point, *coeffs), and of equal ones the
+    smallest label.  That point lies on no tie hyperplane of two distinct
+    forms, so for `point` inside a parent the label has a full-dimensional
+    cell."""
+    return min(sorted(forms), key=lambda label: (forms[label].value(point), *forms[label].coeffs))
+
+
+def product_candidates(factors) -> Callable:
+    """The `candidates` function of `compute_subdivision` over tuple labels,
+    one entry per factor: the cell of (l_1, ..., l_n) is the intersection of
+    the cells of l_i, and `factors[i](l_i)` gives l_i's rows, each labeled
+    with the entry across it.
+
+    A factor's rows are built once per entry and only relabeled per tuple.
+    Each row is labeled with the tuple across its hyperplane: every entry
+    whose factor owns the row moves to its label there.
+    """
+    cache: dict = {}  # (i, entry) -> (int rows, {int row: entry across})
+
+    def candidates(label):
+        rows = []
+        across: dict = {}  # int row -> the tuple across it
+        for i, entry in enumerate(label):
+            if (i, entry) not in cache:
+                own = factors[i](entry)
+                cache[i, entry] = [row for row, _ in own], dict(own)
+            own_rows, own_labels = cache[i, entry]
+            rows += own_rows
+            for row, other in own_labels.items():
+                moved = across.get(row, label)
+                across[row] = moved[:i] + (other,) + moved[i + 1 :]
+        return [Row(row, across[row]) for row in rows]
+
+    return candidates
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,6 +296,53 @@ def envelope_cells(parent: ConvexCell, forms: dict, corners, seed: int = 0) -> S
     passed, degenerate = envelope_labels(parent, forms, corners, seed)
     sub = compute_subdivision(parent, passed, lambda label: dominance_constraints(passed, label), seed)
     return Subdivision(parent, sub.cells, sub.adjacency, degenerate)
+
+
+def compute_overlay(subdivisions: Sequence[Subdivision], seed: int = 0) -> Subdivision:
+    """Common refinement of several subdivisions of the same parent; cell
+    labels are the tuples of source-cell labels.
+
+    One walk over tuple labels (`product_candidates`): entry i's rows are
+    the facets of input i's cell that are not the parent's, each labeled
+    with the input cell across it, and the seed is the tuple of input cells
+    that hold the parent's witness + (e, e^2, ...).  Raises GeometryError
+    when the parents differ or an interior facet has no label.
+    """
+    if not subdivisions:
+        raise GeometryError("need at least one subdivision")
+    parent = subdivisions[0].parent
+    parent_keys = parent.constraint_keys()
+    if any(sub.parent.constraint_keys() != parent_keys for sub in subdivisions[1:]):
+        raise GeometryError("subdivisions cover different parents")
+
+    def facets(sub):
+        def rows(label):
+            out = []
+            for h in sub.cells[label].constraints:
+                if h.key() in parent_keys:
+                    continue
+                if h.label is None:
+                    raise GeometryError(f"an interior facet of cell {label!r} has no label")
+                out.append(Row(h.int_row, h.label))
+            return out
+
+        return rows
+
+    point = parent.witness if parent.witness is not None else find_interior_point(parent.constraints, seed)
+    start = tuple(_cell_past(sub, point) for sub in subdivisions)
+    candidates = product_candidates([facets(sub) for sub in subdivisions])
+    return compute_subdivision(parent, (start,), candidates, seed)
+
+
+def _cell_past(sub: Subdivision, point):
+    """The label of the cell of `sub` that holds point + (e, e^2, ..., e^d)
+    for every small enough e > 0: each facet's slack there, read off
+    lexicographically, is positive."""
+    zero = (0,) * (sub.parent.dimension + 1)
+    for label in sorted(sub.cells):
+        if all((h.slack(point), *(-c for c in h.normal)) > zero for h in sub.cells[label].constraints):
+            return label
+    raise GeometryError("the subdivision does not cover its parent's witness")
 
 
 def cells_share_facet(a: ConvexCell, b: ConvexCell, seed: int = 0) -> bool:

@@ -41,15 +41,12 @@ from .geometry import (
     GeometryError,
     _homogeneous,
     box_cell,
-    clarkson_reduce,
     dot,
-    find_interior_point,
 )
 from .rationals import Rational, ZERO, as_vector
 from .regions import (
     AffineForm,
     Subdivision,
-    cells_share_facet,
     compute_subdivision,
     dominance_constraints,
     envelope_labels,
@@ -592,56 +589,6 @@ def default_domain(dimension: int) -> ConvexCell:
     """Nonnegative orthant cut to the unit box (costs are homogeneous, so
     scale is irrelevant; redundancy removal needs bounded cells)."""
     return box_cell(0, 1, dimension)
-
-
-# --------------------------------------------------------------------------
-# Overlay
-# --------------------------------------------------------------------------
-
-def overlay_pieces(piece_lists: Sequence[Sequence[ConvexCell]], seed: int = 0) -> list:
-    """All full-dimensional intersections of one cell from each list, as
-    (index tuple, reduced cell) pairs.  Empty tuples are pruned by an
-    interior-point LP on each partial prefix before any reduction runs."""
-    out = []
-
-    def rec(level, prefix, constraints, witness):
-        if level == len(piece_lists):
-            kept = clarkson_reduce(constraints, witness, seed)
-            out.append((prefix, ConvexCell(len(witness), tuple(kept), witness=witness)))
-            return
-        for idx, cell in enumerate(piece_lists[level]):
-            rows = constraints + list(cell.constraints)
-            w = find_interior_point(rows, seed)
-            if w is not None:
-                rec(level + 1, prefix + (idx,), rows, w)
-
-    rec(0, (), [], None)
-    return out
-
-
-def compute_overlay(subdivisions: Sequence[Subdivision], seed: int = 0) -> Subdivision:
-    """Common refinement of several subdivisions of the same parent; cell
-    labels are the tuples of source-cell labels."""
-    if not subdivisions:
-        raise GeometryError("need at least one subdivision")
-    parent = subdivisions[0].parent
-    parent_keys = parent.constraint_keys()
-    for sub in subdivisions[1:]:
-        if sub.parent.constraint_keys() != parent_keys:
-            raise GeometryError("subdivisions cover different parents")
-    labels = [sorted(sub.cells) for sub in subdivisions]
-    piece_lists = [[sub.cells[l] for l in labs] for sub, labs in zip(subdivisions, labels)]
-    cells = {}
-    for prefix, cell in overlay_pieces(piece_lists, seed):
-        label = tuple(labs[i] for labs, i in zip(labels, prefix))
-        cells[label] = cell
-    keys = sorted(cells)
-    adjacency = set()
-    for a_idx in range(len(keys)):
-        for b_idx in range(a_idx + 1, len(keys)):
-            if cells_share_facet(cells[keys[a_idx]], cells[keys[b_idx]], seed):
-                adjacency.add((keys[a_idx], keys[b_idx]))
-    return Subdivision(parent, cells, frozenset(adjacency))
 
 
 # --------------------------------------------------------------------------

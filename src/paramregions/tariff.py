@@ -3,22 +3,30 @@
 A tariff charges a fixed fee plus a per-unit price; a menu offers several
 such pairs and each buyer sample picks the utility-maximizing pair and
 quantity.  Price space splits into convex regions of constant purchase
-profile, found by one walk over the regions' adjacency graph
-(`regions.compute_subdivision`) in which every candidate row names the
-profile across it, so no region is lost.  Revenue is affine on each region,
-so the revenue-maximizing prices come from one exact LP per region.
+profile.  A profile's region is the intersection of one option region per
+sample, so the regions are found by the product walk of `regions`
+(`compute_subdivision` over `product_candidates`), in which every candidate
+row names the profile across it, so no region is lost.  Revenue is affine
+on each region, so the revenue-maximizing prices come from one exact LP per
+region.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from operator import index
+from functools import partial
 from typing import Optional
 
-from .geometry import ConvexCell, Halfspace, Row, solve_lp
+from .geometry import ConvexCell, Halfspace, solve_lp
 from .rationals import Rational, ZERO, as_rational, format_rational
-from .regions import Subdivision, compute_subdivision
+from .regions import (
+    AffineForm,
+    Subdivision,
+    argmin_label,
+    compute_subdivision,
+    dominance_constraints,
+    product_candidates,
+)
 
 
 @dataclass(frozen=True)
@@ -122,101 +130,36 @@ def buyer_choice(instance: TariffInstance, i: int, prices) -> tuple:
     return best[1], best[2]
 
 
-def _seed_profile(instance: TariffInstance, prices) -> tuple:
-    """The profile at prices + (e, e^2, ..., e^d) for every small enough
-    e > 0: each sample takes its option of largest utility at `prices`, ties
-    broken by comparing the utilities' price coefficients in order (distinct
-    options never tie on them).  That point lies on no tie hyperplane, so
-    for `prices` inside the box the profile has a full-dimensional cell."""
-
-    def rank(i, option):
-        # The utility's price coefficients are minus the option's revenue.
-        return utility(instance, i, *option, prices), [-c for c in revenue_form(instance, (option,))]
-
-    return tuple(max(_options(instance), key=lambda o: rank(i, o)) for i in range(instance.n_samples))
-
-
-def _options(instance: TariffInstance) -> list:
-    """Every (quantity, tariff index) a buyer can pick, buying nothing
-    canonicalized to (0, 1), in candidate order."""
-    return [(0, 1)] + [
-        (q, j) for q in range(1, instance.units + 1) for j in range(1, instance.menu_length + 1)
+def _option_forms(instance: TariffInstance) -> list:
+    """Per sample, {option: minus its utility as an `AffineForm` over the
+    price vector}, over every (quantity, tariff index) a buyer can pick,
+    buying nothing canonicalized to (0, 1): the buyer picks an option of
+    least form.  The price coefficients are the option's revenue, so two
+    distinct options never share them."""
+    menu = range(1, instance.menu_length + 1)
+    options = [(0, 1)] + [(q, j) for q in range(1, instance.units + 1) for j in menu]
+    return [
+        {o: AffineForm(revenue_form(instance, (o,)), -instance.value(i, o[0])) for o in options}
+        for i in range(instance.n_samples)
     ]
-
-
-def _int_utility(instance: TariffInstance, i: int, q: int, j: int, scale: int) -> tuple:
-    """`scale` times sample i's utility for (q, j) as an integer row over the
-    price vector plus constant: scale * (v_i(q) - p1^j - q p2^j)."""
-    row = [0] * (instance.dimension + 1)
-    if q > 0:
-        row[2 * (j - 1)] = -scale
-        row[2 * (j - 1) + 1] = -q * scale
-        row[-1] = index((instance.value(i, q) * scale).numerator)  # an integer
-    return tuple(row)
-
-
-def _profile_candidates(instance: TariffInstance):
-    """The `candidates` function of `compute_subdivision` over
-    purchase-profile labels.
-
-    Sample i's rows depend on its own entry (q, j) alone: they are built
-    once per entry (`_candidate_rows`) and only relabeled per profile.  A
-    row is labeled with the profile across its hyperplane, in which every
-    sample that owns the row takes its fastest-rising alternative there.
-    """
-    cache: dict = {}  # (i, (q, j)) -> (int rows, {int row: fastest-rising alternative})
-
-    def candidates(label):
-        rows = []
-        across: dict = {}  # int row -> the profile across it
-        for i, entry in enumerate(label):
-            if (i, entry) not in cache:
-                cache[i, entry] = _candidate_rows(instance, i, entry)
-            entry_rows, fastest = cache[i, entry]
-            rows += entry_rows
-            for row, alt in fastest.items():
-                profile = across.get(row, label)
-                across[row] = profile[:i] + (alt,) + profile[i + 1:]
-        return [Row(row, across[row]) for row in rows]
-
-    return candidates
-
-
-def _candidate_rows(instance: TariffInstance, i: int, entry: tuple) -> tuple:
-    """The primitive integer rows "u_i(alternative) <= u_i(entry)" over every
-    other option of sample i, in option order, and for each distinct row the
-    alternative whose utility rises fastest across it: the one whose row was
-    divided by the largest factor.  Two distinct options never have the same
-    price coefficients, so no row is all-zero, no alternative beats `entry`
-    at every price, and no two alternatives share both row and factor."""
-    scale = math.lcm(*(index(v.denominator) for v in instance.valuations[i]))
-    cur = _int_utility(instance, i, *entry, scale)
-    rows = []
-    fastest: dict = {}  # int row -> (factor, alternative)
-    for alt in _options(instance):
-        if alt == entry:
-            continue
-        # u(alt) <= u(entry)  <=>  (alt - cur).coeffs . p <= cur.const - alt.const
-        other = _int_utility(instance, i, *alt, scale)
-        row = tuple(a - c for a, c in zip(other[:-1], cur[:-1])) + (cur[-1] - other[-1],)
-        g = math.gcd(*row)
-        row = row if g == 1 else tuple(c // g for c in row)
-        rows.append(row)
-        fastest[row] = max(fastest.get(row, (0, None)), (g, alt))
-    return rows, {row: alt for row, (_, alt) in fastest.items()}
 
 
 def compute_price_regions(instance: TariffInstance, seed: int = 0) -> Subdivision:
     """Regions of constant buyer behavior over the capped price box.
 
-    Labels are per-sample (quantity, tariff-index) tuples.  The walk of
-    `regions.compute_subdivision` starts from the profile just inside the
-    box from its witness (`_seed_profile`) and follows facet labels, each
-    the profile across its facet, so it finds every region.
+    Labels are per-sample (quantity, tariff-index) tuples, and a profile's
+    region is the intersection of one option region per sample: one walk of
+    `regions.compute_subdivision` over tuple labels
+    (`regions.product_candidates`), each sample's rows its dominance rows.
+    It starts from the profile just past the box's witness
+    (`regions.argmin_label` per sample) and follows facet labels, each the
+    profile across its facet, so it finds every region.
     """
     box = instance.price_box()
-    seeds = (_seed_profile(instance, box.witness),)
-    return compute_subdivision(box, seeds, _profile_candidates(instance), seed)
+    forms = _option_forms(instance)
+    start = tuple(argmin_label(options, box.witness) for options in forms)
+    candidates = product_candidates([partial(dominance_constraints, options) for options in forms])
+    return compute_subdivision(box, (start,), candidates, seed)
 
 
 def single_tariff_regions(instance: TariffInstance, seed: int = 0) -> Subdivision:

@@ -28,10 +28,15 @@ from paramregions.geometry import (
     solve_lp,
 )
 from paramregions.rationals import rat
-from paramregions.regions import AffineForm, argmin_label, compute_subdivision, dominance_constraints
+from paramregions.regions import (
+    AffineForm,
+    argmin_label,
+    compute_overlay,
+    compute_subdivision,
+    dominance_constraints,
+)
 from paramregions.seqalign import (
     build_execution_dag,
-    compute_overlay,
     dp_solve,
     enumerate_alignments,
     feature_counts,

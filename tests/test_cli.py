@@ -376,6 +376,38 @@ class TestPlotData:
         assert "flat" not in body and "box" in body
 
 
+def _box_regions(edit):
+    from paramregions.geometry import box_cell
+
+    cell = {"label": "box", **box_cell(0, 1, 2).to_json()}
+    edit(cell)
+    return {"schema_version": 1, "cells": [cell]}
+
+
+class TestMalformedNumbers:
+    LINE = {"points": [["0"], ["1"], ["3"], ["28/5"]], "target": [[0, 1], [2, 3]], "k": 2}
+
+    @pytest.mark.parametrize(
+        "verb, data, extra",
+        [
+            ("tariff-regions", {"K": 2, "valuations": [["3", "5"]], "price_cap": "1/0"}, []),
+            ("tariff-regions", {"K": 2, "valuations": [["3", "5/0"]]}, []),
+            ("cluster-regions", {**LINE, "points": [["0"], ["1/0"], ["3"], ["28/5"]]}, []),
+            ("cluster-regions", LINE, ["--restrict", "1:1/0"]),
+            ("plot-data", _box_regions(lambda c: c.update(witness=["1/0", "1/2"])), []),
+            ("plot-data", _box_regions(lambda c: c["constraints"][0].update(offset="1/0")), []),
+            ("plot-data", _box_regions(lambda c: c["constraints"][0].update(offset=0.5)), []),
+        ],
+        ids=["price-cap", "valuation", "point", "restrict", "witness", "offset", "float-offset"],
+    )
+    def test_zero_denominator_or_float_exit_2(self, verb, data, extra, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data))
+        source = "--regions" if verb == "plot-data" else "--instance"
+        assert run_cli([verb, source, str(path), *extra, "--output", str(tmp_path / "out")]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
 class TestGenDataset:
     def test_writes_instance_consumable_by_cluster_regions(self, tmp_path):
         inst = tmp_path / "rings.json"
@@ -503,6 +535,12 @@ class TestGoldenOutput:
         args = ["tariff-regions", "--instance", str(GOLDEN / "tariff_4x4.in.json")]
         self.assert_golden("tariff_4x4.json", args, tmp_path)
 
+    def test_tariff_regions_menu_of_two(self, tmp_path):
+        # d = 4: three samples, one with a fractional valuation, each
+        # choosing among five options.
+        args = ["tariff-regions", "--instance", str(GOLDEN / "tariff_menu2.in.json"), "--menu", "2"]
+        self.assert_golden("tariff_menu2.json", args, tmp_path)
+
     def test_align_regions_gap_preset(self, tmp_path):
         args = ["align-regions", "--preset", "mismatch-space-gap", "--s1", "ACG", "--s2", "TGA"]
         self.assert_golden("align_ACG_TGA.json", args, tmp_path)
@@ -525,6 +563,14 @@ class TestGoldenOutput:
         assert run_cli(restricted + ["--output", str(tmp_path / "restricted.json")]) == 0
         args = ["cluster-regions", "--instance", line_instance_file, "--linkages", "single,complete"]
         self.assert_golden("cluster_line.json", args, tmp_path)
+
+    def test_cluster_regions_three_linkages(self, tmp_path):
+        # d = 2: seven points in the plane, one metric, three linkages.
+        args = [
+            "cluster-regions", "--instance", str(GOLDEN / "cluster_median.in.json"),
+            "--linkages", "single,complete,median",
+        ]
+        self.assert_golden("cluster_median.json", args, tmp_path)
 
 
 class TestEntryPoint:

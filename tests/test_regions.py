@@ -184,6 +184,71 @@ class TestComputeSubdivision:
         assert back.adjacency == sub.adjacency
 
 
+class TestWalkContract:
+    """Every dominance row is labeled with the behavior across it, so the
+    walk from any full-dimensional seed finds every region."""
+
+    def test_shared_row_names_the_fastest_falling_form(self):
+        # b and c both tie with a at x = 1/2; c falls faster, so c, not b,
+        # wins across, and b has no cell.
+        forms = {"a": AffineForm((rat(0),), rat(0)), "b": AffineForm((rat(-1),), rat(1, 2)),
+                 "c": AffineForm((rat(-2),), rat(1))}
+        rows = dominance_constraints(forms, "a")
+        assert [r.int_row for r in rows] == [(2, 1), (2, 1)]
+        assert [r.label for r in rows] == ["c", "c"]
+        sub = compute_subdivision(box_cell(0, 1, 1), ["a"], lambda label: dominance_constraints(forms, label))
+        assert set(sub.cells) == {"a", "c"}
+        assert sub.adjacency == frozenset({("a", "c")})
+
+    def test_scaled_copies_tile_the_box(self):
+        # One form per set is f_a + k (f_b - f_a): it meets f_a along the
+        # same line as f_b, at another rate.
+        rng = random.Random(31)
+        parent = box_cell(0, 1, 2)
+        area = polygon_area(polygon_vertices(parent))
+        for trial in range(200):
+            forms = {
+                i: AffineForm((rat(rng.randint(-4, 4)), rat(rng.randint(-4, 4))), rat(rng.randint(0, 3)))
+                for i in range(5)
+            }
+            a, b = rng.sample(range(5), 2)
+            k = rat(rng.randint(1, 6), rng.randint(1, 6))
+            fa, fb = forms[a], forms[b]
+            forms[5] = AffineForm(
+                tuple(x + k * (y - x) for x, y in zip(fa.coeffs, fb.coeffs)), fa.const + k * (fb.const - fa.const)
+            )
+            sub = argmin_subdivision(parent, forms, seed=trial)
+            assert sum(polygon_area(polygon_vertices(cell)) for cell in sub.cells.values()) == area, trial
+            pairs = {
+                tuple(sorted((label, h.label)))
+                for label, cell in sub.cells.items()
+                for h in cell.constraints
+                if h.label is not None
+            }
+            assert sub.adjacency == pairs, trial
+
+    def test_argmin_at_a_tie_has_the_cell_just_past_the_point(self):
+        # At ties the label is the one minimal at p + (e, e^2), so its cell
+        # holds that point for small e > 0.
+        rng = random.Random(37)
+        parent = box_cell(0, 1, 2)
+        e = rat(1, 10**6)
+        ties = 0
+        for trial in range(20):
+            forms = {
+                i: AffineForm((rat(rng.randint(-3, 3)), rat(rng.randint(-3, 3))), rat(rng.randint(0, 2)))
+                for i in range(6)
+            }
+            sub = argmin_subdivision(parent, forms, seed=trial)
+            for x in range(1, 6):
+                for y in range(1, 6):
+                    p = (rat(x, 6), rat(y, 6))
+                    ties += len(sub.labels_at(p)) > 1
+                    label = argmin_label(forms, p)
+                    assert sub.cells[label].contains((p[0] + e, p[1] + e * e), strict=True), (trial, p)
+        assert ties > 0
+
+
 def facet_labels(sub):
     return {h.label for cell in sub.cells.values() for h in cell.constraints if h.label is not None}
 

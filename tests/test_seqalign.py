@@ -6,7 +6,7 @@ import pytest
 from paramregions import regions, seqalign
 from paramregions.geometry import GeometryError, box_cell, sample_interior
 from paramregions.rationals import rat
-from paramregions.regions import AffineForm, Subdivision
+from paramregions.regions import AffineForm, Subdivision, cells_share_facet, compute_overlay
 from paramregions.seqalign import (
     Alignment,
     AlignmentDPSpec,
@@ -14,7 +14,6 @@ from paramregions.seqalign import (
     TermSpec,
     build_execution_dag,
     _lower_hull_2d,
-    compute_overlay,
     default_domain,
     dp_solve,
     dp_solve_multi,
@@ -351,16 +350,41 @@ class TestCellsOnlyAtRoot:
 
 
 class TestOverlay:
-    def _half_subdivision(self, axis, label_low, label_high):
+    def _half_subdivision(self, axis, label_low, label_high, labeled=True):
+        """The unit square cut at 1/2 along `axis`; each half's row is
+        labeled with the other half, or left unlabeled."""
         from paramregions.geometry import Row
 
         parent = box_cell(0, 1, 2)
         normal = tuple(rat(1) if i == axis else rat(0) for i in range(2))
-        low, _ = regions.compute_vertex_cell(parent, label_low, [Row.from_rationals(normal, rat(1, 2))])
+        low_across, high_across = (label_high, label_low) if labeled else (None, None)
+        low, _ = regions.compute_vertex_cell(
+            parent, label_low, [Row.from_rationals(normal, rat(1, 2), low_across)]
+        )
         high, _ = regions.compute_vertex_cell(
-            parent, label_high, [Row.from_rationals(tuple(-c for c in normal), rat(-1, 2))]
+            parent, label_high, [Row.from_rationals(tuple(-c for c in normal), rat(-1, 2), high_across)]
         )
         return Subdivision(parent, {label_low: low, label_high: high}, frozenset({(label_low, label_high)}))
+
+    def assert_matches_oracle(self, subs):
+        """Cells against an interior-point LP on every intersection of one
+        input cell per subdivision; adjacency against `cells_share_facet` on
+        every pair of cells."""
+        from paramregions.geometry import find_interior_point
+
+        out = compute_overlay(subs)
+        expect = set()
+        for combo in product(*(sorted(sub.cells.items()) for sub in subs)):
+            if find_interior_point([h for _, cell in combo for h in cell.constraints]) is not None:
+                expect.add(tuple(label for label, _ in combo))
+        assert set(out.cells) == expect
+        for label, cell in out.cells.items():
+            assert all(sub.cells[l].contains(cell.witness, strict=True) for sub, l in zip(subs, label))
+        keys = sorted(out.cells)
+        shared = {
+            (a, b) for i, a in enumerate(keys) for b in keys[i + 1 :] if cells_share_facet(out.cells[a], out.cells[b])
+        }
+        assert out.adjacency == shared
 
     def test_idempotent_on_itself(self):
         sub = self._half_subdivision(0, "l", "r")
@@ -377,17 +401,24 @@ class TestOverlay:
 
     def test_matches_pairwise_feasibility_oracle(self):
         spec = mismatch_space_spec()
-        sa = build_execution_dag(spec, "A", "B")
-        sb = build_execution_dag(spec, "AB", "B")
-        out = compute_overlay([sa, sb])
-        from paramregions.geometry import find_interior_point
+        self.assert_matches_oracle([build_execution_dag(spec, "A", "B"), build_execution_dag(spec, "AB", "B")])
+        # Seeded random DAG partitions in d = 3 and d = 2, where many fan
+        # boundaries coincide; the first overlay has three inputs.
+        rng = random.Random(41)
+        for trial in range(12):
+            gap = trial % 3 == 0
+            spec = mismatch_space_gap_spec() if gap else mismatch_space_spec()
+            lengths = (3, 6) if gap else (8, 16)
+            subs = []
+            for _ in range(3 if trial == 0 else 2):
+                s1, s2 = ("".join(rng.choice(ALPHABET) for _ in range(rng.randint(*lengths))) for _ in "12")
+                subs.append(build_execution_dag(spec, s1, s2, seed=trial))
+            self.assert_matches_oracle(subs)
 
-        expect = set()
-        for la, ca in sa.cells.items():
-            for lb, cb in sb.cells.items():
-                if find_interior_point(list(ca.constraints) + list(cb.constraints)) is not None:
-                    expect.add((la, lb))
-        assert set(out.cells) == expect
+    def test_unlabeled_interior_facet_rejected(self):
+        a = self._half_subdivision(0, "l", "r", labeled=False)
+        with pytest.raises(GeometryError):
+            compute_overlay([a, a])
 
     def test_mismatched_parents_rejected(self):
         a = self._half_subdivision(0, "l", "r")

@@ -1,10 +1,11 @@
 import random
+from functools import partial
 
 import pytest
 
 from paramregions.geometry import polygon_area, polygon_vertices, sample_interior
 from paramregions.rationals import rat
-from paramregions.regions import compute_vertex_cell
+from paramregions.regions import argmin_label, compute_vertex_cell, dominance_constraints, product_candidates
 from paramregions.tariff import (
     TariffInstance,
     buyer_choice,
@@ -13,8 +14,7 @@ from paramregions.tariff import (
     maximize_revenue,
     region_boundary_lines,
     single_tariff_regions,
-    _profile_candidates,
-    _seed_profile,
+    _option_forms,
 )
 
 from oracles import reference_tariff_candidates
@@ -22,6 +22,11 @@ from oracles import reference_tariff_candidates
 FIXTURE = TariffInstance(units=2, valuations=[(3, 5)])
 # Two identical samples: every boundary line is shared by both.
 TWINS = TariffInstance(units=2, valuations=[[3, 5], [3, 5]], price_cap=7)
+
+
+def profile_candidates(inst):
+    """The candidates function of the tariff search."""
+    return product_candidates([partial(dominance_constraints, forms) for forms in _option_forms(inst)])
 
 
 def grid_points(cap, steps):
@@ -178,9 +183,9 @@ class TestCompleteness:
         ],
     )
     def test_seed_at_a_tie_has_a_cell(self, inst, prices, want):
-        label = _seed_profile(inst, tuple(rat(p) for p in prices))
+        label = tuple(argmin_label(forms, tuple(rat(p) for p in prices)) for forms in _option_forms(inst))
         assert label == want
-        cell, _ = compute_vertex_cell(inst.price_box(), label, _profile_candidates(inst)(label))
+        cell, _ = compute_vertex_cell(inst.price_box(), label, profile_candidates(inst)(label))
         assert cell.contains(cell.witness, strict=True)
 
 
@@ -195,7 +200,7 @@ class TestCandidateRows:
             n, k = rng.randint(1, 4), rng.randint(1, 4)
             vals = [[rat(rng.randint(0, 40), rng.choice((1, 1, 2, 3, 6))) for _ in range(k)] for _ in range(n)]
             inst = TariffInstance(units=k, valuations=vals, menu_length=menu)
-            candidates = _profile_candidates(inst)
+            candidates = profile_candidates(inst)
             options = [(0, 1)] + [(q, j) for q in range(1, k + 1) for j in range(1, menu + 1)]
             labels = list(compute_price_regions(inst, seed=trial).cells)
             labels += [tuple(rng.choice(options) for _ in range(n)) for _ in range(10)]

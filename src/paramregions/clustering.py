@@ -33,7 +33,7 @@ from .rationals import (
     parse_vector,
     rat,
 )
-from .regions import AffineForm, envelope_cells
+from .regions import AffineForm, envelope_cells, pareto_front
 
 LINKAGES = ("single", "complete", "median", "average", "mediod")
 
@@ -102,6 +102,8 @@ class ClusteringInstance:
                 for j in range(i):
                     if table[i][j] != table[j][i]:
                         raise ValueError(f"metric {name!r} is not symmetric")
+        if self.k is not None and (type(self.k) is not int or not 1 <= self.k <= n):
+            raise ValueError(f"k must be an integer from 1 to {n}, not {self.k!r}")
         if self.target is not None:
             members = sorted(i for part in self.target for i in part)
             if members != list(range(n)):
@@ -223,12 +225,6 @@ class MergeFamily:
         center = tuple(rat(1, d + 1) for _ in range(d))
         return ConvexCell(d, tuple(rows), witness=center)
 
-    def simplex_vertices(self) -> tuple:
-        """The corners of `simplex_cell`: the origin and the unit vectors."""
-        d = self.dimension
-        units = tuple(tuple(Rational(1) if j == t else ZERO for j in range(d)) for t in range(d))
-        return ((ZERO,) * d,) + units
-
     def coefficients(self, rho) -> tuple:
         rho = as_vector(rho)
         if len(rho) != self.dimension:
@@ -324,7 +320,10 @@ class ClusterState:
         return tuple(self._stat_value(pair, t) for t in range(len(self.family.components)))
 
     def merge_forms(self) -> dict:
-        return {pair: self.family.affine_form(self.component_values(pair)) for pair in self.pairs()}
+        """The merge forms of the pairs on the `pareto_front` of their component
+        values, which are a form's values at the simplex corners, last first."""
+        values = {pair: self.component_values(pair) for pair in self.pairs()}
+        return {pair: self.family.affine_form(values[pair]) for pair in pareto_front(values)}
 
     def merge(self, pair) -> "ClusterState":
         a, b = pair
@@ -452,15 +451,15 @@ def build_execution_tree(
 
 def _expand(state: ClusterState, merges: tuple, region: ConvexCell, seed: int) -> ExecutionTreeNode:
     """The subtree below `state`: the region splits into the cells of the
-    lower envelope of the live pairs' merge forms (`envelope_cells`, pruned
-    at the simplex corners), and each cell's pair is merged next."""
+    lower envelope of the merge forms on the Pareto front of the live pairs'
+    component values (`envelope_cells`), and each cell's pair is merged next."""
     if len(state.clusters) <= 1:
         return ExecutionTreeNode(merges, region)
     pairs = state.pairs()
     if len(pairs) == 1:
         child = _expand(state.merge(pairs[0]), merges + (pairs[0],), region, seed)
         return ExecutionTreeNode(merges, region, (child,))
-    sub = envelope_cells(region, state.merge_forms(), state.family.simplex_vertices(), seed)
+    sub = envelope_cells(region, state.merge_forms(), seed)
     children = []
     for pair in sorted(sub.cells):
         children.append(_expand(state.merge(pair), merges + (pair,), sub.cells[pair], seed))

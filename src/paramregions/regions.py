@@ -13,10 +13,10 @@ several alternatives with the one whose form falls fastest across it.  Its
 callers:
 
 - `envelope_cells`, for "behavior = argmin of labeled affine forms" (a
-  clustering merge step): its label step, `envelope_labels`, drops the
-  forms dominated at the corners of a polytope containing the parent and
-  runs one interior-point LP per remaining form; the walk builds the cells
-  of the forms that passed.  An alignment DAG node below the root calls
+  clustering merge step): the label step `envelope_labels` runs one
+  interior-point LP per form left by `pareto_front` (on a merge pair's
+  component values or an alignment's counts), and the walk builds the cells
+  of those that passed.  An alignment DAG node below the root calls
   `envelope_labels` alone, and the root walks from its regions' forms.
 - the product walk over tuple labels, whose cells are intersections of one
   cell per factor (`product_candidates`): the tariff search, one factor per
@@ -252,48 +252,49 @@ def compute_subdivision(
     return Subdivision(parent, cells, adjacency, tuple(sorted(degenerate)))
 
 
-def envelope_labels(parent: ConvexCell, forms: dict, corners, seed: int = 0) -> tuple:
+def pareto_front(vectors: dict) -> list:
+    """The labels of `vectors` that no other vector is componentwise <=, in
+    label order; of equal vectors the smallest label stays.  A form whose
+    values at the corners of a polytope around the parent are all >= another's
+    is minimal nowhere inside and tightens no other cell, so this prunes the
+    forms of `envelope_labels`.  The maxima filter of Kung, Luccio & Preparata
+    (JACM 1975): one pass against the vectors kept."""
+    kept: list = []  # (label, vector), in label order
+    for label in sorted(vectors):
+        vector = vectors[label]
+        if any(all(k <= v for k, v in zip(other, vector)) for _, other in kept):
+            continue
+        kept = [(l, other) for l, other in kept if not all(v <= k for v, k in zip(vector, other))]
+        kept.append((label, vector))
+    return [label for label, _ in kept]
+
+
+def envelope_labels(parent: ConvexCell, forms: dict, seed: int = 0) -> tuple:
     """The label step of `envelope_cells`: (the forms whose lower-envelope
     cell inside `parent` is full-dimensional, the labels that fail the
-    test), both in label order; `corners` are the vertices of a polytope
-    that contains `parent`.
-
-    Prune: a form whose values at the corners are all >= another's is
-    dropped (of equal forms the smallest label stays).  Their difference is
-    affine, >= 0 on the polytope and, unless it is 0, > 0 inside it: the
-    dropped form is minimal nowhere in `parent`'s interior and tightens no
-    other cell.  One pass in label order against the forms kept so far does
-    it.  Test: one interior-point LP per remaining label.
+    test), both in label order.  One interior-point LP per label against
+    all the forms; a label whose `dominance_constraints` is None (coincident
+    with a smaller label, or beaten everywhere) fails without one.
     """
-    kept: list = []  # (label, values at the corners), in label order
+    passed = {}
     for label in sorted(forms):
-        values = tuple(forms[label].value(c) for c in corners)
-        if any(all(k <= v for k, v in zip(other, values)) for _, other in kept):
-            continue
-        kept = [(l, other) for l, other in kept if not all(v <= k for v, k in zip(values, other))]
-        kept.append((label, values))
-    pruned = {label: forms[label] for label, _ in kept}
-    rows = list(parent.constraints)
-    passed = {
-        label: form
-        for label, form in pruned.items()
-        if find_interior_point(rows + dominance_constraints(pruned, label), seed) is not None
-    }
-    return passed, tuple(label for label in pruned if label not in passed)
+        rows = dominance_constraints(forms, label)
+        if rows is not None and find_interior_point([*parent.constraints, *rows], seed) is not None:
+            passed[label] = forms[label]
+    return passed, tuple(label for label in sorted(forms) if label not in passed)
 
 
-def envelope_cells(parent: ConvexCell, forms: dict, corners, seed: int = 0) -> Subdivision:
+def envelope_cells(parent: ConvexCell, forms: dict, seed: int = 0) -> Subdivision:
     """The full-dimensional cells of the lower envelope of labeled affine
-    forms inside `parent`, keyed by label; `corners` are the vertices of a
-    polytope that contains `parent`.  `envelope_labels` decides which labels
-    get a cell, and `compute_subdivision` walks from them against the forms
-    that passed; the labels that fail the test are recorded as degenerate.
+    forms inside `parent`, keyed by label.  `envelope_labels` decides which
+    labels get a cell, and `compute_subdivision` walks from them against the
+    forms that passed; the labels that fail are recorded as degenerate.
 
     The forms that passed meet the walk's contract: of two of them that tie
     with a cell along one hyperplane, the one that does not win across it
     would have no cell, so it did not pass.
     """
-    passed, degenerate = envelope_labels(parent, forms, corners, seed)
+    passed, degenerate = envelope_labels(parent, forms, seed)
     sub = compute_subdivision(parent, passed, lambda label: dominance_constraints(passed, label), seed)
     return Subdivision(parent, sub.cells, sub.adjacency, degenerate)
 

@@ -32,7 +32,6 @@ with one DP solve per probe point, over one node graph.  Both end in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from operator import add
 from typing import Optional, Sequence
 
@@ -50,6 +49,7 @@ from .regions import (
     compute_subdivision,
     dominance_constraints,
     envelope_labels,
+    pareto_front,
 )
 
 SPACE = "-"
@@ -645,10 +645,10 @@ def _envelope_regions(candidates, domain: ConvexCell, seed: int) -> dict:
 
     With two features the regions are the vertices of conv(totals) + R^2_+
     (`_lower_hull_2d`); otherwise `regions.envelope_labels` tests each total
-    by an LP.  Costs are linear, so a cost that is at least another's at the
-    unit box's corners (the origin and the unit vectors among them) is so on
-    the whole nonnegative orthant: those corners serve `envelope_labels` for
-    the domain, the unit box.
+    on the `regions.pareto_front` of the counts by an LP.  Costs are linear
+    in rho >= 0, so a cost is at least another's at every corner of the
+    domain, the unit box, exactly when its counts are componentwise so (the
+    unit vectors are among the corners).
     """
     by_counts: dict = {}
     for alignment in candidates:
@@ -659,9 +659,8 @@ def _envelope_regions(candidates, domain: ConvexCell, seed: int) -> dict:
     if domain.dimension == 2:
         passed = _lower_hull_2d({key: alignment.counts for key, alignment in by_key.items()})
     else:
-        forms = {key: AffineForm(alignment.counts, 0) for key, alignment in by_key.items()}
-        corners = tuple(product((0, 1), repeat=domain.dimension))
-        passed, _ = envelope_labels(domain, forms, corners, seed)
+        front = pareto_front({key: alignment.counts for key, alignment in by_key.items()})
+        passed, _ = envelope_labels(domain, {key: AffineForm(by_key[key].counts, 0) for key in front}, seed)
     return {key: by_key[key] for key in sorted(passed)}
 
 

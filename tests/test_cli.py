@@ -106,6 +106,22 @@ class TestClusterRegions:
         path.write_text(json.dumps({"points": [["0"], ["1"], ["5"], ["6"]], "target": [[0, 1], [2, 3]], "k": 3}))
         assert run_cli(["cluster-regions", "--instance", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "target, k",
+        [
+            ([[0, 1], [2, 3]], 2.0),
+            ([[0, 1], [2, 3], [], [], []], 5),
+            ([[0, 1], [2, 3]], True),
+            ([[0, 1], [2, 3]], "2"),
+        ],
+        ids=["float", "more-than-points", "bool", "string"],
+    )
+    def test_k_not_an_integer_from_1_to_n_exit_2(self, tmp_path, capsys, target, k):
+        path = tmp_path / "bad_k.json"
+        path.write_text(json.dumps({"points": [["0"], ["1"], ["5"], ["6"]], "target": target, "k": k}))
+        assert run_cli(["cluster-regions", "--instance", str(path)]) == 2
+        assert "k must be an integer from 1 to 4" in capsys.readouterr().err
+
     def test_restricted_best_is_one_of_the_cells(self, line_instance_file, tmp_path):
         out = tmp_path / "regions.json"
         args = ["cluster-regions", "--instance", line_instance_file, "--restrict=-1:-1/2"]

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from paramregions.clustering import (
+    LINKAGES,
+    ClusterState,
     ClusterTree,
     ClusteringInstance,
     MergeFamily,
@@ -22,8 +24,9 @@ from paramregions.clustering import (
 )
 from paramregions.geometry import sample_interior, solve_lp
 from paramregions.rationals import rat
+from paramregions.regions import envelope_labels
 
-from oracles import exhaustive_hamming_loss, sweep_leaf_count_1d
+from oracles import exhaustive_hamming_loss, reference_envelope_labels, sweep_leaf_count_1d
 
 LINE_POINTS = [(0,), (1,), (3,), (rat(28, 5),)]
 
@@ -180,6 +183,34 @@ class TestExecutionTree:
             fam = sc_family()
             got = len(leaf_subdivision(build_execution_tree(inst, fam)))
             assert got == sweep_leaf_count_1d(inst, fam)
+
+
+class TestEnvelopePrune:
+    def test_front_matches_corner_reference_at_every_node(self):
+        # The merge forms' Pareto front on component values passes the same
+        # labels as the LP step over every pair's form, pruned at the corners.
+        rng = random.Random(41)
+        nodes = 0
+        for trial in range(20):
+            metrics = ("euclidean", "manhattan")[: rng.randint(1, 2)]
+            components = rng.randint(2, 4) if len(metrics) == 1 else rng.choice((2, 4))
+            family = MergeFamily(tuple(rng.sample(LINKAGES, components // len(metrics))), metrics)
+            # Small integer coordinates make equal component vectors common.
+            pts = [(rng.randint(0, 8), rng.randint(0, 8)) for _ in range(rng.randint(7, 9))]
+            inst = ClusteringInstance.from_points(pts, metrics)
+            d = family.dimension
+            corners = [(0,) * d] + [tuple(int(j == t) for j in range(d)) for t in range(d)]
+            stack = [(build_execution_tree(inst, family, seed=trial), ClusterState.initial(inst, family))]
+            while stack:
+                node, state = stack.pop()
+                if node.subdivision is not None:
+                    nodes += 1
+                    every = {pair: family.affine_form(state.component_values(pair)) for pair in state.pairs()}
+                    passed, _ = envelope_labels(node.region, state.merge_forms(), trial)
+                    assert list(passed) == reference_envelope_labels(node.region, every, corners, trial)
+                    assert set(passed) == set(node.subdivision.cells)
+                stack += [(child, state.merge(child.merges[-1])) for child in node.children]
+        assert nodes > 120
 
 
 class TestHammingLoss:

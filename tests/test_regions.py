@@ -21,6 +21,7 @@ from paramregions.regions import (
     compute_vertex_cell,
     dominance_constraints,
     envelope_cells,
+    pareto_front,
 )
 from paramregions.rationals import rat
 
@@ -253,10 +254,25 @@ def facet_labels(sub):
     return {h.label for cell in sub.cells.values() for h in cell.constraints if h.label is not None}
 
 
-class TestEnvelopeCells:
-    UNIT_SEGMENT_CORNERS = ((0,), (1,))
-    SIMPLEX_CORNERS = ((0, 0), (1, 0), (0, 1))
+class TestParetoFront:
+    def test_equal_vectors_keep_the_smallest_label(self):
+        assert pareto_front({"b": (1, 2), "a": (1, 2), "c": (1, 2)}) == ["a"]
+        assert pareto_front({"a": (1, 2), "c": (1, 2), "b": (1, 2)}) == ["a"]
+        assert pareto_front({(2, 3): (0,), (0, 1): (0,), (1, 5): (0,)}) == [(0, 1)]
 
+    def test_incomparable_vectors_are_both_kept(self):
+        assert pareto_front({"y": (3, 0, 1), "x": (0, 3, 1)}) == ["x", "y"]
+
+    def test_later_vector_evicts_earlier_dominated_ones(self):
+        assert pareto_front({"a": (2, 5), "b": (5, 2), "c": (1, 3)}) == ["b", "c"]
+        assert pareto_front({"a": (2, 2), "b": (2, 2), "c": (3, 1), "d": (1, 1)}) == ["d"]
+
+    def test_dominated_later_vector_is_dropped(self):
+        assert pareto_front({"a": (1, 1), "b": (1, 2), "c": (2, 1)}) == ["a"]
+        assert pareto_front({}) == []
+
+
+class TestEnvelopeCells:
     def test_three_forms_through_one_point(self):
         # All three tie at x = 1/2: c wins left of it, b right, and a only
         # at the point itself.
@@ -265,7 +281,7 @@ class TestEnvelopeCells:
             "b": AffineForm((rat(-2),), rat(3)),
             "c": AffineForm((rat(0),), rat(2)),
         }
-        sub = envelope_cells(box_cell(0, 1, 1), forms, self.UNIT_SEGMENT_CORNERS)
+        sub = envelope_cells(box_cell(0, 1, 1), forms)
         assert set(sub.cells) == {"b", "c"}
         assert sub.adjacency == frozenset({("b", "c")})
         assert sub.degenerate == ("a",)
@@ -277,14 +293,30 @@ class TestEnvelopeCells:
         f = ((1, 0), 0)
         g = ((-1, 0), 1)
         parent = box_cell(0, 1, 2)
-        corners = ((0, 0), (1, 0), (0, 1), (1, 1))
-        sub = envelope_cells(parent, forms_2d({"c": f, "a": f, "b": g, "d": g}), corners)
+        sub = envelope_cells(parent, forms_2d({"c": f, "a": f, "b": g, "d": g}))
         assert set(sub.cells) == {"a", "b"}
         assert sub.adjacency == frozenset({("a", "b")})
         assert facet_labels(sub) == {"a", "b"}
-        sub = envelope_cells(parent, forms_2d({"y": f, "x": f}), corners)
+        sub = envelope_cells(parent, forms_2d({"y": f, "x": f}))
         assert set(sub.cells) == {"x"}
         assert sub.cells["x"].constraint_keys() <= parent.constraint_keys()
+
+    def test_forms_off_the_front_only_add_degenerate_labels(self):
+        # "d" is a constant above the constant "c" and "f" lies above it
+        # everywhere: both are beaten everywhere; "e" equals "b".
+        front = forms_2d({"a": ((1, 0), 0), "b": ((-1, 0), 1), "c": ((0, 0), rat(1, 4))})
+        forms = {
+            **front,
+            "d": AffineForm((0, 0), rat(1, 2)),
+            "e": AffineForm((-1, 0), 1),
+            "f": AffineForm((0, 1), 2),
+        }
+        parent = box_cell(0, 1, 2)
+        pruned, unpruned = envelope_cells(parent, front), envelope_cells(parent, forms)
+        assert set(unpruned.cells) == {"a", "b", "c"}
+        assert unpruned.to_json() == pruned.to_json()
+        assert pruned.degenerate == ()
+        assert unpruned.degenerate == ("d", "e", "f")
 
     def test_random_forms_tile_the_simplex(self):
         rng = random.Random(23)
@@ -301,7 +333,7 @@ class TestEnvelopeCells:
                 i: AffineForm((rat(rng.randint(-3, 3)), rat(rng.randint(-3, 3))), rat(rng.randint(0, 2)))
                 for i in range(9)
             }
-            sub = envelope_cells(parent, forms, self.SIMPLEX_CORNERS, seed=trial)
+            sub = envelope_cells(parent, forms, seed=trial)
             area = sum(polygon_area(polygon_vertices(cell)) for cell in sub.cells.values())
             assert area == polygon_area(polygon_vertices(parent))
             for label, cell in sub.cells.items():

@@ -288,6 +288,34 @@ class TestLowerHull2d:
             assert sorted(labels) == reference_hull_labels(totals)
 
 
+class TestEnvelopeRegions3d:
+    def test_front_matches_box_corner_reference_at_every_node(self, monkeypatch):
+        seen = []
+        envelope_regions = seqalign._envelope_regions
+
+        def recording(candidates, domain, seed):
+            found = envelope_regions(candidates, domain, seed)
+            seen.append((list(candidates), found))
+            return found
+
+        monkeypatch.setattr(seqalign, "_envelope_regions", recording)
+        rng = random.Random(43)
+        for _ in range(10):
+            build_execution_dag(mismatch_space_gap_spec(), *random_pair(rng, max_len=8))
+        corners = tuple(product((0, 1), repeat=3))
+        assert len(seen) > 200 and sum(len(found) > 1 for _, found in seen) > 150
+        for candidates, found in seen:
+            # The node's tie rules: equal totals keep the first candidate,
+            # then the first alignment of a key wins.
+            by_counts: dict = {}
+            for alignment in candidates:
+                by_counts.setdefault(alignment.counts, alignment)
+            forms: dict = {}
+            for alignment in by_counts.values():
+                forms.setdefault(alignment.key, AffineForm(alignment.counts, 0))
+            assert list(found) == reference_envelope_labels(default_domain(3), forms, corners)
+
+
 def mismatch_space_match_spec():
     """`mismatch_space_spec` with matches counted as a third feature: a
     three-feature spec whose equal-character nodes have one term."""

@@ -9,10 +9,11 @@ runs on integer rows scaled from them, so no floating-point value decides
 anything.  Each domain module maps its behavior structure onto the shared
 region layer, whose one cell builder is `compute_vertex_cell` and whose one
 region type is `Subdivision`, built by one walk over the regions' adjacency
-graph (`compute_subdivision`): from the labels that pass the lower-envelope
-test (clustering, the alignment root), or over tuple labels from one seed
-tuple, cell by cell an intersection of one cell per factor (the tariff
-profiles, `compute_overlay`).
+graph (`compute_subdivision`): from the form minimal at the parent's
+witness (a clustering merge step, `envelope_cells`), from the known regions
+(the alignment root), or over tuple labels from one seed tuple, cell by cell
+an intersection of one cell per factor (the tariff profiles,
+`compute_overlay`).
 """
 
 from .geometry import (

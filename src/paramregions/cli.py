@@ -384,8 +384,8 @@ def cmd_gen_dataset(args) -> None:
 
 def cmd_plot_data(args) -> None:
     data = _load_json(args.regions)
-    if "cells" not in data:
-        raise ParseFailure("regions file has no cells")
+    if not isinstance(data, dict) or not isinstance(data.get("cells"), list):
+        raise ParseFailure("regions file has no list of cells")
     rows = ["cell,label,vertex,x,y"]
     count = 0
     for idx, entry in enumerate(data["cells"]):

@@ -455,9 +455,8 @@ def _expand(state: ClusterState, merges: tuple, region: ConvexCell, seed: int) -
     component values (`envelope_cells`), and each cell's pair is merged next."""
     if len(state.clusters) <= 1:
         return ExecutionTreeNode(merges, region)
-    pairs = state.pairs()
-    if len(pairs) == 1:
-        child = _expand(state.merge(pairs[0]), merges + (pairs[0],), region, seed)
+    if len(state.clusters) == 2:
+        child = _expand(state.merge(state.clusters), merges + (state.clusters,), region, seed)
         return ExecutionTreeNode(merges, region, (child,))
     sub = envelope_cells(region, state.merge_forms(), seed)
     children = []

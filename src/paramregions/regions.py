@@ -13,11 +13,12 @@ several alternatives with the one whose form falls fastest across it.  Its
 callers:
 
 - `envelope_cells`, for "behavior = argmin of labeled affine forms" (a
-  clustering merge step): the label step `envelope_labels` runs one
-  interior-point LP per form left by `pareto_front` (on a merge pair's
-  component values or an alignment's counts), and the walk builds the cells
-  of those that passed.  An alignment DAG node below the root calls
-  `envelope_labels` alone, and the root walks from its regions' forms.
+  clustering merge step): one walk from the form minimal at the parent's
+  witness over the forms left by `pareto_front` (on a merge pair's
+  component values), one interior-point LP per cell.  An alignment DAG node
+  below the root keeps the forms on the `pareto_front` of its counts that
+  pass one interior-point LP each, and the root walks from its regions'
+  forms.
 - the product walk over tuple labels, whose cells are intersections of one
   cell per factor (`product_candidates`): the tariff search, one factor per
   buyer sample seeded by `argmin_label`, and `compute_overlay`, one factor
@@ -257,7 +258,7 @@ def pareto_front(vectors: dict) -> list:
     label order; of equal vectors the smallest label stays.  A form whose
     values at the corners of a polytope around the parent are all >= another's
     is minimal nowhere inside and tightens no other cell, so this prunes the
-    forms of `envelope_labels`.  The maxima filter of Kung, Luccio & Preparata
+    forms of `envelope_cells`.  The maxima filter of Kung, Luccio & Preparata
     (JACM 1975): one pass against the vectors kept."""
     kept: list = []  # (label, vector), in label order
     for label in sorted(vectors):
@@ -269,33 +270,20 @@ def pareto_front(vectors: dict) -> list:
     return [label for label, _ in kept]
 
 
-def envelope_labels(parent: ConvexCell, forms: dict, seed: int = 0) -> tuple:
-    """The label step of `envelope_cells`: (the forms whose lower-envelope
-    cell inside `parent` is full-dimensional, the labels that fail the
-    test), both in label order.  One interior-point LP per label against
-    all the forms; a label whose `dominance_constraints` is None (coincident
-    with a smaller label, or beaten everywhere) fails without one.
-    """
-    passed = {}
-    for label in sorted(forms):
-        rows = dominance_constraints(forms, label)
-        if rows is not None and find_interior_point([*parent.constraints, *rows], seed) is not None:
-            passed[label] = forms[label]
-    return passed, tuple(label for label in sorted(forms) if label not in passed)
-
-
 def envelope_cells(parent: ConvexCell, forms: dict, seed: int = 0) -> Subdivision:
     """The full-dimensional cells of the lower envelope of labeled affine
-    forms inside `parent`, keyed by label.  `envelope_labels` decides which
-    labels get a cell, and `compute_subdivision` walks from them against the
-    forms that passed; the labels that fail are recorded as degenerate.
-
-    The forms that passed meet the walk's contract: of two of them that tie
-    with a cell along one hyperplane, the one that does not win across it
-    would have no cell, so it did not pass.
+    forms inside `parent`, keyed by label: one `compute_subdivision` walk
+    from the form minimal just past the parent's witness (`argmin_label`).
+    `dominance_constraints` meets the walk's contract for any forms, so the
+    walk reaches every cell; the labels it gives none are degenerate.  A
+    parent with empty interior has no cell.
     """
-    passed, degenerate = envelope_labels(parent, forms, seed)
-    sub = compute_subdivision(parent, passed, lambda label: dominance_constraints(passed, label), seed)
+    point = parent.witness if parent.witness is not None else find_interior_point(parent.constraints, seed)
+    if point is None or not forms:
+        return Subdivision(parent, {}, frozenset(), tuple(sorted(forms)))
+    start = argmin_label(forms, point)
+    sub = compute_subdivision(parent, (start,), lambda label: dominance_constraints(forms, label), seed)
+    degenerate = tuple(label for label in sorted(forms) if label not in sub.cells)
     return Subdivision(parent, sub.cells, sub.adjacency, degenerate)
 
 

@@ -22,7 +22,8 @@ bottom-up: per subproblem, it keeps only the regions, the candidate
 alignments (a referenced region's alignment extended by a term) whose cost
 is minimal on a full-dimensional part of the domain.  With two features
 these are the vertices of the candidates' lower hull, found on integers;
-otherwise one LP per candidate decides (`regions.envelope_labels`).
+otherwise one interior-point LP per candidate on the Pareto front of the
+counts decides.
 `ray_search_2d`, for two features only, walks the fan of angular sectors
 with one DP solve per probe point, over one node graph.  Both end in
 `_partition`, which builds the root's cells from its regions alone
@@ -41,6 +42,7 @@ from .geometry import (
     _homogeneous,
     box_cell,
     dot,
+    find_interior_point,
 )
 from .rationals import Rational, ZERO, as_vector
 from .regions import (
@@ -48,7 +50,6 @@ from .regions import (
     Subdivision,
     compute_subdivision,
     dominance_constraints,
-    envelope_labels,
     pareto_front,
 )
 
@@ -644,11 +645,12 @@ def _envelope_regions(candidates, domain: ConvexCell, seed: int) -> dict:
     the DP's tie rule, and then the first alignment of a key wins.
 
     With two features the regions are the vertices of conv(totals) + R^2_+
-    (`_lower_hull_2d`); otherwise `regions.envelope_labels` tests each total
-    on the `regions.pareto_front` of the counts by an LP.  Costs are linear
-    in rho >= 0, so a cost is at least another's at every corner of the
-    domain, the unit box, exactly when its counts are componentwise so (the
-    unit vectors are among the corners).
+    (`_lower_hull_2d`); otherwise each total on the `regions.pareto_front`
+    of the counts is a region when its `dominance_constraints` against the
+    front leave the domain an interior point (one LP each).  Costs are
+    linear in rho >= 0, so a cost is at least another's at every corner of
+    the domain, the unit box, exactly when its counts are componentwise so
+    (the unit vectors are among the corners).
     """
     by_counts: dict = {}
     for alignment in candidates:
@@ -660,7 +662,12 @@ def _envelope_regions(candidates, domain: ConvexCell, seed: int) -> dict:
         passed = _lower_hull_2d({key: alignment.counts for key, alignment in by_key.items()})
     else:
         front = pareto_front({key: alignment.counts for key, alignment in by_key.items()})
-        passed, _ = envelope_labels(domain, {key: AffineForm(by_key[key].counts, 0) for key in front}, seed)
+        forms = {key: AffineForm(by_key[key].counts, 0) for key in front}
+        passed = []
+        for key in front:
+            rows = dominance_constraints(forms, key)
+            if rows is not None and find_interior_point([*domain.constraints, *rows], seed) is not None:
+                passed.append(key)
     return {key: by_key[key] for key in sorted(passed)}
 
 

@@ -10,7 +10,8 @@ library's integer kernel written over rationals, and
 `reference_tariff_candidates`, the tariff candidate halfspaces built from
 rationals, and `reference_envelope_labels`, the LP label step that decided
 the regions of every two-feature alignment DAG node before the integer
-lower hull, and `reference_partition`, the alignment cells built against
+lower hull and the cells of a clustering merge step before its one walk,
+and `reference_partition`, the alignment cells built against
 every other region's row before the two-feature neighbor rule: the library
 must agree with each exactly.
 """

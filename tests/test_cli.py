@@ -370,6 +370,13 @@ class TestPlotData:
         regions.write_text(canonical_dumps(payload))
         assert run_cli(["plot-data", "--regions", str(regions)]) == 2
 
+    @pytest.mark.parametrize("data", [{"cells": 5}, "cells"], ids=["cells-not-a-list", "not-an-object"])
+    def test_malformed_cells_exit_2(self, data, tmp_path, capsys):
+        regions = tmp_path / "r.json"
+        regions.write_text(json.dumps(data))
+        assert run_cli(["plot-data", "--regions", str(regions)]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_zero_area_region_absent_from_output(self, tmp_path):
         from paramregions.geometry import Halfspace, box_cell, ConvexCell
 

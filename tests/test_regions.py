@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from paramregions import regions
 from paramregions.geometry import (
     ConvexCell,
     Halfspace,
@@ -318,7 +319,22 @@ class TestEnvelopeCells:
         assert pruned.degenerate == ()
         assert unpruned.degenerate == ("d", "e", "f")
 
-    def test_random_forms_tile_the_simplex(self):
+    def test_parent_with_empty_interior_has_no_cell(self):
+        segment = ConvexCell(1, (Halfspace((1,), 0), Halfspace((-1,), 0)))
+        forms = {"b": AffineForm((rat(1),), 0), "a": AffineForm((rat(-1),), 0)}
+        sub = envelope_cells(segment, forms)
+        assert sub.cells == {}
+        assert sub.degenerate == ("a", "b")
+
+    def test_random_forms_tile_the_simplex(self, monkeypatch):
+        interior_calls = []
+        find_interior_point = regions.find_interior_point
+
+        def counting(*args):
+            interior_calls.append(args)
+            return find_interior_point(*args)
+
+        monkeypatch.setattr(regions, "find_interior_point", counting)
         rng = random.Random(23)
         simplex = [Halfspace((1, 1), 1), Halfspace((-1, 0), 0), Halfspace((0, -1), 0)]
         parents = [
@@ -333,7 +349,10 @@ class TestEnvelopeCells:
                 i: AffineForm((rat(rng.randint(-3, 3)), rat(rng.randint(-3, 3))), rat(rng.randint(0, 2)))
                 for i in range(9)
             }
+            interior_calls.clear()
             sub = envelope_cells(parent, forms, seed=trial)
+            # One interior-point LP per cell, and none for a degenerate label.
+            assert len(interior_calls) == len(sub.cells)
             area = sum(polygon_area(polygon_vertices(cell)) for cell in sub.cells.values())
             assert area == polygon_area(polygon_vertices(parent))
             for label, cell in sub.cells.items():

@@ -4,9 +4,9 @@ parametric dynamic-programming sequence alignment, and two-part tariff
 pricing.
 
 The geometry layer (halfspaces, convex cells, LP, redundancy removal, ray
-shooting) is exact: halfspaces and points are rationals, and the LP kernel
-runs on integer rows scaled from them, so no floating-point value decides
-anything.  Each domain module maps its behavior structure onto the shared
+shooting) is exact: a halfspace is its primitive integer row, points are
+rationals, and the LP kernel runs on the rows and on integer points scaled
+from the rationals, so no floating-point value decides anything.  Each domain module maps its behavior structure onto the shared
 region layer, whose one cell builder is `compute_vertex_cell` and whose one
 region type is `Subdivision`, built by one walk over the regions' adjacency
 graph (`compute_subdivision`): from the form minimal at the parent's
@@ -21,7 +21,6 @@ from .geometry import (
     GeometryError,
     Halfspace,
     LPResult,
-    Row,
     box_cell,
     clarkson_reduce,
     find_interior_point,

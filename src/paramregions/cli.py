@@ -173,7 +173,7 @@ def _parse_restrictions(items, dimension) -> list:
             coeffs = tuple(as_rational(c) for c in coeff_text.split(","))
             if len(coeffs) != dimension:
                 raise ValueError("coefficient count")
-            out.append(Halfspace(coeffs, as_rational(offset_text)))
+            out.append(Halfspace.from_rationals(coeffs, as_rational(offset_text)))
         except (ValueError, GeometryError) as exc:
             raise ParseFailure(f"bad restriction {text!r}: {exc}") from exc
     return out
@@ -265,11 +265,23 @@ def cmd_cluster_regions(args) -> None:
             tree = clustering.ClusterTree.from_merges(inst.n_points, merges)
             losses[merges] = clustering.hamming_loss(tree, inst.target, inst.k)
 
+    # Two leaves can share a facet only when one holds the flip of a facet
+    # of the other: join the leaves on their facet rows first.
     keys = sorted(leaves)
+    owners: dict = {}  # facet row -> indices of the leaves that hold it
+    for i, merges in enumerate(keys):
+        for h in leaves[merges].constraints:
+            owners.setdefault(h.int_row, []).append(i)
+    pairs = {
+        (i, j)
+        for i, merges in enumerate(keys)
+        for h in leaves[merges].constraints
+        for j in owners.get(h.flipped_key(), ())
+        if i < j
+    }
     adjacency = frozenset(
         (keys[i], keys[j])
-        for i in range(len(keys))
-        for j in range(i + 1, len(keys))
+        for i, j in sorted(pairs)
         if cells_share_facet(leaves[keys[i]], leaves[keys[j]], args.seed)
     )
 

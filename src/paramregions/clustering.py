@@ -218,10 +218,10 @@ class MergeFamily:
 
     def simplex_cell(self) -> ConvexCell:
         d = self.dimension
-        rows = [Halfspace(tuple(Rational(1) for _ in range(d)), 1)]
+        rows = [Halfspace.from_rationals(tuple(Rational(1) for _ in range(d)), 1)]
         for t in range(d):
             unit = tuple(Rational(-1) if j == t else ZERO for j in range(d))
-            rows.append(Halfspace(unit, 0))
+            rows.append(Halfspace.from_rationals(unit, 0))
         center = tuple(rat(1, d + 1) for _ in range(d))
         return ConvexCell(d, tuple(rows), witness=center)
 

@@ -1,12 +1,13 @@
 """Exact low-dimensional halfspace geometry.
 
 Halfspaces, convex cells, a Seidel-style randomized-incremental LP,
-output-sensitive redundancy removal and ray shooting.  Halfspaces, witnesses
-and LP results are exact rationals; the LP kernel underneath (Seidel, ray
-shooting, the redundancy loop) runs fraction-free on Python ints, on rows
-scaled to integers and homogeneous points, and converts back only at this
-module's boundary.  Everything here is a pure function of its inputs; values
-are immutable after construction and safe to share across threads.
+output-sensitive redundancy removal and ray shooting.  A halfspace is its
+primitive integer row; witnesses and LP results are exact rationals.  The LP
+kernel underneath (Seidel, ray shooting, the redundancy loop) runs
+fraction-free on Python ints, on those rows and on homogeneous points, and
+converts back to rationals only at this module's boundary.  Everything here
+is a pure function of its inputs; values are immutable after construction
+and safe to share across threads.
 
 Intended for small constant dimension (d <= ~6).  There is deliberately no
 floating-point fast path: redundancy, adjacency and tie decisions are exactly
@@ -21,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
 from operator import index, mul
-from typing import Any, NamedTuple, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from .rationals import (
     Rational,
@@ -57,33 +58,41 @@ def scale_vector(c, a: Sequence) -> Vector:
 
 @dataclass(frozen=True)
 class Halfspace:
-    """Closed halfspace {x : normal . x <= offset} with an opaque label.
+    """Closed halfspace {x : a . x <= b} with an opaque label, stored as its
+    primitive integer row `int_row` = (a_1, ..., a_d, b), gcd 1.
 
-    The representation is normalized at construction: both sides are divided
-    by the absolute value of the first nonzero normal coordinate, so equal
-    halfspaces compare equal syntactically and can be hashed/deduplicated.
+    The row is the halfspace's identity: equal halfspaces have equal rows, so
+    they compare equal and hash alike, and it is what the LP kernel reads.
+    `normal` and `offset` are the rational view derived from it.
     """
 
-    normal: Vector
-    offset: Any
+    int_row: tuple
     label: Any = None
 
-    def __post_init__(self):
-        normal = as_vector(self.normal)
-        offset = as_rational(self.offset)
-        pivot = next((c for c in normal if c != 0), None)
-        if pivot is None:
+    @classmethod
+    def from_rationals(cls, normal: Sequence, offset, label=None) -> "Halfspace":
+        """{x : normal . x <= offset}: scaled by the lcm of the denominators,
+        then divided by the gcd of the entries."""
+        row = _int_vector((*as_vector(normal), as_rational(offset)))
+        if not any(row[:-1]):
             raise GeometryError("halfspace normal must be nonzero")
-        scale = 1 / abs(pivot)
-        if scale != 1:
-            normal = tuple(c * scale for c in normal)
-            offset = offset * scale
-        object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "offset", offset)
+        g = math.gcd(*row)
+        return cls(row if g == 1 else tuple(c // g for c in row), label)
+
+    @cached_property
+    def normal(self) -> Vector:
+        """The row's normal divided by |its first nonzero entry|."""
+        lead = abs(next(c for c in self.int_row if c))
+        return tuple(Rational(c, lead) for c in self.int_row[:-1])
+
+    @cached_property
+    def offset(self):
+        """The row's offset, divided like `normal`."""
+        return Rational(self.int_row[-1], abs(next(c for c in self.int_row if c)))
 
     @property
     def dimension(self) -> int:
-        return len(self.normal)
+        return len(self.int_row) - 1
 
     def value(self, point: Sequence):
         return dot(self.normal, point)
@@ -95,53 +104,18 @@ class Halfspace:
         s = self.slack(point)
         return s > 0 if strict else s >= 0
 
-    @cached_property
-    def int_row(self) -> tuple:
-        """The halfspace as the integer row (a_1, ..., a_d, b), a . x <= b:
-        normal and offset scaled by the lcm of their denominators.  The row
-        is primitive, because the normalized normal has an entry +-1."""
-        return _int_vector((*self.normal, self.offset))
-
-    def key(self):
-        """Geometric identity, ignoring the label."""
-        return (self.normal, self.offset)
-
-    def line_key(self):
+    def line_key(self) -> tuple:
         """Identity of the boundary hyperplane, the same for both of its
-        sides: the key with the first nonzero normal coordinate positive."""
-        lead = next(c for c in self.normal if c != 0)
-        return self.key() if lead > 0 else self.flipped_key()
+        sides: the row with its first nonzero entry positive."""
+        return self.int_row if next(c for c in self.int_row if c) > 0 else self.flipped_key()
 
-    def flipped_key(self):
-        """The key of `flipped()`, read off the negated fields: a normalized
-        normal leads with +-1, so they are normalized already."""
-        return (tuple(-c for c in self.normal), -self.offset)
+    def flipped_key(self) -> tuple:
+        """The row of `flipped()`."""
+        return tuple(-c for c in self.int_row)
 
     def flipped(self) -> "Halfspace":
         """The complementary halfspace boundary: {normal . x >= offset}."""
-        return Halfspace(tuple(-c for c in self.normal), -self.offset, self.label)
-
-    def relabel(self, label) -> "Halfspace":
-        """The same halfspace with another label: the normalized fields (and
-        `int_row`, once computed) are copied, not normalized again."""
-        h = object.__new__(type(self))
-        h.__dict__.update(self.__dict__, label=label)
-        return h
-
-    @classmethod
-    def from_int_row(cls, row: tuple, label=None) -> "Halfspace":
-        """The halfspace of a primitive integer row (a_1, ..., a_d, b): the
-        same normalized rationals as `Halfspace(a, b, label)`, built by one
-        division by |pivot entry|, with `int_row` already set to `row`."""
-        lead = abs(next(c for c in row if c))
-        h = object.__new__(cls)
-        h.__dict__.update(
-            normal=tuple(Rational(c, lead) for c in row[:-1]),
-            offset=Rational(row[-1], lead),
-            label=label,
-            int_row=row,
-        )
-        return h
+        return Halfspace(self.flipped_key(), self.label)
 
     def to_json(self, encode_label=lambda x: x) -> dict:
         out = {"normal": format_vector(self.normal), "offset": format_rational(self.offset)}
@@ -151,7 +125,7 @@ class Halfspace:
 
     @classmethod
     def from_json(cls, data: dict, decode_label=lambda x: x) -> "Halfspace":
-        return cls(
+        return cls.from_rationals(
             parse_vector(data["normal"]),
             as_rational(data["offset"]),
             decode_label(data["label"]) if "label" in data else None,
@@ -185,13 +159,13 @@ class ConvexCell:
         return all(h.holds(point, strict) for h in self.constraints)
 
     def constraint_keys(self) -> frozenset:
-        return frozenset(h.key() for h in self.constraints)
+        return frozenset(h.int_row for h in self.constraints)
 
     def map_labels(self, f) -> "ConvexCell":
         """The same cell with every facet label passed through `f`; facets
         without a label keep none."""
-        constraints = tuple(h if h.label is None else h.relabel(f(h.label)) for h in self.constraints)
-        return ConvexCell(self.dimension, constraints, self.witness)
+        constraints = (h if h.label is None else Halfspace(h.int_row, f(h.label)) for h in self.constraints)
+        return ConvexCell(self.dimension, tuple(constraints), self.witness)
 
     def to_json(self, encode_label=lambda x: x) -> dict:
         out = {
@@ -211,30 +185,9 @@ class ConvexCell:
         )
 
 
-class Row(NamedTuple):
-    """A labeled halfspace as only its primitive integer row (a_1, ..., a_d,
-    b), a . x <= b: the part of a `Halfspace` that the LP kernel reads.
-    `find_interior_point`, `clarkson_reduce` and `_clarkson_indices` take
-    rows and halfspaces alike; `Halfspace.from_int_row(*row)` builds the
-    rational one."""
-
-    int_row: tuple
-    label: Any = None
-
-    @classmethod
-    def from_rationals(cls, normal: Sequence, offset, label=None) -> "Row":
-        """The row of `Halfspace(normal, offset, label)`: lcm-scaled, then
-        divided by the gcd of its entries."""
-        row = _int_vector((*normal, offset))
-        g = math.gcd(*row)
-        return cls(row if g == 1 else tuple(c // g for c in row), label)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.int_row) - 1
-
-
 def _sorted_constraints(constraints):
+    # On the rational view, not on `int_row`: the two orders differ, and
+    # the JSON output keeps this one.
     return sorted(constraints, key=lambda h: (h.normal, h.offset))
 
 
@@ -246,8 +199,8 @@ def box_cell(lower, upper, dimension: int) -> ConvexCell:
     rows = []
     for k in range(dimension):
         unit = tuple(ZERO if j != k else Rational(1) for j in range(dimension))
-        rows.append(Halfspace(unit, hi))
-        rows.append(Halfspace(tuple(-c for c in unit), -lo))
+        rows.append(Halfspace.from_rationals(unit, hi))
+        rows.append(Halfspace.from_rationals(tuple(-c for c in unit), -lo))
     mid = tuple((lo + hi) / 2 for _ in range(dimension))
     return ConvexCell(dimension, tuple(rows), witness=mid)
 
@@ -393,7 +346,7 @@ def _seidel(obj: tuple, rows: list, bound: int) -> Optional[tuple]:
 
 
 def _project_row(g: tuple, pivot: tuple, k: int) -> tuple:
-    """Row `g` on the hyperplane of `pivot` (a . x = b), x_k eliminated.
+    """The row `g` on the hyperplane of `pivot` (a . x = b), x_k eliminated.
 
     Fraction-free: |a_k| * g - sign(a_k) * g_k * pivot, then divided by the
     gcd; a row without x_k only loses that entry.  A vector of length d (an
@@ -435,11 +388,11 @@ def _lift(sub: tuple, k: int, pivot: tuple) -> tuple:
 # --------------------------------------------------------------------------
 
 def find_interior_point(constraints, seed: int = 0) -> Optional[Vector]:
-    """A point strictly satisfying every constraint (`Halfspace`s or `Row`s),
-    or None if the feasible region has empty interior.
+    """A point strictly satisfying every `Halfspace` in `constraints`, or None
+    if the feasible region has empty interior.
 
-    Solved via the auxiliary slack LP: maximize t subject to
-    normal . x + t * ||normal||_1 <= offset (and t <= 1 to keep it bounded).
+    Solved via the auxiliary slack LP over the rows (a, b): maximize t
+    subject to a . x + t * ||a||_1 <= b (and t <= 1 to keep it bounded).
     """
     if not constraints:
         raise GeometryError("need at least one constraint")
@@ -509,11 +462,11 @@ def _ray_first_index(rows, z: tuple, x: tuple) -> Optional[int]:
 def clarkson_reduce(constraints, interior, seed: int = 0) -> tuple:
     """The non-redundant subset of `constraints` (Clarkson's algorithm).
 
-    `interior` must strictly satisfy every constraint; the constraints are
-    `Halfspace`s or `Row`s.  Of the constraints with one normal direction
-    only the tightest can be a facet, so the LPs see one row per direction:
-    the one with the smallest offset, the first of them on ties (geometric
-    duplicates, equal after normalization, keep their first occurrence).
+    `interior` must strictly satisfy every `Halfspace` in `constraints`.
+    Of the constraints with one normal direction only the tightest can be a
+    facet, so the LPs see one row per direction: the one with the smallest
+    offset, the first of them on ties (geometric duplicates, equal rows,
+    keep their first occurrence).
     Runs O(k) relaxed LPs over those, each over the non-redundant set found
     so far.
     """
@@ -549,8 +502,8 @@ def _clarkson_indices(constraints, z: Vector, seed: int) -> list:
         if k in kept_set:
             continue
         row = rows[k]
-        # normal . x <= offset + 1, scaled like the row: by its lcm, which
-        # is |pivot entry| because a Halfspace's pivot is +-1.
+        # normal . x <= offset + 1, scaled like the row: by |its first
+        # nonzero entry|, which `Halfspace.normal` divides by.
         lead = next(abs(c) for c in row if c)
         lp_rows = [rows[i] for i in kept]
         lp_rows.append(row[:-1] + (row[-1] + lead,))

@@ -1,16 +1,16 @@
 """Convex subdivisions of a parent cell by optimal behavior.
 
 Every cell is built by `compute_vertex_cell`: the parent's halfspaces plus
-the candidate rows the caller passes in, "my objective <= alternative's
-objective", each a primitive integer `Row` labeled by the alternative
-(`dominance_constraints` for affine forms), reduced by redundancy removal;
-only the candidates kept as facets become `Halfspace`s, and their labels
-are exactly the neighbors.  Every `Subdivision`, the one region type, is
-built by `compute_subdivision`, a walk over the region adjacency graph that
-finds every region when each candidate row is labeled with the region
-across its hyperplane: `dominance_constraints` labels a row shared by
-several alternatives with the one whose form falls fastest across it.  Its
-callers:
+the candidate halfspaces the caller passes in, "my objective <=
+alternative's objective", each labeled by the alternative
+(`dominance_constraints` for affine forms), reduced by redundancy removal
+on their integer rows; the candidates kept are the cell's facets, and their
+labels are exactly the neighbors.  Every `Subdivision`, the one region
+type, is built by `compute_subdivision`, a walk over the region adjacency
+graph that finds every region when each candidate row is labeled with the
+region across its hyperplane: `dominance_constraints` labels a row shared
+by several alternatives with the one whose form falls fastest across it.
+Its callers:
 
 - `envelope_cells`, for "behavior = argmin of labeled affine forms" (a
   clustering merge step): one walk from the form minimal at the parent's
@@ -40,11 +40,11 @@ from .geometry import (
     ConvexCell,
     GeometryError,
     Halfspace,
-    Row,
     _clarkson_indices,
     _homogeneous,
     _interior_point_rows,
     _project_row,
+    _slack,
     dot,
     find_interior_point,
 )
@@ -78,7 +78,7 @@ class AffineForm:
 
 def dominance_constraints(forms: dict, label) -> Optional[list]:
     """Rows "forms[label] <= forms[other]" for every other behavior, in label
-    order, each the primitive integer row of `Row.from_rationals`.
+    order, each the `Halfspace` of its primitive integer row.
 
     Every copy of a row is labeled with the behavior across it: of the
     others that share the row, the one whose form falls fastest across its
@@ -112,7 +112,7 @@ def dominance_constraints(forms: dict, label) -> Optional[list]:
         best = fastest.get(row)
         if best is None or g * best[1] > best[0] * w:
             fastest[row] = (g, w, other)
-    return [Row(row, fastest[row][2]) for row in rows]
+    return [Halfspace(row, fastest[row][2]) for row in rows]
 
 
 def argmin_label(forms: dict, point):
@@ -130,7 +130,7 @@ def product_candidates(factors) -> Callable:
     the cells of l_i, and `factors[i](l_i)` gives l_i's rows, each labeled
     with the entry across it.
 
-    A factor's rows are built once per entry and only relabeled per tuple.
+    A factor's rows are built once per entry; each tuple only labels them.
     Each row is labeled with the tuple across its hyperplane: every entry
     whose factor owns the row moves to its label there.
     """
@@ -142,13 +142,13 @@ def product_candidates(factors) -> Callable:
         for i, entry in enumerate(label):
             if (i, entry) not in cache:
                 own = factors[i](entry)
-                cache[i, entry] = [row for row, _ in own], dict(own)
+                cache[i, entry] = [h.int_row for h in own], {h.int_row: h.label for h in own}
             own_rows, own_labels = cache[i, entry]
             rows += own_rows
             for row, other in own_labels.items():
                 moved = across.get(row, label)
                 across[row] = moved[:i] + (other,) + moved[i + 1 :]
-        return [Row(row, across[row]) for row in rows]
+        return [Halfspace(row, across[row]) for row in rows]
 
     return candidates
 
@@ -196,13 +196,12 @@ class Subdivision:
 def compute_vertex_cell(parent: ConvexCell, label, candidates: Optional[list], seed: int = 0):
     """The cell of `label` inside `parent`, plus its neighbor labels.
 
-    `candidates` is a superset of the cell's true facets as `Row`s, each the
-    primitive integer row `Halfspace.int_row` would give and labeled with
-    the neighboring behavior, or None when `label` can never be optimal on a
-    full-dimensional set.  The parent's halfspaces and the candidates go
-    through the LPs as integer rows; a `Halfspace` is built only for each
-    candidate kept as a facet.  Raises DegenerateCellError when the cell has
-    empty interior.
+    `candidates` is a superset of the cell's true facets as `Halfspace`s,
+    each labeled with the neighboring behavior, or None when `label` can
+    never be optimal on a full-dimensional set.  The parent's halfspaces and
+    the candidates go through the LPs as their integer rows, and the ones
+    kept are the cell's facets.  Raises DegenerateCellError when the cell
+    has empty interior.
     """
     if candidates is None:
         raise DegenerateCellError(label)
@@ -212,8 +211,7 @@ def compute_vertex_cell(parent: ConvexCell, label, candidates: Optional[list], s
         raise DegenerateCellError(label)
     kept = _clarkson_indices(rows, witness, seed)
     n_parent = len(parent.constraints)
-    facets = tuple(rows[i] if i < n_parent else Halfspace.from_int_row(*rows[i]) for i in kept)
-    cell = ConvexCell(parent.dimension, facets, witness=witness)
+    cell = ConvexCell(parent.dimension, tuple(rows[i] for i in kept), witness=witness)
     neighbors = frozenset(rows[i].label for i in kept if i >= n_parent)
     return cell, neighbors
 
@@ -308,11 +306,11 @@ def compute_overlay(subdivisions: Sequence[Subdivision], seed: int = 0) -> Subdi
         def rows(label):
             out = []
             for h in sub.cells[label].constraints:
-                if h.key() in parent_keys:
+                if h.int_row in parent_keys:
                     continue
                 if h.label is None:
                     raise GeometryError(f"an interior facet of cell {label!r} has no label")
-                out.append(Row(h.int_row, h.label))
+                out.append(h)
             return out
 
         return rows
@@ -327,22 +325,24 @@ def _cell_past(sub: Subdivision, point):
     """The label of the cell of `sub` that holds point + (e, e^2, ..., e^d)
     for every small enough e > 0: each facet's slack there, read off
     lexicographically, is positive."""
-    zero = (0,) * (sub.parent.dimension + 1)
+    z = _homogeneous(point)
+    zero = (0,) * len(z)
     for label in sorted(sub.cells):
-        if all((h.slack(point), *(-c for c in h.normal)) > zero for h in sub.cells[label].constraints):
+        rows = [h.int_row for h in sub.cells[label].constraints]
+        if all((_slack(row, z), *(-c for c in row[:-1])) > zero for row in rows):
             return label
     raise GeometryError("the subdivision does not cover its parent's witness")
 
 
 def cells_share_facet(a: ConvexCell, b: ConvexCell, seed: int = 0) -> bool:
     """True when the closures of two reduced cells meet in a (d-1)-dim face."""
-    b_keys = {h.key() for h in b.constraints}
+    b_keys = {h.int_row for h in b.constraints}
     for h in a.constraints:
         flipped = h.flipped_key()
         if flipped not in b_keys:
             continue
-        rows = [c for c in a.constraints if c.key() != h.key()]
-        rows += [c for c in b.constraints if c.key() != flipped]
+        rows = [c for c in a.constraints if c.int_row != h.int_row]
+        rows += [c for c in b.constraints if c.int_row != flipped]
         if _has_relative_interior_on(h, rows, seed):
             return True
     return False
@@ -351,12 +351,12 @@ def cells_share_facet(a: ConvexCell, b: ConvexCell, seed: int = 0) -> bool:
 def _has_relative_interior_on(plane: Halfspace, rows, seed: int) -> bool:
     # Eliminate one variable via the plane's equality, then look for a point
     # strictly inside the projected constraints.
-    normal, offset = plane.normal, plane.offset
-    d = len(normal)
-    if d == 1:
-        point = (offset / normal[0],)
-        return all(h.slack(point) >= 0 for h in rows)
     pivot = plane.int_row
+    d = len(pivot) - 1
+    if d == 1:
+        a, b = pivot
+        z = (b, a) if a > 0 else (-b, -a)  # the point b / a
+        return all(_slack(h.int_row, z) >= 0 for h in rows)
     k = max(range(d), key=lambda j: (abs(pivot[j]), -j))
     projected = []
     for h in rows:

@@ -80,8 +80,8 @@ class TariffInstance:
         rows = []
         for t in range(d):
             unit = tuple(Rational(1) if j == t else ZERO for j in range(d))
-            rows.append(Halfspace(unit, cap))
-            rows.append(Halfspace(tuple(-c for c in unit), 0))
+            rows.append(Halfspace.from_rationals(unit, cap))
+            rows.append(Halfspace.from_rationals(tuple(-c for c in unit), 0))
         mid = tuple(cap / 2 for _ in range(d))
         return ConvexCell(d, tuple(rows), witness=mid)
 
@@ -227,15 +227,14 @@ def region_boundary_lines(instance: TariffInstance, regions: Subdivision) -> dic
     share their lines.  The count per sample is the proof-side quantity
     bounded by 2K + 2 (K slab lines, K zero-utility lines, two axes).
     """
-    cap = instance.price_cap
-    d = instance.dimension
+    caps = {h.int_row for h in instance.price_box().constraints if h.int_row[-1] > 0}
     per_sample: dict = {i: set() for i in range(instance.n_samples)}
     axes = set()
     for label, cell in regions.cells.items():
         for h in cell.constraints:
-            line = h.line_key()
-            if _is_cap_facet(h, cap, d):
+            if h.int_row in caps:
                 continue
+            line = h.line_key()
             if h.label is None:
                 axes.add(line)
                 continue
@@ -246,13 +245,6 @@ def region_boundary_lines(instance: TariffInstance, regions: Subdivision) -> dic
     for i in per_sample:
         per_sample[i] |= axes
     return {i: len(lines) for i, lines in per_sample.items()}
-
-
-def _is_cap_facet(h: Halfspace, cap, d: int) -> bool:
-    if sum(1 for c in h.normal if c != 0) != 1:
-        return False
-    lead = next(c for c in h.normal if c != 0)
-    return lead > 0 and h.offset == cap * lead
 
 
 def check_piece_bound(instance: TariffInstance, regions: Subdivision, constant: int = 10) -> dict:

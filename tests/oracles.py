@@ -32,14 +32,14 @@ def naive_nonredundant(constraints, seed=0):
     seen = {}
     uniq = []
     for i, h in enumerate(constraints):
-        if h.key() not in seen:
-            seen[h.key()] = i
+        if h.int_row not in seen:
+            seen[h.int_row] = i
             uniq.append(i)
     kept = []
     for i in uniq:
         h = constraints[i]
         others = [constraints[j] for j in uniq if j != i]
-        others.append(Halfspace(h.normal, h.offset + 1))
+        others.append(Halfspace.from_rationals(h.normal, h.offset + 1))
         res = solve_lp(h.normal, others, "max", seed=seed + i)
         assert res.status == "optimal"
         if res.value > h.offset:
@@ -176,10 +176,10 @@ def random_halfspaces(rng, d, count, ensure_interior=None):
             margin = dot(normal, ensure_interior)
             if offset <= margin:
                 offset = margin + rat(rng.randint(1, 8), rng.randint(1, 4))
-        h = Halfspace(normal, offset)
-        if h.key() in keys:
+        h = Halfspace.from_rationals(normal, offset)
+        if h.int_row in keys:
             continue
-        keys.add(h.key())
+        keys.add(h.int_row)
         rows.append(h)
     return rows
 
@@ -375,7 +375,7 @@ def _reference_utility_coeffs(instance, i, q, j):
 def reference_tariff_candidates(instance, label):
     """Halfspaces "u_i(alternative) <= u_i(label's entry)" over every sample
     i and every other option, from rational utilities, each labeled with the
-    profile across its hyperplane: of the halfspaces with one `key()`, every
+    profile across its hyperplane: of the halfspaces with one `int_row`, every
     sample that owns one moves to its alternative with the largest |leading
     coefficient| of the unnormalized normal, the one whose utility rises
     fastest across the hyperplane.  Distinct options have distinct price
@@ -393,19 +393,19 @@ def reference_tariff_candidates(instance, label):
                 offset = cur_const - alt_const
                 assert any(normal)
                 lead = abs(next(c for c in normal if c))
-                built.append((Halfspace(normal, offset), i, alt, lead))
-    across = {}  # key -> {sample: (|leading coefficient|, alternative)}
+                built.append((Halfspace.from_rationals(normal, offset), i, alt, lead))
+    across = {}  # int row -> {sample: (|leading coefficient|, alternative)}
     for h, i, alt, lead in built:
-        owners = across.setdefault(h.key(), {})
+        owners = across.setdefault(h.int_row, {})
         assert owners.get(i, (None,))[0] != lead  # no two options share key and lead
         if i not in owners or lead > owners[i][0]:
             owners[i] = (lead, alt)
     out = []
     for h, _, _, _ in built:
         switched = list(label)
-        for i, (_, alt) in across[h.key()].items():
+        for i, (_, alt) in across[h.int_row].items():
             switched[i] = alt
-        out.append(h.relabel(tuple(switched)))
+        out.append(Halfspace(h.int_row, tuple(switched)))
     return out
 
 

@@ -183,7 +183,7 @@ def test_criterion_3_redundancy_removal_correctness():
         d = rng.choice((2, 3))
         origin = tuple(rat(0) for _ in range(d))
         hs = random_halfspaces(rng, d, rng.randint(20, 60), ensure_interior=origin)
-        hs = [h.relabel(i) for i, h in enumerate(hs)]
+        hs = [Halfspace(h.int_row, i) for i, h in enumerate(hs)]
         kept = clarkson_reduce(hs, origin, seed=trial)
         want = naive_nonredundant(hs, seed=trial)
         if sorted(h.label for h in kept) != want:
@@ -192,7 +192,7 @@ def test_criterion_3_redundancy_removal_correctness():
         # minimality: each retained constraint admits a violating point
         for i, h in enumerate(kept):
             others = [g for j, g in enumerate(kept) if j != i]
-            others.append(Halfspace(h.normal, h.offset + 1))
+            others.append(Halfspace.from_rationals(h.normal, h.offset + 1))
             res = solve_lp(h.normal, others, "max", seed=trial)
             if not (res.status == "optimal" and res.value > h.offset):
                 bad += 1

@@ -382,7 +382,7 @@ class TestPlotData:
 
         box = box_cell(0, 1, 2)
         segment = ConvexCell(
-            2, box.constraints + (Halfspace((1, 0), 0), Halfspace((-1, 0), 0))
+            2, box.constraints + (Halfspace.from_rationals((1, 0), 0), Halfspace.from_rationals((-1, 0), 0))
         )
         payload = {
             "schema_version": 1,
@@ -557,6 +557,11 @@ class TestGoldenOutput:
         # parallel, and only the tightest of each direction can be a facet.
         args = ["tariff-regions", "--instance", str(GOLDEN / "tariff_4x4.in.json")]
         self.assert_golden("tariff_4x4.json", args, tmp_path)
+
+    def test_plot_data_of_the_parallel_candidates_regions(self, tmp_path):
+        # The vertex loops are computed from the facets' rational view.
+        args = ["plot-data", "--regions", str(GOLDEN / "tariff_4x4.json")]
+        self.assert_golden("plot_tariff_4x4.csv", args, tmp_path)
 
     def test_tariff_regions_menu_of_two(self, tmp_path):
         # d = 4: three samples, one with a fractional valuation, each

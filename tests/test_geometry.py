@@ -1,5 +1,7 @@
 import json
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,7 +10,6 @@ from paramregions.geometry import (
     GeometryError,
     Halfspace,
     LPResult,
-    Row,
     _homogeneous,
     _int_vector,
     _ray_first_index,
@@ -37,55 +38,80 @@ from oracles import (
 
 
 def H(normal, offset, label=None):
-    return Halfspace(normal, offset, label)
+    return Halfspace.from_rationals(normal, offset, label)
 
 
 UNIT_SQUARE = [H((1, 0), 1), H((0, 1), 1), H((-1, 0), 0), H((0, -1), 0)]
 
 
+def reference_rationals(normal, offset):
+    """The rational view by the divide-by-|first nonzero| rule, on Fractions."""
+    normal = tuple(Fraction(c) for c in normal)
+    lead = abs(next(c for c in normal if c))
+    return tuple(c / lead for c in normal), Fraction(offset) / lead
+
+
+def random_rationals(rng, d):
+    normal = tuple(rat(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(d))
+    return normal, rat(rng.randint(-20, 20), rng.randint(1, 6))
+
+
 class TestHalfspace:
     def test_normalization_makes_equal_halfspaces_syntactically_equal(self):
-        a = Halfspace((2, 4), 6)
-        b = Halfspace((1, 2), 3)
-        assert a.key() == b.key()
+        a = H((2, 4), 6)
+        b = H((1, 2), 3)
+        assert a == b and a.int_row == b.int_row == (1, 2, 3)
         assert a.normal == (1, 2)
-        for h in (a, Halfspace((-2, 4), 6)):
+        for h in (a, H((-2, 4), 6)):
             assert h.line_key() == h.flipped().line_key()
-            assert h.flipped_key() == h.flipped().key()
-            assert h.line_key()[0][0] > 0
+            assert h.flipped_key() == h.flipped().int_row
+            assert h.line_key()[0] > 0
 
     def test_zero_normal_rejected(self):
         with pytest.raises(GeometryError):
-            Halfspace((0, 0), 1)
+            H((0, 0), 1)
 
     def test_json_round_trip(self):
-        h = Halfspace((rat(1, 3), rat(-2)), rat(5, 7), label=(1, 2))
+        h = H((rat(1, 3), rat(-2)), rat(5, 7), label=(1, 2))
         data = json.loads(json.dumps(h.to_json(lambda l: list(l))))
         back = Halfspace.from_json(data, lambda l: tuple(l))
         assert back == h
 
-    def test_relabel_copies_the_normalized_fields(self):
-        h = Halfspace((rat(2, 3), rat(-4)), rat(5, 7), label="a")
-        row = h.int_row
-        g = h.relabel("b")
-        assert (g.normal, g.offset, g.label) == (h.normal, h.offset, "b")
-        assert g.int_row == row and g == Halfspace(h.normal, h.offset, "b")
-        assert h.label == "a"
-
-    def test_row_builds_the_same_halfspace(self):
+    def test_from_rationals_gives_the_primitive_row(self):
         rng = random.Random(2)
-        for trial in range(200):
-            d = rng.randint(1, 3)
-            normal = tuple(rat(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(d))
+        for trial in range(300):
+            d = rng.randint(1, 4)
+            normal, offset = random_rationals(rng, d)
+            if not any(normal):
+                with pytest.raises(GeometryError):
+                    H(normal, offset)
+                continue
+            h = H(normal, offset, trial)
+            assert h.dimension == d and len(h.int_row) == d + 1
+            assert all(type(c) is int for c in h.int_row) and math.gcd(*h.int_row) == 1
+            assert (h.normal, h.offset) == reference_rationals(normal, offset)
+            assert type(h.offset) is type(offset)
+            # The row is the rational one scaled by a positive factor.
+            k = next(i for i, c in enumerate(normal) if c)
+            m = h.int_row[k] / normal[k]
+            assert m > 0 and h.int_row == tuple(m * c for c in (*normal, offset))
+
+    def test_positive_rescalings_are_one_halfspace(self):
+        rng = random.Random(3)
+        for trial in range(150):
+            d = rng.randint(1, 4)
+            normal, offset = random_rationals(rng, d)
             if not any(normal):
                 continue
-            offset = rat(rng.randint(-20, 20), rng.randint(1, 6))
-            h = Halfspace(normal, offset, trial)
-            row = Row.from_rationals(normal, offset, trial)
-            assert row.int_row == h.int_row and row.dimension == d
-            back = Halfspace.from_int_row(*row)
-            assert back == h and back.int_row == h.int_row
-            assert type(back.offset) is type(h.offset)
+            h = H(normal, offset, "a")
+            for _ in range(3):
+                m = rat(rng.randint(1, 50), rng.randint(1, 50))
+                g = H(tuple(m * c for c in normal), m * offset, "a")
+                assert g == h and hash(g) == hash(h) and g.int_row == h.int_row
+            assert H(normal, offset, "b") != h
+            assert h.flipped() != h and h.flipped().flipped() == h
+            data = json.loads(json.dumps(h.to_json()))
+            assert Halfspace.from_json(data) == h
 
     def test_rational_serialization_always_p_over_q(self):
         assert format_rational(rat(3)) == "3/1"
@@ -251,11 +277,11 @@ class TestRayShoot:
             target = (rat(rng.randint(-30, 30)), rat(rng.randint(-30, 30)))
             if all(c == 0 for c in target):
                 continue
-            base = ray_shoot([h.relabel(i) for i, h in enumerate(hs)], (0, 0), target)
+            base = ray_shoot([Halfspace(h.int_row, i) for i, h in enumerate(hs)], (0, 0), target)
             rescaled = []
             for i, h in enumerate(hs):
                 m = rat(rng.randint(1, 7), rng.randint(1, 3))
-                rescaled.append(Halfspace(tuple(m * v for v in h.normal), m * h.offset, i))
+                rescaled.append(Halfspace.from_rationals(tuple(m * v for v in h.normal), m * h.offset, i))
             assert ray_shoot(rescaled, (0, 0), target) == base
 
     def test_origin_must_be_interior(self):
@@ -271,7 +297,7 @@ class TestClarkson:
 
     def test_far_plane_dropped(self):
         hs = UNIT_SQUARE + [H((1, 1), 3)]
-        kept = clarkson_reduce([h.relabel(i) for i, h in enumerate(hs)], (rat(1, 2), rat(1, 2)))
+        kept = clarkson_reduce([Halfspace(h.int_row, i) for i, h in enumerate(hs)], (rat(1, 2), rat(1, 2)))
         assert {h.label for h in kept} == {0, 1, 2, 3}
 
     def test_matches_naive_oracle_on_random_systems(self):
@@ -280,7 +306,7 @@ class TestClarkson:
             d = rng.choice((2, 3))
             origin = tuple(rat(0) for _ in range(d))
             hs = random_halfspaces(rng, d, rng.randint(8, 25), ensure_interior=origin)
-            hs = [h.relabel(i) for i, h in enumerate(hs)]
+            hs = [Halfspace(h.int_row, i) for i, h in enumerate(hs)]
             kept = clarkson_reduce(hs, origin, seed=trial)
             want = naive_nonredundant(hs, seed=trial)
             assert sorted(h.label for h in kept) == want
@@ -303,18 +329,16 @@ class TestClarkson:
                 elif hs and roll < 0.35:
                     h = rng.choice(hs)
                     m = rng.randint(2, 5)
-                    hs.append(Halfspace(tuple(m * c for c in h.normal), m * h.offset))
+                    hs.append(Halfspace.from_rationals(tuple(m * c for c in h.normal), m * h.offset))
                 else:
                     normal = rng.choice(directions).normal
-                    hs.append(Halfspace(normal, rat(rng.randint(1, 12), rng.randint(1, 3))))
-            hs = [h.relabel(i) for i, h in enumerate(hs)]
+                    hs.append(Halfspace.from_rationals(normal, rat(rng.randint(1, 12), rng.randint(1, 3))))
+            hs = [Halfspace(h.int_row, i) for i, h in enumerate(hs)]
             want = naive_nonredundant(hs, seed=trial)
             kept = clarkson_reduce(hs, origin, seed=trial)
             assert sorted(h.label for h in kept) == want
-            rows = [Row(h.int_row, h.label) for h in hs]
-            assert sorted(r.label for r in clarkson_reduce(rows, origin, seed=trial)) == want
             for h in kept:
-                assert h.label == min(i for i, g in enumerate(hs) if g.key() == h.key())
+                assert h.label == min(i for i, g in enumerate(hs) if g.int_row == h.int_row)
 
     def test_minimality_certificates(self):
         rng = random.Random(23)
@@ -323,7 +347,7 @@ class TestClarkson:
         kept = clarkson_reduce(hs, origin)
         for i, h in enumerate(kept):
             others = [g for j, g in enumerate(kept) if j != i]
-            others.append(Halfspace(h.normal, h.offset + 1))
+            others.append(Halfspace.from_rationals(h.normal, h.offset + 1))
             res = solve_lp(h.normal, others)
             assert res.status == "optimal" and res.value > h.offset
 

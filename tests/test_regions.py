@@ -6,7 +6,6 @@ from paramregions import regions
 from paramregions.geometry import (
     ConvexCell,
     Halfspace,
-    Row,
     box_cell,
     polygon_area,
     polygon_vertices,
@@ -47,7 +46,7 @@ def vertex_cell(parent, label, forms):
 class TestComputeVertexCell:
     def test_redundant_rows_are_dropped_and_the_cell_has_a_witness(self):
         parent = box_cell(0, 1, 2)
-        cell, neighbors = compute_vertex_cell(parent, "a", [Row.from_rationals((1, 1), 5, "far")])
+        cell, neighbors = compute_vertex_cell(parent, "a", [Halfspace.from_rationals((1, 1), 5, "far")])
         assert neighbors == frozenset()
         assert len(cell.constraints) == 4
         assert cell.constraint_keys() == parent.constraint_keys()
@@ -56,7 +55,7 @@ class TestComputeVertexCell:
     def test_empty_interior_raises(self):
         parent = box_cell(0, 1, 1)
         with pytest.raises(DegenerateCellError):
-            compute_vertex_cell(parent, "a", [Row.from_rationals((1,), 0), Row.from_rationals((-1,), 0)])
+            compute_vertex_cell(parent, "a", [Halfspace.from_rationals((1,), 0), Halfspace.from_rationals((-1,), 0)])
 
     def test_single_behavior_cell_is_parent(self):
         parent = box_cell(0, 1, 2)
@@ -320,7 +319,7 @@ class TestEnvelopeCells:
         assert unpruned.degenerate == ("d", "e", "f")
 
     def test_parent_with_empty_interior_has_no_cell(self):
-        segment = ConvexCell(1, (Halfspace((1,), 0), Halfspace((-1,), 0)))
+        segment = ConvexCell(1, (Halfspace.from_rationals((1,), 0), Halfspace.from_rationals((-1,), 0)))
         forms = {"b": AffineForm((rat(1),), 0), "a": AffineForm((rat(-1),), 0)}
         sub = envelope_cells(segment, forms)
         assert sub.cells == {}
@@ -336,10 +335,10 @@ class TestEnvelopeCells:
 
         monkeypatch.setattr(regions, "find_interior_point", counting)
         rng = random.Random(23)
-        simplex = [Halfspace((1, 1), 1), Halfspace((-1, 0), 0), Halfspace((0, -1), 0)]
+        simplex = [Halfspace.from_rationals(n, b) for n, b in (((1, 1), 1), ((-1, 0), 0), ((0, -1), 0))]
         parents = [
             ConvexCell(2, tuple(simplex), witness=(rat(1, 3), rat(1, 3))),
-            ConvexCell(2, tuple(simplex) + (Halfspace((1, 0), rat(1, 2)),), witness=(rat(1, 4), rat(1, 4))),
+            ConvexCell(2, tuple(simplex) + (Halfspace.from_rationals((1, 0), rat(1, 2)),), witness=(rat(1, 4), rat(1, 4))),
         ]
         for trial in range(12):
             parent = parents[trial % 2]

@@ -192,15 +192,15 @@ class TestExecutionDag:
     def test_ab_ba_two_regions_split_on_diagonal(self):
         part = build_execution_dag(mismatch_space_spec(), "AB", "BA")
         assert len(part.regions) == 2
-        assert part.boundary_keys() == frozenset({(((rat(1), rat(-1))), rat(0))})
+        assert part.boundary_keys() == frozenset({(1, -1, 0)})
         counts = sorted(a.counts for a in part.regions.values())
         assert counts == [(0, 2), (2, 0)]
 
     def test_single_mismatch_boundary(self):
         part = build_execution_dag(mismatch_space_spec(), "A", "T")
         assert len(part.regions) == 2
-        # rho1 = 2 rho2, normalized to leading coefficient 1.
-        assert part.boundary_keys() == frozenset({((rat(1), rat(-2)), rat(0))})
+        # rho1 = 2 rho2, as the row with a positive leading entry.
+        assert part.boundary_keys() == frozenset({(1, -2, 0)})
         # Both space terms reach the total (0, 2); the DP keeps the lower
         # term index, whose space consumes the second sequence's character.
         (space,) = [a for a in part.regions.values() if a.counts == (0, 2)]
@@ -381,16 +381,16 @@ class TestOverlay:
     def _half_subdivision(self, axis, label_low, label_high, labeled=True):
         """The unit square cut at 1/2 along `axis`; each half's row is
         labeled with the other half, or left unlabeled."""
-        from paramregions.geometry import Row
+        from paramregions.geometry import Halfspace
 
         parent = box_cell(0, 1, 2)
         normal = tuple(rat(1) if i == axis else rat(0) for i in range(2))
         low_across, high_across = (label_high, label_low) if labeled else (None, None)
         low, _ = regions.compute_vertex_cell(
-            parent, label_low, [Row.from_rationals(normal, rat(1, 2), low_across)]
+            parent, label_low, [Halfspace.from_rationals(normal, rat(1, 2), low_across)]
         )
         high, _ = regions.compute_vertex_cell(
-            parent, label_high, [Row.from_rationals(tuple(-c for c in normal), rat(-1, 2), high_across)]
+            parent, label_high, [Halfspace.from_rationals(tuple(-c for c in normal), rat(-1, 2), high_across)]
         )
         return Subdivision(parent, {label_low: low, label_high: high}, frozenset({(label_low, label_high)}))
 
@@ -503,7 +503,7 @@ class TestRaySearch:
     def test_ab_ba_two_sectors(self):
         part, calls = ray_search_2d(mismatch_space_spec(), "AB", "BA")
         assert len(part.regions) == 2
-        assert part.boundary_keys() == frozenset({((rat(1), rat(-1)), rat(0))})
+        assert part.boundary_keys() == frozenset({(1, -1, 0)})
 
     def test_agrees_with_execution_dag(self):
         rng = random.Random(17)

@@ -262,19 +262,23 @@ def solve_lp(objective, constraints, sense: str = "max", seed: int = 0) -> LPRes
     int_obj = _int_vector(obj)
     if sense == "min":
         int_obj = tuple(-c for c in int_obj)
-    status, point = _solve_raw(int_obj, [h.int_row for h in constraints], seed)
+    rows = [h.int_row for h in constraints]
+    status, point = _solve_raw(int_obj, rows, random.Random(seed), _box_bound(rows, d))
     if status != "optimal":
         return LPResult(status)
     point = _rational_point(point)
     return LPResult("optimal", point, dot(obj, point))
 
 
-def _solve_raw(obj: tuple, rows: list, seed: int) -> tuple:
-    """Maximize obj . x over integer rows: (status, homogeneous optimum or None)."""
-    d = len(obj)
-    bound = _box_bound(rows, d)
+def _solve_raw(obj: tuple, rows: list, rng: random.Random, bound: int) -> tuple:
+    """Maximize obj . x over integer rows: (status, homogeneous optimum or None).
+
+    The rows are inserted in an order shuffled by `rng`.  `bound` is a
+    `_box_bound` of the rows or of any superset of them: the LP runs inside
+    the box |x_j| <= bound.
+    """
     order = list(range(len(rows)))
-    random.Random(seed).shuffle(order)
+    rng.shuffle(order)
     shuffled = [rows[i] for i in order]
     point = _seidel(obj, shuffled, bound)
     if point is None:
@@ -408,7 +412,7 @@ def _interior_point_rows(rows: list, seed: int) -> Optional[Vector]:
     lp_rows = [row[:-1] + (sum(map(abs, row[:-1])), row[-1]) for row in rows]
     unit_t = (0,) * d + (1,)
     lp_rows.append(unit_t + (1,))
-    status, point = _solve_raw(unit_t, lp_rows, seed)
+    status, point = _solve_raw(unit_t, lp_rows, random.Random(seed), _box_bound(lp_rows, d + 1))
     if status != "optimal" or point[d] <= 0:
         return None
     return _rational_point(point[:d] + point[-1:])
@@ -459,40 +463,66 @@ def _ray_first_index(rows, z: tuple, x: tuple) -> Optional[int]:
     return best_idx
 
 
-def clarkson_reduce(constraints, interior, seed: int = 0) -> tuple:
-    """The non-redundant subset of `constraints` (Clarkson's algorithm).
+def _one_row_per_direction(rows) -> list:
+    """Indices, ascending, of one integer row (a_1, ..., a_d, b) per primitive
+    normal direction: the tightest, the one with the smallest offset b over
+    the gcd of its normal, and the first of them on ties.
 
-    `interior` must strictly satisfy every `Halfspace` in `constraints`.
-    Of the constraints with one normal direction only the tightest can be a
-    facet, so the LPs see one row per direction: the one with the smallest
-    offset, the first of them on ties (geometric duplicates, equal rows,
-    keep their first occurrence).
-    Runs O(k) relaxed LPs over those, each over the non-redundant set found
-    so far.
+    Of rows sharing a direction only the tightest can be a facet of their
+    intersection, and it binds wherever a looser one would, so an LP over
+    the kept rows has the same feasible set.  Equal rows keep their first
+    occurrence.
     """
-    indices = _clarkson_indices(constraints, as_vector(interior), seed)
-    return tuple(constraints[i] for i in indices)
-
-
-def _clarkson_indices(constraints, z: Vector, seed: int) -> list:
-    if not constraints:
-        return []
-    z = _homogeneous(z)
     # primitive normal direction -> (index, offset b, gcd g) of the row with
     # the smallest b / g so far; a row with a larger one is strictly redundant.
     tightest: dict = {}
-    for i, h in enumerate(constraints):
-        row = h.int_row
-        if _slack(row, z) <= 0:
-            raise GeometryError("interior point is not strictly feasible")
+    for i, row in enumerate(rows):
         normal = row[:-1]
         g = math.gcd(*normal)
         key = normal if g == 1 else tuple(c // g for c in normal)
         best = tightest.get(key)
         if best is None or row[-1] * best[2] < best[1] * g:
             tightest[key] = (i, row[-1], g)
-    uniq = sorted(i for i, _, _ in tightest.values())
-    rows = [constraints[i].int_row for i in uniq]
+    return sorted(i for i, _, _ in tightest.values())
+
+
+def clarkson_reduce(constraints, interior, seed: int = 0) -> tuple:
+    """The non-redundant subset of `constraints` (Clarkson's algorithm).
+
+    `interior` must strictly satisfy every `Halfspace` in `constraints`.
+    Of the constraints with one normal direction only the tightest can be a
+    facet, so the LPs see one row per direction (`_one_row_per_direction`):
+    the one with the smallest offset, the first of them on ties (geometric
+    duplicates, equal rows, keep their first occurrence).
+    Runs O(k) relaxed LPs over those, each over the non-redundant set found
+    so far.
+    """
+    uniq = _one_row_per_direction([h.int_row for h in constraints])
+    indices = _clarkson_indices([constraints[i] for i in uniq], as_vector(interior), seed)
+    return tuple(constraints[uniq[i]] for i in indices)
+
+
+def _clarkson_indices(constraints, z: Vector, seed: int) -> list:
+    """Ascending indices of the non-redundant `constraints`, which hold one
+    row per normal direction (`_one_row_per_direction`) and strictly hold
+    at `z`.  The tightest row of a direction has the least slack of them
+    all, so `z` then strictly satisfies the rows that were filtered out too.
+
+    One pass: every relaxed LP draws its insertion order from one
+    `random.Random(seed)` and runs in one box, the `_box_bound` of all the
+    rows and their relaxed copies, which bounds each LP's own rows.  The
+    non-redundant set is unique, so neither choice changes the result.
+    """
+    if not constraints:
+        return []
+    z = _homogeneous(z)
+    rows = [h.int_row for h in constraints]
+    if any(_slack(row, z) <= 0 for row in rows):
+        raise GeometryError("interior point is not strictly feasible")
+    # normal . x <= offset + 1, scaled like the row: by |its first nonzero
+    # entry|, which `Halfspace.normal` divides by.
+    relaxed = [row[:-1] + (row[-1] + next(abs(c) for c in row if c),) for row in rows]
+    bound = _box_bound(rows + relaxed, len(z) - 1)
     rng = random.Random(seed)
     pending = deque(range(len(rows)))
     kept: list = []
@@ -502,12 +532,9 @@ def _clarkson_indices(constraints, z: Vector, seed: int) -> list:
         if k in kept_set:
             continue
         row = rows[k]
-        # normal . x <= offset + 1, scaled like the row: by |its first
-        # nonzero entry|, which `Halfspace.normal` divides by.
-        lead = next(abs(c) for c in row if c)
         lp_rows = [rows[i] for i in kept]
-        lp_rows.append(row[:-1] + (row[-1] + lead,))
-        status, point = _solve_raw(row[:-1], lp_rows, rng.randrange(1 << 30))
+        lp_rows.append(relaxed[k])
+        status, point = _solve_raw(row[:-1], lp_rows, rng, bound)
         if status != "optimal":  # pragma: no cover - cannot happen: z feasible, obj capped
             raise GeometryError("relaxed redundancy LP failed")
         if _slack(row, point) >= 0:
@@ -517,7 +544,7 @@ def _clarkson_indices(constraints, z: Vector, seed: int) -> list:
             pending.append(k)  # k stays undecided; only j is settled
         kept.append(j)
         kept_set.add(j)
-    return sorted(uniq[j] for j in kept)
+    return sorted(kept)
 
 
 # --------------------------------------------------------------------------

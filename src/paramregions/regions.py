@@ -43,6 +43,7 @@ from .geometry import (
     _clarkson_indices,
     _homogeneous,
     _interior_point_rows,
+    _one_row_per_direction,
     _project_row,
     _slack,
     dot,
@@ -199,17 +200,22 @@ def compute_vertex_cell(parent: ConvexCell, label, candidates: Optional[list], s
     `candidates` is a superset of the cell's true facets as `Halfspace`s,
     each labeled with the neighboring behavior, or None when `label` can
     never be optimal on a full-dimensional set.  The parent's halfspaces and
-    the candidates go through the LPs as their integer rows, and the ones
-    kept are the cell's facets.  Raises DegenerateCellError when the cell
-    has empty interior.
+    then the candidates are filtered once to one row per normal direction,
+    the tightest, the first on ties (`_one_row_per_direction`): a candidate
+    equal to a parent row leaves the parent's in place and is no neighbor.
+    The interior-point LP and Clarkson's redundancy removal both take the
+    filtered rows, and the ones Clarkson keeps are the cell's facets.
+    Raises DegenerateCellError when the cell has empty interior.
     """
     if candidates is None:
         raise DegenerateCellError(label)
     rows = list(parent.constraints) + candidates
-    witness = find_interior_point(rows, seed)
+    uniq = _one_row_per_direction([h.int_row for h in rows])
+    filtered = [rows[i] for i in uniq]
+    witness = find_interior_point(filtered, seed)
     if witness is None:
         raise DegenerateCellError(label)
-    kept = _clarkson_indices(rows, witness, seed)
+    kept = [uniq[i] for i in _clarkson_indices(filtered, witness, seed)]
     n_parent = len(parent.constraints)
     cell = ConvexCell(parent.dimension, tuple(rows[i] for i in kept), witness=witness)
     neighbors = frozenset(rows[i].label for i in kept if i >= n_parent)

@@ -10,6 +10,7 @@ from paramregions.geometry import (
     GeometryError,
     Halfspace,
     LPResult,
+    _box_bound,
     _homogeneous,
     _int_vector,
     _ray_first_index,
@@ -163,7 +164,8 @@ class TestSolveLP:
 def kernel_lp(obj, rows, seed):
     """The integer kernel on rational rows (normal, offset), answered the
     way the rational reference answers."""
-    status, point = _solve_raw(_int_vector(obj), [_int_vector((*a, b)) for a, b in rows], seed)
+    int_rows = [_int_vector((*a, b)) for a, b in rows]
+    status, point = _solve_raw(_int_vector(obj), int_rows, random.Random(seed), _box_bound(int_rows, len(obj)))
     if status != "optimal":
         return LPResult(status)
     point = _rational_point(point)
@@ -339,6 +341,19 @@ class TestClarkson:
             assert sorted(h.label for h in kept) == want
             for h in kept:
                 assert h.label == min(i for i, g in enumerate(hs) if g.int_row == h.int_row)
+
+    def test_kept_rows_do_not_depend_on_the_seed(self):
+        # One pass draws every LP's insertion order from one generator, so
+        # the LPs differ from seed to seed; the non-redundant set is unique.
+        rng = random.Random(29)
+        for trial in range(12):
+            d = 1 + trial % 3
+            origin = tuple(rat(0) for _ in range(d))
+            hs = random_halfspaces(rng, d, rng.randint(6, 16), ensure_interior=origin)
+            hs = [Halfspace(h.int_row, i) for i, h in enumerate(hs)]
+            want = [hs[i] for i in naive_nonredundant(hs, seed=trial)]
+            for seed in range(20):
+                assert list(clarkson_reduce(hs, origin, seed=seed)) == want
 
     def test_minimality_certificates(self):
         rng = random.Random(23)

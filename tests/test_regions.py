@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -24,6 +25,8 @@ from paramregions.regions import (
     pareto_front,
 )
 from paramregions.rationals import rat
+
+from oracles import naive_nonredundant, random_halfspaces
 
 
 def forms_2d(spec):
@@ -86,6 +89,69 @@ class TestComputeVertexCell:
         assert neighbors == frozenset()
         with pytest.raises(DegenerateCellError):
             vertex_cell(parent, "b", forms)
+
+
+def primitive_direction(row):
+    g = math.gcd(*row[:-1])
+    return tuple(c // g for c in row[:-1])
+
+
+def parallel_family(rng, parent):
+    """Labeled candidates around the parent's witness, the origin: rows in
+    a few normal directions with random offsets, exact duplicates, rescaled
+    parallel rows (3a . x <= b, whose normal is not primitive), a copy of one
+    parent row and a row tighter than another parent row."""
+    d = parent.dimension
+    directions = [h.int_row[:-1] for h in random_halfspaces(rng, d, rng.randint(d + 1, 2 * d + 2))]
+    copied, tightened = rng.sample(range(len(parent.constraints)), 2)
+    tight = parent.constraints[tightened]
+    hs = [
+        Halfspace(parent.constraints[copied].int_row),
+        Halfspace.from_rationals(tight.normal, tight.offset / rng.randint(2, 4)),
+    ]
+    for _ in range(rng.randint(8, 20)):
+        roll = rng.random()
+        if roll < 0.2:
+            hs.append(rng.choice(hs))
+        elif roll < 0.4:
+            normal = tuple(3 * c for c in rng.choice(directions))
+            hs.append(Halfspace.from_rationals(normal, rat(rng.randint(1, 20))))
+        else:
+            normal = rng.choice(directions)
+            hs.append(Halfspace.from_rationals(normal, rat(rng.randint(1, 12), rng.randint(1, 3))))
+    rng.shuffle(hs)
+    return [Halfspace(h.int_row, ("c", i)) for i, h in enumerate(hs)]
+
+
+class TestCellDirectionFilter:
+    """`compute_vertex_cell` keeps one row per normal direction before its
+    LPs; the cell must still be the naive oracle's."""
+
+    def test_parallel_candidates_match_naive_oracle(self, monkeypatch):
+        original = regions.find_interior_point
+        seen = []
+
+        def recording(constraints, seed=0):
+            seen.append([h.int_row for h in constraints])
+            return original(constraints, seed)
+
+        monkeypatch.setattr(regions, "find_interior_point", recording)
+        rng = random.Random(53)
+        for trial in range(45):
+            d = 1 + trial % 3
+            parent = box_cell(-4, 4, d)
+            candidates = parallel_family(rng, parent)
+            rows = list(parent.constraints) + candidates
+            want = naive_nonredundant(rows, seed=trial)
+            cell, neighbors = compute_vertex_cell(parent, "me", candidates, seed=trial)
+            assert {(h.int_row, h.label) for h in cell.constraints} == {
+                (rows[i].int_row, rows[i].label) for i in want
+            }
+            assert neighbors == {rows[i].label for i in want if i >= len(parent.constraints)}
+            assert all(h.label is None for h in cell.constraints if h.int_row in parent.constraint_keys())
+            received = seen.pop()
+            assert len({primitive_direction(row) for row in received}) == len(received)
+        assert not seen
 
 
 class TestComputeSubdivision:

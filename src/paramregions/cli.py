@@ -183,12 +183,6 @@ def _parse_restrictions(items, dimension) -> list:
 # Label codecs
 # --------------------------------------------------------------------------
 
-def encode_label(label):
-    if isinstance(label, tuple):
-        return [encode_label(x) for x in label]
-    return label
-
-
 def decode_label(data):
     if isinstance(data, list):
         return tuple(decode_label(x) for x in data)
@@ -286,7 +280,7 @@ def cmd_cluster_regions(args) -> None:
     )
 
     def extras(merges):
-        out = {"merges": encode_label(merges)}
+        out = {"merges": merges}
         if merges in losses:
             out["loss"] = format_rational(losses[merges])
         return out
@@ -298,14 +292,14 @@ def cmd_cluster_regions(args) -> None:
         "linkages": list(family.linkages),
         "metrics": list(family.metrics),
     }
-    payload.update(Subdivision(root.region, leaves, adjacency).to_json(encode_label, extras))
+    payload.update(Subdivision(root.region, leaves, adjacency).to_json(extras))
     if losses:
         # best_parameter's tie rule: the smallest merge sequence of least loss.
         best = min(keys, key=losses.__getitem__)
         payload["best"] = {
             "rho": format_vector(leaves[best].witness),
             "loss": format_rational(losses[best]),
-            "label": encode_label(best),
+            "label": best,
         }
     if args.oracle_check:
         payload["oracle_agreement"] = _cluster_agreement(inst, family, leaves, args.density)
@@ -323,7 +317,7 @@ def cmd_align_regions(args) -> None:
         "s1": s1,
         "s2": s2,
     }
-    payload.update(part.to_json(encode_label))
+    payload.update(part.to_json())
     if ray is not None:
         payload["ray_dp_solves"] = ray[1]
         payload["region_count"] = len(ray[0].regions)
@@ -346,7 +340,7 @@ def cmd_tariff_regions(args) -> None:
         "menu_length": inst.menu_length,
         "price_cap": format_rational(inst.price_cap),
     }
-    payload.update(sub.to_json(encode_label, extras))
+    payload.update(sub.to_json(extras))
     if inst.menu_length == 1:
         report = tariff.check_piece_bound(inst, sub)
         payload["piece_bound"] = {
@@ -371,7 +365,7 @@ def cmd_tariff_optimize(args) -> None:
         "kind": "tariff-optimize",
         "prices": format_vector(prices),
         "revenue": format_rational(revenue),
-        "region_label": encode_label(label),
+        "region_label": label,
     }
     _write(args, payload)
 

@@ -8,9 +8,14 @@ greedy merge sequence is constant; `build_execution_tree` enumerates that
 refinement level by level and `best_parameter` picks a region minimizing the
 Hamming loss against a target clustering.
 
-Region computations are exact (rational distance tables).  A float/numpy
-greedy path (`linkage_tree_float`) exists for large fixed-parameter runs like
-the synthetic benchmark datasets, where only the merge order matters.
+Region computations are exact.  The state of a greedy run or of a tree path
+is the partition alone, the sorted tuple of its clusters, and its pairs'
+component values come straight from the instance's integer tables: every
+metric table times one common factor, which scales every merge form alike
+and so changes no region.  `merge_value` and `MergeFamily.component_values`
+read the rational tables.  A float/numpy greedy path (`linkage_tree_float`)
+exists for large fixed-parameter runs like the synthetic benchmark datasets,
+where only the merge order matters.
 """
 
 from __future__ import annotations
@@ -18,11 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import ConvexCell, GeometryError, Halfspace, find_interior_point
+from .geometry import ConvexCell, GeometryError, Halfspace, _homogeneous, find_interior_point
 from .rationals import (
     Rational,
     ZERO,
@@ -117,6 +123,19 @@ class ClusteringInstance:
             return len(next(iter(self.metrics.values())))
         return len(self.points)
 
+    @cached_property
+    def int_metrics(self) -> tuple:
+        """(factor, tables): every metric table times one common positive
+        integer, the lcm of all their denominators, as ints.  One factor
+        scales every component value of every linkage, and so every merge
+        form, alike: Pareto order, argmin ties and primitive dominance rows
+        do not change.  Derived once, never serialized."""
+        *entries, factor = _homogeneous([v for table in self.metrics.values() for row in table for v in row])
+        entries = iter(entries)
+        n = self.n_points
+        tables = {name: tuple(tuple(islice(entries, n)) for _ in range(n)) for name in self.metrics}
+        return factor, tables
+
     @classmethod
     def from_points(cls, points, metric_names=("euclidean",), target=None, k=None):
         pts = tuple(as_vector(p) for p in points)
@@ -159,29 +178,39 @@ def merge_value(linkage: str, table, cluster_a, cluster_b):
     """Exact merge score of one linkage rule on one distance table."""
     if set(cluster_a) & set(cluster_b):
         raise ValueError("clusters must be disjoint")
-    pair_distances = [table[a][b] for a in cluster_a for b in cluster_b]
-    if linkage == "single":
-        return min(pair_distances)
-    if linkage == "complete":
-        return max(pair_distances)
-    if linkage == "median":
-        return lower_median(sorted(pair_distances))
-    if linkage == "average":
-        return sum(pair_distances, ZERO) / len(pair_distances)
+    return _linkage_values(linkage, table, [(tuple(cluster_a), tuple(cluster_b))])[0]
+
+
+def _mean(values):
+    return Rational(sum(values)) / len(values)
+
+
+_SCORES = {
+    "single": min,
+    "complete": max,
+    "median": lambda values: lower_median(sorted(values)),
+    "average": _mean,
+}
+
+
+def _linkage_values(linkage: str, table, pairs) -> list:
+    """The scores of one linkage rule on one distance table, of ints or of
+    rationals, for each cluster pair of `pairs`: a rule of `_SCORES`
+    over the |a|·|b| distances, or the distance of the two medoids, each
+    cluster's medoid found once."""
     if linkage == "mediod":
-        return table[_medoid(table, cluster_a)][_medoid(table, cluster_b)]
-    raise ValueError(f"unknown linkage {linkage!r}")
+        medoids = {c: _medoid(table, c) for c in {c for pair in pairs for c in pair}}
+        return [table[medoids[a]][medoids[b]] for a, b in pairs]
+    score = _SCORES.get(linkage)
+    if score is None:
+        raise ValueError(f"unknown linkage {linkage!r}")
+    return [score([table[i][j] for i in a for j in b]) for a, b in pairs]
 
 
 def _medoid(table, cluster) -> int:
-    # Lowest-index point minimizing the summed in-cluster distance.
-    best = None
-    best_idx = None
-    for a in cluster:
-        s = sum((table[a][b] for b in cluster), ZERO)
-        if best is None or s < best:
-            best, best_idx = s, a
-    return best_idx
+    # First point of the cluster minimizing the summed in-cluster distance.
+    sums = [sum(table[a][b] for b in cluster) for a in cluster]
+    return cluster[sums.index(min(sums))]
 
 
 @dataclass(frozen=True)
@@ -252,150 +281,48 @@ def interpolated_merge(family: MergeFamily, instance: ClusteringInstance, rho, c
 
 
 # --------------------------------------------------------------------------
-# Incremental merge-score state (one greedy run or one execution-tree path)
+# Partitions: the state of one greedy run or one execution-tree path
 # --------------------------------------------------------------------------
 
-class ClusterState:
-    """Live clusters plus per-pair component scores, maintained incrementally:
-    min/max recombination for single/complete, sorted-multiset merging for
-    median, weighted means for average, and per-cluster medoids for mediod.
-    """
-
-    def __init__(self, instance: ClusteringInstance, family: MergeFamily, clusters, stats, medoids):
-        self.instance = instance
-        self.family = family
-        self.clusters = clusters  # tuple of sorted index tuples, lexicographic
-        self._stats = stats  # {(a, b): per-component stat}
-        self._medoids = medoids  # {cluster: per-metric medoid index}, or None without mediod
-
-    @classmethod
-    def initial(cls, instance: ClusteringInstance, family: MergeFamily) -> "ClusterState":
-        clusters = tuple((i,) for i in range(instance.n_points))
-        stats = {}
-        medoids = None
-        if "mediod" in family.linkages:
-            medoids = {c: tuple(c[0] for _ in family.metrics) for c in clusters}
-        for i, a in enumerate(clusters):
-            for b in clusters[i + 1:]:
-                stats[(a, b)] = tuple(
-                    cls._singleton_stat(l, instance.metrics[m][a[0]][b[0]])
-                    for l, m in family.components
-                )
-        return cls(instance, family, clusters, stats, medoids)
-
-    @staticmethod
-    def _singleton_stat(linkage: str, d):
-        if linkage in ("single", "complete"):
-            return d
-        if linkage == "median":
-            return (d,)
-        if linkage == "average":
-            return (d, 1)
-        return None  # mediod: derived from per-cluster medoids
-
-    def pairs(self) -> list:
-        out = []
-        for i, a in enumerate(self.clusters):
-            for b in self.clusters[i + 1:]:
-                out.append((a, b))
-        return out
-
-    def _stat_value(self, pair, t: int):
-        linkage, metric = self.family.components[t]
-        if linkage == "mediod":
-            a, b = pair
-            ma = self._medoids[a][self.family.metrics.index(metric)]
-            mb = self._medoids[b][self.family.metrics.index(metric)]
-            return self.instance.metrics[metric][ma][mb]
-        stat = self._stats[pair][t]
-        if linkage in ("single", "complete"):
-            return stat
-        if linkage == "median":
-            return lower_median(stat)
-        if linkage == "average":
-            return stat[0] / stat[1]
-        raise AssertionError(linkage)
-
-    def component_values(self, pair) -> tuple:
-        return tuple(self._stat_value(pair, t) for t in range(len(self.family.components)))
-
-    def merge_forms(self) -> dict:
-        """The merge forms of the pairs on the `pareto_front` of their component
-        values, which are a form's values at the simplex corners, last first."""
-        values = {pair: self.component_values(pair) for pair in self.pairs()}
-        return {pair: self.family.affine_form(values[pair]) for pair in pareto_front(values)}
-
-    def merge(self, pair) -> "ClusterState":
-        a, b = pair
-        merged = tuple(sorted(a + b))
-        rest = tuple(c for c in self.clusters if c != a and c != b)
-        clusters = tuple(sorted(rest + (merged,)))
-        stats = {}
-        for c in rest:
-            combined = []
-            for t, (linkage, metric) in enumerate(self.family.components):
-                sa = self._stats[_key(a, c)][t]
-                sb = self._stats[_key(b, c)][t]
-                combined.append(self._combine_stat(linkage, sa, sb))
-            stats[_key(merged, c)] = tuple(combined)
-        for i, c in enumerate(rest):
-            for d_ in rest[i + 1:]:
-                stats[_key(c, d_)] = self._stats[_key(c, d_)]
-        medoids = None
-        if self._medoids is not None:
-            medoids = {c: self._medoids[c] for c in rest}
-            medoids[merged] = tuple(
-                _medoid(self.instance.metrics[m], merged) for m in self.family.metrics
-            )
-        return ClusterState(self.instance, self.family, clusters, stats, medoids)
-
-    @staticmethod
-    def _combine_stat(linkage: str, sa, sb):
-        if linkage == "single":
-            return sa if sa <= sb else sb
-        if linkage == "complete":
-            return sa if sa >= sb else sb
-        if linkage == "median":
-            return tuple(_merge_sorted(sa, sb))
-        if linkage == "average":
-            return (sa[0] + sb[0], sa[1] + sb[1])
-        return None
+def partition_values(instance: ClusteringInstance, family: MergeFamily, clusters) -> dict:
+    """The component values of every pair of the partition `clusters` (a
+    sorted tuple of sorted clusters), in pair order, read from the integer
+    tables: `family.component_values` times the `int_metrics` factor."""
+    tables = instance.int_metrics[1]
+    pairs = [(a, b) for i, a in enumerate(clusters) for b in clusters[i + 1:]]
+    columns = [_linkage_values(l, tables[m], pairs) for l, m in family.components]
+    return dict(zip(pairs, zip(*columns)))
 
 
-def _key(a, b):
-    return (a, b) if a <= b else (b, a)
+def merge_forms(instance: ClusteringInstance, family: MergeFamily, clusters) -> dict:
+    """The merge forms of the pairs on the `pareto_front` of their component
+    values, which are a form's values at the simplex corners, last first."""
+    values = partition_values(instance, family, clusters)
+    return {pair: family.affine_form(values[pair]) for pair in pareto_front(values)}
 
 
-def _merge_sorted(a, b):
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] <= b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return out
+def _merged(clusters, pair) -> tuple:
+    """The partition after merging `pair`."""
+    a, b = pair
+    rest = [c for c in clusters if c != a and c != b]
+    return tuple(sorted(rest + [tuple(sorted(a + b))]))
+
+
+def _singletons(instance: ClusteringInstance) -> tuple:
+    return tuple((i,) for i in range(instance.n_points))
 
 
 def simulate_merge_sequence(instance: ClusteringInstance, family: MergeFamily, rho) -> tuple:
     """Greedy linkage at a fixed parameter point; exact, ties merge the
     lexicographically smallest cluster pair."""
     coeffs = family.coefficients(rho)
-    state = ClusterState.initial(instance, family)
+    clusters = _singletons(instance)
     merges = []
-    while len(state.clusters) > 1:
-        best = None
-        best_pair = None
-        for pair in state.pairs():
-            v = sum((c * x for c, x in zip(coeffs, state.component_values(pair))), ZERO)
-            if best is None or v < best:
-                best, best_pair = v, pair
-        merges.append(best_pair)
-        state = state.merge(best_pair)
+    while len(clusters) > 1:
+        values = partition_values(instance, family, clusters)
+        pair = min(values, key=lambda p: sum(c * x for c, x in zip(coeffs, values[p])))
+        merges.append(pair)
+        clusters = _merged(clusters, pair)
     return tuple(merges)
 
 
@@ -445,24 +372,24 @@ def build_execution_tree(
         if witness is None:
             raise GeometryError("parent region is degenerate")
         parent = ConvexCell(parent.dimension, parent.constraints, witness=witness)
-    state = ClusterState.initial(instance, family)
-    return _expand(state, (), parent, seed)
+    return _expand(instance, family, _singletons(instance), (), parent, seed)
 
 
-def _expand(state: ClusterState, merges: tuple, region: ConvexCell, seed: int) -> ExecutionTreeNode:
-    """The subtree below `state`: the region splits into the cells of the
-    lower envelope of the merge forms on the Pareto front of the live pairs'
-    component values (`envelope_cells`), and each cell's pair is merged next."""
-    if len(state.clusters) <= 1:
+def _expand(instance, family, clusters, merges, region: ConvexCell, seed: int) -> ExecutionTreeNode:
+    """The subtree below the partition `clusters`: the region splits into the
+    cells of the lower envelope of its `merge_forms` (`envelope_cells`), and
+    each cell's pair is merged next."""
+    if len(clusters) <= 1:
         return ExecutionTreeNode(merges, region)
-    if len(state.clusters) == 2:
-        child = _expand(state.merge(state.clusters), merges + (state.clusters,), region, seed)
+    if len(clusters) == 2:
+        child = _expand(instance, family, _merged(clusters, clusters), merges + (clusters,), region, seed)
         return ExecutionTreeNode(merges, region, (child,))
-    sub = envelope_cells(region, state.merge_forms(), seed)
-    children = []
-    for pair in sorted(sub.cells):
-        children.append(_expand(state.merge(pair), merges + (pair,), sub.cells[pair], seed))
-    return ExecutionTreeNode(merges, region, tuple(children), sub)
+    sub = envelope_cells(region, merge_forms(instance, family, clusters), seed)
+    children = tuple(
+        _expand(instance, family, _merged(clusters, pair), merges + (pair,), sub.cells[pair], seed)
+        for pair in sorted(sub.cells)
+    )
+    return ExecutionTreeNode(merges, region, children, sub)
 
 
 def leaf_subdivision(root: ExecutionTreeNode) -> dict:

@@ -117,10 +117,10 @@ class Halfspace:
         """The complementary halfspace boundary: {normal . x >= offset}."""
         return Halfspace(self.flipped_key(), self.label)
 
-    def to_json(self, encode_label=lambda x: x) -> dict:
+    def to_json(self) -> dict:
         out = {"normal": format_vector(self.normal), "offset": format_rational(self.offset)}
         if self.label is not None:
-            out["label"] = encode_label(self.label)
+            out["label"] = self.label
         return out
 
     @classmethod
@@ -167,10 +167,10 @@ class ConvexCell:
         constraints = (h if h.label is None else Halfspace(h.int_row, f(h.label)) for h in self.constraints)
         return ConvexCell(self.dimension, tuple(constraints), self.witness)
 
-    def to_json(self, encode_label=lambda x: x) -> dict:
+    def to_json(self) -> dict:
         out = {
             "dimension": self.dimension,
-            "constraints": [h.to_json(encode_label) for h in _sorted_constraints(self.constraints)],
+            "constraints": [h.to_json() for h in _sorted_constraints(self.constraints)],
         }
         if self.witness is not None:
             out["witness"] = format_vector(self.witness)

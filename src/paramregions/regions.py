@@ -166,18 +166,18 @@ class Subdivision:
     def labels_at(self, point, strict: bool = False) -> list:
         return sorted(l for l, c in self.cells.items() if c.contains(point, strict))
 
-    def to_json(self, encode_label=lambda x: x, extras=None) -> dict:
+    def to_json(self, extras=None) -> dict:
         """Canonical JSON: cells in label order, each merged with
         `extras(label)` when given, and the sorted adjacency pairs."""
         cells = []
         for label in sorted(self.cells):
-            entry = {"label": encode_label(label), **self.cells[label].to_json(encode_label)}
+            entry = {"label": label, **self.cells[label].to_json()}
             if extras:
                 entry.update(extras(label))
             cells.append(entry)
-        adjacency = sorted([encode_label(a), encode_label(b)] for a, b in self.adjacency)
+        adjacency = sorted(self.adjacency)
         return {
-            "parent": self.parent.to_json(encode_label),
+            "parent": self.parent.to_json(),
             "cells": cells,
             "adjacency": adjacency,
         }

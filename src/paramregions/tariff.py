@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
-from .geometry import ConvexCell, Halfspace, solve_lp
+from .geometry import ConvexCell, box_cell, solve_lp
 from .rationals import Rational, ZERO, as_rational, format_rational
 from .regions import (
     AffineForm,
@@ -75,15 +75,7 @@ class TariffInstance:
         return ZERO if q == 0 else self.valuations[i][q - 1]
 
     def price_box(self) -> ConvexCell:
-        d = self.dimension
-        cap = self.price_cap
-        rows = []
-        for t in range(d):
-            unit = tuple(Rational(1) if j == t else ZERO for j in range(d))
-            rows.append(Halfspace.from_rationals(unit, cap))
-            rows.append(Halfspace.from_rationals(tuple(-c for c in unit), 0))
-        mid = tuple(cap / 2 for _ in range(d))
-        return ConvexCell(d, tuple(rows), witness=mid)
+        return box_cell(0, self.price_cap, self.dimension)
 
     def to_json(self) -> dict:
         return {

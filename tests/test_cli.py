@@ -600,6 +600,15 @@ class TestGoldenOutput:
         ]
         self.assert_golden("cluster_median.json", args, tmp_path)
 
+    def test_cluster_regions_two_metrics(self, tmp_path):
+        # d = 3: the same seven points, average and mediod linkage on the
+        # euclidean and manhattan tables, whose denominators differ.
+        args = [
+            "cluster-regions", "--instance", str(GOLDEN / "cluster_two_metrics.in.json"),
+            "--linkages", "average,mediod", "--metrics", "euclidean,manhattan",
+        ]
+        self.assert_golden("cluster_two_metrics.json", args, tmp_path)
+
 
 class TestEntryPoint:
     def test_env_var_sets_default_seed(self, tmp_path, monkeypatch):

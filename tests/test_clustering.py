@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from paramregions.clustering import (
     LINKAGES,
-    ClusterState,
     ClusterTree,
     ClusteringInstance,
     MergeFamily,
@@ -20,6 +20,7 @@ from paramregions.clustering import (
     lower_median,
     merge_value,
     pairwise_euclidean,
+    partition_values,
     simulate_merge_sequence,
 )
 from paramregions.geometry import sample_interior, solve_lp
@@ -41,6 +42,26 @@ def sc_family():
 def random_instance(rng, n, spread=20):
     pts = [(rat(rng.randint(0, spread * 4), 4), rat(rng.randint(0, spread * 4), 4)) for _ in range(n)]
     return ClusteringInstance.from_points(pts, ("euclidean",))
+
+
+def partition_after(n, merges):
+    """The sorted tuple of sorted clusters left by `merges` on n singletons."""
+    clusters = {(i,) for i in range(n)}
+    for a, b in merges:
+        clusters -= {a, b}
+        clusters.add(tuple(sorted(a + b)))
+    return tuple(sorted(clusters))
+
+
+def greedy_reference(inst, family, rho):
+    """Greedy merging by `interpolated_merge` over all live pairs; ties take
+    the lexicographically smallest pair."""
+    merges = []
+    while len(partition_after(inst.n_points, merges)) > 1:
+        clusters = partition_after(inst.n_points, merges)
+        pairs = [(a, b) for a in clusters for b in clusters if a < b]
+        merges.append(min(pairs, key=lambda pair: (interpolated_merge(family, inst, rho, *pair), pair)))
+    return tuple(merges)
 
 
 class TestMergeValues:
@@ -91,6 +112,55 @@ class TestMergeValues:
         # Two points: both have equal summed distance; medoid pair is (0, 2).
         inst = ClusteringInstance.from_points([(0,), (1,), (5,)], ("euclidean",))
         assert merge_value("mediod", inst.metrics["euclidean"], (0, 1), (2,)) == 5
+
+
+class TestPartitionValues:
+    def coprime_instance(self, rng, n):
+        # Each table draws its denominators from its own primes, so a factor
+        # per table would differ from the common one.
+        metrics = {}
+        for name, dens in (("euclidean", (1, 2, 3)), ("manhattan", (5, 7))):
+            table = [[rat(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    table[i][j] = table[j][i] = rat(rng.randint(1, 40), rng.choice(dens))
+            metrics[name] = tuple(tuple(row) for row in table)
+        return ClusteringInstance(metrics=metrics)
+
+    def test_values_are_merge_values_times_the_common_factor(self):
+        rng = random.Random(61)
+        family = MergeFamily(LINKAGES, ("euclidean", "manhattan"))
+        for trial in range(8):
+            n = rng.randint(4, 8)
+            inst = self.coprime_instance(rng, n)
+            factor, tables = inst.int_metrics
+            dens = [v.denominator for table in inst.metrics.values() for row in table for v in row]
+            assert factor == math.lcm(*dens)
+            assert all(type(v) is int for table in tables.values() for row in table for v in row)
+            labels = [rng.randrange(rng.randint(2, n)) for _ in range(n)]
+            clusters = tuple(sorted(
+                tuple(i for i in range(n) if labels[i] == lab) for lab in set(labels)
+            ))
+            values = partition_values(inst, family, clusters)
+            assert list(values) == [(a, b) for a in clusters for b in clusters if a < b]
+            for (a, b), got in values.items():
+                for (linkage, metric), v in zip(family.components, got):
+                    assert v == factor * merge_value(linkage, inst.metrics[metric], a, b)
+                assert got == tuple(factor * v for v in family.component_values(inst, a, b))
+
+    def test_greedy_matches_brute_force_over_interpolated_merge(self):
+        rng = random.Random(67)
+        families = [MergeFamily(LINKAGES, ("euclidean",))]
+        families += [MergeFamily((linkage,), ("euclidean", "manhattan")) for linkage in LINKAGES]
+        for trial in range(4):
+            # Small integer coordinates make ties common.
+            pts = [(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(rng.randint(4, 7))]
+            inst = ClusteringInstance.from_points(pts, ("euclidean", "manhattan"))
+            for family in families:
+                for _ in range(3):
+                    weights = [rng.randint(1, 9) for _ in range(family.dimension + 1)]
+                    rho = tuple(rat(w, sum(weights)) for w in weights[:-1])
+                    assert simulate_merge_sequence(inst, family, rho) == greedy_reference(inst, family, rho)
 
 
 class TestExecutionTree:
@@ -200,15 +270,17 @@ class TestEnvelopePrune:
             inst = ClusteringInstance.from_points(pts, metrics)
             d = family.dimension
             corners = [(0,) * d] + [tuple(int(j == t) for j in range(d)) for t in range(d)]
-            stack = [(build_execution_tree(inst, family, seed=trial), ClusterState.initial(inst, family))]
+            stack = [build_execution_tree(inst, family, seed=trial)]
             while stack:
-                node, state = stack.pop()
+                node = stack.pop()
                 if node.subdivision is not None:
                     nodes += 1
-                    every = {pair: family.affine_form(state.component_values(pair)) for pair in state.pairs()}
+                    clusters = partition_after(len(pts), node.merges)
+                    pairs = [(a, b) for a in clusters for b in clusters if a < b]
+                    every = {pair: family.affine_form(family.component_values(inst, *pair)) for pair in pairs}
                     reference = reference_envelope_labels(node.region, every, corners, trial)
                     assert sorted(node.subdivision.cells) == reference
-                stack += [(child, state.merge(child.merges[-1])) for child in node.children]
+                stack += node.children
         assert nodes > 120
 
 

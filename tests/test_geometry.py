@@ -74,7 +74,7 @@ class TestHalfspace:
 
     def test_json_round_trip(self):
         h = H((rat(1, 3), rat(-2)), rat(5, 7), label=(1, 2))
-        data = json.loads(json.dumps(h.to_json(lambda l: list(l))))
+        data = json.loads(json.dumps(h.to_json()))
         back = Halfspace.from_json(data, lambda l: tuple(l))
         assert back == h
 

@@ -493,7 +493,7 @@ def _align_agreement(spec, s1, s2, part, density: int) -> float:
     graph = seqalign.node_graph(spec, s1, s2)
 
     def behavior(point):
-        _, align = seqalign.dp_solve_multi(spec, s1, s2, [point], graph)
+        _, align = seqalign.dp_solve(spec, s1, s2, point, graph)
         return align.t1, align.t2
 
     return _agreement(part.cells.items(), density, behavior)

@@ -34,8 +34,6 @@ from .rationals import (
     ZERO,
     as_rational,
     as_vector,
-    format_rational,
-    format_vector,
     parse_vector,
     rat,
 )
@@ -46,9 +44,9 @@ LINKAGES = ("single", "complete", "median", "average", "mediod")
 SNAP_DENOMINATOR = 10**6
 
 
-def snap(value: float, denominator: int = SNAP_DENOMINATOR):
-    """Round a float onto the rational grid with the given denominator."""
-    return Rational(round(value * denominator), denominator)
+def snap(value: float):
+    """Round a float onto the rational grid of denominator SNAP_DENOMINATOR."""
+    return Rational(round(value * SNAP_DENOMINATOR), SNAP_DENOMINATOR)
 
 
 def lower_median(sorted_values: Sequence):
@@ -142,22 +140,6 @@ class ClusteringInstance:
         metrics = {name: METRIC_BUILDERS[name](pts) for name in metric_names}
         tgt = tuple(frozenset(part) for part in target) if target is not None else None
         return cls(metrics=metrics, points=pts, target=tgt, k=k)
-
-    def to_json(self) -> dict:
-        out = {
-            "schema_version": 1,
-            "metrics": {
-                name: [[format_rational(v) for v in row] for row in table]
-                for name, table in self.metrics.items()
-            },
-        }
-        if self.points is not None:
-            out["points"] = [format_vector(p) for p in self.points]
-        if self.target is not None:
-            out["target"] = [sorted(part) for part in self.target]
-        if self.k is not None:
-            out["k"] = self.k
-        return out
 
     @classmethod
     def from_json(cls, data: dict) -> "ClusteringInstance":
@@ -637,10 +619,11 @@ def linkage_accuracy(points, labels, k: int, linkage: str) -> float:
     return float(1 - hamming_loss(tree, [frozenset(t) for t in target], k))
 
 
-def mean_linkage_accuracy(name: str, linkage: str, n_seeds: int = 100, base_seed: int = 0) -> float:
-    """Mean Hamming accuracy (percent) of a linkage rule over fresh draws."""
+def mean_linkage_accuracy(name: str, linkage: str, n_seeds: int = 100) -> float:
+    """Mean Hamming accuracy (percent) of a linkage rule over the draws of
+    seeds 0 to n_seeds - 1."""
     total = 0.0
     for s in range(n_seeds):
-        pts, labels, k = _dataset_floats(name, base_seed + s)
+        pts, labels, k = _dataset_floats(name, s)
         total += linkage_accuracy(pts, labels, k, linkage)
     return 100.0 * total / n_seeds

@@ -18,7 +18,6 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
     from fractions import Fraction as Rational
 
 ZERO = Rational(0)
-ONE = Rational(1)
 
 
 def rat(numerator: Any, denominator: Any = 1) -> Rational:

@@ -9,12 +9,11 @@ constant.
 
 `node_graph` lists the subproblems of one sequence pair once, in
 topological order; the scalar DP and the execution DAG both run over it.
-`dp_solve_multi` is the scalar DP at one parameter point, or
-lexicographically over several.  It carries costs as integers, each point
-scaled by the lcm of its denominators; one positive scale per point keeps
-the order and the ties of the rational costs, so it chooses exactly what a
-DP over rationals would.  It keeps one back-pointer per subproblem and
-builds only the root's alignment.
+`dp_solve` is the scalar DP at one parameter point.  It carries one integer
+cost per subproblem, the point scaled by the lcm of its denominators; one
+positive scale keeps the order and the ties of the rational costs, so it
+chooses exactly what a DP over rationals would.  It keeps one back-pointer
+per subproblem and builds only the root's alignment.
 
 Two methods find the root's regions, the alignments optimal on a
 full-dimensional part of the domain.  `build_execution_dag` works
@@ -33,7 +32,6 @@ with one DP solve per probe point, over one node graph.  Both end in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add
 from typing import Optional, Sequence
 
 from .geometry import (
@@ -298,7 +296,7 @@ class AlignmentDPSpec:
 
 
 def _check_weight(weight, dimension: int, what: str) -> None:
-    # Costs are carried as integers (`dp_solve_multi`), so weights must be.
+    # Costs are carried as integers (`dp_solve`), so weights must be.
     if len(weight) != dimension:
         raise ValueError(f"{what} weight length must match feature count")
     if any(isinstance(w, bool) or not isinstance(w, int) for w in weight):
@@ -465,41 +463,33 @@ def node_graph(spec: AlignmentDPSpec, s1: str, s2: str) -> NodeGraph:
 
 
 # --------------------------------------------------------------------------
-# Scalar DP (single parameter point, or lexicographic over several)
+# Scalar DP at one parameter point
 # --------------------------------------------------------------------------
 
-def dp_solve_multi(
-    spec: AlignmentDPSpec, s1: str, s2: str, points: Sequence, graph: Optional[NodeGraph] = None
-):
-    """DP with costs compared lexicographically over several points.
+def dp_solve(spec: AlignmentDPSpec, s1: str, s2: str, rho, graph: Optional[NodeGraph] = None):
+    """Exact minimum alignment cost at rho and its canonical optimal
+    alignment.  Term ties break toward the lowest term index, consistently
+    with the region machinery.
 
-    With one point this is the plain DP; with a second point it resolves ties
-    at the first as the limit behavior toward the second, which is how the
-    ray search probes sector interiors adjacent to a boundary.  Returns the
-    root's costs, one rational per point, and its optimal alignment.  Term
-    ties break toward the lowest term index.
-
-    Costs are integers: point k is written homogeneously as (P_k, w_k) with
-    w_k > 0 (`geometry._homogeneous`), and a cost c . p_k is carried as
-    c . P_k = w_k (c . p_k).  Scaling every cost at one point by the same
-    positive w_k preserves their order and their ties, so the lexicographic
-    comparison, and the strict `<` that keeps the lowest term index, choose
-    exactly as over the rationals.  Each node keeps only its cost and a
-    back-pointer; the root's alignment is rebuilt by one traceback.
+    Costs are integers: rho is written homogeneously as (P, w) with w > 0
+    (`geometry._homogeneous`), and a cost c . rho is carried as
+    c . P = w (c . rho).  Scaling every cost by the same positive w keeps
+    their order and their ties, so the strict `<` that keeps the lowest term
+    index chooses exactly as over the rationals.  Each node keeps only its
+    cost and a back-pointer; the root's alignment is rebuilt by one
+    traceback.
 
     `graph` is `node_graph(spec, s1, s2)`, which callers that solve one
     pair many times build once; it is built here when omitted.
     """
-    pts = [as_vector(p) for p in points]
-    if any(len(p) != spec.dimension for p in pts):
+    *P, w = _homogeneous(as_vector(rho))
+    if len(P) != spec.dimension:
         raise GeometryError("parameter dimension mismatch")
     if graph is None:
         graph = node_graph(spec, s1, s2)
-    homs = [_homogeneous(p) for p in pts]
-    scaled = [h[:-1] for h in homs]
 
     def cost_of(counts):
-        return tuple(sum(c * x for c, x in zip(counts, P)) for P in scaled)
+        return sum(c * x for c, x in zip(counts, P))
 
     term_cost = {term.weight: cost_of(term.weight) for case in spec.cases for term in case.terms}
     costs = [None] * len(graph.nodes)
@@ -513,7 +503,7 @@ def dp_solve_multi(
             ref_cost = costs[ref]
             if ref_cost is None:
                 continue
-            cost = tuple(map(add, ref_cost, term_cost[term.weight]))
+            cost = ref_cost + term_cost[term.weight]
             if best is None or cost < best:
                 best = cost
                 back[k] = (term, ref)
@@ -529,17 +519,7 @@ def dp_solve_multi(
     alignment = graph.bases[k]
     for term, (_, i, j) in reversed(path):
         alignment = _apply_transform(term.transform, alignment, term.weight, s1, s2, i, j)
-    return tuple(Rational(c, h[-1]) for c, h in zip(costs[root], homs)), alignment
-
-
-def dp_solve(spec: AlignmentDPSpec, s1: str, s2: str, rho):
-    """Exact minimum alignment cost and its canonical optimal alignment.
-
-    Term ties break toward the lowest term index, consistently with the
-    region machinery.
-    """
-    cost, alignment = dp_solve_multi(spec, s1, s2, [rho])
-    return cost[0], alignment
+    return Rational(costs[root], w), alignment
 
 
 # --------------------------------------------------------------------------
@@ -718,6 +698,19 @@ def ray_search_2d(spec: AlignmentDPSpec, s1: str, s2: str, seed: int = 0):
     the alignments found go through the DAG's own region step
     (`_envelope_regions`, a lower hull) and then to `_partition`, as the
     DAG's root does.
+
+    The two end probes find the alignments optimal just inside the quadrant
+    next to each axis: on the rho_2 axis, the least c_2 and, among those,
+    the least c_1, for counts c = (c_1, c_2).  One exact point does this.
+    A partial alignment's counts are a base's counts plus at most
+    len(graph.nodes) term weights, and a base's are at most len(s1) or
+    len(s2) prefix weights, so |c_1| <= B = (len(graph.nodes) + len(s1) +
+    len(s2)) * M, with M the largest |entry| of any term or prefix weight.
+    At (1/W, 1) with W = 2B + 1 the DP compares the integers c_1 + W c_2:
+    a smaller c_2 outweighs any difference of c_1, which is at most 2B < W,
+    and two costs tie only when both counts do.  So every node chooses as
+    the lexicographic order of (c_2, c_1) does, term-index ties included;
+    (1, 1/W) does the same at the rho_1 axis.
     """
     if spec.dimension != 2:
         raise GeometryError("the ray search needs exactly two features")
@@ -725,15 +718,16 @@ def ray_search_2d(spec: AlignmentDPSpec, s1: str, s2: str, seed: int = 0):
     graph = node_graph(spec, s1, s2)
     calls = [0]
 
-    def solve_at(primary, tiebreak=None):
+    def solve_at(point):
         calls[0] += 1
-        pts = [primary] if tiebreak is None else [primary, tiebreak]
-        return dp_solve_multi(spec, s1, s2, pts, graph)
+        return dp_solve(spec, s1, s2, point, graph)
 
-    left_pt = (ZERO, Rational(1))
-    right_pt = (Rational(1), ZERO)
-    _, left_align = solve_at(left_pt, right_pt)
-    _, right_align = solve_at(right_pt, left_pt)
+    weights = [term.weight for case in spec.cases for term in case.terms]
+    weights += [prefix[1] for prefix in (spec.base_s1_prefix, spec.base_s2_prefix) if prefix]
+    bound = (len(graph.nodes) + len(s1) + len(s2)) * max((abs(x) for w in weights for x in w), default=0)
+    eps = Rational(1, 2 * bound + 1)
+    _, left_align = solve_at((eps, Rational(1)))
+    _, right_align = solve_at((Rational(1), eps))
 
     def crossing(a_counts, b_counts):
         # The t at which the costs tie on the chord (t, 1 - t):
@@ -754,7 +748,7 @@ def ray_search_2d(spec: AlignmentDPSpec, s1: str, s2: str, seed: int = 0):
         m = (tm, 1 - tm)
         cost, align_m = solve_at(m)
         tied_value = dot(align_l.counts, m)
-        if cost[0] < tied_value:
+        if cost < tied_value:
             return (
                 recurse(tl, align_l, tm, align_m)
                 + [align_m]

@@ -28,6 +28,9 @@ from .regions import (
     product_candidates,
 )
 
+# C in the piece bound R <= C * N^2 K min(N, K) of `check_piece_bound`.
+PIECE_BOUND_CONSTANT = 10
+
 
 @dataclass(frozen=True)
 class TariffInstance:
@@ -239,14 +242,15 @@ def region_boundary_lines(instance: TariffInstance, regions: Subdivision) -> dic
     return {i: len(lines) for i, lines in per_sample.items()}
 
 
-def check_piece_bound(instance: TariffInstance, regions: Subdivision, constant: int = 10) -> dict:
-    """Report on the output-size bound R <= C * N^2 K min(N, K) and on the
-    per-sample non-redundant boundary-line counts (single-tariff case)."""
+def check_piece_bound(instance: TariffInstance, regions: Subdivision) -> dict:
+    """Report on the output-size bound R <= C * N^2 K min(N, K), with C =
+    PIECE_BOUND_CONSTANT, and on the per-sample non-redundant boundary-line
+    counts (single-tariff case)."""
     if instance.menu_length != 1:
         raise ValueError("the piece bound applies to single tariffs")
     n, k = instance.n_samples, instance.units
     r = len(regions.cells)
-    bound = constant * n * n * k * min(n, k)
+    bound = PIECE_BOUND_CONSTANT * n * n * k * min(n, k)
     lines = region_boundary_lines(instance, regions)
     line_bound = 2 * k + 2
     return {

@@ -6,7 +6,8 @@ region membership via direct simulation.  They stay independent of the code
 paths they check.  The exceptions are `reference_solve_raw` and
 `reference_ray_first_index`, the same Seidel LP and ray shooting as the
 library's integer kernel written over rationals, and
-`reference_dp_solve_multi`, the alignment DP over rationals, and
+`reference_dp_solve_multi`, the alignment DP over rationals, lexicographic
+over several points, and
 `reference_tariff_candidates`, the tariff candidate halfspaces built from
 rationals, and `reference_envelope_labels`, the LP label step that decided
 the regions of every two-feature alignment DAG node before the integer
@@ -330,7 +331,9 @@ def _reference_valid_terms(spec, s1, s2, node, memo):
 def reference_dp_solve_multi(spec, s1, s2, points):
     """The alignment DP over rationals, building an `Alignment` at every
     node: costs compared lexicographically over the points, ties kept by the
-    lowest term index.  `seqalign.dp_solve_multi` must agree with it exactly."""
+    lowest term index.  `seqalign.dp_solve` at one point must agree with it
+    exactly.  Each end probe of the ray search, one exact point just off a
+    corner, must agree with it over that corner and then the opposite one."""
     pts = [as_vector(p) for p in points]
     if any(len(p) != spec.dimension for p in pts):
         raise GeometryError("parameter dimension mismatch")

@@ -584,6 +584,15 @@ class TestGoldenOutput:
         ]
         self.assert_golden("align_ray_CACTTCAATTGTAACT_ATTACCATTCCGAGAA.json", args, tmp_path)
 
+    def test_align_regions_both_methods_two_table_spec(self, tmp_path):
+        # A custom two-table spec with weights up to 7: the ray search's end
+        # probes must lie closer to the axes than 1/3 to find its end regions.
+        args = [
+            "align-regions", "--spec-file", str(GOLDEN / "align_both_two_table.spec.json"),
+            "--s1", "ACGTTGCA", "--s2", "TGCAACGT", "--method", "both",
+        ]
+        self.assert_golden("align_both_two_table.json", args, tmp_path)
+
     def test_cluster_regions_line_fixture(self, line_instance_file, tmp_path):
         # A restricted call first: the parser is shared by every call in a
         # process, so no argument of one call may leak into the next.

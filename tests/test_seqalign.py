@@ -16,7 +16,6 @@ from paramregions.seqalign import (
     _lower_hull_2d,
     default_domain,
     dp_solve,
-    dp_solve_multi,
     enumerate_alignments,
     feature_counts,
     get_preset,
@@ -129,14 +128,14 @@ class TestDpAgainstReference:
     """The integer DP against the rational one it replaced: equal costs and
     equal alignments, ties included."""
 
-    def assert_agree(self, spec, s1, s2, points, graph=None):
+    def assert_agree(self, spec, s1, s2, point, graph=None):
         try:
-            expected = reference_dp_solve_multi(spec, s1, s2, points)
+            (cost,), alignment = reference_dp_solve_multi(spec, s1, s2, [point])
         except ValueError:
             with pytest.raises(ValueError):
-                dp_solve_multi(spec, s1, s2, points, graph)
+                dp_solve(spec, s1, s2, point, graph)
             return
-        assert dp_solve_multi(spec, s1, s2, points, graph) == expected
+        assert dp_solve(spec, s1, s2, point, graph) == (cost, alignment)
 
     def test_random_pairs_and_points(self):
         rng = random.Random(23)
@@ -146,39 +145,35 @@ class TestDpAgainstReference:
                 s1 = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 8)))
                 s2 = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 8)))
                 graph = node_graph(spec, s1, s2)
-                for count in (1, 2):
+                for _ in range(3):
                     # Small numerators and mixed denominators make zero
                     # coordinates and exact ties common.
-                    points = [
-                        tuple(rat(rng.randint(-1, 4), rng.choice((1, 2, 3, 6))) for _ in range(d))
-                        for _ in range(count)
-                    ]
-                    self.assert_agree(spec, s1, s2, points, graph)
-                    self.assert_agree(spec, s1, s2, points)
+                    point = tuple(rat(rng.randint(-1, 4), rng.choice((1, 2, 3, 6))) for _ in range(d))
+                    self.assert_agree(spec, s1, s2, point, graph)
+                    self.assert_agree(spec, s1, s2, point)
 
     def test_exact_ties(self):
         # At the origin every alignment ties, and at (1, 1/2) a mismatch
         # ties two spaces: the lowest term index must win at every node.
         spec = mismatch_space_spec()
         for s1, s2 in (("AB", "BA"), ("ACGT", "TGCA"), ("AAT", "TAA"), ("", "AC")):
-            for points in (
-                [(rat(0), rat(0))],
-                [(rat(1), rat(1, 2))],
-                [(rat(2, 3), rat(1, 3))],
-                [(rat(0), rat(0)), (rat(1), rat(1, 2))],
-                [(rat(1), rat(1, 2)), (rat(0), rat(5, 7))],
-                [(rat(1), rat(1, 2)), (rat(3, 4), rat(0))],
+            for point in (
+                (rat(0), rat(0)),
+                (rat(1), rat(1, 2)),
+                (rat(2, 3), rat(1, 3)),
+                (rat(0), rat(5, 7)),
+                (rat(3, 4), rat(0)),
             ):
-                self.assert_agree(spec, s1, s2, points)
+                self.assert_agree(spec, s1, s2, point)
         gap = mismatch_space_gap_spec()
-        for points in ([(rat(0), rat(0), rat(0))], [(rat(2), rat(1), rat(0)), (rat(1, 2), rat(1, 3), rat(1, 6))]):
-            self.assert_agree(gap, "ACG", "TGA", points)
+        for point in ((rat(0), rat(0), rat(0)), (rat(2), rat(1), rat(0)), (rat(1, 2), rat(1, 3), rat(1, 6))):
+            self.assert_agree(gap, "ACG", "TGA", point)
 
     def test_point_of_the_wrong_dimension(self):
         with pytest.raises(GeometryError):
-            dp_solve_multi(mismatch_space_spec(), "A", "T", [(rat(1), rat(1), rat(1))])
+            dp_solve(mismatch_space_spec(), "A", "T", (rat(1), rat(1), rat(1)))
         with pytest.raises(GeometryError):
-            dp_solve_multi(mismatch_space_spec(), "A", "T", [(rat(1), rat(1)), (rat(1),)])
+            dp_solve(mismatch_space_spec(), "A", "T", (rat(1),))
         with pytest.raises(GeometryError):
             dp_solve(mismatch_space_gap_spec(), "A", "T", (rat(1), rat(1)))
 
@@ -494,6 +489,43 @@ class TestPartition:
         self.assert_matches_reference(build_execution_dag(mismatch_space_spec(), s1, s2), 0)
 
 
+def random_two_feature_spec(rng, tables, bound=7):
+    """A two-feature spec with weights in [-bound, bound], prefix bases and,
+    with two tables, a root table over the edit table; terms in random
+    order, so term-index ties fall differently."""
+    weight = lambda: (rng.randint(-bound, bound), rng.randint(-bound, bound))
+
+    def edit_terms(tag):
+        terms = [
+            TermSpec(weight(), "edit", -1, -1, tag),
+            TermSpec(weight(), "edit", 0, -1, "extend-space-1"),
+            TermSpec(weight(), "edit", -1, 0, "extend-space-2"),
+        ]
+        rng.shuffle(terms)
+        return tuple(terms)
+
+    cases = [
+        CaseSpec("edit", "chars-equal", edit_terms("extend-match")),
+        CaseSpec("edit", "chars-differ", edit_terms("extend-mismatch")),
+    ]
+    if tables == 2:
+        root_terms = [
+            TermSpec(weight(), "edit", 0, 0, "identity"),
+            TermSpec(weight(), "all", -1, -1, "extend-mismatch"),
+        ]
+        rng.shuffle(root_terms)
+        cases.append(CaseSpec("all", "always", tuple(root_terms)))
+    return AlignmentDPSpec(
+        name="random",
+        features=("mismatch", "space"),
+        tables=("edit", "all")[:tables],
+        base_origin=("edit",),
+        base_s1_prefix=("edit", weight()),
+        base_s2_prefix=("edit", weight()),
+        cases=tuple(cases),
+    )
+
+
 class TestRaySearch:
     def test_single_sector(self):
         part, calls = ray_search_2d(mismatch_space_spec(), "A", "A")
@@ -530,6 +562,39 @@ class TestRaySearch:
     def test_requires_two_features(self):
         with pytest.raises(GeometryError):
             ray_search_2d(mismatch_space_gap_spec(), "A", "T")
+
+    def test_corner_probes_match_lexicographic_reference(self, monkeypatch):
+        # The two end probes are single exact points just off an axis: each
+        # must return the alignment of the lexicographic DP over its corner,
+        # then the opposite one.  The search stops after them.
+        class EndProbesDone(Exception):
+            pass
+
+        probes = []
+
+        def recording(spec, s1, s2, point, graph=None):
+            result = dp_solve(spec, s1, s2, point, graph)
+            probes.append(result[1])
+            if len(probes) == 2:
+                raise EndProbesDone
+            return result
+
+        monkeypatch.setattr(seqalign, "dp_solve", recording)
+        rng = random.Random(31)
+        specs = [mismatch_space_spec(), random_two_feature_spec(rng, 2, bound=0)]
+        specs += [random_two_feature_spec(rng, 1 + k % 2) for k in range(100)]
+        left, right = (rat(0), rat(1)), (rat(1), rat(0))
+        trials = 0
+        for spec in specs:
+            for _ in range(5):
+                s1, s2 = ("".join(rng.choice("AC") for _ in range(rng.randint(0, 6))) for _ in "12")
+                probes.clear()
+                with pytest.raises(EndProbesDone):
+                    ray_search_2d(spec, s1, s2)
+                assert probes[0] == reference_dp_solve_multi(spec, s1, s2, [left, right])[1]
+                assert probes[1] == reference_dp_solve_multi(spec, s1, s2, [right, left])[1]
+                trials += 1
+        assert trials >= 500
 
 
 class TestSpecSerialization:

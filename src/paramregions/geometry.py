@@ -1,9 +1,10 @@
 """Exact low-dimensional halfspace geometry.
 
 Halfspaces, convex cells, a Seidel-style randomized-incremental LP,
-output-sensitive redundancy removal and ray shooting.  A halfspace is its
-primitive integer row; witnesses and LP results are exact rationals.  The LP
-kernel underneath (Seidel, ray shooting, the redundancy loop) runs
+output-sensitive redundancy removal (Clarkson, for d >= 3), polygon
+clipping (for d = 2) and ray shooting.  A halfspace is its primitive
+integer row; witnesses and LP results are exact rationals.  The kernel
+underneath (Seidel, ray shooting, the redundancy loop, the clip) runs
 fraction-free on Python ints, on those rows and on homogeneous points, and
 converts back to rationals only at this module's boundary.  Everything here
 is a pure function of its inputs; values are immutable after construction
@@ -20,7 +21,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from operator import index, mul
 from typing import Any, Optional, Sequence
 
@@ -138,6 +139,8 @@ class ConvexCell:
 
     `regions.compute_vertex_cell` builds cells with a witness and a minimal
     constraint list: removing any single constraint changes the solution set.
+    It reads that list off the interval in d = 1 and off `_clip_polygon`'s
+    polygon in d = 2, and runs Clarkson's redundancy removal in d >= 3.
     """
 
     dimension: int
@@ -547,6 +550,31 @@ def _clarkson_indices(constraints, z: Vector, seed: int) -> list:
     return sorted(kept)
 
 
+def _clip_polygon(rows) -> list:
+    """Homogeneous vertices (x, y, w), w > 0, counterclockwise, of what the
+    integer rows (a_1, a_2, b) leave of the box |x_j| <= `_box_bound(rows,
+    2)`, which holds every meet of two rows strictly inside, clipped by each
+    row in turn (Sutherland & Hodgman, 1974).  An edge p -> q with slacks of
+    opposite signs is cut at (s_p * q - s_q * p) / gcd: the meet of two
+    rows, its bits bounded by theirs and not by the clipping depth."""
+    bound = _box_bound(rows, 2)
+    polygon = [(-bound, -bound, 1), (bound, -bound, 1), (bound, bound, 1), (-bound, bound, 1)]
+    for row in rows:
+        slacks = [_slack(row, v) for v in polygon]
+        if min(slacks, default=0) >= 0:
+            continue
+        clipped = []
+        for p, q, sp, sq in zip(polygon, polygon[1:] + polygon[:1], slacks, slacks[1:] + slacks[:1]):
+            if sp >= 0:
+                clipped.append(p)
+            if sp * sq < 0:
+                v = [sp * a - sq * b for a, b in zip(q, p)]
+                g = math.gcd(*v) if sp > 0 else -math.gcd(*v)  # w > 0
+                clipped.append(tuple(c // g for c in v))
+        polygon = clipped
+    return polygon
+
+
 # --------------------------------------------------------------------------
 # Sampling and 2D utilities
 # --------------------------------------------------------------------------
@@ -588,51 +616,30 @@ def sample_interior(cell: ConvexCell, count: int, seed: int = 0) -> list:
     return points
 
 
-def solve_2x2(a1, b1, a2, b2) -> Optional[Vector]:
-    """Intersection point of two lines a1.x=b1, a2.x=b2 in 2D, None if parallel."""
-    det = a1[0] * a2[1] - a1[1] * a2[0]
-    if det == 0:
-        return None
-    x = (b1 * a2[1] - b2 * a1[1]) / det
-    y = (a1[0] * b2 - a2[0] * b1) / det
-    return (x, y)
-
-
 def polygon_vertices(cell: ConvexCell) -> list:
-    """Ordered vertex cycle of a bounded 2D cell (empty if zero area)."""
+    """Ordered vertex cycle of a 2D cell (empty if zero area), counterclockwise
+    from the least angle in (-pi, pi] around the exact centroid: the vertices
+    of `_clip_polygon` but those on its box, where an unbounded cell leaves it."""
     if cell.dimension != 2:
         raise GeometryError("polygon_vertices needs a 2D cell")
-    rows = [(h.normal, h.offset) for h in cell.constraints]
-    vertices = []
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            pt = solve_2x2(rows[i][0], rows[i][1], rows[j][0], rows[j][1])
-            if pt is None:
-                continue
-            if all(dot(n, pt) <= b for n, b in rows) and pt not in vertices:
-                vertices.append(pt)
-    if len(vertices) < 3:
+    rows = [h.int_row for h in cell.constraints]
+    bound = _box_bound(rows, 2)
+    vertices = [
+        _rational_point(v) for v in _clip_polygon(rows) if max(abs(v[0]), abs(v[1])) < bound * v[2]
+    ]
+    if len(vertices) < 3 or polygon_area(vertices) == 0:
         return []
     cx = sum((p[0] for p in vertices), ZERO) / len(vertices)
     cy = sum((p[1] for p in vertices), ZERO) / len(vertices)
 
     def half(p):
-        # 0 for angles in (-pi, 0], 1 for (0, pi]: within a half, two
-        # directions are less than pi apart and a cross product orders them.
+        # 0 for angles in (-pi, 0], 1 for (0, pi]: going counterclockwise
+        # around the centroid, the cycle passes from 1 to 0 exactly once.
         x, y = p[0] - cx, p[1] - cy
         return 0 if y < 0 or (y == 0 and x > 0) else 1
 
-    def by_angle(p, q):
-        hp, hq = half(p), half(q)
-        if hp != hq:
-            return hp - hq
-        cross = (p[0] - cx) * (q[1] - cy) - (p[1] - cy) * (q[0] - cx)
-        return -1 if cross > 0 else (1 if cross < 0 else 0)
-
-    vertices.sort(key=cmp_to_key(by_angle))
-    if polygon_area(vertices) == 0:
-        return []
-    return vertices
+    start = next(i for i, p in enumerate(vertices) if half(p) == 0 and half(vertices[i - 1]) == 1)
+    return vertices[start:] + vertices[:start]
 
 
 def polygon_area(vertices) -> Any:

@@ -3,13 +3,15 @@
 Every cell is built by `compute_vertex_cell`: the parent's halfspaces plus
 the candidate halfspaces the caller passes in, "my objective <=
 alternative's objective", each labeled by the alternative
-(`dominance_constraints` for affine forms), reduced by redundancy removal
-on their integer rows; the candidates kept are the cell's facets, and their
-labels are exactly the neighbors.  Every `Subdivision`, the one region
-type, is built by `compute_subdivision`, a walk over the region adjacency
-graph that finds every region when each candidate row is labeled with the
-region across its hyperplane: `dominance_constraints` labels a row shared
-by several alternatives with the one whose form falls fastest across it.
+(`dominance_constraints` for affine forms), reduced on their integer rows
+to the non-redundant ones, by exact clipping in d <= 2 and by Clarkson's
+redundancy removal in d >= 3; the candidates kept are the cell's facets,
+and their labels are exactly the neighbors.  Every `Subdivision`, the one
+region type, is built by `compute_subdivision`, a walk over the region
+adjacency graph that finds every region when each candidate row is
+labeled with the region across its hyperplane: `dominance_constraints`
+labels a row shared by several alternatives with the one whose form falls
+fastest across it.
 Its callers:
 
 - `envelope_cells`, for "behavior = argmin of labeled affine forms" (a
@@ -41,6 +43,7 @@ from .geometry import (
     GeometryError,
     Halfspace,
     _clarkson_indices,
+    _clip_polygon,
     _homogeneous,
     _interior_point_rows,
     _one_row_per_direction,
@@ -203,19 +206,30 @@ def compute_vertex_cell(parent: ConvexCell, label, candidates: Optional[list], s
     then the candidates are filtered once to one row per normal direction,
     the tightest, the first on ties (`_one_row_per_direction`): a candidate
     equal to a parent row leaves the parent's in place and is no neighbor.
-    The interior-point LP and Clarkson's redundancy removal both take the
-    filtered rows, and the ones Clarkson keeps are the cell's facets.
+    The interior-point LP over the filtered rows gives the witness; the
+    facets are the filtered rows that bound the cell, in row order: all of
+    them in d = 1 (one per side), in d = 2 those with two vertices of
+    `_clip_polygon`'s polygon on their line (an edge: no two filtered rows
+    share a line, and the witness makes the polygon full-dimensional), and
+    Clarkson's in d >= 3.
     Raises DegenerateCellError when the cell has empty interior.
     """
     if candidates is None:
         raise DegenerateCellError(label)
     rows = list(parent.constraints) + candidates
-    uniq = _one_row_per_direction([h.int_row for h in rows])
+    int_rows = [h.int_row for h in rows]
+    uniq = _one_row_per_direction(int_rows)
     filtered = [rows[i] for i in uniq]
     witness = find_interior_point(filtered, seed)
     if witness is None:
         raise DegenerateCellError(label)
-    kept = [uniq[i] for i in _clarkson_indices(filtered, witness, seed)]
+    if parent.dimension == 1:
+        kept = uniq
+    elif parent.dimension == 2:
+        vertices = _clip_polygon([int_rows[i] for i in uniq])
+        kept = [i for i in uniq if sum(_slack(int_rows[i], v) == 0 for v in vertices) >= 2]
+    else:
+        kept = [uniq[i] for i in _clarkson_indices(filtered, witness, seed)]
     n_parent = len(parent.constraints)
     cell = ConvexCell(parent.dimension, tuple(rows[i] for i in kept), witness=witness)
     neighbors = frozenset(rows[i].label for i in kept if i >= n_parent)

@@ -11,10 +11,12 @@ from paramregions.geometry import (
     Halfspace,
     LPResult,
     _box_bound,
+    _clip_polygon,
     _homogeneous,
     _int_vector,
     _ray_first_index,
     _rational_point,
+    _slack,
     _solve_raw,
     box_cell,
     clarkson_reduce,
@@ -408,6 +410,35 @@ class TestCellUtilities:
         verts = polygon_vertices(ConvexCell(2, tuple(hs)))
         assert len(verts) == 5
         assert polygon_area(verts) == 1 - d * d / 2
+
+    def test_polygon_vertices_order_zero_area_and_unbounded_cells(self):
+        # Counterclockwise from the least angle in (-pi, pi] around the centroid.
+        assert polygon_vertices(box_cell(0, 1, 2)) == [(0, 0), (1, 0), (1, 1), (0, 1)]
+        segment = (H((1, 0), 0), H((-1, 0), 0), H((0, 1), 1), H((0, -1), 0))
+        assert polygon_vertices(ConvexCell(2, segment)) == []
+        # An unbounded cell gives its own vertices, none where it leaves the box.
+        wedge = (H((0, -1), 0), H((-1, 0), 0), H((-1, -1), -2), H((-1, -3), -3))
+        assert polygon_vertices(ConvexCell(2, wedge)) == [(rat(3, 2), rat(1, 2)), (3, 0), (0, 2)]
+
+    def test_clip_vertices_are_primitive_meets_of_two_rows_in_counterclockwise_order(self):
+        rng = random.Random(41)
+        origin = (rat(0), rat(0))
+        for _ in range(60):
+            rows = [h.int_row for h in random_halfspaces(rng, 2, rng.randint(3, 30), ensure_interior=origin)]
+            bound = _box_bound(rows, 2)
+            box = [(1, 0, bound), (-1, 0, bound), (0, 1, bound), (0, -1, bound)]
+            vertices = _clip_polygon(rows)
+            assert len(vertices) >= 3
+            for v in vertices:
+                assert v[2] > 0 and math.gcd(*v) == 1
+                assert all(_slack(row, v) >= 0 for row in rows)
+                assert sum(_slack(row, v) == 0 for row in rows + box) >= 2
+            for p, q, r in zip(vertices, vertices[1:] + vertices[:1], vertices[2:] + vertices[:2]):
+                # (q - p) x (r - q) > 0 on homogeneous points: a left turn.
+                cross = (q[0] * p[2] - p[0] * q[2]) * (r[1] * q[2] - q[1] * r[2]) - (
+                    q[1] * p[2] - p[1] * q[2]
+                ) * (r[0] * q[2] - q[0] * r[2])
+                assert cross > 0
 
     def test_cell_json_round_trip(self):
         cell = box_cell(0, 1, 2)

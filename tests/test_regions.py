@@ -8,6 +8,7 @@ from paramregions.geometry import (
     ConvexCell,
     Halfspace,
     box_cell,
+    clarkson_reduce,
     polygon_area,
     polygon_vertices,
     sample_interior,
@@ -59,6 +60,10 @@ class TestComputeVertexCell:
         parent = box_cell(0, 1, 1)
         with pytest.raises(DegenerateCellError):
             compute_vertex_cell(parent, "a", [Halfspace.from_rationals((1,), 0), Halfspace.from_rationals((-1,), 0)])
+        line = [Halfspace.from_rationals((1, 0), rat(1, 2)), Halfspace.from_rationals((-1, 0), rat(-1, 2))]
+        for candidates in (line, [Halfspace.from_rationals((1, 1), -1)]):
+            with pytest.raises(DegenerateCellError):
+                compute_vertex_cell(box_cell(0, 1, 2), "a", candidates)
 
     def test_single_behavior_cell_is_parent(self):
         parent = box_cell(0, 1, 2)
@@ -152,6 +157,84 @@ class TestCellDirectionFilter:
             received = seen.pop()
             assert len({primitive_direction(row) for row in received}) == len(received)
         assert not seen
+
+
+class TestClippedCells:
+    """In d <= 2 `compute_vertex_cell` reads the facets off an exact integer
+    clip (d = 2) or the two sides of an interval (d = 1); Clarkson's
+    redundancy removal runs only in d >= 3."""
+
+    def cell(self, parent, candidates):
+        labeled = [Halfspace.from_rationals(normal, offset, label) for label, normal, offset in candidates]
+        return compute_vertex_cell(parent, "me", labeled)
+
+    def test_facets_match_clarkson_on_the_criterion_3_generator(self, monkeypatch):
+        def no_clarkson(*args):
+            raise AssertionError("Clarkson ran in d = 2")
+
+        monkeypatch.setattr(regions, "_clarkson_indices", no_clarkson)
+        rng = random.Random(3)
+        origin = (rat(0), rat(0))
+        for trial in range(400):
+            hs = random_halfspaces(rng, 2, rng.randint(20, 60), ensure_interior=origin)
+            hs = [Halfspace(h.int_row, i) for i, h in enumerate(hs)]
+            want = [h.label for h in clarkson_reduce(hs, origin, seed=trial)]
+            cell, neighbors = compute_vertex_cell(ConvexCell(2, ()), "me", hs, seed=trial)
+            assert [h.label for h in cell.constraints] == want, trial
+            assert neighbors == frozenset(want)
+
+    def test_clarkson_runs_only_in_three_or_more_dimensions(self, monkeypatch):
+        dimensions = []
+        original = regions._clarkson_indices
+
+        def recording(constraints, z, seed):
+            dimensions.append(len(z))
+            return original(constraints, z, seed)
+
+        monkeypatch.setattr(regions, "_clarkson_indices", recording)
+        for d in (1, 2, 3):
+            compute_vertex_cell(box_cell(0, 1, d), "me", [Halfspace.from_rationals((1,) * d, rat(1, 2), "x")])
+        assert dimensions == [3]
+
+    def test_parallel_rows_keep_the_tightest(self):
+        cell, neighbors = self.cell(box_cell(0, 4, 2), [("a", (1, 0), 3), ("b", (1, 0), 2), ("c", (2, 0), 5)])
+        assert neighbors == {"b"}
+        assert [h.int_row for h in cell.constraints] == [(-1, 0, 0), (0, 1, 4), (0, -1, 0), (1, 0, 2)]
+
+    def test_opposite_rows_close_together(self):
+        eps = rat(1, 10**20)
+        cell, neighbors = self.cell(box_cell(0, 4, 2), [("hi", (1, 0), 2 + eps), ("lo", (-1, 0), -2)])
+        assert neighbors == {"hi", "lo"}
+        assert [h.label for h in cell.constraints] == [None, None, "hi", "lo"]
+        assert polygon_area(polygon_vertices(cell)) == 4 * eps
+
+    def test_row_touching_one_vertex_is_no_facet(self):
+        parent = box_cell(0, 4, 2)
+        cell, neighbors = self.cell(parent, [("corner", (1, 1), 8)])
+        assert neighbors == frozenset()
+        assert cell.constraints == parent.constraints
+
+    def test_three_rows_through_one_vertex(self):
+        cell, neighbors = self.cell(box_cell(0, 4, 2), [("x", (1, 0), 2), ("diag", (1, 1), 4), ("y", (0, 1), 2)])
+        assert neighbors == {"x", "y"}
+        assert [h.label for h in cell.constraints] == [None, None, "x", "y"]
+        assert polygon_area(polygon_vertices(cell)) == 4
+
+    def test_candidate_equal_to_a_parent_row_is_no_neighbor(self):
+        parent = box_cell(0, 4, 2)
+        copy = Halfspace(parent.constraints[0].int_row, "copy")
+        cell, neighbors = compute_vertex_cell(parent, "me", [copy, Halfspace.from_rationals((0, 1), 1, "y")])
+        assert neighbors == {"y"}
+        assert [h.label for h in cell.constraints] == [None, None, None, "y"]
+
+    def test_interval_in_one_dimension(self):
+        parent = box_cell(0, 4, 1)
+        cell, neighbors = self.cell(parent, [("a", (1,), 3), ("b", (1,), 2), ("c", (-1,), -1), ("d", (-1,), 0)])
+        assert neighbors == {"b", "c"}
+        assert [(h.int_row, h.label) for h in cell.constraints] == [((1, 2), "b"), ((-1, -1), "c")]
+        cell, neighbors = self.cell(parent, [("d", (-1,), 0)])
+        assert neighbors == frozenset()
+        assert cell.constraints == parent.constraints
 
 
 class TestComputeSubdivision:

@@ -28,7 +28,7 @@ from .rationals import Rational, as_rational, format_rational, format_vector, ra
 from .regions import Subdivision, cells_share_facet
 from .seqalign import AlignmentDPSpec, get_preset
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 SEED_ENV = "PARAMREGIONS_SEED"
 
 

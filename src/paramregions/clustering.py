@@ -15,7 +15,9 @@ metric table times one common factor, which scales every merge form alike
 and so changes no region.  `merge_value` and `MergeFamily.component_values`
 read the rational tables.  A float/numpy greedy path (`linkage_tree_float`)
 exists for large fixed-parameter runs like the synthetic benchmark datasets,
-where only the merge order matters.
+where only the merge order matters.  Only that path and the dataset
+generator use numpy, and they import it when called: the exact path never
+loads it.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import islice
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .geometry import ConvexCell, GeometryError, Halfspace, _homogeneous, find_interior_point
 from .rationals import (
@@ -476,6 +476,8 @@ POINTS_PER_COMPONENT = 50
 
 
 def _dataset_floats(name: str, seed: int):
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     n = POINTS_PER_COMPONENT
     if name == "Rings":
@@ -558,6 +560,8 @@ def linkage_tree_float(dist: np.ndarray, linkage: str) -> ClusterTree:
     other rules recompute the new cluster's row from the point distances.
     Only the upper triangle of the score matrix is live.
     """
+    import numpy as np
+
     n = dist.shape[0]
     clusters: dict = {i: (i,) for i in range(n)}
     score = np.full((n, n), np.inf)
@@ -590,6 +594,8 @@ def linkage_tree_float(dist: np.ndarray, linkage: str) -> ClusterTree:
 
 
 def _float_merge_value(dist, linkage, cluster_a, cluster_b):
+    import numpy as np
+
     block = dist[np.ix_(cluster_a, cluster_b)].ravel()
     if linkage == "median":
         idx = (block.size - 1) // 2
@@ -604,12 +610,16 @@ def _float_merge_value(dist, linkage, cluster_a, cluster_b):
 
 
 def pairwise_euclidean(points: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     diff = points[:, None, :] - points[None, :, :]
     return np.sqrt((diff ** 2).sum(axis=-1))
 
 
 def linkage_accuracy(points, labels, k: int, linkage: str) -> float:
     """Hamming accuracy (1 - loss) of one fixed linkage rule on float data."""
+    import numpy as np
+
     pts = np.asarray(points, dtype=float)
     dist = pairwise_euclidean(pts)
     tree = linkage_tree_float(dist, linkage)

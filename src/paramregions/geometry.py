@@ -2,11 +2,13 @@
 
 Halfspaces, convex cells, a Seidel-style randomized-incremental LP,
 output-sensitive redundancy removal (Clarkson, for d >= 3), polygon
-clipping (for d = 2) and ray shooting.  A halfspace is its primitive
-integer row; witnesses and LP results are exact rationals.  The kernel
-underneath (Seidel, ray shooting, the redundancy loop, the clip) runs
-fraction-free on Python ints, on those rows and on homogeneous points, and
-converts back to rationals only at this module's boundary.  Everything here
+clipping (for d = 2), the simplest rational point of an interval or a
+clipped polygon (the witnesses of cells in d <= 2, with no LP) and ray
+shooting.  A halfspace is its primitive integer row; witnesses and LP
+results are exact rationals.  The kernel underneath (Seidel, ray shooting,
+the redundancy loop, the clip and its witness) runs fraction-free on
+Python ints, on those rows and on homogeneous points, and converts back to
+rationals only at this module's boundary.  Everything here
 is a pure function of its inputs; values are immutable after construction
 and safe to share across threads.
 
@@ -33,6 +35,7 @@ from .rationals import (
     format_rational,
     format_vector,
     parse_vector,
+    simplest_between,
 )
 
 Vector = tuple
@@ -139,8 +142,9 @@ class ConvexCell:
 
     `regions.compute_vertex_cell` builds cells with a witness and a minimal
     constraint list: removing any single constraint changes the solution set.
-    It reads that list off the interval in d = 1 and off `_clip_polygon`'s
-    polygon in d = 2, and runs Clarkson's redundancy removal in d >= 3.
+    It reads that list and the witness off the interval in d = 1 and off
+    `_clip_polygon`'s polygon in d = 2, and runs the interior-point LP and
+    Clarkson's redundancy removal in d >= 3.
     """
 
     dimension: int
@@ -573,6 +577,53 @@ def _clip_polygon(rows) -> list:
                 clipped.append(tuple(c // g for c in v))
         polygon = clipped
     return polygon
+
+
+def _interval_witness(rows) -> Optional[Vector]:
+    """(x,) for x the simplest rational (`simplest_between`) strictly inside
+    {x : a x <= b for every integer row (a, b)}, a != 0, or None when that
+    interval has empty interior."""
+    lo = hi = None  # the ends as (numerator, denominator > 0), None if infinite
+    for a, b in rows:
+        if a > 0:
+            if hi is None or b * hi[1] < hi[0] * a:
+                hi = (b, a)
+        elif lo is None or b * lo[1] < lo[0] * a:  # b / a > lo, with a < 0
+            lo = (-b, -a)
+    if lo is not None and hi is not None and lo[0] * hi[1] >= hi[0] * lo[1]:
+        return None
+    return (simplest_between(lo, hi),)
+
+
+def _polygon_witness(vertices, rows) -> Optional[Vector]:
+    """(x_1, x_2) inside the polygon of `_clip_polygon`'s homogeneous
+    `vertices`, cut out by the integer `rows` (a_1, a_2, b): x_1 the simplest
+    rational strictly between the vertices' least and greatest x, x_2 the
+    simplest strictly inside the vertical chord at x_1.  None when there is
+    no vertex or either range is empty, that is when the polygon has empty
+    interior.
+
+    Where the cell is unbounded, the clip's box reaches more than 1 beyond
+    each finite end of the cell's projection (the meet of two rows, or b / a
+    of a vertical row), and the simplest rational of a half-infinite range
+    is 0 or the integer next to its end: x_1 is the same as over the true
+    projection.  A vertical row holds strictly at x_1, inside the vertices'
+    range, so the chord skips it.
+    """
+    if not vertices:
+        return None
+    lo = hi = vertices[0]
+    for v in vertices[1:]:
+        if v[0] * lo[2] < lo[0] * v[2]:
+            lo = v
+        elif v[0] * hi[2] > hi[0] * v[2]:
+            hi = v
+    if lo[0] * hi[2] >= hi[0] * lo[2]:
+        return None
+    x = simplest_between((lo[0], lo[2]), (hi[0], hi[2]))
+    p, q = index(x.numerator), index(x.denominator)
+    chord = _interval_witness([(a2 * q, b * q - a1 * p) for a1, a2, b in rows if a2])
+    return None if chord is None else (x, *chord)
 
 
 # --------------------------------------------------------------------------

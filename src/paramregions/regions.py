@@ -6,7 +6,9 @@ alternative's objective", each labeled by the alternative
 (`dominance_constraints` for affine forms), reduced on their integer rows
 to the non-redundant ones, by exact clipping in d <= 2 and by Clarkson's
 redundancy removal in d >= 3; the candidates kept are the cell's facets,
-and their labels are exactly the neighbors.  Every `Subdivision`, the one
+and their labels are exactly the neighbors.  A cell's witness in d <= 2 is
+its canonical point, the simplest rational one read off the clip with no
+LP; in d >= 3 it is an interior-point LP's.  Every `Subdivision`, the one
 region type, is built by `compute_subdivision`, a walk over the region
 adjacency graph that finds every region when each candidate row is
 labeled with the region across its hyperplane: `dominance_constraints`
@@ -17,10 +19,10 @@ Its callers:
 - `envelope_cells`, for "behavior = argmin of labeled affine forms" (a
   clustering merge step): one walk from the form minimal at the parent's
   witness over the forms left by `pareto_front` (on a merge pair's
-  component values), one interior-point LP per cell.  An alignment DAG node
-  below the root keeps the forms on the `pareto_front` of its counts that
-  pass one interior-point LP each, and the root walks from its regions'
-  forms.
+  component values), with no LP in d <= 2.  An alignment DAG node below
+  the root keeps the forms on the `pareto_front` of its counts that pass
+  one interior-point LP each (d = 3; the lower hull in d = 2), and the root
+  walks from its regions' forms.
 - the product walk over tuple labels, whose cells are intersections of one
   cell per factor (`product_candidates`): the tariff search, one factor per
   buyer sample seeded by `argmin_label`, and `compute_overlay`, one factor
@@ -46,7 +48,9 @@ from .geometry import (
     _clip_polygon,
     _homogeneous,
     _interior_point_rows,
+    _interval_witness,
     _one_row_per_direction,
+    _polygon_witness,
     _project_row,
     _slack,
     dot,
@@ -206,12 +210,22 @@ def compute_vertex_cell(parent: ConvexCell, label, candidates: Optional[list], s
     then the candidates are filtered once to one row per normal direction,
     the tightest, the first on ties (`_one_row_per_direction`): a candidate
     equal to a parent row leaves the parent's in place and is no neighbor.
-    The interior-point LP over the filtered rows gives the witness; the
-    facets are the filtered rows that bound the cell, in row order: all of
-    them in d = 1 (one per side), in d = 2 those with two vertices of
-    `_clip_polygon`'s polygon on their line (an edge: no two filtered rows
-    share a line, and the witness makes the polygon full-dimensional), and
-    Clarkson's in d >= 3.
+    The facets are the filtered rows that bound the cell, in row order, and
+    the witness is a strictly interior point:
+
+    - d = 1: every filtered row (one per side); the witness is the simplest
+      rational strictly inside the interval (`_interval_witness`).
+    - d = 2: the rows with two vertices of `_clip_polygon`'s polygon on
+      their line (an edge: no two filtered rows share a line); the witness
+      is x_1 the simplest rational strictly inside the vertices' x-range,
+      then x_2 the simplest strictly inside the chord at x_1
+      (`_polygon_witness`).  An empty clip, x-range or chord means an empty
+      interior, so a cell that is kept is a full-dimensional polygon.
+    - d >= 3: the interior-point LP over the filtered rows gives the
+      witness, and Clarkson's redundancy removal from it the facets.
+
+    In d <= 2 no LP runs, and the witness depends on the cell alone, not on
+    the rows that cut it out.
     Raises DegenerateCellError when the cell has empty interior.
     """
     if candidates is None:
@@ -219,17 +233,20 @@ def compute_vertex_cell(parent: ConvexCell, label, candidates: Optional[list], s
     rows = list(parent.constraints) + candidates
     int_rows = [h.int_row for h in rows]
     uniq = _one_row_per_direction(int_rows)
-    filtered = [rows[i] for i in uniq]
-    witness = find_interior_point(filtered, seed)
-    if witness is None:
-        raise DegenerateCellError(label)
     if parent.dimension == 1:
         kept = uniq
+        witness = _interval_witness([int_rows[i] for i in kept])
     elif parent.dimension == 2:
         vertices = _clip_polygon([int_rows[i] for i in uniq])
         kept = [i for i in uniq if sum(_slack(int_rows[i], v) == 0 for v in vertices) >= 2]
+        witness = _polygon_witness(vertices, [int_rows[i] for i in kept])
     else:
-        kept = [uniq[i] for i in _clarkson_indices(filtered, witness, seed)]
+        filtered = [rows[i] for i in uniq]
+        witness = find_interior_point(filtered, seed)
+        if witness is not None:
+            kept = [uniq[i] for i in _clarkson_indices(filtered, witness, seed)]
+    if witness is None:
+        raise DegenerateCellError(label)
     n_parent = len(parent.constraints)
     cell = ConvexCell(parent.dimension, tuple(rows[i] for i in kept), witness=witness)
     neighbors = frozenset(rows[i].label for i in kept if i >= n_parent)

@@ -19,12 +19,45 @@ must agree with each exactly.
 
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
 
 from paramregions.geometry import GeometryError, Halfspace, LPResult, dot, find_interior_point, solve_lp
 from paramregions.rationals import ZERO, Rational, as_vector, rat
 from paramregions.regions import AffineForm, compute_subdivision, dominance_constraints
 from paramregions.seqalign import _apply_transform
+
+
+def reference_simplest(lo, hi):
+    """The rational in (lo, hi) of least denominator, then least |numerator|,
+    by trying each denominator in turn; lo and hi are Fractions, or None
+    where the interval is unbounded."""
+    for q in range(1, 10**6):
+        least = -math.inf if lo is None else math.floor(lo * q) + 1
+        most = math.inf if hi is None else math.ceil(hi * q) - 1
+        if least <= most:
+            return Fraction(0 if least <= 0 <= most else least if least > 0 else most, q)
+    raise AssertionError("no rational of denominator below 10^6")
+
+
+def reference_witness(constraints):
+    """The witness of a full-dimensional cell in d <= 2 by its definition:
+    x_1 the simplest rational inside the cell's projection onto x_1, x_2 the
+    simplest inside the chord at x_1, each range from two LPs over all the
+    `constraints` (None for an unbounded end)."""
+    def extent(objective, rows):
+        ends = []
+        for sense in ("min", "max"):
+            res = solve_lp(objective, rows, sense)
+            ends.append(None if res.status == "unbounded" else Fraction(res.value))
+        return reference_simplest(*ends)
+
+    d = constraints[0].dimension
+    x1 = extent((1,) + (0,) * (d - 1), constraints)
+    if d == 1:
+        return (x1,)
+    fixed = [Halfspace.from_rationals((1, 0), x1), Halfspace.from_rationals((-1, 0), -x1)]
+    return (x1, extent((0, 1), list(constraints) + fixed))
 
 
 def naive_nonredundant(constraints, seed=0):

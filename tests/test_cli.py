@@ -66,7 +66,7 @@ class TestClusterRegions:
         )
         assert code == 0
         data = json.loads(out.read_text())
-        assert data["schema_version"] == 1
+        assert data["schema_version"] == 2
         assert len(data["cells"]) == 2
         assert data["oracle_agreement"] == 1.0
         assert data["best"]["loss"] == "0/1"
@@ -128,7 +128,9 @@ class TestClusterRegions:
         assert run_cli(args + ["--output", str(out)]) == 0
         data = json.loads(out.read_text())
         assert data["best"]["label"] in [c["label"] for c in data["cells"]]
-        assert data["best"]["rho"] == ["3/4"]
+        # The restricted cell is alpha in [1/2, 1]; its witness is the
+        # simplest rational strictly inside.
+        assert data["best"]["rho"] == ["2/3"]
 
     def test_infeasible_restriction_exit_3(self, line_instance_file, tmp_path):
         code = run_cli(
@@ -653,3 +655,24 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "cluster-regions" in proc.stdout
+
+    def test_region_verbs_do_not_import_numpy(self, line_instance_file, tariff_instance_file, tmp_path, monkeypatch):
+        # Only the float linkage path and the dataset generator use numpy.
+        verbs = [
+            ["cluster-regions", "--instance", line_instance_file, "--linkages", "single,complete"],
+            ["align-regions", "--s1", "ACGTTGA", "--s2", "TGCAAGT"],
+            ["tariff-regions", "--instance", tariff_instance_file],
+        ]
+        verbs = [argv + ["--output", str(tmp_path / f"{i}.json")] for i, argv in enumerate(verbs)]
+        script = "\n".join(
+            [
+                "import sys",
+                "import paramregions.cli",
+                f"codes = [paramregions.cli.main(argv) for argv in {verbs!r}]",
+                "print(codes, 'numpy' in sys.modules)",
+            ]
+        )
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[0,", "0,", "0]", "False"]

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +8,8 @@ from paramregions import regions
 from paramregions.geometry import (
     ConvexCell,
     Halfspace,
+    _box_bound,
+    _clip_polygon,
     box_cell,
     clarkson_reduce,
     polygon_area,
@@ -25,9 +28,9 @@ from paramregions.regions import (
     envelope_cells,
     pareto_front,
 )
-from paramregions.rationals import rat
+from paramregions.rationals import rat, simplest_between
 
-from oracles import naive_nonredundant, random_halfspaces
+from oracles import naive_nonredundant, random_halfspaces, reference_witness
 
 
 def forms_2d(spec):
@@ -129,18 +132,25 @@ def parallel_family(rng, parent):
 
 
 class TestCellDirectionFilter:
-    """`compute_vertex_cell` keeps one row per normal direction before its
-    LPs; the cell must still be the naive oracle's."""
+    """`compute_vertex_cell` keeps one row per normal direction before it
+    reads the cell off them: the interval's ends in d = 1, the clip in d = 2
+    and the LPs in d = 3.  The cell must still be the naive oracle's."""
 
     def test_parallel_candidates_match_naive_oracle(self, monkeypatch):
-        original = regions.find_interior_point
         seen = []
 
-        def recording(constraints, seed=0):
-            seen.append([h.int_row for h in constraints])
-            return original(constraints, seed)
+        def recording(name, rows_of):
+            original = getattr(regions, name)
 
-        monkeypatch.setattr(regions, "find_interior_point", recording)
+            def record(*args):
+                seen.append(rows_of(*args))
+                return original(*args)
+
+            monkeypatch.setattr(regions, name, record)
+
+        recording("_interval_witness", list)
+        recording("_clip_polygon", list)
+        recording("find_interior_point", lambda constraints, seed=0: [h.int_row for h in constraints])
         rng = random.Random(53)
         for trial in range(45):
             d = 1 + trial % 3
@@ -168,20 +178,30 @@ class TestClippedCells:
         labeled = [Halfspace.from_rationals(normal, offset, label) for label, normal, offset in candidates]
         return compute_vertex_cell(parent, "me", labeled)
 
+    def criterion_3_systems(self):
+        """400 labeled d = 2 systems of 20-60 rows around the origin, bounded
+        or not, from criterion 3's generator."""
+        rng = random.Random(3)
+        for trial in range(400):
+            hs = random_halfspaces(rng, 2, rng.randint(20, 60), ensure_interior=(rat(0), rat(0)))
+            yield trial, [Halfspace(h.int_row, i) for i, h in enumerate(hs)]
+
     def test_facets_match_clarkson_on_the_criterion_3_generator(self, monkeypatch):
         def no_clarkson(*args):
             raise AssertionError("Clarkson ran in d = 2")
 
         monkeypatch.setattr(regions, "_clarkson_indices", no_clarkson)
-        rng = random.Random(3)
         origin = (rat(0), rat(0))
-        for trial in range(400):
-            hs = random_halfspaces(rng, 2, rng.randint(20, 60), ensure_interior=origin)
-            hs = [Halfspace(h.int_row, i) for i, h in enumerate(hs)]
+        for trial, hs in self.criterion_3_systems():
             want = [h.label for h in clarkson_reduce(hs, origin, seed=trial)]
             cell, neighbors = compute_vertex_cell(ConvexCell(2, ()), "me", hs, seed=trial)
             assert [h.label for h in cell.constraints] == want, trial
             assert neighbors == frozenset(want)
+
+    def test_witness_matches_its_definition_on_the_criterion_3_generator(self, no_interior_lp):
+        for trial, hs in self.criterion_3_systems():
+            cell, _ = compute_vertex_cell(ConvexCell(2, ()), "me", hs, seed=trial)
+            assert cell.witness == reference_witness(hs), trial
 
     def test_clarkson_runs_only_in_three_or_more_dimensions(self, monkeypatch):
         dimensions = []
@@ -235,6 +255,57 @@ class TestClippedCells:
         cell, neighbors = self.cell(parent, [("d", (-1,), 0)])
         assert neighbors == frozenset()
         assert cell.constraints == parent.constraints
+
+
+class TestCanonicalWitness:
+    """In d <= 2 a cell's witness is x_1 the simplest rational strictly
+    inside its projection onto x_1, then x_2 the simplest strictly inside
+    the vertical chord at x_1, both read off the clip with no LP."""
+
+    def witness(self, parent, candidates):
+        labeled = [Halfspace.from_rationals(normal, offset, i) for i, (normal, offset) in enumerate(candidates)]
+        cell, _ = compute_vertex_cell(parent, "me", labeled)
+        assert cell.witness == reference_witness(list(parent.constraints) + labeled)
+        return cell.witness
+
+    def test_unbounded_wedge_reads_the_true_projection_off_the_box(self, no_interior_lp):
+        # x > 5/2 and 0 < y < x - 5/2: the clip's greatest x is its box's.
+        rows = [((0, -1), 0), ((-1, 1), rat(-5, 2))]
+        assert self.witness(ConvexCell(2, ()), rows) == (3, rat(1, 3))
+        int_rows = [Halfspace.from_rationals(*r).int_row for r in rows]
+        xs = [Fraction(x, w) for x, _, w in _clip_polygon(int_rows)]
+        assert max(xs) == _box_bound(int_rows, 2)
+        assert simplest_between((5, 2), (max(xs), 1)) == simplest_between((5, 2), None) == 3
+
+    def test_unbounded_cells_on_the_negative_side_and_in_y(self, no_interior_lp):
+        assert self.witness(ConvexCell(2, ()), [((1, 1), rat(-5, 2)), ((1, -1), rat(-5, 2))]) == (-3, 0)
+        assert self.witness(ConvexCell(2, ()), [((-1, 0), rat(-1, 3)), ((1, 0), rat(1, 2))]) == (rat(2, 5), 0)
+
+    def test_bounded_cell(self, no_interior_lp):
+        # The triangle x > 2/3, y > 0, x + 3y < 1.
+        rows = [((-1, 0), rat(-2, 3)), ((1, 3), 1)]
+        assert self.witness(box_cell(0, 1, 2), rows) == (rat(3, 4), rat(1, 13))
+
+    @pytest.mark.parametrize(
+        "rows, vertices",
+        [
+            ([((1, 0), 0), ((-1, 0), -1)], 0),  # empty: the clip leaves nothing
+            ([((1, 1), 0)], 1),  # the corner (0, 0): an empty x-range
+            ([((1, 0), rat(1, 2)), ((-1, 0), rat(-1, 2))], 2),  # a vertical segment: an empty x-range
+            ([((0, 1), rat(1, 2)), ((0, -1), rat(-1, 2))], 2),  # a horizontal segment: an empty chord
+        ],
+    )
+    def test_cells_without_interior_are_degenerate(self, rows, vertices, no_interior_lp):
+        parent = box_cell(0, 1, 2)
+        hs = list(parent.constraints) + [Halfspace.from_rationals(*r) for r in rows]
+        assert len(_clip_polygon([h.int_row for h in hs])) == vertices
+        with pytest.raises(DegenerateCellError):
+            compute_vertex_cell(parent, "me", hs[4:])
+
+    def test_interval_in_one_dimension(self, no_interior_lp):
+        assert self.witness(box_cell(0, 4, 1), [((1,), rat(3, 4)), ((-1,), rat(-2, 3))]) == (rat(5, 7),)
+        assert self.witness(ConvexCell(1, ()), [((-1,), rat(-7, 2))]) == (4,)
+        assert self.witness(ConvexCell(1, ()), [((1,), rat(-7, 2))]) == (-4,)
 
 
 class TestComputeSubdivision:
@@ -474,15 +545,8 @@ class TestEnvelopeCells:
         assert sub.cells == {}
         assert sub.degenerate == ("a", "b")
 
-    def test_random_forms_tile_the_simplex(self, monkeypatch):
-        interior_calls = []
-        find_interior_point = regions.find_interior_point
-
-        def counting(*args):
-            interior_calls.append(args)
-            return find_interior_point(*args)
-
-        monkeypatch.setattr(regions, "find_interior_point", counting)
+    def test_random_forms_tile_the_simplex(self, no_interior_lp):
+        # No interior-point LP runs in d <= 2: each witness is read off the clip.
         rng = random.Random(23)
         simplex = [Halfspace.from_rationals(n, b) for n, b in (((1, 1), 1), ((-1, 0), 0), ((0, -1), 0))]
         parents = [
@@ -497,10 +561,7 @@ class TestEnvelopeCells:
                 i: AffineForm((rat(rng.randint(-3, 3)), rat(rng.randint(-3, 3))), rat(rng.randint(0, 2)))
                 for i in range(9)
             }
-            interior_calls.clear()
             sub = envelope_cells(parent, forms, seed=trial)
-            # One interior-point LP per cell, and none for a degenerate label.
-            assert len(interior_calls) == len(sub.cells)
             area = sum(polygon_area(polygon_vertices(cell)) for cell in sub.cells.values())
             assert area == polygon_area(polygon_vertices(parent))
             for label, cell in sub.cells.items():

@@ -537,7 +537,9 @@ class TestRaySearch:
         assert len(part.regions) == 2
         assert part.boundary_keys() == frozenset({(1, -1, 0)})
 
-    def test_agrees_with_execution_dag(self):
+    def test_agrees_with_execution_dag(self, no_interior_lp):
+        # Neither the DAG's root walk nor the ray search runs an
+        # interior-point LP in d = 2.
         rng = random.Random(17)
         spec = mismatch_space_spec()
         for trial in range(12):

@@ -143,7 +143,8 @@ class TestCompleteness:
         assert sum(polygon_area(polygon_vertices(cell)) for cell in sub.cells.values()) == 49
         assert sub.degenerate == ()
 
-    def test_random_instances_tile_the_box(self):
+    def test_random_instances_tile_the_box(self, no_interior_lp):
+        # The walk in d = 2 runs no interior-point LP.
         rng = random.Random(29)
         for trial in range(300):
             inst = random_instance(rng)

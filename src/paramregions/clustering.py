@@ -37,7 +37,7 @@ from .rationals import (
     parse_vector,
     rat,
 )
-from .regions import AffineForm, envelope_cells, pareto_front
+from .regions import AffineForm, Subdivision, envelope_cells, pareto_front
 
 LINKAGES = ("single", "complete", "median", "average", "mediod")
 
@@ -360,13 +360,25 @@ def build_execution_tree(
 def _expand(instance, family, clusters, merges, region: ConvexCell, seed: int) -> ExecutionTreeNode:
     """The subtree below the partition `clusters`: the region splits into the
     cells of the lower envelope of its `merge_forms` (`envelope_cells`), and
-    each cell's pair is merged next."""
+    each cell's pair is merged next.
+
+    A front of one form is <= every other form at every simplex corner, so
+    everywhere (`pareto_front`), and its cell is the whole region.  Below the
+    root in d <= 2 the region is itself a `compute_vertex_cell` output, whose
+    facets and canonical witness that call would return unchanged, so the
+    node keeps it with no walk.  The root's witness is its caller's (the
+    simplex centre, or an LP point under a restriction), and in d >= 3 the
+    witness is an LP's over the rows: both still take the walk."""
     if len(clusters) <= 1:
         return ExecutionTreeNode(merges, region)
     if len(clusters) == 2:
         child = _expand(instance, family, _merged(clusters, clusters), merges + (clusters,), region, seed)
         return ExecutionTreeNode(merges, region, (child,))
-    sub = envelope_cells(region, merge_forms(instance, family, clusters), seed)
+    forms = merge_forms(instance, family, clusters)
+    if len(forms) == 1 and merges and region.dimension <= 2:
+        sub = Subdivision(region, dict.fromkeys(forms, region), frozenset())
+    else:
+        sub = envelope_cells(region, forms, seed)
     children = tuple(
         _expand(instance, family, _merged(clusters, pair), merges + (pair,), sub.cells[pair], seed)
         for pair in sorted(sub.cells)

@@ -32,7 +32,6 @@ from .rationals import (
     ZERO,
     as_rational,
     as_vector,
-    format_rational,
     format_vector,
     parse_vector,
     simplest_between,
@@ -122,7 +121,14 @@ class Halfspace:
         return Halfspace(self.flipped_key(), self.label)
 
     def to_json(self) -> dict:
-        out = {"normal": format_vector(self.normal), "offset": format_rational(self.offset)}
+        """The rational view as "p/q" strings, read off the integer row: each
+        entry over |the first nonzero entry|, both divided by their gcd."""
+        lead = abs(next(c for c in self.int_row if c))
+        entries = []
+        for c in self.int_row:
+            g = math.gcd(c, lead)
+            entries.append(f"{c // g}/{lead // g}")
+        out = {"normal": entries[:-1], "offset": entries[-1]}
         if self.label is not None:
             out["label"] = self.label
         return out
@@ -193,9 +199,16 @@ class ConvexCell:
 
 
 def _sorted_constraints(constraints):
-    # On the rational view, not on `int_row`: the two orders differ, and
-    # the JSON output keeps this one.
-    return sorted(constraints, key=lambda h: (h.normal, h.offset))
+    """In the order of the rational view (normal, offset), not of `int_row`:
+    the two orders differ, and the JSON output keeps this one.  Each row
+    divided by |its first nonzero entry| and then scaled by the lcm L of
+    those entries over the cell is an integer row, and a positive factor
+    common to every row keeps the order."""
+    leads = [abs(next(c for c in h.int_row if c)) for h in constraints]
+    lcm = math.lcm(*leads)
+    keys = [tuple(c * (lcm // lead) for c in h.int_row) for h, lead in zip(constraints, leads)]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return [constraints[i] for i in order]
 
 
 def box_cell(lower, upper, dimension: int) -> ConvexCell:

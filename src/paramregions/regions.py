@@ -19,7 +19,9 @@ Its callers:
 - `envelope_cells`, for "behavior = argmin of labeled affine forms" (a
   clustering merge step): one walk from the form minimal at the parent's
   witness over the forms left by `pareto_front` (on a merge pair's
-  component values), with no LP in d <= 2.  An alignment DAG node below
+  component values), with no LP in d <= 2.  A merge step below the root in
+  d <= 2 whose front keeps one form makes no call: that form's cell is the
+  whole region, which `clustering._expand` keeps.  An alignment DAG node below
   the root keeps the forms on the `pareto_front` of its counts that pass
   one interior-point LP each (d = 3; the lower hull in d = 2), and the root
   walks from its regions' forms.
@@ -387,7 +389,8 @@ def cells_share_facet(a: ConvexCell, b: ConvexCell, seed: int = 0) -> bool:
 
 def _has_relative_interior_on(plane: Halfspace, rows, seed: int) -> bool:
     # Eliminate one variable via the plane's equality, then look for a point
-    # strictly inside the projected constraints.
+    # strictly inside the projected constraints: an open interval in d = 2,
+    # read off the rows with no LP, an interior-point LP in d >= 3.
     pivot = plane.int_row
     d = len(pivot) - 1
     if d == 1:
@@ -405,4 +408,6 @@ def _has_relative_interior_on(plane: Halfspace, rows, seed: int) -> bool:
         projected.append(row)
     if not projected:
         return True
+    if d == 2:
+        return _interval_witness(projected) is not None
     return _interior_point_rows(projected, seed) is not None

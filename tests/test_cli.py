@@ -1,8 +1,10 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -603,8 +605,10 @@ class TestGoldenOutput:
         args = ["cluster-regions", "--instance", line_instance_file, "--linkages", "single,complete"]
         self.assert_golden("cluster_line.json", args, tmp_path)
 
-    def test_cluster_regions_three_linkages(self, tmp_path):
-        # d = 2: seven points in the plane, one metric, three linkages.
+    def test_cluster_regions_three_linkages(self, tmp_path, no_interior_lp):
+        # d = 2: seven points in the plane, one metric, three linkages.  The
+        # cells, their witnesses and the facets two leaves share are all
+        # read off integer rows, with no LP.
         args = [
             "cluster-regions", "--instance", str(GOLDEN / "cluster_median.in.json"),
             "--linkages", "single,complete,median",
@@ -619,6 +623,66 @@ class TestGoldenOutput:
             "--linkages", "average,mediod", "--metrics", "euclidean,manhattan",
         ]
         self.assert_golden("cluster_two_metrics.json", args, tmp_path)
+
+
+class Text(str):
+    pass
+
+
+class Count(int):
+    def __repr__(self):
+        return "Count()"
+
+
+def random_json_value(rng, depth=0):
+    """A random nested value that json writes: str keys only, tuples for
+    lists now and then, and every kind of leaf it treats specially,
+    subclasses of str and int included."""
+    kind = rng.randrange(9 if depth < 4 else 6)
+    if kind == 0:
+        alphabet = 'ab "\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600'
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
+        return Text(text) if rng.random() < 0.1 else text
+    if kind == 1:
+        value = rng.choice((0, 1, -1, 2**63, -(2**64) - 7, 10**30, rng.randint(-999, 999)))
+        return Count(value) if rng.random() < 0.1 else value
+    if kind == 2:
+        return rng.choice((True, False, None))
+    if kind == 3:
+        return rng.choice((0.0, -0.0, 0.1, -2.5e-300, 1e300, float("nan"), float("inf"), float("-inf")))
+    if kind == 4:
+        return rng.choice(([], {}, (), [[]], {"": {}}, [{}], ((),)))
+    if kind == 5:
+        return f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}"
+    items = [random_json_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    if kind == 6:
+        return items
+    if kind == 7:
+        return tuple(items)
+    keys = [random_json_value(rng, 4) if rng.random() < 0.5 else rng.choice("abc") for _ in items]
+    return {key if isinstance(key, str) else str(key): item for key, item in zip(keys, items)}
+
+
+class TestCanonicalDumps:
+    def test_matches_json_with_sorted_keys_and_indent_one(self):
+        rng = random.Random(23)
+        for _ in range(2000):
+            value = random_json_value(rng)
+            assert canonical_dumps(value) == json.dumps(value, sort_keys=True, indent=1) + "\n"
+
+    @pytest.mark.parametrize("value", [Fraction(1, 3), {1, 2}, [Fraction(2)], {"a": {"b": {3}}}, object()])
+    def test_values_json_cannot_write_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value)
+        with pytest.raises(TypeError):
+            canonical_dumps(value)
+
+    @pytest.mark.parametrize("key", [1, None, True, 0.5, (1, 2)])
+    def test_only_str_keys_are_accepted(self, key):
+        with pytest.raises(TypeError):
+            canonical_dumps({key: 1})
+        with pytest.raises(TypeError):
+            canonical_dumps([{"a": {key: 1, "b": 2}}])
 
 
 class TestEntryPoint:

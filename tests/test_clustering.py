@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from paramregions import clustering
 from paramregions.clustering import (
     LINKAGES,
     ClusterTree,
@@ -18,6 +19,7 @@ from paramregions.clustering import (
     linkage_accuracy,
     linkage_tree_float,
     lower_median,
+    merge_forms,
     merge_value,
     pairwise_euclidean,
     partition_values,
@@ -25,6 +27,7 @@ from paramregions.clustering import (
 )
 from paramregions.geometry import sample_interior, solve_lp
 from paramregions.rationals import rat
+from paramregions.regions import compute_vertex_cell, envelope_cells
 
 from oracles import exhaustive_hamming_loss, reference_envelope_labels, sweep_leaf_count_1d
 
@@ -282,6 +285,82 @@ class TestEnvelopePrune:
                     assert sorted(node.subdivision.cells) == reference
                 stack += node.children
         assert nodes > 120
+
+
+class TestOneFormNodes:
+    def test_a_one_form_node_keeps_the_cell_the_walk_gives(self):
+        # Below the root in d <= 2 a front of one form keeps the node's
+        # region: the walk would give that cell, facets, labels and witness.
+        rng = random.Random(53)
+        checked = {1: 0, 2: 0}
+        for trial in range(16):
+            family = MergeFamily(("single", "complete", "median")[: 2 + trial % 2], ("euclidean",))
+            inst = random_instance(rng, rng.randint(7, 9))
+            for node in build_execution_tree(inst, family, seed=trial).walk():
+                if not node.merges or node.subdivision is None:
+                    continue
+                forms = merge_forms(inst, family, partition_after(inst.n_points, node.merges))
+                if len(forms) != 1:
+                    continue
+                (pair,) = forms
+                sub = envelope_cells(node.region, forms, seed=trial)
+                assert list(sub.cells) == [pair] and not sub.adjacency and not sub.degenerate
+                assert sub.cells[pair].constraints == node.region.constraints
+                assert sub.cells[pair].witness == node.region.witness
+                assert node.subdivision.cells == {pair: node.region}
+                checked[family.dimension] += 1
+        assert checked[1] > 30 and checked[2] > 30, checked
+
+    @pytest.mark.parametrize(
+        "linkages, metrics",
+        [(("single", "complete"), ("euclidean",)), (("single", "complete", "median"), ("euclidean",)),
+         (("average", "mediod"), ("euclidean", "manhattan"))],
+    )
+    def test_the_walk_is_skipped_only_below_the_root_in_the_plane(self, linkages, metrics, monkeypatch):
+        # In d >= 3 a cell's witness is an LP's over its rows, so a one-form
+        # node's may differ from its region's: it still takes the walk.
+        walked = []
+
+        def walk(region, forms, seed):
+            walked.append(region)
+            return envelope_cells(region, forms, seed)
+
+        monkeypatch.setattr(clustering, "envelope_cells", walk)
+        rng = random.Random(59)
+        family = MergeFamily(linkages, metrics)
+        one_form = 0
+        for trial in range(4):
+            pts = [(rng.randint(0, 8), rng.randint(0, 8)) for _ in range(7)]
+            inst = ClusteringInstance.from_points(pts, metrics)
+            walked.clear()
+            root = build_execution_tree(inst, family, seed=trial)
+            expected = []
+            for node in root.walk():
+                if node.subdivision is None:
+                    continue
+                forms = merge_forms(inst, family, partition_after(inst.n_points, node.merges))
+                if len(forms) == 1 and node.merges:
+                    one_form += 1
+                    if family.dimension <= 2:
+                        continue
+                expected.append(node.region)
+            assert walked == expected
+        assert one_form > 4
+
+    def test_a_root_of_one_form_takes_the_canonical_witness(self):
+        # At the singletons every linkage reads the point distance, so a
+        # unique closest pair is a front of one form.  The root's witness is
+        # the simplex centre; its one child's is the canonical point.
+        inst = ClusteringInstance.from_points([(0, 0), (1, 0), (3, 0), (7, 1)], ("euclidean",))
+        family = MergeFamily(("single", "complete", "median"), ("euclidean",))
+        forms = merge_forms(inst, family, partition_after(4, ()))
+        assert list(forms) == [((0,), (1,))]
+        root = build_execution_tree(inst, family)
+        assert root.region.witness == (rat(1, 3), rat(1, 3))
+        (child,) = root.children
+        cell, _ = compute_vertex_cell(root.region, ((0,), (1,)), [])
+        assert child.region == cell
+        assert child.region.witness == (rat(1, 2), rat(1, 3))
 
 
 class TestHammingLoss:

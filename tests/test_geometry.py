@@ -18,6 +18,7 @@ from paramregions.geometry import (
     _rational_point,
     _slack,
     _solve_raw,
+    _sorted_constraints,
     box_cell,
     clarkson_reduce,
     dot,
@@ -28,7 +29,7 @@ from paramregions.geometry import (
     sample_interior,
     solve_lp,
 )
-from paramregions.rationals import format_rational, rat
+from paramregions.rationals import format_rational, format_vector, rat
 
 from oracles import (
     naive_nonredundant,
@@ -115,6 +116,28 @@ class TestHalfspace:
             assert h.flipped() != h and h.flipped().flipped() == h
             data = json.loads(json.dumps(h.to_json()))
             assert Halfspace.from_json(data) == h
+
+    def test_json_text_and_facet_order_are_the_rational_views(self):
+        # Both are read off the integer rows; the rational view is the
+        # reference, leads of every size and sign included.
+        rng = random.Random(4)
+        for trial in range(200):
+            d = rng.randint(1, 4)
+            rows, n = [], rng.randint(1, 8)
+            while len(rows) < n:
+                normal, offset = random_rationals(rng, d)
+                if any(normal):
+                    rows.append(H(normal, offset, trial))
+                    if rng.random() < 0.3:  # a parallel row, same rational normal
+                        rows.append(H(normal, offset + rng.randint(-2, 2), trial))
+            for h in rows:
+                assert h.to_json() == {
+                    "normal": format_vector(h.normal),
+                    "offset": format_rational(h.offset),
+                    "label": trial,
+                }
+            assert _sorted_constraints(rows) == sorted(rows, key=lambda h: (h.normal, h.offset))
+        assert _sorted_constraints(()) == []
 
     def test_rational_serialization_always_p_over_q(self):
         assert format_rational(rat(3)) == "3/1"

@@ -10,6 +10,9 @@ from paramregions.geometry import (
     Halfspace,
     _box_bound,
     _clip_polygon,
+    _interior_point_rows,
+    _interval_witness,
+    _project_row,
     box_cell,
     clarkson_reduce,
     polygon_area,
@@ -576,9 +579,62 @@ class TestFacetSharing:
         sub = argmin_subdivision(parent, forms_2d({"a": ((1, 0), 0), "b": ((-1, 0), 1)}))
         assert cells_share_facet(sub.cells["a"], sub.cells["b"])
 
-    def test_diagonal_quadrants_do_not(self):
+    def test_diagonal_quadrants_do_not(self, no_interior_lp):
         parent = box_cell(-1, 1, 2)
         forms = forms_2d({(sx, sy): ((-sx, -sy), 0) for sx in (-1, 1) for sy in (-1, 1)})
         sub = argmin_subdivision(parent, forms)
         assert not cells_share_facet(sub.cells[(-1, -1)], sub.cells[(1, 1)])
         assert cells_share_facet(sub.cells[(-1, -1)], sub.cells[(1, -1)])
+
+    def test_open_intervals_match_the_interior_point_lp(self):
+        # The d = 2 facet test reads an open interval off 1-D rows (a, b),
+        # a != 0, where d >= 3 runs the LP.
+        cases = [
+            [(1, 2), (-1, -2)],  # x = 2: a point, no interior
+            [(3, 2), (-5, -1), (2, 1)],  # 1/5 <= x <= 1/2
+            [(1, 3)],  # half-infinite
+            [(-2, 5), (-1, 0)],
+            [(1, 3), (2, 5), (1, 3), (-1, 0), (-4, 1)],  # redundant parallel rows
+            [(1, 0), (-1, -1)],  # x <= 0 and x >= 1: empty
+        ]
+        rng = random.Random(17)
+        for _ in range(400):
+            rows = [(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(-6, 6)) for _ in range(rng.randint(1, 5))]
+            if rng.random() < 0.3:  # a touching pair: a x <= b and -a x <= -b
+                a, b = rows[0]
+                rows.append((-a, -b))
+            cases.append(rows)
+        seen = set()
+        for seed, rows in enumerate(cases):
+            got = _interval_witness(rows) is not None
+            assert got == (_interior_point_rows(rows, seed) is not None), rows
+            seen.add(got)
+        assert seen == {True, False}
+
+    def test_plane_facets_match_the_projected_lp(self):
+        # `_has_relative_interior_on` in d = 2 against the LP on the rows
+        # projected onto the plane, the test d >= 3 still runs.
+        rng = random.Random(19)
+        outcomes = []
+        for seed in range(300):
+            plane = Halfspace.from_rationals((rng.randint(-3, 3) or 1, rng.randint(-3, 3)), rng.randint(-4, 4))
+            rows = []
+            for _ in range(rng.randint(1, 5)):
+                normal = (rng.randint(-3, 3), rng.randint(-3, 3))
+                if any(normal):
+                    rows.append(Halfspace.from_rationals(normal, rng.randint(-4, 4)))
+            if rng.random() < 0.3:  # two opposite rows: a line crossing the plane's once
+                rows.append(Halfspace.from_rationals((plane.int_row[1], -plane.int_row[0]), 0))
+                rows.append(Halfspace.from_rationals((-plane.int_row[1], plane.int_row[0]), 0))
+            pivot = plane.int_row
+            k = max(range(2), key=lambda j: (abs(pivot[j]), -j))
+            projected = [_project_row(h.int_row, pivot, k) for h in rows]
+            if any(row[0] == 0 and row[1] <= 0 for row in projected):
+                expected = False
+            else:
+                live = [row for row in projected if row[0]]
+                expected = not live or _interior_point_rows(live, seed) is not None
+            got = regions._has_relative_interior_on(plane, rows, seed)
+            assert got == expected
+            outcomes.append(got)
+        assert outcomes.count(True) > 30 and outcomes.count(False) > 30

@@ -142,7 +142,7 @@ def load_cluster_instance(data: dict) -> clustering.ClusteringInstance:
                 target=data.get("target"),
                 k=data.get("k"),
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseFailure(f"bad clustering instance: {exc}") from exc
     return inst
 
@@ -201,7 +201,7 @@ def load_alignment_spec(args) -> AlignmentDPSpec:
     if args.spec_file:
         try:
             return AlignmentDPSpec.from_json(_load_json(args.spec_file))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseFailure(f"bad DP spec: {exc}") from exc
     try:
         return get_preset(args.preset or "mismatch-space")

@@ -174,12 +174,6 @@ class ConvexCell:
     def constraint_keys(self) -> frozenset:
         return frozenset(h.int_row for h in self.constraints)
 
-    def map_labels(self, f) -> "ConvexCell":
-        """The same cell with every facet label passed through `f`; facets
-        without a label keep none."""
-        constraints = (h if h.label is None else Halfspace(h.int_row, f(h.label)) for h in self.constraints)
-        return ConvexCell(self.dimension, tuple(constraints), self.witness)
-
     def to_json(self) -> dict:
         out = {
             "dimension": self.dimension,

@@ -179,6 +179,8 @@ class AlignmentDPSpec:
         object.__setattr__(self, "tables", tuple(self.tables))
         object.__setattr__(self, "cases", tuple(self.cases))
         object.__setattr__(self, "base_origin", tuple(self.base_origin))
+        if not self.tables:
+            raise ValueError("need at least one table")
         if self.root_table is None:
             object.__setattr__(self, "root_table", self.tables[-1])
         rank = {t: r for r, t in enumerate(self.tables)}
@@ -196,13 +198,18 @@ class AlignmentDPSpec:
                     raise ValueError(f"unknown transform {term.transform!r}")
                 if term.ref_table not in rank:
                     raise ValueError(f"term references undeclared table {term.ref_table!r}")
+                if any(isinstance(v, bool) or not isinstance(v, int) for v in (term.di, term.dj)):
+                    raise ValueError("reference offsets must be integers")
                 if term.di > 0 or term.dj > 0:
                     raise ValueError("references must not look ahead")
                 if term.di == 0 and term.dj == 0 and rank[term.ref_table] >= rank[case.table]:
                     raise ValueError("same-cell references must go to an earlier table")
-        for prefix in (self.base_s1_prefix, self.base_s2_prefix):
-            if prefix is not None:
-                _check_weight(prefix[1], d, "prefix")
+        prefixes = [p for p in (self.base_s1_prefix, self.base_s2_prefix) if p is not None]
+        for table in self.base_origin + tuple(p[0] for p in prefixes):
+            if table not in rank:
+                raise ValueError(f"base case in undeclared table {table!r}")
+        for prefix in prefixes:
+            _check_weight(prefix[1], d, "prefix")
 
     @property
     def dimension(self) -> int:

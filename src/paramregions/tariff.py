@@ -150,25 +150,23 @@ def compute_price_regions(instance: TariffInstance, seed: int = 0) -> Subdivisio
     (`regions.argmin_label` per sample) and follows facet labels, each the
     profile across its facet, so it finds every region.
     """
-    box = instance.price_box()
-    forms = _option_forms(instance)
-    start = tuple(argmin_label(options, box.witness) for options in forms)
-    candidates = product_candidates([partial(dominance_constraints, options) for options in forms])
-    return compute_subdivision(box, (start,), candidates, seed)
+    return _product_walk(instance, _option_forms(instance), seed)
 
 
 def single_tariff_regions(instance: TariffInstance, seed: int = 0) -> Subdivision:
-    """L = 1 specialization with plain quantity-tuple labels."""
+    """L = 1 specialization with plain quantity-tuple labels: options keyed
+    by q alone, which sorts as (q, 1) does, so every tie rule picks alike."""
     if instance.menu_length != 1:
         raise ValueError("single_tariff_regions needs menu_length == 1")
-    sub = compute_price_regions(instance, seed)
-    return _map_labels(sub, lambda label: tuple(q for q, _ in label))
+    forms = [{q: form for (q, _), form in options.items()} for options in _option_forms(instance)]
+    return _product_walk(instance, forms, seed)
 
 
-def _map_labels(sub: Subdivision, f) -> Subdivision:
-    cells = {f(label): cell.map_labels(f) for label, cell in sub.cells.items()}
-    adjacency = frozenset(tuple(sorted((f(a), f(b)))) for a, b in sub.adjacency)
-    return Subdivision(sub.parent, cells, adjacency, tuple(sorted(f(l) for l in sub.degenerate)))
+def _product_walk(instance: TariffInstance, forms: list, seed: int) -> Subdivision:
+    box = instance.price_box()
+    start = tuple(argmin_label(options, box.witness) for options in forms)
+    candidates = product_candidates([partial(dominance_constraints, options) for options in forms])
+    return compute_subdivision(box, (start,), candidates, seed)
 
 
 def normalize_profile(label) -> tuple:
@@ -185,8 +183,7 @@ def revenue_form(instance: TariffInstance, label) -> tuple:
     """
     d = instance.dimension
     coeffs = [ZERO] * d
-    for entry in label:
-        q, j = entry if isinstance(entry, tuple) else (entry, 1)
+    for q, j in normalize_profile(label):
         if q > 0:
             coeffs[2 * (j - 1)] += 1
             coeffs[2 * (j - 1) + 1] += q

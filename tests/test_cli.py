@@ -103,6 +103,11 @@ class TestClusterRegions:
         path.write_text("{not json")
         assert run_cli(["cluster-regions", "--instance", str(path)]) == 2
 
+    def test_metrics_not_an_object_exit_2(self, tmp_path):
+        path = tmp_path / "metrics.json"
+        path.write_text(json.dumps({"metrics": [1], "points": [["0"], ["1"]]}))
+        assert run_cli(["cluster-regions", "--instance", str(path)]) == 2
+
     def test_target_size_other_than_k_exit_2(self, tmp_path):
         path = tmp_path / "three.json"
         path.write_text(json.dumps({"points": [["0"], ["1"], ["5"], ["6"]], "target": [[0, 1], [2, 3]], "k": 3}))
@@ -170,6 +175,39 @@ def only_chars_equal(data):
     data["cases"] = [case for case in data["cases"] if case["when"] == "chars-equal"]
 
 
+def no_tables(data):
+    data["tables"] = []
+    del data["root"]
+
+
+def half_row_offset(data):
+    data["cases"][1]["terms"][0]["ref"]["di"] = -0.5
+
+
+def float_column_offset(data):
+    data["cases"][1]["terms"][1]["ref"]["dj"] = -1.0
+
+
+def case_not_an_object(data):
+    data["cases"][0] = ["main", "chars-equal"]
+
+
+def ref_not_an_object(data):
+    data["cases"][1]["terms"][0]["ref"] = "main"
+
+
+def base_not_an_object(data):
+    data["base"] = ["main"]
+
+
+def undeclared_origin(data):
+    data["base"]["origin"] = ["other"]
+
+
+def undeclared_prefix_table(data):
+    data["base"]["s2_prefix"]["table"] = "other"
+
+
 ALIGN_VERBS = [["align-regions"], ["oracle-check", "--kind", "align"]]
 
 
@@ -231,6 +269,25 @@ class TestAlignRegions:
     def test_spec_file_with_non_integer_weight_exit_2(self, verb, edit, tmp_path):
         spec = spec_file(tmp_path, edit)
         assert run_cli(verb + ["--spec-file", spec, "--s1", "AC", "--s2", "TG"]) == 2
+
+    @pytest.mark.parametrize("verb", ALIGN_VERBS)
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            no_tables,
+            half_row_offset,
+            float_column_offset,
+            case_not_an_object,
+            ref_not_an_object,
+            base_not_an_object,
+            undeclared_origin,
+            undeclared_prefix_table,
+        ],
+    )
+    def test_malformed_spec_file_exit_2(self, verb, edit, tmp_path):
+        spec = spec_file(tmp_path, edit)
+        for s1, s2 in (("AC", "TG"), ("AC", "AC")):
+            assert run_cli(verb + ["--spec-file", spec, "--s1", s1, "--s2", s2]) == 2
 
     @pytest.mark.parametrize("verb", ALIGN_VERBS)
     def test_spec_file_without_solution_exit_3(self, verb, tmp_path):

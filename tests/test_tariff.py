@@ -3,7 +3,7 @@ from functools import partial
 
 import pytest
 
-from paramregions.geometry import polygon_area, polygon_vertices, sample_interior
+from paramregions.geometry import ConvexCell, polygon_area, polygon_vertices, sample_interior
 from paramregions.rationals import rat
 from paramregions.regions import argmin_label, compute_vertex_cell, dominance_constraints, product_candidates
 from paramregions.tariff import (
@@ -104,15 +104,44 @@ class TestPriceRegions:
             assert len(sub.adjacency) <= 3 * len(sub.cells)
 
     def test_menu_length_one_equals_single_tariff(self):
+        # Every part of the single-tariff subdivision is the menu walk's with j dropped.
+        def q_only(label):
+            return tuple(q for q, _ in label)
+
         rng = random.Random(7)
-        for trial in range(6):
+        for trial in range(12):
             inst = random_instance(rng)
+            if trial % 2:
+                rows = [*inst.valuations, *rng.choices(inst.valuations, k=rng.randint(1, 2))]
+                inst = TariffInstance(units=inst.units, valuations=rows)
             menu = compute_price_regions(inst, seed=trial)
             single = single_tariff_regions(inst, seed=trial)
-            mapped = {tuple(q for q, _ in label): cell for label, cell in menu.cells.items()}
-            assert set(mapped) == set(single.cells)
-            for label in mapped:
-                assert mapped[label].constraint_keys() == single.cells[label].constraint_keys()
+            assert [q_only(label) for label in menu.cells] == list(single.cells)
+            for label, cell in menu.cells.items():
+                got = single.cells[q_only(label)]
+                assert got.witness == cell.witness
+                assert [(h.int_row, h.label) for h in got.constraints] == [
+                    (h.int_row, None if h.label is None else q_only(h.label)) for h in cell.constraints
+                ]
+            assert single.adjacency == {tuple(sorted(map(q_only, pair))) for pair in menu.adjacency}
+            assert single.degenerate == tuple(map(q_only, menu.degenerate))
+            assert single.parent.constraints == menu.parent.constraints
+
+    def test_single_tariff_builds_each_cell_once(self, monkeypatch):
+        built = []
+        init = ConvexCell.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ConvexCell, "__init__", counting_init)
+        rng = random.Random(13)
+        for trial in range(6):
+            inst = random_instance(rng)
+            built.clear()
+            sub = single_tariff_regions(inst, seed=trial)
+            assert len(built) == len(sub.cells) + 1  # the price box and one per region
 
     def test_menu_of_two_regions_sampled(self):
         inst = TariffInstance(units=1, valuations=[(3,), (1,)], menu_length=2)

@@ -3,7 +3,8 @@
 Halfspaces, convex cells, a Seidel-style randomized-incremental LP,
 output-sensitive redundancy removal (Clarkson, for d >= 3), polygon
 clipping (for d = 2), the simplest rational point of an interval or a
-clipped polygon (the witnesses of cells in d <= 2, with no LP) and ray
+clipped polygon (the witnesses of cells in d <= 2, with no LP; their
+existence is the interior test `_has_interior` in d <= 2) and ray
 shooting.  A halfspace is its primitive integer row; witnesses and LP
 results are exact rationals.  The kernel underneath (Seidel, ray shooting,
 the redundancy loop, the clip and its witness) runs fraction-free on
@@ -24,6 +25,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import index, mul
 from typing import Any, Optional, Sequence
 
@@ -212,9 +214,12 @@ def box_cell(lower, upper, dimension: int) -> ConvexCell:
         raise GeometryError("box needs lower < upper")
     rows = []
     for k in range(dimension):
-        unit = tuple(ZERO if j != k else Rational(1) for j in range(dimension))
-        rows.append(Halfspace.from_rationals(unit, hi))
-        rows.append(Halfspace.from_rationals(tuple(-c for c in unit), -lo))
+        # x_k <= p / q is the primitive row (q e_k, p), and -x_k <= -p / q
+        # is (-q e_k, -p): p / q is in lowest terms.
+        for end, sign in ((hi, 1), (lo, -1)):
+            row = [0] * (dimension + 1)
+            row[k], row[-1] = sign * index(end.denominator), sign * index(end.numerator)
+            rows.append(Halfspace(tuple(row)))
     mid = tuple((lo + hi) / 2 for _ in range(dimension))
     return ConvexCell(dimension, tuple(rows), witness=mid)
 
@@ -313,7 +318,7 @@ def _box_bound(rows, d: int) -> int:
     # so every vertex lies strictly inside this box.  The rows must be the
     # lcm-scaled ones (`_int_vector`): the bound, and with it the point
     # returned on an optimal face, depends on their entries.
-    biggest = max((abs(c) for row in rows for c in row), default=1)
+    biggest = max(map(abs, chain.from_iterable(rows)), default=1)
     return (max(biggest, 1) * (d + 1)) ** (d + 1) + 1
 
 
@@ -570,18 +575,20 @@ def _clip_polygon(rows) -> list:
     rows, its bits bounded by theirs and not by the clipping depth."""
     bound = _box_bound(rows, 2)
     polygon = [(-bound, -bound, 1), (bound, -bound, 1), (bound, bound, 1), (-bound, bound, 1)]
-    for row in rows:
-        slacks = [_slack(row, v) for v in polygon]
-        if min(slacks, default=0) >= 0:
+    for a1, a2, b in rows:
+        slacks = [b * w - a1 * x - a2 * y for x, y, w in polygon]
+        if min(slacks) >= 0:
             continue
         clipped = []
         for p, q, sp, sq in zip(polygon, polygon[1:] + polygon[:1], slacks, slacks[1:] + slacks[:1]):
             if sp >= 0:
                 clipped.append(p)
             if sp * sq < 0:
-                v = [sp * a - sq * b for a, b in zip(q, p)]
-                g = math.gcd(*v) if sp > 0 else -math.gcd(*v)  # w > 0
-                clipped.append(tuple(c // g for c in v))
+                x, y, w = sp * q[0] - sq * p[0], sp * q[1] - sq * p[1], sp * q[2] - sq * p[2]
+                g = math.gcd(x, y, w) if sp > 0 else -math.gcd(x, y, w)  # w > 0
+                clipped.append((x // g, y // g, w // g))
+        if not clipped:
+            return []
         polygon = clipped
     return polygon
 
@@ -631,6 +638,20 @@ def _polygon_witness(vertices, rows) -> Optional[Vector]:
     p, q = index(x.numerator), index(x.denominator)
     chord = _interval_witness([(a2 * q, b * q - a1 * p) for a1, a2, b in rows if a2])
     return None if chord is None else (x, *chord)
+
+
+def _has_interior(rows, seed: int = 0) -> bool:
+    """Whether some point strictly satisfies every one of the nonempty
+    integer rows (a_1, ..., a_d, b), each with a != 0: read off the interval
+    in d = 1 (`_interval_witness`) and off the clipped polygon in d = 2
+    (`_polygon_witness`), with no LP; the interior-point LP decides in
+    d >= 3."""
+    d = len(rows[0]) - 1
+    if d == 1:
+        return _interval_witness(rows) is not None
+    if d == 2:
+        return _polygon_witness(_clip_polygon(rows), rows) is not None
+    return _interior_point_rows(rows, seed) is not None
 
 
 # --------------------------------------------------------------------------

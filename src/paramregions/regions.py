@@ -22,9 +22,10 @@ Its callers:
   component values), with no LP in d <= 2.  A merge step below the root in
   d <= 2 whose front keeps one form makes no call: that form's cell is the
   whole region, which `clustering._expand` keeps.  An alignment DAG node below
-  the root keeps the forms on the `pareto_front` of its counts that pass
-  one interior-point LP each (d = 3; the lower hull in d = 2), and the root
-  walks from its regions' forms.
+  the root keeps the forms on the `pareto_front` of its counts whose
+  dominance rows leave the simplex slice of the domain an interior point
+  (exact clipping in d = 3, with no LP; the lower hull in d = 2), and the
+  root walks from its regions' forms.
 - the product walk over tuple labels, whose cells are intersections of one
   cell per factor (`product_candidates`): the tariff search, one factor per
   buyer sample seeded by `argmin_label`, and `compute_overlay`, one factor
@@ -48,8 +49,8 @@ from .geometry import (
     Halfspace,
     _clarkson_indices,
     _clip_polygon,
+    _has_interior,
     _homogeneous,
-    _interior_point_rows,
     _interval_witness,
     _one_row_per_direction,
     _polygon_witness,
@@ -389,8 +390,9 @@ def cells_share_facet(a: ConvexCell, b: ConvexCell, seed: int = 0) -> bool:
 
 def _has_relative_interior_on(plane: Halfspace, rows, seed: int) -> bool:
     # Eliminate one variable via the plane's equality, then look for a point
-    # strictly inside the projected constraints: an open interval in d = 2,
-    # read off the rows with no LP, an interior-point LP in d >= 3.
+    # strictly inside the projected constraints (`_has_interior`): an open
+    # interval in d = 2 and an open polygon in d = 3, read off the rows with
+    # no LP, an interior-point LP in d >= 4.
     pivot = plane.int_row
     d = len(pivot) - 1
     if d == 1:
@@ -406,8 +408,4 @@ def _has_relative_interior_on(plane: Halfspace, rows, seed: int) -> bool:
                 return False
             continue
         projected.append(row)
-    if not projected:
-        return True
-    if d == 2:
-        return _interval_witness(projected) is not None
-    return _interior_point_rows(projected, seed) is not None
+    return not projected or _has_interior(projected, seed)

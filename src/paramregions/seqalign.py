@@ -21,8 +21,9 @@ bottom-up: per subproblem, it keeps only the regions, the candidate
 alignments (a referenced region's alignment extended by a term) whose cost
 is minimal on a full-dimensional part of the domain.  With two features
 these are the vertices of the candidates' lower hull, found on integers;
-otherwise one interior-point LP per candidate on the Pareto front of the
-counts decides.
+otherwise each candidate on the Pareto front of the counts is decided on
+the simplex slice of the domain, by exact clipping with three features and
+by an interior-point LP one dimension down with more.
 `ray_search_2d`, for two features only, walks the fan of angular sectors
 with one DP solve per probe point, over one node graph.  Both end in
 `_partition`, which builds the root's cells from its regions alone
@@ -31,16 +32,17 @@ with one DP solve per probe point, over one node graph.  Both end in
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .geometry import (
     ConvexCell,
     GeometryError,
+    _has_interior,
     _homogeneous,
     box_cell,
     dot,
-    find_interior_point,
 )
 from .rationals import Rational, ZERO, as_vector
 from .regions import (
@@ -88,6 +90,9 @@ class Alignment:
 
 def strip_spaces(t: str) -> str:
     return t.replace(SPACE, "")
+
+
+FEATURES = ("match", "mismatch", "space", "gap")
 
 
 def count_feature(name: str, t1: str, t2: str) -> int:
@@ -175,7 +180,12 @@ class AlignmentDPSpec:
     base_s2_prefix: Optional[tuple] = None
 
     def __post_init__(self):
+        if isinstance(self.features, str):
+            raise ValueError("features must be a list of feature names")
         object.__setattr__(self, "features", tuple(self.features))
+        for name in self.features:
+            if name not in FEATURES:
+                raise ValueError(f"unknown feature {name!r}; known: {', '.join(FEATURES)}")
         object.__setattr__(self, "tables", tuple(self.tables))
         object.__setattr__(self, "cases", tuple(self.cases))
         object.__setattr__(self, "base_origin", tuple(self.base_origin))
@@ -632,12 +642,23 @@ def _envelope_regions(candidates, domain: ConvexCell, seed: int) -> dict:
     the DP's tie rule, and then the first alignment of a key wins.
 
     With two features the regions are the vertices of conv(totals) + R^2_+
-    (`_lower_hull_2d`); otherwise each total on the `regions.pareto_front`
-    of the counts is a region when its `dominance_constraints` against the
-    front leave the domain an interior point (one LP each).  Costs are
-    linear in rho >= 0, so a cost is at least another's at every corner of
-    the domain, the unit box, exactly when its counts are componentwise so
-    (the unit vectors are among the corners).
+    (`_lower_hull_2d`).  Otherwise the totals are first cut to the
+    `regions.pareto_front` of the counts: costs are linear in rho >= 0, so
+    a cost is at least another's at every corner of the domain, the unit
+    box, exactly when its counts are componentwise so (the unit vectors are
+    among the corners).  Costs are also homogeneous, so a total's cell in
+    the box has an interior exactly when it meets the simplex rho_1 + ... +
+    rho_d = 1 in a set with relative interior.  On that slice, with rho_d =
+    1 - (rho_1 + ... + rho_{d-1}), counts c cost the affine form (c_1 - c_d,
+    ..., c_{d-1} - c_d; c_d) of the (d-1)-simplex, so a front total is a
+    region when its dominance rows against the other front forms and the
+    simplex rows leave an interior point (`geometry._has_interior`: exact
+    clipping in d = 3, with no LP; an LP one dimension down in d >= 4).
+    With s = (c_1 - c_d, ..., c_{d-1} - c_d, -c_d), the row "my form <=
+    the other's" is my s minus the other's, the `dominance_constraints` row
+    up to a positive factor; its normal is never 0, since two totals that
+    differ by a multiple of (1, ..., 1) are not both on the front.  Only the
+    domain's dimension is read.
     """
     by_counts: dict = {}
     for alignment in candidates:
@@ -649,11 +670,18 @@ def _envelope_regions(candidates, domain: ConvexCell, seed: int) -> dict:
         passed = _lower_hull_2d({key: alignment.counts for key, alignment in by_key.items()})
     else:
         front = pareto_front({key: alignment.counts for key, alignment in by_key.items()})
-        forms = {key: AffineForm(by_key[key].counts, 0) for key in front}
+        sliced = {}  # key -> (c_1 - c_d, ..., c_{d-1} - c_d, -c_d)
+        for key in front:
+            *head, last = by_key[key].counts
+            sliced[key] = (*(c - last for c in head), -last)
+        n = domain.dimension - 1
+        # rho_i >= 0 for i < d, and rho_1 + ... + rho_{d-1} <= 1 (rho_d >= 0)
+        simplex = [(*(-int(i == j) for j in range(n)), 0) for i in range(n)] + [(1,) * n + (1,)]
         passed = []
         for key in front:
-            rows = dominance_constraints(forms, key)
-            if rows is not None and find_interior_point([*domain.constraints, *rows], seed) is not None:
+            s = sliced[key]
+            rows = [tuple(map(operator.sub, s, sliced[other])) for other in front if other != key]
+            if _has_interior(simplex + rows, seed):
                 passed.append(key)
     return {key: by_key[key] for key in sorted(passed)}
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from paramregions import geometry, regions
+from paramregions import geometry
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -16,4 +16,3 @@ def no_interior_lp(monkeypatch):
         raise AssertionError("an interior-point LP ran")
 
     monkeypatch.setattr(geometry, "_interior_point_rows", forbidden)
-    monkeypatch.setattr(regions, "_interior_point_rows", forbidden)

@@ -208,6 +208,14 @@ def undeclared_prefix_table(data):
     data["base"]["s2_prefix"]["table"] = "other"
 
 
+def features_a_string(data):
+    data["features"] = "ab"  # two characters, not two feature names
+
+
+def unknown_feature_names(data):
+    data["features"] = ["foo", "bar"]
+
+
 ALIGN_VERBS = [["align-regions"], ["oracle-check", "--kind", "align"]]
 
 
@@ -282,6 +290,8 @@ class TestAlignRegions:
             base_not_an_object,
             undeclared_origin,
             undeclared_prefix_table,
+            features_a_string,
+            unknown_feature_names,
         ],
     )
     def test_malformed_spec_file_exit_2(self, verb, edit, tmp_path):

@@ -12,7 +12,9 @@ from paramregions.geometry import (
     LPResult,
     _box_bound,
     _clip_polygon,
+    _has_interior,
     _homogeneous,
+    _interior_point_rows,
     _int_vector,
     _ray_first_index,
     _rational_point,
@@ -277,6 +279,35 @@ class TestFindInteriorPoint:
         for h in hs:
             assert h.slack(z) > 0
 
+    def test_polygons_match_the_interior_point_lp(self, no_interior_lp):
+        # `_has_interior` in d = 2 reads the clipped polygon, where d >= 3
+        # runs the LP: open, unbounded, empty, a segment or a point.
+        cases = [
+            [(1, 0, 1), (-1, 0, 0), (0, 1, 1), (0, -1, 0)],  # the unit square
+            [(1, 0, 0), (-1, 0, 0), (0, 1, 1), (0, -1, 0)],  # a segment
+            [(1, 1, 0), (-1, 0, 0), (0, -1, 0)],  # the corner point 0
+            [(1, 1, 2), (-1, -1, -2), (1, 0, 5)],  # a half-line
+            [(1, 2, 3)],  # a half-plane
+            [(1, 0, 0), (-1, 0, -1)],  # empty
+        ]
+        rng = random.Random(29)
+        for _ in range(600):
+            rows = []
+            for _ in range(rng.randint(1, 6)):
+                normal = (rng.randint(-3, 3), rng.randint(-3, 3))
+                if any(normal):
+                    rows.append((*normal, rng.randint(-4, 4)))
+            if rows and rng.random() < 0.3:  # a touching pair: a . x <= b and -a . x <= -b
+                rows.append(tuple(-c for c in rows[0]))
+            if rows:
+                cases.append(rows)
+        outcomes = []
+        for seed, rows in enumerate(cases):
+            got = _has_interior(rows, seed)
+            assert got == (_interior_point_rows(rows, seed) is not None), rows
+            outcomes.append(got)
+        assert outcomes.count(True) > 100 and outcomes.count(False) > 100
+
 
 class TestRayShoot:
     def test_nearest_plane(self):
@@ -462,6 +493,20 @@ class TestCellUtilities:
                     q[1] * p[2] - p[1] * q[2]
                 ) * (r[0] * q[2] - q[0] * r[2])
                 assert cross > 0
+
+    @pytest.mark.parametrize(
+        "lower, upper", [(0, 1), (-4, 4), (rat(1, 3), rat(7, 2)), (rat(-5, 6), 0), (-1, rat(-1, 2))]
+    )
+    def test_box_cell_rows_are_the_primitive_rows_of_its_bounds(self, lower, upper):
+        for d in range(1, 5):
+            expected = []
+            for k in range(d):
+                unit = tuple(int(j == k) for j in range(d))
+                expected.append(Halfspace.from_rationals(unit, upper))
+                expected.append(Halfspace.from_rationals(tuple(-c for c in unit), -lower))
+            box = box_cell(lower, upper, d)
+            assert box.constraints == tuple(expected)
+            assert box.witness == ((rat(lower) + rat(upper)) / 2,) * d
 
     def test_cell_json_round_trip(self):
         cell = box_cell(0, 1, 2)

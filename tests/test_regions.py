@@ -611,28 +611,33 @@ class TestFacetSharing:
             seen.add(got)
         assert seen == {True, False}
 
-    def test_plane_facets_match_the_projected_lp(self):
-        # `_has_relative_interior_on` in d = 2 against the LP on the rows
-        # projected onto the plane, the test d >= 3 still runs.
-        rng = random.Random(19)
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_plane_facets_match_the_projected_lp(self, d, no_interior_lp):
+        # `_has_relative_interior_on` in d = 2 and 3, which runs no LP,
+        # against the LP on the rows projected onto the plane, the test
+        # d >= 4 still runs.
+        rng = random.Random({2: 19, 3: 23}[d])
         outcomes = []
         for seed in range(300):
-            plane = Halfspace.from_rationals((rng.randint(-3, 3) or 1, rng.randint(-3, 3)), rng.randint(-4, 4))
+            plane = Halfspace.from_rationals(
+                (rng.randint(-3, 3) or 1, *(rng.randint(-3, 3) for _ in range(d - 1))), rng.randint(-4, 4)
+            )
             rows = []
             for _ in range(rng.randint(1, 5)):
-                normal = (rng.randint(-3, 3), rng.randint(-3, 3))
+                normal = tuple(rng.randint(-3, 3) for _ in range(d))
                 if any(normal):
                     rows.append(Halfspace.from_rationals(normal, rng.randint(-4, 4)))
-            if rng.random() < 0.3:  # two opposite rows: a line crossing the plane's once
-                rows.append(Halfspace.from_rationals((plane.int_row[1], -plane.int_row[0]), 0))
-                rows.append(Halfspace.from_rationals((-plane.int_row[1], plane.int_row[0]), 0))
+            if rng.random() < 0.3:  # two opposite rows: a hyperplane crossing the plane's
+                normal = (plane.int_row[1], -plane.int_row[0], *(0,) * (d - 2))
+                rows.append(Halfspace.from_rationals(normal, 0))
+                rows.append(Halfspace.from_rationals(tuple(-c for c in normal), 0))
             pivot = plane.int_row
-            k = max(range(2), key=lambda j: (abs(pivot[j]), -j))
+            k = max(range(d), key=lambda j: (abs(pivot[j]), -j))
             projected = [_project_row(h.int_row, pivot, k) for h in rows]
-            if any(row[0] == 0 and row[1] <= 0 for row in projected):
+            if any(not any(row[:-1]) and row[-1] <= 0 for row in projected):
                 expected = False
             else:
-                live = [row for row in projected if row[0]]
+                live = [row for row in projected if any(row[:-1])]
                 expected = not live or _interior_point_rows(live, seed) is not None
             got = regions._has_relative_interior_on(plane, rows, seed)
             assert got == expected

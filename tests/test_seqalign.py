@@ -1,9 +1,10 @@
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
 
-from paramregions import regions, seqalign
+from paramregions import geometry, regions, seqalign
 from paramregions.geometry import GeometryError, box_cell, sample_interior
 from paramregions.rationals import rat
 from paramregions.regions import AffineForm, Subdivision, cells_share_facet, compute_overlay
@@ -283,32 +284,188 @@ class TestLowerHull2d:
             assert sorted(labels) == reference_hull_labels(totals)
 
 
+def reference_node_keys(candidates, dimension):
+    """The keys the LP label step keeps for a node's candidates, over the
+    whole box domain, with the node's tie rules: equal totals keep the first
+    candidate, then the first alignment of a key wins."""
+    by_counts: dict = {}
+    for alignment in candidates:
+        by_counts.setdefault(alignment.counts, alignment)
+    forms: dict = {}
+    for alignment in by_counts.values():
+        forms.setdefault(alignment.key, AffineForm(alignment.counts, 0))
+    corners = tuple(product((0, 1), repeat=dimension))
+    return reference_envelope_labels(default_domain(dimension), forms, corners)
+
+
+def record_envelope_regions(monkeypatch):
+    """(candidates, regions) of every `_envelope_regions` call from now on."""
+    seen = []
+    envelope_regions = seqalign._envelope_regions
+
+    def recording(candidates, domain, seed):
+        found = envelope_regions(candidates, domain, seed)
+        seen.append((list(candidates), found))
+        return found
+
+    monkeypatch.setattr(seqalign, "_envelope_regions", recording)
+    return seen
+
+
+def match_mismatch_space_gap_spec():
+    """`mismatch_space_gap_spec` with matches counted as a fourth feature,
+    listed first: the envelope's simplex slice is 3-D."""
+    spec = mismatch_space_gap_spec()
+    cases = tuple(
+        replace(
+            case,
+            terms=tuple(
+                replace(term, weight=(int(term.transform == "extend-match"), *term.weight)) for term in case.terms
+            ),
+        )
+        for case in spec.cases
+    )
+    return replace(spec, name="match-mismatch-space-gap", features=("match", *spec.features), cases=cases)
+
+
+def candidates_of(totals):
+    """One alignment per label with the given counts, keyed (label, label)."""
+    return [Alignment(label, label, total) for label, total in totals.items()]
+
+
+def envelope_regions_3d(candidates):
+    """`_envelope_regions` on three features, failing on any interior-point LP."""
+
+    def forbidden(*args):
+        raise AssertionError("an interior-point LP ran")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_interior_point_rows", forbidden)
+        return seqalign._envelope_regions(candidates, default_domain(3), 0)
+
+
 class TestEnvelopeRegions3d:
     def test_front_matches_box_corner_reference_at_every_node(self, monkeypatch):
-        seen = []
-        envelope_regions = seqalign._envelope_regions
-
-        def recording(candidates, domain, seed):
-            found = envelope_regions(candidates, domain, seed)
-            seen.append((list(candidates), found))
-            return found
-
-        monkeypatch.setattr(seqalign, "_envelope_regions", recording)
+        seen = record_envelope_regions(monkeypatch)
         rng = random.Random(43)
         for _ in range(10):
             build_execution_dag(mismatch_space_gap_spec(), *random_pair(rng, max_len=8))
-        corners = tuple(product((0, 1), repeat=3))
         assert len(seen) > 200 and sum(len(found) > 1 for _, found in seen) > 150
         for candidates, found in seen:
-            # The node's tie rules: equal totals keep the first candidate,
-            # then the first alignment of a key wins.
-            by_counts: dict = {}
-            for alignment in candidates:
-                by_counts.setdefault(alignment.counts, alignment)
-            forms: dict = {}
-            for alignment in by_counts.values():
-                forms.setdefault(alignment.key, AffineForm(alignment.counts, 0))
-            assert list(found) == reference_envelope_labels(default_domain(3), forms, corners)
+            assert list(found) == reference_node_keys(candidates, 3)
+
+    HAND_MADE = {
+        # On the plane c_1 + c_2 + c_3 = 4 every total costs 4/3 at the
+        # simplex's centre: d, e and f lie inside the triangle a b c and g on
+        # its edge a b, so they tie on lines or points only.
+        "coplanar on the simplex normal": (
+            {"a": (4, 0, 0), "b": (0, 4, 0), "c": (0, 0, 4), "d": (2, 1, 1), "e": (1, 2, 1), "f": (1, 1, 2), "g": (2, 2, 0)},
+            ["a", "b", "c"],
+        ),
+        "coplanar, one inside an edge and one inside the face": (
+            {"a": (4, 0, 0), "b": (0, 4, 0), "c": (0, 0, 2), "d": (2, 2, 0), "e": (1, 1, 1)},
+            ["a", "b", "c"],
+        ),
+        "coplanar off the simplex normal": (
+            {"a": (0, 3, 2), "b": (3, 0, 2), "c": (1, 1, 2), "d": (2, 2, 2)},
+            ["a", "b", "c"],
+        ),
+        "collinear": ({"a": (0, 0, 6), "b": (1, 1, 4), "c": (2, 2, 2), "d": (3, 3, 0)}, ["a", "d"]),
+        "collinear, then a total off the line": (
+            {"a": (0, 0, 6), "b": (1, 1, 4), "c": (2, 2, 2), "d": (3, 3, 0), "e": (0, 5, 0)},
+            ["a", "d", "e"],
+        ),
+        "a front total above the others' plane": (
+            {"a": (2, 0, 0), "b": (0, 2, 0), "c": (0, 0, 2), "d": (1, 1, 1)},
+            ["a", "b", "c"],
+        ),
+        "a front total below the others' plane": (
+            {"a": (4, 0, 0), "b": (0, 4, 0), "c": (0, 0, 4), "d": (1, 1, 1)},
+            ["a", "b", "c", "d"],
+        ),
+        "single candidate": ({"a": (3, 7, 1)}, ["a"]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(HAND_MADE))
+    def test_hand_made_totals(self, case):
+        totals, expected = self.HAND_MADE[case]
+        candidates = candidates_of(totals)
+        found = envelope_regions_3d(candidates)
+        assert [t1 for t1, _ in found] == expected
+        assert list(found) == reference_node_keys(candidates, 3)
+
+    def test_tie_rules(self):
+        # Equal totals keep the first candidate; of two alignments with one
+        # key the first wins, and the second's counts are not a region.
+        candidates = [
+            Alignment("y", "y", (1, 0, 0)),
+            Alignment("x", "x", (1, 0, 0)),
+            Alignment("k", "k", (0, 0, 1)),
+            Alignment("k", "k", (0, 1, 0)),
+        ]
+        found = envelope_regions_3d(candidates)
+        assert found == {("k", "k"): candidates[2], ("y", "y"): candidates[0]}
+        assert list(found) == reference_node_keys(candidates, 3)
+
+    def test_small_random_totals(self):
+        # Totals in {0, ..., 3}^3: ties, coplanar and collinear totals abound.
+        rng = random.Random(53)
+        sizes = []
+        for _ in range(300):
+            totals = {f"t{i}": tuple(rng.randint(0, 3) for _ in range(3)) for i in range(rng.randint(2, 9))}
+            candidates = candidates_of(totals)
+            found = envelope_regions_3d(candidates)
+            assert list(found) == reference_node_keys(candidates, 3)
+            sizes.append(len(found))
+        assert min(sizes) == 1 and max(sizes) >= 5
+
+    def test_four_features_match_the_reference_at_every_node(self, monkeypatch):
+        # The slice is 3-D, so each front total still runs an LP there.
+        lp_dimensions = []
+        solve = geometry._interior_point_rows
+
+        def recording(rows, seed):
+            lp_dimensions.append(len(rows[0]) - 1)
+            return solve(rows, seed)
+
+        monkeypatch.setattr(geometry, "_interior_point_rows", recording)
+        seen = record_envelope_regions(monkeypatch)
+        rng = random.Random(59)
+        for _ in range(10):
+            build_execution_dag(match_mismatch_space_gap_spec(), *random_pair(rng, max_len=6))
+        assert len(seen) > 100 and sum(len(found) > 1 for _, found in seen) > 50
+        for candidates, found in seen:
+            assert list(found) == reference_node_keys(candidates, 4)
+        assert 3 in lp_dimensions
+
+    def test_only_root_cells_run_an_lp(self, monkeypatch):
+        at_root = [False]
+        lp_calls = []  # at_root of each interior-point LP
+        partition, solve = seqalign._partition, geometry._interior_point_rows
+
+        def root_partition(*args):
+            at_root[0] = True
+            try:
+                return partition(*args)
+            finally:
+                at_root[0] = False
+
+        def recording(rows, seed):
+            lp_calls.append(at_root[0])
+            return solve(rows, seed)
+
+        monkeypatch.setattr(seqalign, "_partition", root_partition)
+        monkeypatch.setattr(geometry, "_interior_point_rows", recording)
+        rng = random.Random(43)
+        sizes = []
+        for _ in range(10):
+            lp_calls.clear()
+            part = build_execution_dag(mismatch_space_gap_spec(), *random_pair(rng, max_len=8))
+            # One LP per root cell (its witness), none when the root's one
+            # region keeps the domain.
+            assert lp_calls == [True] * (len(part.cells) if len(part.cells) > 1 else 0)
+            sizes.append(len(part.cells))
+        assert max(sizes) > 1
 
 
 def mismatch_space_match_spec():

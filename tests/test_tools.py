@@ -47,3 +47,18 @@ def test_benchmark_outputs_match_recorded_digests(monkeypatch, tmp_path):
             for job_id, code, digest in output_digests.digests(workload, seed, workdir):
                 lines.append(f"{seed} {job_id} {code} {digest}")
     assert lines == recorded
+
+
+def test_align_scaling_prints_one_row_per_length(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    align_scaling = importlib.import_module("align_scaling")
+    from paramregions.seqalign import build_execution_dag, mismatch_space_gap_spec
+
+    assert align_scaling.main(["--lengths", "4"]) == 0
+    header, rule, row = capsys.readouterr().out.splitlines()
+    assert header == "| L | root regions | LPs | time |" and rule == "|---|---|---|---|"
+    length, regions, lps, seconds = re.fullmatch(r"\| (\d+) \| (\d+) \| ([\d,]+) \| ([\d.]+) s \|", row).groups()
+    s1, s2 = align_scaling.random_pair(4)
+    assert len(s1) == len(s2) == int(length) == 4
+    assert int(regions) == len(build_execution_dag(mismatch_space_gap_spec(), s1, s2).regions) > 1
+    assert int(lps.replace(",", "")) > 0

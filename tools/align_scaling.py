@@ -1,0 +1,73 @@
+"""How the three-feature alignment DAG scales with sequence length.
+
+For each length L, draws one DNA pair from a fresh `random.Random(5)` (the L
+characters of s1, then the L characters of s2), builds the execution DAG of
+the `mismatch-space-gap` preset for it, and prints one row of a Markdown
+table:
+
+    | L | root regions | LPs | time |
+
+LPs counts every call of the exact LP kernel `geometry._solve_raw` (the
+interior-point LPs and Clarkson's redundancy LPs alike); time is the wall
+time of `build_execution_dag`, one run.  Run from a source checkout:
+
+    python3 tools/align_scaling.py --lengths 8 12 16 20 24
+"""
+
+from __future__ import annotations
+
+import argparse
+import random
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+ALPHABET = "ACGT"
+
+
+def random_pair(length: int) -> tuple:
+    rng = random.Random(5)
+    return tuple("".join(rng.choice(ALPHABET) for _ in range(length)) for _ in range(2))
+
+
+def measure(length: int) -> tuple:
+    """(root regions, LP kernel calls, seconds) for one pair of this length."""
+    from paramregions import geometry
+    from paramregions.seqalign import build_execution_dag, mismatch_space_gap_spec
+
+    spec = mismatch_space_gap_spec()
+    s1, s2 = random_pair(length)
+    solve = geometry._solve_raw
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return solve(*args)
+
+    geometry._solve_raw = counting
+    try:
+        start = time.perf_counter()
+        part = build_execution_dag(spec, s1, s2)
+        seconds = time.perf_counter() - start
+    finally:
+        geometry._solve_raw = solve
+    return len(part.regions), calls[0], seconds
+
+
+def main(argv=None) -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--lengths", type=int, nargs="+", default=[8, 12, 16, 20, 24])
+    args = parser.parse_args(argv)
+    print("| L | root regions | LPs | time |")
+    print("|---|---|---|---|")
+    for length in args.lengths:
+        regions, lps, seconds = measure(length)
+        print(f"| {length} | {regions} | {lps:,} | {seconds:.2f} s |", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,10 +3,11 @@ algorithms: linkage-based clustering with interpolated merge rules,
 parametric dynamic-programming sequence alignment, and two-part tariff
 pricing.
 
-The geometry layer (halfspaces, convex cells, LP, redundancy removal, ray
-shooting) is exact: a halfspace is its primitive integer row, points are
-rationals, and the LP kernel runs on the rows and on integer points scaled
-from the rationals, so no floating-point value decides anything.  Each domain module maps its behavior structure onto the shared
+The geometry layer (halfspaces, convex cells, LP, redundancy removal,
+clipping) is exact: a halfspace is its primitive integer row, points are
+rationals, and the LP kernel and every point test run on the rows and on
+integer points scaled from the rationals, so no floating-point value
+decides anything.  Each domain module maps its behavior structure onto the shared
 region layer, whose one cell builder is `compute_vertex_cell` and whose one
 region type is `Subdivision`, built by one walk over the regions' adjacency
 graph (`compute_subdivision`): from the form minimal at the parent's
@@ -26,7 +27,6 @@ from .geometry import (
     find_interior_point,
     polygon_area,
     polygon_vertices,
-    ray_shoot,
     sample_interior,
     solve_lp,
 )

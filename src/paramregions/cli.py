@@ -320,7 +320,7 @@ def cmd_cluster_regions(args) -> None:
     adjacency = frozenset(
         (keys[i], keys[j])
         for i, j in sorted(pairs)
-        if cells_share_facet(leaves[keys[i]], leaves[keys[j]], args.seed)
+        if cells_share_facet(leaves[keys[i]], leaves[keys[j]])
     )
 
     def extras(merges):

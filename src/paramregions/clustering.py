@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import islice
+from operator import mul
 from typing import Optional, Sequence
 
 from .geometry import ConvexCell, GeometryError, Halfspace, _homogeneous, find_interior_point
@@ -97,6 +98,10 @@ class ClusteringInstance:
         if not self.metrics and self.points is None:
             raise ValueError("an instance needs points or at least one metric table")
         n = self.n_points
+        if n == 0:
+            raise ValueError("an instance needs at least one point")
+        if self.points is not None and len(self.points) != n:
+            raise ValueError(f"{len(self.points)} points, but the metric tables are {n}x{n}")
         for name, table in self.metrics.items():
             if len(table) != n or any(len(row) != n for row in table):
                 raise ValueError(f"metric {name!r} table is not {n}x{n}")
@@ -296,13 +301,15 @@ def _singletons(instance: ClusteringInstance) -> tuple:
 
 def simulate_merge_sequence(instance: ClusteringInstance, family: MergeFamily, rho) -> tuple:
     """Greedy linkage at a fixed parameter point; exact, ties merge the
-    lexicographically smallest cluster pair."""
-    coeffs = family.coefficients(rho)
+    lexicographically smallest cluster pair.  A pair's key is its
+    `partition_values` dotted with the coefficients times the lcm of their
+    denominators, a positive factor that keeps every order and tie."""
+    coeffs = _homogeneous(family.coefficients(rho))[:-1]
     clusters = _singletons(instance)
     merges = []
     while len(clusters) > 1:
         values = partition_values(instance, family, clusters)
-        pair = min(values, key=lambda p: sum(c * x for c, x in zip(coeffs, values[p])))
+        pair = min(values, key=lambda p: sum(map(mul, coeffs, values[p])))
         merges.append(pair)
         clusters = _merged(clusters, pair)
     return tuple(merges)

@@ -4,12 +4,13 @@ Halfspaces, convex cells, a Seidel-style randomized-incremental LP,
 output-sensitive redundancy removal (Clarkson, for d >= 3), polygon
 clipping (for d = 2), the simplest rational point of an interval or a
 clipped polygon (the witnesses of cells in d <= 2, with no LP; their
-existence is the interior test `_has_interior` in d <= 2) and ray
-shooting.  A halfspace is its primitive integer row; witnesses and LP
-results are exact rationals.  The kernel underneath (Seidel, ray shooting,
-the redundancy loop, the clip and its witness) runs fraction-free on
-Python ints, on those rows and on homogeneous points, and converts back to
-rationals only at this module's boundary.  Everything here
+existence is the interior test `_has_interior` in d <= 2) and interior
+sampling.  A halfspace is its primitive integer row; witnesses and LP
+results are exact rationals.  The kernel underneath (Seidel, the
+redundancy loop and its ray step, the clip and its witness, the point
+tests) runs fraction-free on Python ints, on those rows and on homogeneous
+points, where one slack (`_slack`) decides every point against a row, and
+converts back to rationals only at this module's boundary.  Everything here
 is a pure function of its inputs; values are immutable after construction
 and safe to share across threads.
 
@@ -53,14 +54,6 @@ def dot(a: Sequence, b: Sequence):
     return total
 
 
-def vector_add(a: Sequence, b: Sequence) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def scale_vector(c, a: Sequence) -> Vector:
-    return tuple(c * x for x in a)
-
-
 @dataclass(frozen=True)
 class Halfspace:
     """Closed halfspace {x : a . x <= b} with an opaque label, stored as its
@@ -98,16 +91,6 @@ class Halfspace:
     @property
     def dimension(self) -> int:
         return len(self.int_row) - 1
-
-    def value(self, point: Sequence):
-        return dot(self.normal, point)
-
-    def slack(self, point: Sequence):
-        return self.offset - dot(self.normal, point)
-
-    def holds(self, point: Sequence, strict: bool = False) -> bool:
-        s = self.slack(point)
-        return s > 0 if strict else s >= 0
 
     def line_key(self) -> tuple:
         """Identity of the boundary hyperplane, the same for both of its
@@ -171,7 +154,14 @@ class ConvexCell:
                 raise GeometryError("witness is not strictly interior")
 
     def contains(self, point: Sequence, strict: bool = False) -> bool:
-        return all(h.holds(point, strict) for h in self.constraints)
+        """Whether every constraint holds at the rational `point` (a float
+        raises TypeError), strictly when `strict`: `_slack` on the rows."""
+        z = _homogeneous(as_vector(point))
+        if len(z) != self.dimension + 1:
+            raise GeometryError("point dimension mismatch")
+        if strict:
+            return all(_slack(h.int_row, z) > 0 for h in self.constraints)
+        return all(_slack(h.int_row, z) >= 0 for h in self.constraints)
 
     def constraint_keys(self) -> frozenset:
         return frozenset(h.int_row for h in self.constraints)
@@ -251,6 +241,13 @@ def _homogeneous(point: Sequence) -> tuple:
     dens = [index(c.denominator) for c in point]
     w = math.lcm(*dens)
     return tuple(index(c.numerator) * (w // q) for c, q in zip(point, dens)) + (w,)
+
+
+def _slack(row: tuple, point: tuple) -> int:
+    """b * w - a . p: the slack b - a . x of the integer row (a, b) at the
+    homogeneous point (p, w), x = p / w, times w > 0.  The one slack of the
+    library: every point test reads its sign."""
+    return row[-1] * point[-1] - sum(map(mul, row, point[:-1]))
 
 
 def _int_vector(values) -> tuple:
@@ -407,7 +404,7 @@ def _lift(sub: tuple, k: int, pivot: tuple) -> tuple:
 
 
 # --------------------------------------------------------------------------
-# Interior points, ray shooting, Clarkson redundancy removal
+# Interior points, Clarkson redundancy removal
 # --------------------------------------------------------------------------
 
 def find_interior_point(constraints, seed: int = 0) -> Optional[Vector]:
@@ -435,51 +432,6 @@ def _interior_point_rows(rows: list, seed: int) -> Optional[Vector]:
     if status != "optimal" or point[d] <= 0:
         return None
     return _rational_point(point[:d] + point[-1:])
-
-
-def ray_shoot(constraints, origin, target):
-    """Label of the first constraint hyperplane hit by the ray from `origin`
-    towards `target`.
-
-    Ties (the ray passing through a face of dimension < d-1) are resolved by
-    the symbolic perturbation origin -> origin + (eps, eps^2, ..., eps^d),
-    evaluated lexicographically; no concrete epsilon is ever chosen.  Returns
-    None when the ray escapes without hitting any hyperplane.
-    """
-    z = _homogeneous(as_vector(origin))
-    x = _homogeneous(as_vector(target))
-    rows = [h.int_row for h in constraints]
-    if any(_slack(row, z) <= 0 for row in rows):
-        raise GeometryError("ray origin must be strictly interior")
-    idx = _ray_first_index(rows, z, x)
-    return None if idx is None else constraints[idx].label
-
-
-def _slack(row: tuple, point: tuple) -> int:
-    """b * w - a . p: positive multiple of the row's slack at the point."""
-    return row[-1] * point[-1] - sum(map(mul, row, point[:-1]))
-
-
-def _ray_first_index(rows, z: tuple, x: tuple) -> Optional[int]:
-    # Intersection parameter of the perturbed ray with hyperplane i is the
-    # polynomial t_i(eps) = (slack_i - sum_j a_ij eps^j) / (a_i . (x - z));
-    # the winner is the lexicographically smallest coefficient tuple.  With
-    # integer rows and homogeneous z, x every coefficient of every t_i is
-    # off by the same positive factor in each position, so the tuples
-    # (slack, -a_1, ..., -a_d) / den compare by cross-multiplying.
-    zw, xw = z[-1], x[-1]
-    direction = tuple(p * zw - q * xw for p, q in zip(x[:-1], z[:-1]))
-    best = None
-    best_den = 1
-    best_idx = None
-    for i, row in enumerate(rows):
-        den = sum(map(mul, row, direction))
-        if den <= 0:
-            continue
-        coeffs = (_slack(row, z),) + tuple(-c for c in row[:-1])
-        if best is None or tuple(c * best_den for c in coeffs) < tuple(c * den for c in best):
-            best, best_den, best_idx = coeffs, den, i
-    return best_idx
 
 
 def _one_row_per_direction(rows) -> list:
@@ -566,6 +518,30 @@ def _clarkson_indices(constraints, z: Vector, seed: int) -> list:
     return sorted(kept)
 
 
+def _ray_first_index(rows, z: tuple, x: tuple) -> Optional[int]:
+    """Clarkson's ray step: the index of the first row hit by the ray from
+    the homogeneous point z towards x, None when the ray escapes."""
+    # Intersection parameter of the perturbed ray with hyperplane i is the
+    # polynomial t_i(eps) = (slack_i - sum_j a_ij eps^j) / (a_i . (x - z));
+    # the winner is the lexicographically smallest coefficient tuple.  With
+    # integer rows and homogeneous z, x every coefficient of every t_i is
+    # off by the same positive factor in each position, so the tuples
+    # (slack, -a_1, ..., -a_d) / den compare by cross-multiplying.
+    zw, xw = z[-1], x[-1]
+    direction = tuple(p * zw - q * xw for p, q in zip(x[:-1], z[:-1]))
+    best = None
+    best_den = 1
+    best_idx = None
+    for i, row in enumerate(rows):
+        den = sum(map(mul, row, direction))
+        if den <= 0:
+            continue
+        coeffs = (_slack(row, z),) + tuple(-c for c in row[:-1])
+        if best is None or tuple(c * best_den for c in coeffs) < tuple(c * den for c in best):
+            best, best_den, best_idx = coeffs, den, i
+    return best_idx
+
+
 def _clip_polygon(rows) -> list:
     """Homogeneous vertices (x, y, w), w > 0, counterclockwise, of what the
     integer rows (a_1, a_2, b) leave of the box |x_j| <= `_box_bound(rows,
@@ -640,7 +616,7 @@ def _polygon_witness(vertices, rows) -> Optional[Vector]:
     return None if chord is None else (x, *chord)
 
 
-def _has_interior(rows, seed: int = 0) -> bool:
+def _has_interior(rows) -> bool:
     """Whether some point strictly satisfies every one of the nonempty
     integer rows (a_1, ..., a_d, b), each with a != 0: read off the interval
     in d = 1 (`_interval_witness`) and off the clipped polygon in d = 2
@@ -651,7 +627,7 @@ def _has_interior(rows, seed: int = 0) -> bool:
         return _interval_witness(rows) is not None
     if d == 2:
         return _polygon_witness(_clip_polygon(rows), rows) is not None
-    return _interior_point_rows(rows, seed) is not None
+    return _interior_point_rows(rows, 0) is not None
 
 
 # --------------------------------------------------------------------------
@@ -669,23 +645,25 @@ def sample_interior(cell: ConvexCell, count: int, seed: int = 0) -> list:
         raise GeometryError("cell has no witness")
     rng = random.Random(seed)
     d = cell.dimension
+    rows = [h.int_row for h in cell.constraints]
     current = cell.witness
     points = []
     while len(points) < count:
-        direction = tuple(Rational(rng.randint(-9, 9)) for _ in range(d))
-        if all(c == 0 for c in direction):
+        direction = [rng.randint(-9, 9) for _ in range(d)]
+        if not any(direction):
             continue
+        z = _homogeneous(current)
         t_max = None
-        for h in cell.constraints:
-            den = dot(h.normal, direction)
+        for row in rows:
+            den = sum(map(mul, row, direction))
             if den > 0:
-                t = h.slack(current) / den
+                t = Rational(_slack(row, z), den * z[-1])
                 if t_max is None or t < t_max:
                     t_max = t
         if t_max is None:
             t_max = Rational(1)
-        lam = Rational(rng.randint(1, 999), 1000)
-        current = vector_add(current, scale_vector(lam * t_max, direction))
+        step = Rational(rng.randint(1, 999), 1000) * t_max
+        current = tuple(c + step * u for c, u in zip(current, direction))
         snapped = tuple(Rational(round(float(c) * 10**9), 10**9) for c in current)
         if cell.contains(snapped, strict=True):
             current = snapped

@@ -374,7 +374,7 @@ def _cell_past(sub: Subdivision, point):
     raise GeometryError("the subdivision does not cover its parent's witness")
 
 
-def cells_share_facet(a: ConvexCell, b: ConvexCell, seed: int = 0) -> bool:
+def cells_share_facet(a: ConvexCell, b: ConvexCell) -> bool:
     """True when the closures of two reduced cells meet in a (d-1)-dim face."""
     b_keys = {h.int_row for h in b.constraints}
     for h in a.constraints:
@@ -383,12 +383,12 @@ def cells_share_facet(a: ConvexCell, b: ConvexCell, seed: int = 0) -> bool:
             continue
         rows = [c for c in a.constraints if c.int_row != h.int_row]
         rows += [c for c in b.constraints if c.int_row != flipped]
-        if _has_relative_interior_on(h, rows, seed):
+        if _has_relative_interior_on(h, rows):
             return True
     return False
 
 
-def _has_relative_interior_on(plane: Halfspace, rows, seed: int) -> bool:
+def _has_relative_interior_on(plane: Halfspace, rows) -> bool:
     # Eliminate one variable via the plane's equality, then look for a point
     # strictly inside the projected constraints (`_has_interior`): an open
     # interval in d = 2 and an open polygon in d = 3, read off the rows with
@@ -408,4 +408,4 @@ def _has_relative_interior_on(plane: Halfspace, rows, seed: int) -> bool:
                 return False
             continue
         projected.append(row)
-    return not projected or _has_interior(projected, seed)
+    return not projected or _has_interior(projected)

@@ -622,13 +622,13 @@ def build_execution_dag(spec: AlignmentDPSpec, s1: str, s2: str, seed: int = 0) 
         elif len(solved) == 1:
             regions.append({alignment.key: alignment for alignment in extended})
         else:
-            regions.append(_envelope_regions(extended, domain, seed))
+            regions.append(_envelope_regions(extended, domain))
     if regions[-1] is None:
         raise NoSolution("the DP has no solution for this input")
     return _partition(domain, regions[-1], seed)
 
 
-def _envelope_regions(candidates, domain: ConvexCell, seed: int) -> dict:
+def _envelope_regions(candidates, domain: ConvexCell) -> dict:
     """The regions of a node with several terms, from its candidates (each
     referenced region's alignment extended by its term, in term order), in
     key order.  The ray search passes the alignments its probes found, in
@@ -681,7 +681,7 @@ def _envelope_regions(candidates, domain: ConvexCell, seed: int) -> dict:
         for key in front:
             s = sliced[key]
             rows = [tuple(map(operator.sub, s, sliced[other])) for other in front if other != key]
-            if _has_interior(simplex + rows, seed):
+            if _has_interior(simplex + rows):
                 passed.append(key)
     return {key: by_key[key] for key in sorted(passed)}
 
@@ -798,4 +798,4 @@ def ray_search_2d(spec: AlignmentDPSpec, s1: str, s2: str, seed: int = 0):
     if left_align.counts != right_align.counts:
         inner = recurse(ZERO, left_align, Rational(1), right_align)
     found = [left_align] + inner + [right_align]
-    return _partition(domain, _envelope_regions(found, domain, seed), seed), calls[0]
+    return _partition(domain, _envelope_regions(found, domain), seed), calls[0]

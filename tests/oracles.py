@@ -4,7 +4,7 @@ These deliberately avoid the library's incremental machinery: redundancy via
 one relaxed LP per constraint, LP optima via dense vertex enumeration, and
 region membership via direct simulation.  They stay independent of the code
 paths they check.  The exceptions are `reference_solve_raw` and
-`reference_ray_first_index`, the same Seidel LP and ray shooting as the
+`reference_ray_first_index`, the same Seidel LP and Clarkson ray step as the
 library's integer kernel written over rationals, and
 `reference_dp_solve_multi`, the alignment DP over rationals, lexicographic
 over several points, and
@@ -107,7 +107,7 @@ def vertex_enumeration_lp(objective, constraints, sense="max"):
         point = solve_linear_system([h.normal for h in combo], [h.offset for h in combo])
         if point is None:
             continue
-        if not all(h.value(point) <= h.offset for h in constraints):
+        if not all(dot(h.normal, point) <= h.offset for h in constraints):
             continue
         value = dot(objective, point)
         if best is None or (sense == "max" and value > best[1]) or (sense == "min" and value < best[1]):

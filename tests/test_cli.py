@@ -129,6 +129,27 @@ class TestClusterRegions:
         assert run_cli(["cluster-regions", "--instance", str(path)]) == 2
         assert "k must be an integer from 1 to 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"points": [], "metric_names": ["euclidean"]}, "at least one point"),
+            ({"metrics": {"euclidean": []}}, "at least one point"),
+            (
+                {"points": [["0"], ["1"], ["3"]], "metrics": {"euclidean": [["0", "1"], ["1", "0"]]}},
+                "3 points, but the metric tables are 2x2",
+            ),
+        ],
+        ids=["no-points", "empty-table", "points-other-than-table"],
+    )
+    @pytest.mark.parametrize("verb", [["cluster-regions"], ["oracle-check", "--kind", "cluster"]])
+    def test_empty_or_mismatched_instance_exit_2(self, verb, data, message, tmp_path, capsys):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "never.json"
+        assert run_cli([*verb, "--instance", str(path), "--output", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_restricted_best_is_one_of_the_cells(self, line_instance_file, tmp_path):
         out = tmp_path / "regions.json"
         args = ["cluster-regions", "--instance", line_instance_file, "--restrict=-1:-1/2"]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -27,11 +28,11 @@ from paramregions.geometry import (
     find_interior_point,
     polygon_area,
     polygon_vertices,
-    ray_shoot,
     sample_interior,
     solve_lp,
 )
 from paramregions.rationals import format_rational, format_vector, rat
+from paramregions.tariff import TariffInstance, single_tariff_regions
 
 from oracles import (
     naive_nonredundant,
@@ -267,7 +268,7 @@ class TestFindInteriorPoint:
     def test_unit_square(self):
         z = find_interior_point(UNIT_SQUARE)
         assert z is not None
-        assert all(h.holds(z, strict=True) for h in UNIT_SQUARE)
+        assert all(dot(h.normal, z) < h.offset for h in UNIT_SQUARE)
 
     def test_degenerate_segment_has_no_interior(self):
         assert find_interior_point([H((1,), 0), H((-1,), 0)]) is None
@@ -277,7 +278,7 @@ class TestFindInteriorPoint:
         z = find_interior_point(hs)
         assert z is not None
         for h in hs:
-            assert h.slack(z) > 0
+            assert dot(h.normal, z) < h.offset
 
     def test_polygons_match_the_interior_point_lp(self, no_interior_lp):
         # `_has_interior` in d = 2 reads the clipped polygon, where d >= 3
@@ -303,48 +304,10 @@ class TestFindInteriorPoint:
                 cases.append(rows)
         outcomes = []
         for seed, rows in enumerate(cases):
-            got = _has_interior(rows, seed)
+            got = _has_interior(rows)
             assert got == (_interior_point_rows(rows, seed) is not None), rows
             outcomes.append(got)
         assert outcomes.count(True) > 100 and outcomes.count(False) > 100
-
-
-class TestRayShoot:
-    def test_nearest_plane(self):
-        hs = [H((1, 0), 1, "A"), H((1, 0), 3, "B")]
-        assert ray_shoot(hs, (0, 0), (2, 0)) == "A"
-
-    def test_corner_tie_resolved_symbolically(self):
-        hs = [
-            H((1, 0), 1, "A"),
-            H((0, 1), 1, "B"),
-            H((-1, 0), 1, "C"),
-            H((0, -1), 1, "D"),
-        ]
-        # Both bounding planes pass through the target corner; the perturbed
-        # origin (eps, eps^2) reaches x1=1 first.
-        assert ray_shoot(hs, (0, 0), (1, 1)) == "A"
-
-    def test_no_facet(self):
-        assert ray_shoot([H((1,), 1, "A")], (0,), (-1,)) is None
-
-    def test_invariant_under_positive_rescaling(self):
-        rng = random.Random(5)
-        for trial in range(40):
-            hs = random_halfspaces(rng, 2, 8, ensure_interior=(rat(0), rat(0)))
-            target = (rat(rng.randint(-30, 30)), rat(rng.randint(-30, 30)))
-            if all(c == 0 for c in target):
-                continue
-            base = ray_shoot([Halfspace(h.int_row, i) for i, h in enumerate(hs)], (0, 0), target)
-            rescaled = []
-            for i, h in enumerate(hs):
-                m = rat(rng.randint(1, 7), rng.randint(1, 3))
-                rescaled.append(Halfspace.from_rationals(tuple(m * v for v in h.normal), m * h.offset, i))
-            assert ray_shoot(rescaled, (0, 0), target) == base
-
-    def test_origin_must_be_interior(self):
-        with pytest.raises(GeometryError):
-            ray_shoot([H((1,), 0)], (1,), (2,))
 
 
 class TestClarkson:
@@ -443,12 +406,84 @@ class TestConvexCell:
             ConvexCell(2, hs, witness=(eps, rat(1, 2)))
 
 
+def rational_contains(cell, point, strict=False):
+    """`ConvexCell.contains` on the rational view of each constraint."""
+    if strict:
+        return all(dot(h.normal, point) < h.offset for h in cell.constraints)
+    return all(dot(h.normal, point) <= h.offset for h in cell.constraints)
+
+
+class TestContains:
+    def test_tariff_cells_match_the_rational_view(self):
+        # At every cell's polygon vertices, on the boundary of some cells and
+        # inside none, and at random points.
+        rng = random.Random(47)
+        checked = 0
+        for _ in range(6):
+            n, k = rng.randint(1, 3), rng.randint(2, 4)
+            inst = TariffInstance(units=k, valuations=[[rat(rng.randint(0, 20)) for _ in range(k)] for _ in range(n)])
+            cells = list(single_tariff_regions(inst).cells.values())
+            points = [v for cell in cells for v in polygon_vertices(cell)]
+            cap = inst.price_cap
+            points += [tuple(cap * rat(rng.randint(0, 40), 37) for _ in range(2)) for _ in range(30)]
+            for cell in cells:
+                for p in points:
+                    for strict in (False, True):
+                        assert cell.contains(p, strict) == rational_contains(cell, p, strict), (cell, p)
+                        checked += 1
+        assert checked > 1000
+
+    def test_random_cells_match_the_rational_view(self):
+        rng = random.Random(53)
+        for trial in range(200):
+            d = 1 + trial % 4
+            cell = ConvexCell(d, tuple(random_halfspaces(rng, d, rng.randint(1, 6))))
+            for _ in range(5):
+                p = tuple(rat(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(d))
+                for strict in (False, True):
+                    assert cell.contains(p, strict) == rational_contains(cell, p, strict)
+
+    def test_float_point_raises(self):
+        cell = box_cell(0, 1, 2)
+        with pytest.raises(TypeError):
+            cell.contains((0.5, 0.5))
+        with pytest.raises(TypeError):
+            cell.contains((rat(1, 2), 0.5), strict=True)
+
+    def test_point_of_another_dimension_raises(self):
+        with pytest.raises(GeometryError):
+            box_cell(0, 1, 2).contains((rat(1, 2),) * 3)
+
+
 class TestCellUtilities:
     def test_sample_interior_points_are_strictly_inside(self):
         cell = box_cell(0, 1, 2)
         pts = sample_interior(cell, 50, seed=2)
         assert len(pts) == 50
         assert all(cell.contains(p, strict=True) for p in pts)
+
+    def test_sample_interior_points_are_pinned(self):
+        # The digest was recorded when the walk still ran on Fractions, with
+        # each step t = slack / (normal . direction) of the rational view:
+        # the walk on integer rows draws the same rng values and returns the
+        # same points.
+        cells = [
+            box_cell(0, 1, 2),
+            box_cell(rat(-1, 3), rat(2, 7), 3),
+            ConvexCell(1, (H((3,), 2), H((-5,), 1)), witness=(rat(0),)),
+            ConvexCell(2, (H((1, 1), 1), H((-1, 0), 0), H((0, -1), 0)), witness=(rat(1, 4), rat(1, 4))),
+            ConvexCell(2, (H((1, 1), 1),), witness=(rat(0), rat(0))),  # unbounded: some steps cap t at 1
+        ]
+        rng = random.Random(61)
+        for d in (1, 2, 2, 3, 4):
+            origin = (rat(0),) * d
+            rows = random_halfspaces(rng, d, 6, ensure_interior=origin)
+            cells.append(ConvexCell(d, tuple(rows) + box_cell(-5, 5, d).constraints, witness=origin))
+        digest = hashlib.sha256()
+        for i, cell in enumerate(cells):
+            for p in sample_interior(cell, 40, seed=i):
+                digest.update(" ".join(format_vector(p)).encode() + b"\n")
+        assert digest.hexdigest() == "773792cff77803438fd670ba6dfd775fce8a19b2fdd57cd9db1674abdf013655"
 
     def test_polygon_vertices_and_area(self):
         cell = box_cell(0, 1, 2)

@@ -611,12 +611,15 @@ class TestFacetSharing:
             seen.add(got)
         assert seen == {True, False}
 
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_plane_facets_match_the_projected_lp(self, d, no_interior_lp):
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_plane_facets_match_the_projected_lp(self, d, request):
         # `_has_relative_interior_on` in d = 2 and 3, which runs no LP,
         # against the LP on the rows projected onto the plane, the test
-        # d >= 4 still runs.
-        rng = random.Random({2: 19, 3: 23}[d])
+        # d >= 4 still runs: there with its own seed, which the answer,
+        # exact feasibility, does not depend on.
+        if d <= 3:
+            request.getfixturevalue("no_interior_lp")
+        rng = random.Random({2: 19, 3: 23, 4: 31}[d])
         outcomes = []
         for seed in range(300):
             plane = Halfspace.from_rationals(
@@ -639,7 +642,7 @@ class TestFacetSharing:
             else:
                 live = [row for row in projected if any(row[:-1])]
                 expected = not live or _interior_point_rows(live, seed) is not None
-            got = regions._has_relative_interior_on(plane, rows, seed)
+            got = regions._has_relative_interior_on(plane, rows)
             assert got == expected
             outcomes.append(got)
         assert outcomes.count(True) > 30 and outcomes.count(False) > 30

@@ -303,8 +303,8 @@ def record_envelope_regions(monkeypatch):
     seen = []
     envelope_regions = seqalign._envelope_regions
 
-    def recording(candidates, domain, seed):
-        found = envelope_regions(candidates, domain, seed)
+    def recording(candidates, domain):
+        found = envelope_regions(candidates, domain)
         seen.append((list(candidates), found))
         return found
 
@@ -341,7 +341,7 @@ def envelope_regions_3d(candidates):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(geometry, "_interior_point_rows", forbidden)
-        return seqalign._envelope_regions(candidates, default_domain(3), 0)
+        return seqalign._envelope_regions(candidates, default_domain(3))
 
 
 class TestEnvelopeRegions3d:

@@ -258,28 +258,32 @@ def _cluster_regions(args) -> tuple:
 
 
 def _align_regions(args) -> tuple:
-    """The spec, the sequence pair, the partition (the DAG's when it runs)
-    and the ray search's (partition, DP solve count), or None when it does
-    not run.  When both run, their regions must agree: both partitions are
-    built from their regions alone (`seqalign._partition`), so equal regions
-    mean equal partitions.  A spec whose DP has no solution for the pair is
-    an infeasible configuration."""
+    """The spec, the sequence pair, its node graph, the partition and the
+    ray search's DP solve count, or None when it does not run.  One node
+    graph serves every method.  The partition is the DAG's when it runs;
+    with `--method both` the ray search's regions must have the DAG's keys,
+    and are not partitioned again: a partition is built from its regions
+    alone (`seqalign._partition`), so equal regions mean equal partitions.
+    A spec whose DP has no solution for the pair is an infeasible
+    configuration."""
     spec = load_alignment_spec(args)
     s1, s2 = load_sequences(args)
     if args.method != "dag" and spec.dimension != 2:
         raise InfeasibleConfig("the ray-search path needs a two-feature spec")
-    dag = None
-    ray = None
+    graph = seqalign.node_graph(spec, s1, s2)
+    solves = None
     try:
-        if args.method != "ray":
-            dag = seqalign.build_execution_dag(spec, s1, s2, seed=args.seed)
-        if args.method != "dag":
-            ray = seqalign.ray_search_2d(spec, s1, s2, seed=args.seed)
+        if args.method == "ray":
+            part, solves = seqalign.ray_search_2d(spec, s1, s2, seed=args.seed, graph=graph)
+        else:
+            part = seqalign.build_execution_dag(spec, s1, s2, seed=args.seed, graph=graph)
+        if args.method == "both":
+            regions, solves = seqalign.ray_search_regions(spec, s1, s2, graph)
     except seqalign.NoSolution as exc:
         raise InfeasibleConfig(str(exc)) from exc
-    if dag is not None and ray is not None and dag.regions.keys() != ray[0].regions.keys():
+    if args.method == "both" and regions.keys() != part.regions.keys():
         raise OracleFailure("DAG and ray-search partitions disagree")
-    return spec, s1, s2, (dag if dag is not None else ray[0]), ray
+    return spec, s1, s2, graph, part, solves
 
 
 def _tariff_regions(args) -> tuple:
@@ -352,7 +356,7 @@ def cmd_cluster_regions(args) -> None:
 
 
 def cmd_align_regions(args) -> None:
-    spec, s1, s2, part, ray = _align_regions(args)
+    spec, s1, s2, graph, part, solves = _align_regions(args)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "align-regions",
@@ -362,11 +366,11 @@ def cmd_align_regions(args) -> None:
         "s2": s2,
     }
     payload.update(part.to_json())
-    if ray is not None:
-        payload["ray_dp_solves"] = ray[1]
-        payload["region_count"] = len(ray[0].regions)
+    if solves is not None:
+        payload["ray_dp_solves"] = solves
+        payload["region_count"] = len(part.regions)
     if args.oracle_check:
-        payload["oracle_agreement"] = _align_agreement(spec, s1, s2, part, args.density)
+        payload["oracle_agreement"] = _align_agreement(spec, s1, s2, part, args.density, graph)
     _write(args, payload)
     _fail_below_one(payload.get("oracle_agreement", 1), "alignment oracle")
 
@@ -464,8 +468,8 @@ def cmd_oracle_check(args) -> None:
         inst, family, _, leaves = _cluster_regions(args)
         agreement = _cluster_agreement(inst, family, leaves, args.density)
     elif args.kind == "align":
-        spec, s1, s2, part, _ = _align_regions(args)
-        agreement = _align_agreement(spec, s1, s2, part, args.density)
+        spec, s1, s2, graph, part, _ = _align_regions(args)
+        agreement = _align_agreement(spec, s1, s2, part, args.density, graph)
     else:
         inst, sub = _tariff_regions(args)
         agreement = _tariff_agreement(inst, sub, args.density)
@@ -533,9 +537,7 @@ def _cluster_agreement(inst, family, leaves, density: int) -> float:
     )
 
 
-def _align_agreement(spec, s1, s2, part, density: int) -> float:
-    graph = seqalign.node_graph(spec, s1, s2)
-
+def _align_agreement(spec, s1, s2, part, density: int, graph) -> float:
     def behavior(point):
         _, align = seqalign.dp_solve(spec, s1, s2, point, graph)
         return align.t1, align.t2

@@ -1,18 +1,19 @@
 """Exact low-dimensional halfspace geometry.
 
 Halfspaces, convex cells, a Seidel-style randomized-incremental LP,
-output-sensitive redundancy removal (Clarkson, for d >= 3), polygon
-clipping (for d = 2), the simplest rational point of an interval or a
-clipped polygon (the witnesses of cells in d <= 2, with no LP; their
-existence is the interior test `_has_interior` in d <= 2) and interior
-sampling.  A halfspace is its primitive integer row; witnesses and LP
-results are exact rationals.  The kernel underneath (Seidel, the
-redundancy loop and its ray step, the clip and its witness, the point
-tests) runs fraction-free on Python ints, on those rows and on homogeneous
-points, where one slack (`_slack`) decides every point against a row, and
-converts back to rationals only at this module's boundary.  Everything here
-is a pure function of its inputs; values are immutable after construction
-and safe to share across threads.
+output-sensitive redundancy removal (Clarkson, for d >= 4), polygon
+clipping (for d = 2, and on a row's plane for d = 3), the simplest
+rational point of an interval or a clipped polygon (the witnesses of cells
+in d <= 2, with no LP), the interior test `_has_interior` (with no LP in
+d <= 2: an interval, or a clipped polygon with three vertices off one
+line) and interior sampling.  A halfspace is its primitive integer row;
+witnesses and LP results are exact rationals.  The kernel underneath
+(Seidel, the redundancy loop and its ray step, the clip and its witness,
+the point tests) runs fraction-free on Python ints, on those rows and on
+homogeneous points, where one slack (`_slack`) decides every point against
+a row, and converts back to rationals only at this module's boundary.
+Everything here is a pure function of its inputs; values are immutable
+after construction and safe to share across threads.
 
 Intended for small constant dimension (d <= ~6).  There is deliberately no
 floating-point fast path: redundancy, adjacency and tie decisions are exactly
@@ -134,8 +135,9 @@ class ConvexCell:
     `regions.compute_vertex_cell` builds cells with a witness and a minimal
     constraint list: removing any single constraint changes the solution set.
     It reads that list and the witness off the interval in d = 1 and off
-    `_clip_polygon`'s polygon in d = 2, and runs the interior-point LP and
-    Clarkson's redundancy removal in d >= 3.
+    `_clip_polygon`'s polygon in d = 2.  In d >= 3 the interior-point LP
+    gives the witness; the list comes off a clip on each row's plane in
+    d = 3 and out of Clarkson's redundancy removal in d >= 4.
     """
 
     dimension: int
@@ -620,14 +622,27 @@ def _has_interior(rows) -> bool:
     """Whether some point strictly satisfies every one of the nonempty
     integer rows (a_1, ..., a_d, b), each with a != 0: read off the interval
     in d = 1 (`_interval_witness`) and off the clipped polygon in d = 2
-    (`_polygon_witness`), with no LP; the interior-point LP decides in
-    d >= 3."""
+    (`_has_area`), with no LP; the interior-point LP decides in d >= 3."""
     d = len(rows[0]) - 1
     if d == 1:
         return _interval_witness(rows) is not None
     if d == 2:
-        return _polygon_witness(_clip_polygon(rows), rows) is not None
+        return _has_area(_clip_polygon(rows))
     return _interior_point_rows(rows, 0) is not None
+
+
+def _has_area(vertices) -> bool:
+    """Whether three of `_clip_polygon`'s homogeneous `vertices` are not on
+    one line: the cross product n of the first vertex with the first other
+    point is the line through both, and a vertex v is off it when n . v,
+    the determinant of the three, is nonzero.  The clip is convex, so this
+    is exactly when it has interior."""
+    if not vertices:
+        return False
+    x0, y0, w0 = vertices[0]
+    lines = ((y0 * w - w0 * y, w0 * x - x0 * w, x0 * y - y0 * x) for x, y, w in vertices[1:])
+    n = next((n for n in lines if any(n)), None)
+    return n is not None and any(n[0] * x + n[1] * y + n[2] * w for x, y, w in vertices)
 
 
 # --------------------------------------------------------------------------

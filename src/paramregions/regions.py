@@ -4,13 +4,14 @@ Every cell is built by `compute_vertex_cell`: the parent's halfspaces plus
 the candidate halfspaces the caller passes in, "my objective <=
 alternative's objective", each labeled by the alternative
 (`dominance_constraints` for affine forms), reduced on their integer rows
-to the non-redundant ones, by exact clipping in d <= 2 and by Clarkson's
-redundancy removal in d >= 3; the candidates kept are the cell's facets,
-and their labels are exactly the neighbors.  A cell's witness in d <= 2 is
-its canonical point, the simplest rational one read off the clip with no
-LP; in d >= 3 it is an interior-point LP's.  Every `Subdivision`, the one
-region type, is built by `compute_subdivision`, a walk over the region
-adjacency graph that finds every region when each candidate row is
+to the non-redundant ones, by exact clipping in d <= 2, by a clip on each
+row's plane in d = 3 and by Clarkson's redundancy removal in d >= 4; the
+candidates kept are the cell's facets, and their labels are exactly the
+neighbors.  A cell's witness in d <= 2 is its canonical point, the
+simplest rational one read off the clip with no LP; in d >= 3 it is an
+interior-point LP's, the only LP a d = 3 cell runs.  Every `Subdivision`,
+the one region type, is built by `compute_subdivision`, a walk over the
+region adjacency graph that finds every region when each candidate row is
 labeled with the region across its hyperplane: `dominance_constraints`
 labels a row shared by several alternatives with the one whose form falls
 fastest across it.
@@ -225,10 +226,14 @@ def compute_vertex_cell(parent: ConvexCell, label, candidates: Optional[list], s
       (`_polygon_witness`).  An empty clip, x-range or chord means an empty
       interior, so a cell that is kept is a full-dimensional polygon.
     - d >= 3: the interior-point LP over the filtered rows gives the
-      witness, and Clarkson's redundancy removal from it the facets.
+      witness.  In d = 3 a row is a facet when the other filtered rows leave
+      its plane a relative interior (`_has_relative_interior_on`, a clip on
+      the plane with no LP); in d >= 4 Clarkson's redundancy removal finds
+      the facets from the witness.  The non-redundant rows are unique, so
+      both give the same facets in the same order.
 
     In d <= 2 no LP runs, and the witness depends on the cell alone, not on
-    the rows that cut it out.
+    the rows that cut it out; in d = 3 only the witness's LP runs.
     Raises DegenerateCellError when the cell has empty interior.
     """
     if candidates is None:
@@ -246,7 +251,15 @@ def compute_vertex_cell(parent: ConvexCell, label, candidates: Optional[list], s
     else:
         filtered = [rows[i] for i in uniq]
         witness = find_interior_point(filtered, seed)
-        if witness is not None:
+        if witness is None:
+            raise DegenerateCellError(label)
+        if parent.dimension == 3:
+            kept = [
+                i
+                for n, i in enumerate(uniq)
+                if _has_relative_interior_on(filtered[n], filtered[:n] + filtered[n + 1 :])
+            ]
+        else:
             kept = [uniq[i] for i in _clarkson_indices(filtered, witness, seed)]
     if witness is None:
         raise DegenerateCellError(label)
@@ -389,6 +402,7 @@ def cells_share_facet(a: ConvexCell, b: ConvexCell) -> bool:
 
 
 def _has_relative_interior_on(plane: Halfspace, rows) -> bool:
+    # The shared-facet test, and `compute_vertex_cell`'s facet test in d = 3.
     # Eliminate one variable via the plane's equality, then look for a point
     # strictly inside the projected constraints (`_has_interior`): an open
     # interval in d = 2 and an open polygon in d = 3, read off the rows with

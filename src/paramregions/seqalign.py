@@ -24,10 +24,13 @@ these are the vertices of the candidates' lower hull, found on integers;
 otherwise each candidate on the Pareto front of the counts is decided on
 the simplex slice of the domain, by exact clipping with three features and
 by an interior-point LP one dimension down with more.
-`ray_search_2d`, for two features only, walks the fan of angular sectors
-with one DP solve per probe point, over one node graph.  Both end in
-`_partition`, which builds the root's cells from its regions alone
-(`regions.compute_subdivision`), so equal regions give equal partitions.
+`ray_search_regions`, for two features only, walks the fan of angular
+sectors with one DP solve per probe point, over one node graph.  Both end
+in `_partition` (`ray_search_2d` for the ray search), which builds the
+root's cells from its regions alone (`regions.compute_subdivision`), so
+equal regions give equal partitions: a caller that runs both methods can
+build one node graph, pass it to each (`graph=`), and partition one of
+their region sets.
 """
 
 from __future__ import annotations
@@ -415,17 +418,33 @@ def get_preset(name: str) -> AlignmentDPSpec:
         raise ValueError(f"unknown preset {name!r}") from None
 
 
-def _apply_transform(transform: str, ref: Alignment, weight, s1, s2, i, j) -> Alignment:
-    counts = tuple(c + w for c, w in zip(ref.counts, weight))
+def _column(transform: str, s1: str, s2: str, i: int, j: int) -> tuple:
+    """The characters a transform at subproblem (i, j) appends to the two
+    rows: one column, or two empty strings for "identity"."""
     if transform == "identity":
-        return Alignment(ref.t1, ref.t2, counts)
+        return "", ""
     if transform in ("extend-match", "extend-mismatch"):
-        return Alignment(ref.t1 + s1[i - 1], ref.t2 + s2[j - 1], counts)
+        return s1[i - 1], s2[j - 1]
     if transform == "extend-space-1":
-        return Alignment(ref.t1 + SPACE, ref.t2 + s2[j - 1], counts)
+        return SPACE, s2[j - 1]
     if transform == "extend-space-2":
-        return Alignment(ref.t1 + s1[i - 1], ref.t2 + SPACE, counts)
+        return s1[i - 1], SPACE
     raise ValueError(transform)
+
+
+def _apply_transform(transform: str, ref: Alignment, weight, s1, s2, i, j) -> Alignment:
+    """`ref` extended by a term: its column appended and `weight` added to
+    its counts.  `ref` is an `Alignment`, already checked, so only the new
+    column is checked for two spaces, and `Alignment.__post_init__`, which
+    checks every column, is skipped."""
+    a, b = _column(transform, s1, s2, i, j)
+    if a == SPACE and b == SPACE:
+        raise ValueError("no column may hold two spaces")
+    extended = object.__new__(Alignment)
+    object.__setattr__(extended, "t1", ref.t1 + a)
+    object.__setattr__(extended, "t2", ref.t2 + b)
+    object.__setattr__(extended, "counts", tuple(map(operator.add, ref.counts, weight)))
+    return extended
 
 
 # --------------------------------------------------------------------------
@@ -494,7 +513,8 @@ def dp_solve(spec: AlignmentDPSpec, s1: str, s2: str, rho, graph: Optional[NodeG
     their order and their ties, so the strict `<` that keeps the lowest term
     index chooses exactly as over the rationals.  Each node keeps only its
     cost and a back-pointer; the root's alignment is rebuilt by one
-    traceback.
+    traceback, which joins its columns and sums its term weights and then
+    builds one `Alignment`.
 
     `graph` is `node_graph(spec, s1, s2)`, which callers that solve one
     pair many times build once; it is built here when omitted.
@@ -528,15 +548,21 @@ def dp_solve(spec: AlignmentDPSpec, s1: str, s2: str, rho, graph: Optional[NodeG
     root = len(graph.nodes) - 1
     if costs[root] is None:
         raise NoSolution("the DP has no solution for this input")
-    path = []
+    columns = []  # from the root back to its base
+    weights = []
     k = root
     while back[k] is not None:
-        path.append((back[k][0], graph.nodes[k]))
-        k = back[k][1]
-    alignment = graph.bases[k]
-    for term, (_, i, j) in reversed(path):
-        alignment = _apply_transform(term.transform, alignment, term.weight, s1, s2, i, j)
-    return Rational(costs[root], w), alignment
+        term, ref = back[k]
+        _, i, j = graph.nodes[k]
+        columns.append(_column(term.transform, s1, s2, i, j))
+        weights.append(term.weight)
+        k = ref
+    base = graph.bases[k]
+    columns.reverse()
+    t1 = base.t1 + "".join(a for a, _ in columns)
+    t2 = base.t2 + "".join(b for _, b in columns)
+    counts = tuple(map(sum, zip(base.counts, *weights)))
+    return Rational(costs[root], w), Alignment(t1, t2, counts)
 
 
 # --------------------------------------------------------------------------
@@ -593,7 +619,9 @@ def default_domain(dimension: int) -> ConvexCell:
 # The compact execution DAG
 # --------------------------------------------------------------------------
 
-def build_execution_dag(spec: AlignmentDPSpec, s1: str, s2: str, seed: int = 0) -> AlignmentPartition:
+def build_execution_dag(
+    spec: AlignmentDPSpec, s1: str, s2: str, seed: int = 0, graph: Optional[NodeGraph] = None
+) -> AlignmentPartition:
     """Partition of the parameter domain (`default_domain`, the unit box) by
     optimal alignment of (s1, s2).
 
@@ -604,9 +632,13 @@ def build_execution_dag(spec: AlignmentDPSpec, s1: str, s2: str, seed: int = 0) 
     the candidate totals on the lower envelope of their costs
     (`_envelope_regions`).  No node reads a cell, so cells are built once,
     for the root's regions (`_partition`).
+
+    `graph` is `node_graph(spec, s1, s2)`, as in `dp_solve`; it is built
+    here when omitted.
     """
     domain = default_domain(spec.dimension)
-    graph = node_graph(spec, s1, s2)
+    if graph is None:
+        graph = node_graph(spec, s1, s2)
     regions = []  # per node: {key: Alignment}, or None when it has no solution
     for (_, i, j), base, terms in zip(graph.nodes, graph.bases, graph.terms):
         solved = [(term, ref) for term, ref in terms if regions[ref] is not None]
@@ -719,20 +751,29 @@ def _lower_hull_2d(totals: dict) -> list:
 # d = 2 ray search
 # --------------------------------------------------------------------------
 
-def ray_search_2d(spec: AlignmentDPSpec, s1: str, s2: str, seed: int = 0):
-    """Fan of angular sectors of constant optimal alignment (two features).
+def ray_search_2d(
+    spec: AlignmentDPSpec, s1: str, s2: str, seed: int = 0, graph: Optional[NodeGraph] = None
+):
+    """Fan of angular sectors of constant optimal alignment (two features):
+    (partition, number of DP solves issued), the regions of
+    `ray_search_regions` partitioned by `_partition`, as the DAG's root is."""
+    regions, solves = ray_search_regions(spec, s1, s2, graph)
+    return _partition(default_domain(2), regions, seed), solves
+
+
+def ray_search_regions(spec: AlignmentDPSpec, s1: str, s2: str, graph: Optional[NodeGraph] = None):
+    """The root's regions, {key: Alignment}, found by the ray search, and
+    the number of DP solves issued.  `graph` is `node_graph(spec, s1, s2)`,
+    as in `dp_solve`; it is built here when omitted.
 
     All in-model costs are homogeneous (base cases and updates contribute
     rho . w only), so every boundary is a line through the origin and the
-    partition is a fan.  Returns (partition, number of DP solves issued).
-
-    Each probe at a candidate boundary either certifies it (the optimum at
-    the crossing equals the tied value) or discovers a new alignment wedged
-    between the two known ones; the recursion then splits.  A probe on a
-    vertex of the envelope may return an alignment optimal there only, so
-    the alignments found go through the DAG's own region step
-    (`_envelope_regions`, a lower hull) and then to `_partition`, as the
-    DAG's root does.
+    partition is a fan.  Each probe at a candidate boundary either
+    certifies it (the optimum at the crossing equals the tied value) or
+    discovers a new alignment wedged between the two known ones; the
+    recursion then splits.  A probe on a vertex of the envelope may return
+    an alignment optimal there only, so the alignments found go through the
+    DAG's own region step (`_envelope_regions`, a lower hull).
 
     The two end probes find the alignments optimal just inside the quadrant
     next to each axis: on the rho_2 axis, the least c_2 and, among those,
@@ -749,8 +790,8 @@ def ray_search_2d(spec: AlignmentDPSpec, s1: str, s2: str, seed: int = 0):
     """
     if spec.dimension != 2:
         raise GeometryError("the ray search needs exactly two features")
-    domain = default_domain(2)
-    graph = node_graph(spec, s1, s2)
+    if graph is None:
+        graph = node_graph(spec, s1, s2)
     calls = [0]
 
     def solve_at(point):
@@ -798,4 +839,4 @@ def ray_search_2d(spec: AlignmentDPSpec, s1: str, s2: str, seed: int = 0):
     if left_align.counts != right_align.counts:
         inner = recurse(ZERO, left_align, Rational(1), right_align)
     found = [left_align] + inner + [right_align]
-    return _partition(domain, _envelope_regions(found, domain), seed), calls[0]
+    return _envelope_regions(found, default_domain(2)), calls[0]

@@ -3,7 +3,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -327,18 +326,43 @@ class TestAlignRegions:
         assert run_cli(verb + ["--spec-file", spec, "--s1", "AC", "--s2", "AC"]) == 0
 
     def test_both_methods_disagree_exit_4(self, monkeypatch, tmp_path, capsys):
-        search = seqalign.ray_search_2d
+        search = seqalign.ray_search_regions
 
         def drop_one_region(*args, **kwargs):
-            part, calls = search(*args, **kwargs)
-            return replace(part, regions=dict(list(part.regions.items())[1:])), calls
+            regions, calls = search(*args, **kwargs)
+            return dict(list(regions.items())[1:]), calls
 
-        monkeypatch.setattr(seqalign, "ray_search_2d", drop_one_region)
+        monkeypatch.setattr(seqalign, "ray_search_regions", drop_one_region)
         out = tmp_path / "never.json"
         argv = ["align-regions", "--s1", "AB", "--s2", "BA", "--method", "both", "--output", str(out)]
         assert run_cli(argv) == 4
         assert "disagree" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["dag", "ray", "both"])
+    def test_one_node_graph_and_one_partition_per_job(self, method, monkeypatch, tmp_path):
+        calls = {"node_graph": 0, "_partition": 0}
+
+        def counting(name):
+            original = getattr(seqalign, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(seqalign, name, wrapper)
+
+        counting("node_graph")
+        counting("_partition")
+        out = tmp_path / "out.json"
+        argv = ["align-regions", "--s1", "ACGTTGCA", "--s2", "TGCAACGT", "--method", method]
+        assert run_cli(argv + ["--oracle-check", "--output", str(out)]) == 0
+        assert calls == {"node_graph": 1, "_partition": 1}
+        payload = json.loads(out.read_text())
+        assert payload["oracle_agreement"] == 1
+        assert len(payload["cells"]) > 2
+        if method != "dag":
+            assert payload["region_count"] == len(payload["cells"])
 
     def test_gap_preset_rejects_ray(self):
         assert (

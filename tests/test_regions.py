@@ -174,8 +174,9 @@ class TestCellDirectionFilter:
 
 class TestClippedCells:
     """In d <= 2 `compute_vertex_cell` reads the facets off an exact integer
-    clip (d = 2) or the two sides of an interval (d = 1); Clarkson's
-    redundancy removal runs only in d >= 3."""
+    clip (d = 2) or the two sides of an interval (d = 1), and in d = 3 off a
+    clip on each row's plane; Clarkson's redundancy removal runs only in
+    d >= 4."""
 
     def cell(self, parent, candidates):
         labeled = [Halfspace.from_rationals(normal, offset, label) for label, normal, offset in candidates]
@@ -206,7 +207,31 @@ class TestClippedCells:
             cell, _ = compute_vertex_cell(ConvexCell(2, ()), "me", hs, seed=trial)
             assert cell.witness == reference_witness(hs), trial
 
-    def test_clarkson_runs_only_in_three_or_more_dimensions(self, monkeypatch):
+    def test_three_dimensional_facets_match_clarkson(self, monkeypatch):
+        # d = 3 systems of 6-30 rows around the origin, bounded or not, some
+        # with a looser copy of a row, each with a box parent or none.
+        def no_clarkson(*args):
+            raise AssertionError("Clarkson ran in d = 3")
+
+        monkeypatch.setattr(regions, "_clarkson_indices", no_clarkson)
+        rng = random.Random(37)
+        origin = (rat(0),) * 3
+        sizes = []
+        for trial in range(150):
+            hs = random_halfspaces(rng, 3, rng.randint(6, 30), ensure_interior=origin)
+            if rng.random() < 0.3:
+                h = hs[0]
+                hs.append(Halfspace(h.int_row[:-1] + (h.int_row[-1] + 1,)))
+            hs = [Halfspace(h.int_row, i) for i, h in enumerate(hs)]
+            parent = box_cell(-2, 2, 3) if trial % 2 else ConvexCell(3, ())
+            want = clarkson_reduce(list(parent.constraints) + hs, origin, seed=trial)
+            cell, neighbors = compute_vertex_cell(parent, "me", hs, seed=trial)
+            assert cell.constraints == want, trial
+            assert neighbors == frozenset(h.label for h in want if h.label is not None)
+            sizes.append(len(want))
+        assert min(sizes) >= 4 and max(sizes) >= 10
+
+    def test_clarkson_runs_only_in_four_or_more_dimensions(self, monkeypatch):
         dimensions = []
         original = regions._clarkson_indices
 
@@ -215,9 +240,9 @@ class TestClippedCells:
             return original(constraints, z, seed)
 
         monkeypatch.setattr(regions, "_clarkson_indices", recording)
-        for d in (1, 2, 3):
+        for d in (1, 2, 3, 4):
             compute_vertex_cell(box_cell(0, 1, d), "me", [Halfspace.from_rationals((1,) * d, rat(1, 2), "x")])
-        assert dimensions == [3]
+        assert dimensions == [4]
 
     def test_parallel_rows_keep_the_tightest(self):
         cell, neighbors = self.cell(box_cell(0, 4, 2), [("a", (1, 0), 3), ("b", (1, 0), 2), ("c", (2, 0), 5)])

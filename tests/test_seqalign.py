@@ -125,6 +125,29 @@ class TestDpSolve:
             )
 
 
+class TestAlignmentColumns:
+    def test_an_alignment_checks_every_column(self):
+        with pytest.raises(ValueError, match="two spaces"):
+            Alignment("A-C", "G-T", (0, 0))
+        with pytest.raises(ValueError, match="equal length"):
+            Alignment("AC", "G", (0, 0))
+
+    def test_a_transform_checks_the_column_it_appends(self):
+        ref = Alignment("A", "C", (1, 0))
+        for transform, s1, s2, want in [
+            ("extend-match", "AG", "CG", Alignment("AG", "CG", (1, 1))),
+            ("extend-mismatch", "AG", "CT", Alignment("AG", "CT", (1, 1))),
+            ("extend-space-1", "AG", "CT", Alignment("A-", "CT", (1, 1))),
+            ("extend-space-2", "AG", "CT", Alignment("AG", "C-", (1, 1))),
+        ]:
+            assert seqalign._apply_transform(transform, ref, (0, 1), s1, s2, 2, 2) == want
+        assert seqalign._apply_transform("identity", ref, (0, 0), "A", "C", 1, 1) == ref
+        with pytest.raises(ValueError, match="two spaces"):
+            seqalign._apply_transform("extend-space-1", ref, (0, 1), "AG", "C-", 2, 2)
+        with pytest.raises(ValueError, match="two spaces"):
+            seqalign._apply_transform("extend-space-2", ref, (0, 1), "A-", "CT", 2, 2)
+
+
 class TestDpAgainstReference:
     """The integer DP against the rational one it replaced: equal costs and
     equal alignments, ties included."""
@@ -454,15 +477,19 @@ class TestEnvelopeRegions3d:
             lp_calls.append(at_root[0])
             return solve(rows, seed)
 
+        def no_clarkson(*args):
+            raise AssertionError("Clarkson ran for a d = 3 cell")
+
         monkeypatch.setattr(seqalign, "_partition", root_partition)
         monkeypatch.setattr(geometry, "_interior_point_rows", recording)
+        monkeypatch.setattr(regions, "_clarkson_indices", no_clarkson)
         rng = random.Random(43)
         sizes = []
         for _ in range(10):
             lp_calls.clear()
             part = build_execution_dag(mismatch_space_gap_spec(), *random_pair(rng, max_len=8))
             # One LP per root cell (its witness), none when the root's one
-            # region keeps the domain.
+            # region keeps the domain, and no Clarkson LP.
             assert lp_calls == [True] * (len(part.cells) if len(part.cells) > 1 else 0)
             sizes.append(len(part.cells))
         assert max(sizes) > 1

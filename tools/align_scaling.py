@@ -7,9 +7,11 @@ table:
 
     | L | root regions | LPs | time |
 
-LPs counts every call of the exact LP kernel `geometry._solve_raw` (the
-interior-point LPs and Clarkson's redundancy LPs alike); time is the wall
-time of `build_execution_dag`, one run.  Run from a source checkout:
+LPs counts every call of the exact LP kernel `geometry._solve_raw`.  No
+subproblem below the root runs one, and a root cell (d = 3) reads its
+facets off clips on its rows' planes, so only the root cells'
+interior-point LPs are left, one per cell.  Time is the wall time of
+`build_execution_dag`, one run.  Run from a source checkout:
 
     python3 tools/align_scaling.py --lengths 8 12 16 20 24
 """

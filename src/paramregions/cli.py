@@ -16,6 +16,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -151,12 +152,7 @@ def load_tariff_instance(data: dict, menu: Optional[int]) -> tariff.TariffInstan
     try:
         inst = tariff.TariffInstance.from_json(data)
         if menu is not None and menu != inst.menu_length:
-            inst = tariff.TariffInstance(
-                units=inst.units,
-                valuations=inst.valuations,
-                menu_length=menu,
-                price_cap=inst.price_cap,
-            )
+            inst = dataclasses.replace(inst, menu_length=menu)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseFailure(f"bad tariff instance: {exc}") from exc
     return inst
@@ -392,12 +388,8 @@ def cmd_tariff_regions(args) -> None:
     if inst.menu_length == 1:
         report = tariff.check_piece_bound(inst, sub)
         payload["piece_bound"] = {
-            "pieces": report["pieces"],
-            "bound": report["bound"],
-            "pieces_ok": report["pieces_ok"],
+            **report,
             "lines_per_sample": {str(k): v for k, v in report["lines_per_sample"].items()},
-            "line_bound": report["line_bound"],
-            "lines_ok": report["lines_ok"],
         }
     if args.oracle_check:
         payload["oracle_agreement"] = _tariff_agreement(inst, sub, args.density)

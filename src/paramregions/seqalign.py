@@ -9,6 +9,8 @@ constant.
 
 `node_graph` lists the subproblems of one sequence pair once, in
 topological order; the scalar DP and the execution DAG both run over it.
+It is the one place the pair is checked: neither sequence may contain
+`SPACE`, so no column holds a space in both rows.
 `dp_solve` is the scalar DP at one parameter point.  It carries one integer
 cost per subproblem, the point scaled by the lcm of its denominators; one
 positive scale keeps the order and the ties of the rational costs, so it
@@ -71,17 +73,13 @@ class NoSolution(ValueError):
 
 @dataclass(frozen=True)
 class Alignment:
-    """Pair of equal-length space-extended strings plus feature counts."""
+    """Pair of equal-length space-extended strings plus feature counts.
+    A plain value: base solutions have equal-length rows, and a transform
+    appends one character to each row or nothing (`_column`)."""
 
     t1: str
     t2: str
     counts: tuple
-
-    def __post_init__(self):
-        if len(self.t1) != len(self.t2):
-            raise ValueError("alignment rows must have equal length")
-        if any(a == SPACE and b == SPACE for a, b in zip(self.t1, self.t2)):
-            raise ValueError("no column may hold two spaces")
 
     def cost(self, rho):
         return dot(self.counts, rho)
@@ -433,18 +431,10 @@ def _column(transform: str, s1: str, s2: str, i: int, j: int) -> tuple:
 
 
 def _apply_transform(transform: str, ref: Alignment, weight, s1, s2, i, j) -> Alignment:
-    """`ref` extended by a term: its column appended and `weight` added to
-    its counts.  `ref` is an `Alignment`, already checked, so only the new
-    column is checked for two spaces, and `Alignment.__post_init__`, which
-    checks every column, is skipped."""
+    """`ref` extended by a term at subproblem (i, j): the term's column
+    (`_column`) appended to its rows and `weight` added to its counts."""
     a, b = _column(transform, s1, s2, i, j)
-    if a == SPACE and b == SPACE:
-        raise ValueError("no column may hold two spaces")
-    extended = object.__new__(Alignment)
-    object.__setattr__(extended, "t1", ref.t1 + a)
-    object.__setattr__(extended, "t2", ref.t2 + b)
-    object.__setattr__(extended, "counts", tuple(map(operator.add, ref.counts, weight)))
-    return extended
+    return Alignment(ref.t1 + a, ref.t2 + b, tuple(map(operator.add, ref.counts, weight)))
 
 
 # --------------------------------------------------------------------------
@@ -469,7 +459,10 @@ class NodeGraph:
 
 def node_graph(spec: AlignmentDPSpec, s1: str, s2: str) -> NodeGraph:
     """The node graph of (s1, s2), built once per pair: every DP solve and
-    the execution DAG of the pair run over it."""
+    the execution DAG of the pair run over it.  Raises `ValueError` when
+    either sequence contains `SPACE`, the library's one check of a pair."""
+    if SPACE in s1 or SPACE in s2:
+        raise ValueError(f"sequences must not contain the space character {SPACE!r}")
     rank = {t: r for r, t in enumerate(spec.tables)}
     links = {}
     stack = [(spec.root_table, len(s1), len(s2))]
@@ -654,13 +647,13 @@ def build_execution_dag(
         elif len(solved) == 1:
             regions.append({alignment.key: alignment for alignment in extended})
         else:
-            regions.append(_envelope_regions(extended, domain))
+            regions.append(_envelope_regions(extended, spec.dimension))
     if regions[-1] is None:
         raise NoSolution("the DP has no solution for this input")
     return _partition(domain, regions[-1], seed)
 
 
-def _envelope_regions(candidates, domain: ConvexCell) -> dict:
+def _envelope_regions(candidates, dimension: int) -> dict:
     """The regions of a node with several terms, from its candidates (each
     referenced region's alignment extended by its term, in term order), in
     key order.  The ray search passes the alignments its probes found, in
@@ -689,8 +682,8 @@ def _envelope_regions(candidates, domain: ConvexCell) -> dict:
     With s = (c_1 - c_d, ..., c_{d-1} - c_d, -c_d), the row "my form <=
     the other's" is my s minus the other's, the `dominance_constraints` row
     up to a positive factor; its normal is never 0, since two totals that
-    differ by a multiple of (1, ..., 1) are not both on the front.  Only the
-    domain's dimension is read.
+    differ by a multiple of (1, ..., 1) are not both on the front.  The
+    domain is the unit box of `dimension` features (`default_domain`).
     """
     by_counts: dict = {}
     for alignment in candidates:
@@ -698,7 +691,7 @@ def _envelope_regions(candidates, domain: ConvexCell) -> dict:
     by_key: dict = {}
     for alignment in by_counts.values():
         by_key.setdefault(alignment.key, alignment)
-    if domain.dimension == 2:
+    if dimension == 2:
         passed = _lower_hull_2d({key: alignment.counts for key, alignment in by_key.items()})
     else:
         front = pareto_front({key: alignment.counts for key, alignment in by_key.items()})
@@ -706,7 +699,7 @@ def _envelope_regions(candidates, domain: ConvexCell) -> dict:
         for key in front:
             *head, last = by_key[key].counts
             sliced[key] = (*(c - last for c in head), -last)
-        n = domain.dimension - 1
+        n = dimension - 1
         # rho_i >= 0 for i < d, and rho_1 + ... + rho_{d-1} <= 1 (rho_d >= 0)
         simplex = [(*(-int(i == j) for j in range(n)), 0) for i in range(n)] + [(1,) * n + (1,)]
         passed = []
@@ -788,10 +781,10 @@ def ray_search_regions(spec: AlignmentDPSpec, s1: str, s2: str, graph: Optional[
     the lexicographic order of (c_2, c_1) does, term-index ties included;
     (1, 1/W) does the same at the rho_1 axis.
     """
-    if spec.dimension != 2:
-        raise GeometryError("the ray search needs exactly two features")
     if graph is None:
         graph = node_graph(spec, s1, s2)
+    if spec.dimension != 2:
+        raise GeometryError("the ray search needs exactly two features")
     calls = [0]
 
     def solve_at(point):
@@ -839,4 +832,4 @@ def ray_search_regions(spec: AlignmentDPSpec, s1: str, s2: str, graph: Optional[
     if left_align.counts != right_align.counts:
         inner = recurse(ZERO, left_align, Rational(1), right_align)
     found = [left_align] + inner + [right_align]
-    return _envelope_regions(found, default_domain(2)), calls[0]
+    return _envelope_regions(found, 2), calls[0]

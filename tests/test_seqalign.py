@@ -1,6 +1,8 @@
+import json
 import random
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from paramregions.seqalign import (
     Alignment,
     AlignmentDPSpec,
     CaseSpec,
+    SPACE,
     TermSpec,
     build_execution_dag,
     _lower_hull_2d,
@@ -24,12 +27,14 @@ from paramregions.seqalign import (
     mismatch_space_spec,
     node_graph,
     ray_search_2d,
+    ray_search_regions,
     strip_spaces,
 )
 
 from oracles import reference_dp_solve_multi, reference_envelope_labels, reference_partition
 
 ALPHABET = "ACGT"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def random_pair(rng, max_len=4):
@@ -125,14 +130,29 @@ class TestDpSolve:
             )
 
 
-class TestAlignmentColumns:
-    def test_an_alignment_checks_every_column(self):
-        with pytest.raises(ValueError, match="two spaces"):
-            Alignment("A-C", "G-T", (0, 0))
-        with pytest.raises(ValueError, match="equal length"):
-            Alignment("AC", "G", (0, 0))
+TWO_TABLE_SPEC = AlignmentDPSpec.from_json(json.loads((GOLDEN / "align_both_two_table.spec.json").read_text()))
 
-    def test_a_transform_checks_the_column_it_appends(self):
+
+def two_table_counts(t1, t2):
+    """The counts `TWO_TABLE_SPEC` gives an alignment, read off its columns:
+    its weights are not unit feature counts (a mismatch weighs (1, 2)), and a
+    space in t2 weighs (1, 2) before t2's first character (the s1 prefix
+    base) and (3, 0) after it."""
+    weights = []
+    seen_s2 = False
+    for a, b in zip(t1, t2):
+        if a == SPACE:
+            weights.append((0, 7))
+        elif b == SPACE:
+            weights.append((3, 0) if seen_s2 else (1, 2))
+        else:
+            weights.append((0, 0) if a == b else (1, 2))
+        seen_s2 = seen_s2 or b != SPACE
+    return tuple(map(sum, zip((0, 0), *weights)))
+
+
+class TestAlignmentColumns:
+    def test_a_transform_appends_one_column(self):
         ref = Alignment("A", "C", (1, 0))
         for transform, s1, s2, want in [
             ("extend-match", "AG", "CG", Alignment("AG", "CG", (1, 1))),
@@ -142,10 +162,55 @@ class TestAlignmentColumns:
         ]:
             assert seqalign._apply_transform(transform, ref, (0, 1), s1, s2, 2, 2) == want
         assert seqalign._apply_transform("identity", ref, (0, 0), "A", "C", 1, 1) == ref
-        with pytest.raises(ValueError, match="two spaces"):
-            seqalign._apply_transform("extend-space-1", ref, (0, 1), "AG", "C-", 2, 2)
-        with pytest.raises(ValueError, match="two spaces"):
-            seqalign._apply_transform("extend-space-2", ref, (0, 1), "A-", "CT", 2, 2)
+
+    @pytest.mark.parametrize("s1, s2", [("ABB-", "B--B"), ("-A", "BA"), ("AB", "A-")])
+    @pytest.mark.parametrize("preset", sorted(seqalign.PRESETS))
+    def test_a_sequence_with_a_space_is_rejected(self, preset, s1, s2):
+        # `node_graph` checks the pair once; every entry point runs over it.
+        spec = get_preset(preset)
+        point = (rat(1), rat(2), rat(3))[: spec.dimension]
+        for call in (
+            lambda: node_graph(spec, s1, s2),
+            lambda: dp_solve(spec, s1, s2, point),
+            lambda: build_execution_dag(spec, s1, s2),
+            lambda: ray_search_2d(spec, s1, s2),
+            lambda: ray_search_regions(spec, s1, s2),
+        ):
+            with pytest.raises(ValueError, match="space character"):
+                call()
+
+    @pytest.mark.parametrize(
+        "spec, counts_of",
+        [
+            (mismatch_space_spec(), None),
+            (mismatch_space_gap_spec(), None),
+            (TWO_TABLE_SPEC, two_table_counts),
+        ],
+    )
+    def test_every_returned_alignment_is_consistent(self, spec, counts_of):
+        # Rows of equal length that spell the pair, no column of spaces
+        # only, and counts read off the rows (the preset's features, or the
+        # two-table spec's weights): from the DP, the DAG and the ray search.
+        if counts_of is None:
+            counts_of = lambda t1, t2: feature_counts(spec.features, t1, t2)
+        rng = random.Random(61)
+        d = spec.dimension
+        checked = 0
+        for _ in range(25):
+            s1, s2 = ("".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 6))) for _ in "12")
+            graph = node_graph(spec, s1, s2)
+            found = [dp_solve(spec, s1, s2, tuple(rat(rng.randint(0, 5)) for _ in range(d)), graph)[1]]
+            found += build_execution_dag(spec, s1, s2, graph=graph).regions.values()
+            if d == 2:
+                found += ray_search_regions(spec, s1, s2, graph)[0].values()
+            for alignment in found:
+                t1, t2 = alignment.key
+                assert len(t1) == len(t2)
+                assert all(a != SPACE or b != SPACE for a, b in zip(t1, t2))
+                assert (strip_spaces(t1), strip_spaces(t2)) == (s1, s2)
+                assert alignment.counts == counts_of(t1, t2)
+                checked += 1
+        assert checked > 50
 
 
 class TestDpAgainstReference:
@@ -326,8 +391,8 @@ def record_envelope_regions(monkeypatch):
     seen = []
     envelope_regions = seqalign._envelope_regions
 
-    def recording(candidates, domain):
-        found = envelope_regions(candidates, domain)
+    def recording(candidates, dimension):
+        found = envelope_regions(candidates, dimension)
         seen.append((list(candidates), found))
         return found
 
@@ -364,7 +429,7 @@ def envelope_regions_3d(candidates):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(geometry, "_interior_point_rows", forbidden)
-        return seqalign._envelope_regions(candidates, default_domain(3))
+        return seqalign._envelope_regions(candidates, 3)
 
 
 class TestEnvelopeRegions3d:

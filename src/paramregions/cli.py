@@ -1,9 +1,12 @@
 """Command-line surface: region computation, optimization, dataset
 generation, oracle checks and 2D plot-data export.
 
-Everything runs exactly (there is no floating-point mode to switch off);
-``--seed`` (or the PARAMREGIONS_SEED environment variable) fixes every
-randomized choice, so reruns are byte-identical.
+Everything runs exactly (there is no floating-point mode to switch off).
+Every verb accepts ``--seed`` (or the PARAMREGIONS_SEED environment
+variable), but only ``gen-dataset`` (the dataset's draws) and
+``tariff-optimize`` (the LP's insertion order, which picks a vertex of an
+optimal edge) read it: regions and their witnesses are functions of the
+input alone, so reruns are byte-identical under any seed.
 
 The parser is built once, at import; every command reads the parsed
 ``argparse.Namespace``.  Each domain has one region builder, shared by its
@@ -27,10 +30,10 @@ from typing import Optional
 from . import clustering, seqalign, tariff
 from .geometry import ConvexCell, GeometryError, Halfspace, polygon_vertices, solve_lp
 from .rationals import Rational, as_rational, format_rational, format_vector, rat
-from .regions import Subdivision, cells_share_facet
+from .regions import DegenerateCellError, Subdivision, cells_share_facet, compute_vertex_cell
 from .seqalign import AlignmentDPSpec, get_preset
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 SEED_ENV = "PARAMREGIONS_SEED"
 
 
@@ -235,8 +238,10 @@ def decode_label(data):
 
 def _cluster_regions(args) -> tuple:
     """The instance, the merge family, the execution tree's root and its
-    leaves.  A family the instance cannot run, or a restriction that leaves
-    no interior, is an infeasible configuration."""
+    leaves.  Restrictions cut the simplex to a reduced cell with its
+    canonical witness (`compute_vertex_cell`), like any other region.  A
+    family the instance cannot run, or a restriction that leaves no
+    interior, is an infeasible configuration."""
     inst = load_cluster_instance(_load_json(args.instance))
     try:
         family = clustering.MergeFamily(args.linkages, args.metrics)
@@ -246,8 +251,10 @@ def _cluster_regions(args) -> tuple:
         parent = family.simplex_cell()
         extra = _parse_restrictions(args.restrict, family.dimension)
         if extra:
-            parent = ConvexCell(family.dimension, parent.constraints + tuple(extra))
-        root = clustering.build_execution_tree(inst, family, parent=parent, seed=args.seed)
+            parent, _ = compute_vertex_cell(parent, "restricted", extra)
+        root = clustering.build_execution_tree(inst, family, parent=parent)
+    except DegenerateCellError:
+        raise InfeasibleConfig("the restrictions leave the simplex no interior") from None
     except (ValueError, GeometryError) as exc:
         raise InfeasibleConfig(str(exc)) from exc
     return inst, family, root, clustering.leaf_subdivision(root)
@@ -270,9 +277,9 @@ def _align_regions(args) -> tuple:
     solves = None
     try:
         if args.method == "ray":
-            part, solves = seqalign.ray_search_2d(spec, s1, s2, seed=args.seed, graph=graph)
+            part, solves = seqalign.ray_search_2d(spec, s1, s2, graph=graph)
         else:
-            part = seqalign.build_execution_dag(spec, s1, s2, seed=args.seed, graph=graph)
+            part = seqalign.build_execution_dag(spec, s1, s2, graph=graph)
         if args.method == "both":
             regions, solves = seqalign.ray_search_regions(spec, s1, s2, graph)
     except seqalign.NoSolution as exc:
@@ -287,8 +294,8 @@ def _tariff_regions(args) -> tuple:
     quantity-tuple labels."""
     inst = load_tariff_instance(_load_json(args.instance), args.menu)
     if inst.menu_length == 1:
-        return inst, tariff.single_tariff_regions(inst, seed=args.seed)
-    return inst, tariff.compute_price_regions(inst, seed=args.seed)
+        return inst, tariff.single_tariff_regions(inst)
+    return inst, tariff.compute_price_regions(inst)
 
 
 # --------------------------------------------------------------------------
@@ -297,11 +304,9 @@ def _tariff_regions(args) -> tuple:
 
 def cmd_cluster_regions(args) -> None:
     inst, family, root, leaves = _cluster_regions(args)
-    losses = {}
+    losses = best = None
     if inst.target is not None and inst.k is not None:
-        for merges in leaves:
-            tree = clustering.ClusterTree.from_merges(inst.n_points, merges)
-            losses[merges] = clustering.hamming_loss(tree, inst.target, inst.k)
+        losses, best = clustering.leaf_losses(inst, leaves)
 
     # Two leaves can share a facet only when one holds the flip of a facet
     # of the other: join the leaves on their facet rows first.
@@ -325,7 +330,7 @@ def cmd_cluster_regions(args) -> None:
 
     def extras(merges):
         out = {"merges": merges}
-        if merges in losses:
+        if losses:
             out["loss"] = format_rational(losses[merges])
         return out
 
@@ -338,8 +343,6 @@ def cmd_cluster_regions(args) -> None:
     }
     payload.update(Subdivision(root.region, leaves, adjacency).to_json(extras))
     if losses:
-        # best_parameter's tie rule: the smallest merge sequence of least loss.
-        best = min(keys, key=losses.__getitem__)
         payload["best"] = {
             "rho": format_vector(leaves[best].witness),
             "loss": format_rational(losses[best]),

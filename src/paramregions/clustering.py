@@ -29,7 +29,7 @@ from itertools import islice
 from operator import mul
 from typing import Optional, Sequence
 
-from .geometry import ConvexCell, GeometryError, Halfspace, _homogeneous, find_interior_point
+from .geometry import ConvexCell, GeometryError, Halfspace, _homogeneous
 from .rationals import (
     Rational,
     ZERO,
@@ -38,7 +38,7 @@ from .rationals import (
     parse_vector,
     rat,
 )
-from .regions import AffineForm, Subdivision, envelope_cells, pareto_front
+from .regions import AffineForm, Subdivision, _witness, envelope_cells, pareto_front
 
 LINKAGES = ("single", "complete", "median", "average", "mediod")
 
@@ -347,47 +347,46 @@ def build_execution_tree(
     instance: ClusteringInstance,
     family: MergeFamily,
     parent: Optional[ConvexCell] = None,
-    seed: int = 0,
 ) -> ExecutionTreeNode:
     """Level-by-level refinement of the parameter region into cells of
     constant merge sequence; leaves carry complete cluster trees.  A given
-    `parent` must lie inside the family's simplex (the default)."""
+    `parent` must lie inside the family's simplex (the default); one without
+    a witness gets its canonical point."""
     if parent is None:
         parent = family.simplex_cell()
     if parent.dimension != family.dimension:
         raise GeometryError("parent dimension does not match the family")
     if parent.witness is None:
-        witness = find_interior_point(list(parent.constraints), seed)
+        witness = _witness(parent)
         if witness is None:
             raise GeometryError("parent region is degenerate")
         parent = ConvexCell(parent.dimension, parent.constraints, witness=witness)
-    return _expand(instance, family, _singletons(instance), (), parent, seed)
+    return _expand(instance, family, _singletons(instance), (), parent)
 
 
-def _expand(instance, family, clusters, merges, region: ConvexCell, seed: int) -> ExecutionTreeNode:
+def _expand(instance, family, clusters, merges, region: ConvexCell) -> ExecutionTreeNode:
     """The subtree below the partition `clusters`: the region splits into the
     cells of the lower envelope of its `merge_forms` (`envelope_cells`), and
     each cell's pair is merged next.
 
     A front of one form is <= every other form at every simplex corner, so
     everywhere (`pareto_front`), and its cell is the whole region.  Below the
-    root in d <= 2 the region is itself a `compute_vertex_cell` output, whose
-    facets and canonical witness that call would return unchanged, so the
-    node keeps it with no walk.  The root's witness is its caller's (the
-    simplex centre, or an LP point under a restriction), and in d >= 3 the
-    witness is an LP's over the rows: both still take the walk."""
+    root the region is itself a `compute_vertex_cell` output, whose facets
+    and canonical witness (in every dimension) that call would return
+    unchanged, so the node keeps it with no walk.  The root's witness is its
+    caller's (the simplex centre, say), so the root still takes the walk."""
     if len(clusters) <= 1:
         return ExecutionTreeNode(merges, region)
     if len(clusters) == 2:
-        child = _expand(instance, family, _merged(clusters, clusters), merges + (clusters,), region, seed)
+        child = _expand(instance, family, _merged(clusters, clusters), merges + (clusters,), region)
         return ExecutionTreeNode(merges, region, (child,))
     forms = merge_forms(instance, family, clusters)
-    if len(forms) == 1 and merges and region.dimension <= 2:
+    if len(forms) == 1 and merges:
         sub = Subdivision(region, dict.fromkeys(forms, region), frozenset())
     else:
-        sub = envelope_cells(region, forms, seed)
+        sub = envelope_cells(region, forms)
     children = tuple(
-        _expand(instance, family, _merged(clusters, pair), merges + (pair,), sub.cells[pair], seed)
+        _expand(instance, family, _merged(clusters, pair), merges + (pair,), sub.cells[pair])
         for pair in sorted(sub.cells)
     )
     return ExecutionTreeNode(merges, region, children, sub)
@@ -471,19 +470,25 @@ def hamming_loss(tree: ClusterTree, target, k: int):
     return 1 - Rational(matched, n)
 
 
-def best_parameter(instance: ClusteringInstance, family: MergeFamily, seed: int = 0):
+def leaf_losses(instance: ClusteringInstance, merge_sequences) -> tuple:
+    """({merges: Hamming loss of its cluster tree}, in merge-sequence
+    order, and the best merges: the smallest merge sequence of least loss).
+    The instance has a target clustering and k."""
+    losses = {
+        merges: hamming_loss(ClusterTree.from_merges(instance.n_points, merges), instance.target, instance.k)
+        for merges in sorted(merge_sequences)
+    }
+    return losses, min(losses, key=losses.__getitem__)
+
+
+def best_parameter(instance: ClusteringInstance, family: MergeFamily):
     """Parameter point, loss and leaf node of a minimum-loss execution-tree
-    leaf (ties: lexicographically smallest merge sequence)."""
+    leaf (`leaf_losses`' best)."""
     if instance.target is None or instance.k is None:
         raise ValueError("instance needs a target clustering and k")
-    root = build_execution_tree(instance, family, seed=seed)
-    best = None
-    for leaf in sorted(root.leaves(), key=lambda l: l.merges):
-        tree = ClusterTree.from_merges(instance.n_points, leaf.merges)
-        loss = hamming_loss(tree, instance.target, instance.k)
-        if best is None or loss < best[1]:
-            best = (leaf.region.witness, loss, leaf)
-    return best
+    leaves = {leaf.merges: leaf for leaf in build_execution_tree(instance, family).leaves()}
+    losses, best = leaf_losses(instance, leaves)
+    return leaves[best].region.witness, losses[best], leaves[best]
 
 
 # --------------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 Halfspaces, convex cells, a Seidel-style randomized-incremental LP,
 output-sensitive redundancy removal (Clarkson, for d >= 4), polygon
-clipping (for d = 2, and on a row's plane for d = 3), the simplest
-rational point of an interval or a clipped polygon (the witnesses of cells
-in d <= 2, with no LP), the interior test `_has_interior` (with no LP in
-d <= 2: an interval, or a clipped polygon with three vertices off one
-line) and interior sampling.  A halfspace is its primitive integer row;
-witnesses and LP results are exact rationals.  The kernel underneath
+clipping (for d = 2, and on a row's plane for d = 3), a cell's canonical
+point `_canonical_point` (its witness in every dimension: the simplest
+rational point of an interval or a clipped polygon, with no LP, and above
+d = 2 a simplest x_1 between two LP values, then the slice's point), the
+interior test `_has_interior` (with no LP in d <= 2: an interval, or a
+clipped polygon with three vertices off one line) and interior sampling.
+A halfspace is its primitive integer row; witnesses and LP results are
+exact rationals.  The kernel underneath
 (Seidel, the redundancy loop and its ray step, the clip and its witness,
 the point tests) runs fraction-free on Python ints, on those rows and on
 homogeneous points, where one slack (`_slack`) decides every point against
@@ -134,10 +136,10 @@ class ConvexCell:
 
     `regions.compute_vertex_cell` builds cells with a witness and a minimal
     constraint list: removing any single constraint changes the solution set.
-    It reads that list and the witness off the interval in d = 1 and off
-    `_clip_polygon`'s polygon in d = 2.  In d >= 3 the interior-point LP
-    gives the witness; the list comes off a clip on each row's plane in
-    d = 3 and out of Clarkson's redundancy removal in d >= 4.
+    It reads that list off the interval in d = 1, off `_clip_polygon`'s
+    polygon in d = 2, off a clip on each row's plane in d = 3 and out of
+    Clarkson's redundancy removal in d >= 4; the witness is the cell's
+    canonical point (`_canonical_point`) in every dimension.
     """
 
     dimension: int
@@ -459,7 +461,7 @@ def _one_row_per_direction(rows) -> list:
     return sorted(i for i, _, _ in tightest.values())
 
 
-def clarkson_reduce(constraints, interior, seed: int = 0) -> tuple:
+def clarkson_reduce(constraints, interior) -> tuple:
     """The non-redundant subset of `constraints` (Clarkson's algorithm).
 
     `interior` must strictly satisfy every `Halfspace` in `constraints`.
@@ -471,18 +473,18 @@ def clarkson_reduce(constraints, interior, seed: int = 0) -> tuple:
     so far.
     """
     uniq = _one_row_per_direction([h.int_row for h in constraints])
-    indices = _clarkson_indices([constraints[i] for i in uniq], as_vector(interior), seed)
+    indices = _clarkson_indices([constraints[i] for i in uniq], as_vector(interior))
     return tuple(constraints[uniq[i]] for i in indices)
 
 
-def _clarkson_indices(constraints, z: Vector, seed: int) -> list:
+def _clarkson_indices(constraints, z: Vector) -> list:
     """Ascending indices of the non-redundant `constraints`, which hold one
     row per normal direction (`_one_row_per_direction`) and strictly hold
     at `z`.  The tightest row of a direction has the least slack of them
     all, so `z` then strictly satisfies the rows that were filtered out too.
 
-    One pass: every relaxed LP draws its insertion order from one
-    `random.Random(seed)` and runs in one box, the `_box_bound` of all the
+    One pass: every relaxed LP draws its insertion order from one fixed
+    `random.Random(0)` and runs in one box, the `_box_bound` of all the
     rows and their relaxed copies, which bounds each LP's own rows.  The
     non-redundant set is unique, so neither choice changes the result.
     """
@@ -496,7 +498,7 @@ def _clarkson_indices(constraints, z: Vector, seed: int) -> list:
     # entry|, which `Halfspace.normal` divides by.
     relaxed = [row[:-1] + (row[-1] + next(abs(c) for c in row if c),) for row in rows]
     bound = _box_bound(rows + relaxed, len(z) - 1)
-    rng = random.Random(seed)
+    rng = random.Random(0)
     pending = deque(range(len(rows)))
     kept: list = []
     kept_set: set = set()
@@ -571,11 +573,11 @@ def _clip_polygon(rows) -> list:
     return polygon
 
 
-def _interval_witness(rows) -> Optional[Vector]:
-    """(x,) for x the simplest rational (`simplest_between`) strictly inside
-    {x : a x <= b for every integer row (a, b)}, a != 0, or None when that
-    interval has empty interior."""
-    lo = hi = None  # the ends as (numerator, denominator > 0), None if infinite
+def _interval_ends(rows) -> Optional[tuple]:
+    """(lo, hi), the ends of {x : a x <= b for every integer row (a, b)},
+    a != 0, each (numerator, denominator > 0) or None where infinite; None
+    when that interval has empty interior."""
+    lo = hi = None
     for a, b in rows:
         if a > 0:
             if hi is None or b * hi[1] < hi[0] * a:
@@ -584,7 +586,15 @@ def _interval_witness(rows) -> Optional[Vector]:
             lo = (-b, -a)
     if lo is not None and hi is not None and lo[0] * hi[1] >= hi[0] * lo[1]:
         return None
-    return (simplest_between(lo, hi),)
+    return lo, hi
+
+
+def _interval_witness(rows) -> Optional[Vector]:
+    """(x,) for x the simplest rational (`simplest_between`) strictly inside
+    the interval of the integer rows (a, b) (`_interval_ends`), or None when
+    that interval has empty interior."""
+    ends = _interval_ends(rows)
+    return None if ends is None else (simplest_between(*ends),)
 
 
 def _polygon_witness(vertices, rows) -> Optional[Vector]:
@@ -600,7 +610,7 @@ def _polygon_witness(vertices, rows) -> Optional[Vector]:
     of a vertical row), and the simplest rational of a half-infinite range
     is 0 or the integer next to its end: x_1 is the same as over the true
     projection.  A vertical row holds strictly at x_1, inside the vertices'
-    range, so the chord skips it.
+    range, so the chord (`_slice`) drops it.
     """
     if not vertices:
         return None
@@ -613,19 +623,72 @@ def _polygon_witness(vertices, rows) -> Optional[Vector]:
     if lo[0] * hi[2] >= hi[0] * lo[2]:
         return None
     x = simplest_between((lo[0], lo[2]), (hi[0], hi[2]))
-    p, q = index(x.numerator), index(x.denominator)
-    chord = _interval_witness([(a2 * q, b * q - a1 * p) for a1, a2, b in rows if a2])
+    chord = _interval_witness(_slice(rows, x))
     return None if chord is None else (x, *chord)
+
+
+def _slice(rows, x) -> list:
+    """The integer rows of the slice at x_1 = x = p / q of the cell cut out
+    by the integer rows (a_1, ..., a_d, b): (a_2 q, ..., a_d q, b q - a_1 p)
+    over its gcd.  A row left with no normal is dropped: x is strictly
+    inside the cell's x_1-range, where such a row holds strictly."""
+    p, q = index(x.numerator), index(x.denominator)
+    out = []
+    for row in rows:
+        if any(row[1:-1]):
+            sub = [c * q for c in row[1:-1]]
+            sub.append(row[-1] * q - row[0] * p)
+            g = math.gcd(*sub)
+            out.append(tuple(c // g for c in sub))
+    return out
+
+
+def _canonical_point(rows, d: int) -> Optional[Vector]:
+    """The canonical point of the cell cut out by the integer rows (a_1,
+    ..., a_d, b), each with a != 0, or None when that cell has empty
+    interior: x_1 the simplest rational (`simplest_between`) strictly inside
+    the cell's x_1-range, then the canonical point of the cell's slice at
+    x_1, a cell of one dimension less.  The whole space, with no rows, has
+    the origin.
+
+    - d = 1: the interval's (`_interval_witness`).
+    - d = 2: `_polygon_witness` on `_clip_polygon`'s polygon.
+    - d >= 3: the x_1-range's ends are the optimal values of two LPs, min
+      and max x_1, and the slice's rows are `_slice`'s, as for
+      `_polygon_witness`'s chord.
+
+    The range, the slice and with them the point depend on the cell alone:
+    not on redundant rows, on the rows' order or on the LPs' insertion
+    order, so those LPs draw from one fixed `random.Random(0)`.
+    """
+    if d == 1:
+        return _interval_witness(rows)
+    if d == 2:
+        return _polygon_witness(_clip_polygon(rows), rows)
+    ends = []
+    bound = _box_bound(rows, d)
+    for sign in (-1, 1):  # min x_1, then max x_1
+        status, point = _solve_raw((sign,) + (0,) * (d - 1), rows, random.Random(0), bound)
+        if status == "infeasible":
+            return None
+        ends.append(None if status == "unbounded" else (point[0], point[-1]))
+    lo, hi = ends
+    if lo is not None and hi is not None and lo[0] * hi[1] >= hi[0] * lo[1]:
+        return None
+    x = simplest_between(lo, hi)
+    rest = _canonical_point(_slice(rows, x), d - 1)
+    return None if rest is None else (x, *rest)
 
 
 def _has_interior(rows) -> bool:
     """Whether some point strictly satisfies every one of the nonempty
-    integer rows (a_1, ..., a_d, b), each with a != 0: read off the interval
-    in d = 1 (`_interval_witness`) and off the clipped polygon in d = 2
-    (`_has_area`), with no LP; the interior-point LP decides in d >= 3."""
+    integer rows (a_1, ..., a_d, b), each with a != 0: read off the
+    interval's two ends in d = 1 (`_interval_ends`) and off the clipped
+    polygon in d = 2 (`_has_area`), with no LP; the interior-point LP
+    decides in d >= 3."""
     d = len(rows[0]) - 1
     if d == 1:
-        return _interval_witness(rows) is not None
+        return _interval_ends(rows) is not None
     if d == 2:
         return _has_area(_clip_polygon(rows))
     return _interior_point_rows(rows, 0) is not None

@@ -7,9 +7,9 @@ alternative's objective", each labeled by the alternative
 to the non-redundant ones, by exact clipping in d <= 2, by a clip on each
 row's plane in d = 3 and by Clarkson's redundancy removal in d >= 4; the
 candidates kept are the cell's facets, and their labels are exactly the
-neighbors.  A cell's witness in d <= 2 is its canonical point, the
-simplest rational one read off the clip with no LP; in d >= 3 it is an
-interior-point LP's, the only LP a d = 3 cell runs.  Every `Subdivision`,
+neighbors.  A cell's witness is its canonical point in every dimension,
+read off the clip with no LP in d <= 2 and off two range LPs and a slice
+in d >= 3 (`geometry._canonical_point`).  Every `Subdivision`,
 the one region type, is built by `compute_subdivision`, a walk over the
 region adjacency graph that finds every region when each candidate row is
 labeled with the region across its hyperplane: `dominance_constraints`
@@ -20,9 +20,9 @@ Its callers:
 - `envelope_cells`, for "behavior = argmin of labeled affine forms" (a
   clustering merge step): one walk from the form minimal at the parent's
   witness over the forms left by `pareto_front` (on a merge pair's
-  component values), with no LP in d <= 2.  A merge step below the root in
-  d <= 2 whose front keeps one form makes no call: that form's cell is the
-  whole region, which `clustering._expand` keeps.  An alignment DAG node below
+  component values), with no LP in d <= 2.  A merge step below the root
+  whose front keeps one form makes no call: that form's cell is the whole
+  region, which `clustering._expand` keeps.  An alignment DAG node below
   the root keeps the forms on the `pareto_front` of its counts whose
   dominance rows leave the simplex slice of the domain an interior point
   (exact clipping in d = 3, with no LP; the lower hull in d = 2), and the
@@ -48,6 +48,7 @@ from .geometry import (
     ConvexCell,
     GeometryError,
     Halfspace,
+    _canonical_point,
     _clarkson_indices,
     _clip_polygon,
     _has_interior,
@@ -58,7 +59,6 @@ from .geometry import (
     _project_row,
     _slack,
     dot,
-    find_interior_point,
 )
 from .rationals import as_rational, as_vector
 
@@ -205,7 +205,7 @@ class Subdivision:
         return cls(ConvexCell.from_json(data["parent"], decode_label), cells, adjacency)
 
 
-def compute_vertex_cell(parent: ConvexCell, label, candidates: Optional[list], seed: int = 0):
+def compute_vertex_cell(parent: ConvexCell, label, candidates: Optional[list]):
     """The cell of `label` inside `parent`, plus its neighbor labels.
 
     `candidates` is a superset of the cell's true facets as `Halfspace`s,
@@ -225,15 +225,19 @@ def compute_vertex_cell(parent: ConvexCell, label, candidates: Optional[list], s
       then x_2 the simplest strictly inside the chord at x_1
       (`_polygon_witness`).  An empty clip, x-range or chord means an empty
       interior, so a cell that is kept is a full-dimensional polygon.
-    - d >= 3: the interior-point LP over the filtered rows gives the
-      witness.  In d = 3 a row is a facet when the other filtered rows leave
-      its plane a relative interior (`_has_relative_interior_on`, a clip on
-      the plane with no LP); in d >= 4 Clarkson's redundancy removal finds
-      the facets from the witness.  The non-redundant rows are unique, so
-      both give the same facets in the same order.
+    - d >= 3: the witness is the cell's canonical point
+      (`_canonical_point`): x_1 the simplest rational strictly inside the
+      x_1-range that two LPs' optimal values give, then the canonical point
+      of the slice at x_1, down to the polygon of d = 2.  In d = 3 a row is
+      a facet when the other filtered rows leave its plane a relative
+      interior (`_has_relative_interior_on`, a clip on the plane with no
+      LP); in d >= 4 Clarkson's redundancy removal finds the facets from the
+      witness.  The non-redundant rows are unique, so both give the same
+      facets in the same order.
 
-    In d <= 2 no LP runs, and the witness depends on the cell alone, not on
-    the rows that cut it out; in d = 3 only the witness's LP runs.
+    In every dimension the witness depends on the cell alone, not on the
+    rows that cut it out or their order.  In d <= 2 no LP runs; in d = 3
+    only the two range LPs do.
     Raises DegenerateCellError when the cell has empty interior.
     """
     if candidates is None:
@@ -250,7 +254,7 @@ def compute_vertex_cell(parent: ConvexCell, label, candidates: Optional[list], s
         witness = _polygon_witness(vertices, [int_rows[i] for i in kept])
     else:
         filtered = [rows[i] for i in uniq]
-        witness = find_interior_point(filtered, seed)
+        witness = _canonical_point([int_rows[i] for i in uniq], parent.dimension)
         if witness is None:
             raise DegenerateCellError(label)
         if parent.dimension == 3:
@@ -260,7 +264,7 @@ def compute_vertex_cell(parent: ConvexCell, label, candidates: Optional[list], s
                 if _has_relative_interior_on(filtered[n], filtered[:n] + filtered[n + 1 :])
             ]
         else:
-            kept = [uniq[i] for i in _clarkson_indices(filtered, witness, seed)]
+            kept = [uniq[i] for i in _clarkson_indices(filtered, witness)]
     if witness is None:
         raise DegenerateCellError(label)
     n_parent = len(parent.constraints)
@@ -269,9 +273,7 @@ def compute_vertex_cell(parent: ConvexCell, label, candidates: Optional[list], s
     return cell, neighbors
 
 
-def compute_subdivision(
-    parent: ConvexCell, seeds: Iterable, candidates: Callable, seed: int = 0
-) -> Subdivision:
+def compute_subdivision(parent: ConvexCell, seeds: Iterable, candidates: Callable) -> Subdivision:
     """Breadth-first walk over the region adjacency graph from the `seeds`
     labels, in order; `candidates(label)` gives the rows `compute_vertex_cell`
     takes for `label`.  Visits each full-dimensional cell it reaches exactly
@@ -292,7 +294,7 @@ def compute_subdivision(
         if label in cells or label in degenerate:
             continue
         try:
-            cell, neighbors = compute_vertex_cell(parent, label, candidates(label), seed)
+            cell, neighbors = compute_vertex_cell(parent, label, candidates(label))
         except DegenerateCellError:
             degenerate.add(label)
             continue
@@ -321,31 +323,33 @@ def pareto_front(vectors: dict) -> list:
     return [label for label, _ in kept]
 
 
-def envelope_cells(parent: ConvexCell, forms: dict, seed: int = 0) -> Subdivision:
+def envelope_cells(parent: ConvexCell, forms: dict) -> Subdivision:
     """The full-dimensional cells of the lower envelope of labeled affine
     forms inside `parent`, keyed by label: one `compute_subdivision` walk
     from the form minimal just past the parent's witness (`argmin_label`).
     `dominance_constraints` meets the walk's contract for any forms, so the
     walk reaches every cell; the labels it gives none are degenerate.  A
-    parent with empty interior has no cell.
+    parent without a witness walks from its canonical point; one with empty
+    interior has no cell.
     """
-    point = parent.witness if parent.witness is not None else find_interior_point(parent.constraints, seed)
+    point = _witness(parent)
     if point is None or not forms:
         return Subdivision(parent, {}, frozenset(), tuple(sorted(forms)))
     start = argmin_label(forms, point)
-    sub = compute_subdivision(parent, (start,), lambda label: dominance_constraints(forms, label), seed)
+    sub = compute_subdivision(parent, (start,), lambda label: dominance_constraints(forms, label))
     degenerate = tuple(label for label in sorted(forms) if label not in sub.cells)
     return Subdivision(parent, sub.cells, sub.adjacency, degenerate)
 
 
-def compute_overlay(subdivisions: Sequence[Subdivision], seed: int = 0) -> Subdivision:
+def compute_overlay(subdivisions: Sequence[Subdivision]) -> Subdivision:
     """Common refinement of several subdivisions of the same parent; cell
     labels are the tuples of source-cell labels.
 
     One walk over tuple labels (`product_candidates`): entry i's rows are
     the facets of input i's cell that are not the parent's, each labeled
     with the input cell across it, and the seed is the tuple of input cells
-    that hold the parent's witness + (e, e^2, ...).  Raises GeometryError
+    that hold the parent's witness (its canonical point when it has none)
+    + (e, e^2, ...).  Raises GeometryError
     when the parents differ or an interior facet has no label.
     """
     if not subdivisions:
@@ -368,10 +372,18 @@ def compute_overlay(subdivisions: Sequence[Subdivision], seed: int = 0) -> Subdi
 
         return rows
 
-    point = parent.witness if parent.witness is not None else find_interior_point(parent.constraints, seed)
+    point = _witness(parent)
     start = tuple(_cell_past(sub, point) for sub in subdivisions)
     candidates = product_candidates([facets(sub) for sub in subdivisions])
-    return compute_subdivision(parent, (start,), candidates, seed)
+    return compute_subdivision(parent, (start,), candidates)
+
+
+def _witness(cell: ConvexCell):
+    """The cell's witness, or its canonical point when it has none (None
+    when its interior is empty)."""
+    if cell.witness is not None:
+        return cell.witness
+    return _canonical_point([h.int_row for h in cell.constraints], cell.dimension)
 
 
 def _cell_past(sub: Subdivision, point):

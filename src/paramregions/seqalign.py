@@ -577,7 +577,7 @@ class AlignmentPartition(Subdivision):
         return frozenset(keys - box_keys)
 
 
-def _partition(domain: ConvexCell, regions: dict, seed: int) -> AlignmentPartition:
+def _partition(domain: ConvexCell, regions: dict) -> AlignmentPartition:
     """The partition of `domain` among `regions`, {key: Alignment}: the
     alignments optimal on a full-dimensional part of it.  Both the execution
     DAG and the ray search end here.
@@ -598,7 +598,7 @@ def _partition(domain: ConvexCell, regions: dict, seed: int) -> AlignmentPartiti
         rivals = {key: {k: forms[k] for k in fan[max(i - 1, 0) : i + 2]} for i, key in enumerate(fan)}
     else:
         rivals = dict.fromkeys(forms, forms)
-    sub = compute_subdivision(domain, regions, lambda key: dominance_constraints(rivals[key], key), seed)
+    sub = compute_subdivision(domain, regions, lambda key: dominance_constraints(rivals[key], key))
     return AlignmentPartition(domain, sub.cells, sub.adjacency, regions=regions)
 
 
@@ -613,7 +613,7 @@ def default_domain(dimension: int) -> ConvexCell:
 # --------------------------------------------------------------------------
 
 def build_execution_dag(
-    spec: AlignmentDPSpec, s1: str, s2: str, seed: int = 0, graph: Optional[NodeGraph] = None
+    spec: AlignmentDPSpec, s1: str, s2: str, graph: Optional[NodeGraph] = None
 ) -> AlignmentPartition:
     """Partition of the parameter domain (`default_domain`, the unit box) by
     optimal alignment of (s1, s2).
@@ -650,7 +650,7 @@ def build_execution_dag(
             regions.append(_envelope_regions(extended, spec.dimension))
     if regions[-1] is None:
         raise NoSolution("the DP has no solution for this input")
-    return _partition(domain, regions[-1], seed)
+    return _partition(domain, regions[-1])
 
 
 def _envelope_regions(candidates, dimension: int) -> dict:
@@ -744,14 +744,12 @@ def _lower_hull_2d(totals: dict) -> list:
 # d = 2 ray search
 # --------------------------------------------------------------------------
 
-def ray_search_2d(
-    spec: AlignmentDPSpec, s1: str, s2: str, seed: int = 0, graph: Optional[NodeGraph] = None
-):
+def ray_search_2d(spec: AlignmentDPSpec, s1: str, s2: str, graph: Optional[NodeGraph] = None):
     """Fan of angular sectors of constant optimal alignment (two features):
     (partition, number of DP solves issued), the regions of
     `ray_search_regions` partitioned by `_partition`, as the DAG's root is."""
     regions, solves = ray_search_regions(spec, s1, s2, graph)
-    return _partition(default_domain(2), regions, seed), solves
+    return _partition(default_domain(2), regions), solves
 
 
 def ray_search_regions(spec: AlignmentDPSpec, s1: str, s2: str, graph: Optional[NodeGraph] = None):

@@ -139,7 +139,7 @@ def _option_forms(instance: TariffInstance) -> list:
     ]
 
 
-def compute_price_regions(instance: TariffInstance, seed: int = 0) -> Subdivision:
+def compute_price_regions(instance: TariffInstance) -> Subdivision:
     """Regions of constant buyer behavior over the capped price box.
 
     Labels are per-sample (quantity, tariff-index) tuples, and a profile's
@@ -150,23 +150,23 @@ def compute_price_regions(instance: TariffInstance, seed: int = 0) -> Subdivisio
     (`regions.argmin_label` per sample) and follows facet labels, each the
     profile across its facet, so it finds every region.
     """
-    return _product_walk(instance, _option_forms(instance), seed)
+    return _product_walk(instance, _option_forms(instance))
 
 
-def single_tariff_regions(instance: TariffInstance, seed: int = 0) -> Subdivision:
+def single_tariff_regions(instance: TariffInstance) -> Subdivision:
     """L = 1 specialization with plain quantity-tuple labels: options keyed
     by q alone, which sorts as (q, 1) does, so every tie rule picks alike."""
     if instance.menu_length != 1:
         raise ValueError("single_tariff_regions needs menu_length == 1")
     forms = [{q: form for (q, _), form in options.items()} for options in _option_forms(instance)]
-    return _product_walk(instance, forms, seed)
+    return _product_walk(instance, forms)
 
 
-def _product_walk(instance: TariffInstance, forms: list, seed: int) -> Subdivision:
+def _product_walk(instance: TariffInstance, forms: list) -> Subdivision:
     box = instance.price_box()
     start = tuple(argmin_label(options, box.witness) for options in forms)
     candidates = product_candidates([partial(dominance_constraints, options) for options in forms])
-    return compute_subdivision(box, (start,), candidates, seed)
+    return compute_subdivision(box, (start,), candidates)
 
 
 def normalize_profile(label) -> tuple:

@@ -41,10 +41,11 @@ def reference_simplest(lo, hi):
 
 
 def reference_witness(constraints):
-    """The witness of a full-dimensional cell in d <= 2 by its definition:
-    x_1 the simplest rational inside the cell's projection onto x_1, x_2 the
-    simplest inside the chord at x_1, each range from two LPs over all the
-    `constraints` (None for an unbounded end)."""
+    """The canonical point of a full-dimensional cell by its definition: x_1
+    the simplest rational inside the cell's projection onto x_1, then x_2
+    the simplest inside the projection of its slice at x_1, and so on, each
+    range from two LPs over all the `constraints` plus the coordinates
+    fixed so far as pairs of opposite rows (None for an unbounded end)."""
     def extent(objective, rows):
         ends = []
         for sense in ("min", "max"):
@@ -53,11 +54,14 @@ def reference_witness(constraints):
         return reference_simplest(*ends)
 
     d = constraints[0].dimension
-    x1 = extent((1,) + (0,) * (d - 1), constraints)
-    if d == 1:
-        return (x1,)
-    fixed = [Halfspace.from_rationals((1, 0), x1), Halfspace.from_rationals((-1, 0), -x1)]
-    return (x1, extent((0, 1), list(constraints) + fixed))
+    rows = list(constraints)
+    point = []
+    for k in range(d):
+        unit = tuple(int(j == k) for j in range(d))
+        x = extent(unit, rows)
+        point.append(x)
+        rows += [Halfspace.from_rationals(unit, x), Halfspace.from_rationals(tuple(-c for c in unit), -x)]
+    return tuple(point)
 
 
 def naive_nonredundant(constraints, seed=0):
@@ -467,10 +471,10 @@ def reference_envelope_labels(parent, forms, corners, seed=0):
     ]
 
 
-def reference_partition(domain, regions, seed=0):
+def reference_partition(domain, regions):
     """The subdivision of `domain` among alignment `regions`, {key:
     Alignment}, in which every cell takes the dominance rows of every other
     region (`regions.compute_subdivision` over `dominance_constraints` of all
     the cost forms).  `seqalign._partition` must agree with it exactly."""
     forms = {key: AffineForm(alignment.counts, 0) for key, alignment in regions.items()}
-    return compute_subdivision(domain, regions, lambda key: dominance_constraints(forms, key), seed)
+    return compute_subdivision(domain, regions, lambda key: dominance_constraints(forms, key))

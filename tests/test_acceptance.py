@@ -138,7 +138,7 @@ def test_criterion_2_region_oracle_equivalence():
 
     for trial in range(100):
         inst, family = random_cluster_case(rng)
-        root = build_execution_tree(inst, family, seed=trial)
+        root = build_execution_tree(inst, family)
         for merges, cell in leaf_subdivision(root).items():
             regions_checked += 1
             for p in sample_interior(cell, SAMPLES_PER_REGION, seed=trial):
@@ -148,7 +148,7 @@ def test_criterion_2_region_oracle_equivalence():
     for trial in range(100):
         spec = get_preset("mismatch-space" if trial % 10 < 7 else "mismatch-space-gap")
         s1, s2 = random_sequences(rng, 5)
-        part = build_execution_dag(spec, s1, s2, seed=trial)
+        part = build_execution_dag(spec, s1, s2)
         for key, cell in part.cells.items():
             regions_checked += 1
             for p in sample_interior(cell, SAMPLES_PER_REGION, seed=trial):
@@ -158,7 +158,7 @@ def test_criterion_2_region_oracle_equivalence():
 
     for trial in range(100):
         inst = random_tariff(rng)
-        sub = compute_price_regions(inst, seed=trial)
+        sub = compute_price_regions(inst)
         for label, cell in sub.cells.items():
             regions_checked += 1
             expected = normalize_profile(label)
@@ -184,7 +184,7 @@ def test_criterion_3_redundancy_removal_correctness():
         origin = tuple(rat(0) for _ in range(d))
         hs = random_halfspaces(rng, d, rng.randint(20, 60), ensure_interior=origin)
         hs = [Halfspace(h.int_row, i) for i, h in enumerate(hs)]
-        kept = clarkson_reduce(hs, origin, seed=trial)
+        kept = clarkson_reduce(hs, origin)
         want = naive_nonredundant(hs, seed=trial)
         if sorted(h.label for h in kept) != want:
             bad += 1
@@ -233,7 +233,7 @@ def test_criterion_4_alignment_exhaustive_equivalence():
     for trial in range(40):
         spec = get_preset("mismatch-space" if trial % 3 else "mismatch-space-gap")
         s1, s2 = random_sequences(rng, 5)
-        part = build_execution_dag(spec, s1, s2, seed=trial)
+        part = build_execution_dag(spec, s1, s2)
         count_vectors = _envelope_counts(spec, s1, s2)
         steps = 12 if spec.dimension == 2 else 5
         for p in _domain_grid(spec.dimension, steps):
@@ -257,8 +257,8 @@ def _ray_dag_cases():
     cases = []
     for trial in range(50):
         s1, s2 = random_sequences(rng, 6)
-        ray, calls = ray_search_2d(spec, s1, s2, seed=trial)
-        dag = build_execution_dag(spec, s1, s2, seed=trial)
+        ray, calls = ray_search_2d(spec, s1, s2)
+        dag = build_execution_dag(spec, s1, s2)
         cases.append((s1, s2, ray, calls, dag))
     return cases
 
@@ -314,7 +314,7 @@ def test_criterion_6_tariff_piece_bound():
     violations = []
     for trial in range(200):
         inst = random_tariff(rng)
-        sub = single_tariff_regions(inst, seed=trial)
+        sub = single_tariff_regions(inst)
         rep = check_piece_bound(inst, sub)
         if not rep["pieces_ok"] or not rep["lines_ok"]:
             violations.append((inst.n_samples, inst.units, rep))
@@ -359,7 +359,7 @@ def test_criterion_7_revenue_optimality():
         instances.append(random_tariff(rng, max_n=4, max_k=4))
     failures = []
     for idx, inst in enumerate(instances):
-        sub = single_tariff_regions(inst, seed=idx)
+        sub = single_tariff_regions(inst)
         _, revenue, _ = maximize_revenue(inst, sub, seed=idx)
         exact = float(revenue)
         gaps = []
@@ -392,7 +392,7 @@ def test_criterion_8_output_sensitive_scaling():
             best = None
             for _rep in range(2):
                 t0 = time.perf_counter()
-                root = build_execution_tree(inst, family, seed=0)
+                root = build_execution_tree(inst, family)
                 dt = time.perf_counter() - t0
                 best = dt if best is None else min(best, dt)
             r = len(leaf_subdivision(root))
@@ -421,14 +421,14 @@ def test_criterion_9_invariant_suites():
         inst, family = random_cluster_case(rng)
         if family.dimension != 2:
             continue
-        root = build_execution_tree(inst, family, seed=trial)
+        root = build_execution_tree(inst, family)
         for node in root.walk():
             sub = node.subdivision
             if sub is not None and len(sub.adjacency) > 3 * len(sub.cells):
                 problems.append(f"planarity: clustering trial {trial}")
     for trial in range(100):
         inst = random_tariff(rng, max_n=4, max_k=4)
-        sub = single_tariff_regions(inst, seed=trial)
+        sub = single_tariff_regions(inst)
         if len(sub.adjacency) > 3 * len(sub.cells):
             problems.append(f"planarity: tariff trial {trial}")
 
@@ -437,7 +437,7 @@ def test_criterion_9_invariant_suites():
         pts = random_points(rng, rng.randint(4, 6))
         inst = ClusteringInstance.from_points(pts, ("euclidean",))
         family = MergeFamily(("single", "complete"), ("euclidean",))
-        root = build_execution_tree(inst, family, seed=trial)
+        root = build_execution_tree(inst, family)
         for node in root.walk():
             for child in node.children:
                 for h in node.region.constraints:
@@ -458,8 +458,8 @@ def test_criterion_9_invariant_suites():
             },
             points=inst.points,
         )
-        a = leaf_subdivision(build_execution_tree(inst, family, seed=trial))
-        b = leaf_subdivision(build_execution_tree(scaled, family, seed=trial))
+        a = leaf_subdivision(build_execution_tree(inst, family))
+        b = leaf_subdivision(build_execution_tree(scaled, family))
         if set(a) != set(b) or any(a[m].constraint_keys() != b[m].constraint_keys() for m in a):
             problems.append(f"scale invariance: trial {trial}")
 
@@ -474,9 +474,8 @@ def test_criterion_9_invariant_suites():
             box,
             [argmin_label(forms, box.witness)],
             lambda label: dominance_constraints(forms, label),
-            seed=trial,
         )
-        overlaid = compute_overlay([sub, sub], seed=trial)
+        overlaid = compute_overlay([sub, sub])
         want = {(l, l) for l in sub.cells}
         if set(overlaid.cells) != want:
             problems.append(f"overlay idempotence: trial {trial}")
@@ -484,8 +483,8 @@ def test_criterion_9_invariant_suites():
     # menu length 1 reduces exactly to the single-tariff algorithm
     for trial in range(100):
         inst = random_tariff(rng, max_n=4, max_k=4)
-        menu = compute_price_regions(inst, seed=trial)
-        single = single_tariff_regions(inst, seed=trial)
+        menu = compute_price_regions(inst)
+        single = single_tariff_regions(inst)
         mapped = {tuple(q for q, _ in label): cell for label, cell in menu.cells.items()}
         if set(mapped) != set(single.cells) or any(
             mapped[l].constraint_keys() != single.cells[l].constraint_keys() for l in mapped

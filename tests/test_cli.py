@@ -67,7 +67,7 @@ class TestClusterRegions:
         )
         assert code == 0
         data = json.loads(out.read_text())
-        assert data["schema_version"] == 2
+        assert data["schema_version"] == 3
         assert len(data["cells"]) == 2
         assert data["oracle_agreement"] == 1.0
         assert data["best"]["loss"] == "0/1"
@@ -158,6 +158,90 @@ class TestClusterRegions:
         # The restricted cell is alpha in [1/2, 1]; its witness is the
         # simplest rational strictly inside.
         assert data["best"]["rho"] == ["2/3"]
+
+    def test_restricted_parent_is_a_reduced_cell(self, tmp_path):
+        # Two points: the one leaf is the parent.  x <= 2 and x <= 3/2 are
+        # redundant in the simplex [0, 1], so the leaf keeps only its rows.
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps({"points": [["0"], ["1"]], "metric_names": ["euclidean"]}))
+        out = tmp_path / "regions.json"
+        args = ["cluster-regions", "--instance", str(path), "--restrict", "1:2", "--restrict", "2:3"]
+        assert run_cli(args + ["--output", str(out)]) == 0
+        data = json.loads(out.read_text())
+        simplex = MergeFamily(("single", "complete"), ("euclidean",)).simplex_cell().to_json()
+        assert data["parent"] == simplex
+        assert [{k: c[k] for k in simplex} for c in data["cells"]] == [simplex]
+
+    def test_restricted_parent_has_its_canonical_witness(self, tmp_path):
+        # d = 2: x_1 <= 1/2 cuts the simplex, x_1 + x_2 <= 2 does not.  The
+        # parent's witness is its canonical point: x_1 = 1/3, the simplest
+        # in (0, 1/2), then x_2 = 1/2, the simplest in (0, 2/3).
+        path = tmp_path / "three.json"
+        path.write_text(json.dumps({"points": [["0"], ["1"], ["3"]], "metric_names": ["euclidean"]}))
+        out = tmp_path / "regions.json"
+        args = ["cluster-regions", "--instance", str(path), "--linkages", "single,complete,median"]
+        args += ["--restrict", "1,0:1/2", "--restrict", "1,1:2"]
+        assert run_cli(args + ["--output", str(out)]) == 0
+        parent = json.loads(out.read_text())["parent"]
+        assert parent["witness"] == ["1/3", "1/2"]
+        assert [(h["normal"], h["offset"]) for h in parent["constraints"]] == [
+            (["-1/1", "0/1"], "0/1"),
+            (["0/1", "-1/1"], "0/1"),
+            (["1/1", "0/1"], "1/2"),
+            (["1/1", "1/1"], "1/1"),
+        ]
+
+    @pytest.mark.parametrize("restriction", ["1:-1/2", "-1:-1"], ids=["empty", "one-point"])
+    def test_restriction_without_interior_exit_3(self, line_instance_file, restriction, tmp_path, capsys):
+        out = tmp_path / "never.json"
+        args = ["cluster-regions", "--instance", line_instance_file, f"--restrict={restriction}"]
+        assert run_cli(args + ["--output", str(out)]) == 3
+        assert "no interior" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "instance, linkages, metrics",
+        [
+            (None, "single,complete", "euclidean"),
+            ("cluster_median.in.json", "single,complete,median", "euclidean"),
+            ("cluster_two_metrics.in.json", "average,mediod", "euclidean,manhattan"),
+        ],
+        ids=["line", "median", "two-metrics"],
+    )
+    def test_best_is_best_parameter_on_the_golden_inputs(
+        self, instance, linkages, metrics, line_instance_file, tmp_path
+    ):
+        path = line_instance_file if instance is None else str(GOLDEN / instance)
+        self.assert_best_is_best_parameter(path, linkages, metrics, tmp_path)
+
+    def test_best_is_best_parameter_on_random_instances(self, tmp_path):
+        rng = random.Random(97)
+        for trial in range(8):
+            n = rng.randint(4, 7)
+            points = [[str(rng.randint(0, 6)), str(rng.randint(0, 6))] for _ in range(n)]
+            split = rng.randint(1, n - 1)
+            path = tmp_path / f"random{trial}.json"
+            path.write_text(json.dumps({
+                "points": points,
+                "metric_names": ["euclidean"],
+                "target": [list(range(split)), list(range(split, n))],
+                "k": 2,
+            }))
+            linkages = ("single,complete", "single,complete,median")[trial % 2]
+            self.assert_best_is_best_parameter(str(path), linkages, "euclidean", tmp_path)
+
+    def assert_best_is_best_parameter(self, path, linkages, metrics, tmp_path):
+        out = tmp_path / "regions.json"
+        args = ["cluster-regions", "--instance", path, "--linkages", linkages, "--metrics", metrics]
+        assert run_cli(args + ["--output", str(out)]) == 0
+        inst = load_cluster_instance(json.loads(Path(path).read_text()))
+        family = MergeFamily(tuple(linkages.split(",")), tuple(metrics.split(",")))
+        rho, loss, leaf = best_parameter(inst, family)
+        assert json.loads(out.read_text())["best"] == {
+            "rho": format_vector(rho),
+            "loss": format_rational(loss),
+            "label": json.loads(json.dumps(leaf.merges)),
+        }
 
     def test_infeasible_restriction_exit_3(self, line_instance_file, tmp_path):
         code = run_cli(
@@ -653,6 +737,57 @@ class TestDensity:
             run_cli(args + ["--output", str(tmp_path / "never.json")])
         assert exc.value.code == 2
         assert not (tmp_path / "never.json").exists()
+
+
+class TestSeedIndependence:
+    """Regions and their witnesses are functions of the input alone: every
+    region verb writes the same bytes under any seed, in every dimension."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["tariff-regions", "--instance", str(GOLDEN / "tariff_4x4.in.json")],
+            ["tariff-regions", "--instance", str(GOLDEN / "tariff_menu2.in.json"), "--menu", "2"],
+            ["align-regions", "--preset", "mismatch-space-gap", "--s1", "ACG", "--s2", "TGA"],
+            ["align-regions", "--preset", "mismatch-space-gap", "--s1", "ACGTTGA", "--s2", "TGCAAGT"],
+            ["align-regions", "--preset", "mismatch-space", "--method", "ray",
+             "--s1", "CACTTCAATTGTAACT", "--s2", "ATTACCATTCCGAGAA"],
+            ["align-regions", "--spec-file", str(GOLDEN / "align_both_two_table.spec.json"),
+             "--s1", "ACGTTGCA", "--s2", "TGCAACGT", "--method", "both"],
+            ["cluster-regions", "--instance", str(GOLDEN / "cluster_median.in.json"),
+             "--linkages", "single,complete,median"],
+            ["cluster-regions", "--instance", str(GOLDEN / "cluster_two_metrics.in.json"),
+             "--linkages", "average,mediod", "--metrics", "euclidean,manhattan"],
+            # d = 3, a restricted parent; d = 4, a menu of two.
+            ["cluster-regions", "--instance", str(GOLDEN / "cluster_two_metrics.in.json"),
+             "--linkages", "average,mediod", "--metrics", "euclidean,manhattan", "--restrict", "1,1,1:1/2"],
+            ["tariff-regions", "--instance", "{tariff}", "--menu", "2"],
+        ],
+        ids=["tariff-4x4", "tariff-menu2", "align-gap", "align-gap-five", "align-ray", "align-both",
+             "cluster-median", "cluster-two-metrics", "cluster-restricted-d3", "tariff-menu-d4"],
+    )
+    def test_region_verbs_ignore_the_seed(self, args, tmp_path):
+        tariff_path = tmp_path / "tariff.json"
+        tariff_path.write_text(json.dumps({"K": 2, "valuations": [["3", "5"], ["2", "7"]]}))
+        args = [str(tariff_path) if a == "{tariff}" else a for a in args]
+        outputs = []
+        for seed in ("0", "911"):
+            out = tmp_path / f"seed{seed}.json"
+            assert run_cli([*args, "--seed", seed, "--output", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_line_fixture_ignores_the_seed(self, line_instance_file, tariff_instance_file, tmp_path):
+        for args in (
+            ["cluster-regions", "--instance", line_instance_file, "--linkages", "single,complete"],
+            ["tariff-regions", "--instance", tariff_instance_file],
+        ):
+            outputs = []
+            for seed in ("0", "911"):
+                out = tmp_path / f"seed{seed}.json"
+                assert run_cli([*args, "--seed", seed, "--output", str(out)]) == 0
+                outputs.append(out.read_bytes())
+            assert outputs[0] == outputs[1]
 
 
 class TestGoldenOutput:

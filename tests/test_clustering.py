@@ -273,7 +273,7 @@ class TestEnvelopePrune:
             inst = ClusteringInstance.from_points(pts, metrics)
             d = family.dimension
             corners = [(0,) * d] + [tuple(int(j == t) for j in range(d)) for t in range(d)]
-            stack = [build_execution_tree(inst, family, seed=trial)]
+            stack = [build_execution_tree(inst, family)]
             while stack:
                 node = stack.pop()
                 if node.subdivision is not None:
@@ -296,14 +296,14 @@ class TestOneFormNodes:
         for trial in range(16):
             family = MergeFamily(("single", "complete", "median")[: 2 + trial % 2], ("euclidean",))
             inst = random_instance(rng, rng.randint(7, 9))
-            for node in build_execution_tree(inst, family, seed=trial).walk():
+            for node in build_execution_tree(inst, family).walk():
                 if not node.merges or node.subdivision is None:
                     continue
                 forms = merge_forms(inst, family, partition_after(inst.n_points, node.merges))
                 if len(forms) != 1:
                     continue
                 (pair,) = forms
-                sub = envelope_cells(node.region, forms, seed=trial)
+                sub = envelope_cells(node.region, forms)
                 assert list(sub.cells) == [pair] and not sub.adjacency and not sub.degenerate
                 assert sub.cells[pair].constraints == node.region.constraints
                 assert sub.cells[pair].witness == node.region.witness
@@ -316,14 +316,14 @@ class TestOneFormNodes:
         [(("single", "complete"), ("euclidean",)), (("single", "complete", "median"), ("euclidean",)),
          (("average", "mediod"), ("euclidean", "manhattan"))],
     )
-    def test_the_walk_is_skipped_only_below_the_root_in_the_plane(self, linkages, metrics, monkeypatch):
-        # In d >= 3 a cell's witness is an LP's over its rows, so a one-form
-        # node's may differ from its region's: it still takes the walk.
+    def test_the_walk_is_skipped_only_below_the_root(self, linkages, metrics, monkeypatch):
+        # A cell's witness is its canonical point in every dimension, so a
+        # one-form node below the root keeps its region in d >= 3 too.
         walked = []
 
-        def walk(region, forms, seed):
+        def walk(region, forms):
             walked.append(region)
-            return envelope_cells(region, forms, seed)
+            return envelope_cells(region, forms)
 
         monkeypatch.setattr(clustering, "envelope_cells", walk)
         rng = random.Random(59)
@@ -333,7 +333,7 @@ class TestOneFormNodes:
             pts = [(rng.randint(0, 8), rng.randint(0, 8)) for _ in range(7)]
             inst = ClusteringInstance.from_points(pts, metrics)
             walked.clear()
-            root = build_execution_tree(inst, family, seed=trial)
+            root = build_execution_tree(inst, family)
             expected = []
             for node in root.walk():
                 if node.subdivision is None:
@@ -341,8 +341,7 @@ class TestOneFormNodes:
                 forms = merge_forms(inst, family, partition_after(inst.n_points, node.merges))
                 if len(forms) == 1 and node.merges:
                     one_form += 1
-                    if family.dimension <= 2:
-                        continue
+                    continue
                 expected.append(node.region)
             assert walked == expected
         assert one_form > 4
@@ -361,6 +360,49 @@ class TestOneFormNodes:
         cell, _ = compute_vertex_cell(root.region, ((0,), (1,)), [])
         assert child.region == cell
         assert child.region.witness == (rat(1, 2), rat(1, 3))
+
+
+    def test_a_three_dimensional_tree_equals_the_walked_tree(self):
+        # Two metrics, d = 3: the tree that keeps one-form regions below the
+        # root against a walk at every node, leaf for leaf: merges, facets
+        # with their labels, and witness.
+        def walked(inst, family, merges, region):
+            clusters = partition_after(inst.n_points, merges)
+            if len(clusters) == 1:
+                return {merges: region}
+            if len(clusters) == 2:
+                return walked(inst, family, merges + (clusters,), region)
+            sub = envelope_cells(region, merge_forms(inst, family, clusters))
+            out = {}
+            for pair in sorted(sub.cells):
+                out.update(walked(inst, family, merges + (pair,), sub.cells[pair]))
+            return out
+
+        rng = random.Random(61)
+        metrics = ("euclidean", "manhattan")
+        family = MergeFamily(("average", "mediod"), metrics)
+        kept = leaves = 0
+        for _ in range(8):
+            pts = [(rng.randint(0, 8), rng.randint(0, 8)) for _ in range(7)]
+            inst = ClusteringInstance.from_points(pts, metrics)
+            root = build_execution_tree(inst, family)
+            want = walked(inst, family, (), root.region)
+            got = leaf_subdivision(root)
+            assert list(got) == list(want)
+            for merges, cell in got.items():
+                assert [(h.int_row, h.label) for h in cell.constraints] == [
+                    (h.int_row, h.label) for h in want[merges].constraints
+                ]
+                assert cell.witness == want[merges].witness
+            leaves += len(got)
+            kept += sum(
+                1
+                for node in root.walk()
+                if node.merges
+                and node.subdivision is not None
+                and len(merge_forms(inst, family, partition_after(inst.n_points, node.merges))) == 1
+            )
+        assert family.dimension == 3 and leaves > 12 and kept > 20, (leaves, kept)
 
 
 class TestHammingLoss:
@@ -403,12 +445,31 @@ class TestHammingLoss:
 
 
 class TestBestParameter:
+    def test_leaf_losses_keep_the_smallest_merge_sequence_of_least_loss(self):
+        # Both orders of the two pair merges give the target: loss 0, a tie.
+        inst = line_instance(target=[{0, 1}, {2, 3}], k=2)
+        first = (((0,), (1,)), ((2,), (3,)), ((0, 1), (2, 3)))
+        second = (((2,), (3,)), ((0,), (1,)), ((0, 1), (2, 3)))
+        chain = (((0,), (1,)), ((0, 1), (2,)), ((0, 1, 2), (3,)))
+        losses, best = clustering.leaf_losses(inst, [second, chain, first])
+        assert list(losses) == [chain, first, second]
+        assert losses == {first: 0, chain: rat(1, 4), second: 0}
+        assert best == first
+
     def test_line_instance_prefers_single_side(self):
         inst = line_instance(target=[{0, 1}, {2, 3}], k=2)
         rho, loss, leaf = best_parameter(inst, sc_family())
         assert loss == 0
         assert ((2,), (3,)) in leaf.merges  # the {3, 5.6} merge happens
         assert rho[0] < rat(2, 5)
+
+    def test_instance_without_target_is_refused_before_the_tree_is_built(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("built the execution tree")
+
+        monkeypatch.setattr(clustering, "build_execution_tree", build)
+        with pytest.raises(ValueError, match="target clustering and k"):
+            best_parameter(line_instance(), sc_family())
 
     def test_single_leaf_instance(self):
         inst = ClusteringInstance.from_points([(0,), (1,)], ("euclidean",), target=[{0}, {1}], k=2)

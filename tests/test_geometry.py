@@ -6,17 +6,21 @@ from fractions import Fraction
 
 import pytest
 
+from paramregions import geometry
 from paramregions.geometry import (
     ConvexCell,
     GeometryError,
     Halfspace,
     LPResult,
     _box_bound,
+    _canonical_point,
     _clip_polygon,
     _has_interior,
     _homogeneous,
     _interior_point_rows,
     _int_vector,
+    _interval_ends,
+    _interval_witness,
     _ray_first_index,
     _rational_point,
     _slack,
@@ -40,6 +44,7 @@ from oracles import (
     reference_box_bound,
     reference_ray_first_index,
     reference_solve_raw,
+    reference_witness,
     vertex_enumeration_lp,
 )
 
@@ -310,6 +315,93 @@ class TestFindInteriorPoint:
         assert outcomes.count(True) > 100 and outcomes.count(False) > 100
 
 
+def random_cell_rows(rng, d):
+    """Integer rows of a random cell around the origin in d dimensions,
+    unbounded or cut by a box around it, and the cell's `Halfspace`s."""
+    origin = (rat(0),) * d
+    hs = random_halfspaces(rng, d, rng.randint(2, 3 * d + 3), ensure_interior=origin)
+    if rng.random() < 0.5:
+        hs += list(box_cell(-rng.randint(1, 4), rng.randint(1, 4), d).constraints)
+    return [h.int_row for h in hs], hs
+
+
+class TestCanonicalPoint:
+    """`_canonical_point`: x_1 the simplest rational strictly inside the
+    cell's x_1-range, then the canonical point of the slice at x_1."""
+
+    def test_matches_its_definition_in_every_dimension(self):
+        # d = 3 and 4 read the x_1-range off two LP values; the reference
+        # takes every coordinate's range from `solve_lp` over the cell's
+        # rows with the coordinates before it fixed.
+        rng = random.Random(71)
+        for trial in range(120):
+            d = 1 + trial % 4
+            rows, hs = random_cell_rows(rng, d)
+            assert _canonical_point(rows, d) == reference_witness(hs), (trial, rows)
+
+    def test_redundant_and_shuffled_rows_leave_it_unchanged(self):
+        # Redundant: looser copies, rescaled copies and sums of two rows.
+        rng = random.Random(73)
+        for trial in range(80):
+            d = 1 + trial % 4
+            rows, _ = random_cell_rows(rng, d)
+            want = _canonical_point(rows, d)
+            extra = []
+            for _ in range(rng.randint(1, 6)):
+                a, b = rng.choice(rows), rng.choice(rows)
+                extra.append(rng.choice((
+                    a[:-1] + (a[-1] + rng.randint(1, 5),),
+                    tuple(3 * c for c in a),
+                    tuple(x + y for x, y in zip(a, b)),
+                )))
+            more = [row for row in rows + extra if any(row[:-1])]
+            rng.shuffle(more)
+            assert _canonical_point(more, d) == want, (trial, rows, extra)
+
+    def test_strictly_interior_or_none_without_interior(self):
+        rng = random.Random(79)
+        flat = 0
+        for trial in range(120):
+            d = 1 + trial % 4
+            rows, _ = random_cell_rows(rng, d)
+            if trial % 3 == 0:  # a slab of width 0: no interior
+                rows.append(tuple(-c for c in rows[0]))
+            point = _canonical_point(rows, d)
+            if trial % 3 == 0:
+                assert point is None
+                flat += 1
+                continue
+            z = _homogeneous(point)
+            assert all(_slack(row, z) > 0 for row in rows), (trial, rows)
+        assert flat == 40
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_unit_box_gives_its_midpoint(self, d):
+        box = box_cell(0, 1, d)
+        assert _canonical_point([h.int_row for h in box.constraints], d) == box.witness == (rat(1, 2),) * d
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_the_whole_space_and_a_slab_slice_to_the_origin(self, d):
+        # 0 < x_1 < 1: the slice keeps no row, and the whole space's
+        # canonical point is the origin.
+        assert _canonical_point([], d) == (0,) * d
+        slab = [(1,) + (0,) * (d - 1) + (1,), (-1,) + (0,) * d]
+        assert _canonical_point(slab, d) == (rat(1, 2),) + (0,) * (d - 1)
+
+    def test_interior_in_one_dimension_matches_the_witness(self):
+        # `_has_interior` reads the two ends (`_interval_ends`), with no
+        # simplest rational; it must say yes exactly when there is a witness.
+        rng = random.Random(83)
+        outcomes = []
+        for _ in range(2000):
+            rows = [(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(-6, 6)) for _ in range(rng.randint(1, 5))]
+            got = _has_interior(rows)
+            assert got == (_interval_witness(rows) is not None), rows
+            assert got == (_interval_ends(rows) is not None)
+            outcomes.append(got)
+        assert outcomes.count(True) > 400 and outcomes.count(False) > 400
+
+
 class TestClarkson:
     def test_dominated_bound_dropped(self):
         hs = [H((1,), 1, "a"), H((1,), 2, "b"), H((-1,), 0, "c")]
@@ -328,7 +420,7 @@ class TestClarkson:
             origin = tuple(rat(0) for _ in range(d))
             hs = random_halfspaces(rng, d, rng.randint(8, 25), ensure_interior=origin)
             hs = [Halfspace(h.int_row, i) for i, h in enumerate(hs)]
-            kept = clarkson_reduce(hs, origin, seed=trial)
+            kept = clarkson_reduce(hs, origin)
             want = naive_nonredundant(hs, seed=trial)
             assert sorted(h.label for h in kept) == want
 
@@ -356,14 +448,16 @@ class TestClarkson:
                     hs.append(Halfspace.from_rationals(normal, rat(rng.randint(1, 12), rng.randint(1, 3))))
             hs = [Halfspace(h.int_row, i) for i, h in enumerate(hs)]
             want = naive_nonredundant(hs, seed=trial)
-            kept = clarkson_reduce(hs, origin, seed=trial)
+            kept = clarkson_reduce(hs, origin)
             assert sorted(h.label for h in kept) == want
             for h in kept:
                 assert h.label == min(i for i, g in enumerate(hs) if g.int_row == h.int_row)
 
-    def test_kept_rows_do_not_depend_on_the_seed(self):
-        # One pass draws every LP's insertion order from one generator, so
-        # the LPs differ from seed to seed; the non-redundant set is unique.
+    def test_kept_rows_do_not_depend_on_the_seed(self, monkeypatch):
+        # One pass draws every LP's insertion order from one generator, fixed
+        # in the library; here each pass gets its own seed instead, so the
+        # LPs differ from seed to seed.  The non-redundant set is unique.
+        solve = geometry._solve_raw
         rng = random.Random(29)
         for trial in range(12):
             d = 1 + trial % 3
@@ -372,7 +466,10 @@ class TestClarkson:
             hs = [Halfspace(h.int_row, i) for i, h in enumerate(hs)]
             want = [hs[i] for i in naive_nonredundant(hs, seed=trial)]
             for seed in range(20):
-                assert list(clarkson_reduce(hs, origin, seed=seed)) == want
+                shuffles = random.Random(seed)
+                reseeded = lambda obj, rows, _, bound: solve(obj, rows, shuffles, bound)  # noqa: E731
+                monkeypatch.setattr(geometry, "_solve_raw", reseeded)
+                assert list(clarkson_reduce(hs, origin)) == want
 
     def test_minimality_certificates(self):
         rng = random.Random(23)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from paramregions import regions
+from paramregions import geometry, regions
 from paramregions.geometry import (
     ConvexCell,
     Halfspace,
@@ -40,12 +40,12 @@ def forms_2d(spec):
     return {label: AffineForm(coeffs, const) for label, (coeffs, const) in spec.items()}
 
 
-def argmin_subdivision(parent, forms, start=None, seed=0):
+def argmin_subdivision(parent, forms, start=None):
     """`compute_subdivision` of "behavior = argmin of the forms", seeded with
     the behavior at `start` (default: the parent's witness)."""
     start = parent.witness if start is None else start
     return compute_subdivision(
-        parent, [argmin_label(forms, start)], lambda label: dominance_constraints(forms, label), seed
+        parent, [argmin_label(forms, start)], lambda label: dominance_constraints(forms, label)
     )
 
 
@@ -137,7 +137,8 @@ def parallel_family(rng, parent):
 class TestCellDirectionFilter:
     """`compute_vertex_cell` keeps one row per normal direction before it
     reads the cell off them: the interval's ends in d = 1, the clip in d = 2
-    and the LPs in d = 3.  The cell must still be the naive oracle's."""
+    and the canonical point's LPs in d = 3.  The cell must still be the
+    naive oracle's."""
 
     def test_parallel_candidates_match_naive_oracle(self, monkeypatch):
         seen = []
@@ -153,7 +154,7 @@ class TestCellDirectionFilter:
 
         recording("_interval_witness", list)
         recording("_clip_polygon", list)
-        recording("find_interior_point", lambda constraints, seed=0: [h.int_row for h in constraints])
+        recording("_canonical_point", lambda rows, d: list(rows))
         rng = random.Random(53)
         for trial in range(45):
             d = 1 + trial % 3
@@ -161,7 +162,7 @@ class TestCellDirectionFilter:
             candidates = parallel_family(rng, parent)
             rows = list(parent.constraints) + candidates
             want = naive_nonredundant(rows, seed=trial)
-            cell, neighbors = compute_vertex_cell(parent, "me", candidates, seed=trial)
+            cell, neighbors = compute_vertex_cell(parent, "me", candidates)
             assert {(h.int_row, h.label) for h in cell.constraints} == {
                 (rows[i].int_row, rows[i].label) for i in want
             }
@@ -197,14 +198,14 @@ class TestClippedCells:
         monkeypatch.setattr(regions, "_clarkson_indices", no_clarkson)
         origin = (rat(0), rat(0))
         for trial, hs in self.criterion_3_systems():
-            want = [h.label for h in clarkson_reduce(hs, origin, seed=trial)]
-            cell, neighbors = compute_vertex_cell(ConvexCell(2, ()), "me", hs, seed=trial)
+            want = [h.label for h in clarkson_reduce(hs, origin)]
+            cell, neighbors = compute_vertex_cell(ConvexCell(2, ()), "me", hs)
             assert [h.label for h in cell.constraints] == want, trial
             assert neighbors == frozenset(want)
 
     def test_witness_matches_its_definition_on_the_criterion_3_generator(self, no_interior_lp):
         for trial, hs in self.criterion_3_systems():
-            cell, _ = compute_vertex_cell(ConvexCell(2, ()), "me", hs, seed=trial)
+            cell, _ = compute_vertex_cell(ConvexCell(2, ()), "me", hs)
             assert cell.witness == reference_witness(hs), trial
 
     def test_three_dimensional_facets_match_clarkson(self, monkeypatch):
@@ -224,8 +225,8 @@ class TestClippedCells:
                 hs.append(Halfspace(h.int_row[:-1] + (h.int_row[-1] + 1,)))
             hs = [Halfspace(h.int_row, i) for i, h in enumerate(hs)]
             parent = box_cell(-2, 2, 3) if trial % 2 else ConvexCell(3, ())
-            want = clarkson_reduce(list(parent.constraints) + hs, origin, seed=trial)
-            cell, neighbors = compute_vertex_cell(parent, "me", hs, seed=trial)
+            want = clarkson_reduce(list(parent.constraints) + hs, origin)
+            cell, neighbors = compute_vertex_cell(parent, "me", hs)
             assert cell.constraints == want, trial
             assert neighbors == frozenset(h.label for h in want if h.label is not None)
             sizes.append(len(want))
@@ -235,9 +236,9 @@ class TestClippedCells:
         dimensions = []
         original = regions._clarkson_indices
 
-        def recording(constraints, z, seed):
+        def recording(constraints, z):
             dimensions.append(len(z))
-            return original(constraints, z, seed)
+            return original(constraints, z)
 
         monkeypatch.setattr(regions, "_clarkson_indices", recording)
         for d in (1, 2, 3, 4):
@@ -286,9 +287,31 @@ class TestClippedCells:
 
 
 class TestCanonicalWitness:
-    """In d <= 2 a cell's witness is x_1 the simplest rational strictly
-    inside its projection onto x_1, then x_2 the simplest strictly inside
-    the vertical chord at x_1, both read off the clip with no LP."""
+    """A cell's witness is x_1 the simplest rational strictly inside its
+    projection onto x_1, then the same on its slice at x_1, down to x_2 the
+    simplest strictly inside the vertical chord: read off the clip with no
+    LP in d <= 2, and off two range LPs per dimension above 2."""
+
+    def test_cells_in_every_dimension_run_no_interior_point_lp(self, monkeypatch, no_interior_lp):
+        def forbidden(*args):
+            raise AssertionError("find_interior_point ran")
+
+        monkeypatch.setattr(geometry, "find_interior_point", forbidden)
+        rng = random.Random(89)
+        built = {d: 0 for d in (1, 2, 3, 4)}
+        for trial in range(80):
+            d = 1 + trial % 4
+            parent = box_cell(-2, 2, d)
+            hs = random_halfspaces(rng, d, rng.randint(3, 9), ensure_interior=(rat(0),) * d)
+            hs = [Halfspace(h.int_row, i) for i, h in enumerate(hs)]
+            cell, neighbors = compute_vertex_cell(parent, "me", hs)
+            rows = list(parent.constraints) + hs
+            assert cell.witness == reference_witness(rows), trial
+            assert sorted(h.int_row for h in cell.constraints) == sorted(
+                rows[i].int_row for i in naive_nonredundant(rows)
+            )
+            built[d] += 1
+        assert built == {1: 20, 2: 20, 3: 20, 4: 20}
 
     def witness(self, parent, candidates):
         labeled = [Halfspace.from_rationals(normal, offset, i) for i, (normal, offset) in enumerate(candidates)]
@@ -466,7 +489,7 @@ class TestWalkContract:
             forms[5] = AffineForm(
                 tuple(x + k * (y - x) for x, y in zip(fa.coeffs, fb.coeffs)), fa.const + k * (fb.const - fa.const)
             )
-            sub = argmin_subdivision(parent, forms, seed=trial)
+            sub = argmin_subdivision(parent, forms)
             assert sum(polygon_area(polygon_vertices(cell)) for cell in sub.cells.values()) == area, trial
             pairs = {
                 tuple(sorted((label, h.label)))
@@ -488,7 +511,7 @@ class TestWalkContract:
                 i: AffineForm((rat(rng.randint(-3, 3)), rat(rng.randint(-3, 3))), rat(rng.randint(0, 2)))
                 for i in range(6)
             }
-            sub = argmin_subdivision(parent, forms, seed=trial)
+            sub = argmin_subdivision(parent, forms)
             for x in range(1, 6):
                 for y in range(1, 6):
                     p = (rat(x, 6), rat(y, 6))
@@ -589,7 +612,7 @@ class TestEnvelopeCells:
                 i: AffineForm((rat(rng.randint(-3, 3)), rat(rng.randint(-3, 3))), rat(rng.randint(0, 2)))
                 for i in range(9)
             }
-            sub = envelope_cells(parent, forms, seed=trial)
+            sub = envelope_cells(parent, forms)
             area = sum(polygon_area(polygon_vertices(cell)) for cell in sub.cells.values())
             assert area == polygon_area(polygon_vertices(parent))
             for label, cell in sub.cells.items():

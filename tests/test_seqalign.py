@@ -298,7 +298,7 @@ class TestExecutionDag:
         for spec in (mismatch_space_spec(), mismatch_space_gap_spec()):
             for trial in range(6):
                 s1, s2 = random_pair(rng, max_len=3)
-                part = build_execution_dag(spec, s1, s2, seed=trial)
+                part = build_execution_dag(spec, s1, s2)
                 for key, cell in part.cells.items():
                     for p in sample_interior(cell, 20, seed=trial):
                         cost, align = dp_solve(spec, s1, s2, p)
@@ -310,7 +310,7 @@ class TestExecutionDag:
         for spec in (mismatch_space_spec(), mismatch_space_gap_spec()):
             for trial in range(4):
                 s1, s2 = random_pair(rng, max_len=3)
-                part = build_execution_dag(spec, s1, s2, seed=trial)
+                part = build_execution_dag(spec, s1, s2)
                 assert set(part.regions) == set(part.cells)
                 assert all(key == a.key for key, a in part.regions.items())
                 assert all(a in part.cells and b in part.cells for a, b in part.adjacency)
@@ -526,10 +526,11 @@ class TestEnvelopeRegions3d:
             assert list(found) == reference_node_keys(candidates, 4)
         assert 3 in lp_dimensions
 
-    def test_only_root_cells_run_an_lp(self, monkeypatch):
+    def test_only_root_cells_run_an_lp(self, monkeypatch, no_interior_lp):
         at_root = [False]
-        lp_calls = []  # at_root of each interior-point LP
-        partition, solve = seqalign._partition, geometry._interior_point_rows
+        witnesses = []  # at_root of each canonical point
+        lp_calls = []  # at_root of each LP
+        partition, canonical, solve = seqalign._partition, regions._canonical_point, geometry._solve_raw
 
         def root_partition(*args):
             at_root[0] = True
@@ -538,24 +539,33 @@ class TestEnvelopeRegions3d:
             finally:
                 at_root[0] = False
 
-        def recording(rows, seed):
+        def recording_witness(rows, d):
+            witnesses.append(at_root[0])
+            return canonical(rows, d)
+
+        def recording_lp(*args):
             lp_calls.append(at_root[0])
-            return solve(rows, seed)
+            return solve(*args)
 
         def no_clarkson(*args):
             raise AssertionError("Clarkson ran for a d = 3 cell")
 
         monkeypatch.setattr(seqalign, "_partition", root_partition)
-        monkeypatch.setattr(geometry, "_interior_point_rows", recording)
+        monkeypatch.setattr(regions, "_canonical_point", recording_witness)
+        monkeypatch.setattr(geometry, "_solve_raw", recording_lp)
         monkeypatch.setattr(regions, "_clarkson_indices", no_clarkson)
         rng = random.Random(43)
         sizes = []
         for _ in range(10):
+            witnesses.clear()
             lp_calls.clear()
             part = build_execution_dag(mismatch_space_gap_spec(), *random_pair(rng, max_len=8))
-            # One LP per root cell (its witness), none when the root's one
-            # region keeps the domain, and no Clarkson LP.
-            assert lp_calls == [True] * (len(part.cells) if len(part.cells) > 1 else 0)
+            # One canonical point per root cell (its witness), none when the
+            # root's one region keeps the domain; each point runs its two
+            # range LPs, and no interior-point or Clarkson LP runs.
+            cells = len(part.cells) if len(part.cells) > 1 else 0
+            assert witnesses == [True] * cells
+            assert lp_calls == [True] * (2 * cells)
             sizes.append(len(part.cells))
         assert max(sizes) > 1
 
@@ -684,7 +694,7 @@ class TestOverlay:
             subs = []
             for _ in range(3 if trial == 0 else 2):
                 s1, s2 = ("".join(rng.choice(ALPHABET) for _ in range(rng.randint(*lengths))) for _ in "12")
-                subs.append(build_execution_dag(spec, s1, s2, seed=trial))
+                subs.append(build_execution_dag(spec, s1, s2))
             self.assert_matches_oracle(subs)
 
     def test_unlabeled_interior_facet_rejected(self):
@@ -714,13 +724,29 @@ class TestPartition:
     """With two features a cell takes only its two hull neighbors' rows; it
     must come out as if it took every other region's row."""
 
-    def assert_matches_reference(self, part, seed):
-        ref = reference_partition(part.parent, part.regions, seed)
+    def assert_matches_reference(self, part):
+        ref = reference_partition(part.parent, part.regions)
         assert sorted(part.cells) == sorted(ref.cells)
         for key, cell in part.cells.items():
             # Constraints with their facet labels, and the witness.
             assert cell.to_json() == ref.cells[key].to_json()
         assert part.adjacency == ref.adjacency
+
+    @pytest.mark.parametrize(
+        "spec",
+        [mismatch_space_spec(), mismatch_space_gap_spec(), match_mismatch_space_gap_spec()],
+        ids=["d2", "d3", "d4"],
+    )
+    def test_one_region_keeps_the_domain_a_walk_gives(self, spec):
+        # The shortcut keeps the unit box with its midpoint witness, which
+        # is the box's canonical point: a walk gives the same cell.
+        domain = default_domain(spec.dimension)
+        _, alignment = dp_solve(spec, "ACG", "ACG", (1,) * spec.dimension)
+        regions = {alignment.key: alignment}
+        part = seqalign._partition(domain, regions)
+        walked = reference_partition(domain, regions)
+        assert part.cells == walked.cells == {alignment.key: domain}
+        assert walked.cells[alignment.key].witness == (rat(1, 2),) * spec.dimension
 
     def test_neighbor_rows_match_all_rows_on_random_pairs(self):
         rng = random.Random(29)
@@ -728,14 +754,14 @@ class TestPartition:
         sizes = []
         for trial in range(24):
             s1, s2 = ("".join(rng.choice(ALPHABET) for _ in range(rng.randint(1, 23))) for _ in "12")
-            part = build_execution_dag(spec, s1, s2, seed=trial)
-            self.assert_matches_reference(part, trial)
+            part = build_execution_dag(spec, s1, s2)
+            self.assert_matches_reference(part)
             sizes.append(len(part.cells))
         assert min(sizes) == 1 and max(sizes) > 3
 
     @pytest.mark.parametrize("s1, s2", PROBE_ON_A_VERTEX)
     def test_neighbor_rows_match_all_rows_on_a_vertex_probe(self, s1, s2):
-        self.assert_matches_reference(build_execution_dag(mismatch_space_spec(), s1, s2), 0)
+        self.assert_matches_reference(build_execution_dag(mismatch_space_spec(), s1, s2))
 
 
 def random_two_feature_spec(rng, tables, bound=7):
@@ -793,8 +819,8 @@ class TestRaySearch:
         spec = mismatch_space_spec()
         for trial in range(12):
             s1, s2 = random_pair(rng, max_len=4)
-            ray, _ = ray_search_2d(spec, s1, s2, seed=trial)
-            dag = build_execution_dag(spec, s1, s2, seed=trial)
+            ray, _ = ray_search_2d(spec, s1, s2)
+            dag = build_execution_dag(spec, s1, s2)
             assert ray.boundary_keys() == dag.boundary_keys()
             for key, cell in ray.cells.items():
                 assert dag.labels_at(cell.witness) == [key]

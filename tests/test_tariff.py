@@ -90,7 +90,7 @@ class TestPriceRegions:
         rng = random.Random(3)
         for trial in range(8):
             inst = random_instance(rng)
-            sub = compute_price_regions(inst, seed=trial)
+            sub = compute_price_regions(inst)
             for label, cell in sub.cells.items():
                 for p in sample_interior(cell, 25, seed=trial):
                     got = tuple(buyer_choice(inst, i, p) for i in range(inst.n_samples))
@@ -100,7 +100,7 @@ class TestPriceRegions:
         rng = random.Random(5)
         for trial in range(8):
             inst = random_instance(rng)
-            sub = compute_price_regions(inst, seed=trial)
+            sub = compute_price_regions(inst)
             assert len(sub.adjacency) <= 3 * len(sub.cells)
 
     def test_menu_length_one_equals_single_tariff(self):
@@ -114,8 +114,8 @@ class TestPriceRegions:
             if trial % 2:
                 rows = [*inst.valuations, *rng.choices(inst.valuations, k=rng.randint(1, 2))]
                 inst = TariffInstance(units=inst.units, valuations=rows)
-            menu = compute_price_regions(inst, seed=trial)
-            single = single_tariff_regions(inst, seed=trial)
+            menu = compute_price_regions(inst)
+            single = single_tariff_regions(inst)
             assert [q_only(label) for label in menu.cells] == list(single.cells)
             for label, cell in menu.cells.items():
                 got = single.cells[q_only(label)]
@@ -140,7 +140,7 @@ class TestPriceRegions:
         for trial in range(6):
             inst = random_instance(rng)
             built.clear()
-            sub = single_tariff_regions(inst, seed=trial)
+            sub = single_tariff_regions(inst)
             assert len(built) == len(sub.cells) + 1  # the price box and one per region
 
     def test_menu_of_two_regions_sampled(self):
@@ -181,7 +181,7 @@ class TestCompleteness:
                 vals = list(inst.valuations)
                 vals.append(vals[rng.randrange(len(vals))])
                 inst = TariffInstance(units=inst.units, valuations=vals)
-            sub = compute_price_regions(inst, seed=trial)
+            sub = compute_price_regions(inst)
             area = sum(polygon_area(polygon_vertices(cell)) for cell in sub.cells.values())
             assert area == inst.price_cap ** 2, trial
             pairs = facet_label_pairs(sub)
@@ -195,7 +195,7 @@ class TestCompleteness:
             vals = [[rat(rng.randint(0, 12)) for _ in range(k)] for _ in range(rng.randint(1, 2))]
             vals.append(vals[0])
             inst = TariffInstance(units=k, valuations=vals, menu_length=2)
-            sub = compute_price_regions(inst, seed=trial)
+            sub = compute_price_regions(inst)
             cap = inst.price_cap
             for _ in range(50):
                 p = tuple(cap * rat(rng.randint(0, 60), 60) for _ in range(inst.dimension))
@@ -232,7 +232,7 @@ class TestCandidateRows:
             inst = TariffInstance(units=k, valuations=vals, menu_length=menu)
             candidates = profile_candidates(inst)
             options = [(0, 1)] + [(q, j) for q in range(1, k + 1) for j in range(1, menu + 1)]
-            labels = list(compute_price_regions(inst, seed=trial).cells)
+            labels = list(compute_price_regions(inst).cells)
             labels += [tuple(rng.choice(options) for _ in range(n)) for _ in range(10)]
             for label in labels:
                 got = [(r.int_row, r.label) for r in candidates(label)]
@@ -263,7 +263,7 @@ class TestRevenue:
         rng = random.Random(11)
         for trial in range(5):
             inst = random_instance(rng, max_n=3, max_k=3)
-            sub = compute_price_regions(inst, seed=trial)
+            sub = compute_price_regions(inst)
             _, revenue, _ = maximize_revenue(inst, sub)
             best_grid = rat(0)
             for p in grid_points(inst.price_cap, 12):
@@ -294,7 +294,7 @@ class TestPieceBound:
         rng = random.Random(13)
         for trial in range(10):
             inst = random_instance(rng)
-            sub = single_tariff_regions(inst, seed=trial)
+            sub = single_tariff_regions(inst)
             report = check_piece_bound(inst, sub)
             assert report["pieces_ok"], report
             assert report["lines_ok"], report

@@ -1,10 +1,16 @@
 """The byte-identity tool, `tools/output_digests.py`: its digests must be
 stable from run to run, or a `diff` of two checkouts' digests shows
-nothing, and they must match the recorded ones."""
+nothing, and they must match the recorded ones.  `--keep` keeps the bytes
+it digests, and `tools/compare_outputs.py` names the JSON paths that
+differ between two kept trees."""
 
+import hashlib
 import importlib
+import json
 import re
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -62,3 +68,77 @@ def test_align_scaling_prints_one_row_per_length(monkeypatch, capsys):
     assert len(s1) == len(s2) == int(length) == 4
     assert int(regions) == len(build_execution_dag(mismatch_space_gap_spec(), s1, s2).regions) > 1
     assert int(lps.replace(",", "")) > 0
+
+
+def test_kept_outputs_are_the_digested_bytes(monkeypatch, tmp_path, capsys):
+    output_digests = import_output_digests(monkeypatch)
+    workdir, keep = tmp_path / "work", tmp_path / "keep" / "7"
+    workdir.mkdir()
+    lines = list(output_digests.digests("align-dag", 7, workdir, keep))
+    assert sorted(p.name for p in keep.iterdir()) == sorted(f"{job_id}.json" for job_id, _, _ in lines)
+    for job_id, _, digest in lines:
+        assert hashlib.sha256((keep / f"{job_id}.json").read_bytes()).hexdigest() == digest
+    # A second run into the same DIR stops before any job: an old output
+    # left there would hide a job that now writes nothing.
+    kept = {p.name: p.read_bytes() for p in keep.iterdir()}
+    with pytest.raises(SystemExit) as stop:
+        output_digests.main(["--seeds", "7", "--keep", str(tmp_path / "keep")])
+    assert stop.value.code == 2 and "is not empty" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in keep.iterdir()} == kept
+
+
+def import_compare_outputs(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    return importlib.import_module("compare_outputs")
+
+
+def write_tree(root, files):
+    for name, payload in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+
+
+def regions_payload():
+    facet = {"normal": ["1/1", "0/1"], "offset": "1/1"}
+    cell = {"label": [1, 2], "constraints": [facet], "witness": ["1/2", "1/3"]}
+    cells = [dict(cell), dict(cell, label=[2, 1])]
+    return {"schema_version": 3, "cells": cells, "adjacency": [[[1, 2], [2, 1]]]}
+
+
+def test_compare_outputs_on_identical_trees_reports_nothing(monkeypatch, tmp_path, capsys):
+    compare_outputs = import_compare_outputs(monkeypatch)
+    files = {"7/a.json": regions_payload(), "1009/b.json": {"prices": ["1/1"], "revenue": "2/1"}}
+    write_tree(tmp_path / "old", files)
+    write_tree(tmp_path / "new", files)
+    assert compare_outputs.compare_trees(tmp_path / "old", tmp_path / "new") == []
+    assert compare_outputs.main([str(tmp_path / "old"), str(tmp_path / "new")]) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_compare_outputs_reports_exactly_the_edited_witness(monkeypatch, tmp_path, capsys):
+    compare_outputs = import_compare_outputs(monkeypatch)
+    old, new = regions_payload(), regions_payload()
+    new["cells"][1] = dict(new["cells"][1], witness=["1/2", "1/4"])
+    write_tree(tmp_path / "old", {"7/a.json": old, "7/b.json": old})
+    write_tree(tmp_path / "new", {"7/a.json": new, "7/b.json": old, "7/c.json": old})
+    assert compare_outputs.compare_trees(tmp_path / "old", tmp_path / "new") == [
+        ("7/a.json", "cells[1].witness"),
+        ("7/c.json", "only in NEW"),
+    ]
+    assert compare_outputs.main([str(tmp_path / "old"), str(tmp_path / "new")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "7/a.json cells[1].witness",
+        "7/c.json only in NEW",
+        "# 1 files: cells[*].witness",
+        "# 1 files: only in NEW",
+    ]
+
+
+def test_compare_outputs_paths(monkeypatch):
+    paths = import_compare_outputs(monkeypatch).differing_paths
+    assert paths({"a": [1, 2]}, {"a": [1, 3]}) == ["a"]
+    assert paths({"a": [{"b": 1}, {"b": 2}]}, {"a": [{"b": 1}]}) == ["a[1]"]
+    assert paths({"a": 1, "b": 2}, {"b": 2, "c": 3}) == ["a", "c"]
+    assert paths(1, "1") == ["$"]
+    assert paths({"x": {"y": [[1], [2]]}}, {"x": {"y": [[1], [3]]}}) == ["x.y[1]"]

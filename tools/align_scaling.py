@@ -9,8 +9,9 @@ table:
 
 LPs counts every call of the exact LP kernel `geometry._solve_raw`.  No
 subproblem below the root runs one, and a root cell (d = 3) reads its
-facets off clips on its rows' planes, so only the root cells'
-interior-point LPs are left, one per cell.  Time is the wall time of
+facets off clips on its rows' planes, so only the root cells' witnesses
+run LPs: two per cell, whose optimal values are the ends of the cell's
+x_1-range (`geometry._canonical_point`).  Time is the wall time of
 `build_execution_dag`, one run.  Run from a source checkout:
 
     python3 tools/align_scaling.py --lengths 8 12 16 20 24

@@ -23,11 +23,9 @@ from .geometry import (
     Halfspace,
     LPResult,
     box_cell,
-    clarkson_reduce,
     find_interior_point,
     polygon_area,
     polygon_vertices,
-    sample_interior,
     solve_lp,
 )
 from .rationals import Rational, as_rational, format_rational, parse_rational, rat
@@ -50,8 +48,6 @@ from .clustering import (
     build_execution_tree,
     generate_dataset,
     hamming_loss,
-    interpolated_merge,
-    merge_value,
     simulate_merge_sequence,
 )
 from .seqalign import (
@@ -60,7 +56,6 @@ from .seqalign import (
     AlignmentPartition,
     build_execution_dag,
     dp_solve,
-    enumerate_alignments,
     get_preset,
     ray_search_2d,
 )

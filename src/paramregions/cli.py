@@ -166,14 +166,10 @@ def load_sequences(args) -> tuple:
         records = _parse_fasta(args.fasta)
         if len(records) < 2:
             raise ParseFailure("FASTA input needs at least two records")
-        pair = records[0], records[1]
-    elif args.s1 is None or args.s2 is None:
+        return records[0], records[1]
+    if args.s1 is None or args.s2 is None:
         raise ParseFailure("provide --s1 and --s2, or --fasta")
-    else:
-        pair = args.s1, args.s2
-    if any(seqalign.SPACE in s for s in pair):
-        raise ParseFailure(f"sequences must not contain the space character {seqalign.SPACE!r}")
-    return pair
+    return args.s1, args.s2
 
 
 def _parse_fasta(path: str) -> list:
@@ -271,9 +267,12 @@ def _align_regions(args) -> tuple:
     configuration."""
     spec = load_alignment_spec(args)
     s1, s2 = load_sequences(args)
+    try:
+        graph = seqalign.node_graph(spec, s1, s2)
+    except ValueError as exc:  # a sequence holds the space character
+        raise ParseFailure(str(exc)) from exc
     if args.method != "dag" and spec.dimension != 2:
         raise InfeasibleConfig("the ray-search path needs a two-feature spec")
-    graph = seqalign.node_graph(spec, s1, s2)
     solves = None
     try:
         if args.method == "ray":

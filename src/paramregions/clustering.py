@@ -12,8 +12,7 @@ Region computations are exact.  The state of a greedy run or of a tree path
 is the partition alone, the sorted tuple of its clusters, and its pairs'
 component values come straight from the instance's integer tables: every
 metric table times one common factor, which scales every merge form alike
-and so changes no region.  `merge_value` and `MergeFamily.component_values`
-read the rational tables.  A float/numpy greedy path (`linkage_tree_float`)
+and so changes no region.  A float/numpy greedy path (`linkage_tree_float`)
 exists for large fixed-parameter runs like the synthetic benchmark datasets,
 where only the merge order matters.  Only that path and the dataset
 generator use numpy, and they import it when called: the exact path never
@@ -161,13 +160,6 @@ class ClusteringInstance:
 # Merge families and merge values
 # --------------------------------------------------------------------------
 
-def merge_value(linkage: str, table, cluster_a, cluster_b):
-    """Exact merge score of one linkage rule on one distance table."""
-    if set(cluster_a) & set(cluster_b):
-        raise ValueError("clusters must be disjoint")
-    return _linkage_values(linkage, table, [(tuple(cluster_a), tuple(cluster_b))])[0]
-
-
 def _mean(values):
     return Rational(sum(values)) / len(values)
 
@@ -250,21 +242,9 @@ class MergeFamily:
             raise ValueError("parameter point lies outside the simplex")
         return rho + (1 - total,)
 
-    def component_values(self, instance: ClusteringInstance, cluster_a, cluster_b) -> tuple:
-        return tuple(
-            merge_value(l, instance.metrics[m], cluster_a, cluster_b) for l, m in self.components
-        )
-
     def affine_form(self, values) -> AffineForm:
         last = values[-1]
         return AffineForm(tuple(v - last for v in values[:-1]), last)
-
-
-def interpolated_merge(family: MergeFamily, instance: ClusteringInstance, rho, cluster_a, cluster_b):
-    """Convex combination of the per-component merge scores at rho."""
-    coeffs = family.coefficients(rho)
-    values = family.component_values(instance, cluster_a, cluster_b)
-    return sum((c * v for c, v in zip(coeffs, values)), ZERO)
 
 
 # --------------------------------------------------------------------------
@@ -274,7 +254,8 @@ def interpolated_merge(family: MergeFamily, instance: ClusteringInstance, rho, c
 def partition_values(instance: ClusteringInstance, family: MergeFamily, clusters) -> dict:
     """The component values of every pair of the partition `clusters` (a
     sorted tuple of sorted clusters), in pair order, read from the integer
-    tables: `family.component_values` times the `int_metrics` factor."""
+    tables: the scores on the rational `metrics` times the `int_metrics`
+    factor."""
     tables = instance.int_metrics[1]
     pairs = [(a, b) for i, a in enumerate(clusters) for b in clusters[i + 1:]]
     columns = [_linkage_values(l, tables[m], pairs) for l, m in family.components]

@@ -5,9 +5,9 @@ output-sensitive redundancy removal (Clarkson, for d >= 4), polygon
 clipping (for d = 2, and on a row's plane for d = 3), a cell's canonical
 point `_canonical_point` (its witness in every dimension: the simplest
 rational point of an interval or a clipped polygon, with no LP, and above
-d = 2 a simplest x_1 between two LP values, then the slice's point), the
+d = 2 a simplest x_1 between two LP values, then the slice's point) and the
 interior test `_has_interior` (with no LP in d <= 2: an interval, or a
-clipped polygon with three vertices off one line) and interior sampling.
+clipped polygon with three vertices off one line).
 A halfspace is its primitive integer row; witnesses and LP results are
 exact rationals.  The kernel underneath
 (Seidel, the redundancy loop and its ray step, the clip and its witness,
@@ -461,22 +461,6 @@ def _one_row_per_direction(rows) -> list:
     return sorted(i for i, _, _ in tightest.values())
 
 
-def clarkson_reduce(constraints, interior) -> tuple:
-    """The non-redundant subset of `constraints` (Clarkson's algorithm).
-
-    `interior` must strictly satisfy every `Halfspace` in `constraints`.
-    Of the constraints with one normal direction only the tightest can be a
-    facet, so the LPs see one row per direction (`_one_row_per_direction`):
-    the one with the smallest offset, the first of them on ties (geometric
-    duplicates, equal rows, keep their first occurrence).
-    Runs O(k) relaxed LPs over those, each over the non-redundant set found
-    so far.
-    """
-    uniq = _one_row_per_direction([h.int_row for h in constraints])
-    indices = _clarkson_indices([constraints[i] for i in uniq], as_vector(interior))
-    return tuple(constraints[uniq[i]] for i in indices)
-
-
 def _clarkson_indices(constraints, z: Vector) -> list:
     """Ascending indices of the non-redundant `constraints`, which hold one
     row per normal direction (`_one_row_per_direction`) and strictly hold
@@ -709,47 +693,8 @@ def _has_area(vertices) -> bool:
 
 
 # --------------------------------------------------------------------------
-# Sampling and 2D utilities
+# 2D utilities
 # --------------------------------------------------------------------------
-
-def sample_interior(cell: ConvexCell, count: int, seed: int = 0) -> list:
-    """Strictly interior rational points of a bounded cell (hit-and-run walk).
-
-    Points are snapped back to a coarse rational grid whenever the snapped
-    point is still strictly interior, so coordinate bit-size stays bounded
-    along the walk.
-    """
-    if cell.witness is None:
-        raise GeometryError("cell has no witness")
-    rng = random.Random(seed)
-    d = cell.dimension
-    rows = [h.int_row for h in cell.constraints]
-    current = cell.witness
-    points = []
-    while len(points) < count:
-        direction = [rng.randint(-9, 9) for _ in range(d)]
-        if not any(direction):
-            continue
-        z = _homogeneous(current)
-        t_max = None
-        for row in rows:
-            den = sum(map(mul, row, direction))
-            if den > 0:
-                t = Rational(_slack(row, z), den * z[-1])
-                if t_max is None or t < t_max:
-                    t_max = t
-        if t_max is None:
-            t_max = Rational(1)
-        step = Rational(rng.randint(1, 999), 1000) * t_max
-        current = tuple(c + step * u for c, u in zip(current, direction))
-        snapped = tuple(Rational(round(float(c) * 10**9), 10**9) for c in current)
-        if cell.contains(snapped, strict=True):
-            current = snapped
-        points.append(current)
-        if len(points) % 16 == 0:
-            current = cell.witness
-    return points
-
 
 def polygon_vertices(cell: ConvexCell) -> list:
     """Ordered vertex cycle of a 2D cell (empty if zero area), counterclockwise

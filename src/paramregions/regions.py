@@ -174,9 +174,6 @@ class Subdivision:
     adjacency: frozenset
     degenerate: tuple = ()
 
-    def labels_at(self, point, strict: bool = False) -> list:
-        return sorted(l for l, c in self.cells.items() if c.contains(point, strict))
-
     def to_json(self, extras=None) -> dict:
         """Canonical JSON: cells in label order, each merged with
         `extras(label)` when given, and the sorted adjacency pairs."""

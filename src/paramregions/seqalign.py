@@ -39,7 +39,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import lru_cache
+from typing import Optional
 
 from .geometry import (
     ConvexCell,
@@ -89,56 +90,7 @@ class Alignment:
         return (self.t1, self.t2)
 
 
-def strip_spaces(t: str) -> str:
-    return t.replace(SPACE, "")
-
-
 FEATURES = ("match", "mismatch", "space", "gap")
-
-
-def count_feature(name: str, t1: str, t2: str) -> int:
-    if name == "match":
-        return sum(1 for a, b in zip(t1, t2) if a == b and a != SPACE)
-    if name == "mismatch":
-        return sum(1 for a, b in zip(t1, t2) if a != b and a != SPACE and b != SPACE)
-    if name == "space":
-        return t1.count(SPACE) + t2.count(SPACE)
-    if name == "gap":
-        return _runs(t1) + _runs(t2)
-    raise ValueError(f"unknown feature {name!r}")
-
-
-def _runs(t: str) -> int:
-    runs = 0
-    prev = None
-    for ch in t:
-        if ch == SPACE and prev != SPACE:
-            runs += 1
-        prev = ch
-    return runs
-
-
-def feature_counts(features: Sequence[str], t1: str, t2: str) -> tuple:
-    return tuple(count_feature(name, t1, t2) for name in features)
-
-
-def enumerate_alignments(s1: str, s2: str):
-    """All global alignments of the two strings (brute-force oracle)."""
-
-    def rec(i, j):
-        if i == 0 and j == 0:
-            yield "", ""
-            return
-        if i > 0 and j > 0:
-            for a, b in rec(i - 1, j - 1):
-                yield a + s1[i - 1], b + s2[j - 1]
-        if j > 0:
-            for a, b in rec(i, j - 1):
-                yield a + SPACE, b + s2[j - 1]
-        if i > 0:
-            for a, b in rec(i - 1, j):
-                yield a + s1[i - 1], b + SPACE
-    yield from rec(len(s1), len(s2))
 
 
 # --------------------------------------------------------------------------
@@ -409,7 +361,9 @@ PRESETS = {
 }
 
 
+@lru_cache(maxsize=None)
 def get_preset(name: str) -> AlignmentDPSpec:
+    """The named preset spec, built once per process: a spec is immutable."""
     try:
         return PRESETS[name]()
     except KeyError:
@@ -570,12 +524,6 @@ class AlignmentPartition(Subdivision):
 
     regions: dict = field(kw_only=True)
 
-    def boundary_keys(self) -> frozenset:
-        """Distinct non-box facet lines, sign-canonicalized."""
-        box_keys = {h.line_key() for h in self.parent.constraints}
-        keys = {h.line_key() for cell in self.cells.values() for h in cell.constraints}
-        return frozenset(keys - box_keys)
-
 
 def _partition(domain: ConvexCell, regions: dict) -> AlignmentPartition:
     """The partition of `domain` among `regions`, {key: Alignment}: the
@@ -602,9 +550,11 @@ def _partition(domain: ConvexCell, regions: dict) -> AlignmentPartition:
     return AlignmentPartition(domain, sub.cells, sub.adjacency, regions=regions)
 
 
+@lru_cache(maxsize=None)
 def default_domain(dimension: int) -> ConvexCell:
     """Nonnegative orthant cut to the unit box (costs are homogeneous, so
-    scale is irrelevant; redundancy removal needs bounded cells)."""
+    scale is irrelevant; redundancy removal needs bounded cells), built
+    once per dimension: a cell is immutable."""
     return box_cell(0, 1, dimension)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
-from .geometry import ConvexCell, box_cell, solve_lp
+from .geometry import ConvexCell, GeometryError, box_cell, solve_lp
 from .rationals import Rational, ZERO, as_rational, format_rational
 from .regions import (
     AffineForm,
@@ -203,7 +203,8 @@ def maximize_revenue(instance: TariffInstance, regions: Subdivision, seed: int =
             candidate = (ZERO, label, cell.witness)
         else:
             res = solve_lp(coeffs, list(cell.constraints), "max", seed=seed)
-            assert res.status == "optimal"  # cells are bounded by the cap
+            if res.status != "optimal":  # cells are bounded by the cap
+                raise GeometryError(f"the revenue LP of region {label!r} is {res.status}")
             candidate = (res.value, label, res.point)
         if best is None or candidate[0] > best[0]:
             best = candidate

@@ -1,4 +1,5 @@
-"""Independent brute-force oracles shared by the test suite.
+"""Independent brute-force oracles, and the helpers only tests call, shared
+by the test suite.
 
 These deliberately avoid the library's incremental machinery: redundancy via
 one relaxed LP per constraint, LP optima via dense vertex enumeration, and
@@ -15,17 +16,40 @@ lower hull and the cells of a clustering merge step before its one walk,
 and `reference_partition`, the alignment cells built against
 every other region's row before the two-feature neighbor rule: the library
 must agree with each exactly.
+
+The last section holds what no verb of the library runs, so the library
+does not keep it: `clarkson_reduce` (the library's Clarkson kernel,
+`geometry._clarkson_indices`, behind its one-row-per-direction filter, on
+a list of halfspaces), the hit-and-run `sample_interior`, `labels_at` (the
+cells of a subdivision that hold a point), the merge scores on the
+rational tables (`merge_value`, `component_values`, `interpolated_merge`),
+brute-force alignments and their feature counts (`enumerate_alignments`,
+`feature_counts`, `strip_spaces`), and an alignment partition's
+`boundary_keys`.
 """
 
 import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
-from paramregions.geometry import GeometryError, Halfspace, LPResult, dot, find_interior_point, solve_lp
+from paramregions.clustering import _linkage_values
+from paramregions.geometry import (
+    GeometryError,
+    Halfspace,
+    LPResult,
+    _clarkson_indices,
+    _homogeneous,
+    _one_row_per_direction,
+    _slack,
+    dot,
+    find_interior_point,
+    solve_lp,
+)
 from paramregions.rationals import ZERO, Rational, as_vector, rat
 from paramregions.regions import AffineForm, compute_subdivision, dominance_constraints
-from paramregions.seqalign import _apply_transform
+from paramregions.seqalign import SPACE, _apply_transform
 
 
 def reference_simplest(lo, hi):
@@ -159,7 +183,7 @@ def sweep_leaf_count_1d(instance, family):
     candidate breakpoints are ties between any two disjoint-subset pairs."""
     from itertools import combinations
 
-    from paramregions.clustering import merge_value, simulate_merge_sequence
+    from paramregions.clustering import simulate_merge_sequence
 
     n = instance.n_points
     indices = range(n)
@@ -171,9 +195,7 @@ def sweep_leaf_count_1d(instance, family):
         if set(a) & set(b):
             continue
         key = (a, b)
-        pair_values[key] = tuple(
-            merge_value(l, instance.metrics[m], a, b) for l, m in family.components
-        )
+        pair_values[key] = component_values(family, instance, a, b)
     cuts = set()
     vals = list(pair_values.values())
     for (v1a, v2a), (v1b, v2b) in combinations(vals, 2):
@@ -478,3 +500,146 @@ def reference_partition(domain, regions):
     the cost forms).  `seqalign._partition` must agree with it exactly."""
     forms = {key: AffineForm(alignment.counts, 0) for key, alignment in regions.items()}
     return compute_subdivision(domain, regions, lambda key: dominance_constraints(forms, key))
+
+
+# --------------------------------------------------------------------------
+# Library helpers that only the tests call
+# --------------------------------------------------------------------------
+
+def clarkson_reduce(constraints, interior) -> tuple:
+    """The non-redundant subset of `constraints` (Clarkson's algorithm).
+
+    `interior` must strictly satisfy every `Halfspace` in `constraints`.
+    Of the constraints with one normal direction only the tightest can be a
+    facet, so the LPs see one row per direction (`_one_row_per_direction`):
+    the one with the smallest offset, the first of them on ties (geometric
+    duplicates, equal rows, keep their first occurrence).
+    Runs O(k) relaxed LPs over those, each over the non-redundant set found
+    so far.
+    """
+    uniq = _one_row_per_direction([h.int_row for h in constraints])
+    indices = _clarkson_indices([constraints[i] for i in uniq], as_vector(interior))
+    return tuple(constraints[uniq[i]] for i in indices)
+
+
+def sample_interior(cell, count: int, seed: int = 0) -> list:
+    """Strictly interior rational points of a bounded cell (hit-and-run walk).
+
+    Points are snapped back to a coarse rational grid whenever the snapped
+    point is still strictly interior, so coordinate bit-size stays bounded
+    along the walk.
+    """
+    if cell.witness is None:
+        raise GeometryError("cell has no witness")
+    rng = random.Random(seed)
+    d = cell.dimension
+    rows = [h.int_row for h in cell.constraints]
+    current = cell.witness
+    points = []
+    while len(points) < count:
+        direction = [rng.randint(-9, 9) for _ in range(d)]
+        if not any(direction):
+            continue
+        z = _homogeneous(current)
+        t_max = None
+        for row in rows:
+            den = sum(map(mul, row, direction))
+            if den > 0:
+                t = Rational(_slack(row, z), den * z[-1])
+                if t_max is None or t < t_max:
+                    t_max = t
+        if t_max is None:
+            t_max = Rational(1)
+        step = Rational(rng.randint(1, 999), 1000) * t_max
+        current = tuple(c + step * u for c, u in zip(current, direction))
+        snapped = tuple(Rational(round(float(c) * 10**9), 10**9) for c in current)
+        if cell.contains(snapped, strict=True):
+            current = snapped
+        points.append(current)
+        if len(points) % 16 == 0:
+            current = cell.witness
+    return points
+
+
+def labels_at(sub, point, strict: bool = False) -> list:
+    """The labels of the cells of the subdivision `sub` that hold `point`."""
+    return sorted(l for l, c in sub.cells.items() if c.contains(point, strict))
+
+
+def merge_value(linkage: str, table, cluster_a, cluster_b):
+    """Exact merge score of one linkage rule on one distance table."""
+    if set(cluster_a) & set(cluster_b):
+        raise ValueError("clusters must be disjoint")
+    return _linkage_values(linkage, table, [(tuple(cluster_a), tuple(cluster_b))])[0]
+
+
+def component_values(family, instance, cluster_a, cluster_b) -> tuple:
+    """The merge scores of each of `family`'s components on the rational
+    `metrics` of `instance`."""
+    return tuple(
+        merge_value(l, instance.metrics[m], cluster_a, cluster_b) for l, m in family.components
+    )
+
+
+def interpolated_merge(family, instance, rho, cluster_a, cluster_b):
+    """Convex combination of the per-component merge scores at rho."""
+    coeffs = family.coefficients(rho)
+    values = component_values(family, instance, cluster_a, cluster_b)
+    return sum((c * v for c, v in zip(coeffs, values)), ZERO)
+
+
+def strip_spaces(t: str) -> str:
+    return t.replace(SPACE, "")
+
+
+def count_feature(name: str, t1: str, t2: str) -> int:
+    if name == "match":
+        return sum(1 for a, b in zip(t1, t2) if a == b and a != SPACE)
+    if name == "mismatch":
+        return sum(1 for a, b in zip(t1, t2) if a != b and a != SPACE and b != SPACE)
+    if name == "space":
+        return t1.count(SPACE) + t2.count(SPACE)
+    if name == "gap":
+        return _runs(t1) + _runs(t2)
+    raise ValueError(f"unknown feature {name!r}")
+
+
+def _runs(t: str) -> int:
+    runs = 0
+    prev = None
+    for ch in t:
+        if ch == SPACE and prev != SPACE:
+            runs += 1
+        prev = ch
+    return runs
+
+
+def feature_counts(features, t1: str, t2: str) -> tuple:
+    return tuple(count_feature(name, t1, t2) for name in features)
+
+
+def enumerate_alignments(s1: str, s2: str):
+    """All global alignments of the two strings (brute-force oracle)."""
+
+    def rec(i, j):
+        if i == 0 and j == 0:
+            yield "", ""
+            return
+        if i > 0 and j > 0:
+            for a, b in rec(i - 1, j - 1):
+                yield a + s1[i - 1], b + s2[j - 1]
+        if j > 0:
+            for a, b in rec(i, j - 1):
+                yield a + SPACE, b + s2[j - 1]
+        if i > 0:
+            for a, b in rec(i - 1, j):
+                yield a + s1[i - 1], b + SPACE
+    yield from rec(len(s1), len(s2))
+
+
+def boundary_keys(part) -> frozenset:
+    """Distinct non-box facet lines of the partition `part`,
+    sign-canonicalized."""
+    box_keys = {h.line_key() for h in part.parent.constraints}
+    keys = {h.line_key() for cell in part.cells.values() for h in cell.constraints}
+    return frozenset(keys - box_keys)

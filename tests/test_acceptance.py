@@ -23,8 +23,6 @@ from paramregions.clustering import (
 from paramregions.geometry import (
     Halfspace,
     box_cell,
-    clarkson_reduce,
-    sample_interior,
     solve_lp,
 )
 from paramregions.rationals import rat
@@ -38,8 +36,6 @@ from paramregions.regions import (
 from paramregions.seqalign import (
     build_execution_dag,
     dp_solve,
-    enumerate_alignments,
-    feature_counts,
     get_preset,
     ray_search_2d,
 )
@@ -53,7 +49,16 @@ from paramregions.tariff import (
     single_tariff_regions,
 )
 
-from oracles import naive_nonredundant, random_halfspaces
+from oracles import (
+    boundary_keys,
+    clarkson_reduce,
+    enumerate_alignments,
+    feature_counts,
+    labels_at,
+    naive_nonredundant,
+    random_halfspaces,
+    sample_interior,
+)
 
 ALPHABET = "ACGT"
 
@@ -239,7 +244,7 @@ def test_criterion_4_alignment_exhaustive_equivalence():
         for p in _domain_grid(spec.dimension, steps):
             checks += 1
             envelope = min(sum(c * x for c, x in zip(cv, p)) for cv in count_vectors)
-            labels = part.labels_at(p)
+            labels = labels_at(part, p)
             if not labels or any(part.regions[key].cost(p) != envelope for key in labels):
                 mismatches += 1
     ok = mismatches == 0
@@ -276,11 +281,11 @@ def _cases():
 def test_criterion_5a_ray_search_matches_execution_dag():
     bad = []
     for s1, s2, ray, calls, dag in _cases():
-        if ray.boundary_keys() != dag.boundary_keys():
+        if boundary_keys(ray) != boundary_keys(dag):
             bad.append((s1, s2, "boundaries"))
             continue
         for key, cell in ray.cells.items():
-            if dag.labels_at(cell.witness) != [key]:
+            if labels_at(dag, cell.witness) != [key]:
                 bad.append((s1, s2, "sector alignment"))
                 break
     ok = not bad

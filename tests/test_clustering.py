@@ -14,22 +14,28 @@ from paramregions.clustering import (
     build_execution_tree,
     generate_dataset,
     hamming_loss,
-    interpolated_merge,
     leaf_subdivision,
     linkage_accuracy,
     linkage_tree_float,
     lower_median,
     merge_forms,
-    merge_value,
     pairwise_euclidean,
     partition_values,
     simulate_merge_sequence,
 )
-from paramregions.geometry import sample_interior, solve_lp
+from paramregions.geometry import solve_lp
 from paramregions.rationals import rat
 from paramregions.regions import compute_vertex_cell, envelope_cells
 
-from oracles import exhaustive_hamming_loss, reference_envelope_labels, sweep_leaf_count_1d
+from oracles import (
+    component_values,
+    exhaustive_hamming_loss,
+    interpolated_merge,
+    merge_value,
+    reference_envelope_labels,
+    sample_interior,
+    sweep_leaf_count_1d,
+)
 
 LINE_POINTS = [(0,), (1,), (3,), (rat(28, 5),)]
 
@@ -149,7 +155,7 @@ class TestPartitionValues:
             for (a, b), got in values.items():
                 for (linkage, metric), v in zip(family.components, got):
                     assert v == factor * merge_value(linkage, inst.metrics[metric], a, b)
-                assert got == tuple(factor * v for v in family.component_values(inst, a, b))
+                assert got == tuple(factor * v for v in component_values(family, inst, a, b))
 
     def test_greedy_matches_brute_force_over_interpolated_merge(self):
         rng = random.Random(67)
@@ -280,7 +286,7 @@ class TestEnvelopePrune:
                     nodes += 1
                     clusters = partition_after(len(pts), node.merges)
                     pairs = [(a, b) for a in clusters for b in clusters if a < b]
-                    every = {pair: family.affine_form(family.component_values(inst, *pair)) for pair in pairs}
+                    every = {pair: family.affine_form(component_values(family, inst, *pair)) for pair in pairs}
                     reference = reference_envelope_labels(node.region, every, corners, trial)
                     assert sorted(node.subdivision.cells) == reference
                 stack += node.children

@@ -27,24 +27,24 @@ from paramregions.geometry import (
     _solve_raw,
     _sorted_constraints,
     box_cell,
-    clarkson_reduce,
     dot,
     find_interior_point,
     polygon_area,
     polygon_vertices,
-    sample_interior,
     solve_lp,
 )
 from paramregions.rationals import format_rational, format_vector, rat
 from paramregions.tariff import TariffInstance, single_tariff_regions
 
 from oracles import (
+    clarkson_reduce,
     naive_nonredundant,
     random_halfspaces,
     reference_box_bound,
     reference_ray_first_index,
     reference_solve_raw,
     reference_witness,
+    sample_interior,
     vertex_enumeration_lp,
 )
 

@@ -3,7 +3,8 @@ from functools import partial
 
 import pytest
 
-from paramregions.geometry import ConvexCell, polygon_area, polygon_vertices, sample_interior
+from paramregions import tariff
+from paramregions.geometry import ConvexCell, GeometryError, LPResult, polygon_area, polygon_vertices
 from paramregions.rationals import rat
 from paramregions.regions import argmin_label, compute_vertex_cell, dominance_constraints, product_candidates
 from paramregions.tariff import (
@@ -17,7 +18,7 @@ from paramregions.tariff import (
     _option_forms,
 )
 
-from oracles import reference_tariff_candidates
+from oracles import labels_at, reference_tariff_candidates, sample_interior
 
 FIXTURE = TariffInstance(units=2, valuations=[(3, 5)])
 # Two identical samples: every boundary line is shared by both.
@@ -79,8 +80,8 @@ class TestPriceRegions:
     def test_grid_oracle_every_point_in_exactly_one_region_closure(self):
         sub = single_tariff_regions(FIXTURE)
         for p in grid_points(FIXTURE.price_cap, 23):
-            holders = sub.labels_at(p)
-            strict = sub.labels_at(p, strict=True)
+            holders = labels_at(sub, p)
+            strict = labels_at(sub, p, strict=True)
             assert len(holders) >= 1
             if strict:
                 assert len(strict) == 1
@@ -199,7 +200,7 @@ class TestCompleteness:
             cap = inst.price_cap
             for _ in range(50):
                 p = tuple(cap * rat(rng.randint(0, 60), 60) for _ in range(inst.dimension))
-                assert sub.labels_at(p), (trial, p)
+                assert labels_at(sub, p), (trial, p)
 
     @pytest.mark.parametrize(
         "inst, prices, want",
@@ -252,6 +253,14 @@ class TestRevenue:
         sub = single_tariff_regions(inst)
         _, revenue, _ = maximize_revenue(inst, sub)
         assert revenue == rat(13, 3)
+
+    def test_non_optimal_revenue_lp_raises(self, monkeypatch):
+        # A check that holds under `python -O` too, where an assert would
+        # let the None value of the LP reach the comparison of revenues.
+        sub = single_tariff_regions(FIXTURE)
+        monkeypatch.setattr(tariff, "solve_lp", lambda *args, **kwargs: LPResult("infeasible"))
+        with pytest.raises(GeometryError, match="infeasible"):
+            maximize_revenue(FIXTURE, sub)
 
     def test_two_samples_pick_single_high_buyer(self):
         inst = TariffInstance(units=1, valuations=[(1,), (3,)])

@@ -2,8 +2,11 @@
 stable from run to run, or a `diff` of two checkouts' digests shows
 nothing, and they must match the recorded ones.  `--keep` keeps the bytes
 it digests, and `tools/compare_outputs.py` names the JSON paths that
-differ between two kept trees."""
+differ between two kept trees.  The library holds only what its verbs,
+tools, demos and benchmark run: a name only tests read belongs in
+`tests/oracles.py`."""
 
+import ast
 import hashlib
 import importlib
 import json
@@ -142,3 +145,84 @@ def test_compare_outputs_paths(monkeypatch):
     assert paths({"a": 1, "b": 2}, {"b": 2, "c": 3}) == ["a", "c"]
     assert paths(1, "1") == ["$"]
     assert paths({"x": {"y": [[1], [2]]}}, {"x": {"y": [[1], [3]]}}) == ["x.y[1]"]
+
+
+LIBRARY = ROOT / "src" / "paramregions"
+
+# Library names that only tests read, kept on purpose.
+TEST_ONLY_ALLOWED = {
+    "regions.compute_overlay": "the common refinement of subdivisions, a documented library function",
+    "clustering.ExecutionTreeNode.walk": "the preorder walk of an execution tree, the public twin of `leaves`",
+}
+
+
+def library_names():
+    """The "module.name" of every top-level function and class of the
+    library, and the "module.Class.method" of every public method of its
+    classes."""
+    for path in sorted(LIBRARY.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield f"{path.stem}.{node.name}"
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{path.stem}.{node.name}.{item.name}"
+
+
+class NamesRead(ast.NodeVisitor):
+    """The identifiers a module reads: names, attributes, imported names and
+    the words of its string constants (the benchmark's tracer names the
+    functions it wraps in strings), but not docstrings, nor a def's own name
+    inside its body."""
+
+    def __init__(self):
+        self.names = set()
+        self.enclosing = []
+
+    def visit_FunctionDef(self, node):
+        self.enclosing.append(node.name)
+        self.generic_visit(node)
+        self.enclosing.pop()
+
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+    def read(self, name):
+        if name not in self.enclosing:
+            self.names.add(name)
+
+    def visit_Name(self, node):
+        self.read(node.id)
+
+    def visit_Attribute(self, node):
+        self.read(node.attr)
+        self.generic_visit(node)
+
+    def visit_alias(self, node):
+        self.read(node.name.rpartition(".")[2])
+
+    def visit_Expr(self, node):
+        if not (isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)):
+            self.generic_visit(node)
+
+    def visit_Constant(self, node):
+        if isinstance(node.value, str):
+            for word in re.findall(r"\w+", node.value):
+                self.read(word)
+
+
+def test_every_library_name_is_read_outside_the_tests():
+    # The package's __init__ only re-exports, so its imports read nothing.
+    reader = NamesRead()
+    for tree in ("src", "tools", "demos", "perfbench"):
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            if path != LIBRARY / "__init__.py":
+                reader.visit(ast.parse(path.read_text()))
+    names = list(library_names())
+    unread = [
+        name
+        for name in names
+        if name.rpartition(".")[2] not in reader.names and name not in TEST_ONLY_ALLOWED
+    ]
+    assert unread == [], "read only by tests: move to tests/oracles.py"
+    assert set(TEST_ONLY_ALLOWED) <= set(names), "an allowed name is gone: drop it from the list"

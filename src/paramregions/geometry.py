@@ -7,7 +7,8 @@ point `_canonical_point` (its witness in every dimension: the simplest
 rational point of an interval or a clipped polygon, with no LP, and above
 d = 2 a simplest x_1 between two LP values, then the slice's point) and the
 interior test `_has_interior` (with no LP in d <= 2: an interval, or a
-clipped polygon with three vertices off one line).
+clipped polygon with three vertices off one line; above, whether the cell
+has a canonical point).
 A halfspace is its primitive integer row; witnesses and LP results are
 exact rationals.  The kernel underneath
 (Seidel, the redundancy loop and its ray step, the clip and its witness,
@@ -101,12 +102,8 @@ class Halfspace:
         return self.int_row if next(c for c in self.int_row if c) > 0 else self.flipped_key()
 
     def flipped_key(self) -> tuple:
-        """The row of `flipped()`."""
+        """The row of the complementary halfspace, {normal . x >= offset}."""
         return tuple(-c for c in self.int_row)
-
-    def flipped(self) -> "Halfspace":
-        """The complementary halfspace boundary: {normal . x >= offset}."""
-        return Halfspace(self.flipped_key(), self.label)
 
     def to_json(self) -> dict:
         """The rational view as "p/q" strings, read off the integer row: each
@@ -411,31 +408,19 @@ def _lift(sub: tuple, k: int, pivot: tuple) -> tuple:
 # Interior points, Clarkson redundancy removal
 # --------------------------------------------------------------------------
 
-def find_interior_point(constraints, seed: int = 0) -> Optional[Vector]:
+def find_interior_point(constraints) -> Optional[Vector]:
     """A point strictly satisfying every `Halfspace` in `constraints`, or None
-    if the feasible region has empty interior.
-
-    Solved via the auxiliary slack LP over the rows (a, b): maximize t
-    subject to a . x + t * ||a||_1 <= b (and t <= 1 to keep it bounded).
-    """
+    if the feasible region has empty interior: the canonical point of their
+    rows (`_canonical_point`)."""
     if not constraints:
         raise GeometryError("need at least one constraint")
     d = constraints[0].dimension
     if any(h.dimension != d for h in constraints):
         raise GeometryError("constraint dimension mismatch")
-    return _interior_point_rows([h.int_row for h in constraints], seed)
-
-
-def _interior_point_rows(rows: list, seed: int) -> Optional[Vector]:
-    """`find_interior_point` on nonempty integer rows (a_1, ..., a_d, b)."""
-    d = len(rows[0]) - 1
-    lp_rows = [row[:-1] + (sum(map(abs, row[:-1])), row[-1]) for row in rows]
-    unit_t = (0,) * d + (1,)
-    lp_rows.append(unit_t + (1,))
-    status, point = _solve_raw(unit_t, lp_rows, random.Random(seed), _box_bound(lp_rows, d + 1))
-    if status != "optimal" or point[d] <= 0:
-        return None
-    return _rational_point(point[:d] + point[-1:])
+    rows = [h.int_row for h in constraints]
+    if not all(any(row[:-1]) for row in rows):
+        raise GeometryError("halfspace normal must be nonzero")
+    return _canonical_point(rows, d)
 
 
 def _one_row_per_direction(rows) -> list:
@@ -668,14 +653,14 @@ def _has_interior(rows) -> bool:
     """Whether some point strictly satisfies every one of the nonempty
     integer rows (a_1, ..., a_d, b), each with a != 0: read off the
     interval's two ends in d = 1 (`_interval_ends`) and off the clipped
-    polygon in d = 2 (`_has_area`), with no LP; the interior-point LP
-    decides in d >= 3."""
+    polygon in d = 2 (`_has_area`), with no LP; in d >= 3 the cell has
+    interior exactly when it has a canonical point (`_canonical_point`)."""
     d = len(rows[0]) - 1
     if d == 1:
         return _interval_ends(rows) is not None
     if d == 2:
         return _has_area(_clip_polygon(rows))
-    return _interior_point_rows(rows, 0) is not None
+    return _canonical_point(rows, d) is not None
 
 
 def _has_area(vertices) -> bool:

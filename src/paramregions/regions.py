@@ -415,7 +415,8 @@ def _has_relative_interior_on(plane: Halfspace, rows) -> bool:
     # Eliminate one variable via the plane's equality, then look for a point
     # strictly inside the projected constraints (`_has_interior`): an open
     # interval in d = 2 and an open polygon in d = 3, read off the rows with
-    # no LP, an interior-point LP in d >= 4.
+    # no LP, and in d >= 4 a canonical point of the projected cell (its
+    # range LPs).
     pivot = plane.int_row
     d = len(pivot) - 1
     if d == 1:

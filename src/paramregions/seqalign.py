@@ -25,7 +25,8 @@ is minimal on a full-dimensional part of the domain.  With two features
 these are the vertices of the candidates' lower hull, found on integers;
 otherwise each candidate on the Pareto front of the counts is decided on
 the simplex slice of the domain, by exact clipping with three features and
-by an interior-point LP one dimension down with more.
+with more by whether the slice's cell has a canonical point, one dimension
+down (its range LPs).
 `ray_search_regions`, for two features only, walks the fan of angular
 sectors with one DP solve per probe point, over one node graph.  Both end
 in `_partition` (`ray_search_2d` for the ray search), which builds the
@@ -81,9 +82,6 @@ class Alignment:
     t1: str
     t2: str
     counts: tuple
-
-    def cost(self, rho):
-        return dot(self.counts, rho)
 
     @property
     def key(self):
@@ -628,7 +626,8 @@ def _envelope_regions(candidates, dimension: int) -> dict:
     ..., c_{d-1} - c_d; c_d) of the (d-1)-simplex, so a front total is a
     region when its dominance rows against the other front forms and the
     simplex rows leave an interior point (`geometry._has_interior`: exact
-    clipping in d = 3, with no LP; an LP one dimension down in d >= 4).
+    clipping in d = 3, with no LP; in d >= 4 a canonical point one dimension
+    down, from its range LPs).
     With s = (c_1 - c_d, ..., c_{d-1} - c_d, -c_d), the row "my form <=
     the other's" is my s minus the other's, the `dominance_constraints` row
     up to a positive factor; its normal is never 0, since two totals that

@@ -15,7 +15,10 @@ the regions of every two-feature alignment DAG node before the integer
 lower hull and the cells of a clustering merge step before its one walk,
 and `reference_partition`, the alignment cells built against
 every other region's row before the two-feature neighbor rule: the library
-must agree with each exactly.
+must agree with each exactly.  `_interior_point_rows`, the auxiliary slack
+LP, runs the library's LP kernel on a formulation of its own: the tests
+compare every interior decision against it, so no reference is the
+canonical point it checks.
 
 The last section holds what no verb of the library runs, so the library
 does not keep it: `clarkson_reduce` (the library's Clarkson kernel,
@@ -24,8 +27,9 @@ a list of halfspaces), the hit-and-run `sample_interior`, `labels_at` (the
 cells of a subdivision that hold a point), the merge scores on the
 rational tables (`merge_value`, `component_values`, `interpolated_merge`),
 brute-force alignments and their feature counts (`enumerate_alignments`,
-`feature_counts`, `strip_spaces`), and an alignment partition's
-`boundary_keys`.
+`feature_counts`, `strip_spaces`), an alignment partition's
+`boundary_keys`, a halfspace's complement (`flipped`) and an alignment's
+cost at a point (`alignment_cost`).
 """
 
 import math
@@ -39,12 +43,14 @@ from paramregions.geometry import (
     GeometryError,
     Halfspace,
     LPResult,
+    _box_bound,
     _clarkson_indices,
     _homogeneous,
     _one_row_per_direction,
+    _rational_point,
     _slack,
+    _solve_raw,
     dot,
-    find_interior_point,
     solve_lp,
 )
 from paramregions.rationals import ZERO, Rational, as_vector, rat
@@ -86,6 +92,21 @@ def reference_witness(constraints):
         point.append(x)
         rows += [Halfspace.from_rationals(unit, x), Halfspace.from_rationals(tuple(-c for c in unit), -x)]
     return tuple(point)
+
+
+def _interior_point_rows(rows: list, seed: int):
+    """A point strictly satisfying every one of the nonempty integer rows
+    (a_1, ..., a_d, b), or None if they leave no interior: the auxiliary
+    slack LP, maximize t subject to a . x + t * ||a||_1 <= b (and t <= 1 to
+    keep it bounded), with its insertion order drawn from `seed`."""
+    d = len(rows[0]) - 1
+    lp_rows = [row[:-1] + (sum(map(abs, row[:-1])), row[-1]) for row in rows]
+    unit_t = (0,) * d + (1,)
+    lp_rows.append(unit_t + (1,))
+    status, point = _solve_raw(unit_t, lp_rows, random.Random(seed), _box_bound(lp_rows, d + 1))
+    if status != "optimal" or point[d] <= 0:
+        return None
+    return _rational_point(point[:d] + point[-1:])
 
 
 def naive_nonredundant(constraints, seed=0):
@@ -475,8 +496,8 @@ def reference_envelope_labels(parent, forms, corners, seed=0):
     """The labels of `forms` whose lower-envelope cell inside `parent` is
     full-dimensional, in label order, by LPs: drop the forms whose values at
     the `corners` (of a polytope containing `parent`) are all >= another's,
-    keeping the smallest of equal forms, then one interior-point LP per
-    remaining form against the others."""
+    keeping the smallest of equal forms, then one auxiliary slack LP
+    (`_interior_point_rows`) per remaining form against the others."""
     kept = []  # (label, values at the corners), in label order
     for label in sorted(forms):
         values = tuple(forms[label].value(c) for c in corners)
@@ -485,11 +506,11 @@ def reference_envelope_labels(parent, forms, corners, seed=0):
         kept = [(l, other) for l, other in kept if not all(v <= k for v, k in zip(values, other))]
         kept.append((label, values))
     pruned = {label: forms[label] for label, _ in kept}
-    rows = list(parent.constraints)
+    rows = [h.int_row for h in parent.constraints]
     return [
         label
         for label in pruned
-        if find_interior_point(rows + dominance_constraints(pruned, label), seed) is not None
+        if _interior_point_rows(rows + [h.int_row for h in dominance_constraints(pruned, label)], seed) is not None
     ]
 
 
@@ -643,3 +664,14 @@ def boundary_keys(part) -> frozenset:
     box_keys = {h.line_key() for h in part.parent.constraints}
     keys = {h.line_key() for cell in part.cells.values() for h in cell.constraints}
     return frozenset(keys - box_keys)
+
+
+def flipped(h) -> Halfspace:
+    """The complementary halfspace of `h`, {normal . x >= offset}, with its
+    label."""
+    return Halfspace(h.flipped_key(), h.label)
+
+
+def alignment_cost(alignment, rho):
+    """The cost of `alignment` at the feature costs rho: its counts . rho."""
+    return dot(alignment.counts, rho)

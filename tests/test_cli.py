@@ -852,7 +852,7 @@ class TestGoldenOutput:
         args = ["cluster-regions", "--instance", line_instance_file, "--linkages", "single,complete"]
         self.assert_golden("cluster_line.json", args, tmp_path)
 
-    def test_cluster_regions_three_linkages(self, tmp_path, no_interior_lp):
+    def test_cluster_regions_three_linkages(self, tmp_path, no_library_lp):
         # d = 2: seven points in the plane, one metric, three linkages.  The
         # cells, their witnesses and the facets two leaves share are all
         # read off integer rows, with no LP.

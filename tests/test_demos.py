@@ -1,6 +1,8 @@
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -33,3 +35,16 @@ def test_demo_runs(demo):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout
+
+
+def test_readme_quick_start_runs_and_states_its_results(capsys):
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Quick start\n\n```python\n(.*?)```", readme, re.S).group(1)
+    scope = {}
+    exec(compile(block, "README.md Quick start", "exec"), scope)
+    (alpha,) = scope["rho"]
+    assert scope["loss"] == 0 and alpha < Fraction(2, 5)
+    assert len(scope["partition"].regions) == 2
+    assert len(capsys.readouterr().out.splitlines()) == 2  # one line per alignment
+    assert len(scope["regions"].cells) == 3
+    assert scope["revenue"] == 5

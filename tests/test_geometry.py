@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -17,7 +18,6 @@ from paramregions.geometry import (
     _clip_polygon,
     _has_interior,
     _homogeneous,
-    _interior_point_rows,
     _int_vector,
     _interval_ends,
     _interval_witness,
@@ -37,7 +37,9 @@ from paramregions.rationals import format_rational, format_vector, rat
 from paramregions.tariff import TariffInstance, single_tariff_regions
 
 from oracles import (
+    _interior_point_rows,
     clarkson_reduce,
+    flipped,
     naive_nonredundant,
     random_halfspaces,
     reference_box_bound,
@@ -75,8 +77,8 @@ class TestHalfspace:
         assert a == b and a.int_row == b.int_row == (1, 2, 3)
         assert a.normal == (1, 2)
         for h in (a, H((-2, 4), 6)):
-            assert h.line_key() == h.flipped().line_key()
-            assert h.flipped_key() == h.flipped().int_row
+            assert h.line_key() == flipped(h).line_key()
+            assert h.flipped_key() == flipped(h).int_row
             assert h.line_key()[0] > 0
 
     def test_zero_normal_rejected(self):
@@ -121,7 +123,7 @@ class TestHalfspace:
                 g = H(tuple(m * c for c in normal), m * offset, "a")
                 assert g == h and hash(g) == hash(h) and g.int_row == h.int_row
             assert H(normal, offset, "b") != h
-            assert h.flipped() != h and h.flipped().flipped() == h
+            assert flipped(h) != h and flipped(flipped(h)) == h
             data = json.loads(json.dumps(h.to_json()))
             assert Halfspace.from_json(data) == h
 
@@ -285,9 +287,17 @@ class TestFindInteriorPoint:
         for h in hs:
             assert dot(h.normal, z) < h.offset
 
-    def test_polygons_match_the_interior_point_lp(self, no_interior_lp):
-        # `_has_interior` in d = 2 reads the clipped polygon, where d >= 3
-        # runs the LP: open, unbounded, empty, a segment or a point.
+    def test_input_checks(self):
+        # A row built past `Halfspace.from_rationals` may have a zero normal,
+        # which no canonical point reads.
+        for constraints in ([], [H((1,), 0), H((1, 0), 0)], [Halfspace((0, 1)), H((1,), 0)]):
+            with pytest.raises(GeometryError):
+                find_interior_point(constraints)
+
+    def test_polygons_match_the_interior_point_lp(self, no_library_lp):
+        # `_has_interior` in d = 2 reads the clipped polygon, with no LP,
+        # against the auxiliary slack LP: open, unbounded, empty, a segment
+        # or a point.
         cases = [
             [(1, 0, 1), (-1, 0, 0), (0, 1, 1), (0, -1, 0)],  # the unit square
             [(1, 0, 0), (-1, 0, 0), (0, 1, 1), (0, -1, 0)],  # a segment
@@ -313,6 +323,46 @@ class TestFindInteriorPoint:
             assert got == (_interior_point_rows(rows, seed) is not None), rows
             outcomes.append(got)
         assert outcomes.count(True) > 100 and outcomes.count(False) > 100
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_canonical_points_match_the_interior_point_lp(self, d):
+        # Above d = 2 a cell has interior exactly when it has a canonical
+        # point.  Rows around a small integer point c: single rows, unbounded
+        # cells, an opposite pair 1 apart (a thin slab) or crossed over by 1
+        # (empty), and touching pairs through c that leave a slab of width
+        # 0, a line or the point c.
+        rng = random.Random(90 + d)
+
+        def row_at(c, slack):
+            while True:
+                normal = tuple(rng.randint(-3, 3) for _ in range(d))
+                if any(normal):
+                    return (*normal, sum(map(operator.mul, normal, c)) + slack)
+
+        outcomes = []
+        for seed in range(100):
+            kind = seed % 5
+            c = tuple(rng.randint(-2, 2) for _ in range(d))
+            rows = [row_at(c, rng.randint(-1, 4)) for _ in range(1 if kind == 1 else rng.randint(2, 2 * d + 2))]
+            if kind == 0:  # a x <= a c + s and -a x <= -a c - s + 1, or - 1
+                row = row_at(c, rng.randint(-2, 2))
+                rows += [row, tuple(-x for x in row[:-1]) + (rng.choice((1, -1)) - row[-1],)]
+            for _ in range({0: 0, 1: 0, 2: 1, 3: d - 1, 4: d}[kind]):
+                row = row_at(c, 0)
+                rows += [row, tuple(-x for x in row)]
+            got = _has_interior(rows)
+            want = _interior_point_rows(rows, seed)
+            assert got == (want is not None), rows
+            point = find_interior_point([H(row[:-1], row[-1]) for row in rows])
+            assert point == _canonical_point(rows, d), rows
+            assert (point is None) == (want is None), rows
+            if point is not None:
+                z = _homogeneous(point)
+                assert all(_slack(row, z) > 0 for row in rows), rows
+            outcomes.append((kind, got))
+        assert outcomes.count((0, True)) > 4 and outcomes.count((0, False)) > 4
+        assert outcomes.count((1, True)) == 20
+        assert all((kind, True) not in outcomes for kind in (2, 3, 4))
 
 
 def random_cell_rows(rng, d):

@@ -10,7 +10,6 @@ from paramregions.geometry import (
     Halfspace,
     _box_bound,
     _clip_polygon,
-    _interior_point_rows,
     _interval_witness,
     _project_row,
     box_cell,
@@ -32,6 +31,7 @@ from paramregions.regions import (
 from paramregions.rationals import rat, simplest_between
 
 from oracles import (
+    _interior_point_rows,
     clarkson_reduce,
     labels_at,
     naive_nonredundant,
@@ -208,7 +208,7 @@ class TestClippedCells:
             assert [h.label for h in cell.constraints] == want, trial
             assert neighbors == frozenset(want)
 
-    def test_witness_matches_its_definition_on_the_criterion_3_generator(self, no_interior_lp):
+    def test_witness_matches_its_definition_on_the_criterion_3_generator(self, no_library_lp):
         for trial, hs in self.criterion_3_systems():
             cell, _ = compute_vertex_cell(ConvexCell(2, ()), "me", hs)
             assert cell.witness == reference_witness(hs), trial
@@ -297,11 +297,32 @@ class TestCanonicalWitness:
     simplest strictly inside the vertical chord: read off the clip with no
     LP in d <= 2, and off two range LPs per dimension above 2."""
 
-    def test_cells_in_every_dimension_run_no_interior_point_lp(self, monkeypatch, no_interior_lp):
+    def test_cells_in_every_dimension_run_only_range_and_clarkson_lps(self, monkeypatch):
+        # Outside Clarkson (d >= 4) a cell's only LPs are the range LPs of
+        # its canonical point, min and max x_1 on each slice down to d = 3:
+        # none in d <= 2.
         def forbidden(*args):
             raise AssertionError("find_interior_point ran")
 
+        objectives = []  # of the LPs run outside Clarkson
+        in_clarkson = [False]
+        solve, clarkson = geometry._solve_raw, regions._clarkson_indices
+
+        def recording_lp(obj, *args):
+            if not in_clarkson[0]:
+                objectives.append(obj)
+            return solve(obj, *args)
+
+        def recording_clarkson(*args):
+            in_clarkson[0] = True
+            try:
+                return clarkson(*args)
+            finally:
+                in_clarkson[0] = False
+
         monkeypatch.setattr(geometry, "find_interior_point", forbidden)
+        monkeypatch.setattr(geometry, "_solve_raw", recording_lp)
+        monkeypatch.setattr(regions, "_clarkson_indices", recording_clarkson)
         rng = random.Random(89)
         built = {d: 0 for d in (1, 2, 3, 4)}
         for trial in range(80):
@@ -309,7 +330,9 @@ class TestCanonicalWitness:
             parent = box_cell(-2, 2, d)
             hs = random_halfspaces(rng, d, rng.randint(3, 9), ensure_interior=(rat(0),) * d)
             hs = [Halfspace(h.int_row, i) for i, h in enumerate(hs)]
+            objectives.clear()
             cell, neighbors = compute_vertex_cell(parent, "me", hs)
+            assert objectives == [(s,) + (0,) * (k - 1) for k in range(d, 2, -1) for s in (-1, 1)], trial
             rows = list(parent.constraints) + hs
             assert cell.witness == reference_witness(rows), trial
             assert sorted(h.int_row for h in cell.constraints) == sorted(
@@ -324,7 +347,7 @@ class TestCanonicalWitness:
         assert cell.witness == reference_witness(list(parent.constraints) + labeled)
         return cell.witness
 
-    def test_unbounded_wedge_reads_the_true_projection_off_the_box(self, no_interior_lp):
+    def test_unbounded_wedge_reads_the_true_projection_off_the_box(self, no_library_lp):
         # x > 5/2 and 0 < y < x - 5/2: the clip's greatest x is its box's.
         rows = [((0, -1), 0), ((-1, 1), rat(-5, 2))]
         assert self.witness(ConvexCell(2, ()), rows) == (3, rat(1, 3))
@@ -333,11 +356,11 @@ class TestCanonicalWitness:
         assert max(xs) == _box_bound(int_rows, 2)
         assert simplest_between((5, 2), (max(xs), 1)) == simplest_between((5, 2), None) == 3
 
-    def test_unbounded_cells_on_the_negative_side_and_in_y(self, no_interior_lp):
+    def test_unbounded_cells_on_the_negative_side_and_in_y(self, no_library_lp):
         assert self.witness(ConvexCell(2, ()), [((1, 1), rat(-5, 2)), ((1, -1), rat(-5, 2))]) == (-3, 0)
         assert self.witness(ConvexCell(2, ()), [((-1, 0), rat(-1, 3)), ((1, 0), rat(1, 2))]) == (rat(2, 5), 0)
 
-    def test_bounded_cell(self, no_interior_lp):
+    def test_bounded_cell(self, no_library_lp):
         # The triangle x > 2/3, y > 0, x + 3y < 1.
         rows = [((-1, 0), rat(-2, 3)), ((1, 3), 1)]
         assert self.witness(box_cell(0, 1, 2), rows) == (rat(3, 4), rat(1, 13))
@@ -351,14 +374,14 @@ class TestCanonicalWitness:
             ([((0, 1), rat(1, 2)), ((0, -1), rat(-1, 2))], 2),  # a horizontal segment: an empty chord
         ],
     )
-    def test_cells_without_interior_are_degenerate(self, rows, vertices, no_interior_lp):
+    def test_cells_without_interior_are_degenerate(self, rows, vertices, no_library_lp):
         parent = box_cell(0, 1, 2)
         hs = list(parent.constraints) + [Halfspace.from_rationals(*r) for r in rows]
         assert len(_clip_polygon([h.int_row for h in hs])) == vertices
         with pytest.raises(DegenerateCellError):
             compute_vertex_cell(parent, "me", hs[4:])
 
-    def test_interval_in_one_dimension(self, no_interior_lp):
+    def test_interval_in_one_dimension(self, no_library_lp):
         assert self.witness(box_cell(0, 4, 1), [((1,), rat(3, 4)), ((-1,), rat(-2, 3))]) == (rat(5, 7),)
         assert self.witness(ConvexCell(1, ()), [((-1,), rat(-7, 2))]) == (4,)
         assert self.witness(ConvexCell(1, ()), [((1,), rat(-7, 2))]) == (-4,)
@@ -601,8 +624,8 @@ class TestEnvelopeCells:
         assert sub.cells == {}
         assert sub.degenerate == ("a", "b")
 
-    def test_random_forms_tile_the_simplex(self, no_interior_lp):
-        # No interior-point LP runs in d <= 2: each witness is read off the clip.
+    def test_random_forms_tile_the_simplex(self, no_library_lp):
+        # No LP runs in d <= 2: each witness is read off the clip.
         rng = random.Random(23)
         simplex = [Halfspace.from_rationals(n, b) for n, b in (((1, 1), 1), ((-1, 0), 0), ((0, -1), 0))]
         parents = [
@@ -632,7 +655,7 @@ class TestFacetSharing:
         sub = argmin_subdivision(parent, forms_2d({"a": ((1, 0), 0), "b": ((-1, 0), 1)}))
         assert cells_share_facet(sub.cells["a"], sub.cells["b"])
 
-    def test_diagonal_quadrants_do_not(self, no_interior_lp):
+    def test_diagonal_quadrants_do_not(self, no_library_lp):
         parent = box_cell(-1, 1, 2)
         forms = forms_2d({(sx, sy): ((-sx, -sy), 0) for sx in (-1, 1) for sy in (-1, 1)})
         sub = argmin_subdivision(parent, forms)
@@ -641,7 +664,7 @@ class TestFacetSharing:
 
     def test_open_intervals_match_the_interior_point_lp(self):
         # The d = 2 facet test reads an open interval off 1-D rows (a, b),
-        # a != 0, where d >= 3 runs the LP.
+        # a != 0; the reference is the auxiliary slack LP.
         cases = [
             [(1, 2), (-1, -2)],  # x = 2: a point, no interior
             [(3, 2), (-5, -1), (2, 1)],  # 1/5 <= x <= 1/2
@@ -666,12 +689,13 @@ class TestFacetSharing:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_plane_facets_match_the_projected_lp(self, d, request):
-        # `_has_relative_interior_on` in d = 2 and 3, which runs no LP,
-        # against the LP on the rows projected onto the plane, the test
-        # d >= 4 still runs: there with its own seed, which the answer,
-        # exact feasibility, does not depend on.
+        # `_has_relative_interior_on` in d = 2 and 3, which runs no LP, and
+        # in d = 4, which asks for the canonical point of the projected
+        # cell, against the auxiliary slack LP on the rows projected onto
+        # the plane, with its own seed, which the answer, exact
+        # feasibility, does not depend on.
         if d <= 3:
-            request.getfixturevalue("no_interior_lp")
+            request.getfixturevalue("no_library_lp")
         rng = random.Random({2: 19, 3: 23, 4: 31}[d])
         outcomes = []
         for seed in range(300):

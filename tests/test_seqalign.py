@@ -29,6 +29,8 @@ from paramregions.seqalign import (
 )
 
 from oracles import (
+    _interior_point_rows,
+    alignment_cost,
     boundary_keys,
     enumerate_alignments,
     feature_counts,
@@ -310,7 +312,7 @@ class TestExecutionDag:
                     for p in sample_interior(cell, 20, seed=trial):
                         cost, align = dp_solve(spec, s1, s2, p)
                         assert align.key == key
-                        assert cost == part.regions[key].cost(p)
+                        assert cost == alignment_cost(part.regions[key], p)
 
     def test_exhaustive_envelope_agreement(self):
         rng = random.Random(13)
@@ -325,7 +327,7 @@ class TestExecutionDag:
                     for h in cell.constraints:
                         assert h.label is None or h.label in part.cells
                     for p in sample_interior(cell, 10, seed=trial):
-                        assert part.regions[key].cost(p) == oracle_best_cost(spec, s1, s2, p)
+                        assert alignment_cost(part.regions[key], p) == oracle_best_cost(spec, s1, s2, p)
 
 
 def reference_hull_labels(totals):
@@ -429,13 +431,13 @@ def candidates_of(totals):
 
 
 def envelope_regions_3d(candidates):
-    """`_envelope_regions` on three features, failing on any interior-point LP."""
+    """`_envelope_regions` on three features, failing on any LP."""
 
     def forbidden(*args):
-        raise AssertionError("an interior-point LP ran")
+        raise AssertionError("an LP ran")
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(geometry, "_interior_point_rows", forbidden)
+        patch.setattr(geometry, "_solve_raw", forbidden)
         return seqalign._envelope_regions(candidates, 3)
 
 
@@ -515,15 +517,26 @@ class TestEnvelopeRegions3d:
         assert min(sizes) == 1 and max(sizes) >= 5
 
     def test_four_features_match_the_reference_at_every_node(self, monkeypatch):
-        # The slice is 3-D, so each front total still runs an LP there.
-        lp_dimensions = []
-        solve = geometry._interior_point_rows
+        # The slice is 3-D, so each front total still runs LPs there: the
+        # range LPs of a canonical point, in 3-D only.
+        lp_dimensions = []  # of the LPs the label step runs
+        in_label_step = [False]
+        solve, envelope_regions = geometry._solve_raw, seqalign._envelope_regions
 
-        def recording(rows, seed):
-            lp_dimensions.append(len(rows[0]) - 1)
-            return solve(rows, seed)
+        def recording_lp(obj, *args):
+            if in_label_step[0]:
+                lp_dimensions.append(len(obj))
+            return solve(obj, *args)
 
-        monkeypatch.setattr(geometry, "_interior_point_rows", recording)
+        def label_step(*args):
+            in_label_step[0] = True
+            try:
+                return envelope_regions(*args)
+            finally:
+                in_label_step[0] = False
+
+        monkeypatch.setattr(geometry, "_solve_raw", recording_lp)
+        monkeypatch.setattr(seqalign, "_envelope_regions", label_step)
         seen = record_envelope_regions(monkeypatch)
         rng = random.Random(59)
         for _ in range(10):
@@ -531,9 +544,9 @@ class TestEnvelopeRegions3d:
         assert len(seen) > 100 and sum(len(found) > 1 for _, found in seen) > 50
         for candidates, found in seen:
             assert list(found) == reference_node_keys(candidates, 4)
-        assert 3 in lp_dimensions
+        assert set(lp_dimensions) == {3}
 
-    def test_only_root_cells_run_an_lp(self, monkeypatch, no_interior_lp):
+    def test_only_root_cells_run_an_lp(self, monkeypatch):
         at_root = [False]
         witnesses = []  # at_root of each canonical point
         lp_calls = []  # at_root of each LP
@@ -569,7 +582,7 @@ class TestEnvelopeRegions3d:
             part = build_execution_dag(mismatch_space_gap_spec(), *random_pair(rng, max_len=8))
             # One canonical point per root cell (its witness), none when the
             # root's one region keeps the domain; each point runs its two
-            # range LPs, and no interior-point or Clarkson LP runs.
+            # range LPs, and no other LP, Clarkson's included, runs.
             cells = len(part.cells) if len(part.cells) > 1 else 0
             assert witnesses == [True] * cells
             assert lp_calls == [True] * (2 * cells)
@@ -656,15 +669,13 @@ class TestOverlay:
         return Subdivision(parent, {label_low: low, label_high: high}, frozenset({(label_low, label_high)}))
 
     def assert_matches_oracle(self, subs):
-        """Cells against an interior-point LP on every intersection of one
+        """Cells against the auxiliary slack LP on every intersection of one
         input cell per subdivision; adjacency against `cells_share_facet` on
         every pair of cells."""
-        from paramregions.geometry import find_interior_point
-
         out = compute_overlay(subs)
         expect = set()
         for combo in product(*(sorted(sub.cells.items()) for sub in subs)):
-            if find_interior_point([h for _, cell in combo for h in cell.constraints]) is not None:
+            if _interior_point_rows([h.int_row for _, cell in combo for h in cell.constraints], 0) is not None:
                 expect.add(tuple(label for label, _ in combo))
         assert set(out.cells) == expect
         for label, cell in out.cells.items():
@@ -819,9 +830,9 @@ class TestRaySearch:
         assert len(part.regions) == 2
         assert boundary_keys(part) == frozenset({(1, -1, 0)})
 
-    def test_agrees_with_execution_dag(self, no_interior_lp):
-        # Neither the DAG's root walk nor the ray search runs an
-        # interior-point LP in d = 2.
+    def test_agrees_with_execution_dag(self, no_library_lp):
+        # Neither the DAG's root walk nor the ray search runs an LP in
+        # d = 2.
         rng = random.Random(17)
         spec = mismatch_space_spec()
         for trial in range(12):

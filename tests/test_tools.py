@@ -171,13 +171,15 @@ def library_names():
 
 
 class NamesRead(ast.NodeVisitor):
-    """The identifiers a module reads: names, attributes, imported names and
-    the words of its string constants (the benchmark's tracer names the
-    functions it wraps in strings), but not docstrings, nor a def's own name
-    inside its body."""
+    """The identifiers a module reads, in two sets: `names`, its names and
+    imported names, and `attributes`, its attributes and the words of its
+    plain string constants (the benchmark's tracer names the functions it
+    wraps in strings).  Neither counts a docstring, the text of an f-string
+    or a def's own name inside its body."""
 
     def __init__(self):
         self.names = set()
+        self.attributes = set()
         self.enclosing = []
 
     def visit_FunctionDef(self, node):
@@ -187,42 +189,51 @@ class NamesRead(ast.NodeVisitor):
 
     visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
 
-    def read(self, name):
+    def read(self, found, name):
         if name not in self.enclosing:
-            self.names.add(name)
+            found.add(name)
 
     def visit_Name(self, node):
-        self.read(node.id)
+        self.read(self.names, node.id)
 
     def visit_Attribute(self, node):
-        self.read(node.attr)
+        self.read(self.attributes, node.attr)
         self.generic_visit(node)
 
     def visit_alias(self, node):
-        self.read(node.name.rpartition(".")[2])
+        self.read(self.names, node.name.rpartition(".")[2])
 
     def visit_Expr(self, node):
         if not (isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)):
             self.generic_visit(node)
 
+    def visit_JoinedStr(self, node):
+        for value in node.values:
+            if not isinstance(value, ast.Constant):
+                self.visit(value)
+
     def visit_Constant(self, node):
         if isinstance(node.value, str):
             for word in re.findall(r"\w+", node.value):
-                self.read(word)
+                self.read(self.attributes, word)
 
 
 def test_every_library_name_is_read_outside_the_tests():
     # The package's __init__ only re-exports, so its imports read nothing.
+    # A method is read only as an attribute or in a string: a local
+    # variable of the same name does not read it.
     reader = NamesRead()
     for tree in ("src", "tools", "demos", "perfbench"):
         for path in sorted((ROOT / tree).rglob("*.py")):
             if path != LIBRARY / "__init__.py":
                 reader.visit(ast.parse(path.read_text()))
     names = list(library_names())
+    anywhere = reader.names | reader.attributes
     unread = [
         name
         for name in names
-        if name.rpartition(".")[2] not in reader.names and name not in TEST_ONLY_ALLOWED
+        if name.rpartition(".")[2] not in (reader.attributes if name.count(".") == 2 else anywhere)
+        and name not in TEST_ONLY_ALLOWED
     ]
     assert unread == [], "read only by tests: move to tests/oracles.py"
     assert set(TEST_ONLY_ALLOWED) <= set(names), "an allowed name is gone: drop it from the list"

@@ -2,11 +2,13 @@
 generation, oracle checks and 2D plot-data export.
 
 Everything runs exactly (there is no floating-point mode to switch off).
-Every verb accepts ``--seed`` (or the PARAMREGIONS_SEED environment
-variable), but only ``gen-dataset`` (the dataset's draws) and
-``tariff-optimize`` (the LP's insertion order, which picks a vertex of an
-optimal edge) read it: regions and their witnesses are functions of the
-input alone, so reruns are byte-identical under any seed.
+Every verb accepts ``--seed``, but only ``gen-dataset`` reads it, for the
+dataset's draws (by default the PARAMREGIONS_SEED environment variable, or
+0): regions, their witnesses and the revenue-maximizing prices are
+functions of the input alone, so reruns are byte-identical under any seed.
+
+Region outputs (schema 4) state each fact once: cells in label order, and
+adjacency as the index pairs [i, j], i < j, of that list.
 
 The parser is built once, at import; every command reads the parsed
 ``argparse.Namespace``.  Each domain has one region builder, shared by its
@@ -33,7 +35,7 @@ from .rationals import Rational, as_rational, format_rational, format_vector, ra
 from .regions import DegenerateCellError, Subdivision, cells_share_facet, compute_vertex_cell
 from .seqalign import AlignmentDPSpec, get_preset
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 SEED_ENV = "PARAMREGIONS_SEED"
 
 
@@ -323,15 +325,12 @@ def cmd_cluster_regions(args) -> None:
     }
     adjacency = frozenset(
         (keys[i], keys[j])
-        for i, j in sorted(pairs)
+        for i, j in pairs
         if cells_share_facet(leaves[keys[i]], leaves[keys[j]])
     )
 
     def extras(merges):
-        out = {"merges": merges}
-        if losses:
-            out["loss"] = format_rational(losses[merges])
-        return out
+        return {"loss": format_rational(losses[merges])}
 
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -340,7 +339,7 @@ def cmd_cluster_regions(args) -> None:
         "linkages": list(family.linkages),
         "metrics": list(family.metrics),
     }
-    payload.update(Subdivision(root.region, leaves, adjacency).to_json(extras))
+    payload.update(Subdivision(root.region, leaves, adjacency).to_json(extras if losses else None))
     if losses:
         payload["best"] = {
             "rho": format_vector(leaves[best].witness),
@@ -401,7 +400,7 @@ def cmd_tariff_regions(args) -> None:
 
 def cmd_tariff_optimize(args) -> None:
     inst, sub = _tariff_regions(args)
-    prices, revenue, label = tariff.maximize_revenue(inst, sub, seed=args.seed)
+    prices, revenue, label = tariff.maximize_revenue(inst, sub)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "tariff-optimize",
@@ -413,15 +412,16 @@ def cmd_tariff_optimize(args) -> None:
 
 
 def cmd_gen_dataset(args) -> None:
+    seed = _seed_from_env() if args.seed is None else args.seed
     try:
-        inst = clustering.generate_dataset(args.name, args.seed, metric_names=())
+        inst = clustering.generate_dataset(args.name, seed, metric_names=())
     except ValueError as exc:
         raise ParseFailure(str(exc)) from exc
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "cluster-instance",
         "name": args.name,
-        "seed": args.seed,
+        "seed": seed,
         "points": [format_vector(p) for p in inst.points],
         "metric_names": ["euclidean"],
         "target": [sorted(c) for c in inst.target],
@@ -582,7 +582,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def verb(name, run, help, oracle=True):
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
-        p.add_argument("--seed", type=int, default=None)  # None: read SEED_ENV
+        p.add_argument("--seed", type=int, default=None)  # only gen-dataset reads it; None: SEED_ENV
         p.add_argument("--output", "-o", default=None)
         if oracle:
             p.add_argument("--oracle-check", action="store_true")
@@ -642,8 +642,6 @@ PARSER = _build_parser()
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     try:
-        if args.seed is None:
-            args.seed = _seed_from_env()
         args.run(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -168,9 +168,11 @@ class ConvexCell:
         return frozenset(h.int_row for h in self.constraints)
 
     def to_json(self) -> dict:
+        """The dimension, the constraints sorted on their integer rows and
+        the witness, if any."""
         out = {
             "dimension": self.dimension,
-            "constraints": [h.to_json() for h in _sorted_constraints(self.constraints)],
+            "constraints": [h.to_json() for h in sorted(self.constraints, key=lambda h: h.int_row)],
         }
         if self.witness is not None:
             out["witness"] = format_vector(self.witness)
@@ -183,19 +185,6 @@ class ConvexCell:
             tuple(Halfspace.from_json(h, decode_label) for h in data["constraints"]),
             parse_vector(data["witness"]) if "witness" in data else None,
         )
-
-
-def _sorted_constraints(constraints):
-    """In the order of the rational view (normal, offset), not of `int_row`:
-    the two orders differ, and the JSON output keeps this one.  Each row
-    divided by |its first nonzero entry| and then scaled by the lcm L of
-    those entries over the cell is an integer row, and a positive factor
-    common to every row keeps the order."""
-    leads = [abs(next(c for c in h.int_row if c)) for h in constraints]
-    lcm = math.lcm(*leads)
-    keys = [tuple(c * (lcm // lead) for c in h.int_row) for h, lead in zip(constraints, leads)]
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    return [constraints[i] for i in order]
 
 
 def box_cell(lower, upper, dimension: int) -> ConvexCell:
@@ -261,11 +250,14 @@ def _rational_point(point: tuple) -> Vector:
     return tuple(Rational(p, w) for p in point[:-1])
 
 
-def solve_lp(objective, constraints, sense: str = "max", seed: int = 0) -> LPResult:
+def solve_lp(objective, constraints, sense: str = "max") -> LPResult:
     """Exact optimum of objective . x over the given halfspaces.
 
     Randomized incremental (Seidel-style): expected time linear in the
-    constraint count for fixed dimension, deterministic for a fixed seed.
+    constraint count for fixed dimension.  The insertion order is drawn
+    from one fixed `random.Random(0)`, like every LP of the library, so a
+    call returns the same point every time; where an optimal face is more
+    than a vertex, that order picks the point, never the value.
     """
     obj = as_vector(objective)
     d = len(obj)
@@ -280,7 +272,7 @@ def solve_lp(objective, constraints, sense: str = "max", seed: int = 0) -> LPRes
     if sense == "min":
         int_obj = tuple(-c for c in int_obj)
     rows = [h.int_row for h in constraints]
-    status, point = _solve_raw(int_obj, rows, random.Random(seed), _box_bound(rows, d))
+    status, point = _solve_raw(int_obj, rows, random.Random(0), _box_bound(rows, d))
     if status != "optimal":
         return LPResult(status)
     point = _rational_point(point)

@@ -176,29 +176,28 @@ class Subdivision:
 
     def to_json(self, extras=None) -> dict:
         """Canonical JSON: cells in label order, each merged with
-        `extras(label)` when given, and the sorted adjacency pairs."""
+        `extras(label)` when given, and each adjacent pair as the indices
+        [i, j], i < j, of its two cells in that list, sorted."""
+        labels = sorted(self.cells)
+        index = {label: i for i, label in enumerate(labels)}
         cells = []
-        for label in sorted(self.cells):
+        for label in labels:
             entry = {"label": label, **self.cells[label].to_json()}
             if extras:
                 entry.update(extras(label))
             cells.append(entry)
-        adjacency = sorted(self.adjacency)
         return {
             "parent": self.parent.to_json(),
             "cells": cells,
-            "adjacency": adjacency,
+            "adjacency": sorted(sorted((index[a], index[b])) for a, b in self.adjacency),
         }
 
     @classmethod
     def from_json(cls, data: dict, decode_label=lambda x: x) -> "Subdivision":
-        cells = {}
-        for entry in data["cells"]:
-            label = decode_label(entry["label"])
-            cells[label] = ConvexCell.from_json(entry, decode_label)
-        adjacency = frozenset(
-            tuple(sorted((decode_label(a), decode_label(b)))) for a, b in data["adjacency"]
-        )
+        entries = data["cells"]
+        labels = [decode_label(entry["label"]) for entry in entries]
+        cells = {label: ConvexCell.from_json(entry, decode_label) for label, entry in zip(labels, entries)}
+        adjacency = frozenset(tuple(sorted((labels[i], labels[j]))) for i, j in data["adjacency"])
         return cls(ConvexCell.from_json(data["parent"], decode_label), cells, adjacency)
 
 

@@ -190,10 +190,13 @@ def revenue_form(instance: TariffInstance, label) -> tuple:
     return tuple(coeffs)
 
 
-def maximize_revenue(instance: TariffInstance, regions: Subdivision, seed: int = 0):
+def maximize_revenue(instance: TariffInstance, regions: Subdivision):
     """Revenue-maximizing prices over all regions (exact LP per closed cell).
 
     Returns (prices, revenue, region label); ties prefer the smaller label.
+    The prices are the optimum `solve_lp` returns; on an optimal edge its
+    fixed insertion order picks the point, so the same regions always give
+    the same prices.
     """
     best = None
     for label in sorted(regions.cells):
@@ -202,7 +205,7 @@ def maximize_revenue(instance: TariffInstance, regions: Subdivision, seed: int =
         if all(c == 0 for c in coeffs):
             candidate = (ZERO, label, cell.witness)
         else:
-            res = solve_lp(coeffs, list(cell.constraints), "max", seed=seed)
+            res = solve_lp(coeffs, list(cell.constraints), "max")
             if res.status != "optimal":  # cells are bounded by the cap
                 raise GeometryError(f"the revenue LP of region {label!r} is {res.status}")
             candidate = (res.value, label, res.point)

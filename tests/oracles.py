@@ -18,7 +18,8 @@ every other region's row before the two-feature neighbor rule: the library
 must agree with each exactly.  `_interior_point_rows`, the auxiliary slack
 LP, runs the library's LP kernel on a formulation of its own: the tests
 compare every interior decision against it, so no reference is the
-canonical point it checks.
+canonical point it checks.  `kernel_lp` is that kernel on rational rows
+with an insertion order drawn from a caller's seed, which `solve_lp` fixes.
 
 The last section holds what no verb of the library runs, so the library
 does not keep it: `clarkson_reduce` (the library's Clarkson kernel,
@@ -46,6 +47,7 @@ from paramregions.geometry import (
     _box_bound,
     _clarkson_indices,
     _homogeneous,
+    _int_vector,
     _one_row_per_direction,
     _rational_point,
     _slack,
@@ -109,9 +111,23 @@ def _interior_point_rows(rows: list, seed: int):
     return _rational_point(point[:d] + point[-1:])
 
 
+def kernel_lp(obj, rows, seed):
+    """Maximize obj . x over rational rows (normal, offset) on the library's
+    integer kernel, with its insertion order drawn from `seed`, answered the
+    way `solve_lp` answers: `solve_lp(obj, halfspaces, "max")` is this with
+    seed 0 on each halfspace's (normal, offset)."""
+    int_rows = [_int_vector((*a, b)) for a, b in rows]
+    status, point = _solve_raw(_int_vector(obj), int_rows, random.Random(seed), _box_bound(int_rows, len(obj)))
+    if status != "optimal":
+        return LPResult(status)
+    point = _rational_point(point)
+    return LPResult(status, point, dot(obj, point))
+
+
 def naive_nonredundant(constraints, seed=0):
     """Indices of non-redundant constraints by one relaxed LP per constraint
-    against all the others (geometric duplicates collapsed to the first)."""
+    against all the others (geometric duplicates collapsed to the first),
+    the LP of constraint i drawing its insertion order from `seed + i`."""
     seen = {}
     uniq = []
     for i, h in enumerate(constraints):
@@ -123,7 +139,7 @@ def naive_nonredundant(constraints, seed=0):
         h = constraints[i]
         others = [constraints[j] for j in uniq if j != i]
         others.append(Halfspace.from_rationals(h.normal, h.offset + 1))
-        res = solve_lp(h.normal, others, "max", seed=seed + i)
+        res = kernel_lp(h.normal, [(g.normal, g.offset) for g in others], seed + i)
         assert res.status == "optimal"
         if res.value > h.offset:
             kept.append(i)

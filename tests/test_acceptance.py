@@ -23,7 +23,6 @@ from paramregions.clustering import (
 from paramregions.geometry import (
     Halfspace,
     box_cell,
-    solve_lp,
 )
 from paramregions.rationals import rat
 from paramregions.regions import (
@@ -55,6 +54,7 @@ from oracles import (
     clarkson_reduce,
     enumerate_alignments,
     feature_counts,
+    kernel_lp,
     labels_at,
     naive_nonredundant,
     random_halfspaces,
@@ -199,7 +199,7 @@ def test_criterion_3_redundancy_removal_correctness():
         for i, h in enumerate(kept):
             others = [g for j, g in enumerate(kept) if j != i]
             others.append(Halfspace.from_rationals(h.normal, h.offset + 1))
-            res = solve_lp(h.normal, others, "max", seed=trial)
+            res = kernel_lp(h.normal, [(g.normal, g.offset) for g in others], trial)
             if not (res.status == "optimal" and res.value > h.offset):
                 bad += 1
                 break
@@ -366,7 +366,7 @@ def test_criterion_7_revenue_optimality():
     failures = []
     for idx, inst in enumerate(instances):
         sub = single_tariff_regions(inst)
-        _, revenue, _ = maximize_revenue(inst, sub, seed=idx)
+        _, revenue, _ = maximize_revenue(inst, sub)
         exact = float(revenue)
         gaps = []
         for res in GRID_RESOLUTIONS:
@@ -446,8 +446,9 @@ def test_criterion_9_invariant_suites():
         root = build_execution_tree(inst, family)
         for node in root.walk():
             for child in node.children:
+                rows = [(g.normal, g.offset) for g in child.region.constraints]
                 for h in node.region.constraints:
-                    res = solve_lp(h.normal, child.region.constraints, "max", seed=trial)
+                    res = kernel_lp(h.normal, rows, trial)
                     if not (res.status == "optimal" and res.value <= h.offset):
                         problems.append(f"refinement: trial {trial}")
 

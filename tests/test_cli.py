@@ -9,11 +9,18 @@ from pathlib import Path
 import pytest
 
 from paramregions import seqalign, tariff
-from paramregions.cli import _cell_box_grid, _tariff_agreement, canonical_dumps, load_cluster_instance, main
+from paramregions.cli import (
+    _cell_box_grid,
+    _tariff_agreement,
+    canonical_dumps,
+    decode_label,
+    load_cluster_instance,
+    main,
+)
 from paramregions.clustering import MergeFamily, best_parameter
-from paramregions.geometry import polygon_area
+from paramregions.geometry import ConvexCell, polygon_area
 from paramregions.rationals import format_rational, format_vector, rat
-from paramregions.regions import Subdivision
+from paramregions.regions import Subdivision, cells_share_facet
 from paramregions.seqalign import mismatch_space_spec
 
 
@@ -67,14 +74,14 @@ class TestClusterRegions:
         )
         assert code == 0
         data = json.loads(out.read_text())
-        assert data["schema_version"] == 3
+        assert data["schema_version"] == 4
         assert len(data["cells"]) == 2
         assert data["oracle_agreement"] == 1.0
         assert data["best"]["loss"] == "0/1"
         losses = sorted(c["loss"] for c in data["cells"])
         assert losses == ["0/1", "1/4"]
         # the two leaf intervals meet at alpha = 2/5
-        assert data["adjacency"]
+        assert data["adjacency"] == [[0, 1]]
         inst = load_cluster_instance(json.loads(Path(line_instance_file).read_text()))
         rho, loss, leaf = best_parameter(inst, MergeFamily(("single", "complete"), ("euclidean",)))
         assert data["best"] == {
@@ -184,11 +191,12 @@ class TestClusterRegions:
         assert run_cli(args + ["--output", str(out)]) == 0
         parent = json.loads(out.read_text())["parent"]
         assert parent["witness"] == ["1/3", "1/2"]
+        # Facets in the order of their integer rows: (1, 1, 1) < (2, 0, 1).
         assert [(h["normal"], h["offset"]) for h in parent["constraints"]] == [
             (["-1/1", "0/1"], "0/1"),
             (["0/1", "-1/1"], "0/1"),
-            (["1/1", "0/1"], "1/2"),
             (["1/1", "1/1"], "1/1"),
+            (["1/1", "0/1"], "1/2"),
         ]
 
     @pytest.mark.parametrize("restriction", ["1:-1/2", "-1:-1"], ids=["empty", "one-point"])
@@ -740,8 +748,9 @@ class TestDensity:
 
 
 class TestSeedIndependence:
-    """Regions and their witnesses are functions of the input alone: every
-    region verb writes the same bytes under any seed, in every dimension."""
+    """Regions, their witnesses and the revenue-maximizing prices are
+    functions of the input alone: every verb but `gen-dataset` writes the
+    same bytes under any seed, in every dimension."""
 
     @pytest.mark.parametrize(
         "args",
@@ -762,9 +771,12 @@ class TestSeedIndependence:
             ["cluster-regions", "--instance", str(GOLDEN / "cluster_two_metrics.in.json"),
              "--linkages", "average,mediod", "--metrics", "euclidean,manhattan", "--restrict", "1,1,1:1/2"],
             ["tariff-regions", "--instance", "{tariff}", "--menu", "2"],
+            ["tariff-optimize", "--instance", str(GOLDEN / "tariff_4x4.in.json")],
+            ["tariff-optimize", "--instance", str(GOLDEN / "tariff_menu2.in.json"), "--menu", "2"],
         ],
         ids=["tariff-4x4", "tariff-menu2", "align-gap", "align-gap-five", "align-ray", "align-both",
-             "cluster-median", "cluster-two-metrics", "cluster-restricted-d3", "tariff-menu-d4"],
+             "cluster-median", "cluster-two-metrics", "cluster-restricted-d3", "tariff-menu-d4",
+             "optimize-4x4", "optimize-menu2"],
     )
     def test_region_verbs_ignore_the_seed(self, args, tmp_path):
         tariff_path = tmp_path / "tariff.json"
@@ -872,6 +884,24 @@ class TestGoldenOutput:
         self.assert_golden("cluster_two_metrics.json", args, tmp_path)
 
 
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in GOLDEN.glob("*.json") if "cells" in json.loads(p.read_text()))
+)
+def test_golden_regions_state_each_fact_once(name):
+    # Schema 4: adjacency is the sorted index pairs i < j of cells that
+    # share a facet, and a cluster cell's label is not repeated as merges.
+    data = json.loads((GOLDEN / name).read_text())
+    assert data["schema_version"] == 4
+    cells = [ConvexCell.from_json(entry, decode_label) for entry in data["cells"]]
+    pairs = data["adjacency"]
+    assert pairs == sorted(pairs) and len(set(map(tuple, pairs))) == len(pairs)
+    for i, j in pairs:
+        assert 0 <= i < j < len(cells)
+        assert cells_share_facet(cells[i], cells[j])
+    if data["kind"] == "cluster-regions":
+        assert not any("merges" in entry for entry in data["cells"])
+
+
 class Text(str):
     pass
 
@@ -948,13 +978,16 @@ class TestEntryPoint:
             assert json.loads(via_env)["seed"] == int(seed)
             assert via_env == dataset(f"explicit{seed}", "--seed", seed)
 
-    def test_non_integer_env_seed_exit_2(self, tmp_path, monkeypatch, capsys):
+    def test_non_integer_env_seed_exit_2(self, tariff_instance_file, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("PARAMREGIONS_SEED", "abc")
         out = tmp_path / "never.json"
         assert run_cli(["gen-dataset", "--name", "Disks", "--output", str(out)]) == 2
         assert "PARAMREGIONS_SEED" in capsys.readouterr().err
         assert not out.exists()
         assert run_cli(["gen-dataset", "--name", "Disks", "--seed", "3", "--output", str(out)]) == 0
+        # No other verb reads a seed, so none reads the variable.
+        args = ["tariff-optimize", "--instance", tariff_instance_file, "--output", str(tmp_path / "opt.json")]
+        assert run_cli(args) == 0
 
     def test_module_invocation(self, monkeypatch):
         # The child process finds the package on the same path as this one.

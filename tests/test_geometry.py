@@ -12,7 +12,6 @@ from paramregions.geometry import (
     ConvexCell,
     GeometryError,
     Halfspace,
-    LPResult,
     _box_bound,
     _canonical_point,
     _clip_polygon,
@@ -22,10 +21,7 @@ from paramregions.geometry import (
     _interval_ends,
     _interval_witness,
     _ray_first_index,
-    _rational_point,
     _slack,
-    _solve_raw,
-    _sorted_constraints,
     box_cell,
     dot,
     find_interior_point,
@@ -40,6 +36,7 @@ from oracles import (
     _interior_point_rows,
     clarkson_reduce,
     flipped,
+    kernel_lp,
     naive_nonredundant,
     random_halfspaces,
     reference_box_bound,
@@ -127,9 +124,10 @@ class TestHalfspace:
             data = json.loads(json.dumps(h.to_json()))
             assert Halfspace.from_json(data) == h
 
-    def test_json_text_and_facet_order_are_the_rational_views(self):
-        # Both are read off the integer rows; the rational view is the
-        # reference, leads of every size and sign included.
+    def test_json_text_is_the_rational_view_and_facets_sort_on_rows(self):
+        # The text is read off the integer rows, and the rational view is
+        # its reference, leads of every size and sign included.  A cell
+        # writes its facets in the order of those rows.
         rng = random.Random(4)
         for trial in range(200):
             d = rng.randint(1, 4)
@@ -146,8 +144,9 @@ class TestHalfspace:
                     "offset": format_rational(h.offset),
                     "label": trial,
                 }
-            assert _sorted_constraints(rows) == sorted(rows, key=lambda h: (h.normal, h.offset))
-        assert _sorted_constraints(()) == []
+            written = ConvexCell(d, tuple(rows)).to_json()["constraints"]
+            assert [Halfspace.from_json(h).int_row for h in written] == sorted(h.int_row for h in rows)
+        assert ConvexCell(2, ()).to_json()["constraints"] == []
 
     def test_rational_serialization_always_p_over_q(self):
         assert format_rational(rat(3)) == "3/1"
@@ -182,29 +181,20 @@ class TestSolveLP:
             box = list(box_cell(-20, 20, d).constraints)
             hs = box + random_halfspaces(rng, d, rng.randint(2, 8 - d))
             obj = tuple(rat(rng.randint(-5, 5)) for _ in range(d))
-            got = solve_lp(obj, hs, seed=trial)
+            got = kernel_lp(obj, [(h.normal, h.offset) for h in hs], trial)
             want = vertex_enumeration_lp(obj, hs)
             assert got.status == want.status
             if want.status == "optimal":
                 assert got.value == want.value
 
-    def test_deterministic_under_seed(self):
+    def test_deterministic(self):
+        # One fixed insertion order: the same call returns the same point,
+        # the one the kernel finds with seed 0.
         rng = random.Random(3)
         hs = random_halfspaces(rng, 2, 12, ensure_interior=(rat(0), rat(0)))
-        a = solve_lp((3, -2), hs, seed=11)
-        b = solve_lp((3, -2), hs, seed=11)
-        assert a == b
-
-
-def kernel_lp(obj, rows, seed):
-    """The integer kernel on rational rows (normal, offset), answered the
-    way the rational reference answers."""
-    int_rows = [_int_vector((*a, b)) for a, b in rows]
-    status, point = _solve_raw(_int_vector(obj), int_rows, random.Random(seed), _box_bound(int_rows, len(obj)))
-    if status != "optimal":
-        return LPResult(status)
-    point = _rational_point(point)
-    return LPResult(status, point, dot(obj, point))
+        a = solve_lp((3, -2), hs)
+        b = solve_lp((3, -2), hs)
+        assert a == b == kernel_lp((3, -2), [(h.normal, h.offset) for h in hs], 0)
 
 
 def random_rational_rows(rng, d, count):

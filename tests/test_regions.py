@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from paramregions import geometry, regions
+from paramregions.cli import decode_label
 from paramregions.geometry import (
     ConvexCell,
     Halfspace,
@@ -29,6 +31,7 @@ from paramregions.regions import (
     pareto_front,
 )
 from paramregions.rationals import rat, simplest_between
+from paramregions.tariff import TariffInstance, single_tariff_regions
 
 from oracles import (
     _interior_point_rows,
@@ -482,6 +485,17 @@ class TestComputeSubdivision:
         back = Subdivision.from_json(data)
         assert set(back.cells) == set(sub.cells)
         assert back.adjacency == sub.adjacency
+        # Tuple labels, as the tariff walk writes them, through JSON text:
+        # each index pair decodes to the labels of its two cells.
+        sub = single_tariff_regions(TariffInstance(units=2, valuations=[(3, 5), (2, 7)]))
+        data = json.loads(json.dumps(sub.to_json()))
+        back = Subdivision.from_json(data, decode_label)
+        assert len(sub.adjacency) > 2 and all(type(label[0]) is int for label in sub.cells)
+        assert back.adjacency == sub.adjacency
+        assert {label: set(cell.constraints) for label, cell in back.cells.items()} == {
+            label: set(cell.constraints) for label, cell in sub.cells.items()
+        }
+        assert back.parent.constraint_keys() == sub.parent.constraint_keys()
 
 
 class TestWalkContract:

@@ -58,6 +58,27 @@ def test_benchmark_outputs_match_recorded_digests(monkeypatch, tmp_path):
     assert lines == recorded
 
 
+def test_benchmark_outputs_pass_the_benchmark_check(monkeypatch, tmp_path):
+    # The benchmark's own correctness check reads every output shape the
+    # verbs write: each seed-7 job exits 0 and `check_job` finds no error.
+    import_output_digests(monkeypatch)
+    workloads = importlib.import_module("workloads")
+    run = importlib.import_module("run")
+    check = importlib.import_module("check")
+    from paramregions import cli
+
+    checked = 0
+    for workload in workloads.WORKLOADS:
+        workdir = tmp_path / workload
+        for job in workloads.generate(workload, 7, workdir):
+            argv = run.job_argv(job, workdir, workdir)
+            assert run.run_job(cli.main, argv).code == 0, job["id"]
+            output = Path(argv[argv.index("-o") + 1])
+            assert check.check_job(job, workdir, output, 7) == [], job["id"]
+            checked += 1
+    assert checked == 248
+
+
 def test_align_scaling_prints_one_row_per_length(monkeypatch, capsys):
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
     align_scaling = importlib.import_module("align_scaling")
@@ -106,7 +127,7 @@ def regions_payload():
     facet = {"normal": ["1/1", "0/1"], "offset": "1/1"}
     cell = {"label": [1, 2], "constraints": [facet], "witness": ["1/2", "1/3"]}
     cells = [dict(cell), dict(cell, label=[2, 1])]
-    return {"schema_version": 3, "cells": cells, "adjacency": [[[1, 2], [2, 1]]]}
+    return {"schema_version": 4, "cells": cells, "adjacency": [[0, 1]]}
 
 
 def test_compare_outputs_on_identical_trees_reports_nothing(monkeypatch, tmp_path, capsys):

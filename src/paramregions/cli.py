@@ -1,5 +1,5 @@
-"""Command-line surface: region computation, optimization, dataset
-generation, oracle checks and 2D plot-data export.
+"""Command-line surface: region computation with an optional oracle
+check, optimization, dataset generation and 2D plot-data export.
 
 Everything runs exactly (there is no floating-point mode to switch off).
 Every verb accepts ``--seed``, but only ``gen-dataset`` reads it, for the
@@ -11,8 +11,9 @@ Region outputs (schema 4) state each fact once: cells in label order, and
 adjacency as the index pairs [i, j], i < j, of that list.
 
 The parser is built once, at import; every command reads the parsed
-``argparse.Namespace``.  Each domain has one region builder, shared by its
-region verb and by ``oracle-check --kind``, so both map errors the same way.
+``argparse.Namespace``.  Each domain has one region builder; its region
+verb's ``--oracle-check`` re-runs the domain's algorithm against the exact
+regions that verb writes.
 
 Exit codes: 0 ok, 2 parse error, 3 infeasible configuration, 4 oracle-check
 failure.
@@ -124,10 +125,12 @@ def _fail_below_one(agreement: float, what: str) -> None:
 
 
 def _load_json(path: str) -> dict:
+    # Text that is not UTF-8, or nesting deeper than the decoder's
+    # recursion limit, is malformed input like any other.
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseFailure(f"cannot read {path}: {exc}") from exc
 
 
@@ -176,9 +179,9 @@ def load_sequences(args) -> tuple:
 
 def _parse_fasta(path: str) -> list:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseFailure(str(exc)) from exc
     records = []
     current = None
@@ -450,31 +453,9 @@ def cmd_plot_data(args) -> None:
         label = json.dumps(entry.get("label"), sort_keys=True).replace(",", ";")
         for v_idx, (x, y) in enumerate(vertices):
             rows.append(f"{idx},{label},{v_idx},{float(x)!r},{float(y)!r}")
-    _emit(args, "\n".join(rows) + "\n")
     if count == 0:
         raise InfeasibleConfig("no full-dimensional regions to plot")
-
-
-def cmd_oracle_check(args) -> None:
-    if args.kind != "align" and args.instance is None:
-        raise ParseFailure(f"oracle-check --kind {args.kind} needs --instance")
-    if args.kind == "cluster":
-        inst, family, _, leaves = _cluster_regions(args)
-        agreement = _cluster_agreement(inst, family, leaves, args.density)
-    elif args.kind == "align":
-        spec, s1, s2, graph, part, _ = _align_regions(args)
-        agreement = _align_agreement(spec, s1, s2, part, args.density, graph)
-    else:
-        inst, sub = _tariff_regions(args)
-        agreement = _tariff_agreement(inst, sub, args.density)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "oracle-check",
-        "target": args.kind,
-        "agreement": agreement,
-    }
-    _write(args, payload)
-    _fail_below_one(agreement, "oracle")
+    _emit(args, "\n".join(rows) + "\n")
 
 
 # --------------------------------------------------------------------------
@@ -586,27 +567,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", "-o", default=None)
         if oracle:
             p.add_argument("--oracle-check", action="store_true")
-            density_option(p)
+            p.add_argument("--density", type=positive_int, default=50)
         return p
-
-    def density_option(p):
-        p.add_argument("--density", type=positive_int, default=50)
-
-    def family_options(p):
-        p.add_argument("--linkages", type=_names, default="single,complete")
-        p.add_argument("--metrics", type=_names, default="euclidean")
-
-    def sequence_options(p):
-        for flag in ("--preset", "--spec-file", "--s1", "--s2", "--fasta"):
-            p.add_argument(flag, default=None)
 
     p = verb("cluster-regions", cmd_cluster_regions, "execution-tree leaves of a merge family")
     p.add_argument("--instance", required=True)
-    family_options(p)
+    p.add_argument("--linkages", type=_names, default="single,complete")
+    p.add_argument("--metrics", type=_names, default="euclidean")
     p.add_argument("--restrict", action="append", default=[], metavar="C1,..,CD:B")
 
     p = verb("align-regions", cmd_align_regions, "optimal-alignment regions of a sequence pair")
-    sequence_options(p)
+    for flag in ("--preset", "--spec-file", "--s1", "--s2", "--fasta"):
+        p.add_argument(flag, default=None)
     p.add_argument("--method", choices=("dag", "ray", "both"), default="dag")
 
     p = verb("tariff-regions", cmd_tariff_regions, "purchase-profile regions of price space")
@@ -622,17 +594,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = verb("plot-data", cmd_plot_data, "2D polygon vertex loops as CSV", oracle=False)
     p.add_argument("--regions", required=True)
-
-    # This verb always checks: it takes --density, but no --oracle-check.
-    p = verb("oracle-check", cmd_oracle_check, "re-run a domain oracle against regions", oracle=False)
-    density_option(p)
-    p.add_argument("--kind", required=True, choices=("cluster", "align", "tariff"))
-    p.add_argument("--instance", default=None)
-    family_options(p)
-    sequence_options(p)
-    p.add_argument("--menu", type=int, default=None)
-    # The builders' inputs that this verb fixes: the whole simplex, the DAG.
-    p.set_defaults(restrict=(), method="dag")
     return parser
 
 

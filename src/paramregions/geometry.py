@@ -584,24 +584,18 @@ def _polygon_witness(vertices, rows) -> Optional[Vector]:
     if lo[0] * hi[2] >= hi[0] * lo[2]:
         return None
     x = simplest_between((lo[0], lo[2]), (hi[0], hi[2]))
-    chord = _interval_witness(_slice(rows, x))
+    chord = _interval_witness(_slice(rows, x, 2))
     return None if chord is None else (x, *chord)
 
 
-def _slice(rows, x) -> list:
+def _slice(rows, x, d: int) -> list:
     """The integer rows of the slice at x_1 = x = p / q of the cell cut out
-    by the integer rows (a_1, ..., a_d, b): (a_2 q, ..., a_d q, b q - a_1 p)
-    over its gcd.  A row left with no normal is dropped: x is strictly
-    inside the cell's x_1-range, where such a row holds strictly."""
-    p, q = index(x.numerator), index(x.denominator)
-    out = []
-    for row in rows:
-        if any(row[1:-1]):
-            sub = [c * q for c in row[1:-1]]
-            sub.append(row[-1] * q - row[0] * p)
-            g = math.gcd(*sub)
-            out.append(tuple(c // g for c in sub))
-    return out
+    by the integer rows (a_1, ..., a_d, b): each row on the hyperplane
+    q x_1 = p, x_1 eliminated (`_project_row`).  A row left with no normal
+    is dropped: x is strictly inside the cell's x_1-range, where such a row
+    holds strictly."""
+    pivot = (index(x.denominator),) + (0,) * (d - 1) + (index(x.numerator),)
+    return [_project_row(row, pivot, 0) for row in rows if any(row[1:-1])]
 
 
 def _canonical_point(rows, d: int) -> Optional[Vector]:
@@ -637,7 +631,7 @@ def _canonical_point(rows, d: int) -> Optional[Vector]:
     if lo is not None and hi is not None and lo[0] * hi[1] >= hi[0] * lo[1]:
         return None
     x = simplest_between(lo, hi)
-    rest = _canonical_point(_slice(rows, x), d - 1)
+    rest = _canonical_point(_slice(rows, x, d), d - 1)
     return None if rest is None else (x, *rest)
 
 

@@ -15,11 +15,13 @@ the regions of every two-feature alignment DAG node before the integer
 lower hull and the cells of a clustering merge step before its one walk,
 and `reference_partition`, the alignment cells built against
 every other region's row before the two-feature neighbor rule: the library
-must agree with each exactly.  `_interior_point_rows`, the auxiliary slack
-LP, runs the library's LP kernel on a formulation of its own: the tests
-compare every interior decision against it, so no reference is the
-canonical point it checks.  `kernel_lp` is that kernel on rational rows
-with an insertion order drawn from a caller's seed, which `solve_lp` fixes.
+must agree with each exactly.  `facet_adjacency` is every pair of cells
+that share a facet, which a region output's `adjacency` must list in
+full.  `_interior_point_rows`, the auxiliary slack LP, runs the library's
+LP kernel on a formulation of its own: the tests compare every interior
+decision against it, so no reference is the canonical point it checks.
+`kernel_lp` is that kernel on rational rows with an insertion order drawn
+from a caller's seed, which `solve_lp` fixes.
 
 The last section holds what no verb of the library runs, so the library
 does not keep it: `clarkson_reduce` (the library's Clarkson kernel,
@@ -56,7 +58,7 @@ from paramregions.geometry import (
     solve_lp,
 )
 from paramregions.rationals import ZERO, Rational, as_vector, rat
-from paramregions.regions import AffineForm, compute_subdivision, dominance_constraints
+from paramregions.regions import AffineForm, cells_share_facet, compute_subdivision, dominance_constraints
 from paramregions.seqalign import SPACE, _apply_transform
 
 
@@ -537,6 +539,25 @@ def reference_partition(domain, regions):
     the cost forms).  `seqalign._partition` must agree with it exactly."""
     forms = {key: AffineForm(alignment.counts, 0) for key, alignment in regions.items()}
     return compute_subdivision(domain, regions, lambda key: dominance_constraints(forms, key))
+
+
+def facet_adjacency(cells) -> list:
+    """The sorted index pairs [i, j], i < j, of the `cells` that share a
+    facet (`cells_share_facet`).  Two cells can share one only when one
+    holds the flip of a facet row of the other, so the cells are first
+    joined on their facet rows: every such pair is tried, and no other."""
+    owners: dict = {}  # facet row -> indices of the cells that hold it
+    for i, cell in enumerate(cells):
+        for h in cell.constraints:
+            owners.setdefault(h.int_row, []).append(i)
+    pairs = {
+        (i, j)
+        for i, cell in enumerate(cells)
+        for h in cell.constraints
+        for j in owners.get(h.flipped_key(), ())
+        if i < j
+    }
+    return sorted([i, j] for i, j in pairs if cells_share_facet(cells[i], cells[j]))
 
 
 # --------------------------------------------------------------------------

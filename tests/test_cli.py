@@ -1,6 +1,9 @@
+import argparse
+import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,6 +13,7 @@ import pytest
 
 from paramregions import seqalign, tariff
 from paramregions.cli import (
+    PARSER,
     _cell_box_grid,
     _tariff_agreement,
     canonical_dumps,
@@ -22,6 +26,8 @@ from paramregions.geometry import ConvexCell, polygon_area
 from paramregions.rationals import format_rational, format_vector, rat
 from paramregions.regions import Subdivision, cells_share_facet
 from paramregions.seqalign import mismatch_space_spec
+
+from oracles import facet_adjacency
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -147,12 +153,11 @@ class TestClusterRegions:
         ],
         ids=["no-points", "empty-table", "points-other-than-table"],
     )
-    @pytest.mark.parametrize("verb", [["cluster-regions"], ["oracle-check", "--kind", "cluster"]])
-    def test_empty_or_mismatched_instance_exit_2(self, verb, data, message, tmp_path, capsys):
+    def test_empty_or_mismatched_instance_exit_2(self, data, message, tmp_path, capsys):
         path = tmp_path / "instance.json"
         path.write_text(json.dumps(data))
         out = tmp_path / "never.json"
-        assert run_cli([*verb, "--instance", str(path), "--output", str(out)]) == 2
+        assert run_cli(["cluster-regions", "--instance", str(path), "--output", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
 
@@ -251,6 +256,39 @@ class TestClusterRegions:
             "label": json.loads(json.dumps(leaf.merges)),
         }
 
+    @pytest.mark.parametrize(
+        "family",
+        [
+            ["--metrics", "euclidean,manhattan"],
+            ["--linkages", "single"],
+            ["--linkages", "single,single"],
+            ["--metrics", "euclidean,euclidean"],
+        ],
+        ids=["metric", "one-component", "repeated-linkage", "repeated-metric"],
+    )
+    def test_infeasible_family_exit_3(self, family, line_instance_file, tmp_path, capsys):
+        out = tmp_path / "never.json"
+        args = ["cluster-regions", "--instance", line_instance_file, *family, "--output", str(out)]
+        assert run_cli(args) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra, cells",
+        [
+            (["--restrict=-1:-1/2"], 1),
+            (["--linkages", "single,complete,median", "--restrict", "1,1:2/3"], 2),
+        ],
+        ids=["d1-one-cell", "d2-two-cells"],
+    )
+    def test_oracle_checks_the_cells_of_a_restricted_parent(self, extra, cells, line_instance_file, tmp_path):
+        out = tmp_path / "regions.json"
+        args = ["cluster-regions", "--instance", line_instance_file, *extra, "--oracle-check"]
+        assert run_cli(args + ["--output", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert len(data["cells"]) == cells
+        assert data["oracle_agreement"] == 1.0
+
     def test_infeasible_restriction_exit_3(self, line_instance_file, tmp_path):
         code = run_cli(
             [
@@ -273,6 +311,10 @@ def spec_file(tmp_path, edit):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def mismatch_space_spec_text():
+    return json.dumps(mismatch_space_spec().to_json())
 
 
 def half_term_weight(data):
@@ -328,9 +370,6 @@ def unknown_feature_names(data):
     data["features"] = ["foo", "bar"]
 
 
-ALIGN_VERBS = [["align-regions"], ["oracle-check", "--kind", "align"]]
-
-
 class TestAlignRegions:
     def test_ab_ba_both_methods_agree(self, tmp_path):
         out = tmp_path / "align.json"
@@ -384,13 +423,11 @@ class TestAlignRegions:
         fasta.write_text(">a\nAC-GT\n>b\nACTGT\n")
         assert run_cli(["align-regions", "--fasta", str(fasta), "--output", str(tmp_path / "never.json")]) == 2
 
-    @pytest.mark.parametrize("verb", ALIGN_VERBS)
     @pytest.mark.parametrize("edit", [half_term_weight, half_prefix_weight])
-    def test_spec_file_with_non_integer_weight_exit_2(self, verb, edit, tmp_path):
+    def test_spec_file_with_non_integer_weight_exit_2(self, edit, tmp_path):
         spec = spec_file(tmp_path, edit)
-        assert run_cli(verb + ["--spec-file", spec, "--s1", "AC", "--s2", "TG"]) == 2
+        assert run_cli(["align-regions", "--spec-file", spec, "--s1", "AC", "--s2", "TG"]) == 2
 
-    @pytest.mark.parametrize("verb", ALIGN_VERBS)
     @pytest.mark.parametrize(
         "edit",
         [
@@ -406,16 +443,16 @@ class TestAlignRegions:
             unknown_feature_names,
         ],
     )
-    def test_malformed_spec_file_exit_2(self, verb, edit, tmp_path):
+    def test_malformed_spec_file_exit_2(self, edit, tmp_path):
         spec = spec_file(tmp_path, edit)
         for s1, s2 in (("AC", "TG"), ("AC", "AC")):
-            assert run_cli(verb + ["--spec-file", spec, "--s1", s1, "--s2", s2]) == 2
+            assert run_cli(["align-regions", "--spec-file", spec, "--s1", s1, "--s2", s2]) == 2
 
-    @pytest.mark.parametrize("verb", ALIGN_VERBS)
-    def test_spec_file_without_solution_exit_3(self, verb, tmp_path):
+    def test_spec_file_without_solution_exit_3(self, tmp_path):
         spec = spec_file(tmp_path, only_chars_equal)
-        assert run_cli(verb + ["--spec-file", spec, "--s1", "AC", "--s2", "TG"]) == 3
-        assert run_cli(verb + ["--spec-file", spec, "--s1", "AC", "--s2", "AC"]) == 0
+        argv = ["align-regions", "--spec-file", spec, "--s1", "AC"]
+        assert run_cli(argv + ["--s2", "TG"]) == 3
+        assert run_cli(argv + ["--s2", "AC"]) == 0
 
     def test_both_methods_disagree_exit_4(self, monkeypatch, tmp_path, capsys):
         search = seqalign.ray_search_regions
@@ -605,6 +642,12 @@ class TestPlotData:
         assert run_cli(["plot-data", "--regions", str(regions), "--output", str(out)]) == 0
         body = out.read_text()
         assert "flat" not in body and "box" in body
+        # With no other cell there is nothing to plot, and no file either.
+        del payload["cells"][1]
+        regions.write_text(canonical_dumps(payload))
+        out.unlink()
+        assert run_cli(["plot-data", "--regions", str(regions), "--output", str(out)]) == 3
+        assert not out.exists()
 
 
 def _box_regions(edit):
@@ -639,6 +682,42 @@ class TestMalformedNumbers:
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["tariff-regions", "--instance"], '{"K": 2, "valuations": [["3", "5"]]}'.encode("utf-16")),
+        (["tariff-regions", "--instance"], b"[" * 200000 + b"]" * 200000),
+        (["plot-data", "--regions"], '{"cells": []}'.encode("utf-16")),
+        (["plot-data", "--regions"], b"[" * 200000 + b"]" * 200000),
+        (["align-regions", "--fasta"], ">a\nAB\n>b\nBA\n".encode("utf-16")),
+        (["align-regions", "--fasta"], b">a\nAB\n>b\nB\xc1\n"),
+        (["cluster-regions", "--instance"], '{"points": [[0], [1]], "table": [0, 1]}'.encode("utf-16")),
+        (["cluster-regions", "--instance"], b"[" * 200000 + b"]" * 200000),
+        (["align-regions", "--s1", "AC", "--s2", "TG", "--spec-file"], mismatch_space_spec_text().encode("utf-16")),
+        (["align-regions", "--s1", "AC", "--s2", "TG", "--spec-file"], b"[" * 200000 + b"]" * 200000),
+    ],
+    ids=[
+        "instance-utf16",
+        "instance-too-deep",
+        "regions-utf16",
+        "regions-too-deep",
+        "fasta-utf16",
+        "fasta-latin1",
+        "cluster-instance-utf16",
+        "cluster-instance-too-deep",
+        "spec-utf16",
+        "spec-too-deep",
+    ],
+)
+def test_input_file_not_utf8_or_nested_too_deep_exit_2(argv, text, tmp_path, capsys):
+    path = tmp_path / "input"
+    path.write_bytes(text)
+    out = tmp_path / "never"
+    assert run_cli([*argv, str(path), "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 class TestGenDataset:
     def test_writes_instance_consumable_by_cluster_regions(self, tmp_path):
         inst = tmp_path / "rings.json"
@@ -654,93 +733,11 @@ class TestGenDataset:
         assert a.read_text() == b.read_text()
 
 
-class TestOracleCheckVerb:
-    def test_tariff_kind(self, tariff_instance_file, tmp_path):
-        out = tmp_path / "check.json"
-        code = run_cli(
-            [
-                "oracle-check",
-                "--kind",
-                "tariff",
-                "--instance",
-                tariff_instance_file,
-                "--density",
-                "10",
-                "--output",
-                str(out),
-            ]
-        )
-        assert code == 0
-        assert json.loads(out.read_text())["agreement"] == 1.0
-
-    def test_align_kind(self, tmp_path):
-        out = tmp_path / "check.json"
-        code = run_cli(
-            [
-                "oracle-check",
-                "--kind",
-                "align",
-                "--s1",
-                "A",
-                "--s2",
-                "T",
-                "--density",
-                "10",
-                "--output",
-                str(out),
-            ]
-        )
-        assert code == 0
-
-    def test_cluster_kind(self, line_instance_file, tmp_path):
-        out = tmp_path / "check.json"
-        args = ["oracle-check", "--kind", "cluster", "--instance", line_instance_file, "--density", "10"]
-        assert run_cli(args + ["--output", str(out)]) == 0
-        assert json.loads(out.read_text())["agreement"] == 1.0
-
-    @pytest.mark.parametrize(
-        "family",
-        [
-            ["--metrics", "euclidean,manhattan"],
-            ["--linkages", "single"],
-            ["--linkages", "single,single"],
-            ["--metrics", "euclidean,euclidean"],
-        ],
-        ids=["metric", "one-component", "repeated-linkage", "repeated-metric"],
-    )
-    def test_cluster_kind_infeasible_family_exit_3_like_cluster_regions(
-        self, family, line_instance_file, tmp_path, capsys
-    ):
-        out = str(tmp_path / "never.json")
-        assert run_cli(["cluster-regions", "--instance", line_instance_file, *family, "--output", out]) == 3
-        message = capsys.readouterr().err
-        assert message.startswith("error: ")
-        args = ["oracle-check", "--kind", "cluster", "--instance", line_instance_file, *family, "--output", out]
-        assert run_cli(args) == 3
-        assert capsys.readouterr().err == message
-        assert not (tmp_path / "never.json").exists()
-
-    def test_oracle_check_flag_is_a_parse_error(self, tariff_instance_file, tmp_path):
-        # The verb always checks; the region verbs' flag does not apply.
-        args = ["oracle-check", "--kind", "tariff", "--instance", tariff_instance_file, "--oracle-check"]
-        with pytest.raises(SystemExit) as exc:
-            run_cli(args + ["--output", str(tmp_path / "never.json")])
-        assert exc.value.code == 2
-        assert not (tmp_path / "never.json").exists()
-
-    @pytest.mark.parametrize("kind", ["cluster", "tariff"])
-    def test_instance_kinds_without_instance_exit_2(self, kind, capsys):
-        assert run_cli(["oracle-check", "--kind", kind]) == 2
-        assert "--instance" in capsys.readouterr().err
-
-
 class TestDensity:
     @pytest.mark.parametrize("density", ["0", "-3"])
-    @pytest.mark.parametrize("verb", ["tariff-regions", "oracle-check"])
-    def test_density_below_one_is_a_parse_error(self, verb, density, tariff_instance_file, tmp_path):
+    def test_density_below_one_is_a_parse_error(self, density, tariff_instance_file, tmp_path):
         # A density below 1 samples no point in d <= 2, so the check could never fail.
-        args = [verb, "--instance", tariff_instance_file, f"--density={density}"]
-        args += ["--kind", "tariff"] if verb == "oracle-check" else ["--oracle-check"]
+        args = ["tariff-regions", "--instance", tariff_instance_file, f"--density={density}", "--oracle-check"]
         with pytest.raises(SystemExit) as exc:
             run_cli(args + ["--output", str(tmp_path / "never.json")])
         assert exc.value.code == 2
@@ -884,22 +881,31 @@ class TestGoldenOutput:
         self.assert_golden("cluster_two_metrics.json", args, tmp_path)
 
 
-@pytest.mark.parametrize(
-    "name", sorted(p.name for p in GOLDEN.glob("*.json") if "cells" in json.loads(p.read_text()))
-)
+GOLDEN_REGIONS = sorted(p.name for p in GOLDEN.glob("*.json") if "cells" in json.loads(p.read_text()))
+
+
+@pytest.mark.parametrize("name", GOLDEN_REGIONS)
 def test_golden_regions_state_each_fact_once(name):
-    # Schema 4: adjacency is the sorted index pairs i < j of cells that
-    # share a facet, and a cluster cell's label is not repeated as merges.
+    # Schema 4: adjacency is the sorted index pairs i < j of exactly the
+    # cells that share a facet, and a cluster cell's label is not repeated
+    # as merges.
     data = json.loads((GOLDEN / name).read_text())
     assert data["schema_version"] == 4
     cells = [ConvexCell.from_json(entry, decode_label) for entry in data["cells"]]
-    pairs = data["adjacency"]
-    assert pairs == sorted(pairs) and len(set(map(tuple, pairs))) == len(pairs)
-    for i, j in pairs:
-        assert 0 <= i < j < len(cells)
-        assert cells_share_facet(cells[i], cells[j])
+    assert data["adjacency"] == facet_adjacency(cells)
     if data["kind"] == "cluster-regions":
         assert not any("merges" in entry for entry in data["cells"])
+
+
+@pytest.mark.parametrize("name", GOLDEN_REGIONS)
+def test_facet_adjacency_finds_every_pair_that_shares_a_facet(name):
+    # The oracle tries only the pairs joined on a flipped facet row; it
+    # must find what trying every pair of cells finds.
+    data = json.loads((GOLDEN / name).read_text())
+    cells = [ConvexCell.from_json(entry, decode_label) for entry in data["cells"]]
+    every = [[i, j] for i, j in itertools.combinations(range(len(cells)), 2) if cells_share_facet(cells[i], cells[j])]
+    assert facet_adjacency(cells) == every
+    assert every or len(cells) == 1
 
 
 class Text(str):
@@ -960,6 +966,36 @@ class TestCanonicalDumps:
             canonical_dumps({key: 1})
         with pytest.raises(TypeError):
             canonical_dumps([{"a": {key: 1, "b": 2}}])
+
+
+@pytest.mark.parametrize(
+    "kind, argv",
+    [
+        ("cluster", ["cluster-regions", "--instance", "{line}"]),
+        ("align", ["align-regions", "--s1", "A", "--s2", "T"]),
+        ("tariff", ["tariff-regions", "--instance", "{tariff}"]),
+    ],
+)
+def test_oracle_runs_as_a_flag_not_a_verb(kind, argv, line_instance_file, tariff_instance_file, tmp_path, capsys):
+    # `oracle-check --kind` is no verb: its check is the region verb's flag.
+    files = {"{line}": line_instance_file, "{tariff}": tariff_instance_file}
+    argv = [files.get(a, a) for a in argv]
+    out = tmp_path / "regions.json"
+    former = ["oracle-check", "--kind", kind, *argv[1:], "--density", "10", "--output", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(former)
+    assert exc.value.code == 2
+    assert "invalid choice: 'oracle-check'" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli([*argv, "--oracle-check", "--density", "10", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["oracle_agreement"] == 1.0
+
+
+def test_readme_names_exactly_the_verbs():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    sentence = re.search(r"^Verbs: ([^.]*)\.", text, re.M).group(1)
+    verbs = next(a for a in PARSER._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert re.findall(r"`([^`]+)`", sentence) == list(verbs)
 
 
 class TestEntryPoint:

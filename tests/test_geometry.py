@@ -22,6 +22,7 @@ from paramregions.geometry import (
     _interval_witness,
     _ray_first_index,
     _slack,
+    _slice,
     box_cell,
     dot,
     find_interior_point,
@@ -427,6 +428,25 @@ class TestCanonicalPoint:
         assert _canonical_point([], d) == (0,) * d
         slab = [(1,) + (0,) * (d - 1) + (1,), (-1,) + (0,) * d]
         assert _canonical_point(slab, d) == (rat(1, 2),) + (0,) * (d - 1)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_slice_is_each_row_at_x1_over_its_gcd(self, d):
+        # On q x_1 = p the row (a_1, ..., a_d, b) reads
+        # (a_2 q, ..., a_d q, b q - a_1 p) over its gcd; a row with no
+        # normal left is dropped, and no rows slice to no rows.
+        rng = random.Random(89 + d)
+        for trial in range(150):
+            rows, _ = random_cell_rows(rng, d)
+            x = rat(rng.randint(-7, 7), rng.randint(1, 5))
+            p, q = x.numerator, x.denominator
+            expected = []
+            for row in rows:
+                if any(row[1:-1]):
+                    sub = [c * q for c in row[1:-1]] + [row[-1] * q - row[0] * p]
+                    g = math.gcd(*sub)
+                    expected.append(tuple(c // g for c in sub))
+            assert _slice(rows, x, d) == expected, (trial, rows, x)
+        assert _slice([], rat(1, 2), d) == []
 
     def test_interior_in_one_dimension_matches_the_witness(self):
         # `_has_interior` reads the two ends (`_interval_ends`), with no

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+from oracles import facet_adjacency
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -61,13 +63,16 @@ def test_benchmark_outputs_match_recorded_digests(monkeypatch, tmp_path):
 def test_benchmark_outputs_pass_the_benchmark_check(monkeypatch, tmp_path):
     # The benchmark's own correctness check reads every output shape the
     # verbs write: each seed-7 job exits 0 and `check_job` finds no error.
+    # That check does not read `adjacency`, so each region output's is
+    # checked here: exactly the pairs of cells that share a facet.
     import_output_digests(monkeypatch)
     workloads = importlib.import_module("workloads")
     run = importlib.import_module("run")
     check = importlib.import_module("check")
     from paramregions import cli
+    from paramregions.geometry import ConvexCell
 
-    checked = 0
+    checked = adjacencies = 0
     for workload in workloads.WORKLOADS:
         workdir = tmp_path / workload
         for job in workloads.generate(workload, 7, workdir):
@@ -76,7 +81,13 @@ def test_benchmark_outputs_pass_the_benchmark_check(monkeypatch, tmp_path):
             output = Path(argv[argv.index("-o") + 1])
             assert check.check_job(job, workdir, output, 7) == [], job["id"]
             checked += 1
+            payload = json.loads(output.read_text())
+            if "adjacency" in payload:
+                cells = [ConvexCell.from_json(entry, cli.decode_label) for entry in payload["cells"]]
+                assert payload["adjacency"] == facet_adjacency(cells), job["id"]
+                adjacencies += 1
     assert checked == 248
+    assert adjacencies > 0
 
 
 def test_align_scaling_prints_one_row_per_length(monkeypatch, capsys):

@@ -4,7 +4,9 @@ One buyer sample valuing 1 unit at 3 and 2 units at 5 splits the
 (fee, unit-price) quadrant into three regions: buy two, buy one, buy
 nothing.  Revenue is affine on each region, so one LP per region finds the
 revenue-maximizing tariff exactly: full surplus 5, extracted anywhere on the
-segment p1 + 2 p2 = 5 with p2 <= 2.
+segment p1 + 2 p2 = 5 with p2 <= 2.  One builder serves both a single
+tariff, whose regions are labeled by quantities, and a menu of two tariffs,
+whose regions are labeled by (quantity, tariff) pairs.
 """
 
 from paramregions import (
@@ -13,12 +15,11 @@ from paramregions import (
     check_piece_bound,
     compute_price_regions,
     maximize_revenue,
-    single_tariff_regions,
 )
 from paramregions.rationals import format_rational, rat
 
 instance = TariffInstance(units=2, valuations=[(3, 5)])
-regions = single_tariff_regions(instance)
+regions = compute_price_regions(instance)
 
 print(f"K={instance.units}, one sample with v(1)=3, v(2)=5, price cap {instance.price_cap}\n")
 for label in sorted(regions.cells):

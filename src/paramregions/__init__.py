@@ -23,7 +23,6 @@ from .geometry import (
     Halfspace,
     LPResult,
     box_cell,
-    find_interior_point,
     polygon_area,
     polygon_vertices,
     solve_lp,
@@ -65,7 +64,6 @@ from .tariff import (
     check_piece_bound,
     compute_price_regions,
     maximize_revenue,
-    single_tariff_regions,
 )
 
 __version__ = "0.1.0"

@@ -294,11 +294,9 @@ def _align_regions(args) -> tuple:
 
 
 def _tariff_regions(args) -> tuple:
-    """The instance and its price regions; single tariffs get the plain
-    quantity-tuple labels."""
+    """The instance and its price regions, from one `compute_price_regions`
+    at any menu length: a single tariff's labels are plain quantities."""
     inst = load_tariff_instance(_load_json(args.instance), args.menu)
-    if inst.menu_length == 1:
-        return inst, tariff.single_tariff_regions(inst)
     return inst, tariff.compute_price_regions(inst)
 
 

@@ -397,23 +397,8 @@ def _lift(sub: tuple, k: int, pivot: tuple) -> tuple:
 
 
 # --------------------------------------------------------------------------
-# Interior points, Clarkson redundancy removal
+# Clarkson redundancy removal
 # --------------------------------------------------------------------------
-
-def find_interior_point(constraints) -> Optional[Vector]:
-    """A point strictly satisfying every `Halfspace` in `constraints`, or None
-    if the feasible region has empty interior: the canonical point of their
-    rows (`_canonical_point`)."""
-    if not constraints:
-        raise GeometryError("need at least one constraint")
-    d = constraints[0].dimension
-    if any(h.dimension != d for h in constraints):
-        raise GeometryError("constraint dimension mismatch")
-    rows = [h.int_row for h in constraints]
-    if not all(any(row[:-1]) for row in rows):
-        raise GeometryError("halfspace normal must be nonzero")
-    return _canonical_point(rows, d)
-
 
 def _one_row_per_direction(rows) -> list:
     """Indices, ascending, of one integer row (a_1, ..., a_d, b) per primitive

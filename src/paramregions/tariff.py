@@ -4,11 +4,12 @@ A tariff charges a fixed fee plus a per-unit price; a menu offers several
 such pairs and each buyer sample picks the utility-maximizing pair and
 quantity.  Price space splits into convex regions of constant purchase
 profile.  A profile's region is the intersection of one option region per
-sample, so the regions are found by the product walk of `regions`
-(`compute_subdivision` over `product_candidates`), in which every candidate
-row names the profile across it, so no region is lost.  Revenue is affine
-on each region, so the revenue-maximizing prices come from one exact LP per
-region.
+sample, so the regions are found by one product walk of `regions`
+(`compute_subdivision` over `product_candidates`, `compute_price_regions`)
+at every menu length, a single tariff being a menu of length one.  Every
+candidate row names the profile across it, so no region is lost.  Revenue
+is affine on each region, so the revenue-maximizing prices come from one
+exact LP per region.
 """
 
 from __future__ import annotations
@@ -129,20 +130,28 @@ def _option_forms(instance: TariffInstance) -> list:
     """Per sample, {option: minus its utility as an `AffineForm` over the
     price vector}, over every (quantity, tariff index) a buyer can pick,
     buying nothing canonicalized to (0, 1): the buyer picks an option of
-    least form.  The price coefficients are the option's revenue, so two
-    distinct options never share them."""
+    least form.  A single tariff (L = 1) keys each option by q alone, which
+    sorts as (q, 1) does, so every tie rule picks alike.  The price
+    coefficients are the option's revenue, so two distinct options never
+    share them."""
     menu = range(1, instance.menu_length + 1)
     options = [(0, 1)] + [(q, j) for q in range(1, instance.units + 1) for j in menu]
+    keys = [q for q, _ in options] if instance.menu_length == 1 else options
     return [
-        {o: AffineForm(revenue_form(instance, (o,)), -instance.value(i, o[0])) for o in options}
+        {
+            key: AffineForm(revenue_form(instance, (o,)), -instance.value(i, o[0]))
+            for key, o in zip(keys, options)
+        }
         for i in range(instance.n_samples)
     ]
 
 
 def compute_price_regions(instance: TariffInstance) -> Subdivision:
-    """Regions of constant buyer behavior over the capped price box.
+    """Regions of constant buyer behavior over the capped price box, for
+    every menu length.
 
-    Labels are per-sample (quantity, tariff-index) tuples, and a profile's
+    Labels are per-sample options: (quantity, tariff-index) pairs, or plain
+    quantities for a single tariff (L = 1, `_option_forms`).  A profile's
     region is the intersection of one option region per sample: one walk of
     `regions.compute_subdivision` over tuple labels
     (`regions.product_candidates`), each sample's rows its dominance rows.
@@ -150,19 +159,7 @@ def compute_price_regions(instance: TariffInstance) -> Subdivision:
     (`regions.argmin_label` per sample) and follows facet labels, each the
     profile across its facet, so it finds every region.
     """
-    return _product_walk(instance, _option_forms(instance))
-
-
-def single_tariff_regions(instance: TariffInstance) -> Subdivision:
-    """L = 1 specialization with plain quantity-tuple labels: options keyed
-    by q alone, which sorts as (q, 1) does, so every tie rule picks alike."""
-    if instance.menu_length != 1:
-        raise ValueError("single_tariff_regions needs menu_length == 1")
-    forms = [{q: form for (q, _), form in options.items()} for options in _option_forms(instance)]
-    return _product_walk(instance, forms)
-
-
-def _product_walk(instance: TariffInstance, forms: list) -> Subdivision:
+    forms = _option_forms(instance)
     box = instance.price_box()
     start = tuple(argmin_label(options, box.witness) for options in forms)
     candidates = product_candidates([partial(dominance_constraints, options) for options in forms])

@@ -10,11 +10,13 @@ library's integer kernel written over rationals, and
 `reference_dp_solve_multi`, the alignment DP over rationals, lexicographic
 over several points, and
 `reference_tariff_candidates`, the tariff candidate halfspaces built from
-rationals, and `reference_envelope_labels`, the LP label step that decided
-the regions of every two-feature alignment DAG node before the integer
-lower hull and the cells of a clustering merge step before its one walk,
-and `reference_partition`, the alignment cells built against
-every other region's row before the two-feature neighbor rule: the library
+rationals, and `reference_price_regions`, the one walk over them with
+(q, j) labels at every menu length, and `reference_envelope_labels`, the
+LP label step that decided the regions of every two-feature alignment DAG
+node before the integer lower hull and the cells of a clustering merge
+step before its one walk, and `reference_partition`, the alignment cells
+built against every other region's row before the two-feature neighbor
+rule: the library
 must agree with each exactly.  `facet_adjacency` is every pair of cells
 that share a facet, which a region output's `adjacency` must list in
 full.  `_interior_point_rows`, the auxiliary slack LP, runs the library's
@@ -38,6 +40,7 @@ cost at a point (`alignment_cost`).
 import math
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from operator import mul
 
@@ -58,7 +61,13 @@ from paramregions.geometry import (
     solve_lp,
 )
 from paramregions.rationals import ZERO, Rational, as_vector, rat
-from paramregions.regions import AffineForm, cells_share_facet, compute_subdivision, dominance_constraints
+from paramregions.regions import (
+    AffineForm,
+    argmin_label,
+    cells_share_facet,
+    compute_subdivision,
+    dominance_constraints,
+)
 from paramregions.seqalign import SPACE, _apply_transform
 
 
@@ -508,6 +517,25 @@ def reference_tariff_candidates(instance, label):
             switched[i] = alt
         out.append(Halfspace(h.int_row, tuple(switched)))
     return out
+
+
+def reference_price_regions(instance):
+    """The price regions from one `compute_subdivision` walk over
+    `reference_tariff_candidates`, labeled with per-sample (q, j) pairs at
+    every menu length.  The walk starts from each sample's option of
+    greatest rational utility just past the box's witness (`argmin_label`
+    on minus the utilities)."""
+    box = instance.price_box()
+    menu = range(1, instance.menu_length + 1)
+    options = [(0, 1)] + [(q, j) for q in range(1, instance.units + 1) for j in menu]
+    start = []
+    for i in range(instance.n_samples):
+        forms = {}
+        for q, j in options:
+            coeffs, const = _reference_utility_coeffs(instance, i, q, j)
+            forms[q, j] = AffineForm(tuple(-c for c in coeffs), -const)
+        start.append(argmin_label(forms, box.witness))
+    return compute_subdivision(box, [tuple(start)], partial(reference_tariff_candidates, instance))
 
 
 def reference_envelope_labels(parent, forms, corners, seed=0):

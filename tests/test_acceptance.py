@@ -45,7 +45,6 @@ from paramregions.tariff import (
     compute_price_regions,
     maximize_revenue,
     normalize_profile,
-    single_tariff_regions,
 )
 
 from oracles import (
@@ -58,6 +57,7 @@ from oracles import (
     labels_at,
     naive_nonredundant,
     random_halfspaces,
+    reference_price_regions,
     sample_interior,
 )
 
@@ -320,7 +320,7 @@ def test_criterion_6_tariff_piece_bound():
     violations = []
     for trial in range(200):
         inst = random_tariff(rng)
-        sub = single_tariff_regions(inst)
+        sub = compute_price_regions(inst)
         rep = check_piece_bound(inst, sub)
         if not rep["pieces_ok"] or not rep["lines_ok"]:
             violations.append((inst.n_samples, inst.units, rep))
@@ -365,7 +365,7 @@ def test_criterion_7_revenue_optimality():
         instances.append(random_tariff(rng, max_n=4, max_k=4))
     failures = []
     for idx, inst in enumerate(instances):
-        sub = single_tariff_regions(inst)
+        sub = compute_price_regions(inst)
         _, revenue, _ = maximize_revenue(inst, sub)
         exact = float(revenue)
         gaps = []
@@ -434,7 +434,7 @@ def test_criterion_9_invariant_suites():
                 problems.append(f"planarity: clustering trial {trial}")
     for trial in range(100):
         inst = random_tariff(rng, max_n=4, max_k=4)
-        sub = single_tariff_regions(inst)
+        sub = compute_price_regions(inst)
         if len(sub.adjacency) > 3 * len(sub.cells):
             problems.append(f"planarity: tariff trial {trial}")
 
@@ -487,12 +487,12 @@ def test_criterion_9_invariant_suites():
         if set(overlaid.cells) != want:
             problems.append(f"overlay idempotence: trial {trial}")
 
-    # menu length 1 reduces exactly to the single-tariff algorithm
+    # a single tariff's regions are the reference walk's over (q, j) options
     for trial in range(100):
         inst = random_tariff(rng, max_n=4, max_k=4)
-        menu = compute_price_regions(inst)
-        single = single_tariff_regions(inst)
-        mapped = {tuple(q for q, _ in label): cell for label, cell in menu.cells.items()}
+        reference = reference_price_regions(inst)
+        single = compute_price_regions(inst)
+        mapped = {tuple(q for q, _ in label): cell for label, cell in reference.cells.items()}
         if set(mapped) != set(single.cells) or any(
             mapped[l].constraint_keys() != single.cells[l].constraint_keys() for l in mapped
         ):

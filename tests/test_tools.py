@@ -105,6 +105,25 @@ def test_align_scaling_prints_one_row_per_length(monkeypatch, capsys):
     assert int(lps.replace(",", "")) > 0
 
 
+def test_tariff_scaling_prints_one_row_per_instance(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    tariff_scaling = importlib.import_module("tariff_scaling")
+    from paramregions.tariff import TariffInstance, compute_price_regions
+
+    assert tariff_scaling.main(["--singles", "2", "--menus", "1"]) == 0
+    header, rule, *rows = capsys.readouterr().out.splitlines()
+    assert header == "| N | K | L | regions | LPs | time |" and rule == "|---|---|---|---|---|---|"
+    assert len(rows) == 2
+    for row, want in zip(rows, [(2, 8, 1), (1, 4, 2)]):
+        fields = re.fullmatch(r"\| (\d+) \| (\d+) \| (\d+) \| ([\d,]+) \| ([\d,]+) \| ([\d.]+) s \|", row).groups()
+        n, k, menu, regions, lps = (int(f.replace(",", "")) for f in fields[:5])
+        assert (n, k, menu) == want
+        valuations = tariff_scaling.random_valuations(n, k)
+        assert all(len(v) == k and list(v) == sorted(v) for v in valuations)  # monotone
+        assert regions == len(compute_price_regions(TariffInstance(k, valuations, menu)).cells) > 1
+        assert (lps > 0) == (menu == 2)  # a single tariff's cells run no LP
+
+
 def test_kept_outputs_are_the_digested_bytes(monkeypatch, tmp_path, capsys):
     output_digests = import_output_digests(monkeypatch)
     workdir, keep = tmp_path / "work", tmp_path / "keep" / "7"

@@ -1,0 +1,88 @@
+"""How the tariff price regions scale with the number of buyer samples.
+
+For each size, draws N monotone valuation rows over K units from a fresh
+`random.Random(1)` (each row the running sums of K increments in 0..9),
+builds the price regions of a single tariff (L = 1, K = 8, d = 2) or of a
+menu of two tariffs (L = 2, K = 4, d = 4) with `compute_price_regions`,
+and prints one row of a Markdown table:
+
+    | N | K | L | regions | LPs | time |
+
+LPs counts every call of the exact LP kernel `geometry._solve_raw`.  A
+single tariff's cells (d = 2) read their facets and witnesses off clipped
+polygons and run none; a menu's cells run Clarkson's LPs for their facets
+and two range LPs per dimension above 2 for their witnesses
+(`geometry._canonical_point`).  Time is the wall time of
+`compute_price_regions`, one run.  Run from a source checkout:
+
+    python3 tools/tariff_scaling.py --singles 8 16 32 64 --menus 4 8 12
+"""
+
+from __future__ import annotations
+
+import argparse
+import random
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SINGLE_UNITS = 8
+MENU_UNITS = 4
+
+
+def random_valuations(samples: int, units: int) -> list:
+    rng = random.Random(1)
+    rows = []
+    for _ in range(samples):
+        total, row = 0, []
+        for _ in range(units):
+            total += rng.randint(0, 9)
+            row.append(total)
+        rows.append(row)
+    return rows
+
+
+def measure(samples: int, units: int, menu_length: int) -> tuple:
+    """(regions, LP kernel calls, seconds) for one instance of this size."""
+    from paramregions import geometry
+    from paramregions.tariff import TariffInstance, compute_price_regions
+
+    instance = TariffInstance(units, random_valuations(samples, units), menu_length)
+    solve = geometry._solve_raw
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return solve(*args)
+
+    geometry._solve_raw = counting
+    try:
+        start = time.perf_counter()
+        regions = compute_price_regions(instance)
+        seconds = time.perf_counter() - start
+    finally:
+        geometry._solve_raw = solve
+    return len(regions.cells), calls[0], seconds
+
+
+def main(argv=None) -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--singles", type=int, nargs="*", default=[8, 16, 32, 64],
+                        help=f"sample counts N of the single tariffs (K = {SINGLE_UNITS})")
+    parser.add_argument("--menus", type=int, nargs="*", default=[4, 8, 12],
+                        help=f"sample counts N of the menus of two tariffs (K = {MENU_UNITS})")
+    args = parser.parse_args(argv)
+    print("| N | K | L | regions | LPs | time |")
+    print("|---|---|---|---|---|---|")
+    jobs = [(n, SINGLE_UNITS, 1) for n in args.singles] + [(n, MENU_UNITS, 2) for n in args.menus]
+    for samples, units, menu_length in jobs:
+        regions, lps, seconds = measure(samples, units, menu_length)
+        print(f"| {samples} | {units} | {menu_length} | {regions:,} | {lps:,} | {seconds:.2f} s |", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

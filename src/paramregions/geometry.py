@@ -1,20 +1,21 @@
 """Exact low-dimensional halfspace geometry.
 
-Halfspaces, convex cells, a Seidel-style randomized-incremental LP,
-output-sensitive redundancy removal (Clarkson, for d >= 4), polygon
-clipping (for d = 2, and on a row's plane for d = 3), a cell's canonical
-point `_canonical_point` (its witness in every dimension: the simplest
-rational point of an interval or a clipped polygon, with no LP, and above
-d = 2 a simplest x_1 between two LP values, then the slice's point) and the
-interior test `_has_interior` (with no LP in d <= 2: an interval, or a
-clipped polygon with three vertices off one line; above, whether the cell
-has a canonical point).
+Halfspaces, convex cells, a Seidel-style randomized-incremental LP
+(`solve_lp`), and one exact construction per dimension that a cell's
+facets, canonical point and interior are read off, with no LP: the
+interval in d = 1, polygon clipping in d = 2 (`_clip_polygon`) and vertex
+enumeration in d >= 3 (`_vertices`, the double description method).  A
+cell's canonical point `_canonical_point`, its witness in every dimension,
+is the simplest rational x_1 strictly inside its x_1-range, then the
+canonical point of its slice at x_1; the interior test `_has_interior`
+reads the interval's ends, three clipped vertices off one line, or above
+d = 2 vertices of rank d + 1.
 A halfspace is its primitive integer row; witnesses and LP results are
-exact rationals.  The kernel underneath
-(Seidel, the redundancy loop and its ray step, the clip and its witness,
-the point tests) runs fraction-free on Python ints, on those rows and on
-homogeneous points, where one slack (`_slack`) decides every point against
-a row, and converts back to rationals only at this module's boundary.
+exact rationals.  The kernel underneath (Seidel, the clip, the vertex
+enumeration, the witnesses, the point tests) runs fraction-free on Python
+ints, on those rows and on homogeneous points, where one slack (`_slack`)
+decides every point against a row, and converts back to rationals only at
+this module's boundary.
 Everything here is a pure function of its inputs; values are immutable
 after construction and safe to share across threads.
 
@@ -27,11 +28,10 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
-from operator import index, mul
+from functools import cached_property, reduce
+from itertools import chain, product
+from operator import and_, index, mul
 from typing import Any, Optional, Sequence
 
 from .rationals import (
@@ -134,9 +134,8 @@ class ConvexCell:
     `regions.compute_vertex_cell` builds cells with a witness and a minimal
     constraint list: removing any single constraint changes the solution set.
     It reads that list off the interval in d = 1, off `_clip_polygon`'s
-    polygon in d = 2, off a clip on each row's plane in d = 3 and out of
-    Clarkson's redundancy removal in d >= 4; the witness is the cell's
-    canonical point (`_canonical_point`) in every dimension.
+    polygon in d = 2 and off the cell's `_vertices` in d >= 3; the witness
+    is the cell's canonical point (`_canonical_point`) in every dimension.
     """
 
     dimension: int
@@ -397,7 +396,7 @@ def _lift(sub: tuple, k: int, pivot: tuple) -> tuple:
 
 
 # --------------------------------------------------------------------------
-# Clarkson redundancy removal
+# Redundancy and vertex enumeration
 # --------------------------------------------------------------------------
 
 def _one_row_per_direction(rows) -> list:
@@ -406,9 +405,8 @@ def _one_row_per_direction(rows) -> list:
     the gcd of its normal, and the first of them on ties.
 
     Of rows sharing a direction only the tightest can be a facet of their
-    intersection, and it binds wherever a looser one would, so an LP over
-    the kept rows has the same feasible set.  Equal rows keep their first
-    occurrence.
+    intersection, and it binds wherever a looser one would, so the kept
+    rows cut out the same cell.  Equal rows keep their first occurrence.
     """
     # primitive normal direction -> (index, offset b, gcd g) of the row with
     # the smallest b / g so far; a row with a larger one is strictly redundant.
@@ -423,73 +421,67 @@ def _one_row_per_direction(rows) -> list:
     return sorted(i for i, _, _ in tightest.values())
 
 
-def _clarkson_indices(constraints, z: Vector) -> list:
-    """Ascending indices of the non-redundant `constraints`, which hold one
-    row per normal direction (`_one_row_per_direction`) and strictly hold
-    at `z`.  The tightest row of a direction has the least slack of them
-    all, so `z` then strictly satisfies the rows that were filtered out too.
+def _vertices(rows, d: int) -> list:
+    """Homogeneous vertices (p_1, ..., p_d, w), w > 0, of what the integer
+    rows (a_1, ..., a_d, b) leave of the cube |x_j| <= `_box_bound(rows, d)`,
+    which holds every vertex of every subsystem strictly inside (none when
+    the rows leave nothing), each with its tight set as bits: 2j and 2j + 1
+    for the cube's facets x_j <= bound and -x_j <= bound, 2d + i for rows[i].
 
-    One pass: every relaxed LP draws its insertion order from one fixed
-    `random.Random(0)` and runs in one box, the `_box_bound` of all the
-    rows and their relaxed copies, which bounds each LP's own rows.  The
-    non-redundant set is unique, so neither choice changes the result.
+    The double description method (Motzkin, Raiffa, Thompson & Thrall 1953;
+    Fukuda & Prodon 1996) cuts the cube by each row in turn: the vertices
+    where its slack is >= 0 stay, tight on it where it is 0, and each edge
+    from a vertex u with slack s_u > 0 to one v with s_v < 0 is cut at
+    (s_u * v - s_v * u) / gcd, as `_clip_polygon` cuts, tight on the edge's
+    rows and the row.  u and v span an edge exactly when no third vertex is
+    tight on every row both are (the combinatorial test); an edge's rows
+    have rank d - 1, so there are at least d - 1.
     """
-    if not constraints:
-        return []
-    z = _homogeneous(z)
-    rows = [h.int_row for h in constraints]
-    if any(_slack(row, z) <= 0 for row in rows):
-        raise GeometryError("interior point is not strictly feasible")
-    # normal . x <= offset + 1, scaled like the row: by |its first nonzero
-    # entry|, which `Halfspace.normal` divides by.
-    relaxed = [row[:-1] + (row[-1] + next(abs(c) for c in row if c),) for row in rows]
-    bound = _box_bound(rows + relaxed, len(z) - 1)
-    rng = random.Random(0)
-    pending = deque(range(len(rows)))
-    kept: list = []
-    kept_set: set = set()
-    while pending:
-        k = pending.popleft()
-        if k in kept_set:
-            continue
-        row = rows[k]
-        lp_rows = [rows[i] for i in kept]
-        lp_rows.append(relaxed[k])
-        status, point = _solve_raw(row[:-1], lp_rows, rng, bound)
-        if status != "optimal":  # pragma: no cover - cannot happen: z feasible, obj capped
-            raise GeometryError("relaxed redundancy LP failed")
-        if _slack(row, point) >= 0:
-            continue  # redundant relative to the kept set, hence redundant
-        j = _ray_first_index(rows, z, point)
-        if j != k:
-            pending.append(k)  # k stays undecided; only j is settled
-        kept.append(j)
-        kept_set.add(j)
-    return sorted(kept)
-
-
-def _ray_first_index(rows, z: tuple, x: tuple) -> Optional[int]:
-    """Clarkson's ray step: the index of the first row hit by the ray from
-    the homogeneous point z towards x, None when the ray escapes."""
-    # Intersection parameter of the perturbed ray with hyperplane i is the
-    # polynomial t_i(eps) = (slack_i - sum_j a_ij eps^j) / (a_i . (x - z));
-    # the winner is the lexicographically smallest coefficient tuple.  With
-    # integer rows and homogeneous z, x every coefficient of every t_i is
-    # off by the same positive factor in each position, so the tuples
-    # (slack, -a_1, ..., -a_d) / den compare by cross-multiplying.
-    zw, xw = z[-1], x[-1]
-    direction = tuple(p * zw - q * xw for p, q in zip(x[:-1], z[:-1]))
-    best = None
-    best_den = 1
-    best_idx = None
+    bound = _box_bound(rows, d)
+    vertices = [
+        (tuple(s * bound for s in signs) + (1,), sum(1 << 2 * j + (s < 0) for j, s in enumerate(signs)))
+        for signs in product((1, -1), repeat=d)
+    ]
     for i, row in enumerate(rows):
-        den = sum(map(mul, row, direction))
-        if den <= 0:
-            continue
-        coeffs = (_slack(row, z),) + tuple(-c for c in row[:-1])
-        if best is None or tuple(c * best_den for c in coeffs) < tuple(c * den for c in best):
-            best, best_den, best_idx = coeffs, den, i
-    return best_idx
+        bit = 1 << 2 * d + i
+        slacks = [_slack(row, p) for p, _ in vertices]
+        tights = [t for _, t in vertices]
+        outside = [(q, tq, sq) for (q, tq), sq in zip(vertices, slacks) if sq < 0]
+        kept = []
+        for (p, t), s in zip(vertices, slacks):
+            if s == 0:
+                kept.append((p, t | bit))
+            elif s > 0:
+                kept.append((p, t))
+                for q, tq, sq in outside:
+                    common = t & tq
+                    if common.bit_count() >= d - 1 and [c & common for c in tights].count(common) == 2:
+                        cut = [s * y - sq * x for x, y in zip(p, q)]
+                        g = math.gcd(*cut)
+                        kept.append((tuple(c // g for c in cut), common | bit))
+        if not kept:
+            return []
+        vertices = kept
+    return vertices
+
+
+def _rank(vectors) -> int:
+    """The rank of integer vectors, by fraction-free Gaussian elimination:
+    each vector is reduced by the pivots found so far and, when anything is
+    left of it, becomes a pivot."""
+    pivots = []  # (column k, vector): zero in the columns of the pivots before it
+    for v in vectors:
+        for k, p in pivots:
+            f = v[k]
+            if f:
+                v = [p[k] * a - f * b for a, b in zip(v, p)]
+        k = next((k for k, c in enumerate(v) if c), None)
+        if k is not None:
+            g = math.gcd(*v)
+            pivots.append((k, [c // g for c in v]))
+            if len(pivots) == len(v):
+                break
+    return len(pivots)
 
 
 def _clip_polygon(rows) -> list:
@@ -583,6 +575,38 @@ def _slice(rows, x, d: int) -> list:
     return [_project_row(row, pivot, 0) for row in rows if any(row[1:-1])]
 
 
+def _vertex_witness(vertices, rows, d: int) -> Optional[Vector]:
+    """(x_1, ..., x_d) inside the cell of the `_vertices` `vertices`, d >= 3,
+    cut out by the integer `rows` (a_1, ..., a_d, b): x_1 the simplest
+    rational strictly inside the cell's x_1-range, then the canonical point
+    of its slice at x_1 (`_slice`); None when the cell has empty interior.
+
+    The range's ends are the vertices' least and greatest x_1, but an end
+    whose vertices all lie on one facet of the cube is unbounded: at a
+    finite end the cell's face holds a meet of rows, strictly inside the
+    cube, and at an end where the cube cuts the cell off every point of the
+    face lies on the cube's boundary, so on one facet of it.
+    """
+    if not vertices:
+        return None
+    cube = (1 << 2 * d) - 1
+    lo = hi = vertices[0][0]
+    for v, _ in vertices[1:]:
+        if v[0] * lo[-1] < lo[0] * v[-1]:
+            lo = v
+        elif v[0] * hi[-1] > hi[0] * v[-1]:
+            hi = v
+    if lo[0] * hi[-1] >= hi[0] * lo[-1]:
+        return None
+    ends = []
+    for end in (lo, hi):
+        tight = reduce(and_, (t for v, t in vertices if v[0] * end[-1] == end[0] * v[-1]))
+        ends.append(None if tight & cube else (end[0], end[-1]))
+    x = simplest_between(*ends)
+    rest = _canonical_point(_slice(rows, x, d), d - 1)
+    return None if rest is None else (x, *rest)
+
+
 def _canonical_point(rows, d: int) -> Optional[Vector]:
     """The canonical point of the cell cut out by the integer rows (a_1,
     ..., a_d, b), each with a != 0, or None when that cell has empty
@@ -593,45 +617,30 @@ def _canonical_point(rows, d: int) -> Optional[Vector]:
 
     - d = 1: the interval's (`_interval_witness`).
     - d = 2: `_polygon_witness` on `_clip_polygon`'s polygon.
-    - d >= 3: the x_1-range's ends are the optimal values of two LPs, min
-      and max x_1, and the slice's rows are `_slice`'s, as for
-      `_polygon_witness`'s chord.
+    - d >= 3: `_vertex_witness` on the cell's `_vertices`.
 
-    The range, the slice and with them the point depend on the cell alone:
-    not on redundant rows, on the rows' order or on the LPs' insertion
-    order, so those LPs draw from one fixed `random.Random(0)`.
+    The range, the slice and with them the point depend on the cell alone,
+    not on redundant rows or on the rows' order.  No LP runs.
     """
     if d == 1:
         return _interval_witness(rows)
     if d == 2:
         return _polygon_witness(_clip_polygon(rows), rows)
-    ends = []
-    bound = _box_bound(rows, d)
-    for sign in (-1, 1):  # min x_1, then max x_1
-        status, point = _solve_raw((sign,) + (0,) * (d - 1), rows, random.Random(0), bound)
-        if status == "infeasible":
-            return None
-        ends.append(None if status == "unbounded" else (point[0], point[-1]))
-    lo, hi = ends
-    if lo is not None and hi is not None and lo[0] * hi[1] >= hi[0] * lo[1]:
-        return None
-    x = simplest_between(lo, hi)
-    rest = _canonical_point(_slice(rows, x, d), d - 1)
-    return None if rest is None else (x, *rest)
+    return _vertex_witness(_vertices(rows, d), rows, d)
 
 
 def _has_interior(rows) -> bool:
     """Whether some point strictly satisfies every one of the nonempty
-    integer rows (a_1, ..., a_d, b), each with a != 0: read off the
-    interval's two ends in d = 1 (`_interval_ends`) and off the clipped
-    polygon in d = 2 (`_has_area`), with no LP; in d >= 3 the cell has
-    interior exactly when it has a canonical point (`_canonical_point`)."""
+    integer rows (a_1, ..., a_d, b), each with a != 0, with no LP: read off
+    the interval's two ends in d = 1 (`_interval_ends`), off the clipped
+    polygon in d = 2 (`_has_area`), and in d >= 3 off the cell's
+    `_vertices`, which have rank d + 1 exactly when it has interior."""
     d = len(rows[0]) - 1
     if d == 1:
         return _interval_ends(rows) is not None
     if d == 2:
         return _has_area(_clip_polygon(rows))
-    return _canonical_point(rows, d) is not None
+    return _rank([v for v, _ in _vertices(rows, d)]) == d + 1
 
 
 def _has_area(vertices) -> bool:

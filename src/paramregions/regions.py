@@ -4,12 +4,11 @@ Every cell is built by `compute_vertex_cell`: the parent's halfspaces plus
 the candidate halfspaces the caller passes in, "my objective <=
 alternative's objective", each labeled by the alternative
 (`dominance_constraints` for affine forms), reduced on their integer rows
-to the non-redundant ones, by exact clipping in d <= 2, by a clip on each
-row's plane in d = 3 and by Clarkson's redundancy removal in d >= 4; the
-candidates kept are the cell's facets, and their labels are exactly the
-neighbors.  A cell's witness is its canonical point in every dimension,
-read off the clip with no LP in d <= 2 and off two range LPs and a slice
-in d >= 3 (`geometry._canonical_point`).  Every `Subdivision`,
+to the non-redundant ones, by exact clipping in d <= 2 and by exact vertex
+enumeration in d >= 3; the candidates kept are the cell's facets, and
+their labels are exactly the neighbors.  A cell's witness is its canonical
+point in every dimension (`geometry._canonical_point`), read off the same
+interval, clip or vertices.  No cell runs an LP.  Every `Subdivision`,
 the one region type, is built by `compute_subdivision`, a walk over the
 region adjacency graph that finds every region when each candidate row is
 labeled with the region across its hyperplane: `dominance_constraints`
@@ -49,7 +48,6 @@ from .geometry import (
     GeometryError,
     Halfspace,
     _canonical_point,
-    _clarkson_indices,
     _clip_polygon,
     _has_interior,
     _homogeneous,
@@ -57,7 +55,10 @@ from .geometry import (
     _one_row_per_direction,
     _polygon_witness,
     _project_row,
+    _rank,
     _slack,
+    _vertex_witness,
+    _vertices,
     dot,
 )
 from .rationals import as_rational, as_vector
@@ -221,19 +222,16 @@ def compute_vertex_cell(parent: ConvexCell, label, candidates: Optional[list]):
       then x_2 the simplest strictly inside the chord at x_1
       (`_polygon_witness`).  An empty clip, x-range or chord means an empty
       interior, so a cell that is kept is a full-dimensional polygon.
-    - d >= 3: the witness is the cell's canonical point
-      (`_canonical_point`): x_1 the simplest rational strictly inside the
-      x_1-range that two LPs' optimal values give, then the canonical point
-      of the slice at x_1, down to the polygon of d = 2.  In d = 3 a row is
-      a facet when the other filtered rows leave its plane a relative
-      interior (`_has_relative_interior_on`, a clip on the plane with no
-      LP); in d >= 4 Clarkson's redundancy removal finds the facets from the
-      witness.  The non-redundant rows are unique, so both give the same
-      facets in the same order.
+    - d >= 3: the cell's vertices (`_vertices`), each with the rows tight
+      at it, are enumerated once.  Vertices of rank below d + 1 (`_rank`)
+      mean an empty interior; the rows whose tight vertices have rank d
+      are the facets.  The witness is x_1 the simplest rational strictly
+      inside the vertices' x_1-range, then the canonical point of the
+      facets' slice at x_1, down to the polygon of d = 2
+      (`_vertex_witness`).
 
     In every dimension the witness depends on the cell alone, not on the
-    rows that cut it out or their order.  In d <= 2 no LP runs; in d = 3
-    only the two range LPs do.
+    rows that cut it out or their order, and no LP runs.
     Raises DegenerateCellError when the cell has empty interior.
     """
     if candidates is None:
@@ -241,30 +239,25 @@ def compute_vertex_cell(parent: ConvexCell, label, candidates: Optional[list]):
     rows = list(parent.constraints) + candidates
     int_rows = [h.int_row for h in rows]
     uniq = _one_row_per_direction(int_rows)
-    if parent.dimension == 1:
+    filtered = [int_rows[i] for i in uniq]
+    d = parent.dimension
+    if d == 1:
         kept = uniq
-        witness = _interval_witness([int_rows[i] for i in kept])
-    elif parent.dimension == 2:
-        vertices = _clip_polygon([int_rows[i] for i in uniq])
+        witness = _interval_witness(filtered)
+    elif d == 2:
+        vertices = _clip_polygon(filtered)
         kept = [i for i in uniq if sum(_slack(int_rows[i], v) == 0 for v in vertices) >= 2]
         witness = _polygon_witness(vertices, [int_rows[i] for i in kept])
     else:
-        filtered = [rows[i] for i in uniq]
-        witness = _canonical_point([int_rows[i] for i in uniq], parent.dimension)
-        if witness is None:
+        vertices = _vertices(filtered, d)
+        if _rank([v for v, _ in vertices]) <= d:
             raise DegenerateCellError(label)
-        if parent.dimension == 3:
-            kept = [
-                i
-                for n, i in enumerate(uniq)
-                if _has_relative_interior_on(filtered[n], filtered[:n] + filtered[n + 1 :])
-            ]
-        else:
-            kept = [uniq[i] for i in _clarkson_indices(filtered, witness)]
+        kept = [i for n, i in enumerate(uniq) if _rank([v for v, t in vertices if t >> 2 * d + n & 1]) == d]
+        witness = _vertex_witness(vertices, [int_rows[i] for i in kept], d)
     if witness is None:
         raise DegenerateCellError(label)
     n_parent = len(parent.constraints)
-    cell = ConvexCell(parent.dimension, tuple(rows[i] for i in kept), witness=witness)
+    cell = ConvexCell(d, tuple(rows[i] for i in kept), witness=witness)
     neighbors = frozenset(rows[i].label for i in kept if i >= n_parent)
     return cell, neighbors
 
@@ -410,12 +403,10 @@ def cells_share_facet(a: ConvexCell, b: ConvexCell) -> bool:
 
 
 def _has_relative_interior_on(plane: Halfspace, rows) -> bool:
-    # The shared-facet test, and `compute_vertex_cell`'s facet test in d = 3.
-    # Eliminate one variable via the plane's equality, then look for a point
-    # strictly inside the projected constraints (`_has_interior`): an open
-    # interval in d = 2 and an open polygon in d = 3, read off the rows with
-    # no LP, and in d >= 4 a canonical point of the projected cell (its
-    # range LPs).
+    # The shared-facet test.  Eliminate one variable via the plane's
+    # equality, then look for a point strictly inside the projected
+    # constraints (`_has_interior`), with no LP: an open interval in d = 2,
+    # an open polygon in d = 3 and, in d >= 4, vertices of full rank.
     pivot = plane.int_row
     d = len(pivot) - 1
     if d == 1:

@@ -4,9 +4,9 @@ by the test suite.
 These deliberately avoid the library's incremental machinery: redundancy via
 one relaxed LP per constraint, LP optima via dense vertex enumeration, and
 region membership via direct simulation.  They stay independent of the code
-paths they check.  The exceptions are `reference_solve_raw` and
-`reference_ray_first_index`, the same Seidel LP and Clarkson ray step as the
-library's integer kernel written over rationals, and
+paths they check.  The exceptions are `reference_solve_raw`, the library's
+integer Seidel LP written over rationals, and `reference_ray_first_index`,
+`_ray_first_index`'s Clarkson ray step written over rationals, and
 `reference_dp_solve_multi`, the alignment DP over rationals, lexicographic
 over several points, and
 `reference_tariff_candidates`, the tariff candidate halfspaces built from
@@ -26,9 +26,11 @@ decision against it, so no reference is the canonical point it checks.
 from a caller's seed, which `solve_lp` fixes.
 
 The last section holds what no verb of the library runs, so the library
-does not keep it: `clarkson_reduce` (the library's Clarkson kernel,
-`geometry._clarkson_indices`, behind its one-row-per-direction filter, on
-a list of halfspaces), the hit-and-run `sample_interior`, `labels_at` (the
+does not keep it: `clarkson_reduce` (Clarkson's redundancy removal,
+`_clarkson_indices` with its ray step `_ray_first_index`, behind the
+library's one-row-per-direction filter, on a list of halfspaces: the
+reference for the facets of `regions.compute_vertex_cell`, with fewer LPs
+than `naive_nonredundant`), the hit-and-run `sample_interior`, `labels_at` (the
 cells of a subdivision that hold a point), the merge scores on the
 rational tables (`merge_value`, `component_values`, `interpolated_merge`),
 brute-force alignments and their feature counts (`enumerate_alignments`,
@@ -39,18 +41,19 @@ cost at a point (`alignment_cost`).
 
 import math
 import random
+from collections import deque
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
 from operator import mul
 
+from paramregions import geometry
 from paramregions.clustering import _linkage_values
 from paramregions.geometry import (
     GeometryError,
     Halfspace,
     LPResult,
     _box_bound,
-    _clarkson_indices,
     _homogeneous,
     _int_vector,
     _one_row_per_direction,
@@ -601,11 +604,82 @@ def clarkson_reduce(constraints, interior) -> tuple:
     the one with the smallest offset, the first of them on ties (geometric
     duplicates, equal rows, keep their first occurrence).
     Runs O(k) relaxed LPs over those, each over the non-redundant set found
-    so far.
+    so far (`_clarkson_indices`), and a ray step after each LP that finds a
+    row not redundant (`_ray_first_index`).
     """
     uniq = _one_row_per_direction([h.int_row for h in constraints])
     indices = _clarkson_indices([constraints[i] for i in uniq], as_vector(interior))
     return tuple(constraints[uniq[i]] for i in indices)
+
+
+def _clarkson_indices(constraints, z) -> list:
+    """Ascending indices of the non-redundant `constraints`, which hold one
+    row per normal direction (`_one_row_per_direction`) and strictly hold
+    at `z`.  The tightest row of a direction has the least slack of them
+    all, so `z` then strictly satisfies the rows that were filtered out too.
+
+    One pass: every relaxed LP draws its insertion order from one fixed
+    `random.Random(0)` and runs in one box, the `_box_bound` of all the
+    rows and their relaxed copies, which bounds each LP's own rows.  The
+    non-redundant set is unique, so neither choice changes the result.  The
+    LP kernel is looked up on `geometry` at each call, so a test can swap it.
+    """
+    if not constraints:
+        return []
+    z = _homogeneous(z)
+    rows = [h.int_row for h in constraints]
+    if any(_slack(row, z) <= 0 for row in rows):
+        raise GeometryError("interior point is not strictly feasible")
+    # normal . x <= offset + 1, scaled like the row: by |its first nonzero
+    # entry|, which `Halfspace.normal` divides by.
+    relaxed = [row[:-1] + (row[-1] + next(abs(c) for c in row if c),) for row in rows]
+    bound = _box_bound(rows + relaxed, len(z) - 1)
+    rng = random.Random(0)
+    pending = deque(range(len(rows)))
+    kept: list = []
+    kept_set: set = set()
+    while pending:
+        k = pending.popleft()
+        if k in kept_set:
+            continue
+        row = rows[k]
+        lp_rows = [rows[i] for i in kept]
+        lp_rows.append(relaxed[k])
+        status, point = geometry._solve_raw(row[:-1], lp_rows, rng, bound)
+        if status != "optimal":  # pragma: no cover - cannot happen: z feasible, obj capped
+            raise GeometryError("relaxed redundancy LP failed")
+        if _slack(row, point) >= 0:
+            continue  # redundant relative to the kept set, hence redundant
+        j = _ray_first_index(rows, z, point)
+        if j != k:
+            pending.append(k)  # k stays undecided; only j is settled
+        kept.append(j)
+        kept_set.add(j)
+    return sorted(kept)
+
+
+def _ray_first_index(rows, z: tuple, x: tuple):
+    """Clarkson's ray step: the index of the first row hit by the ray from
+    the homogeneous point z towards x, None when the ray escapes."""
+    # Intersection parameter of the perturbed ray with hyperplane i is the
+    # polynomial t_i(eps) = (slack_i - sum_j a_ij eps^j) / (a_i . (x - z));
+    # the winner is the lexicographically smallest coefficient tuple.  With
+    # integer rows and homogeneous z, x every coefficient of every t_i is
+    # off by the same positive factor in each position, so the tuples
+    # (slack, -a_1, ..., -a_d) / den compare by cross-multiplying.
+    zw, xw = z[-1], x[-1]
+    direction = tuple(p * zw - q * xw for p, q in zip(x[:-1], z[:-1]))
+    best = None
+    best_den = 1
+    best_idx = None
+    for i, row in enumerate(rows):
+        den = sum(map(mul, row, direction))
+        if den <= 0:
+            continue
+        coeffs = (_slack(row, z),) + tuple(-c for c in row[:-1])
+        if best is None or tuple(c * best_den for c in coeffs) < tuple(c * den for c in best):
+            best, best_den, best_idx = coeffs, den, i
+    return best_idx
 
 
 def sample_interior(cell, count: int, seed: int = 0) -> list:

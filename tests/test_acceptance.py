@@ -21,6 +21,7 @@ from paramregions.clustering import (
     simulate_merge_sequence,
 )
 from paramregions.geometry import (
+    ConvexCell,
     Halfspace,
     box_cell,
 )
@@ -30,6 +31,7 @@ from paramregions.regions import (
     argmin_label,
     compute_overlay,
     compute_subdivision,
+    compute_vertex_cell,
     dominance_constraints,
 )
 from paramregions.seqalign import (
@@ -50,7 +52,6 @@ from paramregions.tariff import (
 from oracles import (
     alignment_cost,
     boundary_keys,
-    clarkson_reduce,
     enumerate_alignments,
     feature_counts,
     kernel_lp,
@@ -183,6 +184,8 @@ def test_criterion_2_region_oracle_equivalence():
 # --------------------------------------------------------------------------
 
 def test_criterion_3_redundancy_removal_correctness():
+    # The facets of `compute_vertex_cell` on an unbounded parent, read off
+    # the clip (d = 2) or the vertices (d = 3).
     rng = random.Random(3)
     bad = 0
     for trial in range(500):
@@ -190,7 +193,7 @@ def test_criterion_3_redundancy_removal_correctness():
         origin = tuple(rat(0) for _ in range(d))
         hs = random_halfspaces(rng, d, rng.randint(20, 60), ensure_interior=origin)
         hs = [Halfspace(h.int_row, i) for i, h in enumerate(hs)]
-        kept = clarkson_reduce(hs, origin)
+        kept = compute_vertex_cell(ConvexCell(d, ()), "me", hs)[0].constraints
         want = naive_nonredundant(hs, seed=trial)
         if sorted(h.label for h in kept) != want:
             bad += 1

@@ -853,17 +853,19 @@ class TestGoldenOutput:
         args = ["plot-data", "--regions", str(GOLDEN / "tariff_4x4.json")]
         self.assert_golden("plot_tariff_4x4.csv", args, tmp_path)
 
-    def test_tariff_regions_menu_of_two(self, tmp_path):
+    def test_tariff_regions_menu_of_two(self, tmp_path, no_library_lp):
         # d = 4: three samples, one with a fractional valuation, each
-        # choosing among five options.
+        # choosing among five options.  Each cell is read off its vertices,
+        # with no LP.
         args = ["tariff-regions", "--instance", str(GOLDEN / "tariff_menu2.in.json"), "--menu", "2"]
         self.assert_golden("tariff_menu2.json", args, tmp_path)
 
-    def test_align_regions_gap_preset(self, tmp_path):
+    def test_align_regions_gap_preset(self, tmp_path, no_library_lp):
+        # d = 3: the root cells are read off their vertices, with no LP.
         args = ["align-regions", "--preset", "mismatch-space-gap", "--s1", "ACG", "--s2", "TGA"]
         self.assert_golden("align_ACG_TGA.json", args, tmp_path)
 
-    def test_align_regions_gap_preset_five_regions(self, tmp_path):
+    def test_align_regions_gap_preset_five_regions(self, tmp_path, no_library_lp):
         args = ["align-regions", "--preset", "mismatch-space-gap", "--s1", "ACGTTGA", "--s2", "TGCAAGT"]
         self.assert_golden("align_ACGTTGA_TGCAAGT.json", args, tmp_path)
 
@@ -901,9 +903,10 @@ class TestGoldenOutput:
         ]
         self.assert_golden("cluster_median.json", args, tmp_path)
 
-    def test_cluster_regions_two_metrics(self, tmp_path):
+    def test_cluster_regions_two_metrics(self, tmp_path, no_library_lp):
         # d = 3: the same seven points, average and mediod linkage on the
-        # euclidean and manhattan tables, whose denominators differ.
+        # euclidean and manhattan tables, whose denominators differ.  No LP
+        # runs.
         args = [
             "cluster-regions", "--instance", str(GOLDEN / "cluster_two_metrics.in.json"),
             "--linkages", "average,mediod", "--metrics", "euclidean,manhattan",

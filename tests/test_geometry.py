@@ -20,7 +20,6 @@ from paramregions.geometry import (
     _int_vector,
     _interval_ends,
     _interval_witness,
-    _ray_first_index,
     _slack,
     _slice,
     box_cell,
@@ -34,6 +33,7 @@ from paramregions.tariff import TariffInstance, compute_price_regions
 
 from oracles import (
     _interior_point_rows,
+    _ray_first_index,
     clarkson_reduce,
     flipped,
     kernel_lp,
@@ -295,12 +295,13 @@ class TestHasInterior:
         assert outcomes.count(True) > 100 and outcomes.count(False) > 100
 
     @pytest.mark.parametrize("d", [3, 4, 5])
-    def test_canonical_points_match_the_interior_point_lp(self, d):
-        # Above d = 2 a cell has interior exactly when it has a canonical
-        # point.  Rows around a small integer point c: single rows, unbounded
-        # cells, an opposite pair 1 apart (a thin slab) or crossed over by 1
-        # (empty), and touching pairs through c that leave a slab of width
-        # 0, a line or the point c.
+    def test_canonical_points_match_the_interior_point_lp(self, d, no_library_lp):
+        # Above d = 2 a cell has interior exactly when its vertices have
+        # rank d + 1, and exactly when it has a canonical point.  Rows
+        # around a small integer point c: single rows, unbounded cells, an
+        # opposite pair 1 apart (a thin slab) or crossed over by 1 (empty),
+        # and touching pairs through c that leave a slab of width 0, a line
+        # or the point c.
         rng = random.Random(90 + d)
 
         def row_at(c, slack):
@@ -348,10 +349,10 @@ class TestCanonicalPoint:
     """`_canonical_point`: x_1 the simplest rational strictly inside the
     cell's x_1-range, then the canonical point of the slice at x_1."""
 
-    def test_matches_its_definition_in_every_dimension(self):
-        # d = 3 and 4 read the x_1-range off two LP values; the reference
-        # takes every coordinate's range from `solve_lp` over the cell's
-        # rows with the coordinates before it fixed.
+    def test_matches_its_definition_in_every_dimension(self, no_library_lp):
+        # d = 3 and 4 read the x_1-range off the cell's vertices, with no
+        # LP; the reference takes every coordinate's range from `solve_lp`
+        # over the cell's rows with the coordinates before it fixed.
         rng = random.Random(71)
         for trial in range(120):
             d = 1 + trial % 4

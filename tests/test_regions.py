@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from paramregions import geometry, regions
+from paramregions import regions
 from paramregions.cli import decode_label
 from paramregions.geometry import (
     ConvexCell,
@@ -15,6 +15,7 @@ from paramregions.geometry import (
     _interval_witness,
     _project_row,
     box_cell,
+    dot,
     polygon_area,
     polygon_vertices,
 )
@@ -145,8 +146,7 @@ def parallel_family(rng, parent):
 class TestCellDirectionFilter:
     """`compute_vertex_cell` keeps one row per normal direction before it
     reads the cell off them: the interval's ends in d = 1, the clip in d = 2
-    and the canonical point's LPs in d = 3.  The cell must still be the
-    naive oracle's."""
+    and the vertices in d = 3.  The cell must still be the naive oracle's."""
 
     def test_parallel_candidates_match_naive_oracle(self, monkeypatch):
         seen = []
@@ -162,7 +162,7 @@ class TestCellDirectionFilter:
 
         recording("_interval_witness", list)
         recording("_clip_polygon", list)
-        recording("_canonical_point", lambda rows, d: list(rows))
+        recording("_vertices", lambda rows, d: list(rows))
         rng = random.Random(53)
         for trial in range(45):
             d = 1 + trial % 3
@@ -182,10 +182,9 @@ class TestCellDirectionFilter:
 
 
 class TestClippedCells:
-    """In d <= 2 `compute_vertex_cell` reads the facets off an exact integer
-    clip (d = 2) or the two sides of an interval (d = 1), and in d = 3 off a
-    clip on each row's plane; Clarkson's redundancy removal runs only in
-    d >= 4."""
+    """`compute_vertex_cell` reads the facets off the two sides of an
+    interval (d = 1), an exact integer clip (d = 2) or the cell's vertices
+    (d >= 3), with no LP; Clarkson's redundancy removal is the reference."""
 
     def cell(self, parent, candidates):
         labeled = [Halfspace.from_rationals(normal, offset, label) for label, normal, offset in candidates]
@@ -199,11 +198,7 @@ class TestClippedCells:
             hs = random_halfspaces(rng, 2, rng.randint(20, 60), ensure_interior=(rat(0), rat(0)))
             yield trial, [Halfspace(h.int_row, i) for i, h in enumerate(hs)]
 
-    def test_facets_match_clarkson_on_the_criterion_3_generator(self, monkeypatch):
-        def no_clarkson(*args):
-            raise AssertionError("Clarkson ran in d = 2")
-
-        monkeypatch.setattr(regions, "_clarkson_indices", no_clarkson)
+    def test_facets_match_clarkson_on_the_criterion_3_generator(self, no_library_lp):
         origin = (rat(0), rat(0))
         for trial, hs in self.criterion_3_systems():
             want = [h.label for h in clarkson_reduce(hs, origin)]
@@ -216,42 +211,48 @@ class TestClippedCells:
             cell, _ = compute_vertex_cell(ConvexCell(2, ()), "me", hs)
             assert cell.witness == reference_witness(hs), trial
 
-    def test_three_dimensional_facets_match_clarkson(self, monkeypatch):
-        # d = 3 systems of 6-30 rows around the origin, bounded or not, some
-        # with a looser copy of a row, each with a box parent or none.
-        def no_clarkson(*args):
-            raise AssertionError("Clarkson ran in d = 3")
-
-        monkeypatch.setattr(regions, "_clarkson_indices", no_clarkson)
+    def test_three_dimensional_facets_match_clarkson(self, no_library_lp):
+        # Systems in d = 3, 4 and 5 of 6-30 rows around the origin, bounded
+        # or not, some with a looser copy of a row, each with a box parent
+        # or none.  Half of them get 1 to 2d + 2 more rows through one
+        # rational point, a vertex where more than d rows meet, or no
+        # interior at all; there the auxiliary slack LP decides the interior
+        # and gives Clarkson its interior point.  In half of those every new
+        # row holds at the origin, in the others none does.
         rng = random.Random(37)
-        origin = (rat(0),) * 3
-        sizes = []
-        for trial in range(150):
-            hs = random_halfspaces(rng, 3, rng.randint(6, 30), ensure_interior=origin)
+        sizes = {3: [], 4: [], 5: []}
+        kinds = []  # (rows through one point?, interior?) of each system
+        for trial in range(120):
+            d = 3 + trial % 3
+            origin = (rat(0),) * d
+            hs = random_halfspaces(rng, d, rng.randint(6, 30), ensure_interior=origin)
             if rng.random() < 0.3:
                 h = hs[0]
                 hs.append(Halfspace(h.int_row[:-1] + (h.int_row[-1] + 1,)))
-            hs = [Halfspace(h.int_row, i) for i, h in enumerate(hs)]
-            parent = box_cell(-2, 2, 3) if trial % 2 else ConvexCell(3, ())
-            want = clarkson_reduce(list(parent.constraints) + hs, origin)
+            through = []
+            if trial // 3 % 2:
+                point = tuple(rat(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d))
+                facing = rng.choice((-1, 1))
+                for g in random_halfspaces(rng, d, rng.randint(1, 2 * d + 2)):
+                    normal = g.normal if dot(g.normal, point) * facing >= 0 else tuple(-c for c in g.normal)
+                    through.append(Halfspace.from_rationals(normal, dot(normal, point)))
+            hs = [Halfspace(h.int_row, i) for i, h in enumerate(hs + through)]
+            parent = box_cell(-2, 2, d) if trial % 2 else ConvexCell(d, ())
+            rows = list(parent.constraints) + hs
+            interior = _interior_point_rows([h.int_row for h in rows], trial) if through else origin
+            kinds.append((bool(through), interior is not None))
+            if interior is None:
+                with pytest.raises(DegenerateCellError):
+                    compute_vertex_cell(parent, "me", hs)
+                continue
+            want = clarkson_reduce(rows, interior)
             cell, neighbors = compute_vertex_cell(parent, "me", hs)
             assert cell.constraints == want, trial
             assert neighbors == frozenset(h.label for h in want if h.label is not None)
-            sizes.append(len(want))
-        assert min(sizes) >= 4 and max(sizes) >= 10
-
-    def test_clarkson_runs_only_in_four_or_more_dimensions(self, monkeypatch):
-        dimensions = []
-        original = regions._clarkson_indices
-
-        def recording(constraints, z):
-            dimensions.append(len(z))
-            return original(constraints, z)
-
-        monkeypatch.setattr(regions, "_clarkson_indices", recording)
-        for d in (1, 2, 3, 4):
-            compute_vertex_cell(box_cell(0, 1, d), "me", [Halfspace.from_rationals((1,) * d, rat(1, 2), "x")])
-        assert dimensions == [4]
+            assert cell.witness == reference_witness(rows), trial
+            sizes[d].append(len(want))
+        assert kinds.count((True, True)) > 10 and kinds.count((True, False)) > 10
+        assert all(max(n) >= 10 for n in sizes.values())
 
     def test_parallel_rows_keep_the_tightest(self):
         cell, neighbors = self.cell(box_cell(0, 4, 2), [("a", (1, 0), 3), ("b", (1, 0), 2), ("c", (2, 0), 5)])
@@ -297,48 +298,25 @@ class TestClippedCells:
 class TestCanonicalWitness:
     """A cell's witness is x_1 the simplest rational strictly inside its
     projection onto x_1, then the same on its slice at x_1, down to x_2 the
-    simplest strictly inside the vertical chord: read off the clip with no
-    LP in d <= 2, and off two range LPs per dimension above 2."""
+    simplest strictly inside the vertical chord: read off the interval, the
+    clip or the vertices, with no LP."""
 
-    def test_cells_in_every_dimension_run_only_range_and_clarkson_lps(self, monkeypatch):
-        # Outside Clarkson (d >= 4) a cell's only LPs are the range LPs of
-        # its canonical point, min and max x_1 on each slice down to d = 3:
-        # none in d <= 2.
-        objectives = []  # of the LPs run outside Clarkson
-        in_clarkson = [False]
-        solve, clarkson = geometry._solve_raw, regions._clarkson_indices
-
-        def recording_lp(obj, *args):
-            if not in_clarkson[0]:
-                objectives.append(obj)
-            return solve(obj, *args)
-
-        def recording_clarkson(*args):
-            in_clarkson[0] = True
-            try:
-                return clarkson(*args)
-            finally:
-                in_clarkson[0] = False
-
-        monkeypatch.setattr(geometry, "_solve_raw", recording_lp)
-        monkeypatch.setattr(regions, "_clarkson_indices", recording_clarkson)
+    def test_cells_in_every_dimension_run_no_lp(self, no_library_lp):
         rng = random.Random(89)
-        built = {d: 0 for d in (1, 2, 3, 4)}
-        for trial in range(80):
-            d = 1 + trial % 4
+        built = {d: 0 for d in (1, 2, 3, 4, 5)}
+        for trial in range(100):
+            d = 1 + trial % 5
             parent = box_cell(-2, 2, d)
             hs = random_halfspaces(rng, d, rng.randint(3, 9), ensure_interior=(rat(0),) * d)
             hs = [Halfspace(h.int_row, i) for i, h in enumerate(hs)]
-            objectives.clear()
             cell, neighbors = compute_vertex_cell(parent, "me", hs)
-            assert objectives == [(s,) + (0,) * (k - 1) for k in range(d, 2, -1) for s in (-1, 1)], trial
             rows = list(parent.constraints) + hs
             assert cell.witness == reference_witness(rows), trial
             assert sorted(h.int_row for h in cell.constraints) == sorted(
                 rows[i].int_row for i in naive_nonredundant(rows)
             )
             built[d] += 1
-        assert built == {1: 20, 2: 20, 3: 20, 4: 20}
+        assert built == {1: 20, 2: 20, 3: 20, 4: 20, 5: 20}
 
     def witness(self, parent, candidates):
         labeled = [Halfspace.from_rationals(normal, offset, i) for i, (normal, offset) in enumerate(candidates)]
@@ -698,14 +676,11 @@ class TestFacetSharing:
         assert seen == {True, False}
 
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_plane_facets_match_the_projected_lp(self, d, request):
-        # `_has_relative_interior_on` in d = 2 and 3, which runs no LP, and
-        # in d = 4, which asks for the canonical point of the projected
-        # cell, against the auxiliary slack LP on the rows projected onto
-        # the plane, with its own seed, which the answer, exact
-        # feasibility, does not depend on.
-        if d <= 3:
-            request.getfixturevalue("no_library_lp")
+    def test_plane_facets_match_the_projected_lp(self, d, no_library_lp):
+        # `_has_relative_interior_on`, which reads an interval, a clip or
+        # the vertices of the projected cell with no LP, against the
+        # auxiliary slack LP on the rows projected onto the plane, with its
+        # own seed, which the answer, exact feasibility, does not depend on.
         rng = random.Random({2: 19, 3: 23, 4: 31}[d])
         outcomes = []
         for seed in range(300):

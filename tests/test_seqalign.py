@@ -516,27 +516,9 @@ class TestEnvelopeRegions3d:
             sizes.append(len(found))
         assert min(sizes) == 1 and max(sizes) >= 5
 
-    def test_four_features_match_the_reference_at_every_node(self, monkeypatch):
-        # The slice is 3-D, so each front total still runs LPs there: the
-        # range LPs of a canonical point, in 3-D only.
-        lp_dimensions = []  # of the LPs the label step runs
-        in_label_step = [False]
-        solve, envelope_regions = geometry._solve_raw, seqalign._envelope_regions
-
-        def recording_lp(obj, *args):
-            if in_label_step[0]:
-                lp_dimensions.append(len(obj))
-            return solve(obj, *args)
-
-        def label_step(*args):
-            in_label_step[0] = True
-            try:
-                return envelope_regions(*args)
-            finally:
-                in_label_step[0] = False
-
-        monkeypatch.setattr(geometry, "_solve_raw", recording_lp)
-        monkeypatch.setattr(seqalign, "_envelope_regions", label_step)
+    def test_four_features_match_the_reference_at_every_node(self, monkeypatch, no_library_lp):
+        # The slice is 3-D: each front total's interior test reads the
+        # vertices of its cell there, with no LP.
         seen = record_envelope_regions(monkeypatch)
         rng = random.Random(59)
         for _ in range(10):
@@ -544,13 +526,11 @@ class TestEnvelopeRegions3d:
         assert len(seen) > 100 and sum(len(found) > 1 for _, found in seen) > 50
         for candidates, found in seen:
             assert list(found) == reference_node_keys(candidates, 4)
-        assert set(lp_dimensions) == {3}
 
-    def test_only_root_cells_run_an_lp(self, monkeypatch):
+    def test_only_root_cells_enumerate_vertices(self, monkeypatch, no_library_lp):
         at_root = [False]
-        witnesses = []  # at_root of each canonical point
-        lp_calls = []  # at_root of each LP
-        partition, canonical, solve = seqalign._partition, regions._canonical_point, geometry._solve_raw
+        enumerated = []  # at_root of each vertex enumeration
+        partition, vertices = seqalign._partition, regions._vertices
 
         def root_partition(*args):
             at_root[0] = True
@@ -559,33 +539,21 @@ class TestEnvelopeRegions3d:
             finally:
                 at_root[0] = False
 
-        def recording_witness(rows, d):
-            witnesses.append(at_root[0])
-            return canonical(rows, d)
-
-        def recording_lp(*args):
-            lp_calls.append(at_root[0])
-            return solve(*args)
-
-        def no_clarkson(*args):
-            raise AssertionError("Clarkson ran for a d = 3 cell")
+        def recording_vertices(rows, d):
+            enumerated.append(at_root[0])
+            return vertices(rows, d)
 
         monkeypatch.setattr(seqalign, "_partition", root_partition)
-        monkeypatch.setattr(regions, "_canonical_point", recording_witness)
-        monkeypatch.setattr(geometry, "_solve_raw", recording_lp)
-        monkeypatch.setattr(regions, "_clarkson_indices", no_clarkson)
+        monkeypatch.setattr(regions, "_vertices", recording_vertices)
         rng = random.Random(43)
         sizes = []
         for _ in range(10):
-            witnesses.clear()
-            lp_calls.clear()
+            enumerated.clear()
             part = build_execution_dag(mismatch_space_gap_spec(), *random_pair(rng, max_len=8))
-            # One canonical point per root cell (its witness), none when the
-            # root's one region keeps the domain; each point runs its two
-            # range LPs, and no other LP, Clarkson's included, runs.
+            # One vertex enumeration per root cell, none when the root's one
+            # region keeps the domain, and no LP anywhere.
             cells = len(part.cells) if len(part.cells) > 1 else 0
-            assert witnesses == [True] * cells
-            assert lp_calls == [True] * (2 * cells)
+            assert enumerated == [True] * cells
             sizes.append(len(part.cells))
         assert max(sizes) > 1
 

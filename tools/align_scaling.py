@@ -7,12 +7,10 @@ table:
 
     | L | root regions | LPs | time |
 
-LPs counts every call of the exact LP kernel `geometry._solve_raw`.  No
-subproblem below the root runs one, and a root cell (d = 3) reads its
-facets off clips on its rows' planes, so only the root cells' witnesses
-run LPs: two per cell, whose optimal values are the ends of the cell's
-x_1-range (`geometry._canonical_point`).  Time is the wall time of
-`build_execution_dag`, one run.  Run from a source checkout:
+LPs counts every call of the exact LP kernel `geometry._solve_raw`, and
+reads 0: no subproblem below the root runs one, and a root cell (d = 3)
+reads its facets and its witness off its vertices (`geometry._vertices`).
+Time is the wall time of `build_execution_dag`, one run.  Run from a source checkout:
 
     python3 tools/align_scaling.py --lengths 8 12 16 20 24
 """

@@ -8,12 +8,11 @@ and prints one row of a Markdown table:
 
     | N | K | L | regions | LPs | time |
 
-LPs counts every call of the exact LP kernel `geometry._solve_raw`.  A
-single tariff's cells (d = 2) read their facets and witnesses off clipped
-polygons and run none; a menu's cells run Clarkson's LPs for their facets
-and two range LPs per dimension above 2 for their witnesses
-(`geometry._canonical_point`).  Time is the wall time of
-`compute_price_regions`, one run.  Run from a source checkout:
+LPs counts every call of the exact LP kernel `geometry._solve_raw`, and
+reads 0: a single tariff's cells (d = 2) read their facets and witnesses
+off clipped polygons, and a menu's cells (d = 4) off their vertices
+(`geometry._vertices`).  Time is the wall time of `compute_price_regions`,
+one run.  Run from a source checkout:
 
     python3 tools/tariff_scaling.py --singles 8 16 32 64 --menus 4 8 12
 """

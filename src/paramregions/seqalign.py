@@ -7,15 +7,19 @@ functions of the feature-cost vector rho, so for a fixed sequence pair the
 parameter space splits into convex cones on which the optimal alignment is
 constant.
 
-`node_graph` lists the subproblems of one sequence pair once, in
-topological order; the scalar DP and the execution DAG both run over it.
-It is the one place the pair is checked: neither sequence may contain
-`SPACE`, so no column holds a space in both rows.
-`dp_solve` is the scalar DP at one parameter point.  It carries one integer
-cost per subproblem, the point scaled by the lcm of its denominators; one
-positive scale keeps the order and the ties of the rational costs, so it
-chooses exactly what a DP over rationals would.  It keeps one back-pointer
-per subproblem and builds only the root's alignment.
+`node_graph` compiles the subproblems of one sequence pair once, in
+topological order, into integers: each node holds (term slot, ref position)
+pairs, and the spec's terms are stored once, with each table's case
+resolved once per spec for an edge, equal characters and different
+characters (`_case_plan`).  The scalar DP and the execution DAG both run
+over it.  It is the one place the pair is checked: neither sequence may
+contain `SPACE`, so no column holds a space in both rows.
+`dp_solve` is the scalar DP at one parameter point.  It computes one integer
+cost per term slot and carries one per subproblem, the point scaled by the
+lcm of its denominators; one positive scale keeps the order and the ties of
+the rational costs, so it chooses exactly what a DP over rationals would.
+It keeps one back-pointer per subproblem and builds only the root's
+alignment.
 
 Two methods find the root's regions, the alignments optimal on a
 full-dimensional part of the domain.  `build_execution_dag` works
@@ -175,16 +179,17 @@ class AlignmentDPSpec:
     def dimension(self) -> int:
         return len(self.features)
 
-    def case_for(self, table: str, s1: str, s2: str, i: int, j: int) -> Optional[CaseSpec]:
+    def case_for(self, table: str, equal: Optional[bool]) -> Optional[CaseSpec]:
+        """The first case of `table` that applies at a subproblem (table, i,
+        j): `equal` is None at an edge (i = 0 or j = 0), where only an
+        "always" case applies, and otherwise whether s1[i-1] == s2[j-1]."""
         for case in self.cases:
             if case.table != table:
                 continue
             if case.when == "always":
                 return case
-            if i >= 1 and j >= 1:
-                equal = s1[i - 1] == s2[j - 1]
-                if case.when == ("chars-equal" if equal else "chars-differ"):
-                    return case
+            if equal is not None and case.when == ("chars-equal" if equal else "chars-differ"):
+                return case
         return None
 
     def base_solution(self, s1: str, s2: str, table: str, i: int, j: int):
@@ -367,6 +372,30 @@ def get_preset(name: str) -> AlignmentDPSpec:
         raise ValueError(f"unknown preset {name!r}") from None
 
 
+@lru_cache(maxsize=None)
+def _case_plan(spec: AlignmentDPSpec) -> tuple:
+    """(slots, plan), built once per spec: a spec is immutable.
+
+    `slots` holds each distinct term of the spec once, in case order; a
+    term's slot is its position there.  `plan[r]` holds, for the table of
+    rank r, the terms of its case (`case_for`) at an edge, on equal
+    characters and on different characters, each as (slot, rank of the
+    referenced table, di, dj) in term order; a table with no case there has
+    none.
+    """
+    slots = tuple(dict.fromkeys(term for case in spec.cases for term in case.terms))
+    slot = {term: k for k, term in enumerate(slots)}
+    rank = {t: r for r, t in enumerate(spec.tables)}
+
+    def compiled(case):
+        if case is None:
+            return ()
+        return tuple((slot[t], rank[t.ref_table], t.di, t.dj) for t in case.terms)
+
+    plan = tuple(tuple(compiled(spec.case_for(table, equal)) for equal in (None, True, False)) for table in spec.tables)
+    return slots, plan
+
+
 def _column(transform: str, s1: str, s2: str, i: int, j: int) -> tuple:
     """The characters a transform at subproblem (i, j) appends to the two
     rows: one column, or two empty strings for "identity"."""
@@ -394,52 +423,88 @@ def _apply_transform(transform: str, ref: Alignment, weight, s1, s2, i, j) -> Al
 
 @dataclass(frozen=True)
 class NodeGraph:
-    """The subproblems the root of one sequence pair needs.
+    """The subproblems the root of one sequence pair needs, compiled to
+    integers.
 
     `nodes` holds them as (table, i, j) in topological order, the root
-    last.  For each node, `bases` holds its base solution (or None), and
-    `terms` holds the (term, ref) pairs of its case whose referenced
-    subproblem is in range, with `ref` the position of that subproblem in
-    `nodes`.  A base node has no terms.
+    last: by nondecreasing i + j, then table rank, then i.  References never
+    look ahead and same-cell ones go to earlier tables, so no node
+    references another of its (i + j, rank) class: the order inside a
+    class changes no cost and no choice, and the ray search's bound reads
+    only the number of nodes.  For each node, `bases` holds its
+    base solution (or None), and `terms` holds one (slot, ref) int pair per
+    term of its case whose referenced subproblem is in range, in term
+    order: `slots[slot]` is the term's `TermSpec`, stored once per spec
+    (`_case_plan`), and `ref` the position of that subproblem in `nodes`.
+    A base node has no terms.
     """
 
     nodes: tuple
     bases: tuple
     terms: tuple
+    slots: tuple
 
 
 def node_graph(spec: AlignmentDPSpec, s1: str, s2: str) -> NodeGraph:
     """The node graph of (s1, s2), built once per pair: every DP solve and
     the execution DAG of the pair run over it.  Raises `ValueError` when
-    either sequence contains `SPACE`, the library's one check of a pair."""
+    either sequence contains `SPACE`, the library's one check of a pair.
+
+    A subproblem (table of rank r, i, j) has the flat index (i (n + 1) + j)
+    T + r, for n = len(s2) and T tables.  One sweep in decreasing (i + j,
+    r) order marks what the root reaches: every referrer of a subproblem
+    comes before it, so a subproblem is reached exactly when it is marked
+    on its turn.  Its case comes from the spec's plan (`_case_plan`) and
+    only an edge (i = 0 or j = 0) asks for a base solution.  The reached
+    subproblems, reversed, are the nodes.
+    """
     if SPACE in s1 or SPACE in s2:
         raise ValueError(f"sequences must not contain the space character {SPACE!r}")
-    rank = {t: r for r, t in enumerate(spec.tables)}
-    links = {}
-    stack = [(spec.root_table, len(s1), len(s2))]
-    while stack:
-        node = stack.pop()
-        if node in links:
-            continue
-        table, i, j = node
-        base = spec.base_solution(s1, s2, table, i, j)
-        case = None if base is not None else spec.case_for(table, s1, s2, i, j)
-        terms = []
-        for term in case.terms if case is not None else ():
-            ref = (term.ref_table, i + term.di, j + term.dj)
-            if ref[1] >= 0 and ref[2] >= 0:
-                terms.append((term, ref))
-                stack.append(ref)
-        links[node] = (base, terms)
-    # References never look ahead, and same-cell ones go to earlier tables,
-    # so this order is topological and ends at the root.
-    nodes = sorted(links, key=lambda node: (node[1] + node[2], rank[node[0]]))
-    position = {node: k for k, node in enumerate(nodes)}
-    return NodeGraph(
-        tuple(nodes),
-        tuple(links[node][0] for node in nodes),
-        tuple(tuple((term, position[ref]) for term, ref in links[node][1]) for node in nodes),
-    )
+    slots, plan = _case_plan(spec)
+    tables = spec.tables
+    m, n, width = len(s1), len(s2), len(tables)
+    row = (n + 1) * width
+    # A term (slot, q, di, dj) at index x of rank r refers to index x + shift,
+    # which is in range when i >= -di and j >= -dj.
+    shifted = [
+        [tuple((slot, di * row + dj * width + q - r, -di, -dj) for slot, q, di, dj in terms) for terms in cases]
+        for r, cases in enumerate(plan)
+    ]
+    reached = bytearray((m + 1) * row)
+    reached[m * row + n * width + tables.index(spec.root_table)] = 1
+    # The reached subproblems, the root first: flat index, node, base, terms.
+    indices, nodes, bases, chosen = [], [], [], []
+    for total in range(m + n, -1, -1):
+        low, high = max(0, total - n), min(m, total)
+        for r in range(width - 1, -1, -1):
+            table = tables[r]
+            edge, equal, differ = shifted[r]
+            index = (high * (n + 1) + total - high) * width + r
+            for i in range(high, low - 1, -1):
+                if reached[index]:
+                    j = total - i
+                    base = None
+                    if i and j:
+                        terms = equal if s1[i - 1] == s2[j - 1] else differ
+                    else:
+                        base = spec.base_solution(s1, s2, table, i, j)
+                        terms = edge if base is None else ()
+                    for _, shift, a, b in terms:
+                        if i >= a and j >= b:
+                            reached[index + shift] = 1
+                    indices.append(index)
+                    nodes.append((table, i, j))
+                    bases.append(base)
+                    chosen.append(terms)
+                index -= row - width  # to (i - 1, j + 1)
+    for found in (indices, nodes, bases, chosen):
+        found.reverse()
+    position = [0] * len(reached)
+    links = []
+    for k, (index, (_, i, j), terms) in enumerate(zip(indices, nodes, chosen)):
+        position[index] = k
+        links.append(tuple([(slot, position[index + shift]) for slot, shift, a, b in terms if i >= a and j >= b]))
+    return NodeGraph(tuple(nodes), tuple(bases), tuple(links), slots)
 
 
 # --------------------------------------------------------------------------
@@ -455,10 +520,14 @@ def dp_solve(spec: AlignmentDPSpec, s1: str, s2: str, rho, graph: Optional[NodeG
     (`geometry._homogeneous`), and a cost c . rho is carried as
     c . P = w (c . rho).  Scaling every cost by the same positive w keeps
     their order and their ties, so the strict `<` that keeps the lowest term
-    index chooses exactly as over the rationals.  Each node keeps only its
-    cost and a back-pointer; the root's alignment is rebuilt by one
-    traceback, which joins its columns and sums its term weights and then
-    builds one `Alignment`.
+    index chooses exactly as over the rationals.  Each term slot of the
+    graph costs one int per solve; a node adds it to its referenced node's
+    cost, over its (slot, ref) pairs in term order.  Each node keeps only its
+    cost and its chosen pair as a back-pointer; the root's alignment is
+    rebuilt by one traceback, which joins its columns and sums its term
+    weights and then builds one `Alignment`.  A node reads only earlier
+    nodes outside its (i + j, rank) class (`NodeGraph`), so the order of the
+    nodes inside a class changes no cost and no choice.
 
     `graph` is `node_graph(spec, s1, s2)`, which callers that solve one
     pair many times build once; it is built here when omitted.
@@ -469,34 +538,35 @@ def dp_solve(spec: AlignmentDPSpec, s1: str, s2: str, rho, graph: Optional[NodeG
     if graph is None:
         graph = node_graph(spec, s1, s2)
 
-    def cost_of(counts):
-        return sum(c * x for c, x in zip(counts, P))
-
-    term_cost = {term.weight: cost_of(term.weight) for case in spec.cases for term in case.terms}
-    costs = [None] * len(graph.nodes)
-    back = [None] * len(graph.nodes)
-    for k, base in enumerate(graph.bases):
-        if base is not None:
-            costs[k] = cost_of(base.counts)
+    slot_cost = [sum(map(operator.mul, term.weight, P)) for term in graph.slots]
+    bases = graph.bases
+    costs = [None] * len(bases)
+    back = [None] * len(bases)
+    for k, pairs in enumerate(graph.terms):
+        if not pairs:  # a base node, or one with no solution
+            base = bases[k]
+            if base is not None:
+                costs[k] = sum(map(operator.mul, base.counts, P))
             continue
         best = None
-        for term, ref in graph.terms[k]:
-            ref_cost = costs[ref]
-            if ref_cost is None:
-                continue
-            cost = ref_cost + term_cost[term.weight]
-            if best is None or cost < best:
-                best = cost
-                back[k] = (term, ref)
+        for pair in pairs:
+            slot, ref = pair
+            cost = costs[ref]
+            if cost is not None:
+                cost += slot_cost[slot]
+                if best is None or cost < best:
+                    best = cost
+                    back[k] = pair
         costs[k] = best
-    root = len(graph.nodes) - 1
+    root = len(costs) - 1
     if costs[root] is None:
         raise NoSolution("the DP has no solution for this input")
     columns = []  # from the root back to its base
     weights = []
     k = root
     while back[k] is not None:
-        term, ref = back[k]
+        slot, ref = back[k]
+        term = graph.slots[slot]
         _, i, j = graph.nodes[k]
         columns.append(_column(term.transform, s1, s2, i, j))
         weights.append(term.weight)
@@ -580,8 +650,9 @@ def build_execution_dag(
     if graph is None:
         graph = node_graph(spec, s1, s2)
     regions = []  # per node: {key: Alignment}, or None when it has no solution
-    for (_, i, j), base, terms in zip(graph.nodes, graph.bases, graph.terms):
-        solved = [(term, ref) for term, ref in terms if regions[ref] is not None]
+    slots = graph.slots
+    for (_, i, j), base, pairs in zip(graph.nodes, graph.bases, graph.terms):
+        solved = [(slots[slot], ref) for slot, ref in pairs if regions[ref] is not None]
         extended = [
             _apply_transform(term.transform, alignment, term.weight, s1, s2, i, j)
             for term, ref in solved
@@ -737,7 +808,7 @@ def ray_search_regions(spec: AlignmentDPSpec, s1: str, s2: str, graph: Optional[
         calls[0] += 1
         return dp_solve(spec, s1, s2, point, graph)
 
-    weights = [term.weight for case in spec.cases for term in case.terms]
+    weights = [term.weight for term in graph.slots]
     weights += [prefix[1] for prefix in (spec.base_s1_prefix, spec.base_s2_prefix) if prefix]
     bound = (len(graph.nodes) + len(s1) + len(s2)) * max((abs(x) for w in weights for x in w), default=0)
     eps = Rational(1, 2 * bound + 1)

@@ -15,10 +15,11 @@ exact LP per region.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
+from itertools import islice
 from typing import Optional
 
-from .geometry import ConvexCell, GeometryError, box_cell, solve_lp
+from .geometry import ConvexCell, GeometryError, _homogeneous, box_cell, solve_lp
 from .rationals import Rational, ZERO, as_rational, format_rational
 from .regions import (
     AffineForm,
@@ -78,6 +79,16 @@ class TariffInstance:
     def value(self, i: int, q: int):
         return ZERO if q == 0 else self.valuations[i][q - 1]
 
+    @cached_property
+    def int_valuations(self) -> tuple:
+        """(factor, rows): every valuation times one common positive
+        integer, the lcm of their denominators, as ints, row by row.  One
+        factor scales every utility alike, so `buyer_choice` picks as it
+        would on the rationals.  Derived once, never serialized."""
+        *entries, factor = _homogeneous([v for row in self.valuations for v in row])
+        entries = iter(entries)
+        return factor, tuple(tuple(islice(entries, self.units)) for _ in self.valuations)
+
     def price_box(self) -> ConvexCell:
         return box_cell(0, self.price_cap, self.dimension)
 
@@ -100,30 +111,36 @@ class TariffInstance:
         )
 
 
-def utility(instance: TariffInstance, i: int, q: int, j: int, prices) -> Rational:
-    """Buyer utility v_i(q) - (p1^j + p2^j q); zero when q = 0."""
-    if q == 0:
-        return ZERO
-    p1 = prices[2 * (j - 1)]
-    p2 = prices[2 * (j - 1) + 1]
-    return instance.value(i, q) - p1 - q * p2
-
-
 def buyer_choice(instance: TariffInstance, i: int, prices) -> tuple:
-    """Utility-maximizing (quantity, tariff index) for sample i.
+    """Utility-maximizing (quantity, tariff index) for sample i, where
+    buying q units on tariff j is worth v_i(q) - (p1^j + p2^j q) and
+    buying nothing is worth zero.
 
     Ties favor larger quantities, then smaller menu indices (the standard
     seller-favorable convention: the revenue supremum is then attained on
     closed cells).  Buying nothing is canonicalized to tariff index 1.
+
+    Utilities are compared as integers: the prices are written
+    homogeneously as (P, w) with w > 0 (`geometry._homogeneous`), and the
+    valuations as ints over one common denominator D (`int_valuations`),
+    so a utility is carried times D w > 0, which keeps its order and its
+    ties.
     """
-    best = (ZERO, 0, 1)
-    for q in range(1, instance.units + 1):
-        for j in range(1, instance.menu_length + 1):
-            u = utility(instance, i, q, j, prices)
-            bu, bq, bj = best
-            if u > bu or (u == bu and (q > bq or (q == bq and j < bj))):
-                best = (u, q, j)
-    return best[1], best[2]
+    *P, w = _homogeneous(prices)
+    if len(P) != instance.dimension:
+        raise GeometryError("price dimension mismatch")
+    factor, rows = instance.int_valuations
+    fees = [factor * p for p in P]  # (fee, unit price) per tariff, times D w
+    best, best_q, best_j = 0, 0, 1
+    # Options come by increasing q, then j, so an equal utility wins exactly
+    # when its quantity is larger.
+    for q, value in enumerate(rows[i], 1):
+        value *= w
+        for j in range(instance.menu_length):
+            u = value - fees[2 * j] - q * fees[2 * j + 1]
+            if u > best or (u == best and q > best_q):
+                best, best_q, best_j = u, q, j + 1
+    return best_q, best_j
 
 
 def _option_forms(instance: TariffInstance) -> list:

@@ -413,29 +413,28 @@ def _reference_reachable_nodes(spec, s1, s2):
             continue
         seen.add(node)
         table, i, j = node
-        if spec.base_solution(s1, s2, table, i, j) is not None:
-            continue
-        case = spec.case_for(table, s1, s2, i, j)
-        if case is None:
-            continue
-        for term in case.terms:
-            ri, rj = i + term.di, j + term.dj
-            if ri >= 0 and rj >= 0:
-                stack.append((term.ref_table, ri, rj))
+        if spec.base_solution(s1, s2, table, i, j) is None:
+            stack.extend(ref for _, ref in _reference_terms(spec, s1, s2, node))
     return sorted(seen, key=lambda node: (node[1] + node[2], rank[node[0]]))
 
 
-def _reference_valid_terms(spec, s1, s2, node, memo):
+def _reference_terms(spec, s1, s2, node):
+    """The (term, referenced node) pairs of the node's case whose referenced
+    subproblem is in range, in term order."""
     table, i, j = node
-    case = spec.case_for(table, s1, s2, i, j)
+    case = spec.case_for(table, s1[i - 1] == s2[j - 1] if i and j else None)
     if case is None:
         return []
     out = []
     for term in case.terms:
         ref = (term.ref_table, i + term.di, j + term.dj)
-        if ref[1] >= 0 and ref[2] >= 0 and memo.get(ref) is not None:
+        if ref[1] >= 0 and ref[2] >= 0:
             out.append((term, ref))
     return out
+
+
+def _reference_valid_terms(spec, s1, s2, node, memo):
+    return [(term, ref) for term, ref in _reference_terms(spec, s1, s2, node) if memo.get(ref) is not None]
 
 
 def reference_dp_solve_multi(spec, s1, s2, points):

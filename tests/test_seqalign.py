@@ -30,6 +30,8 @@ from paramregions.seqalign import (
 
 from oracles import (
     _interior_point_rows,
+    _reference_reachable_nodes,
+    _reference_terms,
     alignment_cost,
     boundary_keys,
     enumerate_alignments,
@@ -140,6 +142,15 @@ class TestDpSolve:
 
 
 TWO_TABLE_SPEC = AlignmentDPSpec.from_json(json.loads((GOLDEN / "align_both_two_table.spec.json").read_text()))
+# No prefix bases: an edge subproblem other than the origin has no
+# solution, so terms that reference one are skipped, and a root may have none.
+NO_PREFIX_SPEC = replace(mismatch_space_spec(), name="no-prefix", base_s1_prefix=None, base_s2_prefix=None)
+# One "always" case: at an edge, a base solution must win over the case.
+ALWAYS_SPEC = replace(
+    mismatch_space_spec(),
+    name="always",
+    cases=(CaseSpec("main", "always", mismatch_space_spec().cases[1].terms),),
+)
 
 
 def two_table_counts(t1, t2):
@@ -222,6 +233,32 @@ class TestAlignmentColumns:
         assert checked > 50
 
 
+class TestNodeGraph:
+    """The compiled node graph against the reference's reachable nodes and
+    their in-range terms."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [mismatch_space_spec(), mismatch_space_gap_spec(), TWO_TABLE_SPEC, NO_PREFIX_SPEC, ALWAYS_SPEC],
+        ids=lambda spec: spec.name,
+    )
+    def test_nodes_bases_and_terms_match_the_reference(self, spec):
+        rng = random.Random(43)
+        for _ in range(60):
+            s1, s2 = ("".join(rng.choice(ALPHABET[: rng.randint(1, 4)]) for _ in range(rng.randint(0, 7))) for _ in "12")
+            graph = node_graph(spec, s1, s2)
+            want = _reference_reachable_nodes(spec, s1, s2)
+            assert len(graph.nodes) == len(want) and set(graph.nodes) == set(want)
+            assert graph.nodes[-1] == (spec.root_table, len(s1), len(s2))
+            for k, node in enumerate(graph.nodes):
+                base = spec.base_solution(s1, s2, *node)
+                assert graph.bases[k] == base
+                pairs = graph.terms[k]
+                assert all(ref < k for _, ref in pairs)
+                got = [(graph.slots[slot], graph.nodes[ref]) for slot, ref in pairs]
+                assert got == ([] if base is not None else _reference_terms(spec, s1, s2, node))
+
+
 class TestDpAgainstReference:
     """The integer DP against the rational one it replaced: equal costs and
     equal alignments, ties included."""
@@ -237,7 +274,7 @@ class TestDpAgainstReference:
 
     def test_random_pairs_and_points(self):
         rng = random.Random(23)
-        for spec in (mismatch_space_spec(), mismatch_space_gap_spec()):
+        for spec in (mismatch_space_spec(), mismatch_space_gap_spec(), NO_PREFIX_SPEC):
             d = spec.dimension
             for trial in range(40):
                 s1 = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 8)))

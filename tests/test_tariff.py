@@ -57,6 +57,31 @@ class TestBuyerChoice:
         inst = TariffInstance(units=1, valuations=[(4,)], menu_length=2)
         assert buyer_choice(inst, 0, (rat(1), rat(1), rat(1), rat(1))) == (1, 1)
 
+    def test_integer_choice_matches_the_rational_utilities(self):
+        # Fractional valuations and prices with small numerators make exact
+        # ties common.  The best (utility, q, -j) is the tie rule: larger q,
+        # then smaller j, buying nothing as (0, 1).
+        rng = random.Random(17)
+        for _ in range(400):
+            k, menu = rng.randint(1, 3), rng.randint(1, 2)
+            vals = [[rat(rng.randint(0, 12), rng.choice((1, 2, 3))) for _ in range(k)] for _ in range(2)]
+            inst = TariffInstance(units=k, valuations=vals, menu_length=menu)
+            p = tuple(rat(rng.randint(0, 6), rng.choice((1, 2, 3))) for _ in range(2 * menu))
+            for i in range(2):
+                options = [(rat(0), 0, -1)] + [
+                    (inst.value(i, q) - p[2 * j - 2] - q * p[2 * j - 1], q, -j)
+                    for q in range(1, k + 1)
+                    for j in range(1, menu + 1)
+                ]
+                _, q, j = max(options)
+                assert buyer_choice(inst, i, p) == (q, -j)
+
+    def test_price_dimension_must_match(self):
+        with pytest.raises(GeometryError):
+            buyer_choice(FIXTURE, 0, (rat(1),))
+        with pytest.raises(GeometryError):
+            buyer_choice(FIXTURE, 0, (rat(1), rat(1), rat(1), rat(1)))
+
 
 class TestPriceRegions:
     def test_single_unit_two_regions(self):

@@ -93,16 +93,21 @@ def test_benchmark_outputs_pass_the_benchmark_check(monkeypatch, tmp_path):
 def test_align_scaling_prints_one_row_per_length(monkeypatch, capsys):
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
     align_scaling = importlib.import_module("align_scaling")
-    from paramregions.seqalign import build_execution_dag, mismatch_space_gap_spec
+    from paramregions.seqalign import build_execution_dag, mismatch_space_gap_spec, mismatch_space_spec, ray_search_2d
 
     assert align_scaling.main(["--lengths", "4"]) == 0
     header, rule, row = capsys.readouterr().out.splitlines()
-    assert header == "| L | root regions | LPs | time |" and rule == "|---|---|---|---|"
-    length, regions, lps, seconds = re.fullmatch(r"\| (\d+) \| (\d+) \| ([\d,]+) \| ([\d.]+) s \|", row).groups()
+    assert header == "| L | root regions | LPs | time | ray regions | DP solves | ray time |"
+    assert rule == "|---|---|---|---|---|---|---|"
+    fields = re.fullmatch(r"\| (\d+) \| (\d+) \| ([\d,]+) \| ([\d.]+) s \| (\d+) \| ([\d,]+) \| ([\d.]+) ms \|", row)
+    length, regions, lps, _, ray_regions, solves, _ = fields.groups()
     s1, s2 = align_scaling.random_pair(4)
     assert len(s1) == len(s2) == int(length) == 4
     assert int(regions) == len(build_execution_dag(mismatch_space_gap_spec(), s1, s2).regions) > 1
     assert lps == "0"  # no cell runs an LP
+    ray, ray_solves = ray_search_2d(mismatch_space_spec(), s1, s2)
+    assert (int(ray_regions), int(solves)) == (len(ray.regions), ray_solves)
+    assert int(ray_regions) > 1
 
 
 def test_tariff_scaling_prints_one_row_per_instance(monkeypatch, capsys):

@@ -1,16 +1,19 @@
-"""How the three-feature alignment DAG scales with sequence length.
+"""How the alignment DAG and the ray search scale with sequence length.
 
 For each length L, draws one DNA pair from a fresh `random.Random(5)` (the L
-characters of s1, then the L characters of s2), builds the execution DAG of
-the `mismatch-space-gap` preset for it, and prints one row of a Markdown
-table:
+characters of s1, then the L characters of s2).  It builds the execution DAG
+of the three-feature `mismatch-space-gap` preset for that pair, runs the
+two-feature ray search of the `mismatch-space` preset on the same pair, and
+prints one row of a Markdown table:
 
-    | L | root regions | LPs | time |
+    | L | root regions | LPs | time | ray regions | DP solves | ray time |
 
-LPs counts every call of the exact LP kernel `geometry._solve_raw`, and
-reads 0: no subproblem below the root runs one, and a root cell (d = 3)
-reads its facets and its witness off its vertices (`geometry._vertices`).
-Time is the wall time of `build_execution_dag`, one run.  Run from a source checkout:
+LPs counts every call of the exact LP kernel `geometry._solve_raw` during
+the DAG, and reads 0: no subproblem below the root runs one, and a root
+cell (d = 3) reads its facets and its witness off its vertices
+(`geometry._vertices`).  Time is the wall time of `build_execution_dag`, one
+run.  Ray regions, DP solves and ray time are those of one `ray_search_2d`,
+its node graph included; the ray time is in milliseconds.  Run from a source checkout:
 
     python3 tools/align_scaling.py --lengths 8 12 16 20 24
 """
@@ -34,7 +37,8 @@ def random_pair(length: int) -> tuple:
 
 
 def measure(length: int) -> tuple:
-    """(root regions, LP kernel calls, seconds) for one pair of this length."""
+    """(root regions, LP kernel calls, seconds) of the DAG for one pair of
+    this length."""
     from paramregions import geometry
     from paramregions.seqalign import build_execution_dag, mismatch_space_gap_spec
 
@@ -57,16 +61,30 @@ def measure(length: int) -> tuple:
     return len(part.regions), calls[0], seconds
 
 
+def measure_ray(length: int) -> tuple:
+    """(regions, DP solves, seconds) of the ray search for the same pair."""
+    from paramregions.seqalign import mismatch_space_spec, ray_search_2d
+
+    s1, s2 = random_pair(length)
+    start = time.perf_counter()
+    part, solves = ray_search_2d(mismatch_space_spec(), s1, s2)
+    return len(part.regions), solves, time.perf_counter() - start
+
+
 def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--lengths", type=int, nargs="+", default=[8, 12, 16, 20, 24])
     args = parser.parse_args(argv)
-    print("| L | root regions | LPs | time |")
-    print("|---|---|---|---|")
+    print("| L | root regions | LPs | time | ray regions | DP solves | ray time |")
+    print("|---|---|---|---|---|---|---|")
     for length in args.lengths:
         regions, lps, seconds = measure(length)
-        print(f"| {length} | {regions} | {lps:,} | {seconds:.2f} s |", flush=True)
+        ray_regions, solves, ray_seconds = measure_ray(length)
+        print(
+            f"| {length} | {regions} | {lps:,} | {seconds:.2f} s | {ray_regions} | {solves:,} | {ray_seconds * 1e3:.1f} ms |",
+            flush=True,
+        )
     return 0
 
 

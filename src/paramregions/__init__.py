@@ -3,17 +3,19 @@ algorithms: linkage-based clustering with interpolated merge rules,
 parametric dynamic-programming sequence alignment, and two-part tariff
 pricing.
 
-The geometry layer (halfspaces, convex cells, LP, redundancy removal,
-clipping) is exact: a halfspace is its primitive integer row, points are
-rationals, and the LP kernel and every point test run on the rows and on
-integer points scaled from the rationals, so no floating-point value
-decides anything.  Each domain module maps its behavior structure onto the shared
-region layer, whose one cell builder is `compute_vertex_cell` and whose one
-region type is `Subdivision`, built by one walk over the regions' adjacency
-graph (`compute_subdivision`): from the form minimal at the parent's
-witness (a clustering merge step, `envelope_cells`), from the known regions
-(the alignment root), or over tuple labels from one seed tuple, cell by cell
-an intersection of one cell per factor (the tariff profiles,
+The geometry layer (halfspaces, convex cells, and one construction per
+dimension that a cell's facets, witness and vertices are read off: the
+interval, polygon clipping and vertex enumeration) is exact and runs no
+LP: a halfspace is its primitive integer row, points are rationals, and
+every construction and point test runs on the rows and on integer points
+scaled from the rationals, so no floating-point value decides anything.
+Each domain module maps its behavior structure onto the shared region
+layer, whose one cell builder is `compute_vertex_cell` and whose one region
+type is `Subdivision`, built by one walk over the regions' adjacency graph
+(`compute_subdivision`): from the form minimal at the parent's witness (a
+clustering merge step, `envelope_cells`), from the known regions (the
+alignment root), or over tuple labels from one seed tuple, cell by cell an
+intersection of one cell per factor (the tariff profiles,
 `compute_overlay`).
 """
 
@@ -21,11 +23,9 @@ from .geometry import (
     ConvexCell,
     GeometryError,
     Halfspace,
-    LPResult,
     box_cell,
     polygon_area,
     polygon_vertices,
-    solve_lp,
 )
 from .rationals import Rational, as_rational, format_rational, parse_rational, rat
 from .regions import (

@@ -7,7 +7,7 @@ dataset's draws (by default the PARAMREGIONS_SEED environment variable, or
 0): regions, their witnesses and the revenue-maximizing prices are
 functions of the input alone, so reruns are byte-identical under any seed.
 
-Region outputs (schema 4) state each fact once: cells in label order, and
+Region outputs (schema 5) state each fact once: cells in label order, and
 adjacency as the index pairs [i, j], i < j, of that list.
 
 The parser is built once, at import; every command reads the parsed
@@ -31,12 +31,12 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from . import clustering, seqalign, tariff
-from .geometry import ConvexCell, GeometryError, Halfspace, polygon_vertices, solve_lp
+from .geometry import ConvexCell, GeometryError, Halfspace, _bounded_vertices, polygon_vertices
 from .rationals import Rational, as_rational, format_rational, format_vector, rat
 from .regions import DegenerateCellError, Subdivision, cells_share_facet, compute_vertex_cell
 from .seqalign import AlignmentDPSpec, get_preset
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 SEED_ENV = "PARAMREGIONS_SEED"
 
 
@@ -461,16 +461,18 @@ def cmd_plot_data(args) -> None:
 # --------------------------------------------------------------------------
 
 def _cell_box_grid(cell: ConvexCell, density: int):
-    """Interior grid points of a cell, from its bounding box."""
+    """Interior grid points of a bounded cell, from its bounding box: each
+    axis's range runs from the least to the greatest coordinate of the
+    cell's vertices (`geometry._bounded_vertices`).  No point for an
+    unbounded or empty cell."""
+    vertices = _bounded_vertices(cell)
+    if not vertices:
+        return
     d = cell.dimension
     bounds = []
     for axis in range(d):
-        unit = tuple(Rational(1) if t == axis else Rational(0) for t in range(d))
-        hi = solve_lp(unit, list(cell.constraints), "max")
-        lo = solve_lp(unit, list(cell.constraints), "min")
-        if hi.status != "optimal" or lo.status != "optimal":
-            return
-        bounds.append((lo.value, hi.value))
+        coords = [Rational(v[axis], v[-1]) for v in vertices]
+        bounds.append((min(coords), max(coords)))
     steps = density if d <= 2 else max(4, round(density ** (2 / d)))
     axes = []
     for lo, hi in bounds:

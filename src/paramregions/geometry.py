@@ -1,21 +1,22 @@
 """Exact low-dimensional halfspace geometry.
 
-Halfspaces, convex cells, a Seidel-style randomized-incremental LP
-(`solve_lp`), and one exact construction per dimension that a cell's
-facets, canonical point and interior are read off, with no LP: the
-interval in d = 1, polygon clipping in d = 2 (`_clip_polygon`) and vertex
-enumeration in d >= 3 (`_vertices`, the double description method).  A
-cell's canonical point `_canonical_point`, its witness in every dimension,
-is the simplest rational x_1 strictly inside its x_1-range, then the
-canonical point of its slice at x_1; the interior test `_has_interior`
-reads the interval's ends, three clipped vertices off one line, or above
-d = 2 vertices of rank d + 1.
-A halfspace is its primitive integer row; witnesses and LP results are
-exact rationals.  The kernel underneath (Seidel, the clip, the vertex
-enumeration, the witnesses, the point tests) runs fraction-free on Python
-ints, on those rows and on homogeneous points, where one slack (`_slack`)
-decides every point against a row, and converts back to rationals only at
-this module's boundary.
+Halfspaces, convex cells, and one exact algorithm family: one construction
+per dimension that a cell's facets, canonical point, interior and vertices
+are read off.  That is the interval in d = 1 (`_interval_ends`), polygon
+clipping in d = 2 (`_clip_polygon`) and vertex enumeration in d >= 3
+(`_vertices`, the double description method).  A cell's canonical point
+`_canonical_point`, its witness in every dimension, is the simplest
+rational x_1 strictly inside its x_1-range, then the canonical point of its
+slice at x_1; the interior test `_has_interior` reads the interval's ends,
+three clipped vertices off one line, or above d = 2 vertices of rank d + 1;
+`_bounded_vertices` gives a bounded cell's vertices, where a linear
+objective attains its maximum.  No LP runs.
+A halfspace is its primitive integer row; witnesses are exact rationals.
+The kernel underneath (the interval, the clip, the vertex enumeration, the
+witnesses, the point tests) runs fraction-free on Python ints, on those
+rows and on homogeneous points, where one slack (`_slack`) decides every
+point against a row, and converts back to rationals only at this module's
+boundary.
 Everything here is a pure function of its inputs; values are immutable
 after construction and safe to share across threads.
 
@@ -27,7 +28,6 @@ where floats silently corrupt output-sensitive enumeration.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, product
@@ -64,7 +64,7 @@ class Halfspace:
     primitive integer row `int_row` = (a_1, ..., a_d, b), gcd 1.
 
     The row is the halfspace's identity: equal halfspaces have equal rows, so
-    they compare equal and hash alike, and it is what the LP kernel reads.
+    they compare equal and hash alike, and it is what every kernel reads.
     `normal` and `offset` are the rational view derived from it.
     """
 
@@ -204,22 +204,11 @@ def box_cell(lower, upper, dimension: int) -> ConvexCell:
 
 
 # --------------------------------------------------------------------------
-# Linear programming: Seidel's randomized incremental algorithm
+# Integer rows and homogeneous points
 # --------------------------------------------------------------------------
 #
 # The kernel runs on Python ints.  A row (a_1, ..., a_d, b) means a . x <= b;
 # a point is homogeneous, (p_1, ..., p_d, w) with w > 0 standing for p / w.
-# Every step scales rows, objectives and points by positive factors only, so
-# each sign test, each comparison and each choice of pivot is the one the
-# same algorithm makes over rationals, and the optimum it returns is the
-# same rational point.
-
-@dataclass(frozen=True)
-class LPResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    point: Optional[Vector] = None
-    value: Optional[Any] = None
-
 
 def _homogeneous(point: Sequence) -> tuple:
     """Rational point -> (p_1, ..., p_d, w) with w the lcm of the denominators.
@@ -249,112 +238,14 @@ def _rational_point(point: tuple) -> Vector:
     return tuple(Rational(p, w) for p in point[:-1])
 
 
-def solve_lp(objective, constraints, sense: str = "max") -> LPResult:
-    """Exact optimum of objective . x over the given halfspaces.
-
-    Randomized incremental (Seidel-style): expected time linear in the
-    constraint count for fixed dimension.  The insertion order is drawn
-    from one fixed `random.Random(0)`, like every LP of the library, so a
-    call returns the same point every time; where an optimal face is more
-    than a vertex, that order picks the point, never the value.
-    """
-    obj = as_vector(objective)
-    d = len(obj)
-    if d < 1:
-        raise GeometryError("dimension must be >= 1")
-    for h in constraints:
-        if h.dimension != d:
-            raise GeometryError("constraint dimension mismatch")
-    if sense not in ("max", "min"):
-        raise GeometryError("sense must be 'max' or 'min'")
-    int_obj = _int_vector(obj)
-    if sense == "min":
-        int_obj = tuple(-c for c in int_obj)
-    rows = [h.int_row for h in constraints]
-    status, point = _solve_raw(int_obj, rows, random.Random(0), _box_bound(rows, d))
-    if status != "optimal":
-        return LPResult(status)
-    point = _rational_point(point)
-    return LPResult("optimal", point, dot(obj, point))
-
-
-def _solve_raw(obj: tuple, rows: list, rng: random.Random, bound: int) -> tuple:
-    """Maximize obj . x over integer rows: (status, homogeneous optimum or None).
-
-    The rows are inserted in an order shuffled by `rng`.  `bound` is a
-    `_box_bound` of the rows or of any superset of them: the LP runs inside
-    the box |x_j| <= bound.
-    """
-    order = list(range(len(rows)))
-    rng.shuffle(order)
-    shuffled = [rows[i] for i in order]
-    point = _seidel(obj, shuffled, bound)
-    if point is None:
-        return "infeasible", None
-    edge = bound * point[-1]
-    if any(p == edge or p == -edge for p in point[:-1]):
-        # The box is active; decide bounded vs unbounded via the recession
-        # cone (feasible by construction: the origin direction).
-        ray = _seidel(obj, [row[:-1] + (0,) for row in shuffled], 1)
-        if sum(map(mul, obj, ray)) > 0:
-            return "unbounded", None
-    return "optimal", point
-
-
 def _box_bound(rows, d: int) -> int:
     # Any basic solution of any subsystem has coordinates that are ratios of
     # integer determinants of the rows; Hadamard bounds those determinants,
     # so every vertex lies strictly inside this box.  The rows must be the
-    # lcm-scaled ones (`_int_vector`): the bound, and with it the point
-    # returned on an optimal face, depends on their entries.
+    # lcm-scaled ones (`_int_vector`): the bound, and with it where the box
+    # cuts off an unbounded cell, depends on their entries.
     biggest = max(map(abs, chain.from_iterable(rows)), default=1)
     return (max(biggest, 1) * (d + 1)) ** (d + 1) + 1
-
-
-def _seidel(obj: tuple, rows: list, bound: int) -> Optional[tuple]:
-    """Homogeneous optimum of obj . x over the rows inside the box
-    |x_j| <= bound, None when infeasible."""
-    d = len(obj)
-    if d == 1:
-        # lo = lo_n / lo_d and hi = hi_n / hi_d, denominators positive.
-        lo_n, lo_d, hi_n, hi_d = -bound, 1, bound, 1
-        for a, b in rows:
-            if a > 0:
-                if b * hi_d < hi_n * a:
-                    hi_n, hi_d = b, a
-            elif a < 0:
-                if b * lo_d < lo_n * a:  # b / a > lo, with a < 0
-                    lo_n, lo_d = -b, -a
-            elif b < 0:
-                return None
-        if lo_n * hi_d > hi_n * lo_d:
-            return None
-        return (lo_n, lo_d) if obj[0] < 0 else (hi_n, hi_d)
-
-    point = tuple(bound if c >= 0 else -bound for c in obj) + (1,)
-    p, w = point[:-1], 1
-    for idx, row in enumerate(rows):
-        if sum(map(mul, row, p)) <= row[-1] * w:
-            continue
-        mags = [abs(c) for c in row[:-1]]
-        top = max(mags)
-        if top == 0:
-            return None  # 0 <= b fails
-        # The optimum of the prefix lies on this constraint's hyperplane:
-        # eliminate the largest-coefficient variable and recurse.
-        k = mags.index(top)
-        unit = [0] * d + [bound]
-        unit[k] = 1
-        sub_rows = [_project_row(tuple(unit), row, k)]
-        unit[k] = -1
-        sub_rows.append(_project_row(tuple(unit), row, k))
-        sub_rows.extend(_project_row(r, row, k) for r in rows[:idx])
-        sub = _seidel(_project_row(obj, row, k), sub_rows, bound)
-        if sub is None:
-            return None
-        point = _lift(sub, k, row)
-        p, w = point[:-1], point[-1]
-    return point
 
 
 def _project_row(g: tuple, pivot: tuple, k: int) -> tuple:
@@ -375,24 +266,6 @@ def _project_row(g: tuple, pivot: tuple, k: int) -> tuple:
     if gcd > 1:
         out = [x // gcd for x in out]
     return tuple(out)
-
-
-def _lift(sub: tuple, k: int, pivot: tuple) -> tuple:
-    """Homogeneous point of the pivot's hyperplane whose coordinates other
-    than x_k are the sub-LP's point `sub`."""
-    w = sub[-1]
-    q = sub[:-1]
-    ak = pivot[k]
-    xk = pivot[-1] * w - sum(map(mul, pivot[:k] + pivot[k + 1:-1], q))
-    if ak < 0:
-        ak, xk = -ak, -xk
-    point = [c * ak for c in q]
-    point.insert(k, xk)
-    point.append(w * ak)
-    gcd = math.gcd(*point)
-    if gcd > 1:
-        point = [c // gcd for c in point]
-    return tuple(point)
 
 
 # --------------------------------------------------------------------------
@@ -655,6 +528,34 @@ def _has_area(vertices) -> bool:
     lines = ((y0 * w - w0 * y, w0 * x - x0 * w, x0 * y - y0 * x) for x, y, w in vertices[1:])
     n = next((n for n in lines if any(n)), None)
     return n is not None and any(n[0] * x + n[1] * y + n[2] * w for x, y, w in vertices)
+
+
+def _bounded_vertices(cell: ConvexCell) -> Optional[list]:
+    """Homogeneous vertices (p_1, ..., p_d, w), w > 0, of the bounded
+    `cell`, read off the construction its facets come from: the interval's
+    two ends in d = 1 (`_interval_ends`), `_clip_polygon`'s polygon in d = 2
+    and the cell's `_vertices` in d >= 3.  A vertex may repeat.
+
+    None when the cell is unbounded: an end of the interval is infinite, or
+    a vertex lies on the clip's box or is tight on a facet of `_vertices`'
+    cube.  Both hold every vertex of a bounded cell strictly inside, and
+    cut an unbounded one off at a face of the box.  [] when the cell is
+    empty, and in d = 1 when it has empty interior.
+    """
+    d = cell.dimension
+    rows = [h.int_row for h in cell.constraints]
+    if d == 1:
+        ends = _interval_ends(rows)
+        if ends is None:
+            return []
+        return None if None in ends else list(ends)
+    if d == 2:
+        bound = _box_bound(rows, 2)
+        polygon = _clip_polygon(rows)
+        return None if any(max(abs(x), abs(y)) == bound * w for x, y, w in polygon) else polygon
+    cube = (1 << 2 * d) - 1
+    vertices = _vertices(rows, d)
+    return None if any(t & cube for _, t in vertices) else [v for v, _ in vertices]
 
 
 # --------------------------------------------------------------------------

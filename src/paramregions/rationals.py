@@ -3,7 +3,7 @@
 All region computations run on arbitrary-precision rationals; floats never
 enter a predicate.  gmpy2's mpq is used when available, with
 fractions.Fraction as a drop-in fallback.  Both are always reduced, keep
-positive denominators, and compare exactly.  The LP kernel in `geometry`
+positive denominators, and compare exactly.  The integer kernel in `geometry`
 works on Python ints and reads a rational only through `.numerator`,
 `.denominator` and `__index__`.
 """

@@ -8,8 +8,9 @@ sample, so the regions are found by one product walk of `regions`
 (`compute_subdivision` over `product_candidates`, `compute_price_regions`)
 at every menu length, a single tariff being a menu of length one.  Every
 candidate row names the profile across it, so no region is lost.  Revenue
-is affine on each region, so the revenue-maximizing prices come from one
-exact LP per region.
+is linear on each region, a bounded cell, so its maximum there is attained
+at a vertex: the revenue-maximizing prices are read off the regions'
+vertices, with no LP.
 """
 
 from __future__ import annotations
@@ -17,9 +18,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import islice
+from operator import mul
 from typing import Optional
 
-from .geometry import ConvexCell, GeometryError, _homogeneous, box_cell, solve_lp
+from .geometry import (
+    ConvexCell,
+    GeometryError,
+    _bounded_vertices,
+    _homogeneous,
+    _int_vector,
+    _rational_point,
+    box_cell,
+    dot,
+)
 from .rationals import Rational, ZERO, as_rational, format_rational
 from .regions import (
     AffineForm,
@@ -205,28 +216,40 @@ def revenue_form(instance: TariffInstance, label) -> tuple:
 
 
 def maximize_revenue(instance: TariffInstance, regions: Subdivision):
-    """Revenue-maximizing prices over all regions (exact LP per closed cell).
+    """Revenue-maximizing prices over all regions, read off their vertices.
 
-    Returns (prices, revenue, region label); ties prefer the smaller label.
-    The prices are the optimum `solve_lp` returns; on an optimal edge its
-    fixed insertion order picks the point, so the same regions always give
-    the same prices.
+    Returns (prices, revenue, region label); ties between regions prefer
+    the smaller label.  Within a region the prices are its vertex of
+    greatest revenue (`_best_vertex`), the lexicographically largest of
+    them where an edge or more is optimal: a point that depends on the
+    region alone.  Raises `GeometryError` on an unbounded or empty region.
     """
     best = None
     for label in sorted(regions.cells):
+        vertices = _bounded_vertices(regions.cells[label])
+        if not vertices:
+            raise GeometryError(f"region {label!r} is unbounded or empty")
         coeffs = revenue_form(instance, label)
-        cell = regions.cells[label]
-        if all(c == 0 for c in coeffs):
-            candidate = (ZERO, label, cell.witness)
-        else:
-            res = solve_lp(coeffs, list(cell.constraints), "max")
-            if res.status != "optimal":  # cells are bounded by the cap
-                raise GeometryError(f"the revenue LP of region {label!r} is {res.status}")
-            candidate = (res.value, label, res.point)
-        if best is None or candidate[0] > best[0]:
-            best = candidate
+        point = _rational_point(_best_vertex(_int_vector(coeffs), vertices))
+        revenue = dot(coeffs, point)
+        if best is None or revenue > best[0]:
+            best = (revenue, label, point)
     revenue, label, point = best
     return point, revenue, label
+
+
+def _best_vertex(obj: tuple, vertices) -> tuple:
+    """The homogeneous vertex of greatest obj . x, the lexicographically
+    largest of those on ties.  Fraction-free: a vertex (p, w) is keyed
+    (obj . p, p_1, ..., p_d), that is w times (obj . x, x), and two keys are
+    compared with each scaled by the other's w > 0."""
+    top = vertices[0]
+    top_key = (sum(map(mul, obj, top)), *top[:-1])
+    for v in vertices[1:]:
+        key = (sum(map(mul, obj, v)), *v[:-1])
+        if [c * top[-1] for c in key] > [c * v[-1] for c in top_key]:
+            top, top_key = v, key
+    return top
 
 
 def region_boundary_lines(instance: TariffInstance, regions: Subdivision) -> dict:

@@ -4,8 +4,17 @@ by the test suite.
 These deliberately avoid the library's incremental machinery: redundancy via
 one relaxed LP per constraint, LP optima via dense vertex enumeration, and
 region membership via direct simulation.  They stay independent of the code
-paths they check.  The exceptions are `reference_solve_raw`, the library's
-integer Seidel LP written over rationals, and `reference_ray_first_index`,
+paths they check.
+
+The first section is the LP, which the library does not run: `solve_lp`,
+Seidel's randomized-incremental LP (`_solve_raw`, `_seidel`, `_lift`) on
+the library's integer rows, with its `LPResult`.  It is the reference for
+every bound, optimum and witness the library reads off a cell's vertices:
+the revenue maxima of `tariff.maximize_revenue`, the bounding boxes of
+`geometry._bounded_vertices` and the canonical point (`reference_witness`).
+
+The exceptions to independence are `reference_solve_raw`, the integer
+Seidel LP written over rationals, and `reference_ray_first_index`,
 `_ray_first_index`'s Clarkson ray step written over rationals, and
 `reference_dp_solve_multi`, the alignment DP over rationals, lexicographic
 over several points, and
@@ -16,11 +25,11 @@ LP label step that decided the regions of every two-feature alignment DAG
 node before the integer lower hull and the cells of a clustering merge
 step before its one walk, and `reference_partition`, the alignment cells
 built against every other region's row before the two-feature neighbor
-rule: the library
-must agree with each exactly.  `facet_adjacency` is every pair of cells
+rule: the code they check must agree with each exactly.
+`facet_adjacency` is every pair of cells
 that share a facet, which a region output's `adjacency` must list in
-full.  `_interior_point_rows`, the auxiliary slack LP, runs the library's
-LP kernel on a formulation of its own: the tests compare every interior
+full.  `_interior_point_rows`, the auxiliary slack LP, runs the LP kernel
+on a formulation of its own: the tests compare every interior
 decision against it, so no reference is the canonical point it checks.
 `kernel_lp` is that kernel on rational rows with an insertion order drawn
 from a caller's seed, which `solve_lp` fixes.
@@ -42,26 +51,25 @@ cost at a point (`alignment_cost`).
 import math
 import random
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
 from operator import mul
+from typing import Any, Optional
 
-from paramregions import geometry
 from paramregions.clustering import _linkage_values
 from paramregions.geometry import (
     GeometryError,
     Halfspace,
-    LPResult,
     _box_bound,
     _homogeneous,
     _int_vector,
     _one_row_per_direction,
+    _project_row,
     _rational_point,
     _slack,
-    _solve_raw,
     dot,
-    solve_lp,
 )
 from paramregions.rationals import ZERO, Rational, as_vector, rat
 from paramregions.regions import (
@@ -72,6 +80,142 @@ from paramregions.regions import (
     dominance_constraints,
 )
 from paramregions.seqalign import SPACE, _apply_transform
+
+
+# --------------------------------------------------------------------------
+# The LP: Seidel's randomized incremental algorithm
+# --------------------------------------------------------------------------
+#
+# The paper's LP, the reference every vertex read-off of the library is
+# checked against.  It runs on the library's integer rows: a row
+# (a_1, ..., a_d, b) means a . x <= b, and a point is homogeneous,
+# (p_1, ..., p_d, w) with w > 0 standing for p / w.  Every step scales
+# rows, objectives and points by positive factors only, so each sign test,
+# each comparison and each choice of pivot is the one the same algorithm
+# makes over rationals (`reference_solve_raw`), and the optimum it returns
+# is the same rational point.
+
+@dataclass(frozen=True)
+class LPResult:
+    status: str  # "optimal" | "infeasible" | "unbounded"
+    point: Optional[tuple] = None
+    value: Optional[Any] = None
+
+
+def solve_lp(objective, constraints, sense: str = "max") -> LPResult:
+    """Exact optimum of objective . x over the given halfspaces.
+
+    Randomized incremental (Seidel-style): expected time linear in the
+    constraint count for fixed dimension.  The insertion order is drawn
+    from one fixed `random.Random(0)`, so a call returns the same point
+    every time; where an optimal face is more than a vertex, that order
+    picks the point, never the value.
+    """
+    obj = as_vector(objective)
+    d = len(obj)
+    if d < 1:
+        raise GeometryError("dimension must be >= 1")
+    for h in constraints:
+        if h.dimension != d:
+            raise GeometryError("constraint dimension mismatch")
+    if sense not in ("max", "min"):
+        raise GeometryError("sense must be 'max' or 'min'")
+    int_obj = _int_vector(obj)
+    if sense == "min":
+        int_obj = tuple(-c for c in int_obj)
+    rows = [h.int_row for h in constraints]
+    status, point = _solve_raw(int_obj, rows, random.Random(0), _box_bound(rows, d))
+    if status != "optimal":
+        return LPResult(status)
+    point = _rational_point(point)
+    return LPResult("optimal", point, dot(obj, point))
+
+
+def _solve_raw(obj: tuple, rows: list, rng: random.Random, bound: int) -> tuple:
+    """Maximize obj . x over integer rows: (status, homogeneous optimum or None).
+
+    The rows are inserted in an order shuffled by `rng`.  `bound` is a
+    `_box_bound` of the rows or of any superset of them: the LP runs inside
+    the box |x_j| <= bound.
+    """
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    shuffled = [rows[i] for i in order]
+    point = _seidel(obj, shuffled, bound)
+    if point is None:
+        return "infeasible", None
+    edge = bound * point[-1]
+    if any(p == edge or p == -edge for p in point[:-1]):
+        # The box is active; decide bounded vs unbounded via the recession
+        # cone (feasible by construction: the origin direction).
+        ray = _seidel(obj, [row[:-1] + (0,) for row in shuffled], 1)
+        if sum(map(mul, obj, ray)) > 0:
+            return "unbounded", None
+    return "optimal", point
+
+
+def _seidel(obj: tuple, rows: list, bound: int) -> Optional[tuple]:
+    """Homogeneous optimum of obj . x over the rows inside the box
+    |x_j| <= bound, None when infeasible."""
+    d = len(obj)
+    if d == 1:
+        # lo = lo_n / lo_d and hi = hi_n / hi_d, denominators positive.
+        lo_n, lo_d, hi_n, hi_d = -bound, 1, bound, 1
+        for a, b in rows:
+            if a > 0:
+                if b * hi_d < hi_n * a:
+                    hi_n, hi_d = b, a
+            elif a < 0:
+                if b * lo_d < lo_n * a:  # b / a > lo, with a < 0
+                    lo_n, lo_d = -b, -a
+            elif b < 0:
+                return None
+        if lo_n * hi_d > hi_n * lo_d:
+            return None
+        return (lo_n, lo_d) if obj[0] < 0 else (hi_n, hi_d)
+
+    point = tuple(bound if c >= 0 else -bound for c in obj) + (1,)
+    p, w = point[:-1], 1
+    for idx, row in enumerate(rows):
+        if sum(map(mul, row, p)) <= row[-1] * w:
+            continue
+        mags = [abs(c) for c in row[:-1]]
+        top = max(mags)
+        if top == 0:
+            return None  # 0 <= b fails
+        # The optimum of the prefix lies on this constraint's hyperplane:
+        # eliminate the largest-coefficient variable and recurse.
+        k = mags.index(top)
+        unit = [0] * d + [bound]
+        unit[k] = 1
+        sub_rows = [_project_row(tuple(unit), row, k)]
+        unit[k] = -1
+        sub_rows.append(_project_row(tuple(unit), row, k))
+        sub_rows.extend(_project_row(r, row, k) for r in rows[:idx])
+        sub = _seidel(_project_row(obj, row, k), sub_rows, bound)
+        if sub is None:
+            return None
+        point = _lift(sub, k, row)
+        p, w = point[:-1], point[-1]
+    return point
+
+
+def _lift(sub: tuple, k: int, pivot: tuple) -> tuple:
+    """Homogeneous point of the pivot's hyperplane whose coordinates other
+    than x_k are the sub-LP's point `sub`."""
+    w = sub[-1]
+    q = sub[:-1]
+    ak = pivot[k]
+    xk = pivot[-1] * w - sum(map(mul, pivot[:k] + pivot[k + 1:-1], q))
+    if ak < 0:
+        ak, xk = -ak, -xk
+    point = [c * ak for c in q]
+    point.insert(k, xk)
+    point.append(w * ak)
+    gcd = math.gcd(*point)
+    if gcd > 1:
+        point = [c // gcd for c in point]
+    return tuple(point)
 
 
 def reference_simplest(lo, hi):
@@ -178,22 +322,24 @@ def solve_linear_system(rows, rhs):
     return tuple(a[i][n] for i in range(n))
 
 
+def reference_vertices(constraints) -> list:
+    """The distinct vertices of the cell the halfspaces cut out, sorted, by
+    solving every d of them and keeping the solutions that satisfy all."""
+    vertices = set()
+    for combo in combinations(constraints, constraints[0].dimension):
+        point = solve_linear_system([h.normal for h in combo], [h.offset for h in combo])
+        if point is not None and all(dot(h.normal, point) <= h.offset for h in constraints):
+            vertices.add(point)
+    return sorted(vertices)
+
+
 def vertex_enumeration_lp(objective, constraints, sense="max"):
     """LP by enumerating all vertices (bounded systems only)."""
-    d = len(objective)
-    best = None
-    for combo in combinations(constraints, d):
-        point = solve_linear_system([h.normal for h in combo], [h.offset for h in combo])
-        if point is None:
-            continue
-        if not all(dot(h.normal, point) <= h.offset for h in constraints):
-            continue
-        value = dot(objective, point)
-        if best is None or (sense == "max" and value > best[1]) or (sense == "min" and value < best[1]):
-            best = (point, value)
-    if best is None:
+    values = [(dot(objective, v), v) for v in reference_vertices(constraints)]
+    if not values:
         return LPResult("infeasible")
-    return LPResult("optimal", best[0], best[1])
+    value, point = max(values) if sense == "max" else min(values)
+    return LPResult("optimal", point, value)
 
 
 def all_prunings(tree, k):
@@ -301,7 +447,7 @@ def random_halfspaces(rng, d, count, ensure_interior=None):
 
 def reference_solve_raw(obj, rows, seed):
     """Seidel's LP over rational rows (normal, offset), normal . x <= offset:
-    the library's `_solve_raw` as it was before it moved to integers."""
+    `_solve_raw` written over rationals, which it must agree with exactly."""
     d = len(obj)
     bound = reference_box_bound(rows, d)
     order = list(range(len(rows)))
@@ -621,7 +767,7 @@ def _clarkson_indices(constraints, z) -> list:
     `random.Random(0)` and runs in one box, the `_box_bound` of all the
     rows and their relaxed copies, which bounds each LP's own rows.  The
     non-redundant set is unique, so neither choice changes the result.  The
-    LP kernel is looked up on `geometry` at each call, so a test can swap it.
+    LP kernel `_solve_raw` is looked up at each call, so a test can swap it.
     """
     if not constraints:
         return []
@@ -644,7 +790,7 @@ def _clarkson_indices(constraints, z) -> list:
         row = rows[k]
         lp_rows = [rows[i] for i in kept]
         lp_rows.append(relaxed[k])
-        status, point = geometry._solve_raw(row[:-1], lp_rows, rng, bound)
+        status, point = _solve_raw(row[:-1], lp_rows, rng, bound)
         if status != "optimal":  # pragma: no cover - cannot happen: z feasible, obj capped
             raise GeometryError("relaxed redundancy LP failed")
         if _slack(row, point) >= 0:

@@ -38,6 +38,7 @@ from paramregions.seqalign import (
     build_execution_dag,
     dp_solve,
     get_preset,
+    node_graph,
     ray_search_2d,
 )
 from paramregions.tariff import (
@@ -155,11 +156,12 @@ def test_criterion_2_region_oracle_equivalence():
     for trial in range(100):
         spec = get_preset("mismatch-space" if trial % 10 < 7 else "mismatch-space-gap")
         s1, s2 = random_sequences(rng, 5)
-        part = build_execution_dag(spec, s1, s2)
+        graph = node_graph(spec, s1, s2)
+        part = build_execution_dag(spec, s1, s2, graph)
         for key, cell in part.cells.items():
             regions_checked += 1
             for p in sample_interior(cell, SAMPLES_PER_REGION, seed=trial):
-                _, align = dp_solve(spec, s1, s2, p)
+                _, align = dp_solve(spec, s1, s2, p, graph=graph)
                 if align.key != key:
                     mismatches += 1
 

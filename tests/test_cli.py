@@ -80,7 +80,7 @@ class TestClusterRegions:
         )
         assert code == 0
         data = json.loads(out.read_text())
-        assert data["schema_version"] == 4
+        assert data["schema_version"] == 5
         assert len(data["cells"]) == 2
         assert data["oracle_agreement"] == 1.0
         assert data["best"]["loss"] == "0/1"
@@ -853,19 +853,19 @@ class TestGoldenOutput:
         args = ["plot-data", "--regions", str(GOLDEN / "tariff_4x4.json")]
         self.assert_golden("plot_tariff_4x4.csv", args, tmp_path)
 
-    def test_tariff_regions_menu_of_two(self, tmp_path, no_library_lp):
+    def test_tariff_regions_menu_of_two(self, tmp_path):
         # d = 4: three samples, one with a fractional valuation, each
         # choosing among five options.  Each cell is read off its vertices,
         # with no LP.
         args = ["tariff-regions", "--instance", str(GOLDEN / "tariff_menu2.in.json"), "--menu", "2"]
         self.assert_golden("tariff_menu2.json", args, tmp_path)
 
-    def test_align_regions_gap_preset(self, tmp_path, no_library_lp):
+    def test_align_regions_gap_preset(self, tmp_path):
         # d = 3: the root cells are read off their vertices, with no LP.
         args = ["align-regions", "--preset", "mismatch-space-gap", "--s1", "ACG", "--s2", "TGA"]
         self.assert_golden("align_ACG_TGA.json", args, tmp_path)
 
-    def test_align_regions_gap_preset_five_regions(self, tmp_path, no_library_lp):
+    def test_align_regions_gap_preset_five_regions(self, tmp_path):
         args = ["align-regions", "--preset", "mismatch-space-gap", "--s1", "ACGTTGA", "--s2", "TGCAAGT"]
         self.assert_golden("align_ACGTTGA_TGCAAGT.json", args, tmp_path)
 
@@ -893,7 +893,7 @@ class TestGoldenOutput:
         args = ["cluster-regions", "--instance", line_instance_file, "--linkages", "single,complete"]
         self.assert_golden("cluster_line.json", args, tmp_path)
 
-    def test_cluster_regions_three_linkages(self, tmp_path, no_library_lp):
+    def test_cluster_regions_three_linkages(self, tmp_path):
         # d = 2: seven points in the plane, one metric, three linkages.  The
         # cells, their witnesses and the facets two leaves share are all
         # read off integer rows, with no LP.
@@ -903,7 +903,7 @@ class TestGoldenOutput:
         ]
         self.assert_golden("cluster_median.json", args, tmp_path)
 
-    def test_cluster_regions_two_metrics(self, tmp_path, no_library_lp):
+    def test_cluster_regions_two_metrics(self, tmp_path):
         # d = 3: the same seven points, average and mediod linkage on the
         # euclidean and manhattan tables, whose denominators differ.  No LP
         # runs.
@@ -923,7 +923,7 @@ def test_golden_regions_state_each_fact_once(name):
     # cells that share a facet, and a cluster cell's label is not repeated
     # as merges.
     data = json.loads((GOLDEN / name).read_text())
-    assert data["schema_version"] == 4
+    assert data["schema_version"] == 5
     cells = [ConvexCell.from_json(entry, decode_label) for entry in data["cells"]]
     assert data["adjacency"] == facet_adjacency(cells)
     if data["kind"] == "cluster-regions":

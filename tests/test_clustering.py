@@ -23,7 +23,6 @@ from paramregions.clustering import (
     partition_values,
     simulate_merge_sequence,
 )
-from paramregions.geometry import solve_lp
 from paramregions.rationals import rat
 from paramregions.regions import compute_vertex_cell, envelope_cells
 
@@ -34,6 +33,7 @@ from oracles import (
     merge_value,
     reference_envelope_labels,
     sample_interior,
+    solve_lp,
     sweep_leaf_count_1d,
 )
 

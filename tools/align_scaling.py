@@ -6,14 +6,11 @@ of the three-feature `mismatch-space-gap` preset for that pair, runs the
 two-feature ray search of the `mismatch-space` preset on the same pair, and
 prints one row of a Markdown table:
 
-    | L | root regions | LPs | time | ray regions | DP solves | ray time |
+    | L | root regions | time | ray regions | DP solves | ray time |
 
-LPs counts every call of the exact LP kernel `geometry._solve_raw` during
-the DAG, and reads 0: no subproblem below the root runs one, and a root
-cell (d = 3) reads its facets and its witness off its vertices
-(`geometry._vertices`).  Time is the wall time of `build_execution_dag`, one
-run.  Ray regions, DP solves and ray time are those of one `ray_search_2d`,
-its node graph included; the ray time is in milliseconds.  Run from a source checkout:
+Time is the wall time of `build_execution_dag`, one run.  Ray regions, DP
+solves and ray time are those of one `ray_search_2d`, its node graph
+included; the ray time is in milliseconds.  Run from a source checkout:
 
     python3 tools/align_scaling.py --lengths 8 12 16 20 24
 """
@@ -37,28 +34,14 @@ def random_pair(length: int) -> tuple:
 
 
 def measure(length: int) -> tuple:
-    """(root regions, LP kernel calls, seconds) of the DAG for one pair of
-    this length."""
-    from paramregions import geometry
+    """(root regions, seconds) of the DAG for one pair of this length."""
     from paramregions.seqalign import build_execution_dag, mismatch_space_gap_spec
 
     spec = mismatch_space_gap_spec()
     s1, s2 = random_pair(length)
-    solve = geometry._solve_raw
-    calls = [0]
-
-    def counting(*args):
-        calls[0] += 1
-        return solve(*args)
-
-    geometry._solve_raw = counting
-    try:
-        start = time.perf_counter()
-        part = build_execution_dag(spec, s1, s2)
-        seconds = time.perf_counter() - start
-    finally:
-        geometry._solve_raw = solve
-    return len(part.regions), calls[0], seconds
+    start = time.perf_counter()
+    part = build_execution_dag(spec, s1, s2)
+    return len(part.regions), time.perf_counter() - start
 
 
 def measure_ray(length: int) -> tuple:
@@ -76,13 +59,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--lengths", type=int, nargs="+", default=[8, 12, 16, 20, 24])
     args = parser.parse_args(argv)
-    print("| L | root regions | LPs | time | ray regions | DP solves | ray time |")
-    print("|---|---|---|---|---|---|---|")
+    print("| L | root regions | time | ray regions | DP solves | ray time |")
+    print("|---|---|---|---|---|---|")
     for length in args.lengths:
-        regions, lps, seconds = measure(length)
+        regions, seconds = measure(length)
         ray_regions, solves, ray_seconds = measure_ray(length)
         print(
-            f"| {length} | {regions} | {lps:,} | {seconds:.2f} s | {ray_regions} | {solves:,} | {ray_seconds * 1e3:.1f} ms |",
+            f"| {length} | {regions} | {seconds:.2f} s | {ray_regions} | {solves:,} | {ray_seconds * 1e3:.1f} ms |",
             flush=True,
         )
     return 0

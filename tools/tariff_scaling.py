@@ -6,13 +6,10 @@ builds the price regions of a single tariff (L = 1, K = 8, d = 2) or of a
 menu of two tariffs (L = 2, K = 4, d = 4) with `compute_price_regions`,
 and prints one row of a Markdown table:
 
-    | N | K | L | regions | LPs | time |
+    | N | K | L | regions | time |
 
-LPs counts every call of the exact LP kernel `geometry._solve_raw`, and
-reads 0: a single tariff's cells (d = 2) read their facets and witnesses
-off clipped polygons, and a menu's cells (d = 4) off their vertices
-(`geometry._vertices`).  Time is the wall time of `compute_price_regions`,
-one run.  Run from a source checkout:
+Time is the wall time of `compute_price_regions`, one run.  Run from a
+source checkout:
 
     python3 tools/tariff_scaling.py --singles 8 16 32 64 --menus 4 8 12
 """
@@ -44,26 +41,13 @@ def random_valuations(samples: int, units: int) -> list:
 
 
 def measure(samples: int, units: int, menu_length: int) -> tuple:
-    """(regions, LP kernel calls, seconds) for one instance of this size."""
-    from paramregions import geometry
+    """(regions, seconds) for one instance of this size."""
     from paramregions.tariff import TariffInstance, compute_price_regions
 
     instance = TariffInstance(units, random_valuations(samples, units), menu_length)
-    solve = geometry._solve_raw
-    calls = [0]
-
-    def counting(*args):
-        calls[0] += 1
-        return solve(*args)
-
-    geometry._solve_raw = counting
-    try:
-        start = time.perf_counter()
-        regions = compute_price_regions(instance)
-        seconds = time.perf_counter() - start
-    finally:
-        geometry._solve_raw = solve
-    return len(regions.cells), calls[0], seconds
+    start = time.perf_counter()
+    regions = compute_price_regions(instance)
+    return len(regions.cells), time.perf_counter() - start
 
 
 def main(argv=None) -> int:
@@ -74,12 +58,12 @@ def main(argv=None) -> int:
     parser.add_argument("--menus", type=int, nargs="*", default=[4, 8, 12],
                         help=f"sample counts N of the menus of two tariffs (K = {MENU_UNITS})")
     args = parser.parse_args(argv)
-    print("| N | K | L | regions | LPs | time |")
-    print("|---|---|---|---|---|---|")
+    print("| N | K | L | regions | time |")
+    print("|---|---|---|---|---|")
     jobs = [(n, SINGLE_UNITS, 1) for n in args.singles] + [(n, MENU_UNITS, 2) for n in args.menus]
     for samples, units, menu_length in jobs:
-        regions, lps, seconds = measure(samples, units, menu_length)
-        print(f"| {samples} | {units} | {menu_length} | {regions:,} | {lps:,} | {seconds:.2f} s |", flush=True)
+        regions, seconds = measure(samples, units, menu_length)
+        print(f"| {samples} | {units} | {menu_length} | {regions:,} | {seconds:.2f} s |", flush=True)
     return 0
 
 

@@ -61,6 +61,7 @@ from .seqalign import (
 from .tariff import (
     TariffInstance,
     buyer_choice,
+    buyer_choices,
     check_piece_bound,
     compute_price_regions,
     maximize_revenue,

@@ -522,11 +522,7 @@ def _align_agreement(spec, s1, s2, part, density: int, graph) -> float:
 
 def _tariff_agreement(inst, sub, density: int) -> float:
     pieces = ((tariff.normalize_profile(label), cell) for label, cell in sub.cells.items())
-    return _agreement(
-        pieces,
-        density,
-        lambda p: tuple(tariff.buyer_choice(inst, i, p) for i in range(inst.n_samples)),
-    )
+    return _agreement(pieces, density, lambda p: tariff.buyer_choices(inst, p))
 
 
 # --------------------------------------------------------------------------

@@ -11,6 +11,10 @@ slice at x_1; the interior test `_has_interior` reads the interval's ends,
 three clipped vertices off one line, or above d = 2 vertices of rank d + 1;
 `_bounded_vertices` gives a bounded cell's vertices, where a linear
 objective attains its maximum.  No LP runs.
+The clip and the vertex enumeration both record each vertex's tight set
+as bits (the box's sides or cube's facets, then the rows), so a facet is
+read off those bits with no slack recomputed, and a cell built from either
+keeps its vertices (`ConvexCell.vertices`) for `_bounded_vertices`.
 A halfspace is its primitive integer row; witnesses are exact rationals.
 The kernel underneath (the interval, the clip, the vertex enumeration, the
 witnesses, the point tests) runs fraction-free on Python ints, on those
@@ -28,7 +32,7 @@ where floats silently corrupt output-sensitive enumeration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import chain, product
 from operator import and_, index, mul
@@ -136,11 +140,16 @@ class ConvexCell:
     It reads that list off the interval in d = 1, off `_clip_polygon`'s
     polygon in d = 2 and off the cell's `_vertices` in d >= 3; the witness
     is the cell's canonical point (`_canonical_point`) in every dimension.
+    In d >= 2 a bounded cell it builds also keeps the homogeneous vertices
+    of that polygon or enumeration as `vertices`, which `_bounded_vertices`
+    returns.  They take no part in equality, hashing, `repr` or JSON, and a
+    cell built any other way (by hand, from JSON) has none.
     """
 
     dimension: int
     constraints: tuple
     witness: Optional[Vector] = None
+    vertices: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         for h in self.constraints:
@@ -361,23 +370,44 @@ def _clip_polygon(rows) -> list:
     """Homogeneous vertices (x, y, w), w > 0, counterclockwise, of what the
     integer rows (a_1, a_2, b) leave of the box |x_j| <= `_box_bound(rows,
     2)`, which holds every meet of two rows strictly inside, clipped by each
-    row in turn (Sutherland & Hodgman, 1974).  An edge p -> q with slacks of
-    opposite signs is cut at (s_p * q - s_q * p) / gcd: the meet of two
-    rows, its bits bounded by theirs and not by the clipping depth."""
+    row in turn (Sutherland & Hodgman, 1974), each with its tight set as
+    bits, numbered as `_vertices` numbers them: 2j and 2j + 1 for the box's
+    sides x_j <= bound and -x_j <= bound, 4 + i for rows[i].
+
+    An edge p -> q with slacks of opposite signs is cut at (s_p * q - s_q *
+    p) / gcd: the meet of two rows, its bits bounded by theirs and not by
+    the clipping depth.  The cut is tight on the row and on the rows tight
+    at both p and q, the edge's line: a row tight at a point strictly inside
+    the edge, with p and q on its side, holds the whole edge.  A vertex that
+    stays with slack 0 gains the row's bit.  So each vertex's bits are
+    exactly the rows and box sides through it."""
     bound = _box_bound(rows, 2)
-    polygon = [(-bound, -bound, 1), (bound, -bound, 1), (bound, bound, 1), (-bound, bound, 1)]
-    for a1, a2, b in rows:
-        slacks = [b * w - a1 * x - a2 * y for x, y, w in polygon]
+    polygon = [
+        ((-bound, -bound, 1), 0b1010),
+        ((bound, -bound, 1), 0b1001),
+        ((bound, bound, 1), 0b0101),
+        ((-bound, bound, 1), 0b0110),
+    ]
+    for i, (a1, a2, b) in enumerate(rows):
+        bit = 1 << 4 + i
+        slacks = [b * w - a1 * x - a2 * y for (x, y, w), _ in polygon]
         if min(slacks) >= 0:
+            if 0 in slacks:
+                polygon = [(p, t | bit if s == 0 else t) for (p, t), s in zip(polygon, slacks)]
             continue
         clipped = []
-        for p, q, sp, sq in zip(polygon, polygon[1:] + polygon[:1], slacks, slacks[1:] + slacks[:1]):
-            if sp >= 0:
-                clipped.append(p)
+        last, sp = polygon[-1], slacks[-1]
+        for vertex, sq in zip(polygon, slacks):  # the edge last -> vertex
             if sp * sq < 0:
+                (p, tp), (q, tq) = last, vertex
                 x, y, w = sp * q[0] - sq * p[0], sp * q[1] - sq * p[1], sp * q[2] - sq * p[2]
                 g = math.gcd(x, y, w) if sp > 0 else -math.gcd(x, y, w)  # w > 0
-                clipped.append((x // g, y // g, w // g))
+                clipped.append(((x // g, y // g, w // g), tp & tq | bit))
+            if sq > 0:
+                clipped.append(vertex)
+            elif sq == 0:
+                clipped.append((vertex[0], vertex[1] | bit))
+            last, sp = vertex, sq
         if not clipped:
             return []
         polygon = clipped
@@ -409,12 +439,12 @@ def _interval_witness(rows) -> Optional[Vector]:
 
 
 def _polygon_witness(vertices, rows) -> Optional[Vector]:
-    """(x_1, x_2) inside the polygon of `_clip_polygon`'s homogeneous
-    `vertices`, cut out by the integer `rows` (a_1, a_2, b): x_1 the simplest
-    rational strictly between the vertices' least and greatest x, x_2 the
-    simplest strictly inside the vertical chord at x_1.  None when there is
-    no vertex or either range is empty, that is when the polygon has empty
-    interior.
+    """(x_1, x_2) inside the polygon of `_clip_polygon`'s `vertices` (each
+    a homogeneous point and its tight bits), cut out by the integer `rows`
+    (a_1, a_2, b): x_1 the simplest rational strictly between the vertices'
+    least and greatest x, x_2 the simplest strictly inside the vertical
+    chord at x_1.  None when there is no vertex or either range is empty,
+    that is when the polygon has empty interior.
 
     Where the cell is unbounded, the clip's box reaches more than 1 beyond
     each finite end of the cell's projection (the meet of two rows, or b / a
@@ -425,8 +455,8 @@ def _polygon_witness(vertices, rows) -> Optional[Vector]:
     """
     if not vertices:
         return None
-    lo = hi = vertices[0]
-    for v in vertices[1:]:
+    lo = hi = vertices[0][0]
+    for v, _ in vertices[1:]:
         if v[0] * lo[2] < lo[0] * v[2]:
             lo = v
         elif v[0] * hi[2] > hi[0] * v[2]:
@@ -517,45 +547,51 @@ def _has_interior(rows) -> bool:
 
 
 def _has_area(vertices) -> bool:
-    """Whether three of `_clip_polygon`'s homogeneous `vertices` are not on
-    one line: the cross product n of the first vertex with the first other
-    point is the line through both, and a vertex v is off it when n . v,
-    the determinant of the three, is nonzero.  The clip is convex, so this
-    is exactly when it has interior."""
+    """Whether three of `_clip_polygon`'s `vertices` are not on one line:
+    the cross product n of the first vertex with the first other point is
+    the line through both, and a vertex v is off it when n . v, the
+    determinant of the three, is nonzero.  The clip is convex, so this is
+    exactly when it has interior."""
     if not vertices:
         return False
-    x0, y0, w0 = vertices[0]
-    lines = ((y0 * w - w0 * y, w0 * x - x0 * w, x0 * y - y0 * x) for x, y, w in vertices[1:])
+    (x0, y0, w0), _ = vertices[0]
+    lines = ((y0 * w - w0 * y, w0 * x - x0 * w, x0 * y - y0 * x) for (x, y, w), _ in vertices[1:])
     n = next((n for n in lines if any(n)), None)
-    return n is not None and any(n[0] * x + n[1] * y + n[2] * w for x, y, w in vertices)
+    return n is not None and any(n[0] * x + n[1] * y + n[2] * w for (x, y, w), _ in vertices)
 
 
-def _bounded_vertices(cell: ConvexCell) -> Optional[list]:
+def _bounded_vertices(cell: ConvexCell) -> Optional[tuple]:
     """Homogeneous vertices (p_1, ..., p_d, w), w > 0, of the bounded
     `cell`, read off the construction its facets come from: the interval's
     two ends in d = 1 (`_interval_ends`), `_clip_polygon`'s polygon in d = 2
-    and the cell's `_vertices` in d >= 3.  A vertex may repeat.
+    and the cell's `_vertices` in d >= 3.  A vertex may repeat.  A cell
+    that `regions.compute_vertex_cell` built keeps the vertices of that
+    construction (`ConvexCell.vertices`), and they are returned as kept.
 
     None when the cell is unbounded: an end of the interval is infinite, or
-    a vertex lies on the clip's box or is tight on a facet of `_vertices`'
-    cube.  Both hold every vertex of a bounded cell strictly inside, and
-    cut an unbounded one off at a face of the box.  [] when the cell is
-    empty, and in d = 1 when it has empty interior.
+    a vertex is tight on a side of the clip's box or a facet of `_vertices`'
+    cube (`_inside_box`).  Both hold every vertex of a bounded cell strictly
+    inside, and cut an unbounded one off at a face of the box.  () when the
+    cell is empty, and in d = 1 when it has empty interior.
     """
+    if cell.vertices is not None:
+        return cell.vertices
     d = cell.dimension
     rows = [h.int_row for h in cell.constraints]
     if d == 1:
         ends = _interval_ends(rows)
         if ends is None:
-            return []
-        return None if None in ends else list(ends)
-    if d == 2:
-        bound = _box_bound(rows, 2)
-        polygon = _clip_polygon(rows)
-        return None if any(max(abs(x), abs(y)) == bound * w for x, y, w in polygon) else polygon
-    cube = (1 << 2 * d) - 1
-    vertices = _vertices(rows, d)
-    return None if any(t & cube for _, t in vertices) else [v for v, _ in vertices]
+            return ()
+        return None if None in ends else ends
+    return _inside_box(_clip_polygon(rows) if d == 2 else _vertices(rows, d), d)
+
+
+def _inside_box(vertices, d: int) -> Optional[tuple]:
+    """The homogeneous points of the clip's or `_vertices`' `vertices`, or
+    None when one of them is tight on the box (bits 0 to 2d - 1), that is
+    when the cell they cut out is unbounded."""
+    box = (1 << 2 * d) - 1
+    return None if any(t & box for _, t in vertices) else tuple(v for v, _ in vertices)
 
 
 # --------------------------------------------------------------------------
@@ -569,10 +605,7 @@ def polygon_vertices(cell: ConvexCell) -> list:
     if cell.dimension != 2:
         raise GeometryError("polygon_vertices needs a 2D cell")
     rows = [h.int_row for h in cell.constraints]
-    bound = _box_bound(rows, 2)
-    vertices = [
-        _rational_point(v) for v in _clip_polygon(rows) if max(abs(v[0]), abs(v[1])) < bound * v[2]
-    ]
+    vertices = [_rational_point(v) for v, t in _clip_polygon(rows) if not t & 0b1111]
     if len(vertices) < 3 or polygon_area(vertices) == 0:
         return []
     cx = sum((p[0] for p in vertices), ZERO) / len(vertices)

@@ -8,7 +8,8 @@ to the non-redundant ones, by exact clipping in d <= 2 and by exact vertex
 enumeration in d >= 3; the candidates kept are the cell's facets, and
 their labels are exactly the neighbors.  A cell's witness is its canonical
 point in every dimension (`geometry._canonical_point`), read off the same
-interval, clip or vertices.  No cell runs an LP.  Every `Subdivision`,
+interval, clip or vertices, and a bounded cell keeps the clip's or the
+enumeration's vertices.  No cell runs an LP.  Every `Subdivision`,
 the one region type, is built by `compute_subdivision`, a walk over the
 region adjacency graph that finds every region when each candidate row is
 labeled with the region across its hyperplane: `dominance_constraints`
@@ -31,6 +32,9 @@ Its callers:
   buyer sample seeded by `argmin_label`, and `compute_overlay`, one factor
   per input subdivision.
 
+`argmin_label`, which seeds the envelope and the tariff walks, compares the
+forms' `int_form`s at the homogeneous point, on ints.
+
 The per-label cell computations are pure and independent (safe to dispatch
 concurrently if a caller wants to).
 """
@@ -41,6 +45,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .geometry import (
@@ -51,6 +56,7 @@ from .geometry import (
     _clip_polygon,
     _has_interior,
     _homogeneous,
+    _inside_box,
     _interval_witness,
     _one_row_per_direction,
     _polygon_witness,
@@ -59,7 +65,6 @@ from .geometry import (
     _slack,
     _vertex_witness,
     _vertices,
-    dot,
 )
 from .rationals import as_rational, as_vector
 
@@ -70,21 +75,28 @@ class DegenerateCellError(Exception):
 
 @dataclass(frozen=True)
 class AffineForm:
-    """coeffs . x + const, the universal objective shape on a cell."""
+    """coeffs . x + const, the universal objective shape on a cell.
+
+    A form built from ints keeps them; any other entries become rationals.
+    """
 
     coeffs: tuple
     const: Any
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", as_vector(self.coeffs))
-        object.__setattr__(self, "const", as_rational(self.const))
-
-    def value(self, point):
-        return dot(self.coeffs, point) + self.const
+        coeffs = tuple(self.coeffs)
+        if all(type(c) is int for c in (*coeffs, self.const)):
+            object.__setattr__(self, "coeffs", coeffs)
+        else:
+            object.__setattr__(self, "coeffs", as_vector(coeffs))
+            object.__setattr__(self, "const", as_rational(self.const))
 
     @cached_property
     def int_form(self) -> tuple:
-        """(w * coeffs, w * const, w) as ints, w the lcm of the denominators."""
+        """(w * coeffs, w * const, w) as ints, w the lcm of the denominators:
+        w = 1 for a form built from ints."""
+        if type(self.const) is int and all(type(c) is int for c in self.coeffs):
+            return self.coeffs, self.const, 1
         *scaled, const, w = _homogeneous((*self.coeffs, self.const))
         return tuple(scaled), const, w
 
@@ -133,8 +145,23 @@ def argmin_label(forms: dict, point):
     enough e > 0: the least (value at point, *coeffs), and of equal ones the
     smallest label.  That point lies on no tie hyperplane of two distinct
     forms, so for `point` inside a parent the label has a full-dimensional
-    cell."""
-    return min(sorted(forms), key=lambda label: (forms[label].value(point), *forms[label].coeffs))
+    cell.
+
+    Read on ints: with the point homogeneous, (p, w), and each form's
+    `int_form` (C, k, s) brought to the lcm L of the scales s, the key is
+    (L / s) * (C . p + k w, *C), which is L w times (value, *coeffs) in its
+    value and L times in its coefficients: the same order, ties included.
+    """
+    *p, w = _homogeneous(point)
+    ints = {label: form.int_form for label, form in forms.items()}
+    scale = math.lcm(*(s for _, _, s in ints.values()))
+
+    def key(label):
+        coeffs, const, s = ints[label]
+        f = scale // s
+        return (f * (sum(map(mul, coeffs, p)) + const * w), *(f * c for c in coeffs))
+
+    return min(sorted(forms), key=key)
 
 
 def product_candidates(factors) -> Callable:
@@ -216,12 +243,13 @@ def compute_vertex_cell(parent: ConvexCell, label, candidates: Optional[list]):
 
     - d = 1: every filtered row (one per side); the witness is the simplest
       rational strictly inside the interval (`_interval_witness`).
-    - d = 2: the rows with two vertices of `_clip_polygon`'s polygon on
-      their line (an edge: no two filtered rows share a line); the witness
-      is x_1 the simplest rational strictly inside the vertices' x-range,
-      then x_2 the simplest strictly inside the chord at x_1
-      (`_polygon_witness`).  An empty clip, x-range or chord means an empty
-      interior, so a cell that is kept is a full-dimensional polygon.
+    - d = 2: the rows tight at two vertices of `_clip_polygon`'s polygon
+      (an edge: no two filtered rows share a line), read off the tight bits
+      the clip records at each vertex; the witness is x_1 the simplest
+      rational strictly inside the vertices' x-range, then x_2 the simplest
+      strictly inside the chord at x_1 (`_polygon_witness`).  An empty clip,
+      x-range or chord means an empty interior, so a cell that is kept is a
+      full-dimensional polygon.
     - d >= 3: the cell's vertices (`_vertices`), each with the rows tight
       at it, are enumerated once.  Vertices of rank below d + 1 (`_rank`)
       mean an empty interior; the rows whose tight vertices have rank d
@@ -231,7 +259,11 @@ def compute_vertex_cell(parent: ConvexCell, label, candidates: Optional[list]):
       (`_vertex_witness`).
 
     In every dimension the witness depends on the cell alone, not on the
-    rows that cut it out or their order, and no LP runs.
+    rows that cut it out or their order, and no LP runs.  In d >= 2 a
+    bounded cell keeps the polygon's or the enumeration's vertices
+    (`ConvexCell.vertices`, none tight on the box: `geometry._inside_box`),
+    so that reading its vertices later (`geometry._bounded_vertices`)
+    builds nothing again.
     Raises DegenerateCellError when the cell has empty interior.
     """
     if candidates is None:
@@ -241,23 +273,30 @@ def compute_vertex_cell(parent: ConvexCell, label, candidates: Optional[list]):
     uniq = _one_row_per_direction(int_rows)
     filtered = [int_rows[i] for i in uniq]
     d = parent.dimension
+    corners = None
     if d == 1:
         kept = uniq
         witness = _interval_witness(filtered)
     elif d == 2:
         vertices = _clip_polygon(filtered)
-        kept = [i for i in uniq if sum(_slack(int_rows[i], v) == 0 for v in vertices) >= 2]
+        once = twice = 0  # the bits tight at one vertex, and at two or more
+        for _, t in vertices:
+            twice |= once & t
+            once |= t
+        kept = [i for n, i in enumerate(uniq) if twice >> 4 + n & 1]
         witness = _polygon_witness(vertices, [int_rows[i] for i in kept])
+        corners = _inside_box(vertices, 2)
     else:
         vertices = _vertices(filtered, d)
         if _rank([v for v, _ in vertices]) <= d:
             raise DegenerateCellError(label)
         kept = [i for n, i in enumerate(uniq) if _rank([v for v, t in vertices if t >> 2 * d + n & 1]) == d]
         witness = _vertex_witness(vertices, [int_rows[i] for i in kept], d)
+        corners = _inside_box(vertices, d)
     if witness is None:
         raise DegenerateCellError(label)
     n_parent = len(parent.constraints)
-    cell = ConvexCell(d, tuple(rows[i] for i in kept), witness=witness)
+    cell = ConvexCell(d, tuple(rows[i] for i in kept), witness=witness, vertices=corners)
     neighbors = frozenset(rows[i].label for i in kept if i >= n_parent)
     return cell, neighbors
 

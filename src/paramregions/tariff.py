@@ -10,7 +10,10 @@ at every menu length, a single tariff being a menu of length one.  Every
 candidate row names the profile across it, so no region is lost.  Revenue
 is linear on each region, a bounded cell, so its maximum there is attained
 at a vertex: the revenue-maximizing prices are read off the regions'
-vertices, with no LP.
+vertices, the ones the walk built each region from, with no LP.
+The path runs on integers from the instance to the output: the option
+forms come from `TariffInstance.int_valuations`, `revenue_form` has int
+coefficients, and a buyer's choice compares integer utilities.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .geometry import (
     GeometryError,
     _bounded_vertices,
     _homogeneous,
-    _int_vector,
     _rational_point,
     box_cell,
     dot,
@@ -137,20 +139,40 @@ def buyer_choice(instance: TariffInstance, i: int, prices) -> tuple:
     so a utility is carried times D w > 0, which keeps its order and its
     ties.
     """
+    fees, w = _scaled_fees(instance, prices)
+    return _choice(instance.int_valuations[1][i], fees, w)
+
+
+def buyer_choices(instance: TariffInstance, prices) -> tuple:
+    """Every sample's `buyer_choice` at `prices`, in sample order; the
+    prices are written homogeneously once for all of them."""
+    fees, w = _scaled_fees(instance, prices)
+    return tuple(_choice(row, fees, w) for row in instance.int_valuations[1])
+
+
+def _scaled_fees(instance: TariffInstance, prices) -> tuple:
+    """(fees, w): the prices written homogeneously as (P, w), w > 0, and P
+    times the valuations' common denominator D (`int_valuations`): per
+    tariff its fee and unit price, times D w."""
     *P, w = _homogeneous(prices)
     if len(P) != instance.dimension:
         raise GeometryError("price dimension mismatch")
-    factor, rows = instance.int_valuations
-    fees = [factor * p for p in P]  # (fee, unit price) per tariff, times D w
+    factor = instance.int_valuations[0]
+    return [factor * p for p in P], w
+
+
+def _choice(row: tuple, fees: list, w: int) -> tuple:
+    """The (q, j) of greatest utility, ties as in `buyer_choice`, for the
+    integer valuations `row` and the `_scaled_fees` (fees, w)."""
     best, best_q, best_j = 0, 0, 1
     # Options come by increasing q, then j, so an equal utility wins exactly
     # when its quantity is larger.
-    for q, value in enumerate(rows[i], 1):
+    for q, value in enumerate(row, 1):
         value *= w
-        for j in range(instance.menu_length):
-            u = value - fees[2 * j] - q * fees[2 * j + 1]
+        for j in range(0, len(fees), 2):
+            u = value - fees[j] - q * fees[j + 1]
             if u > best or (u == best and q > best_q):
-                best, best_q, best_j = u, q, j + 1
+                best, best_q, best_j = u, q, j // 2 + 1
     return best_q, best_j
 
 
@@ -161,16 +183,20 @@ def _option_forms(instance: TariffInstance) -> list:
     least form.  A single tariff (L = 1) keys each option by q alone, which
     sorts as (q, 1) does, so every tie rule picks alike.  The price
     coefficients are the option's revenue, so two distinct options never
-    share them."""
+    share them.
+
+    The forms are built on ints, from `int_valuations`: each is minus the
+    utility times the valuations' common denominator D > 0.  One positive
+    factor for all of them keeps each argmin, each primitive dominance row
+    and the label of each row (`regions.dominance_constraints`)."""
+    factor, rows = instance.int_valuations
     menu = range(1, instance.menu_length + 1)
     options = [(0, 1)] + [(q, j) for q in range(1, instance.units + 1) for j in menu]
     keys = [q for q, _ in options] if instance.menu_length == 1 else options
+    prices = [tuple(factor * c for c in revenue_form(instance, (o,))) for o in options]
     return [
-        {
-            key: AffineForm(revenue_form(instance, (o,)), -instance.value(i, o[0]))
-            for key, o in zip(keys, options)
-        }
-        for i in range(instance.n_samples)
+        {key: AffineForm(c, -row[q - 1] if q else 0) for key, (q, _), c in zip(keys, options, prices)}
+        for row in rows
     ]
 
 
@@ -204,10 +230,11 @@ def revenue_form(instance: TariffInstance, label) -> tuple:
     """Revenue on a region as coefficients over the price vector.
 
     Accepts both label shapes: per-sample (q, j) pairs and the plain
-    quantity tuples of the single-tariff view.
+    quantity tuples of the single-tariff view.  The coefficients are ints:
+    per tariff, the number of samples buying on it and the units they buy.
     """
     d = instance.dimension
-    coeffs = [ZERO] * d
+    coeffs = [0] * d
     for q, j in normalize_profile(label):
         if q > 0:
             coeffs[2 * (j - 1)] += 1
@@ -222,7 +249,9 @@ def maximize_revenue(instance: TariffInstance, regions: Subdivision):
     the smaller label.  Within a region the prices are its vertex of
     greatest revenue (`_best_vertex`), the lexicographically largest of
     them where an edge or more is optimal: a point that depends on the
-    region alone.  Raises `GeometryError` on an unbounded or empty region.
+    region alone.  The vertices are those the walk built with the region
+    (`geometry._bounded_vertices`), so no region is clipped again.  Raises
+    `GeometryError` on an unbounded or empty region.
     """
     best = None
     for label in sorted(regions.cells):
@@ -230,7 +259,7 @@ def maximize_revenue(instance: TariffInstance, regions: Subdivision):
         if not vertices:
             raise GeometryError(f"region {label!r} is unbounded or empty")
         coeffs = revenue_form(instance, label)
-        point = _rational_point(_best_vertex(_int_vector(coeffs), vertices))
+        point = _rational_point(_best_vertex(coeffs, vertices))
         revenue = dot(coeffs, point)
         if best is None or revenue > best[0]:
             best = (revenue, label, point)

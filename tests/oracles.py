@@ -20,7 +20,9 @@ Seidel LP written over rationals, and `reference_ray_first_index`,
 over several points, and
 `reference_tariff_candidates`, the tariff candidate halfspaces built from
 rationals, and `reference_price_regions`, the one walk over them with
-(q, j) labels at every menu length, and `reference_envelope_labels`, the
+(q, j) labels at every menu length, and `reference_argmin_label`,
+`regions.argmin_label`'s tie rule on the forms' rational values
+(`form_value`), and `reference_envelope_labels`, the
 LP label step that decided the regions of every two-feature alignment DAG
 node before the integer lower hull and the cells of a clustering merge
 step before its one walk, and `reference_partition`, the alignment cells
@@ -74,7 +76,6 @@ from paramregions.geometry import (
 from paramregions.rationals import ZERO, Rational, as_vector, rat
 from paramregions.regions import (
     AffineForm,
-    argmin_label,
     cells_share_facet,
     compute_subdivision,
     dominance_constraints,
@@ -671,8 +672,8 @@ def reference_price_regions(instance):
     """The price regions from one `compute_subdivision` walk over
     `reference_tariff_candidates`, labeled with per-sample (q, j) pairs at
     every menu length.  The walk starts from each sample's option of
-    greatest rational utility just past the box's witness (`argmin_label`
-    on minus the utilities)."""
+    greatest rational utility just past the box's witness
+    (`reference_argmin_label` on minus the utilities)."""
     box = instance.price_box()
     menu = range(1, instance.menu_length + 1)
     options = [(0, 1)] + [(q, j) for q in range(1, instance.units + 1) for j in menu]
@@ -682,8 +683,19 @@ def reference_price_regions(instance):
         for q, j in options:
             coeffs, const = _reference_utility_coeffs(instance, i, q, j)
             forms[q, j] = AffineForm(tuple(-c for c in coeffs), -const)
-        start.append(argmin_label(forms, box.witness))
+        start.append(reference_argmin_label(forms, box.witness))
     return compute_subdivision(box, [tuple(start)], partial(reference_tariff_candidates, instance))
+
+
+def form_value(form, point):
+    """An `AffineForm`'s value coeffs . point + const, on rationals."""
+    return dot(form.coeffs, point) + form.const
+
+
+def reference_argmin_label(forms, point):
+    """`regions.argmin_label` on rationals: the label of least (value at
+    `point`, *coeffs), and of equal ones the smallest label."""
+    return min(sorted(forms), key=lambda label: (form_value(forms[label], point), *forms[label].coeffs))
 
 
 def reference_envelope_labels(parent, forms, corners, seed=0):
@@ -694,7 +706,7 @@ def reference_envelope_labels(parent, forms, corners, seed=0):
     (`_interior_point_rows`) per remaining form against the others."""
     kept = []  # (label, values at the corners), in label order
     for label in sorted(forms):
-        values = tuple(forms[label].value(c) for c in corners)
+        values = tuple(form_value(forms[label], c) for c in corners)
         if any(all(k <= v for k, v in zip(other, values)) for _, other in kept):
             continue
         kept = [(l, other) for l, other in kept if not all(v <= k for v, k in zip(values, other))]

@@ -262,6 +262,73 @@ class TestIntegerKernel:
             assert got == reference_ray_first_index(rows, z, target)
 
 
+def random_int_row(rng):
+    while True:
+        a1, a2 = rng.randint(-5, 5), rng.randint(-5, 5)
+        if a1 or a2:
+            return a1, a2, rng.randint(-12, 12)
+
+
+class TestClipTightBits:
+    """`_clip_polygon` records each vertex's tight set as bits: 2j and
+    2j + 1 for its box's sides x_j <= bound and -x_j <= bound, 4 + i for
+    rows[i]."""
+
+    @staticmethod
+    def tight_bits(rows, vertex):
+        bound = _box_bound(rows, 2)
+        box = [(1, 0, bound), (-1, 0, bound), (0, 1, bound), (0, -1, bound)]
+        return sum(1 << k for k, row in enumerate(box + rows) if _slack(row, vertex) == 0)
+
+    def test_bits_are_the_rows_with_zero_slack(self):
+        # Rows through a vertex of the clip so far, duplicate rows and
+        # parallel rows (same or opposite normal, other offsets) make
+        # vertices tight on three or more rows, segments and empty clips.
+        rng = random.Random(83)
+        seen = {"through": 0, "crowded": 0, "empty": 0, "thin": 0}
+        for trial in range(400):
+            rows = [random_int_row(rng)]
+            for _ in range(rng.randint(0, 10)):
+                kind = rng.random()
+                polygon = _clip_polygon(rows)
+                if kind < 0.15:
+                    rows.append(rng.choice(rows))
+                elif kind < 0.35:
+                    a1, a2, b = rng.choice(rows)
+                    sign = rng.choice((1, -1))
+                    rows.append((sign * a1, sign * a2, sign * b + rng.randint(-2, 2)))
+                elif kind < 0.7 and polygon:
+                    (x, y, w), _ = rng.choice(polygon)
+                    a1, a2, _ = random_int_row(rng)
+                    row = (a1 * w, a2 * w, a1 * x + a2 * y)
+                    g = math.gcd(*row)
+                    rows.append(tuple(c // g for c in row))
+                    seen["through"] += 1
+                else:
+                    rows.append(random_int_row(rng))
+            polygon = _clip_polygon(rows)
+            seen["empty"] += not polygon
+            seen["thin"] += 0 < len(polygon) < 3
+            for vertex, bits in polygon:
+                assert bits == self.tight_bits(rows, vertex), (trial, rows, vertex)
+                seen["crowded"] += bin(bits).count("1") >= 3
+        assert all(count >= 20 for count in seen.values()), seen
+
+    def test_box_corners_and_an_empty_clip(self):
+        bound = _box_bound([], 2)
+        assert _clip_polygon([]) == [
+            ((-bound, -bound, 1), 0b1010),
+            ((bound, -bound, 1), 0b1001),
+            ((bound, bound, 1), 0b0101),
+            ((-bound, bound, 1), 0b0110),
+        ]
+        assert _clip_polygon([(1, 0, 0), (-1, 0, -1)]) == []
+        # x + y <= 0 runs through two box corners: both stay, with its bit,
+        # and no cut is added beside them.
+        bits = [t for _, t in _clip_polygon([(1, 1, 0)])]
+        assert bits == [0b1010, 0b1001 | 1 << 4, 0b0110 | 1 << 4]
+
+
 class TestHasInterior:
     """`_has_interior` against the auxiliary slack LP of `tests/oracles.py`."""
 
@@ -445,7 +512,7 @@ class TestCanonicalPoint:
 class TestBoundedVertices:
     """`_bounded_vertices`: a bounded cell's vertices, read off the
     interval, the clip or the vertex enumeration; None for an unbounded
-    cell, [] for an empty one."""
+    cell, () for an empty one."""
 
     def test_box_bounds_match_the_lp(self):
         # Each axis's least and greatest vertex coordinate, the bounding box
@@ -474,7 +541,7 @@ class TestBoundedVertices:
     def test_empty_and_unbounded_cells(self, d):
         box = list(box_cell(-1, 1, d).constraints)
         beyond = H((-1,) + (0,) * (d - 1), -2)  # x_1 >= 2
-        assert _bounded_vertices(ConvexCell(d, tuple(box + [beyond]))) == []
+        assert _bounded_vertices(ConvexCell(d, tuple(box + [beyond]))) == ()
         assert _bounded_vertices(ConvexCell(d, (beyond,))) is None
         assert _bounded_vertices(ConvexCell(d, ())) is None
         assert len(set(_bounded_vertices(ConvexCell(d, tuple(box))))) == 2**d
@@ -579,6 +646,19 @@ class TestConvexCell:
         ConvexCell(2, hs, witness=(eps / 2, rat(1, 2)))
         with pytest.raises(GeometryError):
             ConvexCell(2, hs, witness=(eps, rat(1, 2)))
+
+
+    def test_kept_vertices_are_no_part_of_the_value(self):
+        # Equality, hashing, repr and JSON read the rows and the witness
+        # alone; `_bounded_vertices` returns the kept vertices as they are.
+        witness = (rat(1, 3), rat(2, 3))
+        plain = ConvexCell(2, tuple(UNIT_SQUARE), witness=witness)
+        kept = ConvexCell(2, tuple(UNIT_SQUARE), witness=witness, vertices=((0, 0, 1),))
+        assert kept == plain and hash(kept) == hash(plain) and repr(kept) == repr(plain)
+        assert kept.to_json() == plain.to_json()
+        assert ConvexCell.from_json(kept.to_json()).vertices is None
+        assert _bounded_vertices(kept) == ((0, 0, 1),)
+        assert sorted(_bounded_vertices(plain)) == [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
 
 
 def rational_contains(cell, point, strict=False):
@@ -691,7 +771,7 @@ class TestCellUtilities:
             rows = [h.int_row for h in random_halfspaces(rng, 2, rng.randint(3, 30), ensure_interior=origin)]
             bound = _box_bound(rows, 2)
             box = [(1, 0, bound), (-1, 0, bound), (0, 1, bound), (0, -1, bound)]
-            vertices = _clip_polygon(rows)
+            vertices = [v for v, _ in _clip_polygon(rows)]
             assert len(vertices) >= 3
             for v in vertices:
                 assert v[2] > 0 and math.gcd(*v) == 1

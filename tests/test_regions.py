@@ -39,7 +39,9 @@ from oracles import (
     clarkson_reduce,
     labels_at,
     naive_nonredundant,
+    form_value,
     random_halfspaces,
+    reference_argmin_label,
     reference_witness,
     sample_interior,
 )
@@ -329,7 +331,7 @@ class TestCanonicalWitness:
         rows = [((0, -1), 0), ((-1, 1), rat(-5, 2))]
         assert self.witness(ConvexCell(2, ()), rows) == (3, rat(1, 3))
         int_rows = [Halfspace.from_rationals(*r).int_row for r in rows]
-        xs = [Fraction(x, w) for x, _, w in _clip_polygon(int_rows)]
+        xs = [Fraction(x, w) for (x, _, w), _ in _clip_polygon(int_rows)]
         assert max(xs) == _box_bound(int_rows, 2)
         assert simplest_between((5, 2), (max(xs), 1)) == simplest_between((5, 2), None) == 3
 
@@ -362,6 +364,53 @@ class TestCanonicalWitness:
         assert self.witness(box_cell(0, 4, 1), [((1,), rat(3, 4)), ((-1,), rat(-2, 3))]) == (rat(5, 7),)
         assert self.witness(ConvexCell(1, ()), [((-1,), rat(-7, 2))]) == (4,)
         assert self.witness(ConvexCell(1, ()), [((1,), rat(-7, 2))]) == (-4,)
+
+
+class TestArgminLabel:
+    """`argmin_label` on ints against the rational reference
+    (`oracles.reference_argmin_label`): the least (value, *coeffs), then the
+    smallest label."""
+
+    def test_matches_the_rational_reference(self):
+        # Forms from ints (kept as ints) and from rationals of mixed
+        # denominators; several are made to tie at the point in value, and
+        # some in value and every coefficient but one.
+        rng = random.Random(61)
+        ties = deep = 0
+        for trial in range(600):
+            d = rng.randint(1, 3)
+            point = tuple(rat(rng.randint(-6, 6), rng.choice((1, 2, 3, 4))) for _ in range(d))
+            target = rat(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+            forms = {}
+            for label in rng.sample(range(20), rng.randint(1, 7)):
+                if rng.random() < 0.4:
+                    coeffs = tuple(rng.randint(-3, 3) for _ in range(d))
+                    const = rng.randint(-5, 5)
+                else:
+                    coeffs = tuple(rat(rng.randint(-3, 3), rng.choice((1, 2, 3, 6))) for _ in range(d))
+                    const = rat(rng.randint(-5, 5), rng.choice((1, 2, 5)))
+                if rng.random() < 0.5:  # through (point, target): a tie in value
+                    const = target - dot(coeffs, point)
+                forms[label] = AffineForm(coeffs, const)
+            if rng.random() < 0.3:  # equal values and leading coefficients
+                base = forms[min(forms)]
+                coeffs = base.coeffs[:-1] + (base.coeffs[-1] + rat(rng.choice((-1, 1)), 2),)
+                const = base.const + dot(base.coeffs, point) - dot(coeffs, point)
+                forms[rng.randint(20, 30)] = AffineForm(coeffs, const)
+            got = argmin_label(forms, point)
+            assert got == reference_argmin_label(forms, point), trial
+            values = sorted(form_value(f, point) for f in forms.values())
+            ties += len(values) > 1 and values[0] == values[1]
+            best = (form_value(forms[got], point), forms[got].coeffs[0])
+            deep += sum((form_value(f, point), f.coeffs[0]) == best for f in forms.values()) > 1
+        assert ties >= 100 and deep >= 20, (ties, deep)
+
+    def test_forms_built_from_ints_keep_them(self):
+        form = AffineForm([2, -3], 5)
+        assert form.coeffs == (2, -3) and all(type(c) is int for c in (*form.coeffs, form.const))
+        assert form.int_form == ((2, -3), 5, 1)
+        mixed = AffineForm((2, rat(1, 2)), 1)
+        assert mixed.int_form == ((4, 1), 2, 2) and mixed == AffineForm((rat(2), rat(1, 2)), rat(1))
 
 
 class TestComputeSubdivision:

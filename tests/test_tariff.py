@@ -18,10 +18,19 @@ from paramregions.geometry import (
     polygon_vertices,
 )
 from paramregions.rationals import rat
-from paramregions.regions import argmin_label, compute_vertex_cell, dominance_constraints, product_candidates
+from paramregions import cli
+from paramregions.regions import (
+    AffineForm,
+    Subdivision,
+    argmin_label,
+    compute_vertex_cell,
+    dominance_constraints,
+    product_candidates,
+)
 from paramregions.tariff import (
     TariffInstance,
     buyer_choice,
+    buyer_choices,
     check_piece_bound,
     compute_price_regions,
     maximize_revenue,
@@ -34,6 +43,7 @@ from paramregions.tariff import (
 
 from oracles import (
     labels_at,
+    reference_argmin_label,
     reference_price_regions,
     reference_tariff_candidates,
     reference_vertices,
@@ -42,6 +52,15 @@ from oracles import (
 )
 
 FIXTURE = TariffInstance(units=2, valuations=[(3, 5)])
+# Seeds of the tariff walk at prices where a sample is indifferent.
+TIE_SEEDS = [
+    # u(0) = u(1) = u(2) = 0; just past the point, in the direction
+    # (e, e^2), buying nothing is best.
+    (FIXTURE, (1, 2), ((0, 1),)),
+    # Both tariffs give utility 2; past the point the second is
+    # cheaper, although buyer_choice picks the first.
+    (TariffInstance(units=1, valuations=[(4,)], menu_length=2), (1, 1, 1, 1), ((1, 2),)),
+]
 # Two identical samples: every boundary line is shared by both.
 TWINS = TariffInstance(units=2, valuations=[[3, 5], [3, 5]], price_cap=7)
 
@@ -98,10 +117,21 @@ class TestBuyerChoice:
                 assert buyer_choice(inst, i, p) == (q, -j)
 
     def test_price_dimension_must_match(self):
-        with pytest.raises(GeometryError):
-            buyer_choice(FIXTURE, 0, (rat(1),))
-        with pytest.raises(GeometryError):
-            buyer_choice(FIXTURE, 0, (rat(1), rat(1), rat(1), rat(1)))
+        for choose in (partial(buyer_choice, FIXTURE, 0), partial(buyer_choices, FIXTURE)):
+            with pytest.raises(GeometryError):
+                choose((rat(1),))
+            with pytest.raises(GeometryError):
+                choose((rat(1), rat(1), rat(1), rat(1)))
+
+    def test_every_sample_at_once_matches_one_by_one(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            k, menu = rng.randint(1, 3), rng.randint(1, 2)
+            n = rng.randint(1, 4)
+            vals = [[rat(rng.randint(0, 12), rng.choice((1, 2, 3))) for _ in range(k)] for _ in range(n)]
+            inst = TariffInstance(units=k, valuations=vals, menu_length=menu)
+            p = tuple(rat(rng.randint(0, 6), rng.choice((1, 2, 3))) for _ in range(2 * menu))
+            assert buyer_choices(inst, p) == tuple(buyer_choice(inst, i, p) for i in range(inst.n_samples))
 
 
 class TestPriceRegions:
@@ -249,22 +279,36 @@ class TestCompleteness:
                 p = tuple(cap * rat(rng.randint(0, 60), 60) for _ in range(inst.dimension))
                 assert labels_at(sub, p), (trial, p)
 
-    @pytest.mark.parametrize(
-        "inst, prices, want",
-        [
-            # u(0) = u(1) = u(2) = 0; just past the point, in the direction
-            # (e, e^2), buying nothing is best.
-            (FIXTURE, (1, 2), ((0, 1),)),
-            # Both tariffs give utility 2; past the point the second is
-            # cheaper, although buyer_choice picks the first.
-            (TariffInstance(units=1, valuations=[(4,)], menu_length=2), (1, 1, 1, 1), ((1, 2),)),
-        ],
-    )
+    @pytest.mark.parametrize("inst, prices, want", TIE_SEEDS)
     def test_seed_at_a_tie_has_a_cell(self, inst, prices, want):
         label = tuple(argmin_label(forms, tuple(rat(p) for p in prices)) for forms in _option_forms(inst))
         assert normalize_profile(label) == want
         cell, _ = compute_vertex_cell(inst.price_box(), label, profile_candidates(inst)(label))
         assert cell.contains(cell.witness, strict=True)
+
+    @pytest.mark.parametrize("inst, prices, want", TIE_SEEDS)
+    def test_seed_at_a_tie_matches_the_rational_argmin(self, inst, prices, want):
+        point = tuple(rat(p) for p in prices)
+        for forms in _option_forms(inst):
+            assert argmin_label(forms, point) == reference_argmin_label(forms, point)
+
+    def test_option_forms_pick_the_rational_argmin(self):
+        # The integer option forms, scaled by the valuations' common
+        # denominator, against the rational reference at points on many
+        # ties: the same label everywhere.
+        rng = random.Random(37)
+        for _ in range(60):
+            menu = rng.choice((1, 2))
+            k = rng.randint(1, 3)
+            vals = [[rat(rng.randint(0, 12), rng.choice((1, 2, 3))) for _ in range(k)] for _ in range(2)]
+            inst = TariffInstance(units=k, valuations=vals, menu_length=menu)
+            point = tuple(rat(rng.randint(0, 6), rng.choice((1, 2, 3))) for _ in range(inst.dimension))
+            for i, forms in enumerate(_option_forms(inst)):
+                rational = {}
+                for key in forms:
+                    (q, _), = normalize_profile((key,))
+                    rational[key] = AffineForm(revenue_form(inst, (key,)), -inst.value(i, q))
+                assert argmin_label(forms, point) == reference_argmin_label(rational, point)
 
 
 class TestCandidateRows:
@@ -370,6 +414,31 @@ class TestRevenue:
                         total += p[0] + q * p[1]
                 best_grid = max(best_grid, total)
             assert revenue >= best_grid
+
+
+class TestKeptVertices:
+    """The walk's cells keep the vertices of their clip (d = 2) or vertex
+    enumeration (d = 4); the same cells read back from JSON keep none and
+    build them again.  Every reader must answer alike on both."""
+
+    @pytest.mark.parametrize("menu_length, trials", [(1, 12), (2, 4)])
+    def test_cells_without_kept_vertices_give_the_same_answers(self, menu_length, trials):
+        rng = random.Random(71 + menu_length)
+        for _ in range(trials):
+            size = 4 // menu_length
+            inst = random_instance(rng, max_n=size, max_k=size, menu_length=menu_length)
+            sub = compute_price_regions(inst)
+            back = Subdivision.from_json(sub.to_json())
+            assert all(cell.vertices for cell in sub.cells.values())
+            assert all(cell.vertices is None for cell in back.cells.values())
+            assert back.to_json() == sub.to_json()
+            for label, cell in sub.cells.items():
+                again = back.cells[label]
+                bare = ConvexCell(cell.dimension, cell.constraints, cell.witness)
+                assert bare == cell and hash(bare) == hash(cell) and repr(bare) == repr(cell)
+                assert set(_bounded_vertices(again)) == set(_bounded_vertices(cell))
+                assert list(cli._cell_box_grid(again, 6)) == list(cli._cell_box_grid(cell, 6))
+            assert maximize_revenue(inst, back) == maximize_revenue(inst, sub)
 
 
 class TestPieceBound:

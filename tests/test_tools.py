@@ -116,10 +116,11 @@ def test_tariff_scaling_prints_one_row_per_instance(monkeypatch, capsys):
 
     assert tariff_scaling.main(["--singles", "2", "--menus", "1"]) == 0
     header, rule, *rows = capsys.readouterr().out.splitlines()
-    assert header == "| N | K | L | regions | time |" and rule == "|---|---|---|---|---|"
+    assert header == "| N | K | L | regions | time | revenue time |" and rule == "|---|---|---|---|---|---|"
     assert len(rows) == 2
     for row, want in zip(rows, [(2, 8, 1), (1, 4, 2)]):
-        fields = re.fullmatch(r"\| (\d+) \| (\d+) \| (\d+) \| ([\d,]+) \| ([\d.]+) s \|", row).groups()
+        cells = r"\| (\d+) \| (\d+) \| (\d+) \| ([\d,]+) \| ([\d.]+) s \| ([\d.]+) s \|"
+        fields = re.fullmatch(cells, row).groups()
         n, k, menu, regions = (int(f.replace(",", "")) for f in fields[:4])
         assert (n, k, menu) == want
         valuations = tariff_scaling.random_valuations(n, k)

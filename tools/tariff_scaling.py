@@ -4,12 +4,14 @@ For each size, draws N monotone valuation rows over K units from a fresh
 `random.Random(1)` (each row the running sums of K increments in 0..9),
 builds the price regions of a single tariff (L = 1, K = 8, d = 2) or of a
 menu of two tariffs (L = 2, K = 4, d = 4) with `compute_price_regions`,
+then finds the revenue-maximizing prices over them with `maximize_revenue`,
 and prints one row of a Markdown table:
 
-    | N | K | L | regions | time |
+    | N | K | L | regions | time | revenue time |
 
-Time is the wall time of `compute_price_regions`, one run.  Run from a
-source checkout:
+Time is the wall time of `compute_price_regions` and revenue time that of
+`maximize_revenue` on its regions, one run each.  Run from a source
+checkout:
 
     python3 tools/tariff_scaling.py --singles 8 16 32 64 --menus 4 8 12
 """
@@ -41,13 +43,15 @@ def random_valuations(samples: int, units: int) -> list:
 
 
 def measure(samples: int, units: int, menu_length: int) -> tuple:
-    """(regions, seconds) for one instance of this size."""
-    from paramregions.tariff import TariffInstance, compute_price_regions
+    """(regions, seconds, revenue seconds) for one instance of this size."""
+    from paramregions.tariff import TariffInstance, compute_price_regions, maximize_revenue
 
     instance = TariffInstance(units, random_valuations(samples, units), menu_length)
     start = time.perf_counter()
     regions = compute_price_regions(instance)
-    return len(regions.cells), time.perf_counter() - start
+    built = time.perf_counter()
+    maximize_revenue(instance, regions)
+    return len(regions.cells), built - start, time.perf_counter() - built
 
 
 def main(argv=None) -> int:
@@ -58,12 +62,13 @@ def main(argv=None) -> int:
     parser.add_argument("--menus", type=int, nargs="*", default=[4, 8, 12],
                         help=f"sample counts N of the menus of two tariffs (K = {MENU_UNITS})")
     args = parser.parse_args(argv)
-    print("| N | K | L | regions | time |")
-    print("|---|---|---|---|---|")
+    print("| N | K | L | regions | time | revenue time |")
+    print("|---|---|---|---|---|---|")
     jobs = [(n, SINGLE_UNITS, 1) for n in args.singles] + [(n, MENU_UNITS, 2) for n in args.menus]
     for samples, units, menu_length in jobs:
-        regions, seconds = measure(samples, units, menu_length)
-        print(f"| {samples} | {units} | {menu_length} | {regions:,} | {seconds:.2f} s |", flush=True)
+        regions, seconds, revenue = measure(samples, units, menu_length)
+        print(f"| {samples} | {units} | {menu_length} | {regions:,} | {seconds:.2f} s | {revenue:.3f} s |",
+              flush=True)
     return 0
 
 

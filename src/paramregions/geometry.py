@@ -14,7 +14,7 @@ objective attains its maximum.  No LP runs.
 The clip and the vertex enumeration both record each vertex's tight set
 as bits (the box's sides or cube's facets, then the rows), so a facet is
 read off those bits with no slack recomputed, and a cell built from either
-keeps its vertices (`ConvexCell.vertices`) for `_bounded_vertices`.
+keeps its vertices for `_bounded_vertices`.
 A halfspace is its primitive integer row; witnesses are exact rationals.
 The kernel underneath (the interval, the clip, the vertex enumeration, the
 witnesses, the point tests) runs fraction-free on Python ints, on those
@@ -32,7 +32,7 @@ where floats silently corrupt output-sensitive enumeration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, product
 from operator import and_, index, mul
@@ -141,15 +141,15 @@ class ConvexCell:
     polygon in d = 2 and off the cell's `_vertices` in d >= 3; the witness
     is the cell's canonical point (`_canonical_point`) in every dimension.
     In d >= 2 a bounded cell it builds also keeps the homogeneous vertices
-    of that polygon or enumeration as `vertices`, which `_bounded_vertices`
-    returns.  They take no part in equality, hashing, `repr` or JSON, and a
-    cell built any other way (by hand, from JSON) has none.
+    of that polygon or enumeration in a private slot (`_kept`), which
+    `_bounded_vertices` returns.  The slot is no field: equality, hashing,
+    `repr` and JSON do not see it, and a cell built any other way (by hand,
+    from JSON, by `dataclasses.replace`) has none.
     """
 
     dimension: int
     constraints: tuple
     witness: Optional[Vector] = None
-    vertices: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         for h in self.constraints:
@@ -566,7 +566,7 @@ def _bounded_vertices(cell: ConvexCell) -> Optional[tuple]:
     two ends in d = 1 (`_interval_ends`), `_clip_polygon`'s polygon in d = 2
     and the cell's `_vertices` in d >= 3.  A vertex may repeat.  A cell
     that `regions.compute_vertex_cell` built keeps the vertices of that
-    construction (`ConvexCell.vertices`), and they are returned as kept.
+    construction (`_kept`), and they are returned as kept.
 
     None when the cell is unbounded: an end of the interval is infinite, or
     a vertex is tight on a side of the clip's box or a facet of `_vertices`'
@@ -574,8 +574,9 @@ def _bounded_vertices(cell: ConvexCell) -> Optional[tuple]:
     inside, and cut an unbounded one off at a face of the box.  () when the
     cell is empty, and in d = 1 when it has empty interior.
     """
-    if cell.vertices is not None:
-        return cell.vertices
+    kept = getattr(cell, "_kept", None)
+    if kept is not None:
+        return kept
     d = cell.dimension
     rows = [h.int_row for h in cell.constraints]
     if d == 1:

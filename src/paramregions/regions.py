@@ -95,8 +95,6 @@ class AffineForm:
     def int_form(self) -> tuple:
         """(w * coeffs, w * const, w) as ints, w the lcm of the denominators:
         w = 1 for a form built from ints."""
-        if type(self.const) is int and all(type(c) is int for c in self.coeffs):
-            return self.coeffs, self.const, 1
         *scaled, const, w = _homogeneous((*self.coeffs, self.const))
         return tuple(scaled), const, w
 
@@ -261,7 +259,8 @@ def compute_vertex_cell(parent: ConvexCell, label, candidates: Optional[list]):
     In every dimension the witness depends on the cell alone, not on the
     rows that cut it out or their order, and no LP runs.  In d >= 2 a
     bounded cell keeps the polygon's or the enumeration's vertices
-    (`ConvexCell.vertices`, none tight on the box: `geometry._inside_box`),
+    (in the cell's private `_kept` slot, none tight on the box:
+    `geometry._inside_box`),
     so that reading its vertices later (`geometry._bounded_vertices`)
     builds nothing again.
     Raises DegenerateCellError when the cell has empty interior.
@@ -296,7 +295,9 @@ def compute_vertex_cell(parent: ConvexCell, label, candidates: Optional[list]):
     if witness is None:
         raise DegenerateCellError(label)
     n_parent = len(parent.constraints)
-    cell = ConvexCell(d, tuple(rows[i] for i in kept), witness=witness, vertices=corners)
+    cell = ConvexCell(d, tuple(rows[i] for i in kept), witness=witness)
+    if corners is not None:
+        object.__setattr__(cell, "_kept", corners)
     neighbors = frozenset(rows[i].label for i in kept if i >= n_parent)
     return cell, neighbors
 

@@ -3,6 +3,7 @@ import json
 import math
 import operator
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from paramregions.geometry import (
     polygon_vertices,
 )
 from paramregions.rationals import format_rational, format_vector, rat
+from paramregions.regions import compute_vertex_cell
 from paramregions.tariff import TariffInstance, compute_price_regions
 
 import oracles
@@ -649,16 +651,18 @@ class TestConvexCell:
 
 
     def test_kept_vertices_are_no_part_of_the_value(self):
-        # Equality, hashing, repr and JSON read the rows and the witness
-        # alone; `_bounded_vertices` returns the kept vertices as they are.
-        witness = (rat(1, 3), rat(2, 3))
-        plain = ConvexCell(2, tuple(UNIT_SQUARE), witness=witness)
-        kept = ConvexCell(2, tuple(UNIT_SQUARE), witness=witness, vertices=((0, 0, 1),))
-        assert kept == plain and hash(kept) == hash(plain) and repr(kept) == repr(plain)
-        assert kept.to_json() == plain.to_json()
-        assert ConvexCell.from_json(kept.to_json()).vertices is None
-        assert _bounded_vertices(kept) == ((0, 0, 1),)
-        assert sorted(_bounded_vertices(plain)) == [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
+        # A cell that `compute_vertex_cell` built keeps its vertices in a
+        # private slot that equality, hashing, repr and JSON do not read.
+        # A cell with other rows (`dataclasses.replace`) keeps none and
+        # builds its own.
+        cell, _ = compute_vertex_cell(box_cell(-1, 2, 2), "square", list(UNIT_SQUARE))
+        plain = ConvexCell(2, cell.constraints, cell.witness)
+        assert cell == plain and hash(cell) == hash(plain) and repr(cell) == repr(plain)
+        assert cell.to_json() == plain.to_json()
+        square = [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
+        assert sorted(_bounded_vertices(cell)) == sorted(_bounded_vertices(plain)) == square
+        cut = replace(cell, constraints=(*cell.constraints, H((2, 2), 3)))
+        assert sorted(_bounded_vertices(cut)) == [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 2, 2), (2, 1, 2)]
 
 
 def rational_contains(cell, point, strict=False):

@@ -429,8 +429,8 @@ class TestKeptVertices:
             inst = random_instance(rng, max_n=size, max_k=size, menu_length=menu_length)
             sub = compute_price_regions(inst)
             back = Subdivision.from_json(sub.to_json())
-            assert all(cell.vertices for cell in sub.cells.values())
-            assert all(cell.vertices is None for cell in back.cells.values())
+            assert all(getattr(cell, "_kept", None) for cell in sub.cells.values())
+            assert not any(hasattr(cell, "_kept") for cell in back.cells.values())
             assert back.to_json() == sub.to_json()
             for label, cell in sub.cells.items():
                 again = back.cells[label]
